@@ -15,10 +15,8 @@ Run from the repository root:  python demos/02_ring_partition_modes.py
 
 from treesink.core import TrunkScriptEntry
 from treesink.sourcesink import partition_rings
-from treesink.structure import seed_state
 from treesink.synthetic import (reference_parameters, reference_zone_rules,
                                 script_only_dataset)
-from treesink.topology import seed_plan
 from treesink import engine
 
 params = reference_parameters()
@@ -28,17 +26,15 @@ script = (TrunkScriptEntry(1, 3), TrunkScriptEntry(2, 4, ((3, 1),)),
           TrunkScriptEntry(5, 5, ((4, 1),)), TrunkScriptEntry(6, 5))
 dataset = script_only_dataset(script)
 
-state = seed_state()
-state.pending_plan = seed_plan(params, zones, dataset.script_entry(1))
-state.pending_fund = params.q0
-state.ratio_lagged = state.pending_plan.ratio_used
+state = engine.start_state(params, zones, dataset)
 for _ in range(dataset.tree_age):
     engine.step(state, params, zones, dataset, 0, dataset.tree_age)
 
 # the trunk's metamers with their foliage-above, as (multiplicity, PA,
 # length, leaf surface above) rows for the partition primitive
 trunk = state.trunk
-s_above = state.leaf_surface_above(live_cycle=state.cycle)[0]
+bounds, s_above = state.foliage_above(live_cycle=state.cycle)
+s_above = s_above[bounds[0]:bounds[1]]
 rows = [(1, trunk.pa, float(length), float(s_a))
         for length, s_a in zip(trunk.length, s_above)]
 

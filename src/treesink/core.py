@@ -35,7 +35,12 @@ class ValidationError(TreesinkError):
 
 
 class SimulationError(TreesinkError):
-    """Raised when a growth simulation cannot proceed (with cycle context)."""
+    """Raised when a growth simulation cannot proceed; ``cycle`` is the
+    growth cycle it failed in, once known."""
+
+    def __init__(self, message, cycle=None):
+        super().__init__(message)
+        self.cycle = cycle
 
 
 class AllocationError(TreesinkError):

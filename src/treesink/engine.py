@@ -23,7 +23,7 @@ from .sourcesink import (CycleAllocation, allocate_shoots, production,
                          ring_demand, solve_global_demand)
 from .structure import (AxisClass, MetamerCohort, TreeState,
                         expand_shoot_values, metamer_diameter,
-                        metamer_diameters, seed_state)
+                        metamer_diameters)
 from .topology import OrganogenesisPlan, organogenesis_step, seed_plan
 
 #: overflow guard: a per-cycle production beyond this is treated as a
@@ -86,88 +86,61 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
     masses = allocate_shoots(fund, plan.d_s, plan.bud_counts, params.p_s)
     slw = params.slw_at(cycle)
 
-    def shoot_values(pa, count):
-        return expand_shoot_values(params, pa, masses.get(pa, 0.0), count,
-                                   cycle, slw=slw)
+    def grow(cls: AxisClass, layout, count: int):
+        inter, length, leaf, area = expand_shoot_values(
+            params, cls.pa, masses.get(cls.pa, 0.0), count, cycle, slw=slw)
+        return cls.append_gu(cycle, layout, count, inter, length, leaf, area)
 
-    # trunk growth unit plus its scripted branches (expanding together)
+    def lateral_class(pa: int, instances: int) -> int:
+        """Index of the (pa, this cycle) class once ``instances`` new axes
+        join it; the first ones create it with its first growth unit."""
+        cls = state.get_class(pa, cycle)
+        if cls is None:
+            layout = plan.gu_layouts.get(pa)
+            if layout is None:
+                raise SimulationError(
+                    f"no growth-unit layout for scripted branch PA {pa}")
+            grow(state.add_class(pa, cycle, multiplicity=instances), layout,
+                 sum(c for _, c in layout))
+        else:
+            cls.multiplicity += instances
+        return state.class_index[(pa, cycle)]
+
+    # trunk growth unit plus its scripted branches (expanding together),
+    # placed on distinct metamers from the apex downward, the most vigorous
+    # (lowest PA) closest to the tip, mirroring the acrotonic zone order of
+    # dynamic growth units
     entry = plan.trunk_entry
     if entry is not None:
         trunk = state.get_class(TRUNK_PA, 1)
         if trunk is None:
             trunk = state.add_class(TRUNK_PA, 1, multiplicity=1)
-        inter, length, leaf, area = shoot_values(TRUNK_PA, entry.metamer_count)
-        gu = trunk.append_gu(cycle, None, entry.metamer_count,
-                             inter, length, leaf, area)
-        apply_trunk_script(state, trunk, gu, entry, params, masses,
-                           plan.gu_layouts)
+        gu = grow(trunk, None, entry.metamer_count)
+        if entry.branch_total() > entry.metamer_count:
+            raise SimulationError(
+                f"trunk GU {entry.gu_index} bears more scripted branches "
+                f"than metamers")
+        row = gu.start + entry.metamer_count
+        for pa, count in sorted(entry.branches):
+            for _ in range(count):
+                row -= 1
+                trunk.set_child(row, lateral_class(pa, 1), 1)
 
     # apical continuation of every branch axis
     for idx in plan.continuation_class_idx:
         cls = state.classes[idx]
         layout = plan.gu_layouts[cls.pa]
-        count = sum(c for _, c in layout)
-        inter, length, leaf, area = shoot_values(cls.pa, count)
-        cls.append_gu(cycle, layout, count, inter, length, leaf, area)
+        grow(cls, layout, sum(c for _, c in layout))
 
     # new lateral axes, merged per PA into one class per birth cycle
     lateral_mult: dict[int, int] = {}
     for a in plan.assignments:
         lateral_mult[a.child_pa] = lateral_mult.get(a.child_pa, 0) + a.instances
-    for pa in sorted(lateral_mult):
-        cls = state.get_class(pa, cycle)
-        if cls is None:
-            cls = state.add_class(pa, cycle, multiplicity=lateral_mult[pa])
-            layout = plan.gu_layouts[pa]
-            count = sum(c for _, c in layout)
-            inter, length, leaf, area = shoot_values(pa, count)
-            cls.append_gu(cycle, layout, count, inter, length, leaf, area)
-        else:
-            cls.multiplicity += lateral_mult[pa]
+    child_idx = {pa: lateral_class(pa, lateral_mult[pa])
+                 for pa in sorted(lateral_mult)}
     for a in plan.assignments:
-        parent = state.classes[a.parent_class_idx]
-        child_idx = state.class_index[(a.child_pa, cycle)]
-        parent.set_child(a.flat_idx, child_idx, a.per_instance_count)
-
-
-def apply_trunk_script(state: TreeState, trunk: AxisClass, gu,
-                       entry, params: GrowthParameters,
-                       masses: dict[int, float],
-                       gu_layouts: dict[int, list[tuple[int, int]]]) -> None:
-    """Attach the scripted branches of one trunk growth unit.
-
-    Branches are placed on distinct metamers from the apex downward, the
-    most vigorous (lowest PA) closest to the tip, mirroring the acrotonic
-    zone order of dynamic growth units.  Each scripted branch starts (or
-    joins) the axis class of its PA born this cycle.
-    """
-    cycle = state.cycle
-    if entry.branch_total() > entry.metamer_count:
-        raise SimulationError(
-            f"cycle {cycle}: trunk GU {entry.gu_index} bears more scripted "
-            f"branches than metamers")
-    placements = []
-    for pa, count in sorted(entry.branches):
-        placements.extend([pa] * count)
-    rank = entry.metamer_count
-    slw = params.slw_at(cycle)
-    for pa in placements:
-        cls = state.get_class(pa, cycle)
-        if cls is None:
-            layout = gu_layouts.get(pa)
-            if layout is None:
-                raise SimulationError(
-                    f"cycle {cycle}: no growth-unit layout for scripted "
-                    f"branch PA {pa}")
-            count = sum(c for _, c in layout)
-            inter, length, leaf, area = expand_shoot_values(
-                params, pa, masses.get(pa, 0.0), count, cycle, slw=slw)
-            cls = state.add_class(pa, cycle, multiplicity=1)
-            cls.append_gu(cycle, layout, count, inter, length, leaf, area)
-        else:
-            cls.multiplicity += 1
-        trunk.set_child(gu.start + rank - 1, state.class_index[(pa, cycle)], 1)
-        rank -= 1
+        state.classes[a.parent_class_idx].set_child(
+            a.flat_idx, child_idx[a.child_pa], a.per_instance_count)
 
 
 def _partition_rings_factorized(state: TreeState, params: GrowthParameters,
@@ -187,7 +160,7 @@ def _partition_rings_factorized(state: TreeState, params: GrowthParameters,
         lam = 0.0
     if q_r > 0.0 and d_pool == 0.0:
         raise SimulationError(
-            f"cycle {cycle}: ring biomass {q_r:g} g with no woody structure")
+            f"ring biomass {q_r:g} g with no woody structure")
 
     if q_r == 0.0 or d_pool == 0.0:
         incs = np.zeros(weight.size)
@@ -197,7 +170,41 @@ def _partition_rings_factorized(state: TreeState, params: GrowthParameters,
             share = share + lam / d_pressler * (s_a * weight)
         incs = share * q_r
     for i, cls in enumerate(state.classes):
-        cls.record_rings(cycle, incs[int(bounds[i]):int(bounds[i + 1])].copy())
+        cls.record_rings(incs[bounds[i]:bounds[i + 1]])
+    # the trunk (class 0) increments feed the ring-diameter matrix
+    state.trunk_rings.append((cycle, incs[:bounds[1]].copy()))
+
+
+def net_production(params: GrowthParameters, s_blade: float,
+                   tree_index: int) -> float:
+    """Aerial production of a crown of ``s_blade`` m² of blades, the root
+    share removed."""
+    q = production(s_blade, params.v_env[tree_index], params.sp0,
+                   params.alpha, params.k_beer) * (1.0 - params.root_fraction)
+    if not np.isfinite(q) or q > PRODUCTION_CAP:
+        raise SimulationError(f"production diverged: {q!r}")
+    return q
+
+
+def split_production(params: GrowthParameters, cycle: int, q: float,
+                     d_s: float, s_blade: float) -> CycleAllocation:
+    """Solve the global demand for production ``q`` against the planned
+    shoot demand ``d_s`` and split ``q`` into the shoot and ring
+    compartments."""
+    if d_s > 0.0 or params.p_r > 0.0:
+        d_solved = solve_global_demand(d_s, params.p_r, params.gamma, q)
+    else:
+        d_solved = 0.0
+    if d_solved > 0.0:
+        # the ring demand from the power law directly (the difference
+        # d - d_s cancels catastrophically when the ring share is tiny)
+        d_r = ring_demand(q / d_solved, params.p_r, params.gamma)
+        d = d_s + d_r
+        return CycleAllocation(cycle=cycle, q=q, d=d, d_s=d_s, d_r=d_r,
+                               q_s=q * d_s / d, q_r=q * d_r / d, ratio=q / d,
+                               s_blade=s_blade)
+    return CycleAllocation(cycle=cycle, q=q, d=0.0, d_s=d_s, d_r=0.0,
+                           q_s=0.0, q_r=0.0, ratio=0.0, s_blade=s_blade)
 
 
 def step(state: TreeState, params: GrowthParameters, zones: ZoneRuleSet,
@@ -212,56 +219,24 @@ def step(state: TreeState, params: GrowthParameters, zones: ZoneRuleSet,
             raise SimulationError("no pending organogenesis plan")
         _expand_planned_shoots(state, params, plan, state.pending_fund)
 
-        s_cm2 = state.total_blade_area_cm2(live_cycle=n)
-        state.s_blade = s_cm2 / CM2_PER_M2
-        q_gross = production(state.s_blade, params.v_env[tree_index],
-                             params.sp0, params.alpha, params.k_beer)
-        q = q_gross * (1.0 - params.root_fraction)
-        if not np.isfinite(q) or q > PRODUCTION_CAP:
-            raise SimulationError(f"production diverged: {q!r}")
+        s_blade = state.total_blade_area_cm2(live_cycle=n) / CM2_PER_M2
+        q = net_production(params, s_blade, tree_index)
 
         next_entry = (dataset.script_entry(n + 1)
                       if n + 1 <= min(dataset.tree_age, final_cycle) else None)
         new_plan = organogenesis_step(state, params, zones,
                                       state.ratio_lagged, next_entry)
+        alloc = split_production(params, n, q, new_plan.d_s, s_blade)
+        _partition_rings_factorized(state, params, alloc.q_r, n)
 
-        d_s = new_plan.d_s
-        if d_s > 0.0 or params.p_r > 0.0:
-            d_solved = solve_global_demand(d_s, params.p_r, params.gamma, q)
-        else:
-            d_solved = 0.0
-        if d_solved > 0.0:
-            # the ring demand from the power law directly (the difference
-            # d - d_s cancels catastrophically when the ring share is tiny)
-            d_r = ring_demand(q / d_solved, params.p_r, params.gamma)
-            d = d_s + d_r
-            ratio = q / d
-            q_s = q * d_s / d
-            q_r = q * d_r / d
-        else:
-            d, d_r, ratio, q_s, q_r = 0.0, 0.0, 0.0, 0.0, 0.0
-
-        _partition_rings_factorized(state, params, q_r, n)
-
-        alloc = CycleAllocation(cycle=n, q=q, d=d, d_s=d_s, d_r=d_r,
-                                q_s=q_s, q_r=q_r, ratio=ratio,
-                                s_blade=state.s_blade)
-        state.q_history.append(q)
-        state.d_history.append(d)
-        state.ds_history.append(d_s)
-        state.dr_history.append(d_r)
-        state.qs_history.append(q_s)
-        state.qr_history.append(q_r)
-        state.ratio_history.append(ratio)
-        state.s_history.append(state.s_blade)
-        state.ratio_lagged = ratio
+        state.ratio_lagged = alloc.ratio
         state.pending_plan = new_plan
-        state.pending_fund = q_s
+        state.pending_fund = alloc.q_s
         return alloc
     except Exception as exc:  # abort with the cycle attached
-        if isinstance(exc, SimulationError) and str(exc).startswith("cycle "):
+        if isinstance(exc, SimulationError) and exc.cycle is not None:
             raise
-        raise SimulationError(f"cycle {n}: {exc}") from exc
+        raise SimulationError(f"cycle {n}: {exc}", cycle=n) from exc
 
 
 def leaves_above(state: TreeState, cohort: MetamerCohort,
@@ -280,8 +255,8 @@ def leaves_above(state: TreeState, cohort: MetamerCohort,
     if not (1 <= cohort.rank <= gu.count):
         raise SimulationError(f"metamer rank {cohort.rank} outside growth unit")
     idx = state.class_index[(cohort.pa, axis_birth)]
-    per_class = state.leaf_surface_above(live_cycle=live_cycle)
-    return float(per_class[idx][gu.start + cohort.rank - 1])
+    bounds, s_a = state.foliage_above(live_cycle)
+    return float(s_a[bounds[idx] + gu.start + cohort.rank - 1])
 
 
 def geometry(params: GrowthParameters, cohort: MetamerCohort
@@ -289,9 +264,39 @@ def geometry(params: GrowthParameters, cohort: MetamerCohort
     """(length cm, external diameter cm) of a metamer cohort: the length is
     frozen at expansion; the diameter holds the internode plus all ring
     increments as a cylinder of fresh wood."""
-    wood = cohort.internode_mass + sum(cohort.ring_masses)
+    wood = cohort.internode_mass + cohort.ring_mass
     return cohort.internode_length, metamer_diameter(
         wood, cohort.internode_length, params.wood_density)
+
+
+def check_run_request(params: GrowthParameters, zones: ZoneRuleSet,
+                      dataset: TargetDataset, tree_index: int,
+                      cycles: int | None) -> int:
+    """Validate a simulation request and return its number of cycles: the
+    dataset's tree age unless ``cycles`` shortens it."""
+    validate_parameters(params, zones).raise_if_failed()
+    validate_script(dataset).raise_if_failed()
+    if tree_index >= len(params.v_env):
+        raise SimulationError(
+            f"tree index {tree_index} but only {len(params.v_env)} "
+            f"environment factors")
+    n_cycles = dataset.tree_age if cycles is None else cycles
+    if n_cycles < 1:
+        raise SimulationError("need at least one growth cycle")
+    if n_cycles > dataset.tree_age:
+        raise SimulationError(
+            f"{n_cycles} cycles requested but the trunk script ends at "
+            f"{dataset.tree_age}")
+    return n_cycles
+
+
+def start_state(params: GrowthParameters, zones: ZoneRuleSet,
+                dataset: TargetDataset) -> TreeState:
+    """The state before cycle 1: the seed plan pending, funded by the seed
+    biomass, with its seed ratio standing in for the previous cycle's Q/D."""
+    plan = seed_plan(params, zones, dataset.script_entry(1))
+    return TreeState(pending_plan=plan, pending_fund=params.q0,
+                     ratio_lagged=plan.ratio_used)
 
 
 def simulate(params: GrowthParameters, zones: ZoneRuleSet,
@@ -305,26 +310,8 @@ def simulate(params: GrowthParameters, zones: ZoneRuleSet,
     ``with_signature`` skip the architecture dump / discrete signature when
     the caller only needs the measurement profiles (the calibration loop).
     """
-    report = validate_parameters(params, zones)
-    report.raise_if_failed()
-    validate_script(dataset).raise_if_failed()
-    if tree_index >= len(params.v_env):
-        raise SimulationError(
-            f"tree index {tree_index} but only {len(params.v_env)} "
-            f"environment factors")
-    n_cycles = dataset.tree_age if cycles is None else cycles
-    if n_cycles < 1:
-        raise SimulationError("need at least one growth cycle")
-    if n_cycles > dataset.tree_age:
-        raise SimulationError(
-            f"{n_cycles} cycles requested but the trunk script ends at "
-            f"{dataset.tree_age}")
-
-    state = seed_state()
-    state.pending_plan = seed_plan(params, zones, dataset.script_entry(1))
-    state.pending_fund = params.q0
-    state.ratio_lagged = state.pending_plan.ratio_used
-
+    n_cycles = check_run_request(params, zones, dataset, tree_index, cycles)
+    state = start_state(params, zones, dataset)
     allocations = [step(state, params, zones, dataset, tree_index, n_cycles)
                    for _ in range(n_cycles)]
     return _collect_output(state, params, allocations, tree_index, n_cycles,
@@ -354,7 +341,7 @@ def _collect_output(state: TreeState, params: GrowthParameters,
     cum = np.zeros(trunk.n_metamers)
     gu_starts = np.array([gu.start for gu in trunk.gus])
     gu_counts = np.array([gu.count for gu in trunk.gus], dtype=float)
-    for age, inc in zip(trunk.ring_cycles, trunk.ring_history):
+    for age, inc in state.trunk_rings:
         cum[:inc.size] += inc
         wood = trunk.internode_mass[:inc.size] + cum[:inc.size]
         diam = metamer_diameters(wood, trunk.length[:inc.size],

@@ -3,9 +3,10 @@
 This is the cross-check for the factorized engine: no cohort merging, no
 multiplicities, no vectorization.  Structure bookkeeping (instance groups,
 foliage-above scans, subtree aggregates) is re-derived naively from the
-explicit tree; only the scalar rules (production, demand solve, allocation,
-metamer/axis counts, the distribution primitive) are shared, since those
-have their own oracles in the test suite.
+explicit tree; only the run-request checks and the scalar rules
+(production, the demand solve and production split, allocation, the seed
+plan, metamer/axis counts, the distribution primitive) are shared with the
+engine, since those have their own oracles in the test suite.
 
 Its cost grows with the organ count, so it is intended for short runs
 (a handful of cycles); the factorized engine must reproduce it exactly up
@@ -19,16 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (CM2_PER_M2, TRUNK_PA, GrowthParameters, SimulationError,
-                   TargetDataset, ZoneRuleSet, validate_parameters,
-                   validate_script)
+                   TargetDataset, TrunkScriptEntry, ZoneRuleSet)
 from .engine import (BranchRow, RingRow, SimulationOutput, TrunkRow,
-                     PRODUCTION_CAP)
-from .sourcesink import (CycleAllocation, allocate_shoots, partition_rings,
-                         production, ring_demand, shoot_demand,
-                         solve_global_demand)
+                     check_run_request, net_production, split_production)
+from .sourcesink import allocate_shoots, partition_rings, shoot_demand
 from .structure import expand_shoot_values, metamer_diameter
 from .topology import (PositionGroup, axis_total, distribute_axes,
-                       gu_zone_layout)
+                       gu_zone_layouts, seed_plan)
 
 
 class NMetamer:
@@ -79,8 +77,7 @@ class _PendingShoot:
 class _NaivePlan:
     shoots: list[_PendingShoot]
     layouts: dict[int, list[tuple[int, int]]]
-    trunk_metamers: int = 0
-    scripted: list[int] = field(default_factory=list)  # branch PAs, base order
+    trunk_entry: TrunkScriptEntry | None = None
     d_s: float = 0.0
     bud_counts: dict[int, float] = field(default_factory=dict)
 
@@ -89,13 +86,6 @@ class NaiveTree:
     def __init__(self):
         self.axes: list[NAxis] = []
         self.cycle = 0
-
-    def all_metamers(self):
-        for axis in self.axes:
-            for gu in axis.gus:
-                yield axis, gu, None
-                for m in gu.metamers:
-                    yield axis, gu, m
 
     def metamers(self):
         for axis in self.axes:
@@ -154,18 +144,15 @@ def _plan(tree: NaiveTree, params, zones, ratio, trunk_entry) -> _NaivePlan:
     """Naive organogenesis: enumerate positions explicitly, group them by
     (axis birth, metamer rank) per growth-unit class and distribute."""
     n = tree.cycle
-    layouts = {pa: gu_zone_layout(pa, zones, ratio, params)
-               for pa in range(2, params.pa_max + 1)}
+    layouts = gu_zone_layouts(zones, ratio, params)
     shoots: list[_PendingShoot] = []
     bud_counts: dict[int, float] = {}
 
-    plan = _NaivePlan(shoots=shoots, layouts=layouts)
+    plan = _NaivePlan(shoots=shoots, layouts=layouts, trunk_entry=trunk_entry)
     if trunk_entry is not None:
         shoots.append(_PendingShoot(pa=TRUNK_PA, kind="trunk"))
         bud_counts[TRUNK_PA] = bud_counts.get(TRUNK_PA, 0.0) + 1.0
-        plan.trunk_metamers = trunk_entry.metamer_count
         for pa, count in sorted(trunk_entry.branches):
-            plan.scripted.extend([pa] * count)
             bud_counts[pa] = bud_counts.get(pa, 0.0) + count
 
     for axis in tree.axes:
@@ -232,15 +219,16 @@ def _expand(tree: NaiveTree, params, plan: _NaivePlan, fund: float) -> None:
             if not tree.axes:
                 tree.axes.append(NAxis(TRUNK_PA, 1))
             trunk = tree.axes[0]
-            gu = build_gu(trunk, TRUNK_PA, None, plan.trunk_metamers)
-            rank = plan.trunk_metamers
-            for pa in plan.scripted:
-                layout = plan.layouts[pa]
-                axis = NAxis(pa, cycle)
-                tree.axes.append(axis)
-                build_gu(axis, pa, layout, sum(c for _, c in layout))
-                gu.metamers[rank - 1].child = axis
-                rank -= 1
+            rank = plan.trunk_entry.metamer_count
+            gu = build_gu(trunk, TRUNK_PA, None, rank)
+            for pa, count in sorted(plan.trunk_entry.branches):
+                for _ in range(count):
+                    layout = plan.layouts[pa]
+                    axis = NAxis(pa, cycle)
+                    tree.axes.append(axis)
+                    build_gu(axis, pa, layout, sum(c for _, c in layout))
+                    gu.metamers[rank - 1].child = axis
+                    rank -= 1
         elif shoot.kind == "continue":
             layout = plan.layouts[shoot.pa]
             build_gu(shoot.axis, shoot.pa, layout,
@@ -261,56 +249,28 @@ def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
                    cycles: int | None = None) -> SimulationOutput:
     """Run the enumerated-tree reference simulation (same contract as
     :func:`treesink.engine.simulate`)."""
-    validate_parameters(params, zones).raise_if_failed()
-    validate_script(dataset).raise_if_failed()
-    n_cycles = dataset.tree_age if cycles is None else cycles
-    if n_cycles > dataset.tree_age:
-        raise SimulationError("trunk script shorter than the requested run")
+    n_cycles = check_run_request(params, zones, dataset, tree_index, cycles)
 
     tree = NaiveTree()
-    entry1 = dataset.script_entry(1)
-    bud_counts = {TRUNK_PA: 1.0}
-    for pa, count in entry1.branches:
-        bud_counts[pa] = bud_counts.get(pa, 0.0) + count
-    d_s0 = shoot_demand(bud_counts, params.p_s)
-    ratio_seed = params.q0 / d_s0
+    seed = seed_plan(params, zones, dataset.script_entry(1))
     pending = _NaivePlan(
-        shoots=[], layouts={pa: gu_zone_layout(pa, zones, ratio_seed, params)
-                            for pa in range(2, params.pa_max + 1)},
-        trunk_metamers=entry1.metamer_count,
-        scripted=[pa for pa, count in sorted(entry1.branches)
-                  for _ in range(count)],
-        d_s=d_s0, bud_counts=bud_counts)
-    pending.shoots.append(_PendingShoot(pa=TRUNK_PA, kind="trunk"))
+        shoots=[_PendingShoot(pa=TRUNK_PA, kind="trunk")],
+        layouts=seed.gu_layouts, trunk_entry=seed.trunk_entry,
+        d_s=seed.d_s, bud_counts=seed.bud_counts)
     fund = params.q0
-    ratio_lagged = ratio_seed
+    ratio_lagged = seed.ratio_used
 
     allocations = []
     for n in range(1, n_cycles + 1):
         tree.cycle = n
         _expand(tree, params, pending, fund)
         s_blade = tree.live_blade_cm2(n) / CM2_PER_M2
-        q = production(s_blade, params.v_env[tree_index], params.sp0,
-                       params.alpha, params.k_beer)
-        q *= (1.0 - params.root_fraction)
-        if not np.isfinite(q) or q > PRODUCTION_CAP:
-            raise SimulationError(f"production diverged: {q!r}")
+        q = net_production(params, s_blade, tree_index)
 
         next_entry = (dataset.script_entry(n + 1)
                       if n + 1 <= n_cycles else None)
         plan = _plan(tree, params, zones, ratio_lagged, next_entry)
-
-        d_s = plan.d_s
-        d_solved = solve_global_demand(d_s, params.p_r, params.gamma, q) \
-            if (d_s > 0.0 or params.p_r > 0.0) else 0.0
-        if d_solved > 0.0:
-            d_r = ring_demand(q / d_solved, params.p_r, params.gamma)
-            d = d_s + d_r
-            ratio = q / d
-            q_s = q * d_s / d
-            q_r = q * d_r / d
-        else:
-            d, d_r, ratio, q_s, q_r = 0.0, 0.0, 0.0, 0.0, 0.0
+        alloc = split_production(params, n, q, plan.d_s, s_blade)
 
         rows = []
         row_refs = []
@@ -320,16 +280,14 @@ def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
                     s_a = tree.leaves_above(axis, gu.rank, m.rank, n)
                     rows.append((1, m.pa, m.length, s_a))
                     row_refs.append(m)
-        incs = partition_rings(q_r, rows, params.lambda_mix, params.p_rg,
+        incs = partition_rings(alloc.q_r, rows, params.lambda_mix, params.p_rg,
                                warn_dropped_pressler=False)
         for m, inc in zip(row_refs, incs):
             m.rings.append(inc)
 
-        allocations.append(CycleAllocation(
-            cycle=n, q=q, d=d, d_s=d_s, d_r=d_r, q_s=q_s, q_r=q_r,
-            ratio=ratio, s_blade=s_blade))
-        ratio_lagged = ratio if d > 0.0 else 0.0
-        pending, fund = plan, q_s
+        allocations.append(alloc)
+        ratio_lagged = alloc.ratio
+        pending, fund = plan, alloc.q_s
 
     return _collect_naive(tree, params, allocations, tree_index, n_cycles,
                           pending_fund=fund)

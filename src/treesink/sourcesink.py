@@ -142,13 +142,6 @@ def allocate_shoots(q_s: float, d_s: float, bud_counts: dict[int, float],
     return {pa: p_s[pa - 1] * scale for pa in bud_counts}
 
 
-def split_metamer_mass(mass: float, ratio: float) -> tuple[float, float]:
-    """Split a metamer's mass into (internode, leaf) by the fixed
-    internode/leaf ratio of its shoot class."""
-    leaf = mass / (1.0 + ratio)
-    return mass - leaf, leaf
-
-
 def partition_rings(q_r: float, cohorts, lambda_mix: float, p_rg,
                     warn_dropped_pressler: bool = True):
     """Distribute the ring-compartment biomass over metamer cohorts.

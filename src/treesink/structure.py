@@ -47,13 +47,13 @@ class MetamerCohort:
     internode_length: float
     leaf_mass: float
     leaf_area: float
-    ring_masses: tuple[float, ...]
+    ring_mass: float           # cumulative ring increments, per instance
     borne_axes: dict[int, int]  # axillary PA -> per-instance count
 
 
 _FLOAT_ARRAYS = ("internode_mass", "length", "leaf_mass", "leaf_area",
                  "cum_ring")
-_INT_ARRAYS = ("birth", "metamer_rank", "zone_pa", "child_idx", "child_count")
+_INT_ARRAYS = ("birth", "metamer_rank", "child_idx", "child_count")
 
 
 class AxisClass:
@@ -65,9 +65,8 @@ class AxisClass:
     """
 
     __slots__ = ("pa", "birth_cycle", "multiplicity", "gus", "_n", "_cap",
-                 "_buf", "ring_history", "ring_cycles", "_child_rows",
-                 "_child_cache", "newest_leaf_area", "newest_leaf_mass",
-                 "length_sum")
+                 "_buf", "_child_rows", "_child_cache", "newest_leaf_area",
+                 "newest_leaf_mass")
 
     def __init__(self, pa: int, birth_cycle: int, multiplicity: int):
         self.pa = pa
@@ -79,14 +78,11 @@ class AxisClass:
         self._buf = {name: np.zeros(self._cap) for name in _FLOAT_ARRAYS}
         self._buf.update({name: np.zeros(self._cap, dtype=np.int64)
                           for name in _INT_ARRAYS})
-        self.ring_history: list[np.ndarray] = []
-        self.ring_cycles: list[int] = []
         self._child_rows: list[int] = []
         self._child_cache: tuple | None = None
-        # per-instance totals of the newest growth unit / the whole axis
+        # per-instance totals of the newest growth unit
         self.newest_leaf_area = 0.0
         self.newest_leaf_mass = 0.0
-        self.length_sum = 0.0
 
     def __getattr__(self, name):
         if name in _FLOAT_ARRAYS or name in _INT_ARRAYS:
@@ -142,28 +138,19 @@ class AxisClass:
         buf["cum_ring"][start:end] = 0.0
         buf["birth"][start:end] = birth_cycle
         buf["metamer_rank"][start:end] = np.arange(1, n + 1)
-        if zone_layout is None:
-            buf["zone_pa"][start:end] = -1
-        else:
-            pos = start
-            for zone_pa, count in zone_layout:
-                buf["zone_pa"][pos:pos + count] = zone_pa
-                pos += count
         buf["child_idx"][start:end] = -1
         buf["child_count"][start:end] = 0
         self._n = end
         self.newest_leaf_area = leaf_area * n
         self.newest_leaf_mass = leaf_mass * n
-        self.length_sum += length * n
         return gu
 
-    def record_rings(self, cycle: int, increments: np.ndarray) -> None:
+    def record_rings(self, increments: np.ndarray) -> None:
+        """Add one cycle's per-instance ring increments to every metamer."""
         if increments.size != self._n:
             raise SimulationError(
                 f"ring increment vector size {increments.size} != "
                 f"{self._n} metamers")
-        self.ring_history.append(increments)
-        self.ring_cycles.append(cycle)
         self._buf["cum_ring"][:self._n] += increments
 
     def set_child(self, flat_idx: int, child_class_idx: int,
@@ -200,11 +187,6 @@ class AxisClass:
             return self._n
         return -1
 
-    def ring_ledger(self, flat_idx: int) -> tuple[float, ...]:
-        """Per-cycle ring increments of one metamer since its birth."""
-        return tuple(float(arr[flat_idx])
-                     for arr in self.ring_history if arr.size > flat_idx)
-
     def cohorts(self, tree: "TreeState") -> list[MetamerCohort]:
         out = []
         for gu in self.gus:
@@ -221,7 +203,7 @@ class AxisClass:
                     internode_length=float(self.length[j]),
                     leaf_mass=float(self.leaf_mass[j]),
                     leaf_area=float(self.leaf_area[j]),
-                    ring_masses=self.ring_ledger(j),
+                    ring_mass=float(self.cum_ring[j]),
                     borne_axes=borne))
         return out
 
@@ -233,18 +215,11 @@ class TreeState:
     cycle: int = 0
     classes: list[AxisClass] = field(default_factory=list)
     class_index: dict[tuple[int, int], int] = field(default_factory=dict)
-    s_blade: float = 0.0              # current blade area, m²
     ratio_lagged: float = 0.0         # previous-cycle Q/D driving organogenesis
-    q_history: list[float] = field(default_factory=list)
-    d_history: list[float] = field(default_factory=list)
-    ds_history: list[float] = field(default_factory=list)
-    dr_history: list[float] = field(default_factory=list)
-    qs_history: list[float] = field(default_factory=list)
-    qr_history: list[float] = field(default_factory=list)
-    ratio_history: list[float] = field(default_factory=list)
-    s_history: list[float] = field(default_factory=list)
     pending_plan: object = None       # OrganogenesisPlan for cycle+1
     pending_fund: float = 0.0         # Q_s committed to the pending plan
+    # (cycle, per-instance ring increments of every trunk metamer) per cycle
+    trunk_rings: list[tuple[int, np.ndarray]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def add_class(self, pa: int, birth_cycle: int, multiplicity: int) -> AxisClass:
@@ -316,47 +291,22 @@ class TreeState:
         return self._subtree_totals(
             lambda cls: self._live_sum(cls, "leaf_area", live_cycle))
 
-    def leaf_surface_above(self, live_cycle: int | None = None
-                           ) -> list[np.ndarray]:
+    def foliage_above(self, live_cycle: int | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
         """Per-instance foliage area at or above each metamer: its own leaf,
         every leaf distal on its axis, and the full subtrees of laterals
-        borne at or above it.  Returned per class, aligned with the flat
-        metamer arrays."""
-        totals = self.subtree_leaf_totals(live_cycle)
-        out = []
-        for cls in self.classes:
-            start = cls.live_slice_start(live_cycle)
-            contrib = np.zeros(cls.n_metamers)
-            if start >= 0:
-                contrib[start:] = cls.leaf_area[start:]
-            else:
-                mask = cls.birth == live_cycle
-                contrib[mask] = cls.leaf_area[mask]
-            if cls._child_rows:
-                rows, child_idx, counts = cls.child_links()
-                contrib[rows] += counts * totals[child_idx]
-            # arrays run base to apex: suffix sum = leaves at or above
-            out.append(np.cumsum(contrib[::-1])[::-1])
-        return out
-
-    def ring_partition_arrays(self, p_rg, live_cycle: int | None
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                         np.ndarray]:
-        """Fused per-metamer arrays for the ring partition, concatenated over
-        all classes in order: (segment bounds, foliage at or above, ring
-        sink × length weight, instance multiplicity)."""
+        borne at or above it.  Returns (segment bounds, areas): the areas
+        of class ``i`` are ``areas[bounds[i]:bounds[i + 1]]``, aligned with
+        its flat metamer arrays."""
         totals = self.subtree_leaf_totals(live_cycle)
         sizes = np.array([cls.n_metamers for cls in self.classes],
                          dtype=np.int64)
         bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=bounds[1:])
-        n = int(bounds[-1])
-        contrib = np.zeros(n)
-        weight = np.empty(n)
-        mult = np.empty(n)
+        s_a = np.zeros(int(bounds[-1]))
         for i, cls in enumerate(self.classes):
             s, e = int(bounds[i]), int(bounds[i + 1])
-            seg = contrib[s:e]
+            seg = s_a[s:e]
             ls = cls.live_slice_start(live_cycle)
             if ls >= 0:
                 seg[ls:] = cls.leaf_area[ls:]
@@ -366,11 +316,24 @@ class TreeState:
             if cls._child_rows:
                 rows, child_idx, counts = cls.child_links()
                 seg[rows] += counts * totals[child_idx]
-            # suffix sum within the axis: foliage at or above each metamer
-            contrib[s:e] = np.cumsum(seg[::-1])[::-1]
+            # arrays run base to apex: suffix sum = leaves at or above
+            s_a[s:e] = np.cumsum(seg[::-1])[::-1]
+        return bounds, s_a
+
+    def ring_partition_arrays(self, p_rg, live_cycle: int | None
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                         np.ndarray]:
+        """Fused per-metamer arrays for the ring partition, concatenated over
+        all classes in order: (segment bounds, foliage at or above, ring
+        sink × length weight, instance multiplicity)."""
+        bounds, s_a = self.foliage_above(live_cycle)
+        weight = np.empty(s_a.size)
+        mult = np.empty(s_a.size)
+        for i, cls in enumerate(self.classes):
+            s, e = int(bounds[i]), int(bounds[i + 1])
             weight[s:e] = p_rg[cls.pa - 1] * cls.length
             mult[s:e] = cls.multiplicity
-        return bounds, contrib, weight, mult
+        return bounds, s_a, weight, mult
 
     # ------------------------------------------------------------------
     # aggregates
@@ -449,11 +412,6 @@ class TreeState:
                 gus.append((gu.rank, gu.birth_cycle, gu.count, zones, borne))
             sig.append((cls.pa, cls.birth_cycle, cls.multiplicity, tuple(gus)))
         return tuple(sig)
-
-
-def seed_state() -> TreeState:
-    """Fresh state before the first cycle; the caller installs the seed plan."""
-    return TreeState()
 
 
 def expand_shoot_values(params: GrowthParameters, pa: int, shoot_mass: float,

@@ -111,6 +111,14 @@ def gu_zone_layout(pa: int, zones: ZoneRuleSet, ratio: float,
     return layout
 
 
+def gu_zone_layouts(zones: ZoneRuleSet, ratio: float,
+                    params: GrowthParameters
+                    ) -> dict[int, list[tuple[int, int]]]:
+    """:func:`gu_zone_layout` of every branch PA (2..pa_max)."""
+    return {pa: gu_zone_layout(pa, zones, ratio, params)
+            for pa in range(2, params.pa_max + 1)}
+
+
 @dataclass
 class AxisAssignment:
     """One planned lateral: the bearing class/metamer and the per-instance
@@ -129,21 +137,14 @@ class OrganogenesisPlan:
     shoots: the trunk script entry to expand, the per-PA growth-unit
     layouts, the lateral assignments, and the resulting bud demand."""
 
-    cycle: int                       # plan built at the end of this cycle
     ratio_used: float
     trunk_entry: TrunkScriptEntry | None
-    gu_layouts: dict[int, list[tuple[int, int]]]
-    zone_metamer_counts: dict[tuple[int, int], int]
-    axis_totals: dict[tuple[int, int], int]
+    gu_layouts: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    axis_totals: dict[tuple[int, int], int] = field(default_factory=dict)
     assignments: list[AxisAssignment] = field(default_factory=list)
-    assignment_map: dict[tuple[int, int, int], int] = field(default_factory=dict)
     continuation_class_idx: list[int] = field(default_factory=list)
     bud_counts: dict[int, float] = field(default_factory=dict)
     d_s: float = 0.0
-    slack: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def new_lateral_instances(self, pa: int) -> int:
-        return sum(a.instances for a in self.assignments if a.child_pa == pa)
 
 
 def organogenesis_step(state: TreeState, params: GrowthParameters,
@@ -158,9 +159,7 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
     counts from the axis rule and the deterministic distribution above.
     """
     n = state.cycle
-    plan = OrganogenesisPlan(
-        cycle=n, ratio_used=ratio, trunk_entry=trunk_entry,
-        gu_layouts={}, zone_metamer_counts={}, axis_totals={})
+    plan = OrganogenesisPlan(ratio_used=ratio, trunk_entry=trunk_entry)
     bud_counts: dict[int, float] = {}
 
     if trunk_entry is not None:
@@ -172,12 +171,7 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
             bud_counts[pa] = bud_counts.get(pa, 0.0) + count
 
     # growth-unit layouts for next cycle's shoots, shared by every class
-    for pa in range(2, params.pa_max + 1):
-        layout = gu_zone_layout(pa, zones, ratio, params)
-        plan.gu_layouts[pa] = layout
-        for zone_pa, count in layout:
-            if zone_pa >= 0:
-                plan.zone_metamer_counts[(pa, zone_pa)] = count
+    plan.gu_layouts = gu_zone_layouts(zones, ratio, params)
 
     # apical continuation of every branch axis
     for idx, cls in enumerate(state.classes):
@@ -222,7 +216,6 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
         plan.axis_totals[rule.key] = total
         counts, slack = distribute_axes(total, groups)
         if slack:
-            plan.slack[rule.key] = slack
             state.notes.append(
                 f"cycle {n}: zone Z^{rule.bearer_pa}{rule.axillary_pa} "
                 f"distribution slack {slack:+d}")
@@ -235,8 +228,6 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
                 parent_class_idx=cls_idx, flat_idx=flat_idx,
                 child_pa=rule.axillary_pa, per_instance_count=count,
                 instances=count * cls.multiplicity))
-            plan.assignment_map[(cls.birth_cycle, group.rank,
-                                 rule.axillary_pa)] = count
             bud_counts[rule.axillary_pa] = (
                 bud_counts.get(rule.axillary_pa, 0.0) + count * cls.multiplicity)
 
@@ -256,11 +247,7 @@ def seed_plan(params: GrowthParameters, zones: ZoneRuleSet,
         bud_counts[pa] = bud_counts.get(pa, 0.0) + count
     d_s = shoot_demand(bud_counts, params.p_s)
     ratio = params.q0 / d_s
-    plan = OrganogenesisPlan(
-        cycle=0, ratio_used=ratio, trunk_entry=entry,
-        gu_layouts={}, zone_metamer_counts={}, axis_totals={},
-        bud_counts=bud_counts)
-    for pa in range(2, params.pa_max + 1):
-        plan.gu_layouts[pa] = gu_zone_layout(pa, zones, ratio, params)
-    plan.d_s = d_s
-    return plan
+    return OrganogenesisPlan(
+        ratio_used=ratio, trunk_entry=entry,
+        gu_layouts=gu_zone_layouts(zones, ratio, params),
+        bud_counts=bud_counts, d_s=d_s)

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from treesink import engine
 from treesink.core import TrunkScriptEntry
 from treesink.synthetic import (reference_parameters, reference_zone_rules,
                                 script_only_dataset)
@@ -39,3 +40,19 @@ def small_dataset(small_script):
 
 def fixture_path(name):
     return os.path.join(FIXTURE_DIR, name)
+
+
+def step_with_rings(state, params, zones, dataset, tree_index, final_cycle):
+    """Run one engine step; return its CycleAllocation and, per axis class,
+    the per-instance ring increments of that cycle (the change in each
+    metamer's cumulative ring mass across the step)."""
+    before = [cls.cum_ring.copy() for cls in state.classes]
+    alloc = engine.step(state, params, zones, dataset, tree_index,
+                        final_cycle)
+    incs = []
+    for i, cls in enumerate(state.classes):
+        inc = cls.cum_ring.copy()
+        if i < len(before):
+            inc[:before[i].size] -= before[i]
+        incs.append(inc)
+    return alloc, incs

@@ -12,23 +12,20 @@ import time
 import numpy as np
 import pytest
 
-from treesink import engine as engine_mod
 from treesink.calibration import (apply_candidate, default_weights,
                                   fit_topology, objective)
-from treesink.engine import simulate
+from treesink.engine import simulate, start_state
 from treesink.fileio import (parse_target_file, read_parameter_file,
                              write_parameter_file, write_target_file)
 from treesink.oracle import simulate_naive
 from treesink.sourcesink import solve_global_demand
-from treesink.structure import seed_state
 from treesink.synthetic import (reference_fit_spec, reference_parameters,
                                 reference_zone_rules, script_only_dataset,
                                 tree1_script, tree2_script,
                                 generate_synthetic_target, TREE1_RING_GUS,
                                 TREE2_RING_GUS)
-from treesink.topology import seed_plan
 
-from conftest import fixture_path
+from conftest import fixture_path, step_with_rings
 from test_factorization import FIXTURE_SCRIPTS, compare_outputs
 
 TRUTH_CONTINUOUS = {"sp0": 0.015, "alpha": 0.73, "p_r": 2.3, "gamma": 2.95,
@@ -42,14 +39,13 @@ def verdict(criterion, ok, detail):
 
 
 def run_to_state(params, zones, dataset, tree_index=0):
-    state = seed_state()
-    state.pending_plan = seed_plan(params, zones, dataset.script_entry(1))
-    state.pending_fund = params.q0
-    state.ratio_lagged = state.pending_plan.ratio_used
-    for _ in range(dataset.tree_age):
-        engine_mod.step(state, params, zones, dataset, tree_index,
-                        dataset.tree_age)
-    return state
+    """Step a full run; return the final state and, per cycle, the
+    CycleAllocation with the per-class ring increments of that cycle."""
+    state = start_state(params, zones, dataset)
+    cycles = [step_with_rings(state, params, zones, dataset, tree_index,
+                              dataset.tree_age)
+              for _ in range(dataset.tree_age)]
+    return state, cycles
 
 
 # ----------------------------------------------------------------------
@@ -96,17 +92,14 @@ def test_criterion_2_conservation():
     details = []
     for name, index in (("tree1.target.csv", 0), ("tree2.target.csv", 1)):
         dataset = parse_target_file(fixture_path(name))
-        state = run_to_state(params, zones, dataset, index)
-        for i in range(dataset.tree_age):
-            q, q_s, q_r = (state.q_history[i], state.qs_history[i],
-                           state.qr_history[i])
+        state, cycles = run_to_state(params, zones, dataset, index)
+        for alloc, incs in cycles:
+            q, q_s, q_r = alloc.q, alloc.q_s, alloc.q_r
             ok &= abs(q_s + q_r - q) <= 1e-9 * max(q, 1e-30)
-            ring_total = sum(
-                cls.multiplicity * float(cls.ring_history[j].sum())
-                for cls in state.classes
-                for j, c in enumerate(cls.ring_cycles) if c == i + 1)
+            ring_total = sum(cls.multiplicity * float(inc.sum())
+                             for cls, inc in zip(state.classes, incs))
             ok &= abs(ring_total - q_r) <= 1e-9 * max(q_r, 1e-30)
-        produced = params.q0 + sum(state.q_history)
+        produced = params.q0 + sum(alloc.q for alloc, _ in cycles)
         materialized = (state.total_wood_mass() + state.total_leaf_mass_ever()
                         + state.pending_fund)
         balance = abs(materialized - produced) / produced
@@ -146,23 +139,23 @@ def test_criterion_4_pressler_limit():
     zones = reference_zone_rules()
     dataset = script_only_dataset(FIXTURE_SCRIPTS["branchy"])
 
-    state = run_to_state(base.with_values(lambda_mix=1.0), zones, dataset, 1)
-    s_above = state.leaf_surface_above(live_cycle=state.cycle)
+    state, cycles = run_to_state(base.with_values(lambda_mix=1.0), zones,
+                                 dataset, 1)
+    _bounds, s_above = state.foliage_above(live_cycle=state.cycle)
     worst = 0.0
     ratio_ref = None
-    for cls, s_a in zip(state.classes, s_above):
-        incs = cls.ring_history[-1]
-        for inc, s in zip(incs, s_a):
-            if s == 0.0:
-                worst = max(worst, abs(inc))
-                continue
-            r = inc / s
-            if ratio_ref is None:
-                ratio_ref = r
-            worst = max(worst, abs(r - ratio_ref) / abs(ratio_ref))
+    for inc, s in zip(np.concatenate(cycles[-1][1]), s_above):
+        if s == 0.0:
+            worst = max(worst, abs(inc))
+            continue
+        r = inc / s
+        if ratio_ref is None:
+            ratio_ref = r
+        worst = max(worst, abs(r - ratio_ref) / abs(ratio_ref))
 
-    state0 = run_to_state(base.with_values(lambda_mix=0.0), zones, dataset, 1)
-    incs0 = np.concatenate([cls.ring_history[-1] for cls in state0.classes])
+    _state0, cycles0 = run_to_state(base.with_values(lambda_mix=0.0), zones,
+                                    dataset, 1)
+    incs0 = np.concatenate(cycles0[-1][1])
     spread = (incs0.max() - incs0.min()) / incs0.max()
     verdict(4, worst < 1e-9 and spread < 1e-9,
             f"foliage-proportionality deviation {worst:.2e}; "

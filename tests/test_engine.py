@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from treesink.core import AlignmentError, SimulationError, TrunkScriptEntry
-from treesink.engine import extract_targets, geometry, leaves_above, simulate
+from treesink import engine
+from treesink.engine import (extract_targets, geometry, leaves_above, simulate,
+                             start_state)
 from treesink.structure import (MetamerCohort, TreeState, metamer_diameter,
                                 expand_shoot_values)
 from treesink.synthetic import (dataset_from_output, script_only_dataset,
                                 tree2_script)
+
+from conftest import step_with_rings
 
 
 def run(params, zones, script, **kw):
@@ -24,7 +28,7 @@ class TestSeedCycle:
         gu1 = trunk["growth_units"][0]
         assert gu1["metamer_count"] == 4
         # all of q0 lands in the single seed shoot, split 0.7:1 internode:leaf
-        cohorts = _state_after(params, zones, script).cohorts()
+        cohorts = _state_after(params, zones, script)[0].cohorts()
         total_internode = sum(c.internode_mass * c.multiplicity
                               for c in cohorts)
         total_leaf = out.total_leaf_ever_g
@@ -58,14 +62,15 @@ class TestStarvation:
 class TestLeafLifespan:
     def test_blade_area_counts_current_cycle_only(self, params, zones,
                                                   small_script):
-        state = _state_after(params, zones, small_script)
+        state, cycles = _state_after(params, zones, small_script)
         n = state.cycle
         expected = sum(
             cls.multiplicity * float(cls.leaf_area[cls.birth == n].sum())
             for cls in state.classes)
         everything = sum(cls.multiplicity * float(cls.leaf_area.sum())
                          for cls in state.classes)
-        assert state.s_history[-1] * 1e4 == pytest.approx(expected, rel=1e-12)
+        assert cycles[-1][0].s_blade * 1e4 == pytest.approx(expected,
+                                                           rel=1e-12)
         assert everything > expected  # older foliage exists but is dead
 
 
@@ -94,7 +99,7 @@ class TestLeavesAbove:
         cohort = MetamerCohort(pa=2, birth_cycle=2, gu_rank=2, rank=1,
                                multiplicity=1, internode_mass=0.5,
                                internode_length=2.0, leaf_mass=0.4,
-                               leaf_area=23.0, ring_masses=(),
+                               leaf_area=23.0, ring_mass=0.0,
                                borne_axes={})
         assert leaves_above(state, cohort, live_cycle=None) == pytest.approx(
             23.0 + 47.0)
@@ -104,12 +109,12 @@ class TestLeavesAbove:
         cohort = MetamerCohort(pa=2, birth_cycle=3, gu_rank=3, rank=1,
                                multiplicity=1, internode_mass=0.5,
                                internode_length=2.0, leaf_mass=0.4,
-                               leaf_area=47.0, ring_masses=(), borne_axes={})
+                               leaf_area=47.0, ring_mass=0.0, borne_axes={})
         assert leaves_above(state, cohort, live_cycle=None) == pytest.approx(47.0)
 
     def test_base_sees_whole_tree(self, params, zones, small_script):
         out = run(params, zones, small_script)
-        state = _state_after(params, zones, small_script)
+        state, _ = _state_after(params, zones, small_script)
         trunk_base = state.trunk.cohorts(state)[0]
         total = state.total_blade_area_cm2(live_cycle=state.cycle)
         assert leaves_above(state, trunk_base,
@@ -118,26 +123,22 @@ class TestLeavesAbove:
         assert out.cycles == len(small_script)
 
     def test_consistency_with_live_total(self, params, zones, small_script):
-        state = _state_after(params, zones, small_script)
-        per_class = state.leaf_surface_above(live_cycle=state.cycle)
+        state, _ = _state_after(params, zones, small_script)
+        _bounds, s_above = state.foliage_above(live_cycle=state.cycle)
         # weighting base metamers by multiplicity reproduces the blade total
-        base = per_class[0][0]
+        base = s_above[0]
         assert base * state.trunk.multiplicity <= \
             state.total_blade_area_cm2() + 1e-9
 
 
 def _state_after(params, zones, script):
-    from treesink import engine as _eng
-    from treesink.structure import seed_state
-    from treesink.topology import seed_plan
+    """Step a full run; return the final state and, per cycle, the
+    CycleAllocation with the per-class ring increments of that cycle."""
     ds = script_only_dataset(script)
-    state = seed_state()
-    state.pending_plan = seed_plan(params, zones, ds.script_entry(1))
-    state.pending_fund = params.q0
-    state.ratio_lagged = state.pending_plan.ratio_used
-    for _ in range(ds.tree_age):
-        _eng.step(state, params, zones, ds, 0, ds.tree_age)
-    return state
+    state = start_state(params, zones, ds)
+    cycles = [step_with_rings(state, params, zones, ds, 0, ds.tree_age)
+              for _ in range(ds.tree_age)]
+    return state, cycles
 
 
 class TestGeometry:
@@ -145,7 +146,7 @@ class TestGeometry:
         cohort = MetamerCohort(pa=2, birth_cycle=1, gu_rank=1, rank=1,
                                multiplicity=1, internode_mass=0.0,
                                internode_length=0.0, leaf_mass=0.0,
-                               leaf_area=0.0, ring_masses=(), borne_axes={})
+                               leaf_area=0.0, ring_mass=0.0, borne_axes={})
         assert geometry(params, cohort) == (0.0, 0.0)
 
     def test_allometric_length(self, params):
@@ -183,25 +184,23 @@ class TestConservation:
 
     def test_ring_increments_sum_to_ring_allocation(self, params, zones,
                                                     small_script):
-        state = _state_after(params, zones, small_script)
-        for i, q_r in enumerate(state.qr_history):
-            total = sum(cls.multiplicity * float(cls.ring_history[j].sum())
-                        for cls in state.classes
-                        for j, c in enumerate(cls.ring_cycles) if c == i + 1)
-            assert total == pytest.approx(q_r, rel=1e-9, abs=1e-15)
+        state, cycles = _state_after(params, zones, small_script)
+        for alloc, incs in cycles:
+            total = sum(cls.multiplicity * float(inc.sum())
+                        for cls, inc in zip(state.classes, incs))
+            assert total == pytest.approx(alloc.q_r, rel=1e-9, abs=1e-15)
 
 
 class TestDeterminism:
     def test_state_is_duplicable(self, params, zones, small_script):
         # a copied mid-run state continues identically to the original
         import copy
-        from treesink import engine as _eng
         ds = script_only_dataset(small_script)
-        state = _state_after(params, zones, small_script[:4])
+        state, _ = _state_after(params, zones, small_script[:4])
         clone = copy.deepcopy(state)
-        for st in (state, clone):
-            _eng.step(st, params, zones, ds, 0, ds.tree_age)
-        assert state.q_history == clone.q_history
+        allocs = [engine.step(st, params, zones, ds, 0, ds.tree_age)
+                  for st in (state, clone)]
+        assert allocs[0] == allocs[1]
         assert state.structure_signature() == clone.structure_signature()
 
     def test_bit_identical_reruns(self, params, zones, small_script):
@@ -213,6 +212,41 @@ class TestDeterminism:
                 for r in out1.ring_matrix] == \
                [(r.gu_index, r.tree_age, r.diameter_cm)
                 for r in out2.ring_matrix]
+
+
+class TestFailureCycle:
+    SCRIPT = tuple(TrunkScriptEntry(i, 4) for i in range(1, 6))
+
+    def _fail_at(self, monkeypatch, k, exc):
+        plan = engine.organogenesis_step
+
+        def failing(state, *args):
+            if state.cycle == k:
+                raise exc
+            return plan(state, *args)
+
+        monkeypatch.setattr(engine, "organogenesis_step", failing)
+
+    @pytest.mark.parametrize("k, exc, message", [
+        (3, SimulationError("injected"), "cycle 3: injected"),
+        (2, KeyError(7), "cycle 2: 7"),
+    ])
+    def test_failure_carries_its_cycle_once(self, params, zones, monkeypatch,
+                                            k, exc, message):
+        self._fail_at(monkeypatch, k, exc)
+        with pytest.raises(SimulationError) as err:
+            run(params, zones, self.SCRIPT)
+        assert err.value.cycle == k
+        assert str(err.value) == message
+
+    def test_located_failure_passes_unchanged(self, params, zones,
+                                              monkeypatch):
+        located = SimulationError("cycle 4: located", cycle=4)
+        self._fail_at(monkeypatch, 4, located)
+        with pytest.raises(SimulationError) as err:
+            run(params, zones, self.SCRIPT)
+        assert err.value is located
+        assert str(err.value).count("cycle ") == 1
 
 
 class TestPerformance:

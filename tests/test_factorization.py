@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from treesink.core import TrunkScriptEntry
+from treesink.core import SimulationError, TrunkScriptEntry
 from treesink.engine import simulate
 from treesink.oracle import simulate_naive
 from treesink.synthetic import script_only_dataset
@@ -112,3 +112,17 @@ def test_reference_engine_is_slower_but_fast_enough(params, zones):
     start = time.perf_counter()
     simulate_naive(p, zones, ds, tree_index=1)
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"cycles": 0}, "need at least one growth cycle"),
+    ({"tree_index": 5}, "tree index 5 but only 2 environment factors"),
+    ({"cycles": 99}, "99 cycles requested but the trunk script ends at 6"),
+])
+def test_reference_engine_checks_the_run_request(params, zones, kwargs,
+                                                  message):
+    ds = script_only_dataset(FIXTURE_SCRIPTS["branchy"])
+    for run in (simulate, simulate_naive):
+        with pytest.raises(SimulationError) as err:
+            run(params, zones, ds, **kwargs)
+        assert str(err.value) == message

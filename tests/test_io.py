@@ -248,6 +248,16 @@ class TestCli:
         assert result.returncode == 2
         assert "error" in result.stderr
 
+    def test_oracle_bad_tree_index_is_runtime_failure(self, tmp_path):
+        result = run_cli("oracle", "--params",
+                         fixture_path("species.params"),
+                         "--target", fixture_path("tree1.target.csv"),
+                         "--tree-index", "5", "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert ("error: tree index 5 but only 2 environment factors"
+                in result.stderr)
+
 
 class TestRunConfig:
     def test_programmatic_invocation(self, tmp_path, capsys):

@@ -7,7 +7,8 @@ import pytest
 from treesink.core import AllocationError, SimulationError
 from treesink.sourcesink import (allocate_shoots, partition_rings, production,
                                  ring_demand, shoot_demand,
-                                 solve_global_demand, split_metamer_mass)
+                                 solve_global_demand)
+from treesink.structure import expand_shoot_values
 
 # frozen by an independent bisection run (300 halvings) before the solver
 # was wired in: d_s=9.25, p_r=2.3, gamma=2.95, q=3.0
@@ -165,14 +166,16 @@ class TestAllocateShoots:
         with pytest.raises(AllocationError):
             allocate_shoots(1.0, 0.0, {}, self.P_S)
 
-    def test_long_shoot_split(self):
-        # a 1.7 g long shoot puts 0.7 g into the internode, 1.0 g into leaf
-        internode, leaf = split_metamer_mass(1.7, 0.7)
+    def test_long_shoot_split(self, params):
+        # a 1.7 g long shoot (ratio 0.7) puts 0.7 g into the internode,
+        # 1.0 g into leaf
+        internode, _, leaf, _ = expand_shoot_values(params, 2, 1.7, 1, 1)
         assert internode == pytest.approx(0.7)
         assert leaf == pytest.approx(1.0)
 
-    def test_short_shoot_split(self):
-        internode, leaf = split_metamer_mass(1.065, 0.065)
+    def test_short_shoot_split(self, params):
+        # PA 4 is the short-shoot class (ratio 0.065)
+        internode, _, leaf, _ = expand_shoot_values(params, 4, 1.065, 1, 1)
         assert leaf == pytest.approx(1.0)
         assert internode == pytest.approx(0.065)
 

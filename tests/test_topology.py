@@ -184,7 +184,8 @@ class TestOrganogenesis:
                                   trunk_entry=None)
         # 2 short-shoot positions at ratio 4: round(2·0.6·4) = 5 -> clamp 2
         assert plan.axis_totals[(2, 4)] == 2
-        assert plan.new_lateral_instances(4) == 2
+        assert sum(a.instances for a in plan.assignments
+                   if a.child_pa == 4) == 2
 
     def test_scripted_trunk_budget(self, params, zones):
         state = TreeState(cycle=1)
