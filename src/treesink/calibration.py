@@ -22,6 +22,7 @@ from scipy.optimize import least_squares
 from .core import (GrowthParameters, TargetDataset, TreesinkError,
                    ZoneRuleSet)
 from .engine import TARGET_CLASSES, extract_targets, simulate
+from .topology import axis_band, metamer_band, metamer_count
 
 
 class UnfittableError(TreesinkError):
@@ -108,6 +109,9 @@ _CONTINUOUS_FIELDS = {"sp0", "alpha", "k_beer", "p_r", "gamma", "lambda_mix",
                       "root_fraction", "wood_density", "q0",
                       "long_short_shoot_ratio",
                       "internode_leaf_ratio_short", "internode_leaf_ratio_long"}
+#: name prefix of one per-PA or per-tree entry -> its parameter vector
+_INDEXED_FIELDS = {"p_rg_": "p_rg", "p_s_": "p_s", "allom_a_": "allom_a",
+                   "allom_b_": "allom_b", "v_": "v_env"}
 
 
 def apply_candidate(params: GrowthParameters, zones: ZoneRuleSet,
@@ -121,25 +125,15 @@ def apply_candidate(params: GrowthParameters, zones: ZoneRuleSet,
     environments ``v_T`` and zone coefficients ``m2_I_K`` / ``a2_I_K``.
     """
     updates: dict[str, object] = {}
-    p_rg = list(params.p_rg)
-    p_s = list(params.p_s)
-    allom_a = list(params.allom_a)
-    allom_b = list(params.allom_b)
-    v_env = list(params.v_env)
+    vectors = {f: list(getattr(params, f)) for f in _INDEXED_FIELDS.values()}
     new_zones = zones
     for name, value in values.items():
+        prefix = next((k for k in _INDEXED_FIELDS if name.startswith(k)), None)
         if name in _CONTINUOUS_FIELDS:
             updates[name] = float(value)
-        elif name.startswith("p_rg_"):
-            p_rg[int(name[5:]) - 1] = float(value)
-        elif name.startswith("p_s_"):
-            p_s[int(name[4:]) - 1] = float(value)
-        elif name.startswith("allom_a_"):
-            allom_a[int(name[8:]) - 1] = float(value)
-        elif name.startswith("allom_b_"):
-            allom_b[int(name[8:]) - 1] = float(value)
-        elif name.startswith("v_"):
-            v_env[int(name[2:]) - 1] = float(value)
+        elif prefix is not None:
+            index = int(name[len(prefix):]) - 1
+            vectors[_INDEXED_FIELDS[prefix]][index] = float(value)
         elif name.startswith(("m2_", "a2_")):
             kind, bearer, axillary = name.split("_")
             rule = new_zones.get(int(bearer), int(axillary))
@@ -150,8 +144,7 @@ def apply_candidate(params: GrowthParameters, zones: ZoneRuleSet,
         else:
             raise ValueError(f"unknown free parameter {name!r}")
     new_params = params.with_values(
-        p_rg=tuple(p_rg), p_s=tuple(p_s), allom_a=tuple(allom_a),
-        allom_b=tuple(allom_b), v_env=tuple(v_env), **updates)
+        **{f: tuple(v) for f, v in vectors.items()}, **updates)
     return new_params, new_zones
 
 
@@ -231,7 +224,6 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
     start = np.array([p.init for p in free] if x0 is None else x0, dtype=float)
     start = np.clip(start, lower, upper)
     evals = 0
-    fail_norm: list[float] = [1e12]
 
     def residual_fn(x):
         nonlocal evals
@@ -239,12 +231,10 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
         values = dict(fixed)
         values.update({n: float(v) for n, v in zip(names, x)})
         try:
-            res = weighted_residuals(values, params, zones, targets, weights)
+            return weighted_residuals(values, params, zones, targets, weights)
         except TreesinkError:
             # a large flat penalty steers the trust region away without NaNs
-            fail_norm[0] *= 2.0
-            return np.full(_n_points(targets), fail_norm[0])
-        return res
+            return np.full(_n_points(targets), 1e12)
 
     x_scale = np.maximum(np.abs(start), 1e-3 * np.maximum(upper - lower, 1e-12))
     result = least_squares(residual_fn, start, bounds=(lower, upper),
@@ -269,36 +259,11 @@ def _n_points(targets):
 # topology stage: simulated annealing + structural intervals
 # ----------------------------------------------------------------------
 
-def _structure_signatures(values, params, zones, targets):
-    cand_params, cand_zones = apply_candidate(params, zones, values)
-    sigs = []
-    for i, ds in enumerate(targets):
-        output = simulate(cand_params, cand_zones, ds, tree_index=i,
-                          with_topology=False)
-        sigs.append(output.structure_signature)
-    return tuple(sigs)
-
-
 #: probe offsets of the neighbour-basin polish, as fractions of a
-#: coefficient's bound range
+#: coefficient's bound range: a coarse ladder around the current value, and
+#: one step past each edge of its structural interval
 _POLISH_OFFSETS = (0.02, 0.05, 0.12, 0.3)
-
-
-def _scan_edge(unchanged, x0: float, bound: float, resolution: float
-               ) -> tuple[float, bool]:
-    """Bisect from ``x0`` toward ``bound`` for the farthest value whose
-    simulated structure matches ``x0``'s.  Returns (edge, bound_unchanged).
-    """
-    if unchanged(bound):
-        return bound, True
-    edge, changed = x0, bound
-    while abs(changed - edge) > resolution:
-        mid = 0.5 * (edge + changed)
-        if unchanged(mid):
-            edge = mid
-        else:
-            changed = mid
-    return edge, False
+_EDGE_OFFSET = 6e-3
 
 
 def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
@@ -312,7 +277,9 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     cools, a deterministic pass probes the neighbouring structure pieces of
     each coefficient (the objective is piecewise constant in them, so the
     chain alone ends inside some near-optimal piece; the probes walk piece
-    to piece while that improves the fit).
+    to piece while that improves the fit): a coarse ladder, then one step
+    past each end of the current piece, as :func:`compute_intervals` gives
+    it.  The reported intervals are :func:`compute_intervals` at the best.
     """
     weights = spec.weights if spec.weights is not None \
         else default_weights(targets)
@@ -327,16 +294,17 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
         max_nfev=spec.max_nfev)
     total_evals += evals
     trace.append(obj)
-    cont_x = np.array([cont[p.name] for p in spec.continuous]) \
-        if spec.continuous else None
+    warm_cont = dict(cont)   # warm start of the annealing chain's refits
 
     best_topo, best_cont, best_obj = dict(topo), dict(cont), obj
 
     def refit(topo_values, warm):
+        """fit_continuous at ``topo_values``, started from ``warm``."""
         nonlocal total_evals
         est, value, used = fit_continuous(
             spec.continuous, topo_values, params, zones, targets, weights,
-            x0=warm, max_nfev=spec.max_nfev)
+            x0=np.array([warm[q.name] for q in spec.continuous]),
+            max_nfev=spec.max_nfev)
         total_evals += used
         return est, value
 
@@ -360,7 +328,7 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
 
                 if spec.nested_refit and spec.continuous:
                     try:
-                        cand_cont, cand_obj = refit(candidate, cont_x)
+                        cand_cont, cand_obj = refit(candidate, warm_cont)
                     except UnfittableError:
                         cand_cont, cand_obj = dict(cont), math.inf
                 else:
@@ -389,9 +357,8 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
                             and (due or substantial)):
                         accepted_since_refit = 0
                         try:
-                            cont, obj = refit(topo, cont_x)
-                            cont_x = np.array(
-                                [cont[p.name] for p in spec.continuous])
+                            cont, obj = refit(topo, warm_cont)
+                            warm_cont = dict(cont)
                             if obj < best_obj:
                                 best_topo, best_cont, best_obj = \
                                     dict(topo), dict(cont), obj
@@ -405,9 +372,7 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     # final polish of the continuous parameters at the best topology
     if spec.continuous and not stop_reached():
         try:
-            cont, obj = refit(best_topo,
-                              np.array([best_cont[p.name]
-                                        for p in spec.continuous]))
+            cont, obj = refit(best_topo, best_cont)
             if obj <= best_obj:
                 best_cont, best_obj = cont, obj
         except UnfittableError:
@@ -423,76 +388,47 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
         if stop_reached():
             break
         moved = False
+        edges = None   # intervals at the current best, once a probe needs them
         for p in spec.topological:
             x0 = best_topo[p.name]
             span = p.upper - p.lower
 
             def score(values):
+                """(objective, x) of each x inside the bounds whose
+                objective is finite."""
                 nonlocal total_evals
                 out = []
                 for x in values:
-                    merged = dict(best_topo)
-                    merged[p.name] = x
-                    merged.update(best_cont)
-                    out.append((objective(merged, params, zones, targets,
-                                          weights), x))
-                    total_evals += 1
-                return [(v, x) for v, x in out if math.isfinite(v)]
-
-            ladder = []
-            for frac in _POLISH_OFFSETS:
-                for sign in (1.0, -1.0):
-                    x = x0 + sign * frac * span
                     if p.lower <= x <= p.upper:
-                        ladder.append(x)
-            scored = score(ladder)
+                        total_evals += 1
+                        value = objective({**best_topo, p.name: x,
+                                           **best_cont}, params, zones,
+                                          targets, weights)
+                        if math.isfinite(value):
+                            out.append((value, x))
+                return out
 
+            scored = score(x0 + sign * frac * span for frac in _POLISH_OFFSETS
+                           for sign in (1.0, -1.0))
             if not scored or min(scored)[0] >= best_obj:
                 # the coarse ladder may straddle a narrow neighbouring
-                # piece: find this piece's edges and step just past them
-                merged0 = dict(best_topo)
-                merged0.update(best_cont)
-                try:
-                    ref_sig = _structure_signatures(merged0, params, zones,
-                                                    targets)
-                except TreesinkError:
-                    ref_sig = None
+                # piece: step just past this piece's edges
+                if edges is None:
+                    edges = compute_intervals(spec, {**best_topo, **best_cont},
+                                              params, zones, targets)
+                lo, hi = edges[p.name]
+                scored += score(edge + sign * _EDGE_OFFSET * span
+                                for edge, bound, sign in ((lo, p.lower, -1.0),
+                                                          (hi, p.upper, 1.0))
+                                if edge not in (None, bound))
 
-                def unchanged(value, _name=p.name):
-                    trial = dict(best_topo)
-                    trial.update(best_cont)
-                    trial[_name] = value
-                    try:
-                        return _structure_signatures(
-                            trial, params, zones, targets) == ref_sig
-                    except TreesinkError:
-                        return False
-
-                if ref_sig is not None:
-                    res = 2e-3 * span
-                    edge_probes = []
-                    for bound in (p.lower, p.upper):
-                        if bound == x0:
-                            continue
-                        edge, at_bound = _scan_edge(unchanged, x0, bound, res)
-                        if not at_bound:
-                            x = edge + math.copysign(3.0 * res, bound - x0)
-                            if p.lower <= x <= p.upper:
-                                edge_probes.append(x)
-                    scored.extend(score(edge_probes))
-
-            if not scored:
+            if not scored or min(scored)[0] >= best_obj:
                 continue
             quick_obj, quick_x = min(scored)
-            if quick_obj >= best_obj:
-                continue
-            candidate = dict(best_topo)
-            candidate[p.name] = quick_x
+            candidate = {**best_topo, p.name: quick_x}
             if spec.continuous:
                 try:
-                    cand_cont, cand_obj = refit(
-                        candidate, np.array([best_cont[q.name]
-                                             for q in spec.continuous]))
+                    cand_cont, cand_obj = refit(candidate, best_cont)
                 except UnfittableError:
                     continue
             else:
@@ -500,7 +436,7 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
             if cand_obj < best_obj:
                 best_topo, best_cont, best_obj = \
                     candidate, cand_cont, cand_obj
-                moved = True
+                moved, edges = True, None
             trace.append(best_obj)
             if stop_reached():
                 break
@@ -546,63 +482,54 @@ def _predicted_observed(values, params, zones, targets):
     return rows, r2
 
 
-def _zone_ever_active(coeff_name: str, signatures) -> bool:
-    """Whether the zone a coefficient controls had any presence in the
-    reference run (PA-i growth units for m2, occupied positions for a2)."""
-    _, bearer, axillary = coeff_name.split("_")
-    bearer, axillary = int(bearer), int(axillary)
-    for tree_sig in signatures:
-        for pa, _birth, _mult, gus in tree_sig:
-            if pa != bearer:
-                continue
-            if coeff_name.startswith("m2_"):
-                return True
-            for _rank, _bc, _count, zones_, _borne in gus:
-                if zones_ and dict(zones_).get(axillary, 0) > 0:
-                    return True
-    return False
-
-
 def compute_intervals(spec: FitSpec, best_values: dict[str, float],
                       params: GrowthParameters, zones: ZoneRuleSet,
-                      targets: list[TargetDataset], resolution: float = 1e-4
+                      targets: list[TargetDataset]
                       ) -> dict[str, tuple[float | None, float | None]]:
-    """Structural interval of each fitted zone coefficient: the maximal
-    range around the fitted value over which every simulated architecture
-    is bit-identical.
-
-    ``None`` as an upper endpoint means unbounded: the zone's cap (or
-    position saturation) absorbs every increase.  Coefficients whose zone
-    never appears in the run are inert and span their full fit bounds.
-    """
+    """Structural interval of each fitted zone coefficient: the closed range
+    around the fitted value over which every simulated architecture is
+    bit-identical, exact to the float.  With the continuous parameters
+    fixed, a run whose rounding decisions all keep their outcome repeats
+    its Q/D trajectory and, cycle by cycle, its architecture, so the
+    interval intersects the preimages of the decisions that one reference
+    run per tree records.  ``None`` as the upper end means unbounded (a
+    zone cap or position saturation absorbs every rise); an inert zone,
+    absent from the run, spans its fit bounds; the pending plan's axis
+    counts never reach the architecture and do not count."""
     if not spec.topological:
         return {}
-    ref_sigs = _structure_signatures(best_values, params, zones, targets)
-
-    def unchanged(name, value):
-        trial = dict(best_values)
-        trial[name] = value
-        try:
-            return _structure_signatures(trial, params, zones, targets) \
-                == ref_sigs
-        except TreesinkError:
-            return False
-
+    cand_params, cand_zones = apply_candidate(params, zones, best_values)
+    decisions = [d for i, ds in enumerate(targets)
+                 for d in simulate(cand_params, cand_zones, ds, tree_index=i,
+                                   with_topology=False,
+                                   with_signature=False).decisions]
     intervals: dict[str, tuple[float | None, float | None]] = {}
     for p in spec.topological:
-        x0 = best_values[p.name]
-        if not _zone_ever_active(p.name, ref_sigs):
-            intervals[p.name] = (p.lower, p.upper)
-            continue
-
-        def predicate(value, _name=p.name):
-            return unchanged(_name, value)
-
-        hi, hi_at_bound = _scan_edge(predicate, x0, p.upper, resolution)
-        if hi_at_bound:
-            # beyond-bound probe distinguishes a true cap from a bound limit
-            hi = None if unchanged(p.name, max(10.0 * abs(p.upper), 1e3)) \
-                else p.upper
-        lo, _ = _scan_edge(predicate, x0, p.lower, resolution)
-        intervals[p.name] = (lo, hi)
+        kind, bearer, axillary = p.name.split("_")
+        rule = cand_zones.get(int(bearer), int(axillary))
+        others = [r for r in cand_zones.zones_of(rule.bearer_pa)
+                  if r.key != rule.key]
+        lo, hi, active = -math.inf, math.inf, False
+        for ratio, grown, zone_groups in decisions:
+            count = max(metamer_count(rule, ratio), 0)
+            grew = rule.bearer_pa in grown
+            active = active or (grew and (kind == "m2" or count > 0))
+            if ratio == 0:   # the coefficient is multiplied away
+                continue
+            if kind == "a2":   # each expanded distribution of axes
+                bands = [axis_band(positions, rule, ratio, groups)
+                         for key, positions, groups in zone_groups
+                         if key == rule.key]
+            elif grew:         # each grown layout's count
+                bands = [metamer_band(rule, ratio, count, count)]
+            elif all(metamer_count(r, ratio) <= 0 for r in others):
+                # a computed layout must stay non-empty
+                bands = [metamer_band(rule, ratio, 1, math.inf)]
+            else:
+                continue
+            for band_lo, band_hi in bands:
+                lo, hi = max(lo, band_lo), min(hi, band_hi)
+        intervals[p.name] = (
+            (max(lo, p.lower), None if hi == math.inf else min(hi, p.upper))
+            if active else (p.lower, p.upper))
     return intervals

@@ -72,6 +72,8 @@ class SimulationOutput:
     pending_shoot_fund_g: float
     structure_signature: tuple = ()
     notes: list[str] = field(default_factory=list)
+    # TreeState.decisions, then the pending plan's (ratio, (), ())
+    decisions: list[tuple] = field(default_factory=list)
 
     @property
     def ratio_series(self) -> list[float]:
@@ -85,8 +87,11 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
     cycle = state.cycle
     masses = allocate_shoots(fund, plan.d_s, plan.bud_counts, params.p_s)
     slw = params.slw_at(cycle)
+    grown: set[int] = set()   # PAs that grew a growth unit with a layout
 
     def grow(cls: AxisClass, layout, count: int):
+        if layout is not None:
+            grown.add(cls.pa)
         inter, length, leaf, area = expand_shoot_values(
             params, cls.pa, masses.get(cls.pa, 0.0), count, cycle, slw=slw)
         return cls.append_gu(cycle, layout, count, inter, length, leaf, area)
@@ -96,10 +101,7 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
         join it; the first ones create it with its first growth unit."""
         cls = state.get_class(pa, cycle)
         if cls is None:
-            layout = plan.gu_layouts.get(pa)
-            if layout is None:
-                raise SimulationError(
-                    f"no growth-unit layout for scripted branch PA {pa}")
+            layout = plan.gu_layouts[pa]
             grow(state.add_class(pa, cycle, multiplicity=instances), layout,
                  sum(c for _, c in layout))
         else:
@@ -116,10 +118,6 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
         if trunk is None:
             trunk = state.add_class(TRUNK_PA, 1, multiplicity=1)
         gu = grow(trunk, None, entry.metamer_count)
-        if entry.branch_total() > entry.metamer_count:
-            raise SimulationError(
-                f"trunk GU {entry.gu_index} bears more scripted branches "
-                f"than metamers")
         row = gu.start + entry.metamer_count
         for pa, count in sorted(entry.branches):
             for _ in range(count):
@@ -141,6 +139,7 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
     for a in plan.assignments:
         state.classes[a.parent_class_idx].set_child(
             a.flat_idx, child_idx[a.child_pa], a.per_instance_count)
+    state.decisions.append((plan.ratio_used, grown, plan.zone_groups))
 
 
 def _partition_rings_factorized(state: TreeState, params: GrowthParameters,
@@ -276,6 +275,11 @@ def check_run_request(params: GrowthParameters, zones: ZoneRuleSet,
     dataset's tree age unless ``cycles`` shortens it."""
     validate_parameters(params, zones).raise_if_failed()
     validate_script(dataset).raise_if_failed()
+    for i, entry in enumerate(dataset.trunk_script, start=1):
+        for pa, _ in entry.branches:
+            if not 2 <= pa <= params.pa_max:
+                raise SimulationError(f"script entry {i}: branch PA {pa} "
+                                      f"outside 2..{params.pa_max}")
     if tree_index >= len(params.v_env):
         raise SimulationError(
             f"tree index {tree_index} but only {len(params.v_env)} "
@@ -380,7 +384,8 @@ def _collect_output(state: TreeState, params: GrowthParameters,
         pending_shoot_fund_g=state.pending_fund,
         structure_signature=(state.structure_signature()
                              if with_signature else ()),
-        notes=list(state.notes))
+        notes=list(state.notes),
+        decisions=state.decisions + [(state.pending_plan.ratio_used, (), ())])
 
 
 #: data classes of the fitting objective, in output order

@@ -39,13 +39,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_float(text, path, line_no, what="value"):
+def _parse_float(text, path, line_no, what="value", kind=float):
     text = text.strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"non-numeric {what}: {text!r}", path, line_no) \
             from None
+    if kind is int and not value.is_integer():
+        raise ParseError(f"{what} must be an integer: {text!r}", path, line_no)
+    return kind(value)
 
 
 def _parse_lines(path):
@@ -82,7 +85,7 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
                 plain[key] = tuple(_parse_float(v, path, line_no, key)
                                    for v in items)
             elif key in _INT_FIELDS:
-                plain[key] = int(_parse_float(value, path, line_no, key))
+                plain[key] = _parse_float(value, path, line_no, key, int)
             elif key in _FLOAT_FIELDS:
                 plain[key] = _parse_float(value, path, line_no, key)
             else:
@@ -128,6 +131,12 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path) -> FitSpec:
     def pop(key, default=None):
         return fit_lines.pop(key, (None, default))[1]
 
+    def num(key, default=None, kind=float):   # ``default`` without a line
+        if key not in fit_lines:
+            return default
+        line_no, text = fit_lines.pop(key)
+        return _parse_float(text, path, line_no, key, kind)
+
     def free_list(key):
         raw = pop(key, "")
         names = [n.strip() for n in raw.split(",") if n.strip()]
@@ -137,9 +146,13 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path) -> FitSpec:
             if bound is None:
                 raise ParseError(f"missing bound_{name} for free parameter "
                                  f"{name}", path)
-            lo, hi = (float(v) for v in bound.split(","))
-            init_raw = fit_lines.pop(f"init_{name}", (None, None))[1]
-            init = float(init_raw) if init_raw is not None else 0.5 * (lo + hi)
+            ends = bound.split(",")
+            if len(ends) != 2:
+                raise ParseError(f"bound_{name} needs lower, upper", path,
+                                 line_no)
+            lo, hi = (_parse_float(v, path, line_no, f"bound_{name}")
+                      for v in ends)
+            init = num(f"init_{name}", 0.5 * (lo + hi))
             try:
                 out.append(FreeParameter(name=name, lower=lo, upper=hi,
                                          init=init))
@@ -149,28 +162,27 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path) -> FitSpec:
 
     continuous = free_list("free_continuous")
     topological = free_list("free_topology")
-    weights = {}
-    for key in list(fit_lines):
-        if key.startswith("weight_"):
-            weights[key[7:]] = float(fit_lines.pop(key)[1])
+    weights = {key[7:]: num(key) for key in list(fit_lines)
+               if key.startswith("weight_")}
     schedule = AnnealSchedule(
-        t0=float(pop("anneal_t0", AnnealSchedule.t0)),
-        cooling=float(pop("anneal_cooling", AnnealSchedule.cooling)),
-        steps_per_t=int(float(pop("anneal_steps", AnnealSchedule.steps_per_t))),
-        t_stop_ratio=float(pop("anneal_t_stop", AnnealSchedule.t_stop_ratio)),
-        step_scale=float(pop("anneal_step_scale", AnnealSchedule.step_scale)))
-    spec = FitSpec(
-        continuous=continuous, topological=topological,
-        weights=weights or None, schedule=schedule,
-        seed=int(float(pop("seed", 0))),
-        refit_every=int(float(pop("refit_every", 5))),
-        nested_refit=str(pop("nested_refit", "false")).lower()
-        in ("1", "true", "yes"),
-        max_nfev=(int(float(fit_lines.pop("max_nfev")[1]))
-                  if "max_nfev" in fit_lines else None),
-        stop_objective=(float(fit_lines.pop("stop_objective")[1])
-                        if "stop_objective" in fit_lines else None),
-        polish_rounds=int(float(pop("polish_rounds", 4))))
+        t0=num("anneal_t0", AnnealSchedule.t0),
+        cooling=num("anneal_cooling", AnnealSchedule.cooling),
+        steps_per_t=num("anneal_steps", AnnealSchedule.steps_per_t, int),
+        t_stop_ratio=num("anneal_t_stop", AnnealSchedule.t_stop_ratio),
+        step_scale=num("anneal_step_scale", AnnealSchedule.step_scale))
+    try:
+        spec = FitSpec(
+            continuous=continuous, topological=topological,
+            weights=weights or None, schedule=schedule,
+            seed=num("seed", 0, int),
+            refit_every=num("refit_every", 5, int),
+            nested_refit=str(pop("nested_refit", "false")).lower()
+            in ("1", "true", "yes"),
+            max_nfev=num("max_nfev", None, int),
+            stop_objective=num("stop_objective"),
+            polish_rounds=num("polish_rounds", 4, int))
+    except ValueError as exc:
+        raise ParseError(f"[fit]: {exc}", path) from None
     if fit_lines:
         stray = ", ".join(sorted(fit_lines))
         raise ParseError(f"unknown [fit] keys: {stray}", path)

@@ -138,19 +138,6 @@ def generate_synthetic_target(params: GrowthParameters, zones: ZoneRuleSet,
     return dataset_from_output(output, script, ring_gus=ring_gus)
 
 
-def bundled_targets() -> list[TargetDataset]:
-    """The two bundled synthetic trees, generated from the reference
-    configuration."""
-    params = reference_parameters()
-    zones = reference_zone_rules()
-    return [
-        generate_synthetic_target(params, zones, tree1_script(), 0,
-                                  ring_gus=TREE1_RING_GUS),
-        generate_synthetic_target(params, zones, tree2_script(), 1,
-                                  ring_gus=TREE2_RING_GUS),
-    ]
-
-
 def reference_fit_spec(n_trees: int = 2, seed: int = 1,
                        perturbation=None) -> FitSpec:
     """Fit setup covering the ten continuous and ten zone coefficients.

@@ -17,7 +17,8 @@ growth, and the residual is reported as slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from .core import (TRUNK_PA, ZONE_SEQUENCE, GrowthParameters,
                    SimulationError, TrunkScriptEntry, ZoneRule, ZoneRuleSet,
@@ -93,6 +94,70 @@ def distribute_axes(total: int, groups: list[PositionGroup]
     return counts, assigned - total
 
 
+def _last_kept(keeps, inside: float, outside: float, guess: float) -> float:
+    """The last float from ``inside`` (kept) toward ``outside`` (not kept).
+    The algebraic edge ``guess`` is off by a few floats at most, so up to
+    eight are walked from it before bisection settles the rest."""
+    for _ in range(8):
+        if keeps(guess):
+            inside, guess = guess, math.nextafter(guess, outside)
+        else:
+            outside, guess = guess, math.nextafter(guess, inside)
+        if guess in (inside, outside):
+            break
+    while (mid := inside + 0.5 * (outside - inside)) not in (inside, outside):
+        inside, outside = (mid, outside) if keeps(mid) else (inside, mid)
+    return inside
+
+
+def _band(keeps, inside: float, at, low: int, high: float, cap: float
+          ) -> tuple[float, float]:
+    """Closed range, exact to the float, of a coefficient k around the kept
+    value ``inside`` over which a rounding rule clamped to 0..cap keeps its
+    outcome in ``low..high`` (``keeps``).  ``at(v)`` is the k where the
+    unrounded value is v: the edges lie near at(low − ½) and at(high + ½),
+    one unit further is outside, and a side the clamp absorbs is open."""
+    return (-math.inf if low <= 0 else
+            _last_kept(keeps, inside, at(low - 1.5), at(low - 0.5)),
+            math.inf if high >= cap else
+            _last_kept(keeps, inside, at(high + 1.5), at(high + 0.5)))
+
+
+def metamer_band(zone: ZoneRule, ratio: float, low: int, high: float
+                 ) -> tuple[float, float]:
+    """The m2 range over which max(metamer_count(zone, ratio), 0) stays in
+    ``low..high`` (ratio > 0); an absent zone stays absent however low m2
+    goes, and the cap int(m_max) absorbs every rise."""
+    def keeps(m2):
+        count = metamer_count(replace(zone, m2=m2), ratio)
+        return low <= max(count, 0) <= high
+
+    cap = int(zone.m_max) if math.isfinite(zone.m_max) else math.inf
+    return _band(keeps, zone.m2, lambda v: (v - zone.m1) / ratio, low, high,
+                 cap)
+
+
+def axis_band(positions: int, zone: ZoneRule, ratio: float,
+              groups: list[PositionGroup]) -> tuple[float, float]:
+    """The a2 range over which the zone's axes keep their distribution over
+    ``groups`` (ratio > 0): the run of totals :func:`distribute_axes` gives
+    the same counts, walked outward from the rule's, mapped back through it."""
+    low = high = axis_total(positions, zone, ratio)
+    counts = distribute_axes(low, groups)[0]
+    while low > 0 and distribute_axes(low - 1, groups)[0] == counts:
+        low -= 1
+    while high < positions and \
+            distribute_axes(high + 1, groups)[0] == counts:
+        high += 1
+
+    def keeps(a2):
+        total = axis_total(positions, replace(zone, a2=a2), ratio)
+        return low <= total <= high
+
+    return _band(keeps, zone.a2, lambda v: (v / positions - zone.a1) / ratio,
+                 low, high, positions)
+
+
 def gu_zone_layout(pa: int, zones: ZoneRuleSet, ratio: float,
                    params: GrowthParameters) -> list[tuple[int, int]]:
     """Zone blocks (axillary PA, metamer count), base to apical, of a new
@@ -140,7 +205,8 @@ class OrganogenesisPlan:
     ratio_used: float
     trunk_entry: TrunkScriptEntry | None
     gu_layouts: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    axis_totals: dict[tuple[int, int], int] = field(default_factory=dict)
+    # (rule key, positions N, its PositionGroups) per branching zone, N > 0
+    zone_groups: list[tuple] = field(default_factory=list)
     assignments: list[AxisAssignment] = field(default_factory=list)
     continuation_class_idx: list[int] = field(default_factory=list)
     bud_counts: dict[int, float] = field(default_factory=dict)
@@ -165,9 +231,6 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
     if trunk_entry is not None:
         bud_counts[TRUNK_PA] = bud_counts.get(TRUNK_PA, 0.0) + 1.0
         for pa, count in trunk_entry.branches:
-            if pa < 2 or pa > params.pa_max:
-                raise SimulationError(
-                    f"scripted branch PA {pa} outside 2..{params.pa_max}")
             bud_counts[pa] = bud_counts.get(pa, 0.0) + count
 
     # growth-unit layouts for next cycle's shoots, shared by every class
@@ -213,7 +276,7 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
         if positions == 0:
             continue
         total = axis_total(positions, rule, ratio)
-        plan.axis_totals[rule.key] = total
+        plan.zone_groups.append((rule.key, positions, groups))
         counts, slack = distribute_axes(total, groups)
         if slack:
             state.notes.append(

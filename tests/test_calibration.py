@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from treesink import calibration
 from treesink.calibration import (AnnealSchedule, FitSpec, FreeParameter,
                                   apply_candidate, compute_intervals,
                                   default_weights, fit_continuous,
                                   fit_topology, objective)
+from treesink.core import TreesinkError
 from treesink.engine import simulate
 from treesink.synthetic import (dataset_from_output, script_only_dataset,
                                 tree1_script)
@@ -119,6 +122,24 @@ class TestFitContinuous:
                                    weights)
         assert est["v_1"] == pytest.approx(700.0, abs=1.0)
 
+    def test_failure_residuals_are_pure(self, params, zones, small_target,
+                                        monkeypatch):
+        # the same failing x must give the same residual vector every time
+        captured = []
+
+        def spy(fun, x0, **kwargs):
+            captured.append(fun)
+            return least_squares(fun, x0, **kwargs)
+
+        monkeypatch.setattr(calibration, "least_squares", spy)
+        weights = default_weights([small_target])
+        free = [FreeParameter("alpha", 0.0, 0.95, params.alpha)]
+        fit_continuous(free, {}, params, zones, [small_target], weights,
+                       max_nfev=3)
+        first = captured[0](np.array([0.0]))
+        assert np.all(first >= 1e12)
+        assert np.array_equal(captured[0](np.array([0.0])), first)
+
 
 class TestFitTopology:
     def _spec(self, topo=(), seed=3, **kw):
@@ -202,7 +223,7 @@ class TestIntervals:
             seed=0)
         best = {"m2_2_0": zones.get(2, 0).m2}
         intervals = compute_intervals(spec, best, params, zones,
-                                      [small_target], resolution=1e-4)
+                                      [small_target])
         lo, hi = intervals["m2_2_0"]
 
         def signature(value):
@@ -242,3 +263,43 @@ class TestIntervals:
         lo, hi = intervals["m2_2_4"]
         assert hi is None
         assert lo is not None and lo > 0.0
+
+    def test_interval_ends_are_exact(self, params, zones, small_target):
+        # every zone coefficient, bounds reaching below zero: each end
+        # strictly inside the bounds keeps the architecture, and the next
+        # float outward changes it
+        free = []
+        for rule in zones.rules:
+            suffix = f"{rule.bearer_pa}_{rule.axillary_pa}"
+            free.append(FreeParameter(f"m2_{suffix}", -3.0, 3.0, rule.m2))
+            if rule.branching:
+                free.append(FreeParameter(f"a2_{suffix}", -1.5, 1.5,
+                                          rule.a2))
+        best = {p.name: p.init for p in free}
+        spec = FitSpec(continuous=[], topological=free, seed=0)
+        intervals = compute_intervals(spec, best, params, zones,
+                                      [small_target])
+
+        def signature(name, value):
+            p2, z2 = apply_candidate(params, zones, {name: value})
+            try:
+                return simulate(p2, z2, small_target,
+                                with_topology=False).structure_signature
+            except TreesinkError:
+                return None
+
+        ref = signature("m2_2_0", best["m2_2_0"])
+        assert intervals["m2_2_4"][1] is None        # capped zone
+        assert -3.0 < intervals["m2_2_0"][0] < 0.0    # negative end
+        ends = 0
+        for p in free:
+            lo, hi = intervals[p.name]
+            assert lo <= best[p.name] and (hi is None or best[p.name] <= hi)
+            for end, bound, outward in ((lo, p.lower, -math.inf),
+                                        (hi, p.upper, math.inf)):
+                if end is None or end == bound:
+                    continue
+                ends += 1
+                assert signature(p.name, end) == ref, (p.name, end)
+                assert signature(p.name, math.nextafter(end, outward)) != ref
+        assert ends >= 10

@@ -212,6 +212,25 @@ class TestCli:
         assert result.returncode == 1
         assert "error" in result.stderr and "lambda_mix" in result.stderr
 
+    @pytest.mark.parametrize("old,new,where", [
+        ("bound_sp0 = 0.003, 0.08", "bound_sp0 = 0.003, abc", ":36: "),
+        ("init_sp0 = 0.015", "init_sp0 = 0.015\nweight_bogus = 2", ": "),
+        ("\npa_max = 4\n", "\npa_max = inf\n", ":14: ")])
+    def test_bad_number_is_located_parse_error(self, tmp_path, old, new,
+                                               where):
+        bad = tmp_path / "bad.params"
+        text = open(fixture_path("species.params")).read()
+        assert old in text
+        bad.write_text(text.replace(old, new))
+        targets = ("--target", fixture_path("tree1.target.csv"),
+                   "--target", fixture_path("tree2.target.csv"))
+        for extra in ((), ("--out", str(tmp_path / "out"))):
+            result = run_cli("fit" if extra else "validate",
+                             "--params", str(bad), *targets, *extra)
+            assert result.returncode == 1, result.stderr
+            assert result.stderr.startswith(f"error: {bad}{where}")
+            assert "Traceback" not in result.stderr
+
     def test_validate_passes_bundled_files(self):
         result = run_cli("validate", "--params",
                          fixture_path("species.params"),
@@ -256,6 +275,23 @@ class TestCli:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert ("error: tree index 5 but only 2 environment factors"
+                in result.stderr)
+
+    @pytest.mark.parametrize("entry", [1, 2])
+    def test_out_of_range_scripted_branch_is_runtime_failure(self, tmp_path,
+                                                             entry):
+        lines = open(fixture_path("tree1.target.csv")).read().splitlines()
+        assert lines[1 + entry] == f"{entry},4,"
+        lines[1 + entry] = f"{entry},4,PA7x1"
+        target = tmp_path / "bad.target.csv"
+        target.write_text("\n".join(lines) + "\n")
+        result = run_cli("simulate", "--params",
+                         fixture_path("species.params"),
+                         "--target", str(target),
+                         "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert (f"error: script entry {entry}: branch PA 7 outside 2..4"
                 in result.stderr)
 
 

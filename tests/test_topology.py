@@ -183,7 +183,8 @@ class TestOrganogenesis:
         plan = organogenesis_step(state, params, zones, ratio=4.0,
                                   trunk_entry=None)
         # 2 short-shoot positions at ratio 4: round(2·0.6·4) = 5 -> clamp 2
-        assert plan.axis_totals[(2, 4)] == 2
+        positions = {key: n for key, n, _ in plan.zone_groups}
+        assert axis_total(positions[(2, 4)], zones.get(2, 4), 4.0) == 2
         assert sum(a.instances for a in plan.assignments
                    if a.child_pa == 4) == 2
 
