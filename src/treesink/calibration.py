@@ -72,12 +72,17 @@ class FitSpec:
         names = [p.name for p in self.continuous + self.topological]
         if len(names) != len(set(names)):
             raise ValueError("duplicate free parameter names")
-        if self.weights is not None:
-            for cls, w in self.weights.items():
-                if cls not in TARGET_CLASSES:
-                    raise ValueError(f"unknown data class {cls!r}")
-                if w <= 0:
-                    raise ValueError(f"weight for {cls} must be positive")
+        for cls, w in (self.weights or {}).items():
+            check_weight(cls, w)
+
+
+def check_weight(data_class: str, weight: float) -> None:
+    """Raise ValueError unless ``data_class`` is an objective data class
+    and ``weight`` is positive."""
+    if data_class not in TARGET_CLASSES:
+        raise ValueError(f"unknown data class {data_class!r}")
+    if weight <= 0:
+        raise ValueError(f"weight for {data_class} must be positive")
 
 
 @dataclass
@@ -123,6 +128,8 @@ def apply_candidate(params: GrowthParameters, zones: ZoneRuleSet,
     ``gamma``, ``lambda_mix``, ``wood_density``, ...), per-PA entries
     ``p_rg_K`` / ``p_s_K`` / ``allom_a_K`` / ``allom_b_K``, per-tree
     environments ``v_T`` and zone coefficients ``m2_I_K`` / ``a2_I_K``.
+    Raises ValueError for a name it cannot apply: an index outside
+    1..length, an absent zone, or ``a2`` of an unbranched zone.
     """
     updates: dict[str, object] = {}
     vectors = {f: list(getattr(params, f)) for f in _INDEXED_FIELDS.values()}
@@ -132,13 +139,21 @@ def apply_candidate(params: GrowthParameters, zones: ZoneRuleSet,
         if name in _CONTINUOUS_FIELDS:
             updates[name] = float(value)
         elif prefix is not None:
-            index = int(name[len(prefix):]) - 1
-            vectors[_INDEXED_FIELDS[prefix]][index] = float(value)
+            vector = vectors[_INDEXED_FIELDS[prefix]]
+            index = name[len(prefix):]
+            if not (index.isdecimal() and 1 <= int(index) <= len(vector)):
+                raise ValueError(f"{name}: index outside 1..{len(vector)}")
+            vector[int(index) - 1] = float(value)
         elif name.startswith(("m2_", "a2_")):
-            kind, bearer, axillary = name.split("_")
-            rule = new_zones.get(int(bearer), int(axillary))
+            kind, *ids = name.split("_")
+            rule = (new_zones.get(int(ids[0]), int(ids[1]))
+                    if len(ids) == 2 and all(i.isdecimal() for i in ids)
+                    else None)
             if rule is None:
-                raise ValueError(f"no zone Z^{bearer}{axillary} for {name}")
+                raise ValueError(f"no zone Z^{''.join(ids)} for {name}")
+            if kind == "a2" and not rule.branching:
+                raise ValueError(f"zone Z^{''.join(ids)} bears no axes, so "
+                                 f"{name} has no effect")
             rule = replace(rule, **{kind: float(value)})
             new_zones = new_zones.with_rule(rule)
         else:

@@ -359,12 +359,10 @@ def _collect_output(state: TreeState, params: GrowthParameters,
     wood_totals = state.subtree_wood_totals()
     leaf_totals = state.subtree_leaf_mass_totals(live_cycle=state.cycle)
     grouped: dict[tuple[int, int], list[int]] = {}
-    for gu in trunk.gus:
-        for j in range(gu.start, gu.start + gu.count):
-            if trunk.child_count[j] > 0:
-                child = state.classes[trunk.child_idx[j]]
-                grouped.setdefault((gu.rank, child.pa), []).append(
-                    trunk.child_idx[j])
+    for gu, laterals in zip(trunk.gus, trunk.laterals_by_gu()):
+        for _rank, child, _count in laterals:
+            grouped.setdefault((gu.rank, state.classes[child].pa),
+                               []).append(child)
     branch_rows = []
     for (gu_rank, pa), idxs in sorted(grouped.items()):
         wood = float(np.mean([wood_totals[i] for i in idxs]))

@@ -18,7 +18,8 @@ import json
 import math
 import os
 
-from .calibration import AnnealSchedule, FitResult, FitSpec, FreeParameter
+from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
+                          apply_candidate, check_weight)
 from .core import (BranchObservation, GrowthParameters, ParseError,
                    RingObservation, TargetDataset, TrunkObservation,
                    TrunkScriptEntry, ZoneRule, ZoneRuleSet, validate_target)
@@ -31,6 +32,8 @@ _FLOAT_FIELDS = {"sp0", "alpha", "k_beer", "q0", "p_r", "gamma", "lambda_mix",
                  "root_fraction", "internode_leaf_ratio_short",
                  "internode_leaf_ratio_long", "long_short_shoot_ratio",
                  "wood_density"}
+_FLAGS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
 
 
 def _fmt(value) -> str:
@@ -49,6 +52,14 @@ def _parse_float(text, path, line_no, what="value", kind=float):
     if kind is int and not value.is_integer():
         raise ParseError(f"{what} must be an integer: {text!r}", path, line_no)
     return kind(value)
+
+
+def _parse_flag(text, path, line_no, what):
+    flag = _FLAGS.get(text.strip().lower())
+    if flag is None:
+        raise ParseError(f"{what} must be true/false/yes/no/1/0: {text!r}",
+                         path, line_no)
+    return flag
 
 
 def _parse_lines(path):
@@ -92,7 +103,7 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
                 raise ParseError(f"unknown parameter {key!r}", path, line_no)
         elif section == "zones":
             if key == "eq_fixed":
-                eq_fixed = value.lower() in ("1", "true", "yes")
+                eq_fixed = _parse_flag(value, path, line_no, key)
             elif key.startswith("zone_"):
                 parts = key.split("_")
                 if len(parts) != 3:
@@ -110,7 +121,10 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
                     a1 = _parse_float(fields[3], path, line_no, "a1")
                     a2 = _parse_float(fields[4], path, line_no, "a2")
                 zone_rules.append(ZoneRule(
-                    bearer_pa=int(parts[1]), axillary_pa=int(parts[2]),
+                    bearer_pa=_parse_float(parts[1], path, line_no,
+                                           "bearer PA", int),
+                    axillary_pa=_parse_float(parts[2], path, line_no,
+                                             "axillary PA", int),
                     m1=_parse_float(fields[0], path, line_no, "m1"),
                     m2=_parse_float(fields[1], path, line_no, "m2"),
                     m_max=m_max, a1=a1, a2=a2))
@@ -123,29 +137,38 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
 
     params = GrowthParameters(**plain)
     zones = ZoneRuleSet(rules=tuple(zone_rules), eq_fixed=eq_fixed)
-    fit_spec = _build_fit_spec(fit_lines, path) if fit_lines else None
+    fit_spec = (_build_fit_spec(fit_lines, path, params, zones)
+                if fit_lines else None)
     return params, zones, fit_spec
 
 
-def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path) -> FitSpec:
-    def pop(key, default=None):
-        return fit_lines.pop(key, (None, default))[1]
-
+def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
+                    params: GrowthParameters, zones: ZoneRuleSet) -> FitSpec:
     def num(key, default=None, kind=float):   # ``default`` without a line
         if key not in fit_lines:
             return default
         line_no, text = fit_lines.pop(key)
+        if kind is bool:
+            return _parse_flag(text, path, line_no, key)
         return _parse_float(text, path, line_no, key, kind)
 
+    def located(line_no, check, *args):
+        """``check(*args)``, its ValueError a ParseError at ``line_no``."""
+        try:
+            return check(*args)
+        except ValueError as exc:
+            raise ParseError(str(exc), path, line_no) from None
+
     def free_list(key):
-        raw = pop(key, "")
+        list_line, raw = fit_lines.pop(key, (None, ""))
         names = [n.strip() for n in raw.split(",") if n.strip()]
         out = []
         for name in names:
+            located(list_line, apply_candidate, params, zones, {name: 0.0})
             line_no, bound = fit_lines.pop(f"bound_{name}", (None, None))
             if bound is None:
                 raise ParseError(f"missing bound_{name} for free parameter "
-                                 f"{name}", path)
+                                 f"{name}", path, list_line)
             ends = bound.split(",")
             if len(ends) != 2:
                 raise ParseError(f"bound_{name} needs lower, upper", path,
@@ -153,17 +176,16 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path) -> FitSpec:
             lo, hi = (_parse_float(v, path, line_no, f"bound_{name}")
                       for v in ends)
             init = num(f"init_{name}", 0.5 * (lo + hi))
-            try:
-                out.append(FreeParameter(name=name, lower=lo, upper=hi,
-                                         init=init))
-            except ValueError as exc:
-                raise ParseError(str(exc), path, line_no) from None
+            out.append(located(line_no, FreeParameter, name, lo, hi, init))
         return out
 
     continuous = free_list("free_continuous")
     topological = free_list("free_topology")
-    weights = {key[7:]: num(key) for key in list(fit_lines)
-               if key.startswith("weight_")}
+    weights = {}
+    for key in [k for k in fit_lines if k.startswith("weight_")]:
+        line_no, data_class = fit_lines[key][0], key[7:]
+        weights[data_class] = num(key)
+        located(line_no, check_weight, data_class, weights[data_class])
     schedule = AnnealSchedule(
         t0=num("anneal_t0", AnnealSchedule.t0),
         cooling=num("anneal_cooling", AnnealSchedule.cooling),
@@ -176,8 +198,7 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path) -> FitSpec:
             weights=weights or None, schedule=schedule,
             seed=num("seed", 0, int),
             refit_every=num("refit_every", 5, int),
-            nested_refit=str(pop("nested_refit", "false")).lower()
-            in ("1", "true", "yes"),
+            nested_refit=num("nested_refit", False, bool),
             max_nfev=num("max_nfev", None, int),
             stop_objective=num("stop_objective"),
             polish_rounds=num("polish_rounds", 4, int))

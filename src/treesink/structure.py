@@ -5,7 +5,8 @@ identically (same growth-unit layouts, same lateral assignments, same ring
 increments), so the tree is stored as a collection of :class:`AxisClass`
 objects carrying a multiplicity instead of one object per axis.  Each class
 keeps flat per-metamer arrays (base to apex, growth units in rank order) so
-the per-cycle ring partition and foliage scans are vectorized.
+the per-cycle ring partition and foliage scans are vectorized.  Leaves live
+one cycle, so the live foliage of a class is its newest growth unit's.
 
 A metamer can bear at most one lateral axis, created the cycle after the
 metamer's own expansion (or together with it for trunk-scripted branches);
@@ -31,6 +32,8 @@ class GUInfo:
     start: int                # first metamer index in the class arrays
     count: int
     zone_counts: dict[int, int] | None  # axillary PA -> metamer count
+    leaf_area: float          # per-instance totals of the unit's leaves
+    leaf_mass: float
 
 
 @dataclass(frozen=True)
@@ -51,43 +54,33 @@ class MetamerCohort:
     borne_axes: dict[int, int]  # axillary PA -> per-instance count
 
 
-_FLOAT_ARRAYS = ("internode_mass", "length", "leaf_mass", "leaf_area",
-                 "cum_ring")
-_INT_ARRAYS = ("birth", "metamer_rank", "child_idx", "child_count")
-
-
 class AxisClass:
     """All axes sharing (physiological age, birth cycle), with multiplicity.
 
-    Per-metamer data lives in capacity-doubling arrays; the public array
-    attributes are views over the populated prefix, so callers may read and
-    write elements but must not resize them.
+    Only what varies per metamer is stored per metamer: five float arrays,
+    base to apex.  A metamer's birth cycle and rank follow from ``gus``.
+    The laterals are three link arrays in creation order (bearing metamer
+    row, child class index, per-instance count); the subtree sums add them
+    in that order.
     """
 
-    __slots__ = ("pa", "birth_cycle", "multiplicity", "gus", "_n", "_cap",
-                 "_buf", "_child_rows", "_child_cache", "newest_leaf_area",
-                 "newest_leaf_mass")
+    __slots__ = ("pa", "birth_cycle", "multiplicity", "gus",
+                 "internode_mass", "length", "leaf_mass", "leaf_area",
+                 "cum_ring", "child_rows", "child_idx", "child_count")
 
     def __init__(self, pa: int, birth_cycle: int, multiplicity: int):
         self.pa = pa
         self.birth_cycle = birth_cycle
         self.multiplicity = multiplicity
         self.gus: list[GUInfo] = []
-        self._n = 0
-        self._cap = 16
-        self._buf = {name: np.zeros(self._cap) for name in _FLOAT_ARRAYS}
-        self._buf.update({name: np.zeros(self._cap, dtype=np.int64)
-                          for name in _INT_ARRAYS})
-        self._child_rows: list[int] = []
-        self._child_cache: tuple | None = None
-        # per-instance totals of the newest growth unit
-        self.newest_leaf_area = 0.0
-        self.newest_leaf_mass = 0.0
-
-    def __getattr__(self, name):
-        if name in _FLOAT_ARRAYS or name in _INT_ARRAYS:
-            return self._buf[name][:self._n]
-        raise AttributeError(name)
+        self.internode_mass = np.zeros(0)
+        self.length = np.zeros(0)
+        self.leaf_mass = np.zeros(0)
+        self.leaf_area = np.zeros(0)
+        self.cum_ring = np.zeros(0)
+        self.child_rows = np.zeros(0, dtype=np.int64)
+        self.child_idx = np.zeros(0, dtype=np.int64)
+        self.child_count = np.zeros(0, dtype=np.int64)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -95,21 +88,7 @@ class AxisClass:
 
     @property
     def n_metamers(self) -> int:
-        return self._n
-
-    def newest_gu(self) -> GUInfo:
-        return self.gus[-1]
-
-    def _reserve(self, extra: int) -> None:
-        need = self._n + extra
-        if need <= self._cap:
-            return
-        new_cap = max(2 * self._cap, need)
-        for name, arr in self._buf.items():
-            grown = np.zeros(new_cap, dtype=arr.dtype)
-            grown[:self._n] = arr[:self._n]
-            self._buf[name] = grown
-        self._cap = new_cap
+        return self.cum_ring.size
 
     def append_gu(self, birth_cycle: int, zone_layout: list[tuple[int, int]] | None,
                   metamer_count: int, internode_mass: float, length: float,
@@ -122,89 +101,86 @@ class AxisClass:
         if zone_layout is not None and \
                 sum(c for _, c in zone_layout) != metamer_count:
             raise SimulationError("zone layout does not cover the growth unit")
-        start = self._n
-        gu = GUInfo(rank=len(self.gus) + 1, birth_cycle=birth_cycle,
-                    start=start, count=metamer_count,
-                    zone_counts=(None if zone_layout is None
-                                 else {k: c for k, c in zone_layout}))
-        self.gus.append(gu)
         n = metamer_count
-        self._reserve(n)
-        buf, end = self._buf, start + n
-        buf["internode_mass"][start:end] = internode_mass
-        buf["length"][start:end] = length
-        buf["leaf_mass"][start:end] = leaf_mass
-        buf["leaf_area"][start:end] = leaf_area
-        buf["cum_ring"][start:end] = 0.0
-        buf["birth"][start:end] = birth_cycle
-        buf["metamer_rank"][start:end] = np.arange(1, n + 1)
-        buf["child_idx"][start:end] = -1
-        buf["child_count"][start:end] = 0
-        self._n = end
-        self.newest_leaf_area = leaf_area * n
-        self.newest_leaf_mass = leaf_mass * n
+        gu = GUInfo(rank=len(self.gus) + 1, birth_cycle=birth_cycle,
+                    start=self.n_metamers, count=n,
+                    zone_counts=(None if zone_layout is None
+                                 else {k: c for k, c in zone_layout}),
+                    leaf_area=leaf_area * n, leaf_mass=leaf_mass * n)
+        self.gus.append(gu)
+        self.internode_mass = np.concatenate(
+            (self.internode_mass, np.full(n, internode_mass)))
+        self.length = np.concatenate((self.length, np.full(n, length)))
+        self.leaf_mass = np.concatenate((self.leaf_mass, np.full(n, leaf_mass)))
+        self.leaf_area = np.concatenate((self.leaf_area, np.full(n, leaf_area)))
+        self.cum_ring = np.concatenate((self.cum_ring, np.zeros(n)))
         return gu
 
     def record_rings(self, increments: np.ndarray) -> None:
         """Add one cycle's per-instance ring increments to every metamer."""
-        if increments.size != self._n:
+        if increments.size != self.n_metamers:
             raise SimulationError(
                 f"ring increment vector size {increments.size} != "
-                f"{self._n} metamers")
-        self._buf["cum_ring"][:self._n] += increments
+                f"{self.n_metamers} metamers")
+        self.cum_ring += increments
 
     def set_child(self, flat_idx: int, child_class_idx: int,
                   per_instance_count: int) -> None:
         """Record a lateral borne by one metamer (at most one, ever)."""
-        if self._buf["child_count"][flat_idx] > 0:
+        if not 0 <= flat_idx < self.n_metamers:
+            raise SimulationError(f"no metamer row {flat_idx} in the class")
+        if flat_idx in self.child_rows.tolist():   # faster than ndarray ==
             raise SimulationError("metamer already bears a lateral")
-        self._buf["child_idx"][flat_idx] = child_class_idx
-        self._buf["child_count"][flat_idx] = per_instance_count
-        self._child_rows.append(flat_idx)
-        self._child_cache = None
+        self.child_rows = np.concatenate((self.child_rows, [flat_idx]))
+        self.child_idx = np.concatenate((self.child_idx, [child_class_idx]))
+        self.child_count = np.concatenate((self.child_count,
+                                           [per_instance_count]))
 
-    def child_links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(metamer rows, child class indices, per-instance counts) of every
-        lateral this class bears."""
-        if self._child_cache is None:
-            rows = np.asarray(self._child_rows, dtype=np.int64)
-            self._child_cache = (rows, self._buf["child_idx"][rows],
-                                 self._buf["child_count"][rows])
-        return self._child_cache
+    def laterals_by_gu(self) -> list[list[tuple[int, int, int]]]:
+        """Per growth unit, the laterals it bears as (metamer rank, child
+        class index, per-instance count), base to apex."""
+        out: list[list[tuple[int, int, int]]] = [[] for _ in self.gus]
+        if not self.child_rows.size:
+            return out
+        order = np.argsort(self.child_rows)
+        rows = self.child_rows[order]
+        gu_of = np.searchsorted([gu.start for gu in self.gus], rows,
+                                side="right") - 1
+        for row, g, child, count in zip(rows.tolist(), gu_of.tolist(),
+                                        self.child_idx[order].tolist(),
+                                        self.child_count[order].tolist()):
+            out[g].append((row - self.gus[g].start + 1, child, count))
+        return out
 
     def live_slice_start(self, live_cycle: int | None) -> int:
-        """First index of the metamers whose leaves are alive at the given
-        cycle (birth cycles are nondecreasing along the arrays), or -1 when
-        the live set is not a tail slice."""
+        """First index of the metamers whose leaves are alive at
+        ``live_cycle``: every metamer for None, else the newest growth
+        unit's if it was born at ``live_cycle``, else none.  ``live_cycle``
+        must be None or the state's current cycle, so that no growth unit
+        is younger than it and the live leaves are a tail slice."""
         if live_cycle is None:
             return 0
-        if not self.gus:
-            return self._n
-        newest = self.gus[-1]
-        if newest.birth_cycle == live_cycle:
-            return newest.start
-        if newest.birth_cycle < live_cycle:
-            return self._n
-        return -1
+        if self.gus and self.gus[-1].birth_cycle == live_cycle:
+            return self.gus[-1].start
+        return self.n_metamers
 
     def cohorts(self, tree: "TreeState") -> list[MetamerCohort]:
         out = []
-        for gu in self.gus:
-            for j in range(gu.start, gu.start + gu.count):
-                borne = {}
-                if self.child_count[j] > 0:
-                    child = tree.classes[self.child_idx[j]]
-                    borne[child.pa] = int(self.child_count[j])
+        for gu, laterals in zip(self.gus, self.laterals_by_gu()):
+            borne = {rank: {tree.classes[child].pa: count}
+                     for rank, child, count in laterals}
+            for rank in range(1, gu.count + 1):
+                j = gu.start + rank - 1
                 out.append(MetamerCohort(
-                    pa=self.pa, birth_cycle=int(self.birth[j]),
-                    gu_rank=gu.rank, rank=int(self.metamer_rank[j]),
+                    pa=self.pa, birth_cycle=gu.birth_cycle,
+                    gu_rank=gu.rank, rank=rank,
                     multiplicity=self.multiplicity,
                     internode_mass=float(self.internode_mass[j]),
                     internode_length=float(self.length[j]),
                     leaf_mass=float(self.leaf_mass[j]),
                     leaf_area=float(self.leaf_area[j]),
                     ring_mass=float(self.cum_ring[j]),
-                    borne_axes=borne))
+                    borne_axes=borne.get(rank, {})))
         return out
 
 
@@ -254,18 +230,14 @@ class TreeState:
 
     def _live_sum(self, cls: AxisClass, field_name: str,
                   live_cycle: int | None) -> float:
-        if live_cycle is not None and cls.gus:
-            newest = cls.gus[-1]
-            if newest.birth_cycle == live_cycle:
-                return (cls.newest_leaf_area if field_name == "leaf_area"
-                        else cls.newest_leaf_mass)
-            if newest.birth_cycle < live_cycle:
-                return 0.0
-        arr = getattr(cls, field_name)
-        start = cls.live_slice_start(live_cycle)
-        if start >= 0:
-            return float(arr[start:].sum())
-        return float(arr[cls.birth == live_cycle].sum())
+        """Per-instance ``leaf_area`` or ``leaf_mass`` of the leaves alive
+        at ``live_cycle`` (None or the current cycle, as in
+        :meth:`AxisClass.live_slice_start`)."""
+        if live_cycle is None:
+            return float(getattr(cls, field_name).sum())
+        if cls.gus and cls.gus[-1].birth_cycle == live_cycle:
+            return getattr(cls.gus[-1], field_name)
+        return 0.0
 
     def total_blade_area_cm2(self, live_cycle: int | None = None) -> float:
         if live_cycle is None:
@@ -281,16 +253,16 @@ class TreeState:
         for idx in range(len(self.classes) - 1, -1, -1):
             cls = self.classes[idx]
             own = own_fn(cls)
-            if cls._child_rows:
-                _rows, child_idx, counts = cls.child_links()
-                own += float((counts * totals[child_idx]).sum())
+            if cls.child_rows.size:
+                own += float((cls.child_count * totals[cls.child_idx]).sum())
             totals[idx] = own
         return totals
 
     def subtree_leaf_totals(self, live_cycle: int | None = None) -> np.ndarray:
         """Per-instance live-leaf area of the full subtree rooted at each
         axis class (its own leaves plus all borne sub-axes, recursively).
-        ``live_cycle=None`` counts every leaf regardless of age."""
+        ``live_cycle=None`` counts every leaf regardless of age; otherwise
+        it must be the current cycle."""
         return self._subtree_totals(
             lambda cls: self._live_sum(cls, "leaf_area", live_cycle))
 
@@ -300,7 +272,8 @@ class TreeState:
         every leaf distal on its axis, and the full subtrees of laterals
         borne at or above it.  Returns (segment bounds, areas): the areas
         of class ``i`` are ``areas[bounds[i]:bounds[i + 1]]``, aligned with
-        its flat metamer arrays."""
+        its flat metamer arrays.  ``live_cycle`` is None (every leaf) or the
+        current cycle."""
         totals = self.subtree_leaf_totals(live_cycle)
         sizes = np.array([cls.n_metamers for cls in self.classes],
                          dtype=np.int64)
@@ -311,14 +284,9 @@ class TreeState:
             s, e = int(bounds[i]), int(bounds[i + 1])
             seg = s_a[s:e]
             ls = cls.live_slice_start(live_cycle)
-            if ls >= 0:
-                seg[ls:] = cls.leaf_area[ls:]
-            else:
-                mask = cls.birth == live_cycle
-                seg[mask] = cls.leaf_area[mask]
-            if cls._child_rows:
-                rows, child_idx, counts = cls.child_links()
-                seg[rows] += counts * totals[child_idx]
+            seg[ls:] = cls.leaf_area[ls:]
+            if cls.child_rows.size:
+                seg[cls.child_rows] += cls.child_count * totals[cls.child_idx]
             # arrays run base to apex: suffix sum = leaves at or above
             s_a[s:e] = np.cumsum(seg[::-1])[::-1]
         return bounds, s_a
@@ -367,17 +335,12 @@ class TreeState:
         classes = []
         for cls in self.classes:
             gus = []
-            for gu in cls.gus:
-                borne = []
-                for j in range(gu.start, gu.start + gu.count):
-                    if cls.child_count[j] > 0:
-                        child = self.classes[cls.child_idx[j]]
-                        borne.append({
-                            "metamer_rank": int(cls.metamer_rank[j]),
-                            "axillary_pa": child.pa,
-                            "axis_birth_cycle": child.birth_cycle,
-                            "per_instance_count": int(cls.child_count[j]),
-                        })
+            for gu, laterals in zip(cls.gus, cls.laterals_by_gu()):
+                borne = [{"metamer_rank": rank,
+                          "axillary_pa": self.classes[child].pa,
+                          "axis_birth_cycle": self.classes[child].birth_cycle,
+                          "per_instance_count": count}
+                         for rank, child, count in laterals]
                 gus.append({
                     "rank": gu.rank,
                     "birth_cycle": gu.birth_cycle,
@@ -403,13 +366,9 @@ class TreeState:
         sig = []
         for cls in self.classes:
             gus = []
-            for gu in cls.gus:
-                borne = tuple(
-                    (int(cls.metamer_rank[j]),
-                     self.classes[cls.child_idx[j]].key,
-                     int(cls.child_count[j]))
-                    for j in range(gu.start, gu.start + gu.count)
-                    if cls.child_count[j] > 0)
+            for gu, laterals in zip(cls.gus, cls.laterals_by_gu()):
+                borne = tuple((rank, self.classes[child].key, count)
+                              for rank, child, count in laterals)
                 zones = (tuple(sorted(gu.zone_counts.items()))
                          if gu.zone_counts else None)
                 gus.append((gu.rank, gu.birth_cycle, gu.count, zones, borne))

@@ -249,7 +249,7 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
     for idx, cls in enumerate(state.classes):
         if cls.pa == TRUNK_PA or not cls.gus:
             continue
-        gu = cls.newest_gu()
+        gu = cls.gus[-1]
         if gu.birth_cycle == n and gu.zone_counts is not None:
             current_gus.append((idx, cls, gu))
     for rule in zones.rules:

@@ -8,6 +8,16 @@ from treesink.synthetic import (reference_parameters, reference_zone_rules,
                                 script_only_dataset)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def src_env():
+    """The environment for a subprocess that imports the package from
+    ``src`` (prepended to any PYTHONPATH already set)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC_DIR] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from treesink.synthetic import (reference_fit_spec, reference_parameters,
                                 generate_synthetic_target, TREE1_RING_GUS,
                                 TREE2_RING_GUS)
 
-from conftest import fixture_path, step_with_rings
+from conftest import fixture_path, src_env, step_with_rings
 from test_factorization import FIXTURE_SCRIPTS, compare_outputs
 
 TRUTH_CONTINUOUS = {"sp0": 0.015, "alpha": 0.73, "p_r": 2.3, "gamma": 2.95,
@@ -368,7 +368,7 @@ def test_criterion_9_fit_determinism(tmp_path, params, zones, small_script):
             [sys.executable, "-m", "treesink.cli", "fit",
              "--params", str(params_path), "--target", str(target_path),
              "--out", str(tmp_path / run_dir), "--seed", "12"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         blobs.append((tmp_path / run_dir / "fit_result.json").read_bytes())
     verdict(9, blobs[0] == blobs[1],

@@ -43,6 +43,14 @@ class TestApplyCandidate:
         with pytest.raises(ValueError):
             apply_candidate(params, zones, {"m2_3_2": 1.0})
 
+    @pytest.mark.parametrize("name", ["p_rg_0", "p_rg_5", "v_0", "v_3",
+                                      "p_s_x", "m2_2", "a2_2_0", "a2_3_0"])
+    def test_unusable_name_rejected(self, params, zones, name):
+        # index outside 1..length, malformed or absent zone, a2 of an
+        # unbranched zone
+        with pytest.raises(ValueError):
+            apply_candidate(params, zones, {name: 0.5})
+
 
 class TestObjective:
     def test_zero_at_truth(self, params, zones, small_target):

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from conftest import src_env
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "0*.py")))
 
@@ -17,10 +19,6 @@ def test_demos_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path):
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    result = subprocess.run([sys.executable, path], cwd=ROOT, env=env,
+    result = subprocess.run([sys.executable, path], cwd=ROOT, env=src_env(),
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

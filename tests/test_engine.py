@@ -64,8 +64,13 @@ class TestLeafLifespan:
                                                   small_script):
         state, cycles = _state_after(params, zones, small_script)
         n = state.cycle
+
+        def birth(cls):   # per-metamer birth cycles, from the growth units
+            return np.repeat([gu.birth_cycle for gu in cls.gus],
+                             [gu.count for gu in cls.gus])
+
         expected = sum(
-            cls.multiplicity * float(cls.leaf_area[cls.birth == n].sum())
+            cls.multiplicity * float(cls.leaf_area[birth(cls) == n].sum())
             for cls in state.classes)
         everything = sum(cls.multiplicity * float(cls.leaf_area.sum())
                          for cls in state.classes)
@@ -189,6 +194,55 @@ class TestConservation:
             total = sum(cls.multiplicity * float(inc.sum())
                         for cls, inc in zip(state.classes, incs))
             assert total == pytest.approx(alloc.q_r, rel=1e-9, abs=1e-15)
+
+
+class TestAxisClassStorage:
+    def _bearer(self):
+        """One PA-2 class with a 4-metamer and a 2-metamer growth unit, and
+        an empty PA-4 class to link to."""
+        state = TreeState(cycle=2)
+        cls = state.add_class(2, 1, multiplicity=2)
+        cls.append_gu(1, [(0, 1), (4, 3)], 4, 0.5, 2.0, 0.4, 10.0)
+        cls.append_gu(2, [(0, 1), (4, 1)], 2, 0.3, 1.0, 0.2, 5.0)
+        state.add_class(4, 2, multiplicity=12)
+        return state, cls
+
+    def test_clone_keeps_its_ring_increments(self):
+        import copy
+        state = TreeState(cycle=1)
+        cls = state.add_class(2, 1, multiplicity=1)
+        cls.append_gu(1, [(0, 2)], 2, 0.5, 2.0, 0.4, 10.0)
+        clone = copy.deepcopy(state).classes[0]
+        clone.record_rings(np.array([1.0, 1.0]))
+        clone.append_gu(2, [(0, 1)], 1, 0.5, 2.0, 0.4, 10.0)
+        assert clone.cum_ring.tolist() == [1.0, 1.0, 0.0]
+        assert cls.cum_ring.tolist() == [0.0, 0.0]
+
+    def test_metamer_bears_one_lateral(self):
+        _, cls = self._bearer()
+        cls.set_child(2, 1, 3)
+        with pytest.raises(SimulationError, match="already bears"):
+            cls.set_child(2, 1, 1)
+        for row in (-1, 6):
+            with pytest.raises(SimulationError, match="no metamer row"):
+                cls.set_child(row, 1, 1)
+
+    def test_laterals_listed_base_to_apex(self):
+        state, cls = self._bearer()
+        for row, count in ((5, 4), (3, 3), (1, 1), (2, 2)):
+            cls.set_child(row, 1, count)
+        dumped = state.topology_dump()["axis_classes"][0]["growth_units"]
+        assert [[(b["metamer_rank"], b["per_instance_count"])
+                 for b in gu["borne_axes"]] for gu in dumped] == \
+            [[(2, 1), (3, 2), (4, 3)], [(2, 4)]]
+        sig = state.structure_signature()[0][3]
+        assert [gu[4] for gu in sig] == [
+            ((2, (4, 2), 1), (3, (4, 2), 2), (4, (4, 2), 3)),
+            ((2, (4, 2), 4),)]
+        assert [(c.gu_rank, c.rank, c.borne_axes)
+                for c in cls.cohorts(state)] == [
+            (1, 1, {}), (1, 2, {4: 1}), (1, 3, {4: 2}), (1, 4, {4: 3}),
+            (2, 1, {}), (2, 2, {4: 4})]
 
 
 class TestDeterminism:

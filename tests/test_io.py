@@ -14,7 +14,7 @@ from treesink.fileio import (parse_target_file, read_parameter_file,
 from treesink.synthetic import (dataset_from_output, reference_fit_spec,
                                 script_only_dataset)
 
-from conftest import fixture_path
+from conftest import fixture_path, src_env
 
 
 class TestParameterFile:
@@ -167,7 +167,7 @@ class TestSimulationOutputFiles:
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "treesink.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
 
 
 class TestCli:
@@ -214,8 +214,18 @@ class TestCli:
 
     @pytest.mark.parametrize("old,new,where", [
         ("bound_sp0 = 0.003, 0.08", "bound_sp0 = 0.003, abc", ":36: "),
-        ("init_sp0 = 0.015", "init_sp0 = 0.015\nweight_bogus = 2", ": "),
-        ("\npa_max = 4\n", "\npa_max = inf\n", ":14: ")])
+        ("init_sp0 = 0.015", "init_sp0 = 0.015\nweight_bogus = 2", ":38: "),
+        ("\npa_max = 4\n", "\npa_max = inf\n", ":14: "),
+        ("zone_2_0 = 1.0", "zone_2_x = 1.0", ":26: "),
+        ("eq_fixed = true", "eq_fixed = maybe", ":25: "),
+        ("nested_refit = false", "nested_refit = maybe", ":82: "),
+        # free names the file's parameters cannot take
+        ("free_continuous = sp0,",
+         "bound_bogus = 0.0, 1.0\nfree_continuous = bogus, sp0,", ":35: "),
+        ("p_rg_2, p_rg_3", "p_rg_0, p_rg_3", ":34: "),
+        ("v_1, v_2", "v_1, v_3", ":34: "),
+        ("a2_2_2, a2_2_3", "a2_2_0, a2_2_3", ":35: "),
+        ("bound_sp0 = 0.003, 0.08\n", "", ":34: ")])
     def test_bad_number_is_located_parse_error(self, tmp_path, old, new,
                                                where):
         bad = tmp_path / "bad.params"
