@@ -14,14 +14,15 @@ of values reproducing the identical architecture rather than a point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .core import (GrowthParameters, TargetDataset, TreesinkError,
-                   ZoneRuleSet)
-from .engine import TARGET_CLASSES, extract_targets, simulate
+from .core import (MEASUREMENTS, TARGET_CLASSES, GrowthParameters,
+                   TargetDataset, TreesinkError, ZoneRuleSet)
+from .engine import extract_targets, simulate
 from .topology import axis_band, metamer_band, metamer_count
 
 
@@ -69,11 +70,30 @@ class FitSpec:
     polish_rounds: int = 4   # deterministic neighbour-basin passes (0 = off)
 
     def __post_init__(self):
-        names = [p.name for p in self.continuous + self.topological]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate free parameter names")
+        continuous = [p.name for p in self.continuous]
+        check_free_names(continuous)
+        check_free_names([p.name for p in self.topological], True, continuous)
         for cls, w in (self.weights or {}).items():
             check_weight(cls, w)
+
+
+#: names of the zone coefficients, the only topological free parameters
+_ZONE_COEFFICIENT = re.compile(r"[ma]2_\d+_\d+")
+
+
+def check_free_names(names: list[str], topological: bool = False,
+                     earlier: list[str] = ()) -> None:
+    """Raise ValueError unless each free name is listed once, ``earlier``
+    lists included, and is a zone coefficient ``m2_I_K``/``a2_I_K``
+    exactly when the list is ``topological``."""
+    for i, name in enumerate(names):
+        if name in earlier or name in names[:i]:
+            raise ValueError(f"free parameter {name} listed twice")
+        if bool(_ZONE_COEFFICIENT.fullmatch(name)) != topological:
+            raise ValueError(
+                f"{name} is not a zone coefficient m2_I_K or a2_I_K"
+                if topological else
+                f"zone coefficient {name} belongs in free_topology")
 
 
 def check_weight(data_class: str, weight: float) -> None:
@@ -110,10 +130,8 @@ class FitResult:
 # candidate application
 # ----------------------------------------------------------------------
 
-_CONTINUOUS_FIELDS = {"sp0", "alpha", "k_beer", "p_r", "gamma", "lambda_mix",
-                      "root_fraction", "wood_density", "q0",
-                      "long_short_shoot_ratio",
-                      "internode_leaf_ratio_short", "internode_leaf_ratio_long"}
+_CONTINUOUS_FIELDS = {f.name for f in fields(GrowthParameters)
+                      if f.type == "float"}
 #: name prefix of one per-PA or per-tree entry -> its parameter vector
 _INDEXED_FIELDS = {"p_rg_": "p_rg", "p_s_": "p_s", "allom_a_": "allom_a",
                    "allom_b_": "allom_b", "v_": "v_env"}
@@ -168,15 +186,9 @@ def default_weights(targets: list[TargetDataset]) -> dict[str, float]:
     heterogeneous units contribute comparably."""
     pools: dict[str, list[float]] = {c: [] for c in TARGET_CLASSES}
     for ds in targets:
-        for t in ds.trunk_profile:
-            pools["trunk_mass"].append(t.mass_g)
-            pools["trunk_diameter"].append(t.diameter_cm)
-            pools["trunk_length"].append(t.length_cm)
-        for r in ds.ring_matrix:
-            pools["ring_diameter"].append(r.diameter_cm)
-        for b in ds.branch_compartments:
-            pools["branch_wood"].append(b.wood_g)
-            pools["branch_leaf"].append(b.leaf_g)
+        for m in MEASUREMENTS:
+            for cls, value in m.classes:
+                pools[cls] += map(attrgetter(value), getattr(ds, m.field))
     weights = {}
     for cls, values in pools.items():
         if values:
@@ -263,11 +275,15 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
 
 
 def _n_points(targets):
-    total = 0
-    for ds in targets:
-        total += 3 * len(ds.trunk_profile) + len(ds.ring_matrix) \
-            + 2 * len(ds.branch_compartments)
-    return total
+    return sum(len(getattr(ds, m.field)) * len(m.classes)
+               for ds in targets for m in MEASUREMENTS)
+
+
+def least_squares(*args, **kwargs):
+    """scipy's least_squares, imported on first use: the package imports
+    without scipy, so every command but ``fit`` starts without it."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from . import synthetic
 from .calibration import fit_topology
 from .core import (ParseError, TreesinkError, ValidationError,
-                   validate_parameters, validate_target)
+                   validate_parameters)
 from .engine import simulate
 from .fileio import (parse_target_file, read_parameter_file,
                      write_fit_result, write_simulation_output)
@@ -159,13 +159,10 @@ def _cmd_validate(config: RunConfig) -> int:
     params, zones, _ = read_parameter_file(config.params_path)
     report = validate_parameters(params, zones)
     print(f"parameters: {report}")
-    ok = report.ok
     for path in config.target_paths:
-        dataset = parse_target_file(path)
-        target_report = validate_target(dataset)
-        print(f"target {path}: {target_report}")
-        ok = ok and target_report.ok
-    return EXIT_OK if ok else EXIT_VALIDATION
+        parse_target_file(path)   # raises unless the target validates
+        print(f"target {path}: pass")
+    return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
 _HANDLERS = {"simulate": _cmd_simulate, "fit": _cmd_fit,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,6 +240,53 @@ class BranchObservation:
     pa: int
     wood_g: float
     leaf_g: float
+
+
+@dataclass(frozen=True)
+class BranchRow:
+    """A simulated BranchObservation, with the branch count and mean axis
+    length."""
+
+    gu_index: int
+    pa: int
+    count: int
+    wood_g: float
+    leaf_g: float
+    axis_length_cm: float
+
+
+class Measurement(NamedTuple):
+    """One measured section: its TargetDataset and SimulationOutput field,
+    its target-file section (``<section>.csv`` in a simulation's output),
+    the target and simulated row types, the fields rows align on, the label
+    of an unserved target row, and each objective data class with its value
+    field."""
+
+    field: str
+    section: str
+    row: type
+    output_row: type
+    key: tuple[str, ...]
+    label: str
+    classes: tuple[tuple[str, str], ...]
+
+
+#: the measured sections, in residual order
+MEASUREMENTS = (
+    Measurement("trunk_profile", "trunk", TrunkObservation, TrunkObservation,
+                ("gu_index",), "trunk GU {gu_index}",
+                (("trunk_mass", "mass_g"), ("trunk_diameter", "diameter_cm"),
+                 ("trunk_length", "length_cm"))),
+    Measurement("ring_matrix", "rings", RingObservation, RingObservation,
+                ("gu_index", "tree_age"), "ring GU {gu_index} age {tree_age}",
+                (("ring_diameter", "diameter_cm"),)),
+    Measurement("branch_compartments", "branches", BranchObservation,
+                BranchRow, ("gu_index", "pa"), "branch GU {gu_index} PA {pa}",
+                (("branch_wood", "wood_g"), ("branch_leaf", "leaf_g"))),
+)
+
+#: data classes of the fitting objective, in output order
+TARGET_CLASSES = tuple(c for m in MEASUREMENTS for c, _ in m.classes)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ share over all living metamers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
-from .core import (CM2_PER_M2, TRUNK_PA, GrowthParameters, SimulationError,
-                   TargetDataset, AlignmentError, ZoneRuleSet,
-                   validate_parameters, validate_script)
+from .core import (CM2_PER_M2, MEASUREMENTS, TRUNK_PA, AlignmentError,
+                   BranchRow, GrowthParameters, RingObservation,
+                   SimulationError, TargetDataset, TrunkObservation,
+                   ZoneRuleSet, validate_parameters, validate_script)
 from .sourcesink import (CycleAllocation, allocate_shoots, production,
                          ring_demand, solve_global_demand)
 from .structure import (AxisClass, MetamerCohort, TreeState,
@@ -31,31 +33,6 @@ from .topology import OrganogenesisPlan, organogenesis_step, seed_plan
 PRODUCTION_CAP = 1.0e15
 
 
-@dataclass(frozen=True)
-class TrunkRow:
-    gu_index: int
-    mass_g: float
-    diameter_cm: float
-    length_cm: float
-
-
-@dataclass(frozen=True)
-class RingRow:
-    gu_index: int
-    tree_age: int
-    diameter_cm: float
-
-
-@dataclass(frozen=True)
-class BranchRow:
-    gu_index: int
-    pa: int
-    count: int
-    wood_g: float
-    leaf_g: float
-    axis_length_cm: float
-
-
 @dataclass
 class SimulationOutput:
     """Per-cycle series plus the measurement-shaped profiles of one run."""
@@ -63,8 +40,8 @@ class SimulationOutput:
     tree_index: int
     cycles: int
     allocations: list[CycleAllocation]
-    trunk_profile: list[TrunkRow]
-    ring_matrix: list[RingRow]
+    trunk_profile: list[TrunkObservation]
+    ring_matrix: list[RingObservation]
     branch_compartments: list[BranchRow]
     topology: dict
     total_wood_g: float
@@ -336,7 +313,7 @@ def _collect_output(state: TreeState, params: GrowthParameters,
         sl = slice(gu.start, gu.start + gu.count)
         wood = trunk.internode_mass[sl] + trunk.cum_ring[sl]
         diam = metamer_diameters(wood, trunk.length[sl], params.wood_density)
-        trunk_profile.append(TrunkRow(
+        trunk_profile.append(TrunkObservation(
             gu_index=gu.rank, mass_g=float(wood.sum()),
             diameter_cm=float(diam.mean()),
             length_cm=float(trunk.length[sl].sum())))
@@ -353,8 +330,7 @@ def _collect_output(state: TreeState, params: GrowthParameters,
         live = sum(1 for gu in trunk.gus if gu.birth_cycle <= age)
         means = np.add.reduceat(diam, gu_starts[:live]) / gu_counts[:live]
         for gu, mean in zip(trunk.gus[:live], means):
-            ring_matrix.append(RingRow(gu_index=gu.rank, tree_age=age,
-                                       diameter_cm=float(mean)))
+            ring_matrix.append(RingObservation(gu.rank, age, float(mean)))
 
     wood_totals = state.subtree_wood_totals()
     leaf_totals = state.subtree_leaf_mass_totals(live_cycle=state.cycle)
@@ -386,58 +362,34 @@ def _collect_output(state: TreeState, params: GrowthParameters,
         decisions=state.decisions + [(state.pending_plan.ratio_used, (), ())])
 
 
-#: data classes of the fitting objective, in output order
-TARGET_CLASSES = ("trunk_mass", "trunk_diameter", "trunk_length",
-                  "ring_diameter", "branch_wood", "branch_leaf")
-
-
 def extract_targets(output: SimulationOutput, dataset: TargetDataset
                     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Align a simulation with a target dataset.
 
     Returns (simulated, observed, class labels), index by index in dataset
-    order; raises AlignmentError listing every row the simulation cannot
-    serve.  Same-PA branches on one growth unit are already averaged on
-    both sides.
+    order, section by section in MEASUREMENTS order; raises AlignmentError
+    listing every row the simulation cannot serve.  Same-PA branches on one
+    growth unit are already averaged on both sides.
     """
     if output.cycles < dataset.tree_age:
         raise AlignmentError(
             f"simulation ran {output.cycles} cycles, dataset needs "
             f"{dataset.tree_age}")
     sim, obs, labels, missing = [], [], [], []
-
-    trunk_by_gu = {row.gu_index: row for row in output.trunk_profile}
-    for t in dataset.trunk_profile:
-        row = trunk_by_gu.get(t.gu_index)
-        if row is None:
-            missing.append(f"trunk GU {t.gu_index}")
-            continue
-        sim.extend([row.mass_g, row.diameter_cm, row.length_cm])
-        obs.extend([t.mass_g, t.diameter_cm, t.length_cm])
-        labels.extend(["trunk_mass", "trunk_diameter", "trunk_length"])
-
-    rings_by_key = {(r.gu_index, r.tree_age): r for r in output.ring_matrix}
-    for t in dataset.ring_matrix:
-        row = rings_by_key.get((t.gu_index, t.tree_age))
-        if row is None:
-            missing.append(f"ring GU {t.gu_index} age {t.tree_age}")
-            continue
-        sim.append(row.diameter_cm)
-        obs.append(t.diameter_cm)
-        labels.append("ring_diameter")
-
-    branches_by_key = {(b.gu_index, b.pa): b
-                       for b in output.branch_compartments}
-    for t in dataset.branch_compartments:
-        row = branches_by_key.get((t.gu_index, t.pa))
-        if row is None:
-            missing.append(f"branch GU {t.gu_index} PA {t.pa}")
-            continue
-        sim.extend([row.wood_g, row.leaf_g])
-        obs.extend([t.wood_g, t.leaf_g])
-        labels.extend(["branch_wood", "branch_leaf"])
-
+    for m in MEASUREMENTS:
+        key = attrgetter(*m.key)
+        values = attrgetter(*(v for _, v in m.classes))
+        served = {key(r): r for r in getattr(output, m.field)}
+        rows = getattr(dataset, m.field)
+        matched = [served.get(key(t)) for t in rows]
+        missing += [m.label.format_map(vars(t))
+                    for t, row in zip(rows, matched) if row is None]
+        if not missing:
+            sim.append(np.array(list(map(values, matched)), float))
+            obs.append(np.array(list(map(values, rows)), float))
+            labels += [c for c, _ in m.classes] * len(rows)
     if missing:
         raise AlignmentError("simulation cannot serve target rows: "
                              + ", ".join(missing))
-    return np.asarray(sim), np.asarray(obs), labels
+    return (np.concatenate(sim, axis=None), np.concatenate(obs, axis=None),
+            labels)

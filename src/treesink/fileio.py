@@ -17,21 +17,19 @@ import io
 import json
 import math
 import os
+from dataclasses import fields
+from operator import attrgetter
 
 from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
-                          apply_candidate, check_weight)
-from .core import (BranchObservation, GrowthParameters, ParseError,
-                   RingObservation, TargetDataset, TrunkObservation,
+                          PredictedObserved, apply_candidate,
+                          check_free_names, check_weight)
+from .core import (MEASUREMENTS, GrowthParameters, ParseError, TargetDataset,
                    TrunkScriptEntry, ZoneRule, ZoneRuleSet, validate_target)
 from .engine import SimulationOutput
+from .sourcesink import CycleAllocation
 
-_LIST_FIELDS = {"v_env", "p_s", "p_rg", "slw_ages", "slw_values",
-                "allom_a", "allom_b"}
-_INT_FIELDS = {"pa_max", "short_shoot_metamers"}
-_FLOAT_FIELDS = {"sp0", "alpha", "k_beer", "q0", "p_r", "gamma", "lambda_mix",
-                 "root_fraction", "internode_leaf_ratio_short",
-                 "internode_leaf_ratio_long", "long_short_shoot_ratio",
-                 "wood_density"}
+#: parameter name -> its annotation: "float", "int" or a tuple of floats
+_PARAMETER_TYPES = {f.name: f.type for f in fields(GrowthParameters)}
 _FLAGS = {"true": True, "yes": True, "1": True,
           "false": False, "no": False, "0": False}
 
@@ -91,16 +89,16 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
 
     for line_no, section, key, value in _parse_lines(path):
         if section in ("", "parameters", "species"):
-            if key in _LIST_FIELDS:
+            kind = _PARAMETER_TYPES.get(key)
+            if kind is None:
+                raise ParseError(f"unknown parameter {key!r}", path, line_no)
+            if kind.startswith("tuple"):
                 items = [v for v in value.split(",") if v.strip()]
                 plain[key] = tuple(_parse_float(v, path, line_no, key)
                                    for v in items)
-            elif key in _INT_FIELDS:
-                plain[key] = _parse_float(value, path, line_no, key, int)
-            elif key in _FLOAT_FIELDS:
-                plain[key] = _parse_float(value, path, line_no, key)
             else:
-                raise ParseError(f"unknown parameter {key!r}", path, line_no)
+                plain[key] = _parse_float(value, path, line_no, key,
+                                          int if kind == "int" else float)
         elif section == "zones":
             if key == "eq_fixed":
                 eq_fixed = _parse_flag(value, path, line_no, key)
@@ -159,9 +157,10 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
         except ValueError as exc:
             raise ParseError(str(exc), path, line_no) from None
 
-    def free_list(key):
+    def free_list(key, topological=False, earlier=()):
         list_line, raw = fit_lines.pop(key, (None, ""))
         names = [n.strip() for n in raw.split(",") if n.strip()]
+        located(list_line, check_free_names, names, topological, earlier)
         out = []
         for name in names:
             located(list_line, apply_candidate, params, zones, {name: 0.0})
@@ -180,7 +179,8 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
         return out
 
     continuous = free_list("free_continuous")
-    topological = free_list("free_topology")
+    topological = free_list("free_topology", True,
+                            [p.name for p in continuous])
     weights = {}
     for key in [k for k in fit_lines if k.startswith("weight_")]:
         line_no, data_class = fit_lines[key][0], key[7:]
@@ -192,18 +192,15 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
         steps_per_t=num("anneal_steps", AnnealSchedule.steps_per_t, int),
         t_stop_ratio=num("anneal_t_stop", AnnealSchedule.t_stop_ratio),
         step_scale=num("anneal_step_scale", AnnealSchedule.step_scale))
-    try:
-        spec = FitSpec(
-            continuous=continuous, topological=topological,
-            weights=weights or None, schedule=schedule,
-            seed=num("seed", 0, int),
-            refit_every=num("refit_every", 5, int),
-            nested_refit=num("nested_refit", False, bool),
-            max_nfev=num("max_nfev", None, int),
-            stop_objective=num("stop_objective"),
-            polish_rounds=num("polish_rounds", 4, int))
-    except ValueError as exc:
-        raise ParseError(f"[fit]: {exc}", path) from None
+    spec = FitSpec(   # its checks were made above, each at its line
+        continuous=continuous, topological=topological,
+        weights=weights or None, schedule=schedule,
+        seed=num("seed", 0, int),
+        refit_every=num("refit_every", 5, int),
+        nested_refit=num("nested_refit", False, bool),
+        max_nfev=num("max_nfev", None, int),
+        stop_objective=num("stop_objective"),
+        polish_rounds=num("polish_rounds", 4, int))
     if fit_lines:
         stray = ", ".join(sorted(fit_lines))
         raise ParseError(f"unknown [fit] keys: {stray}", path)
@@ -213,9 +210,9 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
 def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
                          fit_spec: FitSpec | None = None) -> None:
     lines = ["# species parameters (masses g, areas m², lengths cm)"]
-    for key in sorted(_FLOAT_FIELDS | _INT_FIELDS | _LIST_FIELDS):
+    for key in sorted(_PARAMETER_TYPES):
         value = getattr(params, key)
-        if key in _LIST_FIELDS:
+        if isinstance(value, tuple):
             lines.append(f"{key} = " + ", ".join(_fmt(v) for v in value))
         else:
             lines.append(f"{key} = {_fmt(value)}")
@@ -265,12 +262,10 @@ def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
 # target files
 # ----------------------------------------------------------------------
 
-_TARGET_HEADERS = {
-    "script": ["gu_index", "metamer_count", "branches"],
-    "trunk": ["gu_index", "mass_g", "diameter_cm", "length_cm"],
-    "rings": ["gu_index", "tree_age", "diameter_cm"],
-    "branches": ["gu_index", "pa", "wood_g", "leaf_g"],
-}
+#: target-file section -> its columns, the fields of its row type
+_TARGET_COLUMNS = {"script": fields(TrunkScriptEntry),
+                   **{m.section: fields(m.row) for m in MEASUREMENTS}}
+_TARGET_HEADERS = {s: [f.name for f in c] for s, c in _TARGET_COLUMNS.items()}
 
 
 def _parse_branch_spec(text, path, line_no):
@@ -335,51 +330,36 @@ def parse_target_file(path) -> TargetDataset:
         raise ParseError("missing sections: "
                          + ", ".join(f"[{s}]" for s in missing), path)
 
-    def cell_float(cells, idx, line_no, what):
-        if idx >= len(cells):
-            raise ParseError(f"missing column {what}", path, line_no, idx + 1)
-        try:
-            return float(cells[idx])
-        except ValueError:
-            raise ParseError(f"non-numeric {what}: {cells[idx]!r}",
-                             path, line_no, idx + 1) from None
+    def numbers(cells, line_no, columns):
+        """The row's first cells, each the finite number its column's
+        annotation asks for: "int" or "float"."""
+        out = []
+        for col, (text, column) in enumerate(zip(cells, columns), start=1):
+            where = (path, line_no, col)
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"non-numeric {column.name}: {text!r}",
+                                 *where) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite {column.name}: {text!r}", *where)
+            if column.type == "int" and not value.is_integer():
+                raise ParseError(f"{column.name} must be an integer: "
+                                 f"{value!r}", *where)
+            out.append(int(value) if column.type == "int" else value)
+        if len(cells) < len(columns):
+            raise ParseError(f"missing column {columns[len(cells)].name}",
+                             path, line_no, len(cells) + 1)
+        return out
 
-    def cell_int(cells, idx, line_no, what):
-        value = cell_float(cells, idx, line_no, what)
-        if value != int(value):
-            raise ParseError(f"{what} must be an integer: {value!r}",
-                             path, line_no, idx + 1)
-        return int(value)
-
-    script = []
-    for line_no, cells in sections["script"]:
-        script.append(TrunkScriptEntry(
-            gu_index=cell_int(cells, 0, line_no, "gu_index"),
-            metamer_count=cell_int(cells, 1, line_no, "metamer_count"),
-            branches=_parse_branch_spec(cells[2] if len(cells) > 2 else "",
-                                        path, line_no)))
-    trunk = [TrunkObservation(
-        gu_index=cell_int(c, 0, n, "gu_index"),
-        mass_g=cell_float(c, 1, n, "mass_g"),
-        diameter_cm=cell_float(c, 2, n, "diameter_cm"),
-        length_cm=cell_float(c, 3, n, "length_cm"))
-        for n, c in sections["trunk"]]
-    rings = [RingObservation(
-        gu_index=cell_int(c, 0, n, "gu_index"),
-        tree_age=cell_int(c, 1, n, "tree_age"),
-        diameter_cm=cell_float(c, 2, n, "diameter_cm"))
-        for n, c in sections["rings"]]
-    branches = [BranchObservation(
-        gu_index=cell_int(c, 0, n, "gu_index"),
-        pa=cell_int(c, 1, n, "pa"),
-        wood_g=cell_float(c, 2, n, "wood_g"),
-        leaf_g=cell_float(c, 3, n, "leaf_g"))
-        for n, c in sections["branches"]]
-
-    dataset = TargetDataset(trunk_script=tuple(script),
-                            trunk_profile=tuple(trunk),
-                            ring_matrix=tuple(rings),
-                            branch_compartments=tuple(branches))
+    script = tuple(TrunkScriptEntry(
+        *numbers(c, n, _TARGET_COLUMNS["script"][:2]),
+        _parse_branch_spec(c[2] if len(c) > 2 else "", path, n))
+        for n, c in sections["script"])
+    dataset = TargetDataset(trunk_script=script, **{
+        m.field: tuple(m.row(*numbers(c, n, _TARGET_COLUMNS[m.section]))
+                       for n, c in sections[m.section])
+        for m in MEASUREMENTS})
     report = validate_target(dataset)
     if not report.ok:
         raise ParseError("invalid target data: "
@@ -392,19 +372,11 @@ def write_target_file(path, dataset: TargetDataset) -> None:
     for e in dataset.trunk_script:
         spec = ";".join(f"PA{pa}x{count}" for pa, count in e.branches)
         lines.append(f"{e.gu_index},{e.metamer_count},{spec}")
-    lines.append("[trunk]")
-    lines.append(",".join(_TARGET_HEADERS["trunk"]))
-    for t in dataset.trunk_profile:
-        lines.append(f"{t.gu_index},{_fmt(t.mass_g)},{_fmt(t.diameter_cm)},"
-                     f"{_fmt(t.length_cm)}")
-    lines.append("[rings]")
-    lines.append(",".join(_TARGET_HEADERS["rings"]))
-    for r in dataset.ring_matrix:
-        lines.append(f"{r.gu_index},{r.tree_age},{_fmt(r.diameter_cm)}")
-    lines.append("[branches]")
-    lines.append(",".join(_TARGET_HEADERS["branches"]))
-    for b in dataset.branch_compartments:
-        lines.append(f"{b.gu_index},{b.pa},{_fmt(b.wood_g)},{_fmt(b.leaf_g)}")
+    for m in MEASUREMENTS:
+        header = _TARGET_HEADERS[m.section]
+        lines += [f"[{m.section}]", ",".join(header)]
+        lines += (",".join(map(_fmt, values)) for values
+                  in map(attrgetter(*header), getattr(dataset, m.field)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -413,69 +385,46 @@ def write_target_file(path, dataset: TargetDataset) -> None:
 # simulation and fit outputs
 # ----------------------------------------------------------------------
 
-def write_simulation_output(out_dir, output: SimulationOutput) -> list[str]:
-    """Write cycles.csv, trunk.csv, rings.csv, branches.csv and
-    topology.json; returns the paths written."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+def _write_rows(path, row_type, rows, header=None) -> str:
+    """Write dataclass rows as CSV, one column per field, under ``header``
+    (default: the field names); returns the path."""
+    names = [f.name for f in fields(row_type)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header or names) + "\n")
+        for values in map(attrgetter(*names), rows):
+            fh.write(",".join(map(_fmt, values)) + "\n")
+    return path
 
-    def emit(name, header, rows):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        written.append(path)
 
-    emit("cycles.csv",
-         ["cycle", "q_g", "d", "d_s", "d_r", "q_s_g", "q_r_g", "ratio_g",
-          "blade_area_m2"],
-         [(a.cycle, a.q, a.d, a.d_s, a.d_r, a.q_s, a.q_r, a.ratio, a.s_blade)
-          for a in output.allocations])
-    emit("trunk.csv", ["gu_index", "mass_g", "diameter_cm", "length_cm"],
-         [(t.gu_index, t.mass_g, t.diameter_cm, t.length_cm)
-          for t in output.trunk_profile])
-    emit("rings.csv", ["gu_index", "tree_age", "diameter_cm"],
-         [(r.gu_index, r.tree_age, r.diameter_cm)
-          for r in output.ring_matrix])
-    emit("branches.csv",
-         ["gu_index", "pa", "count", "wood_g", "leaf_g", "axis_length_cm"],
-         [(b.gu_index, b.pa, b.count, b.wood_g, b.leaf_g, b.axis_length_cm)
-          for b in output.branch_compartments])
-
-    topo_path = os.path.join(out_dir, "topology.json")
-    with open(topo_path, "w", encoding="utf-8") as fh:
-        json.dump(output.topology, fh, indent=1, sort_keys=True)
+def _write_json(path, data) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    written.append(topo_path)
+    return path
+
+
+def write_simulation_output(out_dir, output: SimulationOutput) -> list[str]:
+    """Write cycles.csv, one CSV per measured section (trunk.csv, rings.csv,
+    branches.csv) and topology.json; returns the paths written."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = [_write_rows(
+        os.path.join(out_dir, "cycles.csv"), CycleAllocation,
+        output.allocations, ["cycle", "q_g", "d", "d_s", "d_r", "q_s_g",
+                             "q_r_g", "ratio_g", "blade_area_m2"])]
+    written += [_write_rows(os.path.join(out_dir, f"{m.section}.csv"),
+                            m.output_row, getattr(output, m.field))
+                for m in MEASUREMENTS]
+    written.append(_write_json(os.path.join(out_dir, "topology.json"),
+                               output.topology))
     return written
 
 
-def fit_result_to_dict(result: FitResult) -> dict:
-    return {
-        "continuous": result.continuous,
-        "topology": result.topology,
-        "intervals": {name: [lo, hi]
-                      for name, (lo, hi) in sorted(result.intervals.items())},
-        "v_env": result.v_env,
-        "objective": result.objective,
-        "r_squared": result.r_squared,
-        "evaluations": result.evaluations,
-        "trace": result.trace,
-    }
-
-
 def write_fit_result(out_dir, result: FitResult) -> list[str]:
-    """Write fit_result.json plus the predicted-vs-observed CSV."""
+    """Write fit_result.json (every FitResult field but the rows) plus the
+    predicted-vs-observed CSV."""
     os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, "fit_result.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(fit_result_to_dict(result), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    csv_path = os.path.join(out_dir, "predicted_vs_observed.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("tree,data_class,observed,simulated\n")
-        for row in result.predicted_observed:
-            fh.write(f"{row.tree},{row.data_class},{_fmt(row.observed)},"
-                     f"{_fmt(row.simulated)}\n")
-    return [json_path, csv_path]
+    summary = {k: v for k, v in vars(result).items()
+               if k != "predicted_observed"}
+    return [_write_json(os.path.join(out_dir, "fit_result.json"), summary),
+            _write_rows(os.path.join(out_dir, "predicted_vs_observed.csv"),
+                        PredictedObserved, result.predicted_observed)]

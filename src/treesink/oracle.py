@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CM2_PER_M2, TRUNK_PA, GrowthParameters, SimulationError,
-                   TargetDataset, TrunkScriptEntry, ZoneRuleSet)
-from .engine import (BranchRow, RingRow, SimulationOutput, TrunkRow,
-                     check_run_request, net_production, split_production)
+from .core import (CM2_PER_M2, TRUNK_PA, BranchRow, GrowthParameters,
+                   RingObservation, SimulationError, TargetDataset,
+                   TrunkObservation, TrunkScriptEntry, ZoneRuleSet)
+from .engine import (SimulationOutput, check_run_request, net_production,
+                     split_production)
 from .sourcesink import allocate_shoots, partition_rings, shoot_demand
 from .structure import expand_shoot_values, metamer_diameter
 from .topology import (PositionGroup, axis_total, distribute_axes,
@@ -305,7 +306,7 @@ def _collect_naive(tree: NaiveTree, params, allocations, tree_index,
         wood = [m.internode_mass + sum(m.rings) for m in gu.metamers]
         diam = [metamer_diameter(w, m.length, params.wood_density)
                 for w, m in zip(wood, gu.metamers)]
-        trunk_profile.append(TrunkRow(
+        trunk_profile.append(TrunkObservation(
             gu_index=gu.rank, mass_g=float(np.sum(wood)),
             diameter_cm=float(np.mean(diam)),
             length_cm=float(np.sum([m.length for m in gu.metamers]))))
@@ -315,8 +316,8 @@ def _collect_naive(tree: NaiveTree, params, allocations, tree_index,
                         for m in gu.metamers]
             diam_age = [metamer_diameter(w, m.length, params.wood_density)
                         for w, m in zip(wood_age, gu.metamers)]
-            ring_matrix.append(RingRow(gu_index=gu.rank, tree_age=age,
-                                       diameter_cm=float(np.mean(diam_age))))
+            ring_matrix.append(RingObservation(gu.rank, age,
+                                               float(np.mean(diam_age))))
     ring_matrix.sort(key=lambda r: (r.tree_age, r.gu_index))
 
     grouped: dict[tuple[int, int], list[NAxis]] = {}

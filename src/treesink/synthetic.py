@@ -16,9 +16,8 @@ from __future__ import annotations
 import os
 
 from .calibration import AnnealSchedule, FitSpec, FreeParameter
-from .core import (BranchObservation, GrowthParameters, RingObservation,
-                   TargetDataset, TrunkObservation, TrunkScriptEntry,
-                   ZoneRuleSet, default_zone_rules)
+from .core import (BranchObservation, GrowthParameters, TargetDataset,
+                   TrunkScriptEntry, ZoneRuleSet, default_zone_rules)
 from .engine import SimulationOutput, simulate
 
 #: ring-instrumented trunk growth units of the bundled trees
@@ -117,14 +116,11 @@ def dataset_from_output(output: SimulationOutput, script,
     branch compartments."""
     ring_gus = set(ring_gus) if ring_gus is not None \
         else {r.gu_index for r in output.ring_matrix}
-    trunk = tuple(TrunkObservation(t.gu_index, t.mass_g, t.diameter_cm,
-                                   t.length_cm)
-                  for t in output.trunk_profile)
-    rings = tuple(RingObservation(r.gu_index, r.tree_age, r.diameter_cm)
-                  for r in output.ring_matrix if r.gu_index in ring_gus)
+    rings = tuple(r for r in output.ring_matrix if r.gu_index in ring_gus)
     branches = tuple(BranchObservation(b.gu_index, b.pa, b.wood_g, b.leaf_g)
                      for b in output.branch_compartments)
-    return TargetDataset(trunk_script=tuple(script), trunk_profile=trunk,
+    return TargetDataset(trunk_script=tuple(script),
+                         trunk_profile=tuple(output.trunk_profile),
                          ring_matrix=rings, branch_compartments=branches)
 
 

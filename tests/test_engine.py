@@ -334,9 +334,17 @@ class TestExtractTargets:
         out = run(params, zones, small_script)
         dataset = dataset_from_output(out, small_script)
         from dataclasses import replace
-        from treesink.core import RingObservation
-        bad = replace(dataset, ring_matrix=dataset.ring_matrix
-                      + (RingObservation(gu_index=1, tree_age=99,
-                                         diameter_cm=1.0),))
-        with pytest.raises(AlignmentError):
+        from treesink.core import (BranchObservation, RingObservation,
+                                   TrunkObservation)
+        bad = replace(
+            dataset,
+            trunk_profile=dataset.trunk_profile
+            + (TrunkObservation(99, 1.0, 1.0, 1.0),),
+            ring_matrix=dataset.ring_matrix
+            + (RingObservation(gu_index=1, tree_age=99, diameter_cm=1.0),),
+            branch_compartments=dataset.branch_compartments
+            + (BranchObservation(2, 7, 1.0, 1.0),))
+        with pytest.raises(AlignmentError, match=(
+                r"^simulation cannot serve target rows: trunk GU 99, "
+                r"ring GU 1 age 99, branch GU 2 PA 7$")):
             extract_targets(out, bad)

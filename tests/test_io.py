@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from treesink.calibration import FitSpec, FreeParameter
 from treesink.core import ParseError, ZoneRule, ZoneRuleSet
 from treesink.engine import simulate
 from treesink.fileio import (parse_target_file, read_parameter_file,
@@ -60,6 +61,38 @@ class TestParameterFile:
             read_parameter_file(path)
         assert "bogus_key" in str(err.value)
         assert ":2:" in str(err.value)
+
+    @pytest.mark.parametrize("old,new,line,message", [
+        ("free_continuous = sp0,", "free_continuous = sp0, sp0,", 34,
+         "free parameter sp0 listed twice"),
+        ("free_topology = a2_2_2,", "free_topology = sp0, a2_2_2,", 35,
+         "free parameter sp0 listed twice"),
+        ("free_topology = a2_2_2,", "free_topology = k_beer, a2_2_2,", 35,
+         "k_beer is not a zone coefficient m2_I_K or a2_I_K"),
+        ("free_continuous = sp0,", "free_continuous = m2_2_0, sp0,", 34,
+         "zone coefficient m2_2_0 belongs in free_topology")])
+    def test_bad_free_list_is_located(self, tmp_path, old, new, line,
+                                      message):
+        bad = tmp_path / "bad.params"
+        text = open(fixture_path("species.params")).read()
+        assert old in text
+        bad.write_text(text.replace(old, new))
+        with pytest.raises(ParseError) as err:
+            read_parameter_file(bad)
+        assert err.value.line == line
+        assert str(err.value) == f"{bad}:{line}: {message}"
+
+    def test_fit_spec_checks_free_names(self):
+        sp0 = FreeParameter("sp0", 0.003, 0.08, 0.015)
+        k_beer = FreeParameter("k_beer", 0.5, 2.0, 1.0)
+        m2 = FreeParameter("m2_2_0", 0.0, 3.0, 0.42)
+        for continuous, topological, message in (
+                ([sp0, sp0], [], "sp0 listed twice"),
+                ([sp0], [sp0], "sp0 listed twice"),
+                ([], [k_beer], "k_beer is not a zone coefficient"),
+                ([m2], [], "m2_2_0 belongs in free_topology")):
+            with pytest.raises(ValueError, match=message):
+                FitSpec(continuous=continuous, topological=topological)
 
     def test_non_numeric_value_reports_location(self, tmp_path):
         path = tmp_path / "bad.params"
@@ -225,7 +258,12 @@ class TestCli:
         ("p_rg_2, p_rg_3", "p_rg_0, p_rg_3", ":34: "),
         ("v_1, v_2", "v_1, v_3", ":34: "),
         ("a2_2_2, a2_2_3", "a2_2_0, a2_2_3", ":35: "),
-        ("bound_sp0 = 0.003, 0.08\n", "", ":34: ")])
+        ("bound_sp0 = 0.003, 0.08\n", "", ":34: "),
+        # a free list naming what it may not hold
+        ("free_topology = a2_2_2,",
+         "bound_k_beer = 0.5, 2.0\nfree_topology = k_beer, a2_2_2,",
+         ":36: "),
+        ("free_continuous = sp0,", "free_continuous = sp0, sp0,", ":34: ")])
     def test_bad_number_is_located_parse_error(self, tmp_path, old, new,
                                                where):
         bad = tmp_path / "bad.params"
@@ -240,6 +278,34 @@ class TestCli:
             assert result.returncode == 1, result.stderr
             assert result.stderr.startswith(f"error: {bad}{where}")
             assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("line,col,text", [
+        (26, 1, "inf"),    # [trunk] gu_index
+        (26, 2, "nan"),    # [trunk] mass_g
+        (3, 2, "nan"),     # [script] metamer_count
+        (49, 3, "inf")])   # [rings] diameter_cm
+    def test_non_finite_target_cell_is_located(self, tmp_path, line, col,
+                                               text):
+        lines = open(fixture_path("tree1.target.csv")).read().split("\n")
+        cells = lines[line - 1].split(",")
+        cells[col - 1] = text
+        lines[line - 1] = ",".join(cells)
+        bad = tmp_path / "bad.target.csv"
+        bad.write_text("\n".join(lines))
+        result = run_cli("validate", "--params",
+                         fixture_path("species.params"), "--target", str(bad))
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith(f"error: {bad}:{line}:{col}: "
+                                        f"non-finite ")
+        assert "Traceback" not in result.stderr
+
+    def test_cli_imports_without_scipy(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, treesink.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, env=src_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_validate_passes_bundled_files(self):
         result = run_cli("validate", "--params",
