@@ -60,7 +60,7 @@ class FitSpec:
 
     continuous: list[FreeParameter]
     topological: list[FreeParameter] = field(default_factory=list)
-    weights: dict[str, float] | None = None   # per data class; None = auto
+    weights: dict[str, float] | None = None   # per class, over the defaults
     schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
     seed: int = 0
     refit_every: int = 5     # continuous re-optimisation cadence (accepts)
@@ -205,15 +205,25 @@ def weighted_residuals(values: dict[str, float], params: GrowthParameters,
                        zones: ZoneRuleSet, targets: list[TargetDataset],
                        weights: dict[str, float]) -> np.ndarray:
     """sqrt(weight)·(sim − obs) stacked over every tree and data point."""
-    cand_params, cand_zones = apply_candidate(params, zones, values)
+    _, _, runs = _run_trees(values, params, zones, targets)
     chunks = []
-    for i, ds in enumerate(targets):
-        output = simulate(cand_params, cand_zones, ds, tree_index=i,
-                          with_topology=False, with_signature=False)
+    for ds, output in zip(targets, runs):
         sim, obs, labels = extract_targets(output, ds)
         w = np.array([weights.get(lbl, 1.0) for lbl in labels])
         chunks.append(np.sqrt(w) * (sim - obs))
     return np.concatenate(chunks) if chunks else np.empty(0)
+
+
+def _run_trees(values: dict[str, float], params: GrowthParameters,
+               zones: ZoneRuleSet, targets: list[TargetDataset]):
+    """(parameters, zone rules) of the candidate ``values`` and a lazy
+    profile-only run of every tree in target order: a failing tree stops
+    the runs after it."""
+    cand_params, cand_zones = apply_candidate(params, zones, values)
+    runs = (simulate(cand_params, cand_zones, ds, tree_index=i,
+                     with_topology=False, with_signature=False)
+            for i, ds in enumerate(targets))
+    return cand_params, cand_zones, runs
 
 
 def objective(values: dict[str, float], params: GrowthParameters,
@@ -255,8 +265,7 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
     def residual_fn(x):
         nonlocal evals
         evals += 1
-        values = dict(fixed)
-        values.update({n: float(v) for n, v in zip(names, x)})
+        values = {**fixed, **{n: float(v) for n, v in zip(names, x)}}
         try:
             return weighted_residuals(values, params, zones, targets, weights)
         except TreesinkError:
@@ -310,38 +319,46 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     chain alone ends inside some near-optimal piece; the probes walk piece
     to piece while that improves the fit): a coarse ladder, then one step
     past each end of the current piece, as :func:`compute_intervals` gives
-    it.  The reported intervals are :func:`compute_intervals` at the best.
+    it.  The reported intervals are :func:`compute_intervals` at the best,
+    from the run of each tree that gives the predicted-vs-observed rows.
     """
-    weights = spec.weights if spec.weights is not None \
-        else default_weights(targets)
+    weights = {**default_weights(targets), **(spec.weights or {})}
     rng = np.random.default_rng(spec.seed)
     sched = spec.schedule
     trace: list[float] = []
-    total_evals = 0
 
-    topo = {p.name: p.init for p in spec.topological}
-    cont, obj, evals = fit_continuous(
-        spec.continuous, topo, params, zones, targets, weights,
-        max_nfev=spec.max_nfev)
-    total_evals += evals
-    trace.append(obj)
-    warm_cont = dict(cont)   # warm start of the annealing chain's refits
-
-    best_topo, best_cont, best_obj = dict(topo), dict(cont), obj
+    def score(topo_values, cont_values):
+        """The counted objective at the merged candidate."""
+        nonlocal total_evals
+        total_evals += 1
+        return objective({**topo_values, **cont_values}, params, zones,
+                         targets, weights)
 
     def refit(topo_values, warm):
-        """fit_continuous at ``topo_values``, started from ``warm``."""
+        """(estimates, objective) of fit_continuous at ``topo_values``,
+        started from ``warm``; None when no candidate is feasible."""
         nonlocal total_evals
-        est, value, used = fit_continuous(
-            spec.continuous, topo_values, params, zones, targets, weights,
-            x0=np.array([warm[q.name] for q in spec.continuous]),
-            max_nfev=spec.max_nfev)
+        try:
+            est, value, used = fit_continuous(
+                spec.continuous, topo_values, params, zones, targets, weights,
+                x0=np.array([warm[q.name] for q in spec.continuous]),
+                max_nfev=spec.max_nfev)
+        except UnfittableError:
+            return None
         total_evals += used
         return est, value
 
     def stop_reached():
         return (spec.stop_objective is not None
                 and best_obj <= spec.stop_objective)
+
+    topo = {p.name: p.init for p in spec.topological}
+    cont, obj, total_evals = fit_continuous(
+        spec.continuous, topo, params, zones, targets, weights,
+        max_nfev=spec.max_nfev)
+    trace.append(obj)
+    warm_cont = dict(cont)   # warm start of the annealing chain's refits
+    best_topo, best_cont, best_obj = dict(topo), dict(cont), obj
 
     if spec.topological and not stop_reached():
         t0 = sched.t0 * max(obj, 1e-12)
@@ -358,17 +375,10 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
                 candidate[p.name] = float(np.clip(value, p.lower, p.upper))
 
                 if spec.nested_refit and spec.continuous:
-                    try:
-                        cand_cont, cand_obj = refit(candidate, warm_cont)
-                    except UnfittableError:
-                        cand_cont, cand_obj = dict(cont), math.inf
+                    cand_cont, cand_obj = (refit(candidate, warm_cont)
+                                           or (dict(cont), math.inf))
                 else:
-                    merged = dict(candidate)
-                    merged.update(cont)
-                    cand_obj = objective(merged, params, zones, targets,
-                                         weights)
-                    cand_cont = dict(cont)
-                    total_evals += 1
+                    cand_cont, cand_obj = dict(cont), score(candidate, cont)
 
                 delta = cand_obj - obj
                 accept = delta <= 0 or (
@@ -387,14 +397,13 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
                     if (not spec.nested_refit and spec.continuous
                             and (due or substantial)):
                         accepted_since_refit = 0
-                        try:
-                            cont, obj = refit(topo, warm_cont)
+                        fitted = refit(topo, warm_cont)
+                        if fitted is not None:
+                            cont, obj = fitted
                             warm_cont = dict(cont)
                             if obj < best_obj:
                                 best_topo, best_cont, best_obj = \
                                     dict(topo), dict(cont), obj
-                        except UnfittableError:
-                            pass
                 trace.append(best_obj)
                 if stop_reached():
                     break
@@ -402,12 +411,9 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
 
     # final polish of the continuous parameters at the best topology
     if spec.continuous and not stop_reached():
-        try:
-            cont, obj = refit(best_topo, best_cont)
-            if obj <= best_obj:
-                best_cont, best_obj = cont, obj
-        except UnfittableError:
-            pass
+        fitted = refit(best_topo, best_cont)
+        if fitted is not None and fitted[1] <= best_obj:
+            best_cont, best_obj = fitted
     if not math.isfinite(best_obj):
         raise UnfittableError("no candidate produced a finite objective")
     trace.append(best_obj)
@@ -424,22 +430,14 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
             x0 = best_topo[p.name]
             span = p.upper - p.lower
 
-            def score(values):
+            def probe(values):
                 """(objective, x) of each x inside the bounds whose
                 objective is finite."""
-                nonlocal total_evals
-                out = []
-                for x in values:
-                    if p.lower <= x <= p.upper:
-                        total_evals += 1
-                        value = objective({**best_topo, p.name: x,
-                                           **best_cont}, params, zones,
-                                          targets, weights)
-                        if math.isfinite(value):
-                            out.append((value, x))
-                return out
+                scored = ((score({**best_topo, p.name: x}, best_cont), x)
+                          for x in values if p.lower <= x <= p.upper)
+                return [(v, x) for v, x in scored if math.isfinite(v)]
 
-            scored = score(x0 + sign * frac * span for frac in _POLISH_OFFSETS
+            scored = probe(x0 + sign * frac * span for frac in _POLISH_OFFSETS
                            for sign in (1.0, -1.0))
             if not scored or min(scored)[0] >= best_obj:
                 # the coarse ladder may straddle a narrow neighbouring
@@ -448,7 +446,7 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
                     edges = compute_intervals(spec, {**best_topo, **best_cont},
                                               params, zones, targets)
                 lo, hi = edges[p.name]
-                scored += score(edge + sign * _EDGE_OFFSET * span
+                scored += probe(edge + sign * _EDGE_OFFSET * span
                                 for edge, bound, sign in ((lo, p.lower, -1.0),
                                                           (hi, p.upper, 1.0))
                                 if edge not in (None, bound))
@@ -457,16 +455,12 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
                 continue
             quick_obj, quick_x = min(scored)
             candidate = {**best_topo, p.name: quick_x}
-            if spec.continuous:
-                try:
-                    cand_cont, cand_obj = refit(candidate, best_cont)
-                except UnfittableError:
-                    continue
-            else:
-                cand_cont, cand_obj = dict(best_cont), quick_obj
-            if cand_obj < best_obj:
-                best_topo, best_cont, best_obj = \
-                    candidate, cand_cont, cand_obj
+            fitted = (refit(candidate, best_cont) if spec.continuous
+                      else (dict(best_cont), quick_obj))
+            if fitted is None:
+                continue
+            if fitted[1] < best_obj:
+                best_topo, (best_cont, best_obj) = candidate, fitted
                 moved, edges = True, None
             trace.append(best_obj)
             if stop_reached():
@@ -474,15 +468,14 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
         if not moved:
             break
 
-    merged = dict(best_topo)
-    merged.update(best_cont)
-    intervals = compute_intervals(spec, merged, params, zones, targets)
-    fitted_params, _ = apply_candidate(params, zones, merged)
-    pvo, r2 = _predicted_observed(merged, params, zones, targets)
+    fitted_params, fitted_zones, runs = _run_trees(
+        {**best_topo, **best_cont}, params, zones, targets)
+    outputs = list(runs)
+    pvo, r2 = _predicted_observed(outputs, targets)
     return FitResult(
         continuous=dict(sorted(best_cont.items())),
         topology=dict(sorted(best_topo.items())),
-        intervals=intervals,
+        intervals=_intervals(spec, fitted_zones, outputs),
         v_env=list(fitted_params.v_env),
         objective=best_obj,
         trace=trace,
@@ -491,13 +484,11 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
         evaluations=total_evals)
 
 
-def _predicted_observed(values, params, zones, targets):
-    cand_params, cand_zones = apply_candidate(params, zones, values)
+def _predicted_observed(outputs, targets):
+    """Predicted-vs-observed rows and per-class r² of each tree's run."""
     rows: list[PredictedObserved] = []
     per_class: dict[str, list[tuple[float, float]]] = {}
-    for i, ds in enumerate(targets):
-        output = simulate(cand_params, cand_zones, ds, tree_index=i,
-                          with_topology=False, with_signature=False)
+    for i, (ds, output) in enumerate(zip(targets, outputs)):
         sim, obs, labels = extract_targets(output, ds)
         for s, o, lbl in zip(sim, obs, labels):
             rows.append(PredictedObserved(tree=i + 1, data_class=lbl,
@@ -505,8 +496,7 @@ def _predicted_observed(values, params, zones, targets):
             per_class.setdefault(lbl, []).append((float(s), float(o)))
     r2 = {}
     for cls, pairs in sorted(per_class.items()):
-        sims = np.array([p[0] for p in pairs])
-        obss = np.array([p[1] for p in pairs])
+        sims, obss = map(np.array, zip(*pairs))
         ss_res = float(((sims - obss) ** 2).sum())
         ss_tot = float(((obss - obss.mean()) ** 2).sum())
         r2[cls] = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
@@ -529,11 +519,13 @@ def compute_intervals(spec: FitSpec, best_values: dict[str, float],
     counts never reach the architecture and do not count."""
     if not spec.topological:
         return {}
-    cand_params, cand_zones = apply_candidate(params, zones, best_values)
-    decisions = [d for i, ds in enumerate(targets)
-                 for d in simulate(cand_params, cand_zones, ds, tree_index=i,
-                                   with_topology=False,
-                                   with_signature=False).decisions]
+    _, cand_zones, runs = _run_trees(best_values, params, zones, targets)
+    return _intervals(spec, cand_zones, runs)
+
+
+def _intervals(spec, cand_zones, outputs):
+    """:func:`compute_intervals` from ``outputs``, run under ``cand_zones``."""
+    decisions = [d for output in outputs for d in output.decisions]
     intervals: dict[str, tuple[float | None, float | None]] = {}
     for p in spec.topological:
         kind, bearer, axillary = p.name.split("_")

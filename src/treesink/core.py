@@ -104,7 +104,6 @@ class GrowthParameters:
     root_fraction: float = 0.0  # gross production diverted underground
     internode_leaf_ratio_short: float = 0.065
     internode_leaf_ratio_long: float = 0.7
-    long_short_shoot_ratio: float = 5.25
     slw_ages: tuple[float, ...] = (21.0, 46.0)          # tree ages, cycles
     slw_values: tuple[float, ...] = (0.0072, 0.0093)    # g·cm⁻², clamped outside
     allom_a: tuple[float, ...] = (3.0, 3.0, 3.0, 0.5)   # length = a·m^b, cm from g

@@ -257,6 +257,8 @@ def check_run_request(params: GrowthParameters, zones: ZoneRuleSet,
             if not 2 <= pa <= params.pa_max:
                 raise SimulationError(f"script entry {i}: branch PA {pa} "
                                       f"outside 2..{params.pa_max}")
+    if tree_index < 0:
+        raise SimulationError(f"negative tree index {tree_index}")
     if tree_index >= len(params.v_env):
         raise SimulationError(
             f"tree index {tree_index} but only {len(params.v_env)} "

@@ -195,12 +195,12 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
     spec = FitSpec(   # its checks were made above, each at its line
         continuous=continuous, topological=topological,
         weights=weights or None, schedule=schedule,
-        seed=num("seed", 0, int),
-        refit_every=num("refit_every", 5, int),
-        nested_refit=num("nested_refit", False, bool),
-        max_nfev=num("max_nfev", None, int),
-        stop_objective=num("stop_objective"),
-        polish_rounds=num("polish_rounds", 4, int))
+        seed=num("seed", FitSpec.seed, int),
+        refit_every=num("refit_every", FitSpec.refit_every, int),
+        nested_refit=num("nested_refit", FitSpec.nested_refit, bool),
+        max_nfev=num("max_nfev", FitSpec.max_nfev, int),
+        stop_objective=num("stop_objective", FitSpec.stop_objective),
+        polish_rounds=num("polish_rounds", FitSpec.polish_rounds, int))
     if fit_lines:
         stray = ", ".join(sorted(fit_lines))
         raise ParseError(f"unknown [fit] keys: {stray}", path)
@@ -209,7 +209,9 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
 
 def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
                          fit_spec: FitSpec | None = None) -> None:
-    lines = ["# species parameters (masses g, areas m², lengths cm)"]
+    lines = ["# species parameters (masses g, areas m², lengths cm)",
+             "# p_s, p_rg, allom_a, allom_b: one value per PA 1..pa_max; "
+             "v_env: one per tree"]
     for key in sorted(_PARAMETER_TYPES):
         value = getattr(params, key)
         if isinstance(value, tuple):
@@ -266,6 +268,7 @@ def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
 _TARGET_COLUMNS = {"script": fields(TrunkScriptEntry),
                    **{m.section: fields(m.row) for m in MEASUREMENTS}}
 _TARGET_HEADERS = {s: [f.name for f in c] for s, c in _TARGET_COLUMNS.items()}
+_BRANCHES_COLUMN = _TARGET_HEADERS["script"].index("branches") + 1
 
 
 def _parse_branch_spec(text, path, line_no):
@@ -274,18 +277,18 @@ def _parse_branch_spec(text, path, line_no):
     if not text:
         return ()
     out = []
-    for i, part in enumerate(text.split(";")):
+    for part in text.split(";"):
         part = part.strip()
         if not part.upper().startswith("PA") or "x" not in part.lower():
             raise ParseError(f"branch spec must look like PA2x1: {part!r}",
-                             path, line_no, i + 1)
+                             path, line_no, _BRANCHES_COLUMN)
         body = part[2:]
         pa_text, _, count_text = body.partition("x")
         try:
             out.append((int(pa_text), int(count_text)))
         except ValueError:
             raise ParseError(f"bad branch spec numbers: {part!r}",
-                             path, line_no, i + 1) from None
+                             path, line_no, _BRANCHES_COLUMN) from None
     return tuple(out)
 
 
@@ -323,6 +326,10 @@ def parse_target_file(path) -> TargetDataset:
                         path, line_no)
                 expect_header = False
                 continue
+            width = len(_TARGET_HEADERS[section])
+            if len(cells) > width:
+                raise ParseError(f"extra cell beyond the [{section}] header: "
+                                 f"{cells[width]!r}", path, line_no, width + 1)
             sections[section].append((line_no, cells))
 
     missing = [s for s in _TARGET_HEADERS if s not in sections]

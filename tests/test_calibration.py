@@ -11,8 +11,11 @@ from treesink.calibration import (AnnealSchedule, FitSpec, FreeParameter,
                                   fit_topology, objective)
 from treesink.core import TreesinkError
 from treesink.engine import simulate
+from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.synthetic import (dataset_from_output, script_only_dataset,
                                 tree1_script)
+
+from conftest import fixture_path
 
 
 @pytest.fixture
@@ -220,6 +223,35 @@ class TestFitTopology:
             "branch_wood", "branch_leaf"}
         for value in result.r_squared.values():
             assert value == pytest.approx(1.0, abs=1e-6)
+
+    def test_weight_override_keeps_other_defaults(self, params, zones,
+                                                  small_target):
+        # restating one class's default weight changes nothing
+        weights = {"trunk_mass": default_weights([small_target])["trunk_mass"]}
+        topo = (FreeParameter("m2_2_4", 0.0, 3.0, 0.9),)
+        plain, restated = (
+            fit_topology(self._spec(topo, weights=w, max_nfev=3), params,
+                         zones, [small_target])
+            for w in (None, weights))
+        assert restated == plain
+
+    def test_bundled_fit_runs_each_tree_once_per_evaluation(self,
+                                                            monkeypatch):
+        # one run per tree for every evaluation, plus one at the fitted
+        # point for the intervals and the predicted-vs-observed rows
+        params, zones, spec = read_parameter_file(
+            fixture_path("species.params"))
+        targets = [parse_target_file(fixture_path(f"tree{i}.target.csv"))
+                   for i in (1, 2)]
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs["tree_index"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "simulate", counted)
+        result = fit_topology(spec, params, zones, targets)
+        assert len(runs) == len(targets) * (result.evaluations + 1) == 24
 
 
 class TestIntervals:

@@ -118,6 +118,7 @@ def test_reference_engine_is_slower_but_fast_enough(params, zones):
     ({"cycles": 0}, "need at least one growth cycle"),
     ({"tree_index": 5}, "tree index 5 but only 2 environment factors"),
     ({"cycles": 99}, "99 cycles requested but the trunk script ends at 6"),
+    ({"tree_index": -1}, "negative tree index -1"),
 ])
 def test_reference_engine_checks_the_run_request(params, zones, kwargs,
                                                   message):

@@ -180,6 +180,22 @@ class TestTargetFile:
         with pytest.raises(ParseError):
             parse_target_file(path)
 
+    @pytest.mark.parametrize("line,old,new,col,message", [
+        (26, "\n", ",999\n", 5,
+         "extra cell beyond the [trunk] header: '999'"),
+        (5, "PA4x1\n", "PA4x1;2x1\n", 3,
+         "branch spec must look like PA2x1: '2x1'")])
+    def test_bad_target_cell_is_located(self, tmp_path, line, old, new, col,
+                                        message):
+        lines = open(fixture_path("tree1.target.csv")).readlines()
+        assert lines[line - 1].endswith(old)
+        lines[line - 1] = lines[line - 1][:-len(old)] + new
+        path = tmp_path / "bad.target.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError) as err:
+            parse_target_file(path)
+        assert str(err.value) == f"{path}:{line}:{col}: {message}"
+
 
 class TestSimulationOutputFiles:
     def test_written_files_and_schemas(self, params, zones, small_script,
