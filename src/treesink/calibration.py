@@ -53,6 +53,28 @@ class AnnealSchedule:
     t_stop_ratio: float = 1e-3  # stop when T/T0 falls below this
     step_scale: float = 0.25    # proposal step, × (upper-lower) × T/T0
 
+    def __post_init__(self):
+        for f in fields(self):
+            check_anneal(f.name, getattr(self, f.name))
+
+
+#: what an AnnealSchedule field must satisfy besides being finite: a
+#: cooling of 1 or more, for one, would never end the annealing
+_ANNEAL_RULES = {"t0": ("> 0", lambda v: v > 0),
+                 "cooling": ("in (0, 1)", lambda v: 0 < v < 1),
+                 "steps_per_t": (">= 0", lambda v: v >= 0),
+                 "t_stop_ratio": ("> 0", lambda v: v > 0)}
+
+
+def check_anneal(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is allowed for the
+    :class:`AnnealSchedule` field ``name``."""
+    if not math.isfinite(value):
+        raise ValueError(f"annealing {name} must be finite: {value!r}")
+    condition, holds = _ANNEAL_RULES.get(name, (None, None))
+    if holds is not None and not holds(value):
+        raise ValueError(f"annealing {name} must be {condition}: {value!r}")
+
 
 @dataclass
 class FitSpec:
@@ -98,11 +120,12 @@ def check_free_names(names: list[str], topological: bool = False,
 
 def check_weight(data_class: str, weight: float) -> None:
     """Raise ValueError unless ``data_class`` is an objective data class
-    and ``weight`` is positive."""
+    and ``weight`` is finite and positive."""
     if data_class not in TARGET_CLASSES:
         raise ValueError(f"unknown data class {data_class!r}")
-    if weight <= 0:
-        raise ValueError(f"weight for {data_class} must be positive")
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError(f"weight for {data_class} must be finite and "
+                         f"positive: {weight!r}")
 
 
 @dataclass

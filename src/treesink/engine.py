@@ -65,22 +65,29 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
     masses = allocate_shoots(fund, plan.d_s, plan.bud_counts, params.p_s)
     slw = params.slw_at(cycle)
     grown: set[int] = set()   # PAs that grew a growth unit with a layout
+    sizes = {pa: sum(c for _, c in layout)
+             for pa, layout in plan.gu_layouts.items()}
+    # (pa, metamer count) -> per-metamer values: every shoot of one PA and
+    # metamer count expands alike
+    shoot_values: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def grow(cls: AxisClass, layout, count: int):
         if layout is not None:
             grown.add(cls.pa)
-        inter, length, leaf, area = expand_shoot_values(
-            params, cls.pa, masses.get(cls.pa, 0.0), count, cycle, slw=slw)
-        return cls.append_gu(cycle, layout, count, inter, length, leaf, area)
+        key = (cls.pa, count)
+        if key not in shoot_values:
+            shoot_values[key] = expand_shoot_values(
+                params, cls.pa, masses.get(cls.pa, 0.0), count, cycle,
+                slw=slw)
+        return cls.append_gu(cycle, layout, count, *shoot_values[key])
 
     def lateral_class(pa: int, instances: int) -> int:
         """Index of the (pa, this cycle) class once ``instances`` new axes
         join it; the first ones create it with its first growth unit."""
         cls = state.get_class(pa, cycle)
         if cls is None:
-            layout = plan.gu_layouts[pa]
-            grow(state.add_class(pa, cycle, multiplicity=instances), layout,
-                 sum(c for _, c in layout))
+            grow(state.add_class(pa, cycle, multiplicity=instances),
+                 plan.gu_layouts[pa], sizes[pa])
         else:
             cls.multiplicity += instances
         return state.class_index[(pa, cycle)]
@@ -104,8 +111,7 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
     # apical continuation of every branch axis
     for idx in plan.continuation_class_idx:
         cls = state.classes[idx]
-        layout = plan.gu_layouts[cls.pa]
-        grow(cls, layout, sum(c for _, c in layout))
+        grow(cls, plan.gu_layouts[cls.pa], sizes[cls.pa])
 
     # new lateral axes, merged per PA into one class per birth cycle
     lateral_mult: dict[int, int] = {}
@@ -121,7 +127,7 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
 
 def _partition_rings_factorized(state: TreeState, params: GrowthParameters,
                                 q_r: float, cycle: int) -> None:
-    """Vectorized ring partition over all classes (current leaves drive the
+    """Ring partition over the whole arena (current leaves drive the
     foliage-weighted mode)."""
     bounds, s_a, weight, mult = state.ring_partition_arrays(
         params.p_rg, live_cycle=cycle)
@@ -145,8 +151,9 @@ def _partition_rings_factorized(state: TreeState, params: GrowthParameters,
         if lam > 0.0:
             share = share + lam / d_pressler * (s_a * weight)
         incs = share * q_r
-    for i, cls in enumerate(state.classes):
-        cls.record_rings(incs[bounds[i]:bounds[i + 1]])
+    b = bounds.tolist()
+    for cls, s, e in zip(state.classes, b, b[1:]):
+        cls.record_rings(incs[s:e])
     # the trunk (class 0) increments feed the ring-diameter matrix
     state.trunk_rings.append((cycle, incs[:bounds[1]].copy()))
 
@@ -310,15 +317,17 @@ def _collect_output(state: TreeState, params: GrowthParameters,
     if trunk is None:
         raise SimulationError("simulation produced no trunk")
 
+    internode, length, ring = (trunk.internode_mass, trunk.length,
+                               trunk.cum_ring)
     trunk_profile = []
     for gu in trunk.gus:
         sl = slice(gu.start, gu.start + gu.count)
-        wood = trunk.internode_mass[sl] + trunk.cum_ring[sl]
-        diam = metamer_diameters(wood, trunk.length[sl], params.wood_density)
+        wood = internode[sl] + ring[sl]
+        diam = metamer_diameters(wood, length[sl], params.wood_density)
         trunk_profile.append(TrunkObservation(
             gu_index=gu.rank, mass_g=float(wood.sum()),
             diameter_cm=float(diam.mean()),
-            length_cm=float(trunk.length[sl].sum())))
+            length_cm=float(length[sl].sum())))
 
     ring_matrix = []
     cum = np.zeros(trunk.n_metamers)
@@ -326,9 +335,8 @@ def _collect_output(state: TreeState, params: GrowthParameters,
     gu_counts = np.array([gu.count for gu in trunk.gus], dtype=float)
     for age, inc in state.trunk_rings:
         cum[:inc.size] += inc
-        wood = trunk.internode_mass[:inc.size] + cum[:inc.size]
-        diam = metamer_diameters(wood, trunk.length[:inc.size],
-                                 params.wood_density)
+        wood = internode[:inc.size] + cum[:inc.size]
+        diam = metamer_diameters(wood, length[:inc.size], params.wood_density)
         live = sum(1 for gu in trunk.gus if gu.birth_cycle <= age)
         means = np.add.reduceat(diam, gu_starts[:live]) / gu_counts[:live]
         for gu, mean in zip(trunk.gus[:live], means):

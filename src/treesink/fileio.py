@@ -17,11 +17,12 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import fields
 from operator import attrgetter
 
 from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
-                          PredictedObserved, apply_candidate,
+                          PredictedObserved, apply_candidate, check_anneal,
                           check_free_names, check_weight)
 from .core import (MEASUREMENTS, GrowthParameters, ParseError, TargetDataset,
                    TrunkScriptEntry, ZoneRule, ZoneRuleSet, validate_target)
@@ -140,6 +141,12 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
     return params, zones, fit_spec
 
 
+#: AnnealSchedule field -> its [fit] key
+_ANNEAL_KEYS = {"t0": "anneal_t0", "cooling": "anneal_cooling",
+                "steps_per_t": "anneal_steps", "t_stop_ratio": "anneal_t_stop",
+                "step_scale": "anneal_step_scale"}
+
+
 def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
                     params: GrowthParameters, zones: ZoneRuleSet) -> FitSpec:
     def num(key, default=None, kind=float):   # ``default`` without a line
@@ -186,15 +193,15 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
         line_no, data_class = fit_lines[key][0], key[7:]
         weights[data_class] = num(key)
         located(line_no, check_weight, data_class, weights[data_class])
-    schedule = AnnealSchedule(
-        t0=num("anneal_t0", AnnealSchedule.t0),
-        cooling=num("anneal_cooling", AnnealSchedule.cooling),
-        steps_per_t=num("anneal_steps", AnnealSchedule.steps_per_t, int),
-        t_stop_ratio=num("anneal_t_stop", AnnealSchedule.t_stop_ratio),
-        step_scale=num("anneal_step_scale", AnnealSchedule.step_scale))
+    schedule = {}
+    for name, key in _ANNEAL_KEYS.items():
+        line_no = fit_lines.get(key, (None,))[0]
+        schedule[name] = num(key, getattr(AnnealSchedule, name),
+                             int if name == "steps_per_t" else float)
+        located(line_no, check_anneal, name, schedule[name])
     spec = FitSpec(   # its checks were made above, each at its line
         continuous=continuous, topological=topological,
-        weights=weights or None, schedule=schedule,
+        weights=weights or None, schedule=AnnealSchedule(**schedule),
         seed=num("seed", FitSpec.seed, int),
         refit_every=num("refit_every", FitSpec.refit_every, int),
         nested_refit=num("nested_refit", FitSpec.nested_refit, bool),
@@ -241,12 +248,8 @@ def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
         if fit_spec.weights:
             for cls, w in sorted(fit_spec.weights.items()):
                 lines.append(f"weight_{cls} = {_fmt(w)}")
-        sched = fit_spec.schedule
-        lines.append(f"anneal_t0 = {_fmt(sched.t0)}")
-        lines.append(f"anneal_cooling = {_fmt(sched.cooling)}")
-        lines.append(f"anneal_steps = {sched.steps_per_t}")
-        lines.append(f"anneal_t_stop = {_fmt(sched.t_stop_ratio)}")
-        lines.append(f"anneal_step_scale = {_fmt(sched.step_scale)}")
+        for name, key in _ANNEAL_KEYS.items():
+            lines.append(f"{key} = {_fmt(getattr(fit_spec.schedule, name))}")
         lines.append(f"refit_every = {fit_spec.refit_every}")
         lines.append(f"nested_refit = "
                      f"{'true' if fit_spec.nested_refit else 'false'}")
@@ -277,18 +280,12 @@ def _parse_branch_spec(text, path, line_no):
     if not text:
         return ()
     out = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part.upper().startswith("PA") or "x" not in part.lower():
+    for part in map(str.strip, text.split(";")):
+        match = re.fullmatch(r"PA(\d+)x(\d+)", part, re.IGNORECASE)
+        if match is None:
             raise ParseError(f"branch spec must look like PA2x1: {part!r}",
                              path, line_no, _BRANCHES_COLUMN)
-        body = part[2:]
-        pa_text, _, count_text = body.partition("x")
-        try:
-            out.append((int(pa_text), int(count_text)))
-        except ValueError:
-            raise ParseError(f"bad branch spec numbers: {part!r}",
-                             path, line_no, _BRANCHES_COLUMN) from None
+        out.append((int(match[1]), int(match[2])))
     return tuple(out)
 
 

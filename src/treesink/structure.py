@@ -3,24 +3,36 @@
 All axes of the same physiological age born at the same growth cycle develop
 identically (same growth-unit layouts, same lateral assignments, same ring
 increments), so the tree is stored as a collection of :class:`AxisClass`
-objects carrying a multiplicity instead of one object per axis.  Each class
-keeps flat per-metamer arrays (base to apex, growth units in rank order) so
-the per-cycle ring partition and foliage scans are vectorized.  Leaves live
+objects carrying a multiplicity instead of one object per axis.  Leaves live
 one cycle, so the live foliage of a class is its newest growth unit's.
 
+The tree owns every per-metamer value in one :class:`Arena`: one column per
+metamer, each class's metamers contiguous (base to apex, growth units in
+rank order) and the classes in creation order, so the per-cycle ring
+partition and foliage scans are whole-arena operations.  A class holds no
+arrays, only its index into the arena's class offsets.
+
 A metamer can bear at most one lateral axis, created the cycle after the
-metamer's own expansion (or together with it for trunk-scripted branches);
-the link is stored as an index into the tree's class list plus a
-per-instance count.
+metamer's own expansion (or together with it for trunk-scripted branches).
+The laterals are one tree-level edge list (bearing class, bearing row,
+child class, per-instance count), grouped by bearing class in class order
+and in creation order within each class.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import GrowthParameters, SimulationError
+
+# rows of Arena.values (a column per metamer): the owning class index and
+# the growth unit's birth cycle, then the per-instance values
+CLASS, BIRTH, INTERNODE_MASS, LENGTH, LEAF_MASS, LEAF_AREA, CUM_RING = range(7)
+# rows of Arena.edges (a column per lateral; ROW is class-local)
+BEARER, ROW, CHILD, COUNT = range(4)
 
 
 @dataclass
@@ -29,7 +41,7 @@ class GUInfo:
 
     rank: int                 # 1-based index along the axis
     birth_cycle: int
-    start: int                # first metamer index in the class arrays
+    start: int                # first metamer row of the unit in its class
     count: int
     zone_counts: dict[int, int] | None  # axillary PA -> metamer count
     leaf_area: float          # per-instance totals of the unit's leaves
@@ -54,33 +66,111 @@ class MetamerCohort:
     borne_axes: dict[int, int]  # axillary PA -> per-instance count
 
 
+def _class_ordered(table: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``table`` with the columns ``new`` added, stably ordered by their
+    first field (the class index): each class's columns stay contiguous and
+    in insertion order."""
+    order = np.argsort(np.concatenate((table[0], new[0])), kind="stable")
+    out = np.empty((len(table), order.size), table.dtype)
+    for field_row, old, added in zip(out, table, new):   # faster by rows
+        np.concatenate((old, added)).take(order, out=field_row)
+    return out
+
+
+class Arena:
+    """Every per-metamer value and every lateral of one tree.
+
+    ``values`` has one column per metamer (rows CLASS..CUM_RING) and
+    ``edges`` one per lateral (rows BEARER..COUNT), each grouped by class
+    in class order, with the class offsets ``bounds`` and ``edge_bounds``
+    (lists of ``n_classes + 1`` column indices).  Appends queue until the
+    next read merges them in one pass.  The classes and their tree both
+    hold the arena, which holds neither, so a finished tree is freed
+    without waiting for the cycle collector.
+    """
+
+    __slots__ = ("values", "edges", "bounds", "edge_bounds", "queued_rows",
+                 "queued_edges", "n_classes")
+
+    def __init__(self):
+        self.values = np.zeros((7, 0))
+        self.edges = np.zeros((4, 0), dtype=np.int64)
+        self.bounds = self.edge_bounds = [0]
+        self.queued_rows: list[tuple] = []
+        self.queued_edges: list[tuple] = []
+        self.n_classes = 0
+
+    def settle(self) -> None:
+        """Merge the queued growth units and laterals: a fixed number of
+        array operations, whatever the number of classes or appends."""
+        n = self.n_classes
+        if not (self.queued_rows or self.queued_edges
+                or len(self.bounds) != n + 1):
+            return
+        if self.queued_rows:
+            blocks = np.array(self.queued_rows).T   # the fields, then counts
+            self.values = _class_ordered(self.values, np.repeat(
+                blocks[:-1], blocks[-1].astype(np.intp), axis=1))
+            self.queued_rows = []
+        if self.queued_edges:
+            self.edges = _class_ordered(self.edges,
+                                        np.array(self.queued_edges).T)
+            self.queued_edges = []
+        self.bounds = np.searchsorted(self.values[CLASS],
+                                      np.arange(n + 1)).tolist()
+        self.edge_bounds = np.searchsorted(self.edges[BEARER],
+                                           np.arange(n + 1)).tolist()
+
+    def segment(self, idx: int) -> tuple[int, int]:
+        """Value columns of class ``idx``."""
+        self.settle()
+        return self.bounds[idx], self.bounds[idx + 1]
+
+    def segment_sums(self, per_metamer: np.ndarray) -> list[float]:
+        """Per class, the sum of ``per_metamer`` (aligned with the settled
+        arena) over its segment."""
+        b = self.bounds
+        return [float(per_metamer[s:e].sum()) for s, e in zip(b, b[1:])]
+
+
+def _arena_field(row: int) -> property:
+    """A class's read-only view of one arena field, base to apex."""
+    def get(self: AxisClass) -> np.ndarray:
+        s, e = self.arena.segment(self.index)
+        view = self.arena.values[row, s:e]
+        view.flags.writeable = False
+        return view
+    return property(get)
+
+
 class AxisClass:
     """All axes sharing (physiological age, birth cycle), with multiplicity.
 
-    Only what varies per metamer is stored per metamer: five float arrays,
-    base to apex.  A metamer's birth cycle and rank follow from ``gus``.
-    The laterals are three link arrays in creation order (bearing metamer
-    row, child class index, per-instance count); the subtree sums add them
-    in that order.
+    It joins its tree's arena as the next class, ``index``; its metamers
+    are that segment of the arena, and a metamer's birth cycle and rank
+    follow from ``gus``.  ``bearing_rows`` holds the class-local rows that
+    bear a lateral.
     """
 
-    __slots__ = ("pa", "birth_cycle", "multiplicity", "gus",
-                 "internode_mass", "length", "leaf_mass", "leaf_area",
-                 "cum_ring", "child_rows", "child_idx", "child_count")
+    __slots__ = ("arena", "index", "pa", "birth_cycle", "multiplicity", "gus",
+                 "bearing_rows")
 
-    def __init__(self, pa: int, birth_cycle: int, multiplicity: int):
+    def __init__(self, arena: Arena, pa: int, birth_cycle: int,
+                 multiplicity: int):
+        self.arena = arena
+        self.index = arena.n_classes
+        arena.n_classes += 1
         self.pa = pa
         self.birth_cycle = birth_cycle
         self.multiplicity = multiplicity
         self.gus: list[GUInfo] = []
-        self.internode_mass = np.zeros(0)
-        self.length = np.zeros(0)
-        self.leaf_mass = np.zeros(0)
-        self.leaf_area = np.zeros(0)
-        self.cum_ring = np.zeros(0)
-        self.child_rows = np.zeros(0, dtype=np.int64)
-        self.child_idx = np.zeros(0, dtype=np.int64)
-        self.child_count = np.zeros(0, dtype=np.int64)
+        self.bearing_rows: set[int] = set()
+
+    internode_mass = _arena_field(INTERNODE_MASS)
+    length = _arena_field(LENGTH)
+    leaf_mass = _arena_field(LEAF_MASS)
+    leaf_area = _arena_field(LEAF_AREA)
+    cum_ring = _arena_field(CUM_RING)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -88,14 +178,15 @@ class AxisClass:
 
     @property
     def n_metamers(self) -> int:
-        return self.cum_ring.size
+        return self.gus[-1].start + self.gus[-1].count if self.gus else 0
 
     def append_gu(self, birth_cycle: int, zone_layout: list[tuple[int, int]] | None,
                   metamer_count: int, internode_mass: float, length: float,
                   leaf_mass: float, leaf_area: float) -> GUInfo:
         """Add the next growth unit; per-metamer values are uniform within
         the shoot.  ``zone_layout`` lists (axillary PA, metamer count) blocks
-        base to apex; None means an unzoned unit (trunk or short shoot)."""
+        base to apex; None means an unzoned unit (trunk or short shoot).
+        Its metamers enter the arena when it is next read."""
         if metamer_count < 1:
             raise SimulationError("growth units carry at least one metamer")
         if zone_layout is not None and \
@@ -105,88 +196,70 @@ class AxisClass:
         gu = GUInfo(rank=len(self.gus) + 1, birth_cycle=birth_cycle,
                     start=self.n_metamers, count=n,
                     zone_counts=(None if zone_layout is None
-                                 else {k: c for k, c in zone_layout}),
+                                 else dict(zone_layout)),
                     leaf_area=leaf_area * n, leaf_mass=leaf_mass * n)
         self.gus.append(gu)
-        self.internode_mass = np.concatenate(
-            (self.internode_mass, np.full(n, internode_mass)))
-        self.length = np.concatenate((self.length, np.full(n, length)))
-        self.leaf_mass = np.concatenate((self.leaf_mass, np.full(n, leaf_mass)))
-        self.leaf_area = np.concatenate((self.leaf_area, np.full(n, leaf_area)))
-        self.cum_ring = np.concatenate((self.cum_ring, np.zeros(n)))
+        self.arena.queued_rows.append((self.index, birth_cycle, internode_mass,
+                                       length, leaf_mass, leaf_area, 0.0, n))
         return gu
 
     def record_rings(self, increments: np.ndarray) -> None:
         """Add one cycle's per-instance ring increments to every metamer."""
-        if increments.size != self.n_metamers:
+        s, e = self.arena.segment(self.index)
+        if increments.size != e - s:
             raise SimulationError(
                 f"ring increment vector size {increments.size} != "
-                f"{self.n_metamers} metamers")
-        self.cum_ring += increments
+                f"{e - s} metamers")
+        self.arena.values[CUM_RING, s:e] += increments
 
     def set_child(self, flat_idx: int, child_class_idx: int,
                   per_instance_count: int) -> None:
         """Record a lateral borne by one metamer (at most one, ever)."""
         if not 0 <= flat_idx < self.n_metamers:
             raise SimulationError(f"no metamer row {flat_idx} in the class")
-        if flat_idx in self.child_rows.tolist():   # faster than ndarray ==
+        if flat_idx in self.bearing_rows:
             raise SimulationError("metamer already bears a lateral")
-        self.child_rows = np.concatenate((self.child_rows, [flat_idx]))
-        self.child_idx = np.concatenate((self.child_idx, [child_class_idx]))
-        self.child_count = np.concatenate((self.child_count,
-                                           [per_instance_count]))
+        self.bearing_rows.add(flat_idx)
+        self.arena.queued_edges.append(
+            (self.index, flat_idx, child_class_idx, per_instance_count))
 
     def laterals_by_gu(self) -> list[list[tuple[int, int, int]]]:
         """Per growth unit, the laterals it bears as (metamer rank, child
         class index, per-instance count), base to apex."""
         out: list[list[tuple[int, int, int]]] = [[] for _ in self.gus]
-        if not self.child_rows.size:
-            return out
-        order = np.argsort(self.child_rows)
-        rows = self.child_rows[order]
-        gu_of = np.searchsorted([gu.start for gu in self.gus], rows,
-                                side="right") - 1
-        for row, g, child, count in zip(rows.tolist(), gu_of.tolist(),
-                                        self.child_idx[order].tolist(),
-                                        self.child_count[order].tolist()):
-            out[g].append((row - self.gus[g].start + 1, child, count))
+        starts = [gu.start for gu in self.gus]
+        arena = self.arena
+        arena.settle()
+        s, e = arena.edge_bounds[self.index], arena.edge_bounds[self.index + 1]
+        for row, child, count in sorted(zip(*arena.edges[ROW:, s:e].tolist())):
+            g = bisect_right(starts, row) - 1
+            out[g].append((row - starts[g] + 1, child, count))
         return out
 
-    def live_slice_start(self, live_cycle: int | None) -> int:
-        """First index of the metamers whose leaves are alive at
-        ``live_cycle``: every metamer for None, else the newest growth
-        unit's if it was born at ``live_cycle``, else none.  ``live_cycle``
-        must be None or the state's current cycle, so that no growth unit
-        is younger than it and the live leaves are a tail slice."""
-        if live_cycle is None:
-            return 0
-        if self.gus and self.gus[-1].birth_cycle == live_cycle:
-            return self.gus[-1].start
-        return self.n_metamers
-
-    def cohorts(self, tree: "TreeState") -> list[MetamerCohort]:
+    def cohorts(self, tree: TreeState) -> list[MetamerCohort]:
+        s, e = self.arena.segment(self.index)
+        values = self.arena.values[INTERNODE_MASS:, s:e].T.tolist()
         out = []
         for gu, laterals in zip(self.gus, self.laterals_by_gu()):
             borne = {rank: {tree.classes[child].pa: count}
                      for rank, child, count in laterals}
             for rank in range(1, gu.count + 1):
-                j = gu.start + rank - 1
+                internode, length, leaf_mass, leaf_area, ring = \
+                    values[gu.start + rank - 1]
                 out.append(MetamerCohort(
                     pa=self.pa, birth_cycle=gu.birth_cycle,
                     gu_rank=gu.rank, rank=rank,
                     multiplicity=self.multiplicity,
-                    internode_mass=float(self.internode_mass[j]),
-                    internode_length=float(self.length[j]),
-                    leaf_mass=float(self.leaf_mass[j]),
-                    leaf_area=float(self.leaf_area[j]),
-                    ring_mass=float(self.cum_ring[j]),
-                    borne_axes=borne.get(rank, {})))
+                    internode_mass=internode, internode_length=length,
+                    leaf_mass=leaf_mass, leaf_area=leaf_area,
+                    ring_mass=ring, borne_axes=borne.get(rank, {})))
         return out
 
 
 @dataclass
 class TreeState:
-    """Complete factorized state of one simulated tree."""
+    """Complete factorized state of one simulated tree; its classes share
+    its arena."""
 
     cycle: int = 0
     classes: list[AxisClass] = field(default_factory=list)
@@ -200,13 +273,15 @@ class TreeState:
     # plan's zone_groups), the rounding decisions the architecture rests on
     decisions: list[tuple] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    arena: Arena = field(default_factory=Arena, init=False, repr=False,
+                         compare=False)
 
     def add_class(self, pa: int, birth_cycle: int, multiplicity: int) -> AxisClass:
         key = (pa, birth_cycle)
         if key in self.class_index:
             raise SimulationError(f"axis class {key} already exists")
-        cls = AxisClass(pa, birth_cycle, multiplicity)
-        self.class_index[key] = len(self.classes)
+        cls = AxisClass(self.arena, pa, birth_cycle, multiplicity)
+        self.class_index[key] = cls.index
         self.classes.append(cls)
         return cls
 
@@ -228,107 +303,114 @@ class TreeState:
     # foliage scans
     # ------------------------------------------------------------------
 
-    def _live_sum(self, cls: AxisClass, field_name: str,
-                  live_cycle: int | None) -> float:
-        """Per-instance ``leaf_area`` or ``leaf_mass`` of the leaves alive
-        at ``live_cycle`` (None or the current cycle, as in
-        :meth:`AxisClass.live_slice_start`)."""
+    def _live_totals(self, name: str, live_cycle: int | None) -> list[float]:
+        """Per class, the per-instance ``leaf_area`` or ``leaf_mass`` of the
+        leaves alive at ``live_cycle``: every leaf for None, else the
+        newest growth unit's if it was born at ``live_cycle`` (which must
+        be the current cycle, so that no growth unit is younger)."""
         if live_cycle is None:
-            return float(getattr(cls, field_name).sum())
-        if cls.gus and cls.gus[-1].birth_cycle == live_cycle:
-            return getattr(cls.gus[-1], field_name)
-        return 0.0
+            arena = self.arena
+            arena.settle()
+            return arena.segment_sums(
+                arena.values[LEAF_AREA if name == "leaf_area" else LEAF_MASS])
+        return [getattr(cls.gus[-1], name)
+                if cls.gus and cls.gus[-1].birth_cycle == live_cycle else 0.0
+                for cls in self.classes]
 
     def total_blade_area_cm2(self, live_cycle: int | None = None) -> float:
         if live_cycle is None:
             live_cycle = self.cycle
-        return sum(cls.multiplicity
-                   * self._live_sum(cls, "leaf_area", live_cycle)
-                   for cls in self.classes)
+        areas = self._live_totals("leaf_area", live_cycle)
+        return sum(cls.multiplicity * area
+                   for cls, area in zip(self.classes, areas))
 
-    def _subtree_totals(self, own_fn) -> np.ndarray:
-        """Resolve per-instance subtree sums bottom-up; children are always
-        created after their parent class, so one reverse pass suffices."""
-        totals = np.zeros(len(self.classes))
-        for idx in range(len(self.classes) - 1, -1, -1):
-            cls = self.classes[idx]
-            own = own_fn(cls)
-            if cls.child_rows.size:
-                own += float((cls.child_count * totals[cls.child_idx]).sum())
-            totals[idx] = own
+    def _subtree_totals(self, own: list[float]) -> np.ndarray:
+        """Per-instance subtree sums of the per-class values ``own``,
+        resolved bottom-up: children are always created after their parent
+        class, so one reverse pass suffices.  Each class adds its laterals
+        in creation order."""
+        arena = self.arena
+        arena.settle()
+        totals = np.array(own)
+        b = arena.edge_bounds
+        child, count = arena.edges[CHILD], arena.edges[COUNT]
+        for idx in range(len(own) - 1, -1, -1):
+            s, e = b[idx], b[idx + 1]
+            if s < e:
+                totals[idx] = own[idx] + float(
+                    (count[s:e] * totals[child[s:e]]).sum())
         return totals
-
-    def subtree_leaf_totals(self, live_cycle: int | None = None) -> np.ndarray:
-        """Per-instance live-leaf area of the full subtree rooted at each
-        axis class (its own leaves plus all borne sub-axes, recursively).
-        ``live_cycle=None`` counts every leaf regardless of age; otherwise
-        it must be the current cycle."""
-        return self._subtree_totals(
-            lambda cls: self._live_sum(cls, "leaf_area", live_cycle))
 
     def foliage_above(self, live_cycle: int | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Per-instance foliage area at or above each metamer: its own leaf,
         every leaf distal on its axis, and the full subtrees of laterals
-        borne at or above it.  Returns (segment bounds, areas): the areas
+        borne at or above it.  Returns (class offsets, areas): the areas
         of class ``i`` are ``areas[bounds[i]:bounds[i + 1]]``, aligned with
-        its flat metamer arrays.  ``live_cycle`` is None (every leaf) or the
+        its arena segment.  ``live_cycle`` is None (every leaf) or the
         current cycle."""
-        totals = self.subtree_leaf_totals(live_cycle)
-        sizes = np.array([cls.n_metamers for cls in self.classes],
-                         dtype=np.int64)
-        bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        s_a = np.zeros(int(bounds[-1]))
-        for i, cls in enumerate(self.classes):
-            s, e = int(bounds[i]), int(bounds[i + 1])
-            seg = s_a[s:e]
-            ls = cls.live_slice_start(live_cycle)
-            seg[ls:] = cls.leaf_area[ls:]
-            if cls.child_rows.size:
-                seg[cls.child_rows] += cls.child_count * totals[cls.child_idx]
-            # arrays run base to apex: suffix sum = leaves at or above
-            s_a[s:e] = np.cumsum(seg[::-1])[::-1]
-        return bounds, s_a
+        totals = self._subtree_totals(self._live_totals("leaf_area",
+                                                        live_cycle))
+        values, edges = self.arena.values, self.arena.edges
+        bounds = np.array(self.arena.bounds)
+        if live_cycle is None:
+            seg = values[LEAF_AREA].copy()
+        else:
+            seg = np.where(values[BIRTH] == live_cycle, values[LEAF_AREA], 0.0)
+        seg[bounds[edges[BEARER]] + edges[ROW]] += \
+            edges[COUNT] * totals[edges[CHILD]]
+        # suffix sums per class: each segment apex first in one row of a
+        # table padded at the base end, summed sequentially along the rows
+        sizes = bounds[1:] - bounds[:-1]
+        n_classes, width = sizes.size, int(sizes.max(initial=0))
+        cell = np.repeat(np.arange(n_classes) * width + bounds[1:] - 1,
+                         sizes) - np.arange(seg.size)
+        table = np.zeros(n_classes * width)
+        table[cell] = seg
+        suffix = np.cumsum(table.reshape(n_classes, width), axis=1)
+        return bounds, suffix.ravel()[cell]
 
     def ring_partition_arrays(self, p_rg, live_cycle: int | None
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                          np.ndarray]:
-        """Fused per-metamer arrays for the ring partition, concatenated over
-        all classes in order: (segment bounds, foliage at or above, ring
-        sink × length weight, instance multiplicity)."""
+        """Per-metamer arrays for the ring partition, over the whole arena:
+        (class offsets, foliage at or above, ring sink × length weight,
+        instance multiplicity)."""
         bounds, s_a = self.foliage_above(live_cycle)
-        weight = np.empty(s_a.size)
-        mult = np.empty(s_a.size)
-        for i, cls in enumerate(self.classes):
-            s, e = int(bounds[i]), int(bounds[i + 1])
-            weight[s:e] = p_rg[cls.pa - 1] * cls.length
-            mult[s:e] = cls.multiplicity
-        return bounds, s_a, weight, mult
+        sizes = bounds[1:] - bounds[:-1]
+        sink = np.array([p_rg[cls.pa - 1] for cls in self.classes], float)
+        mult = np.array([cls.multiplicity for cls in self.classes], float)
+        return (bounds, s_a,
+                np.repeat(sink, sizes) * self.arena.values[LENGTH],
+                np.repeat(mult, sizes))
 
     # ------------------------------------------------------------------
     # aggregates
     # ------------------------------------------------------------------
 
+    def _own_wood(self) -> list[float]:
+        """Per class, the per-instance wood mass (internodes + rings)."""
+        arena = self.arena
+        arena.settle()
+        return arena.segment_sums(arena.values[INTERNODE_MASS]
+                                  + arena.values[CUM_RING])
+
     def subtree_wood_totals(self) -> np.ndarray:
         """Per-instance wood mass (internodes + rings) of each class's
         subtree."""
-        return self._subtree_totals(
-            lambda cls: float((cls.internode_mass + cls.cum_ring).sum()))
+        return self._subtree_totals(self._own_wood())
 
     def subtree_leaf_mass_totals(self, live_cycle: int | None = None
                                  ) -> np.ndarray:
-        return self._subtree_totals(
-            lambda cls: self._live_sum(cls, "leaf_mass", live_cycle))
+        return self._subtree_totals(self._live_totals("leaf_mass", live_cycle))
 
     def total_wood_mass(self) -> float:
-        return sum(cls.multiplicity * float((cls.internode_mass
-                                             + cls.cum_ring).sum())
-                   for cls in self.classes)
+        return sum(cls.multiplicity * wood
+                   for cls, wood in zip(self.classes, self._own_wood()))
 
     def total_leaf_mass_ever(self) -> float:
-        return sum(cls.multiplicity * float(cls.leaf_mass.sum())
-                   for cls in self.classes)
+        return sum(cls.multiplicity * leaf for cls, leaf
+                   in zip(self.classes, self._live_totals("leaf_mass", None)))
 
     def topology_dump(self) -> dict:
         """JSON-ready description of the factorized architecture."""

@@ -1,0 +1,77 @@
+"""Byte-identity of the files a simulation and the bundled fit write.
+
+The digests pin the exact bytes of every output file, so any change in the
+order or rounding of a floating-point operation anywhere in the engine or
+the identification shows here.  They may change only with a deliberate,
+documented change of the model's outputs.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from treesink.calibration import fit_topology
+from treesink.engine import simulate
+from treesink.fileio import (parse_target_file, read_parameter_file,
+                             write_fit_result, write_simulation_output)
+
+from conftest import fixture_path
+
+SIMULATION_DIGESTS = {
+    0: {
+        "cycles.csv":
+        "927aa976747c80e52e8652bd594538262d98223600ca7cc9e81ff2f85267313d",
+        "trunk.csv":
+        "afc089c930af0a0d901a39f1222fa3d112d19ff6ca47dc324badb69f4d4a6366",
+        "rings.csv":
+        "7c66cd16f7fe499bc32769ba541731652b989dc6b26d780afc6280e21f27d1e3",
+        "branches.csv":
+        "9140de4e12060d1ec63470ba5f735c37bfb28a0a3c812b4c3f8eebef492c8378",
+        "topology.json":
+        "385a26a49bdf8e66212421dc04244fcac2db477aafcdb688c5966ae882ce1a71"},
+    1: {
+        "cycles.csv":
+        "94651d44cf57ebd20eb41a8c73b70a093a599fad5e6b754c29ba984098733d74",
+        "trunk.csv":
+        "75cb3ea96368e570bc4580c84f582082d7b234a099bbd94272dd91b59e5fe399",
+        "rings.csv":
+        "ea720fa4b0a77a1203c60511940b6fd86e80ce152d61924b9873106c128c0c96",
+        "branches.csv":
+        "b92b2b7a3798ec35b6043aeaa169003ac45b71d72c507c39c261cdc25c232278",
+        "topology.json":
+        "ed6913076a865eadc01156e592104a0fcec0b7079f18184a125057676d8e8173"},
+}
+
+FIT_DIGESTS = {
+    "fit_result.json":
+        "bcb13588bbca9ddd726628991e2f3ae4236cc133ee39bed2911285f21d7a2066",
+    "predicted_vs_observed.csv":
+        "33317b5d456467e4f7ce2f1bdb8ba842f010c7edb003728eec52a1a54c548177",
+}
+
+
+def _digests(paths):
+    out = {}
+    for path in paths:
+        with open(path, "rb") as fh:
+            out[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("tree_index", [0, 1])
+def test_simulation_files_are_byte_identical(tree_index, tmp_path):
+    params, zones, _spec = read_parameter_file(fixture_path("species.params"))
+    dataset = parse_target_file(
+        fixture_path(f"tree{tree_index + 1}.target.csv"))
+    output = simulate(params, zones, dataset, tree_index=tree_index)
+    written = write_simulation_output(tmp_path, output)
+    assert _digests(written) == SIMULATION_DIGESTS[tree_index]
+
+
+def test_bundled_fit_files_are_byte_identical(tmp_path):
+    params, zones, spec = read_parameter_file(fixture_path("species.params"))
+    targets = [parse_target_file(fixture_path(f"tree{i}.target.csv"))
+               for i in (1, 2)]
+    result = fit_topology(spec, params, zones, targets)
+    assert _digests(write_fit_result(tmp_path, result)) == FIT_DIGESTS

@@ -6,12 +6,12 @@ import sys
 
 import pytest
 
-from treesink.calibration import FitSpec, FreeParameter
+from treesink.calibration import AnnealSchedule, FitSpec, FreeParameter
 from treesink.core import ParseError, ZoneRule, ZoneRuleSet
 from treesink.engine import simulate
-from treesink.fileio import (parse_target_file, read_parameter_file,
-                             write_parameter_file, write_simulation_output,
-                             write_target_file)
+from treesink.fileio import (_parse_branch_spec, parse_target_file,
+                             read_parameter_file, write_parameter_file,
+                             write_simulation_output, write_target_file)
 from treesink.synthetic import (dataset_from_output, reference_fit_spec,
                                 script_only_dataset)
 
@@ -101,6 +101,33 @@ class TestParameterFile:
             read_parameter_file(path)
         assert "fifteen" in str(err.value)
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("anneal_cooling = 0.8", "anneal_cooling = 1.0",
+         "annealing cooling must be in (0, 1): 1.0"),
+        ("anneal_cooling = 0.8", "anneal_cooling = inf",
+         "annealing cooling must be finite: inf"),
+        ("anneal_t_stop = 0.05", "anneal_t_stop = 0",
+         "annealing t_stop_ratio must be > 0: 0.0"),
+        ("anneal_t0 = 0.5", "weight_trunk_mass = inf",
+         "weight for trunk_mass must be finite and positive: inf"),
+        ("anneal_t0 = 0.5", "weight_ring_diameter = nan",
+         "weight for ring_diameter must be finite and positive: nan")])
+    def test_bad_fit_value_is_located(self, tmp_path, old, new, message):
+        lines = open(fixture_path("species.params")).read().split("\n")
+        line = lines.index(old) + 1
+        lines[line - 1] = new
+        path = tmp_path / "bad.params"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ParseError) as err:
+            read_parameter_file(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_anneal_schedule_rejects_an_endless_cooling(self):
+        for bad in ({"cooling": 1.0}, {"t0": 0.0}, {"steps_per_t": -1},
+                    {"step_scale": math.nan}):
+            with pytest.raises(ValueError, match="annealing"):
+                AnnealSchedule(**bad)
+
 
 class TestTargetFile:
     def test_round_trip_identity(self, params, zones, small_script, tmp_path):
@@ -179,6 +206,19 @@ class TestTargetFile:
             "[branches]\ngu_index,pa,wood_g,leaf_g\n")
         with pytest.raises(ParseError):
             parse_target_file(path)
+
+    def test_branch_spec_is_case_insensitive(self, tmp_path):
+        assert _parse_branch_spec("PA2X1", "t.csv", 1) == \
+            _parse_branch_spec("PA2x1", "t.csv", 1) == ((2, 1),)
+        text = open(fixture_path("tree1.target.csv")).read()
+        assert "\n3,5,PA4x1\n" in text
+        datasets = []
+        for spec in ("PA4x1", "PA4X1", "pa4x1"):
+            path = tmp_path / f"{spec}.target.csv"
+            path.write_text(text.replace("\n3,5,PA4x1\n", f"\n3,5,{spec}\n"))
+            datasets.append(parse_target_file(path))
+        assert datasets[0].trunk_script[2].branches == ((4, 1),)
+        assert datasets[1] == datasets[0] == datasets[2]
 
     @pytest.mark.parametrize("line,old,new,col,message", [
         (26, "\n", ",999\n", 5,
