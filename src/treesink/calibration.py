@@ -38,8 +38,10 @@ class FreeParameter:
     init: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError(f"{self.name}: bounds must be finite")
+        if not (math.isfinite(self.lower) and self.lower < self.upper
+                and math.isfinite(self.upper)):
+            raise ValueError(f"{self.name}: bounds must be finite, lower < "
+                             f"upper: {self.lower}, {self.upper}")
         if not (self.lower <= self.init <= self.upper):
             raise ValueError(f"{self.name}: init {self.init} outside "
                              f"[{self.lower}, {self.upper}]")
@@ -55,25 +57,28 @@ class AnnealSchedule:
 
     def __post_init__(self):
         for f in fields(self):
-            check_anneal(f.name, getattr(self, f.name))
+            check_setting(f"annealing {f.name}", getattr(self, f.name))
 
 
-#: what an AnnealSchedule field must satisfy besides being finite: a
-#: cooling of 1 or more, for one, would never end the annealing
-_ANNEAL_RULES = {"t0": ("> 0", lambda v: v > 0),
-                 "cooling": ("in (0, 1)", lambda v: 0 < v < 1),
-                 "steps_per_t": (">= 0", lambda v: v >= 0),
-                 "t_stop_ratio": ("> 0", lambda v: v > 0)}
+#: what a fit setting must satisfy besides being finite: a cooling of 1 or
+#: more would never end the annealing, numpy seeds its generator from
+#: nonnegative integers only, and scipy needs max_nfev >= 1
+_SETTING_RULES = {"annealing t0": ("> 0", lambda v: v > 0),
+                  "annealing cooling": ("in (0, 1)", lambda v: 0 < v < 1),
+                  "annealing steps_per_t": (">= 0", lambda v: v >= 0),
+                  "annealing t_stop_ratio": ("> 0", lambda v: v > 0),
+                  "seed": (">= 0", lambda v: v >= 0),
+                  "max_nfev": (">= 1", lambda v: v >= 1)}
 
 
-def check_anneal(name: str, value: float) -> None:
-    """Raise ValueError unless ``value`` is allowed for the
-    :class:`AnnealSchedule` field ``name``."""
-    if not math.isfinite(value):
-        raise ValueError(f"annealing {name} must be finite: {value!r}")
-    condition, holds = _ANNEAL_RULES.get(name, (None, None))
-    if holds is not None and not holds(value):
-        raise ValueError(f"annealing {name} must be {condition}: {value!r}")
+def check_setting(name: str, value) -> None:
+    """Raise ValueError unless ``value`` suits the fit setting ``name`` (a
+    FitSpec field, or ``annealing`` and an AnnealSchedule field) or is None."""
+    condition, holds = _SETTING_RULES.get(name, ("", lambda v: True))
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite: {value!r}")
+    if value is not None and not holds(value):
+        raise ValueError(f"{name} must be {condition}: {value!r}")
 
 
 @dataclass
@@ -97,6 +102,8 @@ class FitSpec:
         check_free_names([p.name for p in self.topological], True, continuous)
         for cls, w in (self.weights or {}).items():
             check_weight(cls, w)
+        for name in ("seed", "max_nfev", "stop_objective"):
+            check_setting(name, getattr(self, name))
 
 
 #: names of the zone coefficients, the only topological free parameters
@@ -556,15 +563,16 @@ def _intervals(spec, cand_zones, outputs):
         others = [r for r in cand_zones.zones_of(rule.bearer_pa)
                   if r.key != rule.key]
         lo, hi, active = -math.inf, math.inf, False
-        for ratio, grown, zone_groups in decisions:
+        for plan in decisions:
+            ratio = plan.ratio_used
             count = max(metamer_count(rule, ratio), 0)
-            grew = rule.bearer_pa in grown
+            grew = rule.bearer_pa in plan.bud_counts   # its buds grew a layout
             active = active or (grew and (kind == "m2" or count > 0))
             if ratio == 0:   # the coefficient is multiplied away
                 continue
             if kind == "a2":   # each expanded distribution of axes
-                bands = [axis_band(positions, rule, ratio, groups)
-                         for key, positions, groups in zone_groups
+                bands = [axis_band(rule, ratio, groups, counts)
+                         for key, groups, counts in plan.zone_groups
                          if key == rule.key]
             elif grew:         # each grown layout's count
                 bands = [metamer_band(rule, ratio, count, count)]

@@ -51,6 +51,12 @@ class RunConfig:
         if self.command in ("simulate", "fit", "oracle") \
                 and self.out_dir is None:
             raise ValidationError(f"{self.command} needs an output directory")
+        if self.plots:
+            from . import plots
+            if not plots.HAVE_MATPLOTLIB:
+                raise ValidationError(
+                    "--plots needs matplotlib: install the 'plots' extra, "
+                    "pip install 'treesink[plots]'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +148,10 @@ def _cmd_fit(config: RunConfig) -> int:
             f"parameter file carries {len(params.v_env)} v_env entries for "
             f"{len(targets)} targets")
     if config.seed is not None:
-        fit_spec = replace(fit_spec, seed=config.seed)
+        try:
+            fit_spec = replace(fit_spec, seed=config.seed)
+        except ValueError as exc:
+            raise ValidationError(f"--seed: {exc}") from None
     result = fit_topology(fit_spec, params, zones, targets)
     written = write_fit_result(config.out_dir, result)
     if config.plots:

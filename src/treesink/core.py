@@ -16,7 +16,7 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -356,6 +356,11 @@ def validate_parameters(params: GrowthParameters,
     rep = ValidationReport()
     p = params
 
+    for f in fields(p):
+        value = getattr(p, f.name)
+        if not all(map(math.isfinite,
+                       value if isinstance(value, tuple) else (value,))):
+            rep.add(f"{f.name} must be finite: {value!r}")
     if not (0.0 < p.alpha <= 1.0):
         rep.add(f"alpha out of (0, 1]: {p.alpha}")
     if not (0.0 <= p.lambda_mix <= 1.0):

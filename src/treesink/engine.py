@@ -49,8 +49,8 @@ class SimulationOutput:
     pending_shoot_fund_g: float
     structure_signature: tuple = ()
     notes: list[str] = field(default_factory=list)
-    # TreeState.decisions, then the pending plan's (ratio, (), ())
-    decisions: list[tuple] = field(default_factory=list)
+    # TreeState.decisions, then the pending plan reduced to its ratio
+    decisions: list[OrganogenesisPlan] = field(default_factory=list)
 
     @property
     def ratio_series(self) -> list[float]:
@@ -64,16 +64,15 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
     cycle = state.cycle
     masses = allocate_shoots(fund, plan.d_s, plan.bud_counts, params.p_s)
     slw = params.slw_at(cycle)
-    grown: set[int] = set()   # PAs that grew a growth unit with a layout
     sizes = {pa: sum(c for _, c in layout)
              for pa, layout in plan.gu_layouts.items()}
+    # every branch axis living when the cycle starts continues apically
+    continuing = [cls for cls in state.classes if cls.pa != TRUNK_PA]
     # (pa, metamer count) -> per-metamer values: every shoot of one PA and
     # metamer count expands alike
     shoot_values: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def grow(cls: AxisClass, layout, count: int):
-        if layout is not None:
-            grown.add(cls.pa)
         key = (cls.pa, count)
         if key not in shoot_values:
             shoot_values[key] = expand_shoot_values(
@@ -86,11 +85,11 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
         join it; the first ones create it with its first growth unit."""
         cls = state.get_class(pa, cycle)
         if cls is None:
-            grow(state.add_class(pa, cycle, multiplicity=instances),
-                 plan.gu_layouts[pa], sizes[pa])
+            cls = state.add_class(pa, cycle, multiplicity=instances)
+            grow(cls, plan.gu_layouts[pa], sizes[pa])
         else:
             cls.multiplicity += instances
-        return state.class_index[(pa, cycle)]
+        return cls.index
 
     # trunk growth unit plus its scripted branches (expanding together),
     # placed on distinct metamers from the apex downward, the most vigorous
@@ -108,21 +107,21 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
                 row -= 1
                 trunk.set_child(row, lateral_class(pa, 1), 1)
 
-    # apical continuation of every branch axis
-    for idx in plan.continuation_class_idx:
-        cls = state.classes[idx]
+    for cls in continuing:
         grow(cls, plan.gu_layouts[cls.pa], sizes[cls.pa])
 
     # new lateral axes, merged per PA into one class per birth cycle
+    laterals = [(key[1], group) for key, groups, counts in plan.zone_groups
+                for group, count in zip(groups, counts) if count]
     lateral_mult: dict[int, int] = {}
-    for a in plan.assignments:
-        lateral_mult[a.child_pa] = lateral_mult.get(a.child_pa, 0) + a.instances
+    for pa, group in laterals:
+        lateral_mult[pa] = lateral_mult.get(pa, 0) + group.size
     child_idx = {pa: lateral_class(pa, lateral_mult[pa])
                  for pa in sorted(lateral_mult)}
-    for a in plan.assignments:
-        state.classes[a.parent_class_idx].set_child(
-            a.flat_idx, child_idx[a.child_pa], a.per_instance_count)
-    state.decisions.append((plan.ratio_used, grown, plan.zone_groups))
+    for pa, group in laterals:
+        cls_idx, row = group.payload
+        state.classes[cls_idx].set_child(row, child_idx[pa], 1)
+    state.decisions.append(plan)
 
 
 def _partition_rings_factorized(state: TreeState, params: GrowthParameters,
@@ -369,7 +368,8 @@ def _collect_output(state: TreeState, params: GrowthParameters,
         structure_signature=(state.structure_signature()
                              if with_signature else ()),
         notes=list(state.notes),
-        decisions=state.decisions + [(state.pending_plan.ratio_used, (), ())])
+        decisions=state.decisions + [
+            OrganogenesisPlan(state.pending_plan.ratio_used)])
 
 
 def extract_targets(output: SimulationOutput, dataset: TargetDataset

@@ -22,8 +22,8 @@ from dataclasses import fields
 from operator import attrgetter
 
 from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
-                          PredictedObserved, apply_candidate, check_anneal,
-                          check_free_names, check_weight)
+                          PredictedObserved, apply_candidate,
+                          check_free_names, check_setting, check_weight)
 from .core import (MEASUREMENTS, GrowthParameters, ParseError, TargetDataset,
                    TrunkScriptEntry, ZoneRule, ZoneRuleSet, validate_target)
 from .engine import SimulationOutput
@@ -146,6 +146,11 @@ _ANNEAL_KEYS = {"t0": "anneal_t0", "cooling": "anneal_cooling",
                 "steps_per_t": "anneal_steps", "t_stop_ratio": "anneal_t_stop",
                 "step_scale": "anneal_step_scale"}
 
+#: the other FitSpec settings, each its own [fit] key, and their types
+_SETTING_KINDS = {"seed": int, "refit_every": int, "nested_refit": bool,
+                  "max_nfev": int, "stop_objective": float,
+                  "polish_rounds": int}
+
 
 def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
                     params: GrowthParameters, zones: ZoneRuleSet) -> FitSpec:
@@ -198,16 +203,17 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
         line_no = fit_lines.get(key, (None,))[0]
         schedule[name] = num(key, getattr(AnnealSchedule, name),
                              int if name == "steps_per_t" else float)
-        located(line_no, check_anneal, name, schedule[name])
+        located(line_no, check_setting, f"annealing {name}",
+                schedule[name])
+    settings = {}
+    for name, kind in _SETTING_KINDS.items():
+        line_no = fit_lines.get(name, (None,))[0]
+        settings[name] = num(name, getattr(FitSpec, name), kind)
+        located(line_no, check_setting, name, settings[name])
     spec = FitSpec(   # its checks were made above, each at its line
         continuous=continuous, topological=topological,
         weights=weights or None, schedule=AnnealSchedule(**schedule),
-        seed=num("seed", FitSpec.seed, int),
-        refit_every=num("refit_every", FitSpec.refit_every, int),
-        nested_refit=num("nested_refit", FitSpec.nested_refit, bool),
-        max_nfev=num("max_nfev", FitSpec.max_nfev, int),
-        stop_objective=num("stop_objective", FitSpec.stop_objective),
-        polish_rounds=num("polish_rounds", FitSpec.polish_rounds, int))
+        **settings)
     if fit_lines:
         stray = ", ".join(sorted(fit_lines))
         raise ParseError(f"unknown [fit] keys: {stray}", path)

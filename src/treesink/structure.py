@@ -269,9 +269,8 @@ class TreeState:
     pending_fund: float = 0.0         # Q_s committed to the pending plan
     # (cycle, per-instance ring increments of every trunk metamer) per cycle
     trunk_rings: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    # per expanded plan: (ratio used, PAs grown with a layout, the
-    # plan's zone_groups), the rounding decisions the architecture rests on
-    decisions: list[tuple] = field(default_factory=list)
+    # the expanded OrganogenesisPlans: the decisions the architecture rests on
+    decisions: list = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     arena: Arena = field(default_factory=Arena, init=False, repr=False,
                          compare=False)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .core import (TRUNK_PA, ZONE_SEQUENCE, GrowthParameters,
+from .core import (TRUNK_PA, GrowthParameters,
                    SimulationError, TrunkScriptEntry, ZoneRule, ZoneRuleSet,
                    round_half_away)
 from .sourcesink import shoot_demand
@@ -79,19 +79,11 @@ def distribute_axes(total: int, groups: list[PositionGroup]
     counts = [0] * len(groups)
     remaining = total
     for i in order:
-        size = groups[i].size
-        if remaining >= size:
+        # funded, or nearer full than empty (so none once the total is spent)
+        if remaining > 0 and remaining * 2 >= groups[i].size:
             counts[i] = 1
-            remaining -= size
-        elif remaining > 0:
-            if remaining * 2 >= size:
-                counts[i] = 1
-                remaining -= size
-            else:
-                counts[i] = 0
-        # remaining <= 0: younger groups stay empty
-    assigned = sum(c * g.size for c, g in zip(counts, groups))
-    return counts, assigned - total
+            remaining -= groups[i].size
+    return counts, -remaining
 
 
 def _last_kept(keeps, inside: float, outside: float, guess: float) -> float:
@@ -137,13 +129,14 @@ def metamer_band(zone: ZoneRule, ratio: float, low: int, high: float
                  cap)
 
 
-def axis_band(positions: int, zone: ZoneRule, ratio: float,
-              groups: list[PositionGroup]) -> tuple[float, float]:
-    """The a2 range over which the zone's axes keep their distribution over
-    ``groups`` (ratio > 0): the run of totals :func:`distribute_axes` gives
-    the same counts, walked outward from the rule's, mapped back through it."""
+def axis_band(zone: ZoneRule, ratio: float, groups: list[PositionGroup],
+              counts: list[int]) -> tuple[float, float]:
+    """The a2 range over which the zone's axes keep their distribution
+    ``counts`` over ``groups`` (ratio > 0): the run of totals
+    :func:`distribute_axes` gives those counts, walked outward from the
+    rule's, mapped back through it."""
+    positions = sum(g.size for g in groups)
     low = high = axis_total(positions, zone, ratio)
-    counts = distribute_axes(low, groups)[0]
     while low > 0 and distribute_axes(low - 1, groups)[0] == counts:
         low -= 1
     while high < positions and \
@@ -185,32 +178,28 @@ def gu_zone_layouts(zones: ZoneRuleSet, ratio: float,
 
 
 @dataclass
-class AxisAssignment:
-    """One planned lateral: the bearing class/metamer and the per-instance
-    count (instances = count × bearer multiplicity)."""
-
-    parent_class_idx: int
-    flat_idx: int
-    child_pa: int
-    per_instance_count: int
-    instances: int
-
-
-@dataclass
 class OrganogenesisPlan:
-    """Everything decided at the end of one cycle about the next cycle's
-    shoots: the trunk script entry to expand, the per-PA growth-unit
-    layouts, the lateral assignments, and the resulting bud demand."""
+    """The decisions taken at the end of one cycle about the next cycle's
+    shoots: the trunk script entry, the per-PA growth-unit layouts, the axis
+    distribution of each branching zone bearing positions, the bud demand."""
 
     ratio_used: float
-    trunk_entry: TrunkScriptEntry | None
+    trunk_entry: TrunkScriptEntry | None = None
     gu_layouts: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    # (rule key, positions N, its PositionGroups) per branching zone, N > 0
+    # per branching zone with positions: (key, PositionGroups, their counts)
     zone_groups: list[tuple] = field(default_factory=list)
-    assignments: list[AxisAssignment] = field(default_factory=list)
-    continuation_class_idx: list[int] = field(default_factory=list)
     bud_counts: dict[int, float] = field(default_factory=dict)
     d_s: float = 0.0
+
+
+def _trunk_buds(entry: TrunkScriptEntry | None) -> dict[int, float]:
+    """Bud counts of the scripted trunk growth unit and its branches."""
+    buds: dict[int, float] = {}
+    if entry is not None:
+        buds[TRUNK_PA] = 1.0
+        for pa, count in entry.branches:
+            buds[pa] = buds.get(pa, 0.0) + count
+    return buds
 
 
 def organogenesis_step(state: TreeState, params: GrowthParameters,
@@ -225,78 +214,57 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
     counts from the axis rule and the deterministic distribution above.
     """
     n = state.cycle
-    plan = OrganogenesisPlan(ratio_used=ratio, trunk_entry=trunk_entry)
-    bud_counts: dict[int, float] = {}
-
-    if trunk_entry is not None:
-        bud_counts[TRUNK_PA] = bud_counts.get(TRUNK_PA, 0.0) + 1.0
-        for pa, count in trunk_entry.branches:
-            bud_counts[pa] = bud_counts.get(pa, 0.0) + count
-
+    bud_counts = _trunk_buds(trunk_entry)
     # growth-unit layouts for next cycle's shoots, shared by every class
-    plan.gu_layouts = gu_zone_layouts(zones, ratio, params)
+    gu_layouts = gu_zone_layouts(zones, ratio, params)
 
-    # apical continuation of every branch axis
-    for idx, cls in enumerate(state.classes):
+    # one pass over the classes: the apical continuation of every branch
+    # axis, and this cycle's zoned growth units by bearer PA
+    current: dict[int, list] = {}
+    for cls in state.classes:
         if cls.pa == TRUNK_PA:
             continue
-        plan.continuation_class_idx.append(idx)
         bud_counts[cls.pa] = bud_counts.get(cls.pa, 0.0) + cls.multiplicity
+        if cls.gus and cls.gus[-1].birth_cycle == n \
+                and cls.gus[-1].zone_counts is not None:
+            current.setdefault(cls.pa, []).append(cls)
 
     # laterals on the zones of this cycle's growth units; zone blocks are
-    # contiguous (base to apex) so positions come straight from the layout
-    current_gus = []
-    for idx, cls in enumerate(state.classes):
-        if cls.pa == TRUNK_PA or not cls.gus:
-            continue
-        gu = cls.gus[-1]
-        if gu.birth_cycle == n and gu.zone_counts is not None:
-            current_gus.append((idx, cls, gu))
+    # contiguous, base to apex in layout order
+    zone_groups = []
     for rule in zones.rules:
         if not rule.branching:
             continue
         groups: list[PositionGroup] = []
-        for idx, cls, gu in current_gus:
-            if cls.pa != rule.bearer_pa:
-                continue
-            count = gu.zone_counts.get(rule.axillary_pa, 0)
-            if count == 0:
-                continue
+        for cls in current.get(rule.bearer_pa, ()):
+            gu = cls.gus[-1]
             offset = 0
-            for zone_pa in ZONE_SEQUENCE:
+            for zone_pa, count in gu.zone_counts.items():
                 if zone_pa == rule.axillary_pa:
-                    break
-                offset += gu.zone_counts.get(zone_pa, 0)
-            age = n - cls.birth_cycle + 1
-            for r in range(count):
-                groups.append(PositionGroup(
-                    age=age, rank=offset + r + 1, size=cls.multiplicity,
-                    payload=(idx, gu.start + offset + r)))
-        positions = sum(g.size for g in groups)
-        if positions == 0:
+                    groups += [PositionGroup(
+                        age=n - cls.birth_cycle + 1, rank=offset + r + 1,
+                        size=cls.multiplicity,
+                        payload=(cls.index, gu.start + offset + r))
+                        for r in range(count)]
+                offset += count
+        if not groups:
             continue
-        total = axis_total(positions, rule, ratio)
-        plan.zone_groups.append((rule.key, positions, groups))
+        total = axis_total(sum(g.size for g in groups), rule, ratio)
         counts, slack = distribute_axes(total, groups)
+        zone_groups.append((rule.key, groups, counts))
         if slack:
             state.notes.append(
                 f"cycle {n}: zone Z^{rule.bearer_pa}{rule.axillary_pa} "
                 f"distribution slack {slack:+d}")
-        for group, count in zip(groups, counts):
-            if count == 0:
-                continue
-            cls_idx, flat_idx = group.payload
-            cls = state.classes[cls_idx]
-            plan.assignments.append(AxisAssignment(
-                parent_class_idx=cls_idx, flat_idx=flat_idx,
-                child_pa=rule.axillary_pa, per_instance_count=count,
-                instances=count * cls.multiplicity))
+        assigned = total + slack
+        if assigned:
             bud_counts[rule.axillary_pa] = (
-                bud_counts.get(rule.axillary_pa, 0.0) + count * cls.multiplicity)
+                bud_counts.get(rule.axillary_pa, 0.0) + assigned)
 
-    plan.bud_counts = bud_counts
-    plan.d_s = shoot_demand(bud_counts, params.p_s)
-    return plan
+    return OrganogenesisPlan(
+        ratio_used=ratio, trunk_entry=trunk_entry, gu_layouts=gu_layouts,
+        zone_groups=zone_groups, bud_counts=bud_counts,
+        d_s=shoot_demand(bud_counts, params.p_s))
 
 
 def seed_plan(params: GrowthParameters, zones: ZoneRuleSet,
@@ -305,12 +273,5 @@ def seed_plan(params: GrowthParameters, zones: ZoneRuleSet,
     unit (plus any scripted basal branches), paid for by the seed biomass.
     The seed ratio q0 / (potential shoot demand) stands in for the
     previous-cycle ratio that does not exist yet."""
-    bud_counts: dict[int, float] = {TRUNK_PA: 1.0}
-    for pa, count in entry.branches:
-        bud_counts[pa] = bud_counts.get(pa, 0.0) + count
-    d_s = shoot_demand(bud_counts, params.p_s)
-    ratio = params.q0 / d_s
-    return OrganogenesisPlan(
-        ratio_used=ratio, trunk_entry=entry,
-        gu_layouts=gu_zone_layouts(zones, ratio, params),
-        bud_counts=bud_counts, d_s=d_s)
+    ratio = params.q0 / shoot_demand(_trunk_buds(entry), params.p_s)
+    return organogenesis_step(TreeState(), params, zones, ratio, entry)

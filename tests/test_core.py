@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields
 
 import pytest
 
-from treesink.core import (TrunkScriptEntry, ZoneRule, ZoneRuleSet,
-                           round_half_away, validate_parameters,
+from treesink.core import (GrowthParameters, TrunkScriptEntry, ZoneRule,
+                           ZoneRuleSet, round_half_away, validate_parameters,
                            validate_target)
 from treesink.synthetic import script_only_dataset
 
@@ -58,6 +59,16 @@ def test_p_rg_reference_pinned(params):
 def test_parameter_bounds(params, field, value, token):
     report = validate_parameters(params.with_values(**{field: value}))
     assert any(token in v for v in report.violations)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", [f.name for f in fields(GrowthParameters)])
+def test_non_finite_parameters_rejected(params, field, bad):
+    # every field and every tuple entry, the last one here
+    value = getattr(params, field)
+    value = value[:-1] + (bad,) if isinstance(value, tuple) else bad
+    report = validate_parameters(params.with_values(**{field: value}))
+    assert f"{field} must be finite: {value!r}" in report.violations
 
 
 def test_v_env_count_checked(params):

@@ -111,7 +111,13 @@ class TestParameterFile:
         ("anneal_t0 = 0.5", "weight_trunk_mass = inf",
          "weight for trunk_mass must be finite and positive: inf"),
         ("anneal_t0 = 0.5", "weight_ring_diameter = nan",
-         "weight for ring_diameter must be finite and positive: nan")])
+         "weight for ring_diameter must be finite and positive: nan"),
+        ("seed = 1", "seed = -1", "seed must be >= 0: -1"),
+        ("max_nfev = 60", "max_nfev = 0", "max_nfev must be >= 1: 0"),
+        ("stop_objective = 1e-12", "stop_objective = nan",
+         "stop_objective must be finite: nan"),
+        ("bound_sp0 = 0.003, 0.08", "bound_sp0 = 0.015, 0.015",
+         "sp0: bounds must be finite, lower < upper: 0.015, 0.015")])
     def test_bad_fit_value_is_located(self, tmp_path, old, new, message):
         lines = open(fixture_path("species.params")).read().split("\n")
         line = lines.index(old) + 1
@@ -447,3 +453,33 @@ class TestRunConfig:
                            params_path=fixture_path("species.params"),
                            out_dir=str(tmp_path))
         assert run(config) == EXIT_VALIDATION
+
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        from treesink.cli import EXIT_VALIDATION, main
+        code = main(["fit", "--params", fixture_path("species.params"),
+                     "--target", fixture_path("tree1.target.csv"),
+                     "--target", fixture_path("tree2.target.csv"),
+                     "--out", str(tmp_path / "out"), "--seed", "-1"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "error: --seed: seed must be >= 0: -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_plots_without_matplotlib_is_an_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from treesink import plots
+        from treesink.cli import EXIT_VALIDATION, RunConfig, run
+        monkeypatch.setattr(plots, "HAVE_MATPLOTLIB", False)
+        targets = (fixture_path("tree1.target.csv"),
+                   fixture_path("tree2.target.csv"))
+        for command, extra in (("simulate", {"synthetic_script": "tree1"}),
+                               ("fit", {"target_paths": targets})):
+            config = RunConfig(command=command,
+                               params_path=fixture_path("species.params"),
+                               out_dir=str(tmp_path / command), plots=True,
+                               **extra)
+            assert run(config) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error: --plots needs matplotlib")
+            assert "'plots' extra" in err
+            assert not (tmp_path / command).exists()

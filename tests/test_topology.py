@@ -173,7 +173,7 @@ class TestOrganogenesis:
         cls.append_gu(3, [(0, 1), (4, 1), (3, 1)], 3, 0.2, 1.0, 0.3, 40.0)
         plan = organogenesis_step(state, params, zones, ratio=0.0,
                                   trunk_entry=None)
-        assert not plan.assignments
+        assert not any(any(counts) for *_, counts in plan.zone_groups)
         assert plan.bud_counts == {2: 2.0}   # apical continuation only
 
     def test_active_zones_assign_axes(self, params, zones):
@@ -183,10 +183,22 @@ class TestOrganogenesis:
         plan = organogenesis_step(state, params, zones, ratio=4.0,
                                   trunk_entry=None)
         # 2 short-shoot positions at ratio 4: round(2·0.6·4) = 5 -> clamp 2
-        positions = {key: n for key, n, _ in plan.zone_groups}
+        positions = {key: sum(g.size for g in groups)
+                     for key, groups, _ in plan.zone_groups}
         assert axis_total(positions[(2, 4)], zones.get(2, 4), 4.0) == 2
-        assert sum(a.instances for a in plan.assignments
-                   if a.child_pa == 4) == 2
+        assert sum(count * group.size
+                   for key, groups, counts in plan.zone_groups
+                   if key[1] == 4
+                   for group, count in zip(groups, counts)) == 2
+
+    def test_distribution_slack_is_noted(self, params, zones):
+        # one Z^24 position on 3 instances: round(3·0.6) = 2 axes requested,
+        # the group takes all 3, and the note records the surplus
+        state = TreeState(cycle=2)
+        cls = state.add_class(2, 2, multiplicity=3)
+        cls.append_gu(2, [(0, 1), (4, 1)], 2, 0.2, 1.0, 0.3, 40.0)
+        organogenesis_step(state, params, zones, ratio=1.0, trunk_entry=None)
+        assert state.notes == ["cycle 2: zone Z^24 distribution slack +1"]
 
     def test_scripted_trunk_budget(self, params, zones):
         state = TreeState(cycle=1)
