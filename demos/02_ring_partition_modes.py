@@ -34,9 +34,9 @@ for _ in range(dataset.tree_age):
 # length, leaf surface above) rows for the partition primitive
 trunk = state.trunk
 bounds, s_above = state.foliage_above(live_cycle=state.cycle)
-s_above = s_above[bounds[0]:bounds[1]]
+s_above = s_above[0, bounds[0]:bounds[1]]   # the one parameter column
 rows = [(1, trunk.pa, float(length), float(s_a))
-        for length, s_a in zip(trunk.length, s_above)]
+        for length, s_a in zip(trunk.length[0], s_above)]
 
 budget = 10.0
 print(f"distributing {budget:g} g of ring biomass over "

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (MEASUREMENTS, TARGET_CLASSES, GrowthParameters,
                    TargetDataset, TreesinkError, ZoneRuleSet)
-from .engine import extract_targets, simulate
+from .engine import extract_targets, simulate, simulate_batch
 from .topology import axis_band, metamer_band, metamer_count
 
 
@@ -235,13 +235,44 @@ def weighted_residuals(values: dict[str, float], params: GrowthParameters,
                        zones: ZoneRuleSet, targets: list[TargetDataset],
                        weights: dict[str, float]) -> np.ndarray:
     """sqrt(weight)·(sim − obs) stacked over every tree and data point."""
-    _, _, runs = _run_trees(values, params, zones, targets)
-    chunks = []
-    for ds, output in zip(targets, runs):
-        sim, obs, labels = extract_targets(output, ds)
-        w = np.array([weights.get(lbl, 1.0) for lbl in labels])
-        chunks.append(np.sqrt(w) * (sim - obs))
-    return np.concatenate(chunks) if chunks else np.empty(0)
+    [result] = batch_residuals([values], params, zones, targets, weights)
+    if isinstance(result, TreesinkError):
+        raise result
+    return result
+
+
+def batch_residuals(candidates: list[dict[str, float]],
+                    params: GrowthParameters, zones: ZoneRuleSet,
+                    targets: list[TargetDataset], weights: dict[str, float]
+                    ) -> list[np.ndarray | TreesinkError]:
+    """Per candidate, its weighted residuals or the TreesinkError its runs
+    or their alignment raise, from one batched run per tree (a failing
+    tree stops the candidate's runs).  The candidates must give the same
+    zone rules (they differ in continuous values)."""
+    applied = [apply_candidate(params, zones, values) for values in candidates]
+    cand_zones = applied[0][1]
+    if any(each != cand_zones for _, each in applied):
+        raise ValueError("batched candidates differ in their zone rules")
+    results: list = [[] for _ in candidates]
+    for i, ds in enumerate(targets):
+        live = [k for k, chunks in enumerate(results)
+                if isinstance(chunks, list)]
+        runs = simulate_batch([applied[k][0] for k in live], cand_zones, ds,
+                              tree_index=i, with_topology=False,
+                              with_signature=False)
+        for k, output in zip(live, runs):
+            try:
+                if isinstance(output, TreesinkError):
+                    raise output
+                sim, obs, labels = extract_targets(output, ds)
+            except TreesinkError as exc:
+                results[k] = exc
+                continue
+            w = np.array([weights.get(lbl, 1.0) for lbl in labels])
+            results[k].append(np.sqrt(w) * (sim - obs))
+    return [chunks if isinstance(chunks, TreesinkError) else
+            np.concatenate(chunks) if chunks else np.empty(0)
+            for chunks in results]
 
 
 def _run_trees(values: dict[str, float], params: GrowthParameters,
@@ -302,10 +333,23 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
             # a large flat penalty steers the trust region away without NaNs
             return np.full(_n_points(targets), 1e12)
 
+    def jacobian_columns(_fun, points):
+        """scipy's map over the finite-difference points of one Jacobian:
+        residual_fn of each point, from one batched run per tree."""
+        nonlocal evals
+        values = [{**fixed, **{n: float(v) for n, v in zip(names, x)}}
+                  for x in points]
+        evals += len(values)
+        penalty = np.full(_n_points(targets), 1e12)
+        return [penalty if isinstance(res, TreesinkError) else res
+                for res in batch_residuals(values, params, zones, targets,
+                                           weights)]
+
     x_scale = np.maximum(np.abs(start), 1e-3 * np.maximum(upper - lower, 1e-12))
     result = least_squares(residual_fn, start, bounds=(lower, upper),
                            x_scale=x_scale, diff_step=1e-6,
-                           max_nfev=max_nfev, method="trf")
+                           max_nfev=max_nfev, method="trf",
+                           workers=jacobian_columns)
     estimates = {n: float(v) for n, v in zip(names, result.x)}
     obj = float(result.fun @ result.fun)
     if not math.isfinite(obj) or obj >= 1e12:

@@ -53,10 +53,7 @@ class RunConfig:
             raise ValidationError(f"{self.command} needs an output directory")
         if self.plots:
             from . import plots
-            if not plots.HAVE_MATPLOTLIB:
-                raise ValidationError(
-                    "--plots needs matplotlib: install the 'plots' extra, "
-                    "pip install 'treesink[plots]'")
+            plots.require_matplotlib()
 
 
 def build_parser() -> argparse.ArgumentParser:

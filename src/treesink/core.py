@@ -216,14 +216,14 @@ class TrunkScriptEntry:
         return sum(c for _, c in self.branches)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RingObservation:
     gu_index: int
     tree_age: int
     diameter_cm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrunkObservation:
     gu_index: int
     mass_g: float
@@ -231,7 +231,7 @@ class TrunkObservation:
     length_cm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchObservation:
     """Averaged order-2 branch compartments for one (bearing GU, PA) pair."""
 
@@ -241,7 +241,7 @@ class BranchObservation:
     leaf_g: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchRow:
     """A simulated BranchObservation, with the branch count and mean axis
     length."""
@@ -426,6 +426,12 @@ def _validate_zones(rep: ValidationReport, zones: ZoneRuleSet, pa_max: int):
             rep.add(f"{name}: bearer PA must lie in 2..{pa_max - 1}")
         if rule.axillary_pa != 0 and not (2 <= rule.axillary_pa <= pa_max):
             rep.add(f"{name}: axillary PA must be 0 or in 2..{pa_max}")
+        for coef in ("m1", "m2", "a1", "a2"):
+            value = getattr(rule, coef)
+            if value is not None and not math.isfinite(value):
+                rep.add(f"{name}: {coef} must be finite: {value!r}")
+        if math.isnan(rule.m_max):   # an infinite cap means no cap
+            rep.add(f"{name}: m_max must be a number: {rule.m_max!r}")
         if rule.m1 < 0:
             rep.add(f"{name}: m1 must be >= 0")
         if rule.m_max < rule.m1:

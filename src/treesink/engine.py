@@ -8,10 +8,18 @@ shoots (trunk from the script, branches from the zone rules, driven by the
 lagged Q/D), sum the shoot demand, solve the global demand, split
 production into the shoot and ring compartments, and distribute the ring
 share over all living metamers.
+
+The engine runs K parameter columns at once (:func:`simulate_batch`): runs
+of one tree under K parameter sets that take the same decisions share one
+state, whose per-metamer values carry a column axis, while every per-cycle
+scalar runs per column through the same scalar functions.  A column whose
+rounding outcome departs from the first column's leaves the batch and runs
+alone.  :func:`simulate` is the one-column case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -19,18 +27,47 @@ import numpy as np
 
 from .core import (CM2_PER_M2, MEASUREMENTS, TRUNK_PA, AlignmentError,
                    BranchRow, GrowthParameters, RingObservation,
-                   SimulationError, TargetDataset, TrunkObservation,
-                   ZoneRuleSet, validate_parameters, validate_script)
+                   SimulationError, TargetDataset, TreesinkError,
+                   TrunkObservation, ZoneRuleSet, validate_parameters,
+                   validate_script)
 from .sourcesink import (CycleAllocation, allocate_shoots, production,
                          ring_demand, solve_global_demand)
-from .structure import (AxisClass, MetamerCohort, TreeState,
+from .structure import (CUM_RING, LENGTH, AxisClass, MetamerCohort, TreeState,
                         expand_shoot_values, metamer_diameter,
                         metamer_diameters)
-from .topology import OrganogenesisPlan, organogenesis_step, seed_plan
+from .topology import (OrganogenesisPlan, column_plan, organogenesis_step,
+                       seed_plan, seed_ratio)
 
 #: overflow guard: a per-cycle production beyond this is treated as a
 #: diverged simulation rather than a meaningful state
 PRODUCTION_CAP = 1.0e15
+
+
+class ColumnsLeft(Exception):
+    """Raised inside a batched run when ``columns`` (positions in the
+    batch) take a decision other than the first column's."""
+
+    def __init__(self, columns: list[int]):
+        super().__init__(f"columns {columns} left the batch")
+        self.columns = columns
+
+
+def _columns(params) -> Sequence[GrowthParameters]:
+    """The parameter set of each column: ``params`` itself, or a bare
+    parameter set as the one column."""
+    return (params,) if isinstance(params, GrowthParameters) else params
+
+
+def _column_plans(plan: OrganogenesisPlan, zones: ZoneRuleSet, cols,
+                  ratios) -> list[OrganogenesisPlan]:
+    """The first column's ``plan`` and every other column's at its ratio;
+    raises ColumnsLeft naming the columns whose roundings differ."""
+    plans = [plan] + [column_plan(plan, zones, p, r)
+                      for p, r in zip(cols[1:], ratios[1:])]
+    left = [k for k, each in enumerate(plans) if each is None]
+    if left:
+        raise ColumnsLeft(left)
+    return plans
 
 
 @dataclass
@@ -57,27 +94,30 @@ class SimulationOutput:
         return [a.ratio for a in self.allocations]
 
 
-def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
-                           plan: OrganogenesisPlan, fund: float) -> None:
-    """Create this cycle's growth units from the pending plan, splitting the
-    shoot fund by sink strengths."""
+def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
+    """Create this cycle's growth units from the pending plans (one per
+    column, all with the same decisions), splitting each column's shoot
+    fund by sink strengths."""
     cycle = state.cycle
-    masses = allocate_shoots(fund, plan.d_s, plan.bud_counts, params.p_s)
-    slw = params.slw_at(cycle)
+    plan = plans[0]
+    masses = [allocate_shoots(fund, each.d_s, plan.bud_counts, p.p_s)
+              for p, each, fund in zip(cols, plans, funds)]
+    slws = [p.slw_at(cycle) for p in cols]
     sizes = {pa: sum(c for _, c in layout)
              for pa, layout in plan.gu_layouts.items()}
     # every branch axis living when the cycle starts continues apically
     continuing = [cls for cls in state.classes if cls.pa != TRUNK_PA]
-    # (pa, metamer count) -> per-metamer values: every shoot of one PA and
-    # metamer count expands alike
+    # (pa, metamer count) -> the four per-metamer fields, each once per
+    # column: every shoot of one PA and metamer count expands alike
     shoot_values: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def grow(cls: AxisClass, layout, count: int):
         key = (cls.pa, count)
         if key not in shoot_values:
-            shoot_values[key] = expand_shoot_values(
-                params, cls.pa, masses.get(cls.pa, 0.0), count, cycle,
-                slw=slw)
+            shoot_values[key] = sum(zip(*(
+                expand_shoot_values(p, cls.pa, m.get(cls.pa, 0.0), count,
+                                    cycle, slw=slw)
+                for p, m, slw in zip(cols, masses, slws))), ())
         return cls.append_gu(cycle, layout, count, *shoot_values[key])
 
     def lateral_class(pa: int, instances: int) -> int:
@@ -121,40 +161,56 @@ def _expand_planned_shoots(state: TreeState, params: GrowthParameters,
     for pa, group in laterals:
         cls_idx, row = group.payload
         state.classes[cls_idx].set_child(row, child_idx[pa], 1)
-    state.decisions.append(plan)
+    for decisions, each in zip(state.decisions, plans):
+        decisions.append(each)
 
 
-def _partition_rings_factorized(state: TreeState, params: GrowthParameters,
-                                q_r: float, cycle: int) -> None:
+def _partition_rings_factorized(state: TreeState, cols, q_r, cycle: int
+                                ) -> None:
     """Ring partition over the whole arena (current leaves drive the
-    foliage-weighted mode)."""
+    foliage-weighted mode), with ``q_r`` the ring biomass of each column.
+    Each column's coefficients come from the scalar rule; the arrays carry
+    every column at once."""
     bounds, s_a, weight, mult = state.ring_partition_arrays(
-        params.p_rg, live_cycle=cycle)
-    d_pool = float(mult @ weight)
-    d_pressler = float((mult * weight) @ s_a)
+        [p.p_rg for p in cols], live_cycle=cycle)
+    pool_coef, pressler_coef, dropped = [], [], []
+    for p, q, w, s in zip(cols, np.asarray(q_r).tolist(), weight, s_a):
+        d_pool = float(mult @ w)
+        d_pressler = float((mult * w) @ s)
+        lam = p.lambda_mix
+        if lam > 0.0 and d_pressler == 0.0:
+            dropped.append(q > 0.0)
+            lam = 0.0
+        else:
+            dropped.append(False)
+        if q > 0.0 and d_pool == 0.0:
+            raise SimulationError(
+                f"ring biomass {q:g} g with no woody structure")
+        # zero coefficients give the zero increments of an empty partition
+        funded = q != 0.0 and d_pool != 0.0
+        pool_coef.append((1.0 - lam) / d_pool if funded else 0.0)
+        pressler_coef.append(lam / d_pressler if funded and lam > 0.0
+                             else 0.0)
+    left = [k for k, flag in enumerate(dropped) if flag != dropped[0]]
+    if left:
+        raise ColumnsLeft(left)
+    if dropped[0]:
+        state.notes.append(f"cycle {cycle}: no foliage, Pressler term dropped")
 
-    lam = params.lambda_mix
-    if lam > 0.0 and d_pressler == 0.0:
-        if q_r > 0.0:
-            state.notes.append(
-                f"cycle {cycle}: no foliage, Pressler term dropped")
-        lam = 0.0
-    if q_r > 0.0 and d_pool == 0.0:
-        raise SimulationError(
-            f"ring biomass {q_r:g} g with no woody structure")
-
-    if q_r == 0.0 or d_pool == 0.0:
-        incs = np.zeros(weight.size)
+    # increments (pool + pressler·S_a)·weight·q_r, in place: with K
+    # columns each array is K × metamers
+    incs = weight
+    if any(pressler_coef):
+        s_a *= weight
+        s_a *= np.array(pressler_coef)[:, None]
+        incs *= np.array(pool_coef)[:, None]
+        incs += s_a
     else:
-        share = (1.0 - lam) / d_pool * weight
-        if lam > 0.0:
-            share = share + lam / d_pressler * (s_a * weight)
-        incs = share * q_r
-    b = bounds.tolist()
-    for cls, s, e in zip(state.classes, b, b[1:]):
-        cls.record_rings(incs[s:e])
+        incs *= np.array(pool_coef)[:, None]
+    incs *= np.asarray(q_r, float).reshape(-1, 1)
+    state.arena.field(CUM_RING)[:] += incs
     # the trunk (class 0) increments feed the ring-diameter matrix
-    state.trunk_rings.append((cycle, incs[:bounds[1]].copy()))
+    state.trunk_rings.append((cycle, incs[:, :bounds[1]].copy()))
 
 
 def net_production(params: GrowthParameters, s_blade: float,
@@ -189,32 +245,41 @@ def split_production(params: GrowthParameters, cycle: int, q: float,
                            q_s=0.0, q_r=0.0, ratio=0.0, s_blade=s_blade)
 
 
-def step(state: TreeState, params: GrowthParameters, zones: ZoneRuleSet,
+def step(state: TreeState, params, zones: ZoneRuleSet,
          dataset: TargetDataset, tree_index: int, final_cycle: int
-         ) -> CycleAllocation:
-    """Run one growth cycle and return its allocation record."""
+         ) -> list[CycleAllocation]:
+    """Run one growth cycle and return each column's allocation record;
+    ``params`` holds one parameter set per column of ``state`` (a bare set
+    for a one-column state)."""
+    cols = _columns(params)
     n = state.cycle + 1
     state.cycle = n
     try:
-        plan = state.pending_plan
-        if plan is None:
+        if not state.pending_plans:
             raise SimulationError("no pending organogenesis plan")
-        _expand_planned_shoots(state, params, plan, state.pending_fund)
+        _expand_planned_shoots(state, cols, state.pending_plans,
+                               state.pending_fund)
 
-        s_blade = state.total_blade_area_cm2(live_cycle=n) / CM2_PER_M2
-        q = net_production(params, s_blade, tree_index)
+        s_blade = (state.total_blade_area_cm2(live_cycle=n)
+                   / CM2_PER_M2).tolist()
+        q = [net_production(p, s, tree_index) for p, s in zip(cols, s_blade)]
 
         next_entry = (dataset.script_entry(n + 1)
                       if n + 1 <= min(dataset.tree_age, final_cycle) else None)
-        new_plan = organogenesis_step(state, params, zones,
-                                      state.ratio_lagged, next_entry)
-        alloc = split_production(params, n, q, new_plan.d_s, s_blade)
-        _partition_rings_factorized(state, params, alloc.q_r, n)
+        plans = _column_plans(
+            organogenesis_step(state, cols[0], zones, state.ratio_lagged[0],
+                               next_entry), zones, cols, state.ratio_lagged)
+        allocs = [split_production(p, n, qk, plan.d_s, s)
+                  for p, qk, plan, s in zip(cols, q, plans, s_blade)]
+        _partition_rings_factorized(state, cols,
+                                    np.array([a.q_r for a in allocs]), n)
 
-        state.ratio_lagged = alloc.ratio
-        state.pending_plan = new_plan
-        state.pending_fund = alloc.q_s
-        return alloc
+        state.ratio_lagged = [a.ratio for a in allocs]
+        state.pending_plans = plans
+        state.pending_fund = [a.q_s for a in allocs]
+        return allocs
+    except ColumnsLeft:
+        raise
     except Exception as exc:  # abort with the cycle attached
         if isinstance(exc, SimulationError) and exc.cycle is not None:
             raise
@@ -222,11 +287,12 @@ def step(state: TreeState, params: GrowthParameters, zones: ZoneRuleSet,
 
 
 def leaves_above(state: TreeState, cohort: MetamerCohort,
-                 live_cycle: int | None = None) -> float:
-    """Foliage area (cm², per instance) at or above one metamer cohort in
-    the tree topology: its own leaf, all leaves distal on its axis, and the
-    subtrees of laterals borne at or above it.  ``live_cycle=None`` counts
-    leaves of every age (the engine itself uses the current cycle only)."""
+                 live_cycle: int | None = None) -> np.ndarray:
+    """Per column, the foliage area (cm², per instance) at or above one
+    metamer cohort in the tree topology: its own leaf, all leaves distal on
+    its axis, and the subtrees of laterals borne at or above it.
+    ``live_cycle=None`` counts leaves of every age (the engine itself uses
+    the current cycle only)."""
     axis_birth = cohort.birth_cycle - (cohort.gu_rank - 1)
     cls = state.get_class(cohort.pa, axis_birth)
     if cls is None or cohort.gu_rank > len(cls.gus):
@@ -238,7 +304,7 @@ def leaves_above(state: TreeState, cohort: MetamerCohort,
         raise SimulationError(f"metamer rank {cohort.rank} outside growth unit")
     idx = state.class_index[(cohort.pa, axis_birth)]
     bounds, s_a = state.foliage_above(live_cycle)
-    return float(s_a[bounds[idx] + gu.start + cohort.rank - 1])
+    return s_a[:, bounds[idx] + gu.start + cohort.rank - 1]
 
 
 def geometry(params: GrowthParameters, cohort: MetamerCohort
@@ -279,13 +345,19 @@ def check_run_request(params: GrowthParameters, zones: ZoneRuleSet,
     return n_cycles
 
 
-def start_state(params: GrowthParameters, zones: ZoneRuleSet,
-                dataset: TargetDataset) -> TreeState:
-    """The state before cycle 1: the seed plan pending, funded by the seed
-    biomass, with its seed ratio standing in for the previous cycle's Q/D."""
-    plan = seed_plan(params, zones, dataset.script_entry(1))
-    return TreeState(pending_plan=plan, pending_fund=params.q0,
-                     ratio_lagged=plan.ratio_used)
+def start_state(params, zones: ZoneRuleSet, dataset: TargetDataset
+                ) -> TreeState:
+    """The state before cycle 1, one column per parameter set (a bare set
+    for one column): the seed plan pending, funded by the seed biomass,
+    with its seed ratio standing in for the previous cycle's Q/D."""
+    cols = _columns(params)
+    entry = dataset.script_entry(1)
+    plan = seed_plan(cols[0], zones, entry)
+    plans = _column_plans(plan, zones, cols, [plan.ratio_used] + [
+        seed_ratio(p, entry) for p in cols[1:]])
+    return TreeState(columns=len(cols), pending_plans=plans,
+                     pending_fund=[p.q0 for p in cols],
+                     ratio_lagged=[each.ratio_used for each in plans])
 
 
 def simulate(params: GrowthParameters, zones: ZoneRuleSet,
@@ -300,76 +372,156 @@ def simulate(params: GrowthParameters, zones: ZoneRuleSet,
     the caller only needs the measurement profiles (the calibration loop).
     """
     n_cycles = check_run_request(params, zones, dataset, tree_index, cycles)
-    state = start_state(params, zones, dataset)
-    allocations = [step(state, params, zones, dataset, tree_index, n_cycles)
+    return _run((params,), zones, dataset, tree_index, n_cycles,
+                with_topology, with_signature)[0]
+
+
+def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
+                   dataset: TargetDataset, tree_index: int = 0,
+                   cycles: int | None = None, with_topology: bool = True,
+                   with_signature: bool = True
+                   ) -> list[SimulationOutput | TreesinkError]:
+    """:func:`simulate` under each parameter set, as one batched run.
+
+    Item ``k`` is what ``simulate`` gives for ``params[k]``: its output,
+    bit for bit, or the TreesinkError it raises.  A request that fails its
+    checks does not join the batch.  A column whose rounding outcome
+    departs from the first column's leaves the batch and runs alone, and
+    the others run again as a batch; a batched run that raises sends every
+    column still in the batch to run alone.
+    """
+    results: list = [None] * len(params)
+    live = []
+    for k, p in enumerate(params):
+        try:
+            n_cycles = check_run_request(p, zones, dataset, tree_index,
+                                         cycles)
+            live.append(k)
+        except TreesinkError as exc:
+            results[k] = exc
+    while live:
+        alone = live
+        if len(live) > 1:
+            try:
+                outputs = _run([params[k] for k in live], zones, dataset,
+                               tree_index, n_cycles, with_topology,
+                               with_signature)
+            except ColumnsLeft as left:
+                alone = [live[i] for i in left.columns]
+            except TreesinkError:   # alone, each column raises or not
+                pass
+            else:
+                for k, output in zip(live, outputs):
+                    results[k] = output
+                return results
+        for k in alone:
+            try:
+                [results[k]] = _run((params[k],), zones, dataset, tree_index,
+                                    n_cycles, with_topology, with_signature)
+            except TreesinkError as exc:
+                results[k] = exc
+        live = [k for k in live if k not in alone]
+    return results
+
+
+def _run(cols, zones, dataset, tree_index, n_cycles, with_topology,
+         with_signature) -> list[SimulationOutput]:
+    """Every column's output of one batched run of checked requests."""
+    state = start_state(cols, zones, dataset)
+    allocations = [step(state, cols, zones, dataset, tree_index, n_cycles)
                    for _ in range(n_cycles)]
-    return _collect_output(state, params, allocations, tree_index, n_cycles,
-                           with_topology=with_topology,
+    return _collect_output(state, cols, list(zip(*allocations)), tree_index,
+                           n_cycles, with_topology=with_topology,
                            with_signature=with_signature)
 
 
-def _collect_output(state: TreeState, params: GrowthParameters,
-                    allocations, tree_index: int, n_cycles: int,
-                    with_topology: bool = True, with_signature: bool = True
-                    ) -> SimulationOutput:
+def _collect_output(state: TreeState, cols, allocations, tree_index: int,
+                    n_cycles: int, with_topology: bool = True,
+                    with_signature: bool = True) -> list[SimulationOutput]:
+    """Each column's output; ``allocations`` holds each column's
+    allocation records.  Every per-column sum runs along a contiguous last
+    axis, as it does with one column."""
     trunk = state.get_class(TRUNK_PA, 1)
     if trunk is None:
         raise SimulationError("simulation produced no trunk")
+    density = np.array([[p.wood_density] for p in cols])
 
-    internode, length, ring = (trunk.internode_mass, trunk.length,
-                               trunk.cum_ring)
-    trunk_profile = []
+    add = np.add.reduce
+    internode, length = trunk.internode_mass, trunk.length
+    wood = internode + trunk.cum_ring
+    diam = metamer_diameters(wood, length, density)
+    trunk_profiles: list[list] = [[] for _ in cols]
     for gu in trunk.gus:
         sl = slice(gu.start, gu.start + gu.count)
-        wood = internode[sl] + ring[sl]
-        diam = metamer_diameters(wood, length[sl], params.wood_density)
-        trunk_profile.append(TrunkObservation(
-            gu_index=gu.rank, mass_g=float(wood.sum()),
-            diameter_cm=float(diam.mean()),
-            length_cm=float(length[sl].sum())))
+        for profile, mass, mean, total in zip(
+                trunk_profiles, add(wood[:, sl], axis=1).tolist(),
+                (add(diam[:, sl], axis=1) / gu.count).tolist(),
+                add(length[:, sl], axis=1).tolist()):
+            profile.append(TrunkObservation(gu_index=gu.rank, mass_g=mass,
+                                            diameter_cm=mean,
+                                            length_cm=total))
 
-    ring_matrix = []
-    cum = np.zeros(trunk.n_metamers)
-    gu_starts = np.array([gu.start for gu in trunk.gus])
-    gu_counts = np.array([gu.count for gu in trunk.gus], dtype=float)
-    for age, inc in state.trunk_rings:
-        cum[:inc.size] += inc
-        wood = internode[:inc.size] + cum[:inc.size]
-        diam = metamer_diameters(wood, length[:inc.size], params.wood_density)
-        live = sum(1 for gu in trunk.gus if gu.birth_cycle <= age)
-        means = np.add.reduceat(diam, gu_starts[:live]) / gu_counts[:live]
-        for gu, mean in zip(trunk.gus[:live], means):
-            ring_matrix.append(RingObservation(gu.rank, age, float(mean)))
-
+    # every array before the Python rows, which outlive them
     wood_totals = state.subtree_wood_totals()
     leaf_totals = state.subtree_leaf_mass_totals(live_cycle=state.cycle)
+    lengths = state.arena.segment_sums(state.arena.field(LENGTH))
+    total_wood = state.total_wood_mass().tolist()
+    total_leaf = state.total_leaf_mass_ever().tolist()
+
+    # the trunk's diameters after each cycle: its ring increments,
+    # zero-padded to the final trunk, summed cycle by cycle onto the
+    # internodes (in place: with K columns the table is cycles × K ×
+    # metamers)
+    wood_then = np.zeros((len(state.trunk_rings), len(cols),
+                          trunk.n_metamers))
+    for row, (_age, inc) in zip(wood_then, state.trunk_rings):
+        row[:, :inc.shape[1]] = inc
+    np.cumsum(wood_then, axis=0, out=wood_then)
+    wood_then += internode
+    diam_then = metamer_diameters(wood_then, length, density, out=wood_then)
+    gu_starts = np.array([gu.start for gu in trunk.gus])
+    gu_counts = np.array([gu.count for gu in trunk.gus], dtype=float)
+    means = []
+    for (age, inc), diam in zip(state.trunk_rings, diam_then):
+        live = sum(1 for gu in trunk.gus if gu.birth_cycle <= age)
+        means.append((age, (np.add.reduceat(
+            diam[:, :inc.shape[1]], gu_starts[:live], axis=1)
+            / gu_counts[:live]).tolist()))
+    del wood_then, diam_then
+    ring_matrices: list[list] = [[] for _ in cols]
+    for age, rows in means:
+        for matrix, row in zip(ring_matrices, rows):
+            matrix += [RingObservation(gu.rank, age, mean)
+                       for gu, mean in zip(trunk.gus, row)]
+
     grouped: dict[tuple[int, int], list[int]] = {}
     for gu, laterals in zip(trunk.gus, trunk.laterals_by_gu()):
         for _rank, child, _count in laterals:
             grouped.setdefault((gu.rank, state.classes[child].pa),
                                []).append(child)
-    branch_rows = []
+    branch_rows: list[list] = [[] for _ in cols]
     for (gu_rank, pa), idxs in sorted(grouped.items()):
-        wood = float(np.mean([wood_totals[i] for i in idxs]))
-        leaf = float(np.mean([leaf_totals[i] for i in idxs]))
-        length = float(np.mean([state.classes[i].length.sum() for i in idxs]))
-        branch_rows.append(BranchRow(
-            gu_index=gu_rank, pa=pa, count=len(idxs), wood_g=wood,
-            leaf_g=leaf, axis_length_cm=length))
+        for rows, wood_g, leaf_g, total in zip(branch_rows, *(
+                (add(values.take(idxs, axis=1), axis=1) / len(idxs)).tolist()
+                for values in (wood_totals, leaf_totals, lengths))):
+            rows.append(BranchRow(gu_index=gu_rank, pa=pa, count=len(idxs),
+                                  wood_g=wood_g, leaf_g=leaf_g,
+                                  axis_length_cm=total))
 
-    return SimulationOutput(
-        tree_index=tree_index, cycles=n_cycles, allocations=list(allocations),
-        trunk_profile=trunk_profile, ring_matrix=ring_matrix,
-        branch_compartments=branch_rows,
-        topology=state.topology_dump() if with_topology else {},
-        total_wood_g=state.total_wood_mass(),
-        total_leaf_ever_g=state.total_leaf_mass_ever(),
-        pending_shoot_fund_g=state.pending_fund,
-        structure_signature=(state.structure_signature()
-                             if with_signature else ()),
-        notes=list(state.notes),
-        decisions=state.decisions + [
-            OrganogenesisPlan(state.pending_plan.ratio_used)])
+    topology = state.topology_dump() if with_topology else {}
+    signature = state.structure_signature() if with_signature else ()
+    return [SimulationOutput(
+        tree_index=tree_index, cycles=n_cycles, allocations=list(allocs),
+        trunk_profile=profile, ring_matrix=matrix,
+        branch_compartments=rows, topology=topology, total_wood_g=wood,
+        total_leaf_ever_g=leaf, pending_shoot_fund_g=fund,
+        structure_signature=signature, notes=list(state.notes),
+        decisions=decisions + [OrganogenesisPlan(pending.ratio_used)])
+        for allocs, profile, matrix, rows, wood, leaf, fund, decisions,
+        pending in zip(allocations, trunk_profiles, ring_matrices,
+                       branch_rows, total_wood, total_leaf,
+                       state.pending_fund, state.decisions,
+                       state.pending_plans)]
 
 
 def extract_targets(output: SimulationOutput, dataset: TargetDataset
@@ -392,7 +544,7 @@ def extract_targets(output: SimulationOutput, dataset: TargetDataset
         served = {key(r): r for r in getattr(output, m.field)}
         rows = getattr(dataset, m.field)
         matched = [served.get(key(t)) for t in rows]
-        missing += [m.label.format_map(vars(t))
+        missing += [m.label.format_map({f: getattr(t, f) for f in m.key})
                     for t, row in zip(rows, matched) if row is None]
         if not missing:
             sim.append(np.array(list(map(values, matched)), float))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 
 from .calibration import FitResult
+from .core import ValidationError
 from .engine import SimulationOutput
 
 try:
@@ -22,9 +23,17 @@ except ImportError:  # pragma: no cover - depends on environment
     HAVE_MATPLOTLIB = False
 
 
+def require_matplotlib() -> None:
+    """Raise ValidationError naming the ``plots`` extra unless matplotlib
+    imported."""
+    if not HAVE_MATPLOTLIB:
+        raise ValidationError(
+            "--plots needs matplotlib: install the 'plots' extra, "
+            "pip install 'treesink[plots]'")
+
+
 def write_simulation_plots(out_dir, output: SimulationOutput) -> list[str]:
-    if not HAVE_MATPLOTLIB:  # pragma: no cover
-        return []
+    require_matplotlib()
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -84,8 +93,7 @@ def write_simulation_plots(out_dir, output: SimulationOutput) -> list[str]:
 
 
 def write_fit_plots(out_dir, result: FitResult) -> list[str]:
-    if not HAVE_MATPLOTLIB:  # pragma: no cover
-        return []
+    require_matplotlib()
     os.makedirs(out_dir, exist_ok=True)
     fig, ax = plt.subplots(figsize=(5, 5))
     classes = sorted({row.data_class for row in result.predicted_observed})

@@ -6,11 +6,21 @@ increments), so the tree is stored as a collection of :class:`AxisClass`
 objects carrying a multiplicity instead of one object per axis.  Leaves live
 one cycle, so the live foliage of a class is its newest growth unit's.
 
-The tree owns every per-metamer value in one :class:`Arena`: one column per
-metamer, each class's metamers contiguous (base to apex, growth units in
-rank order) and the classes in creation order, so the per-cycle ring
-partition and foliage scans are whole-arena operations.  A class holds no
-arrays, only its index into the arena's class offsets.
+The tree owns every per-metamer value in one :class:`Arena`.  A growth
+unit's metamers are alike when they expand, so the arena stores their
+internode mass, length, leaf mass and leaf area once per growth unit, and
+only the cumulative ring mass, which depends on a metamer's position, once
+per metamer.  Both tables keep each class's columns contiguous (base to
+apex, growth units in rank order) and the classes in creation order, so the
+per-cycle ring partition and foliage scans are whole-arena operations.  A
+class holds no arrays, only its index into the arena's class offsets.
+
+A tree may carry K parameter columns: K runs that share every decision
+(classes, growth units, laterals, multiplicities) but not their masses.
+Each field then has one row per column, and every per-column quantity a
+method returns has a leading axis of length K.  Per-column reductions run
+along a contiguous last axis, so each column's bits are those of a
+one-column tree.
 
 A metamer can bear at most one lateral axis, created the cycle after the
 metamer's own expansion (or together with it for trunk-scripted branches).
@@ -28,14 +38,17 @@ import numpy as np
 
 from .core import GrowthParameters, SimulationError
 
-# rows of Arena.values (a column per metamer): the owning class index and
-# the growth unit's birth cycle, then the per-instance values
-CLASS, BIRTH, INTERNODE_MASS, LENGTH, LEAF_MASS, LEAF_AREA, CUM_RING = range(7)
+# rows of Arena.units (a column per growth unit): the owning class index,
+# the unit's birth cycle and its metamer count, then its fields
+CLASS, BIRTH, SIZE = range(3)
+# the per-instance fields (Arena.field), each with one row per parameter
+# column: the first four per growth unit, the ring per metamer
+INTERNODE_MASS, LENGTH, LEAF_MASS, LEAF_AREA, CUM_RING = range(5)
 # rows of Arena.edges (a column per lateral; ROW is class-local)
 BEARER, ROW, CHILD, COUNT = range(4)
 
 
-@dataclass
+@dataclass(slots=True)
 class GUInfo:
     """Bookkeeping for one growth unit inside an axis class."""
 
@@ -44,8 +57,6 @@ class GUInfo:
     start: int                # first metamer row of the unit in its class
     count: int
     zone_counts: dict[int, int] | None  # axillary PA -> metamer count
-    leaf_area: float          # per-instance totals of the unit's leaves
-    leaf_mass: float
 
 
 @dataclass(frozen=True)
@@ -66,39 +77,72 @@ class MetamerCohort:
     borne_axes: dict[int, int]  # axillary PA -> per-instance count
 
 
-def _class_ordered(table: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``table`` with the columns ``new`` added, stably ordered by their
-    first field (the class index): each class's columns stay contiguous and
-    in insertion order."""
-    order = np.argsort(np.concatenate((table[0], new[0])), kind="stable")
+#: cells up to which a merge gathers the whole table at once; beyond, row
+#: by row is faster (on a 2-core host both cross near 2**15 cells)
+_WHOLE_MERGE_CELLS = 2 ** 15
+
+
+def _merged(table: np.ndarray, new: np.ndarray, order: np.ndarray
+            ) -> np.ndarray:
+    """The columns of ``table`` and then ``new`` (as many rows), taken in
+    ``order``."""
+    if len(table) * order.size <= _WHOLE_MERGE_CELLS:
+        return np.concatenate((table, new), axis=1).take(order, axis=1)
     out = np.empty((len(table), order.size), table.dtype)
-    for field_row, old, added in zip(out, table, new):   # faster by rows
+    for field_row, old, added in zip(out, table, new):
         np.concatenate((old, added)).take(order, out=field_row)
     return out
+
+
+def _class_order(classes: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The order that puts the columns of class index ``classes`` and then
+    ``new`` by class, each class's columns contiguous and in insertion
+    order."""
+    return np.argsort(np.concatenate((classes, new)), kind="stable")
 
 
 class Arena:
     """Every per-metamer value and every lateral of one tree.
 
-    ``values`` has one column per metamer (rows CLASS..CUM_RING) and
-    ``edges`` one per lateral (rows BEARER..COUNT), each grouped by class
-    in class order, with the class offsets ``bounds`` and ``edge_bounds``
-    (lists of ``n_classes + 1`` column indices).  Appends queue until the
-    next read merges them in one pass.  The classes and their tree both
-    hold the arena, which holds neither, so a finished tree is freed
-    without waiting for the cycle collector.
+    ``units`` has one column per growth unit (rows CLASS, BIRTH, SIZE, then
+    INTERNODE_MASS to LEAF_AREA with one row per parameter column),
+    ``metamer_class`` and ``cum_ring`` (one row per column) one per
+    metamer, and ``edges`` one per lateral (rows BEARER..COUNT), each
+    grouped by class in class order, with the class offsets
+    ``unit_bounds``, ``bounds`` and ``edge_bounds`` (lists of ``n_classes +
+    1`` column indices).  Appends queue until the next read merges them in
+    one pass, one array at a time.  The classes and their tree both hold
+    the arena, which holds neither, so a finished tree is freed without
+    waiting for the cycle collector.
     """
 
-    __slots__ = ("values", "edges", "bounds", "edge_bounds", "queued_rows",
-                 "queued_edges", "n_classes")
+    __slots__ = ("units", "sizes", "metamer_class", "cum_ring", "edges",
+                 "unit_bounds", "bounds", "edge_bounds", "queued_rows",
+                 "queued_edges", "n_classes", "columns")
 
-    def __init__(self):
-        self.values = np.zeros((7, 0))
+    def __init__(self, columns: int = 1):
+        self.columns = columns
+        self.units = np.zeros((3 + 4 * columns, 0))
+        self.sizes = np.zeros(0, np.intp)
+        self.metamer_class = np.zeros(0)
+        self.cum_ring = np.zeros((columns, 0))
         self.edges = np.zeros((4, 0), dtype=np.int64)
-        self.bounds = self.edge_bounds = [0]
+        self.unit_bounds = self.bounds = self.edge_bounds = [0]
         self.queued_rows: list[tuple] = []
         self.queued_edges: list[tuple] = []
         self.n_classes = 0
+
+    def unit_field(self, row: int) -> np.ndarray:
+        """The (columns, units) rows of a field a unit's metamers share."""
+        start = 3 + row * self.columns
+        return self.units[start:start + self.columns]
+
+    def field(self, row: int) -> np.ndarray:
+        """The (columns, metamers) array of one field: the ring array
+        itself, or a unit field repeated over each unit's metamers."""
+        if row == CUM_RING:
+            return self.cum_ring
+        return np.repeat(self.unit_field(row), self.sizes, axis=1)
 
     def settle(self) -> None:
         """Merge the queued growth units and laterals: a fixed number of
@@ -108,38 +152,59 @@ class Arena:
                 or len(self.bounds) != n + 1):
             return
         if self.queued_rows:
-            blocks = np.array(self.queued_rows).T   # the fields, then counts
-            self.values = _class_ordered(self.values, np.repeat(
-                blocks[:-1], blocks[-1].astype(np.intp), axis=1))
+            added = np.array(self.queued_rows).T
+            self.units = _merged(self.units, added, _class_order(
+                self.units[CLASS], added[CLASS]))
+            self.sizes = self.units[SIZE].astype(np.intp)
+            # the new metamers, their rings at zero
+            new = np.repeat(added[CLASS], added[SIZE].astype(np.intp))
+            order = _class_order(self.metamer_class, new)
+            self.metamer_class = np.concatenate(
+                (self.metamer_class, new)).take(order)
+            self.cum_ring = _merged(
+                self.cum_ring, np.zeros((self.columns, new.size)), order)
             self.queued_rows = []
         if self.queued_edges:
-            self.edges = _class_ordered(self.edges,
-                                        np.array(self.queued_edges).T)
+            added = np.array(self.queued_edges).T
+            self.edges = _merged(self.edges, added, _class_order(
+                self.edges[BEARER], added[BEARER]))
             self.queued_edges = []
-        self.bounds = np.searchsorted(self.values[CLASS],
-                                      np.arange(n + 1)).tolist()
+        classes = np.arange(n + 1)
+        self.unit_bounds = np.searchsorted(self.units[CLASS],
+                                           classes).tolist()
+        self.bounds = np.searchsorted(self.metamer_class, classes).tolist()
         self.edge_bounds = np.searchsorted(self.edges[BEARER],
-                                           np.arange(n + 1)).tolist()
+                                           classes).tolist()
 
     def segment(self, idx: int) -> tuple[int, int]:
         """Value columns of class ``idx``."""
         self.settle()
         return self.bounds[idx], self.bounds[idx + 1]
 
-    def segment_sums(self, per_metamer: np.ndarray) -> list[float]:
-        """Per class, the sum of ``per_metamer`` (aligned with the settled
-        arena) over its segment."""
-        b = self.bounds
-        return [float(per_metamer[s:e].sum()) for s, e in zip(b, b[1:])]
+    def segment_sums(self, per_metamer: np.ndarray) -> np.ndarray:
+        """(columns, classes): per class, the sum of each row of
+        ``per_metamer`` (aligned with the settled arena) over its
+        segment."""
+        b, add = self.bounds, np.add.reduce
+        sums = [add(per_metamer[:, s:e], axis=1) for s, e in zip(b, b[1:])]
+        return np.array(sums).reshape(-1, len(per_metamer)).T.copy()
 
 
 def _arena_field(row: int) -> property:
-    """A class's read-only view of one arena field, base to apex."""
+    """A class's read-only (columns, metamers) values of one arena field,
+    base to apex."""
     def get(self: AxisClass) -> np.ndarray:
-        s, e = self.arena.segment(self.index)
-        view = self.arena.values[row, s:e]
-        view.flags.writeable = False
-        return view
+        arena = self.arena
+        if row == CUM_RING:
+            s, e = arena.segment(self.index)
+            values = arena.cum_ring[:, s:e]
+        else:
+            arena.settle()
+            s, e = arena.unit_bounds[self.index:self.index + 2]
+            values = np.repeat(arena.unit_field(row)[:, s:e],
+                               arena.sizes[s:e], axis=1)
+        values.flags.writeable = False
+        return values
     return property(get)
 
 
@@ -181,12 +246,13 @@ class AxisClass:
         return self.gus[-1].start + self.gus[-1].count if self.gus else 0
 
     def append_gu(self, birth_cycle: int, zone_layout: list[tuple[int, int]] | None,
-                  metamer_count: int, internode_mass: float, length: float,
-                  leaf_mass: float, leaf_area: float) -> GUInfo:
+                  metamer_count: int, *values: float) -> GUInfo:
         """Add the next growth unit; per-metamer values are uniform within
-        the shoot.  ``zone_layout`` lists (axillary PA, metamer count) blocks
-        base to apex; None means an unzoned unit (trunk or short shoot).
-        Its metamers enter the arena when it is next read."""
+        the shoot.  ``values`` are its internode mass, length, leaf mass and
+        leaf area, each once per column, field by field.  ``zone_layout``
+        lists (axillary PA, metamer count) blocks base to apex; None means
+        an unzoned unit (trunk or short shoot).  Its metamers enter the
+        arena when it is next read."""
         if metamer_count < 1:
             raise SimulationError("growth units carry at least one metamer")
         if zone_layout is not None and \
@@ -196,21 +262,24 @@ class AxisClass:
         gu = GUInfo(rank=len(self.gus) + 1, birth_cycle=birth_cycle,
                     start=self.n_metamers, count=n,
                     zone_counts=(None if zone_layout is None
-                                 else dict(zone_layout)),
-                    leaf_area=leaf_area * n, leaf_mass=leaf_mass * n)
+                                 else dict(zone_layout)))
         self.gus.append(gu)
-        self.arena.queued_rows.append((self.index, birth_cycle, internode_mass,
-                                       length, leaf_mass, leaf_area, 0.0, n))
+        if len(values) != 4 * self.arena.columns:
+            raise SimulationError(
+                f"{len(values)} metamer values for {self.arena.columns} "
+                f"columns")
+        self.arena.queued_rows.append((self.index, birth_cycle, n, *values))
         return gu
 
     def record_rings(self, increments: np.ndarray) -> None:
-        """Add one cycle's per-instance ring increments to every metamer."""
+        """Add one cycle's per-instance ring increments to every metamer:
+        one row per column, or one row shared by every column."""
         s, e = self.arena.segment(self.index)
-        if increments.size != e - s:
+        if increments.shape[-1] != e - s:
             raise SimulationError(
-                f"ring increment vector size {increments.size} != "
+                f"ring increment vector size {increments.shape[-1]} != "
                 f"{e - s} metamers")
-        self.arena.values[CUM_RING, s:e] += increments
+        self.arena.cum_ring[:, s:e] += increments
 
     def set_child(self, flat_idx: int, child_class_idx: int,
                   per_instance_count: int) -> None:
@@ -236,9 +305,12 @@ class AxisClass:
             out[g].append((row - starts[g] + 1, child, count))
         return out
 
-    def cohorts(self, tree: TreeState) -> list[MetamerCohort]:
-        s, e = self.arena.segment(self.index)
-        values = self.arena.values[INTERNODE_MASS:, s:e].T.tolist()
+    def cohorts(self, tree: TreeState, column: int = 0
+                ) -> list[MetamerCohort]:
+        """The class's metamer cohorts, with the values of one column."""
+        values = np.array([values[column] for values in (
+            self.internode_mass, self.length, self.leaf_mass, self.leaf_area,
+            self.cum_ring)]).T.tolist()
         out = []
         for gu, laterals in zip(self.gus, self.laterals_by_gu()):
             borne = {rank: {tree.classes[child].pa: count}
@@ -258,22 +330,30 @@ class AxisClass:
 
 @dataclass
 class TreeState:
-    """Complete factorized state of one simulated tree; its classes share
-    its arena."""
+    """Complete factorized state of one simulated tree over ``columns``
+    parameter columns; its classes share its arena.  The per-column cycle
+    state holds one entry per column."""
 
     cycle: int = 0
+    columns: int = 1
     classes: list[AxisClass] = field(default_factory=list)
     class_index: dict[tuple[int, int], int] = field(default_factory=dict)
-    ratio_lagged: float = 0.0         # previous-cycle Q/D driving organogenesis
-    pending_plan: object = None       # OrganogenesisPlan for cycle+1
-    pending_fund: float = 0.0         # Q_s committed to the pending plan
-    # (cycle, per-instance ring increments of every trunk metamer) per cycle
+    # previous-cycle Q/D driving organogenesis
+    ratio_lagged: list[float] = field(default_factory=list)
+    # OrganogenesisPlans for cycle+1, and the Q_s committed to them
+    pending_plans: list = field(default_factory=list)
+    pending_fund: list[float] = field(default_factory=list)
+    # (cycle, (columns, trunk metamers) per-instance ring increments)
     trunk_rings: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    # the expanded OrganogenesisPlans: the decisions the architecture rests on
-    decisions: list = field(default_factory=list)
+    # per column, the expanded OrganogenesisPlans: the decisions the
+    # architecture rests on, with that column's ratios and shoot demands
+    decisions: list[list] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    arena: Arena = field(default_factory=Arena, init=False, repr=False,
-                         compare=False)
+    arena: Arena = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.arena = Arena(self.columns)
+        self.decisions = self.decisions or [[] for _ in range(self.columns)]
 
     def add_class(self, pa: int, birth_cycle: int, multiplicity: int) -> AxisClass:
         key = (pa, birth_cycle)
@@ -292,124 +372,149 @@ class TreeState:
     def trunk(self) -> AxisClass:
         return self.classes[0]
 
-    def cohorts(self) -> list[MetamerCohort]:
+    def cohorts(self, column: int = 0) -> list[MetamerCohort]:
         out = []
         for cls in self.classes:
-            out.extend(cls.cohorts(self))
+            out.extend(cls.cohorts(self, column))
         return out
 
     # ------------------------------------------------------------------
     # foliage scans
     # ------------------------------------------------------------------
 
-    def _live_totals(self, name: str, live_cycle: int | None) -> list[float]:
-        """Per class, the per-instance ``leaf_area`` or ``leaf_mass`` of the
-        leaves alive at ``live_cycle``: every leaf for None, else the
-        newest growth unit's if it was born at ``live_cycle`` (which must
-        be the current cycle, so that no growth unit is younger)."""
-        if live_cycle is None:
-            arena = self.arena
-            arena.settle()
-            return arena.segment_sums(
-                arena.values[LEAF_AREA if name == "leaf_area" else LEAF_MASS])
-        return [getattr(cls.gus[-1], name)
-                if cls.gus and cls.gus[-1].birth_cycle == live_cycle else 0.0
-                for cls in self.classes]
-
-    def total_blade_area_cm2(self, live_cycle: int | None = None) -> float:
-        if live_cycle is None:
-            live_cycle = self.cycle
-        areas = self._live_totals("leaf_area", live_cycle)
-        return sum(cls.multiplicity * area
-                   for cls, area in zip(self.classes, areas))
-
-    def _subtree_totals(self, own: list[float]) -> np.ndarray:
-        """Per-instance subtree sums of the per-class values ``own``,
-        resolved bottom-up: children are always created after their parent
-        class, so one reverse pass suffices.  Each class adds its laterals
-        in creation order."""
+    def _live_totals(self, row: int, live_cycle: int | None) -> np.ndarray:
+        """(columns, classes): per class, the per-instance total of the
+        LEAF_AREA or LEAF_MASS ``row`` over the leaves alive at
+        ``live_cycle``: every leaf for None, else the newest growth unit's
+        if it was born at ``live_cycle`` (which must be the current cycle,
+        so that no growth unit is younger)."""
         arena = self.arena
         arena.settle()
-        totals = np.array(own)
-        b = arena.edge_bounds
+        if live_cycle is None:
+            return arena.segment_sums(arena.field(row))
+        # each class's newest unit, if born at live_cycle: its metamers'
+        # value × their count
+        totals = np.zeros((self.columns, len(self.classes)))
+        alive = [(cls.index, arena.unit_bounds[cls.index + 1] - 1)
+                 for cls in self.classes
+                 if cls.gus and cls.gus[-1].birth_cycle == live_cycle]
+        if alive:
+            idx, units = np.array(alive).T
+            totals[:, idx] = (arena.unit_field(row).take(units, axis=1)
+                              * arena.units[SIZE].take(units))
+        return totals
+
+    def _instance_total(self, per_class: np.ndarray) -> np.ndarray:
+        """Per column, the sum over the classes of multiplicity × value,
+        added in class order."""
+        if not self.classes:
+            return np.zeros(self.columns)
+        mult = np.array([cls.multiplicity for cls in self.classes], float)
+        return np.cumsum(mult * per_class, axis=1)[:, -1]
+
+    def total_blade_area_cm2(self, live_cycle: int | None = None
+                             ) -> np.ndarray:
+        """Per column, the blade area of the leaves alive at
+        ``live_cycle`` (default: the current cycle)."""
+        if live_cycle is None:
+            live_cycle = self.cycle
+        return self._instance_total(self._live_totals(LEAF_AREA, live_cycle))
+
+    def _subtree_totals(self, own: np.ndarray) -> np.ndarray:
+        """(columns, classes) per-instance subtree sums of the per-class
+        values ``own``, resolved bottom-up: children are always created
+        after their parent class, so one reverse pass suffices.  Each class
+        adds its laterals in creation order."""
+        arena = self.arena
+        arena.settle()
+        totals = own.copy()
+        b, add = arena.edge_bounds, np.add.reduce
         child, count = arena.edges[CHILD], arena.edges[COUNT]
-        for idx in range(len(own) - 1, -1, -1):
+        for idx in range(own.shape[1] - 1, -1, -1):
             s, e = b[idx], b[idx + 1]
             if s < e:
-                totals[idx] = own[idx] + float(
-                    (count[s:e] * totals[child[s:e]]).sum())
+                totals[:, idx] += add(
+                    count[s:e] * totals.take(child[s:e], axis=1), axis=1)
         return totals
 
     def foliage_above(self, live_cycle: int | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Per-instance foliage area at or above each metamer: its own leaf,
         every leaf distal on its axis, and the full subtrees of laterals
-        borne at or above it.  Returns (class offsets, areas): the areas
-        of class ``i`` are ``areas[bounds[i]:bounds[i + 1]]``, aligned with
-        its arena segment.  ``live_cycle`` is None (every leaf) or the
-        current cycle."""
-        totals = self._subtree_totals(self._live_totals("leaf_area",
+        borne at or above it.  Returns (class offsets, (columns, metamers)
+        areas): the areas of class ``i`` are ``areas[:, bounds[i]:bounds[i
+        + 1]]``, aligned with its arena segment.  ``live_cycle`` is None
+        (every leaf) or the current cycle."""
+        totals = self._subtree_totals(self._live_totals(LEAF_AREA,
                                                         live_cycle))
-        values, edges = self.arena.values, self.arena.edges
-        bounds = np.array(self.arena.bounds)
-        if live_cycle is None:
-            seg = values[LEAF_AREA].copy()
-        else:
-            seg = np.where(values[BIRTH] == live_cycle, values[LEAF_AREA], 0.0)
-        seg[bounds[edges[BEARER]] + edges[ROW]] += \
-            edges[COUNT] * totals[edges[CHILD]]
+        arena = self.arena
+        edges, leaf = arena.edges, arena.unit_field(LEAF_AREA)
+        bounds = np.array(arena.bounds)
+        if live_cycle is not None:
+            leaf = np.where(arena.units[BIRTH] == live_cycle, leaf, 0.0)
+        seg = np.repeat(leaf, arena.sizes, axis=1)
+        seg[:, bounds[edges[BEARER]] + edges[ROW]] += \
+            edges[COUNT] * totals.take(edges[CHILD], axis=1)
         # suffix sums per class: each segment apex first in one row of a
-        # table padded at the base end, summed sequentially along the rows
+        # table padded at the base end, summed sequentially along the rows;
+        # one column at a time, as the table holds about 3x the metamers
         sizes = bounds[1:] - bounds[:-1]
         n_classes, width = sizes.size, int(sizes.max(initial=0))
         cell = np.repeat(np.arange(n_classes) * width + bounds[1:] - 1,
-                         sizes) - np.arange(seg.size)
-        table = np.zeros(n_classes * width)
-        table[cell] = seg
-        suffix = np.cumsum(table.reshape(n_classes, width), axis=1)
-        return bounds, suffix.ravel()[cell]
+                         sizes) - np.arange(seg.shape[1])
+        table = np.empty((n_classes, width))
+        flat = table.reshape(-1)
+        for row in seg:
+            table.fill(0.0)
+            flat[cell] = row
+            np.cumsum(table, axis=1, out=table)
+            flat.take(cell, out=row)
+        return bounds, seg
 
     def ring_partition_arrays(self, p_rg, live_cycle: int | None
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                          np.ndarray]:
         """Per-metamer arrays for the ring partition, over the whole arena:
-        (class offsets, foliage at or above, ring sink × length weight,
-        instance multiplicity)."""
+        (class offsets, (columns, metamers) foliage at or above, (columns,
+        metamers) ring sink × length weight, instance multiplicity), with
+        ``p_rg`` the ring sinks by PA, one row per column."""
         bounds, s_a = self.foliage_above(live_cycle)
-        sizes = bounds[1:] - bounds[:-1]
-        sink = np.array([p_rg[cls.pa - 1] for cls in self.classes], float)
+        arena = self.arena
+        pa = np.array([cls.pa for cls in self.classes], np.intp)
+        unit_pa = pa.take(arena.units[CLASS].astype(np.intp))
+        sink = np.asarray(p_rg, float).reshape(self.columns, -1).take(
+            unit_pa - 1, axis=1)
+        sink *= arena.unit_field(LENGTH)
         mult = np.array([cls.multiplicity for cls in self.classes], float)
-        return (bounds, s_a,
-                np.repeat(sink, sizes) * self.arena.values[LENGTH],
-                np.repeat(mult, sizes))
+        return (bounds, s_a, np.repeat(sink, arena.sizes, axis=1),
+                np.repeat(mult, bounds[1:] - bounds[:-1]))
 
     # ------------------------------------------------------------------
     # aggregates
     # ------------------------------------------------------------------
 
-    def _own_wood(self) -> list[float]:
-        """Per class, the per-instance wood mass (internodes + rings)."""
+    def _own_wood(self) -> np.ndarray:
+        """(columns, classes) per-instance wood mass (internodes +
+        rings)."""
         arena = self.arena
         arena.settle()
-        return arena.segment_sums(arena.values[INTERNODE_MASS]
-                                  + arena.values[CUM_RING])
+        return arena.segment_sums(arena.field(INTERNODE_MASS)
+                                  + arena.field(CUM_RING))
 
     def subtree_wood_totals(self) -> np.ndarray:
-        """Per-instance wood mass (internodes + rings) of each class's
-        subtree."""
+        """(columns, classes) per-instance wood mass (internodes + rings)
+        of each class's subtree."""
         return self._subtree_totals(self._own_wood())
 
     def subtree_leaf_mass_totals(self, live_cycle: int | None = None
                                  ) -> np.ndarray:
-        return self._subtree_totals(self._live_totals("leaf_mass", live_cycle))
+        return self._subtree_totals(self._live_totals(LEAF_MASS, live_cycle))
 
-    def total_wood_mass(self) -> float:
-        return sum(cls.multiplicity * wood
-                   for cls, wood in zip(self.classes, self._own_wood()))
+    def total_wood_mass(self) -> np.ndarray:
+        return self._instance_total(self._own_wood())
 
-    def total_leaf_mass_ever(self) -> float:
-        return sum(cls.multiplicity * leaf for cls, leaf
-                   in zip(self.classes, self._live_totals("leaf_mass", None)))
+    def total_leaf_mass_ever(self) -> np.ndarray:
+        return self._instance_total(self._live_totals(LEAF_MASS, None))
 
     def topology_dump(self) -> dict:
         """JSON-ready description of the factorized architecture."""
@@ -491,14 +596,19 @@ def metamer_diameter(wood_mass: float, length: float, wood_density: float
 
 
 def metamer_diameters(wood_mass: np.ndarray, length: np.ndarray,
-                      wood_density: float) -> np.ndarray:
-    """Vectorized :func:`metamer_diameter`."""
+                      wood_density, out: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Vectorized :func:`metamer_diameter`, shaped like ``wood_mass``;
+    ``length`` and ``wood_density`` broadcast against it (one density per
+    column, say).  ``out`` may be ``wood_mass`` itself."""
     wood_mass = np.asarray(wood_mass, dtype=float)
     length = np.asarray(length, dtype=float)
-    if np.any((wood_mass > 0.0) & (length <= 0.0)):
-        raise SimulationError("metamer with wood mass but zero length")
-    out = np.zeros_like(wood_mass)
     ok = wood_mass > 0.0
-    out[ok] = np.sqrt(4.0 * wood_mass[ok]
-                      / (wood_density * np.pi * length[ok]))
+    if np.any(ok & (length <= 0.0)):
+        raise SimulationError("metamer with wood mass but zero length")
+    volume = np.multiply(wood_density, np.pi) * length
+    out = np.multiply(wood_mass, 4.0, out=out)
+    np.divide(out, volume, out=out, where=ok)
+    np.sqrt(out, out=out, where=ok)
+    out[~ok] = 0.0
     return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .core import (TRUNK_PA, GrowthParameters,
                    SimulationError, TrunkScriptEntry, ZoneRule, ZoneRuleSet,
@@ -47,12 +48,12 @@ def axis_total(positions: int, zone: ZoneRule, ratio: float) -> int:
     return max(0, min(raw, positions))
 
 
-@dataclass(frozen=True)
-class PositionGroup:
+class PositionGroup(NamedTuple):
     """One assignable unit for axis distribution: the metamers occupying the
     same rank on all instances of one growth-unit class.  ``age`` is the
     bearing axis's age in cycles (older served first); ``size`` the number of
-    tree-wide instances."""
+    tree-wide instances.  A tuple, so that a tree's thousands of groups are
+    cheap to build."""
 
     age: int
     rank: int
@@ -241,11 +242,11 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
             offset = 0
             for zone_pa, count in gu.zone_counts.items():
                 if zone_pa == rule.axillary_pa:
-                    groups += [PositionGroup(
-                        age=n - cls.birth_cycle + 1, rank=offset + r + 1,
-                        size=cls.multiplicity,
-                        payload=(cls.index, gu.start + offset + r))
-                        for r in range(count)]
+                    age, first = n - cls.birth_cycle + 1, gu.start + offset
+                    groups += [PositionGroup(age, offset + r + 1,
+                                             cls.multiplicity,
+                                             (cls.index, first + r))
+                               for r in range(count)]
                 offset += count
         if not groups:
             continue
@@ -267,11 +268,38 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
         d_s=shoot_demand(bud_counts, params.p_s))
 
 
+def column_plan(plan: OrganogenesisPlan, zones: ZoneRuleSet,
+                params: GrowthParameters, ratio: float
+                ) -> OrganogenesisPlan | None:
+    """``plan``'s decisions under another parameter column: its plan at
+    ``ratio``, with that column's shoot demand, or None when one of the
+    plan's roundings comes out differently there.  Equal layouts and equal
+    axis totals over the same position groups give equal distributions,
+    bud counts and slack, so only the roundings are evaluated."""
+    try:
+        if gu_zone_layouts(zones, ratio, params) != plan.gu_layouts:
+            return None
+    except SimulationError:
+        return None
+    for key, groups, _counts in plan.zone_groups:
+        rule, positions = zones.get(*key), sum(g.size for g in groups)
+        if axis_total(positions, rule, ratio) != \
+                axis_total(positions, rule, plan.ratio_used):
+            return None
+    return replace(plan, ratio_used=ratio,
+                   d_s=shoot_demand(plan.bud_counts, params.p_s))
+
+
+def seed_ratio(params: GrowthParameters, entry: TrunkScriptEntry) -> float:
+    """q0 / (potential shoot demand of the first script entry): the ratio
+    standing in for the previous-cycle Q/D at the seed."""
+    return params.q0 / shoot_demand(_trunk_buds(entry), params.p_s)
+
+
 def seed_plan(params: GrowthParameters, zones: ZoneRuleSet,
               entry: TrunkScriptEntry) -> OrganogenesisPlan:
     """The implicit plan funding cycle 1: the first scripted trunk growth
-    unit (plus any scripted basal branches), paid for by the seed biomass.
-    The seed ratio q0 / (potential shoot demand) stands in for the
-    previous-cycle ratio that does not exist yet."""
-    ratio = params.q0 / shoot_demand(_trunk_buds(entry), params.p_s)
-    return organogenesis_step(TreeState(), params, zones, ratio, entry)
+    unit (plus any scripted basal branches), paid for by the seed biomass,
+    at the seed ratio."""
+    return organogenesis_step(TreeState(), params, zones,
+                              seed_ratio(params, entry), entry)

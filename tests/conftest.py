@@ -53,15 +53,16 @@ def fixture_path(name):
 
 
 def step_with_rings(state, params, zones, dataset, tree_index, final_cycle):
-    """Run one engine step; return its CycleAllocation and, per axis class,
-    the per-instance ring increments of that cycle (the change in each
-    metamer's cumulative ring mass across the step)."""
-    before = [cls.cum_ring.copy() for cls in state.classes]
-    alloc = engine.step(state, params, zones, dataset, tree_index,
-                        final_cycle)
+    """Run one engine step of a one-column state; return its
+    CycleAllocation and, per axis class, the per-instance ring increments of
+    that cycle (the change in each metamer's cumulative ring mass across the
+    step)."""
+    before = [cls.cum_ring[0].copy() for cls in state.classes]
+    [alloc] = engine.step(state, params, zones, dataset, tree_index,
+                          final_cycle)
     incs = []
     for i, cls in enumerate(state.classes):
-        inc = cls.cum_ring.copy()
+        inc = cls.cum_ring[0].copy()
         if i < len(before):
             inc[:before[i].size] -= before[i]
         incs.append(inc)

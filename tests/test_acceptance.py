@@ -100,8 +100,9 @@ def test_criterion_2_conservation():
                              for cls, inc in zip(state.classes, incs))
             ok &= abs(ring_total - q_r) <= 1e-9 * max(q_r, 1e-30)
         produced = params.q0 + sum(alloc.q for alloc, _ in cycles)
-        materialized = (state.total_wood_mass() + state.total_leaf_mass_ever()
-                        + state.pending_fund)
+        materialized = (state.total_wood_mass()[0]
+                        + state.total_leaf_mass_ever()[0]
+                        + state.pending_fund[0])
         balance = abs(materialized - produced) / produced
         ok &= balance < 1e-6
         details.append(f"{name}: whole-run balance {balance:.2e}")
@@ -141,7 +142,7 @@ def test_criterion_4_pressler_limit():
 
     state, cycles = run_to_state(base.with_values(lambda_mix=1.0), zones,
                                  dataset, 1)
-    _bounds, s_above = state.foliage_above(live_cycle=state.cycle)
+    _bounds, [s_above] = state.foliage_above(live_cycle=state.cycle)
     worst = 0.0
     ratio_ref = None
     for inc, s in zip(np.concatenate(cycles[-1][1]), s_above):

@@ -10,7 +10,7 @@ from treesink.calibration import (AnnealSchedule, FitSpec, FreeParameter,
                                   default_weights, fit_continuous,
                                   fit_topology, objective)
 from treesink.core import TreesinkError
-from treesink.engine import simulate
+from treesink.engine import simulate, simulate_batch
 from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.synthetic import (dataset_from_output, script_only_dataset,
                                 tree1_script)
@@ -237,8 +237,9 @@ class TestFitTopology:
 
     def test_bundled_fit_runs_each_tree_once_per_evaluation(self,
                                                             monkeypatch):
-        # one run per tree for every evaluation, plus one at the fitted
-        # point for the intervals and the predicted-vs-observed rows
+        # one run (a column of a batched run) per tree for every
+        # evaluation, plus one at the fitted point for the intervals and
+        # the predicted-vs-observed rows
         params, zones, spec = read_parameter_file(
             fixture_path("species.params"))
         targets = [parse_target_file(fixture_path(f"tree{i}.target.csv"))
@@ -249,9 +250,20 @@ class TestFitTopology:
             runs.append(kwargs["tree_index"])
             return simulate(*args, **kwargs)
 
+        def counted_batch(columns, *args, **kwargs):
+            runs.extend([kwargs["tree_index"]] * len(columns))
+            batches.append(len(columns))
+            return simulate_batch(columns, *args, **kwargs)
+
+        batches = []
         monkeypatch.setattr(calibration, "simulate", counted)
+        monkeypatch.setattr(calibration, "simulate_batch", counted_batch)
         result = fit_topology(spec, params, zones, targets)
         assert len(runs) == len(targets) * (result.evaluations + 1) == 24
+        # the first residual runs each tree alone, the Jacobian as one
+        # batched run per tree over every free continuous parameter
+        assert batches == ([1] * len(targets)
+                           + [len(spec.continuous)] * len(targets))
 
 
 class TestIntervals:

@@ -35,6 +35,19 @@ def test_fixed_coefficient_rule_violation(params, zones):
     assert any("Z^22" in v and "m1" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("coef", ["m1", "m2", "a1", "a2", "m_max"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_zone_coefficients_rejected(params, zones, coef, bad):
+    # an infinite m_max means no cap, every other non-finite value is bad
+    rule = zones.get(2, 4)
+    report = validate_parameters(
+        params, zones.with_rule(ZoneRule(**{**vars(rule), coef: bad})))
+    assert report.ok == (coef == "m_max" and bad == math.inf)
+    if coef != "m_max":
+        assert f"zone Z^24: {coef} must be finite: {bad!r}" in \
+            report.violations
+
+
 def test_fixed_rule_not_enforced_when_flag_off(params, zones):
     rules = tuple(ZoneRule(r.bearer_pa, r.axillary_pa, m1=r.m1 + 1.0,
                            m2=r.m2, m_max=r.m_max + 1.0, a1=r.a1, a2=r.a2)

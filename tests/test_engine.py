@@ -70,7 +70,7 @@ class TestLeafLifespan:
                              [gu.count for gu in cls.gus])
 
         expected = sum(
-            cls.multiplicity * float(cls.leaf_area[birth(cls) == n].sum())
+            cls.multiplicity * float(cls.leaf_area[0, birth(cls) == n].sum())
             for cls in state.classes)
         everything = sum(cls.multiplicity * float(cls.leaf_area.sum())
                          for cls in state.classes)
@@ -129,7 +129,7 @@ class TestLeavesAbove:
 
     def test_consistency_with_live_total(self, params, zones, small_script):
         state, _ = _state_after(params, zones, small_script)
-        _bounds, s_above = state.foliage_above(live_cycle=state.cycle)
+        _bounds, [s_above] = state.foliage_above(live_cycle=state.cycle)
         # weighting base metamers by multiplicity reproduces the blade total
         base = s_above[0]
         assert base * state.trunk.multiplicity <= \
@@ -215,8 +215,8 @@ class TestAxisClassStorage:
         clone = copy.deepcopy(state).classes[0]
         clone.record_rings(np.array([1.0, 1.0]))
         clone.append_gu(2, [(0, 1)], 1, 0.5, 2.0, 0.4, 10.0)
-        assert clone.cum_ring.tolist() == [1.0, 1.0, 0.0]
-        assert cls.cum_ring.tolist() == [0.0, 0.0]
+        assert clone.cum_ring.tolist() == [[1.0, 1.0, 0.0]]
+        assert cls.cum_ring.tolist() == [[0.0, 0.0]]
 
     def test_metamer_bears_one_lateral(self):
         _, cls = self._bearer()

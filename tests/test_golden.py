@@ -11,10 +11,14 @@ import os
 
 import pytest
 
-from treesink.calibration import fit_topology
+from treesink.calibration import (AnnealSchedule, FitSpec, FreeParameter,
+                                  fit_topology)
+from treesink.core import TrunkScriptEntry
 from treesink.engine import simulate
 from treesink.fileio import (parse_target_file, read_parameter_file,
                              write_fit_result, write_simulation_output)
+from treesink.synthetic import (generate_synthetic_target,
+                                reference_parameters, reference_zone_rules)
 
 from conftest import fixture_path
 
@@ -50,6 +54,15 @@ FIT_DIGESTS = {
         "33317b5d456467e4f7ce2f1bdb8ba842f010c7edb003728eec52a1a54c548177",
 }
 
+#: a seeded 8-cycle identification whose trust regions take many Jacobian
+#: steps (demos/04's chain, annealed to its stop temperature)
+SMALL_FIT_DIGESTS = {
+    "fit_result.json":
+        "7b52f6d48eed9f03746a4116ad81a3e06718e919ed739f8b070925714146c249",
+    "predicted_vs_observed.csv":
+        "fe6e73d70d36e911c5108e8ea349eb7334273bf70d07ce587ecf452e2f5cabe9",
+}
+
 
 def _digests(paths):
     out = {}
@@ -75,3 +88,23 @@ def test_bundled_fit_files_are_byte_identical(tmp_path):
                for i in (1, 2)]
     result = fit_topology(spec, params, zones, targets)
     assert _digests(write_fit_result(tmp_path, result)) == FIT_DIGESTS
+
+
+def test_small_fit_files_are_byte_identical(tmp_path):
+    params, zones = reference_parameters(), reference_zone_rules()
+    script = tuple(
+        TrunkScriptEntry(g, 4 if g <= 2 else 5,
+                         ((3, 1),) if g in (3, 5, 7) else
+                         ((2, 1),) if g == 6 else ())
+        for g in range(1, 9))
+    target = generate_synthetic_target(params, zones, script, 0)
+    spec = FitSpec(
+        continuous=[FreeParameter("v_1", 150.0, 2500.0, 900.0),
+                    FreeParameter("gamma", 0.5, 5.0, 2.0)],
+        topological=[FreeParameter("m2_2_0", 0.0, 3.0, 1.0),
+                     FreeParameter("a2_2_4", 0.0, 1.5, 0.2)],
+        schedule=AnnealSchedule(t0=0.5, cooling=0.75, steps_per_t=8,
+                                t_stop_ratio=5e-2, step_scale=0.3),
+        seed=7, stop_objective=None, polish_rounds=3, max_nfev=40)
+    result = fit_topology(spec, params, zones, [target])
+    assert _digests(write_fit_result(tmp_path, result)) == SMALL_FIT_DIGESTS

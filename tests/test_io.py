@@ -298,6 +298,23 @@ class TestCli:
         assert result.returncode == 1
         assert "lambda_mix" in result.stdout
 
+    def test_non_finite_zone_coefficient_fails_without_traceback(
+            self, tmp_path):
+        bad = tmp_path / "bad.params"
+        text = open(fixture_path("species.params")).read()
+        bad.write_text(text.replace("zone_2_4 = 1.0, 1.1, 2, 0.0, 0.6",
+                                    "zone_2_4 = 1.0, nan, 2, 0.0, 0.6"))
+        result = run_cli("validate", "--params", str(bad))
+        assert result.returncode == 1
+        assert "zone Z^24: m2 must be finite: nan" in result.stdout
+        result = run_cli("simulate", "--params", str(bad),
+                         "--synthetic-script", "tree1",
+                         "--out", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert "m2 must be finite" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_fit_section_init_outside_bounds_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.params"
         text = open(fixture_path("species.params")).read()
@@ -464,6 +481,25 @@ class TestRunConfig:
         assert capsys.readouterr().err == \
             "error: --seed: seed must be >= 0: -1\n"
         assert not (tmp_path / "out").exists()
+
+    def test_plot_writers_without_matplotlib_raise(self, tmp_path,
+                                                   monkeypatch):
+        from treesink import plots
+        from treesink.calibration import FitResult
+        from treesink.core import ValidationError
+        from treesink.synthetic import reference_parameters, \
+            reference_zone_rules, tree1_script
+        monkeypatch.setattr(plots, "HAVE_MATPLOTLIB", False)
+        output = simulate(reference_parameters(), reference_zone_rules(),
+                          script_only_dataset(tree1_script()[:3]))
+        result = FitResult(continuous={}, topology={}, intervals={},
+                           v_env=[], objective=0.0, trace=[], r_squared={},
+                           predicted_observed=[])
+        for write, arg in ((plots.write_simulation_plots, output),
+                           (plots.write_fit_plots, result)):
+            with pytest.raises(ValidationError, match="'plots' extra"):
+                write(tmp_path / "charts", arg)
+        assert not (tmp_path / "charts").exists()
 
     def test_plots_without_matplotlib_is_an_error(self, tmp_path, capsys,
                                                   monkeypatch):
