@@ -258,8 +258,7 @@ def batch_residuals(candidates: list[dict[str, float]],
         live = [k for k, chunks in enumerate(results)
                 if isinstance(chunks, list)]
         runs = simulate_batch([applied[k][0] for k in live], cand_zones, ds,
-                              tree_index=i, with_topology=False,
-                              with_signature=False)
+                              tree_index=i)
         for k, output in zip(live, runs):
             try:
                 if isinstance(output, TreesinkError):

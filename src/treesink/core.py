@@ -216,14 +216,14 @@ class TrunkScriptEntry:
         return sum(c for _, c in self.branches)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RingObservation:
     gu_index: int
     tree_age: int
     diameter_cm: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TrunkObservation:
     gu_index: int
     mass_g: float
@@ -231,7 +231,7 @@ class TrunkObservation:
     length_cm: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BranchObservation:
     """Averaged order-2 branch compartments for one (bearing GU, PA) pair."""
 
@@ -241,7 +241,7 @@ class BranchObservation:
     leaf_g: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BranchRow:
     """A simulated BranchObservation, with the branch count and mean axis
     length."""

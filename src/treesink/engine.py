@@ -32,7 +32,7 @@ from .core import (CM2_PER_M2, MEASUREMENTS, TRUNK_PA, AlignmentError,
                    validate_script)
 from .sourcesink import (CycleAllocation, allocate_shoots, production,
                          ring_demand, solve_global_demand)
-from .structure import (CUM_RING, LENGTH, AxisClass, MetamerCohort, TreeState,
+from .structure import (LENGTH, AxisClass, MetamerCohort, TreeState,
                         expand_shoot_values, metamer_diameter,
                         metamer_diameters)
 from .topology import (OrganogenesisPlan, column_plan, organogenesis_step,
@@ -208,7 +208,7 @@ def _partition_rings_factorized(state: TreeState, cols, q_r, cycle: int
     else:
         incs *= np.array(pool_coef)[:, None]
     incs *= np.asarray(q_r, float).reshape(-1, 1)
-    state.arena.field(CUM_RING)[:] += incs
+    state.arena.cum_ring += incs
     # the trunk (class 0) increments feed the ring-diameter matrix
     state.trunk_rings.append((cycle, incs[:, :bounds[1]].copy()))
 
@@ -377,14 +377,14 @@ def simulate(params: GrowthParameters, zones: ZoneRuleSet,
 
 
 def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
-                   dataset: TargetDataset, tree_index: int = 0,
-                   cycles: int | None = None, with_topology: bool = True,
-                   with_signature: bool = True
+                   dataset: TargetDataset, tree_index: int = 0
                    ) -> list[SimulationOutput | TreesinkError]:
-    """:func:`simulate` under each parameter set, as one batched run.
+    """The profile-only :func:`simulate` under each parameter set, as one
+    batched run.
 
-    Item ``k`` is what ``simulate`` gives for ``params[k]``: its output,
-    bit for bit, or the TreesinkError it raises.  A request that fails its
+    Item ``k`` is what ``simulate(params[k], zones, dataset, tree_index,
+    with_topology=False, with_signature=False)`` gives: its output, bit for
+    bit, or the TreesinkError it raises.  A request that fails its
     checks does not join the batch.  A column whose rounding outcome
     departs from the first column's leaves the batch and runs alone, and
     the others run again as a batch; a batched run that raises sends every
@@ -394,8 +394,7 @@ def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
     live = []
     for k, p in enumerate(params):
         try:
-            n_cycles = check_run_request(p, zones, dataset, tree_index,
-                                         cycles)
+            n_cycles = check_run_request(p, zones, dataset, tree_index, None)
             live.append(k)
         except TreesinkError as exc:
             results[k] = exc
@@ -404,8 +403,7 @@ def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
         if len(live) > 1:
             try:
                 outputs = _run([params[k] for k in live], zones, dataset,
-                               tree_index, n_cycles, with_topology,
-                               with_signature)
+                               tree_index, n_cycles)
             except ColumnsLeft as left:
                 alone = [live[i] for i in left.columns]
             except TreesinkError:   # alone, each column raises or not
@@ -417,15 +415,15 @@ def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
         for k in alone:
             try:
                 [results[k]] = _run((params[k],), zones, dataset, tree_index,
-                                    n_cycles, with_topology, with_signature)
+                                    n_cycles)
             except TreesinkError as exc:
                 results[k] = exc
         live = [k for k in live if k not in alone]
     return results
 
 
-def _run(cols, zones, dataset, tree_index, n_cycles, with_topology,
-         with_signature) -> list[SimulationOutput]:
+def _run(cols, zones, dataset, tree_index, n_cycles, with_topology=False,
+         with_signature=False) -> list[SimulationOutput]:
     """Every column's output of one batched run of checked requests."""
     state = start_state(cols, zones, dataset)
     allocations = [step(state, cols, zones, dataset, tree_index, n_cycles)
@@ -544,7 +542,7 @@ def extract_targets(output: SimulationOutput, dataset: TargetDataset
         served = {key(r): r for r in getattr(output, m.field)}
         rows = getattr(dataset, m.field)
         matched = [served.get(key(t)) for t in rows]
-        missing += [m.label.format_map({f: getattr(t, f) for f in m.key})
+        missing += [m.label.format_map(vars(t))
                     for t, row in zip(rows, matched) if row is None]
         if not missing:
             sim.append(np.array(list(map(values, matched)), float))

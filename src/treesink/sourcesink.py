@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import AllocationError, SimulationError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CycleAllocation:
     """Per-cycle record of production and its two-compartment split."""
 

@@ -10,10 +10,12 @@ The tree owns every per-metamer value in one :class:`Arena`.  A growth
 unit's metamers are alike when they expand, so the arena stores their
 internode mass, length, leaf mass and leaf area once per growth unit, and
 only the cumulative ring mass, which depends on a metamer's position, once
-per metamer.  Both tables keep each class's columns contiguous (base to
-apex, growth units in rank order) and the classes in creation order, so the
-per-cycle ring partition and foliage scans are whole-arena operations.  A
-class holds no arrays, only its index into the arena's class offsets.
+per metamer (for the bundled tree2 with ten parameter columns, 1.3 MB of
+floats instead of 3.6 MB).  Both tables keep each class's columns
+contiguous (base to apex, growth units in rank order) and the classes in
+creation order, so the per-cycle ring partition and foliage scans are
+whole-arena operations.  A class holds no arrays, only its index into the
+arena's class offsets.
 
 A tree may carry K parameter columns: K runs that share every decision
 (classes, growth units, laterals, multiplicities) but not their masses.
@@ -48,7 +50,7 @@ INTERNODE_MASS, LENGTH, LEAF_MASS, LEAF_AREA, CUM_RING = range(5)
 BEARER, ROW, CHILD, COUNT = range(4)
 
 
-@dataclass(slots=True)
+@dataclass
 class GUInfo:
     """Bookkeeping for one growth unit inside an axis class."""
 
@@ -77,19 +79,12 @@ class MetamerCohort:
     borne_axes: dict[int, int]  # axillary PA -> per-instance count
 
 
-#: cells up to which a merge gathers the whole table at once; beyond, row
-#: by row is faster (on a 2-core host both cross near 2**15 cells)
-_WHOLE_MERGE_CELLS = 2 ** 15
-
-
 def _merged(table: np.ndarray, new: np.ndarray, order: np.ndarray
             ) -> np.ndarray:
     """The columns of ``table`` and then ``new`` (as many rows), taken in
     ``order``."""
-    if len(table) * order.size <= _WHOLE_MERGE_CELLS:
-        return np.concatenate((table, new), axis=1).take(order, axis=1)
     out = np.empty((len(table), order.size), table.dtype)
-    for field_row, old, added in zip(out, table, new):
+    for field_row, old, added in zip(out, table, new):   # faster by rows
         np.concatenate((old, added)).take(order, out=field_row)
     return out
 
@@ -272,14 +267,14 @@ class AxisClass:
         return gu
 
     def record_rings(self, increments: np.ndarray) -> None:
-        """Add one cycle's per-instance ring increments to every metamer:
-        one row per column, or one row shared by every column."""
+        """Add one cycle's per-instance ring increments to every metamer of
+        the first column."""
         s, e = self.arena.segment(self.index)
-        if increments.shape[-1] != e - s:
+        if increments.size != e - s:
             raise SimulationError(
-                f"ring increment vector size {increments.shape[-1]} != "
+                f"ring increment vector size {increments.size} != "
                 f"{e - s} metamers")
-        self.arena.cum_ring[:, s:e] += increments
+        self.arena.cum_ring[0, s:e] += increments
 
     def set_child(self, flat_idx: int, child_class_idx: int,
                   per_instance_count: int) -> None:
@@ -305,10 +300,9 @@ class AxisClass:
             out[g].append((row - starts[g] + 1, child, count))
         return out
 
-    def cohorts(self, tree: TreeState, column: int = 0
-                ) -> list[MetamerCohort]:
-        """The class's metamer cohorts, with the values of one column."""
-        values = np.array([values[column] for values in (
+    def cohorts(self, tree: TreeState) -> list[MetamerCohort]:
+        """The class's metamer cohorts, with the first column's values."""
+        values = np.array([values[0] for values in (
             self.internode_mass, self.length, self.leaf_mass, self.leaf_area,
             self.cum_ring)]).T.tolist()
         out = []
@@ -372,10 +366,10 @@ class TreeState:
     def trunk(self) -> AxisClass:
         return self.classes[0]
 
-    def cohorts(self, column: int = 0) -> list[MetamerCohort]:
+    def cohorts(self) -> list[MetamerCohort]:
         out = []
         for cls in self.classes:
-            out.extend(cls.cohorts(self, column))
+            out.extend(cls.cohorts(self))
         return out
 
     # ------------------------------------------------------------------

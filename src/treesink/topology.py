@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 from .core import (TRUNK_PA, GrowthParameters,
                    SimulationError, TrunkScriptEntry, ZoneRule, ZoneRuleSet,
@@ -48,12 +47,12 @@ def axis_total(positions: int, zone: ZoneRule, ratio: float) -> int:
     return max(0, min(raw, positions))
 
 
-class PositionGroup(NamedTuple):
+@dataclass(frozen=True)
+class PositionGroup:
     """One assignable unit for axis distribution: the metamers occupying the
     same rank on all instances of one growth-unit class.  ``age`` is the
     bearing axis's age in cycles (older served first); ``size`` the number of
-    tree-wide instances.  A tuple, so that a tree's thousands of groups are
-    cheap to build."""
+    tree-wide instances."""
 
     age: int
     rank: int
@@ -242,11 +241,11 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
             offset = 0
             for zone_pa, count in gu.zone_counts.items():
                 if zone_pa == rule.axillary_pa:
-                    age, first = n - cls.birth_cycle + 1, gu.start + offset
-                    groups += [PositionGroup(age, offset + r + 1,
-                                             cls.multiplicity,
-                                             (cls.index, first + r))
-                               for r in range(count)]
+                    groups += [PositionGroup(
+                        age=n - cls.birth_cycle + 1, rank=offset + r + 1,
+                        size=cls.multiplicity,
+                        payload=(cls.index, gu.start + offset + r))
+                        for r in range(count)]
                 offset += count
         if not groups:
             continue

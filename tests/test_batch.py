@@ -6,6 +6,7 @@ one batched run per tree, so its bits, and with them the fit's path, hold
 only if each column's residual equals the serial one bit for bit.
 """
 
+import numpy as np
 import pytest
 
 from treesink import calibration, engine
@@ -14,6 +15,7 @@ from treesink.calibration import (apply_candidate, batch_residuals,
                                   weighted_residuals)
 from treesink.core import TreesinkError
 from treesink.fileio import parse_target_file, read_parameter_file
+from treesink.structure import TreeState
 
 from conftest import fixture_path
 
@@ -61,6 +63,19 @@ def test_jacobian_columns_equal_serial_residuals(bundled, monkeypatch):
                                weights)
 
 
+def _log_runs(monkeypatch) -> list[tuple[int, int]]:
+    """(columns, tree index) of every engine run from now on."""
+    runs = []
+    run = engine._run
+
+    def counted(columns, zones, dataset, tree_index, *args):
+        runs.append((len(columns), tree_index))
+        return run(columns, zones, dataset, tree_index, *args)
+
+    monkeypatch.setattr(engine, "_run", counted)
+    return runs
+
+
 def _signature(params, zones, dataset, values):
     cand, cand_zones = apply_candidate(params, zones, values)
     return engine.simulate(cand, cand_zones, dataset,
@@ -82,14 +97,7 @@ def test_columns_that_leave_the_batch(bundled, monkeypatch):
                           {**base, "v_1": mid}) == reference
         lo, hi = (mid, hi) if same else (lo, mid)
 
-    runs = []
-
-    def counted(columns, zones, dataset, tree_index, *args):
-        runs.append((len(columns), tree_index))
-        return run(columns, zones, dataset, tree_index, *args)
-
-    run = engine._run
-    monkeypatch.setattr(engine, "_run", counted)
+    runs = _log_runs(monkeypatch)
     candidates = [base, {**base, "v_1": lo}, {**base, "v_1": hi},
                   {**base, "alpha": 0.0},   # fails validation
                   {**base, "sp0": base["sp0"] * (1 + 1e-6)}]
@@ -102,3 +110,56 @@ def test_columns_that_leave_the_batch(bundled, monkeypatch):
     ran = [_same_as_serial(c, r, params, zones, targets, weights)
            for c, r in zip(candidates, results)]
     assert ran == [True, True, True, False, True]
+
+
+def test_a_raising_batch_runs_every_column_alone(bundled, monkeypatch):
+    # the second column passes every check but its production diverges in
+    # tree 1's first cycle, which stops the batched run
+    params, zones, spec, targets, weights = bundled
+    base = {p.name: p.init for p in spec.continuous}
+    candidates = [base, {**base, "v_1": 1e20},
+                  {**base, "sp0": base["sp0"] * (1 + 1e-6)}]
+    runs = _log_runs(monkeypatch)
+    results = batch_residuals(candidates, params, zones, targets, weights)
+    monkeypatch.undo()
+    # on tree 1 each column then ran alone; on tree 2 the two that did not
+    # fail ran as a batch
+    assert runs == [(3, 0), (1, 0), (1, 0), (1, 0), (2, 1)]
+    assert "production diverged" in str(results[1])
+    ran = [_same_as_serial(c, r, params, zones, targets, weights)
+           for c, r in zip(candidates, results)]
+    assert ran == [True, False, True]
+
+
+def test_a_column_dropping_the_pressler_term_leaves(bundled, monkeypatch):
+    # production needs live leaves, which lie above the trunk base, so no
+    # crown with production drops the Pressler term; the ring partition's
+    # foliage scan reads none for the columns marked by p_rg_4, whether
+    # they run batched or alone
+    params, zones, spec, targets, weights = bundled
+    mark = 0.0123
+    arrays = TreeState.ring_partition_arrays
+
+    def leafless(self, p_rg, live_cycle):
+        bounds, s_a, weight, mult = arrays(self, p_rg, live_cycle)
+        for row, sinks in zip(s_a, np.reshape(p_rg, (self.columns, -1))):
+            if sinks[3] == mark:
+                row[:] = 0.0
+        return bounds, s_a, weight, mult
+
+    monkeypatch.setattr(TreeState, "ring_partition_arrays", leafless)
+    base = {p.name: p.init for p in spec.continuous}
+    candidates = [base, {**base, "p_rg_4": mark},
+                  {**base, "gamma": base["gamma"] * (1 + 1e-6)}]
+    runs = _log_runs(monkeypatch)
+    results = batch_residuals(candidates, params, zones, targets, weights)
+    # on each tree the marked column left the batch and ran alone, and the
+    # other two ran again as a batch
+    assert runs == [(3, 0), (1, 0), (2, 0), (3, 1), (1, 1), (2, 1)]
+    cand, cand_zones = apply_candidate(params, zones, candidates[1])
+    output = engine.simulate(cand, cand_zones, targets[0],
+                             with_topology=False)
+    assert "cycle 1: no foliage, Pressler term dropped" in output.notes
+    ran = [_same_as_serial(c, r, params, zones, targets, weights)
+           for c, r in zip(candidates, results)]
+    assert ran == [True, True, True]
