@@ -32,8 +32,8 @@ for _ in range(dataset.tree_age):
 
 # the trunk's metamers with their foliage-above, as (multiplicity, PA,
 # length, leaf surface above) rows for the partition primitive
-trunk = state.trunk
-bounds, s_above = state.foliage_above(live_cycle=state.cycle)
+trunk = state.classes[0]
+bounds, s_above = state.foliage_above()
 s_above = s_above[0, bounds[0]:bounds[1]]   # the one parameter column
 rows = [(1, trunk.pa, float(length), float(s_a))
         for length, s_a in zip(trunk.length[0], s_above)]

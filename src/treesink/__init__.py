@@ -4,8 +4,7 @@ and global parameter identification."""
 from .core import (GrowthParameters, TargetDataset, TrunkScriptEntry,
                    ZoneRule, ZoneRuleSet, default_zone_rules,
                    validate_parameters, validate_target)
-from .engine import (SimulationOutput, extract_targets, leaves_above,
-                     simulate)
+from .engine import SimulationOutput, extract_targets, simulate
 from .oracle import simulate_naive
 from .sourcesink import (CycleAllocation, allocate_shoots, partition_rings,
                          production, ring_demand, shoot_demand,
@@ -24,7 +23,7 @@ __all__ = [
     "TrunkScriptEntry", "ZoneRule", "ZoneRuleSet", "allocate_shoots",
     "axis_total", "compute_intervals", "default_zone_rules",
     "distribute_axes", "extract_targets", "fit_continuous", "fit_topology",
-    "leaves_above", "metamer_count", "objective", "organogenesis_step",
+    "metamer_count", "objective", "organogenesis_step",
     "partition_rings", "production", "ring_demand", "shoot_demand",
     "simulate", "simulate_naive", "solve_global_demand",
     "validate_parameters", "validate_target",

@@ -322,32 +322,23 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
     start = np.clip(start, lower, upper)
     evals = 0
 
-    def residual_fn(x):
-        nonlocal evals
-        evals += 1
-        values = {**fixed, **{n: float(v) for n, v in zip(names, x)}}
-        try:
-            return weighted_residuals(values, params, zones, targets, weights)
-        except TreesinkError:
-            # a large flat penalty steers the trust region away without NaNs
-            return np.full(_n_points(targets), 1e12)
-
     def jacobian_columns(_fun, points):
-        """scipy's map over the finite-difference points of one Jacobian:
-        residual_fn of each point, from one batched run per tree."""
+        """The residuals of each point, from one batched run per tree:
+        scipy's map over the finite-difference points of one Jacobian."""
         nonlocal evals
         values = [{**fixed, **{n: float(v) for n, v in zip(names, x)}}
                   for x in points]
         evals += len(values)
+        # a large flat penalty steers the trust region away without NaNs
         penalty = np.full(_n_points(targets), 1e12)
         return [penalty if isinstance(res, TreesinkError) else res
                 for res in batch_residuals(values, params, zones, targets,
                                            weights)]
 
     x_scale = np.maximum(np.abs(start), 1e-3 * np.maximum(upper - lower, 1e-12))
-    result = least_squares(residual_fn, start, bounds=(lower, upper),
-                           x_scale=x_scale, diff_step=1e-6,
-                           max_nfev=max_nfev, method="trf",
+    result = least_squares(lambda x: jacobian_columns(None, [x])[0], start,
+                           bounds=(lower, upper), x_scale=x_scale,
+                           diff_step=1e-6, max_nfev=max_nfev, method="trf",
                            workers=jacobian_columns)
     estimates = {n: float(v) for n, v in zip(names, result.x)}
     obj = float(result.fun @ result.fun)

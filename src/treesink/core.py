@@ -181,9 +181,6 @@ class ZoneRuleSet:
                 out.append(rule)
         return out
 
-    def rule_map(self) -> dict[tuple[int, int], ZoneRule]:
-        return dict(self._by_key)
-
     def with_rule(self, rule: ZoneRule) -> "ZoneRuleSet":
         rules = tuple(rule if r.key == rule.key else r for r in self.rules)
         return ZoneRuleSet(rules=rules, eq_fixed=self.eq_fixed)

@@ -32,8 +32,7 @@ from .core import (CM2_PER_M2, MEASUREMENTS, TRUNK_PA, AlignmentError,
                    validate_script)
 from .sourcesink import (CycleAllocation, allocate_shoots, production,
                          ring_demand, solve_global_demand)
-from .structure import (LENGTH, AxisClass, MetamerCohort, TreeState,
-                        expand_shoot_values, metamer_diameter,
+from .structure import (LENGTH, AxisClass, TreeState, expand_shoot_values,
                         metamer_diameters)
 from .topology import (OrganogenesisPlan, column_plan, organogenesis_step,
                        seed_plan, seed_ratio)
@@ -172,7 +171,7 @@ def _partition_rings_factorized(state: TreeState, cols, q_r, cycle: int
     Each column's coefficients come from the scalar rule; the arrays carry
     every column at once."""
     bounds, s_a, weight, mult = state.ring_partition_arrays(
-        [p.p_rg for p in cols], live_cycle=cycle)
+        [p.p_rg for p in cols])
     pool_coef, pressler_coef, dropped = [], [], []
     for p, q, w, s in zip(cols, np.asarray(q_r).tolist(), weight, s_a):
         d_pool = float(mult @ w)
@@ -260,8 +259,7 @@ def step(state: TreeState, params, zones: ZoneRuleSet,
         _expand_planned_shoots(state, cols, state.pending_plans,
                                state.pending_fund)
 
-        s_blade = (state.total_blade_area_cm2(live_cycle=n)
-                   / CM2_PER_M2).tolist()
+        s_blade = (state.total_blade_area_cm2() / CM2_PER_M2).tolist()
         q = [net_production(p, s, tree_index) for p, s in zip(cols, s_blade)]
 
         next_entry = (dataset.script_entry(n + 1)
@@ -284,37 +282,6 @@ def step(state: TreeState, params, zones: ZoneRuleSet,
         if isinstance(exc, SimulationError) and exc.cycle is not None:
             raise
         raise SimulationError(f"cycle {n}: {exc}", cycle=n) from exc
-
-
-def leaves_above(state: TreeState, cohort: MetamerCohort,
-                 live_cycle: int | None = None) -> np.ndarray:
-    """Per column, the foliage area (cm², per instance) at or above one
-    metamer cohort in the tree topology: its own leaf, all leaves distal on
-    its axis, and the subtrees of laterals borne at or above it.
-    ``live_cycle=None`` counts leaves of every age (the engine itself uses
-    the current cycle only)."""
-    axis_birth = cohort.birth_cycle - (cohort.gu_rank - 1)
-    cls = state.get_class(cohort.pa, axis_birth)
-    if cls is None or cohort.gu_rank > len(cls.gus):
-        raise SimulationError(
-            f"no cohort (pa={cohort.pa}, birth={cohort.birth_cycle}, "
-            f"gu_rank={cohort.gu_rank}) in this state")
-    gu = cls.gus[cohort.gu_rank - 1]
-    if not (1 <= cohort.rank <= gu.count):
-        raise SimulationError(f"metamer rank {cohort.rank} outside growth unit")
-    idx = state.class_index[(cohort.pa, axis_birth)]
-    bounds, s_a = state.foliage_above(live_cycle)
-    return s_a[:, bounds[idx] + gu.start + cohort.rank - 1]
-
-
-def geometry(params: GrowthParameters, cohort: MetamerCohort
-             ) -> tuple[float, float]:
-    """(length cm, external diameter cm) of a metamer cohort: the length is
-    frozen at expansion; the diameter holds the internode plus all ring
-    increments as a cylinder of fresh wood."""
-    wood = cohort.internode_mass + cohort.ring_mass
-    return cohort.internode_length, metamer_diameter(
-        wood, cohort.internode_length, params.wood_density)
 
 
 def check_run_request(params: GrowthParameters, zones: ZoneRuleSet,
@@ -461,7 +428,7 @@ def _collect_output(state: TreeState, cols, allocations, tree_index: int,
 
     # every array before the Python rows, which outlive them
     wood_totals = state.subtree_wood_totals()
-    leaf_totals = state.subtree_leaf_mass_totals(live_cycle=state.cycle)
+    leaf_totals = state.subtree_leaf_mass_totals()
     lengths = state.arena.segment_sums(state.arena.field(LENGTH))
     total_wood = state.total_wood_mass().tolist()
     total_leaf = state.total_leaf_mass_ever().tolist()

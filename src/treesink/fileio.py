@@ -62,8 +62,11 @@ def _parse_flag(text, path, line_no, what):
 
 
 def _parse_lines(path):
-    """Yield (line number, section, key, value) for key=value lines."""
+    """Yield (line number, section, key, value) for key=value lines, the
+    section "" before any header and for [parameters] or [species].  A key
+    given twice in one section is an error at its second line."""
     section = ""
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -71,12 +74,18 @@ def _parse_lines(path):
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip().lower()
+                if section in ("parameters", "species"):
+                    section = ""
                 continue
             if "=" not in line:
                 raise ParseError(f"expected key = value, got {line!r}",
                                  path, line_no)
-            key, value = line.split("=", 1)
-            yield line_no, section, key.strip(), value.strip()
+            key, value = (text.strip() for text in line.split("=", 1))
+            first = first_line.setdefault((section, key), line_no)
+            if first != line_no:
+                raise ParseError(f"{key} given twice, first at line {first}",
+                                 path, line_no)
+            yield line_no, section, key, value
 
 
 def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
@@ -89,7 +98,7 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
     fit_lines: dict[str, tuple[int, str]] = {}
 
     for line_no, section, key, value in _parse_lines(path):
-        if section in ("", "parameters", "species"):
+        if not section:
             kind = _PARAMETER_TYPES.get(key)
             if kind is None:
                 raise ParseError(f"unknown parameter {key!r}", path, line_no)
@@ -362,14 +371,23 @@ def parse_target_file(path) -> TargetDataset:
                              path, line_no, len(cells) + 1)
         return out
 
+    def measured(m):
+        """The rows of section ``m``, each with a key of its own."""
+        rows, first_line = [], {}
+        for n, c in sections[m.section]:
+            rows.append(m.row(*numbers(c, n, _TARGET_COLUMNS[m.section])))
+            first = first_line.setdefault(attrgetter(*m.key)(rows[-1]), n)
+            if first != n:
+                raise ParseError(f"{m.label.format_map(vars(rows[-1]))} given "
+                                 f"twice, first at line {first}", path, n, 1)
+        return tuple(rows)
+
     script = tuple(TrunkScriptEntry(
         *numbers(c, n, _TARGET_COLUMNS["script"][:2]),
         _parse_branch_spec(c[2] if len(c) > 2 else "", path, n))
         for n, c in sections["script"])
     dataset = TargetDataset(trunk_script=script, **{
-        m.field: tuple(m.row(*numbers(c, n, _TARGET_COLUMNS[m.section]))
-                       for n, c in sections[m.section])
-        for m in MEASUREMENTS})
+        m.field: measured(m) for m in MEASUREMENTS})
     report = validate_target(dataset)
     if not report.ok:
         raise ParseError("invalid target data: "

@@ -61,24 +61,6 @@ class GUInfo:
     zone_counts: dict[int, int] | None  # axillary PA -> metamer count
 
 
-@dataclass(frozen=True)
-class MetamerCohort:
-    """Read-only view of one metamer cohort (all identical instances across
-    the tree)."""
-
-    pa: int
-    birth_cycle: int
-    gu_rank: int
-    rank: int                  # position along the bearing growth unit
-    multiplicity: int
-    internode_mass: float
-    internode_length: float
-    leaf_mass: float
-    leaf_area: float
-    ring_mass: float           # cumulative ring increments, per instance
-    borne_axes: dict[int, int]  # axillary PA -> per-instance count
-
-
 def _merged(table: np.ndarray, new: np.ndarray, order: np.ndarray
             ) -> np.ndarray:
     """The columns of ``table`` and then ``new`` (as many rows), taken in
@@ -228,8 +210,6 @@ class AxisClass:
 
     internode_mass = _arena_field(INTERNODE_MASS)
     length = _arena_field(LENGTH)
-    leaf_mass = _arena_field(LEAF_MASS)
-    leaf_area = _arena_field(LEAF_AREA)
     cum_ring = _arena_field(CUM_RING)
 
     @property
@@ -300,27 +280,6 @@ class AxisClass:
             out[g].append((row - starts[g] + 1, child, count))
         return out
 
-    def cohorts(self, tree: TreeState) -> list[MetamerCohort]:
-        """The class's metamer cohorts, with the first column's values."""
-        values = np.array([values[0] for values in (
-            self.internode_mass, self.length, self.leaf_mass, self.leaf_area,
-            self.cum_ring)]).T.tolist()
-        out = []
-        for gu, laterals in zip(self.gus, self.laterals_by_gu()):
-            borne = {rank: {tree.classes[child].pa: count}
-                     for rank, child, count in laterals}
-            for rank in range(1, gu.count + 1):
-                internode, length, leaf_mass, leaf_area, ring = \
-                    values[gu.start + rank - 1]
-                out.append(MetamerCohort(
-                    pa=self.pa, birth_cycle=gu.birth_cycle,
-                    gu_rank=gu.rank, rank=rank,
-                    multiplicity=self.multiplicity,
-                    internode_mass=internode, internode_length=length,
-                    leaf_mass=leaf_mass, leaf_area=leaf_area,
-                    ring_mass=ring, borne_axes=borne.get(rank, {})))
-        return out
-
 
 @dataclass
 class TreeState:
@@ -330,24 +289,26 @@ class TreeState:
 
     cycle: int = 0
     columns: int = 1
-    classes: list[AxisClass] = field(default_factory=list)
-    class_index: dict[tuple[int, int], int] = field(default_factory=dict)
+    classes: list[AxisClass] = field(init=False, default_factory=list)
+    class_index: dict[tuple[int, int], int] = field(init=False,
+                                                    default_factory=dict)
     # previous-cycle Q/D driving organogenesis
     ratio_lagged: list[float] = field(default_factory=list)
     # OrganogenesisPlans for cycle+1, and the Q_s committed to them
     pending_plans: list = field(default_factory=list)
     pending_fund: list[float] = field(default_factory=list)
     # (cycle, (columns, trunk metamers) per-instance ring increments)
-    trunk_rings: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    trunk_rings: list[tuple[int, np.ndarray]] = field(init=False,
+                                                      default_factory=list)
     # per column, the expanded OrganogenesisPlans: the decisions the
     # architecture rests on, with that column's ratios and shoot demands
-    decisions: list[list] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    decisions: list[list] = field(init=False)
+    notes: list[str] = field(init=False, default_factory=list)
     arena: Arena = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.arena = Arena(self.columns)
-        self.decisions = self.decisions or [[] for _ in range(self.columns)]
+        self.decisions = [[] for _ in range(self.columns)]
 
     def add_class(self, pa: int, birth_cycle: int, multiplicity: int) -> AxisClass:
         key = (pa, birth_cycle)
@@ -362,36 +323,22 @@ class TreeState:
         idx = self.class_index.get((pa, birth_cycle))
         return None if idx is None else self.classes[idx]
 
-    @property
-    def trunk(self) -> AxisClass:
-        return self.classes[0]
-
-    def cohorts(self) -> list[MetamerCohort]:
-        out = []
-        for cls in self.classes:
-            out.extend(cls.cohorts(self))
-        return out
-
     # ------------------------------------------------------------------
     # foliage scans
     # ------------------------------------------------------------------
 
-    def _live_totals(self, row: int, live_cycle: int | None) -> np.ndarray:
+    def _live_totals(self, row: int) -> np.ndarray:
         """(columns, classes): per class, the per-instance total of the
-        LEAF_AREA or LEAF_MASS ``row`` over the leaves alive at
-        ``live_cycle``: every leaf for None, else the newest growth unit's
-        if it was born at ``live_cycle`` (which must be the current cycle,
-        so that no growth unit is younger)."""
+        LEAF_AREA or LEAF_MASS ``row`` over the leaves alive at the current
+        cycle: the newest growth unit's, if it was born then."""
         arena = self.arena
         arena.settle()
-        if live_cycle is None:
-            return arena.segment_sums(arena.field(row))
-        # each class's newest unit, if born at live_cycle: its metamers'
+        # each class's newest unit, if born this cycle: its metamers'
         # value × their count
         totals = np.zeros((self.columns, len(self.classes)))
         alive = [(cls.index, arena.unit_bounds[cls.index + 1] - 1)
                  for cls in self.classes
-                 if cls.gus and cls.gus[-1].birth_cycle == live_cycle]
+                 if cls.gus and cls.gus[-1].birth_cycle == self.cycle]
         if alive:
             idx, units = np.array(alive).T
             totals[:, idx] = (arena.unit_field(row).take(units, axis=1)
@@ -406,13 +353,10 @@ class TreeState:
         mult = np.array([cls.multiplicity for cls in self.classes], float)
         return np.cumsum(mult * per_class, axis=1)[:, -1]
 
-    def total_blade_area_cm2(self, live_cycle: int | None = None
-                             ) -> np.ndarray:
-        """Per column, the blade area of the leaves alive at
-        ``live_cycle`` (default: the current cycle)."""
-        if live_cycle is None:
-            live_cycle = self.cycle
-        return self._instance_total(self._live_totals(LEAF_AREA, live_cycle))
+    def total_blade_area_cm2(self) -> np.ndarray:
+        """Per column, the blade area of the leaves alive at the current
+        cycle."""
+        return self._instance_total(self._live_totals(LEAF_AREA))
 
     def _subtree_totals(self, own: np.ndarray) -> np.ndarray:
         """(columns, classes) per-instance subtree sums of the per-class
@@ -431,21 +375,18 @@ class TreeState:
                     count[s:e] * totals.take(child[s:e], axis=1), axis=1)
         return totals
 
-    def foliage_above(self, live_cycle: int | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-instance foliage area at or above each metamer: its own leaf,
-        every leaf distal on its axis, and the full subtrees of laterals
-        borne at or above it.  Returns (class offsets, (columns, metamers)
-        areas): the areas of class ``i`` are ``areas[:, bounds[i]:bounds[i
-        + 1]]``, aligned with its arena segment.  ``live_cycle`` is None
-        (every leaf) or the current cycle."""
-        totals = self._subtree_totals(self._live_totals(LEAF_AREA,
-                                                        live_cycle))
+    def foliage_above(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-instance live foliage area at or above each metamer: its own
+        leaf, every leaf distal on its axis, and the full subtrees of
+        laterals borne at or above it, counting the leaves born at the
+        current cycle.  Returns (class offsets, (columns, metamers) areas):
+        the areas of class ``i`` are ``areas[:, bounds[i]:bounds[i + 1]]``,
+        aligned with its arena segment."""
+        totals = self._subtree_totals(self._live_totals(LEAF_AREA))
         arena = self.arena
         edges, leaf = arena.edges, arena.unit_field(LEAF_AREA)
         bounds = np.array(arena.bounds)
-        if live_cycle is not None:
-            leaf = np.where(arena.units[BIRTH] == live_cycle, leaf, 0.0)
+        leaf = np.where(arena.units[BIRTH] == self.cycle, leaf, 0.0)
         seg = np.repeat(leaf, arena.sizes, axis=1)
         seg[:, bounds[edges[BEARER]] + edges[ROW]] += \
             edges[COUNT] * totals.take(edges[CHILD], axis=1)
@@ -465,14 +406,13 @@ class TreeState:
             flat.take(cell, out=row)
         return bounds, seg
 
-    def ring_partition_arrays(self, p_rg, live_cycle: int | None
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                         np.ndarray]:
+    def ring_partition_arrays(self, p_rg) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-metamer arrays for the ring partition, over the whole arena:
         (class offsets, (columns, metamers) foliage at or above, (columns,
         metamers) ring sink × length weight, instance multiplicity), with
         ``p_rg`` the ring sinks by PA, one row per column."""
-        bounds, s_a = self.foliage_above(live_cycle)
+        bounds, s_a = self.foliage_above()
         arena = self.arena
         pa = np.array([cls.pa for cls in self.classes], np.intp)
         unit_pa = pa.take(arena.units[CLASS].astype(np.intp))
@@ -500,15 +440,17 @@ class TreeState:
         of each class's subtree."""
         return self._subtree_totals(self._own_wood())
 
-    def subtree_leaf_mass_totals(self, live_cycle: int | None = None
-                                 ) -> np.ndarray:
-        return self._subtree_totals(self._live_totals(LEAF_MASS, live_cycle))
+    def subtree_leaf_mass_totals(self) -> np.ndarray:
+        """(columns, classes) live leaf mass of each class's subtree."""
+        return self._subtree_totals(self._live_totals(LEAF_MASS))
 
     def total_wood_mass(self) -> np.ndarray:
         return self._instance_total(self._own_wood())
 
     def total_leaf_mass_ever(self) -> np.ndarray:
-        return self._instance_total(self._live_totals(LEAF_MASS, None))
+        arena = self.arena
+        arena.settle()
+        return self._instance_total(arena.segment_sums(arena.field(LEAF_MASS)))
 
     def topology_dump(self) -> dict:
         """JSON-ready description of the factorized architecture."""

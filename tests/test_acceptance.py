@@ -142,7 +142,7 @@ def test_criterion_4_pressler_limit():
 
     state, cycles = run_to_state(base.with_values(lambda_mix=1.0), zones,
                                  dataset, 1)
-    _bounds, [s_above] = state.foliage_above(live_cycle=state.cycle)
+    _bounds, [s_above] = state.foliage_above()
     worst = 0.0
     ratio_ref = None
     for inc, s in zip(np.concatenate(cycles[-1][1]), s_above):

@@ -140,8 +140,8 @@ def test_a_column_dropping_the_pressler_term_leaves(bundled, monkeypatch):
     mark = 0.0123
     arrays = TreeState.ring_partition_arrays
 
-    def leafless(self, p_rg, live_cycle):
-        bounds, s_a, weight, mult = arrays(self, p_rg, live_cycle)
+    def leafless(self, p_rg):
+        bounds, s_a, weight, mult = arrays(self, p_rg)
         for row, sinks in zip(s_a, np.reshape(p_rg, (self.columns, -1))):
             if sinks[3] == mark:
                 row[:] = 0.0

@@ -138,3 +138,8 @@ def test_zone_rule_lookup(zones):
     assert zones.get(3, 2) is None
     assert not zones.get(2, 0).branching
     assert math.isfinite(zones.get(2, 0).m_max)
+
+
+def test_every_exported_name_resolves():
+    import treesink
+    assert [n for n in treesink.__all__ if not hasattr(treesink, n)] == []

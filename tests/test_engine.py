@@ -5,9 +5,8 @@ import pytest
 
 from treesink.core import AlignmentError, SimulationError, TrunkScriptEntry
 from treesink import engine
-from treesink.engine import (extract_targets, geometry, leaves_above, simulate,
-                             start_state)
-from treesink.structure import (MetamerCohort, TreeState, metamer_diameter,
+from treesink.engine import extract_targets, simulate, start_state
+from treesink.structure import (BIRTH, LEAF_AREA, TreeState, metamer_diameter,
                                 expand_shoot_values)
 from treesink.synthetic import (dataset_from_output, script_only_dataset,
                                 tree2_script)
@@ -28,9 +27,10 @@ class TestSeedCycle:
         gu1 = trunk["growth_units"][0]
         assert gu1["metamer_count"] == 4
         # all of q0 lands in the single seed shoot, split 0.7:1 internode:leaf
-        cohorts = _state_after(params, zones, script)[0].cohorts()
-        total_internode = sum(c.internode_mass * c.multiplicity
-                              for c in cohorts)
+        state = _state_after(params, zones, script)[0]
+        total_internode = sum(
+            cls.multiplicity * float(cls.internode_mass.sum())
+            for cls in state.classes)
         total_leaf = out.total_leaf_ever_g
         assert total_internode + total_leaf == pytest.approx(params.q0,
                                                              rel=1e-12)
@@ -64,16 +64,18 @@ class TestLeafLifespan:
                                                   small_script):
         state, cycles = _state_after(params, zones, small_script)
         n = state.cycle
-
-        def birth(cls):   # per-metamer birth cycles, from the growth units
-            return np.repeat([gu.birth_cycle for gu in cls.gus],
-                             [gu.count for gu in cls.gus])
-
+        # per metamer, the first column's leaf area and birth cycle, and each
+        # class's arena segment
+        arena = state.arena
+        arena.settle()
+        leaf_area = arena.field(LEAF_AREA)[0]
+        birth = np.repeat(arena.units[BIRTH], arena.sizes)
+        segments = [slice(*arena.segment(cls.index)) for cls in state.classes]
         expected = sum(
-            cls.multiplicity * float(cls.leaf_area[0, birth(cls) == n].sum())
-            for cls in state.classes)
-        everything = sum(cls.multiplicity * float(cls.leaf_area.sum())
-                         for cls in state.classes)
+            cls.multiplicity * float(leaf_area[s][birth[s] == n].sum())
+            for cls, s in zip(state.classes, segments))
+        everything = sum(cls.multiplicity * float(leaf_area[s].sum())
+                         for cls, s in zip(state.classes, segments))
         assert cycles[-1][0].s_blade * 1e4 == pytest.approx(expected,
                                                            rel=1e-12)
         assert everything > expected  # older foliage exists but is dead
@@ -91,48 +93,37 @@ class TestRootFraction:
 
 class TestLeavesAbove:
     def _chain_state(self):
-        """Single axis, three growth units, one metamer each, all leaves
-        counted as live (leaf areas 11, 23, 47 base to tip)."""
+        """Single axis, three growth units, one metamer each, all born at
+        the current cycle so that every leaf is live (leaf areas 11, 23, 47
+        base to tip)."""
         state = TreeState(cycle=3)
         cls = state.add_class(2, 1, multiplicity=1)
-        for birth, area in ((1, 11.0), (2, 23.0), (3, 47.0)):
-            cls.append_gu(birth, [(0, 1)], 1, 0.5, 2.0, 0.4, area)
+        for area in (11.0, 23.0, 47.0):
+            cls.append_gu(3, [(0, 1)], 1, 0.5, 2.0, 0.4, area)
         return state
 
     def test_middle_of_chain(self):
-        state = self._chain_state()
-        cohort = MetamerCohort(pa=2, birth_cycle=2, gu_rank=2, rank=1,
-                               multiplicity=1, internode_mass=0.5,
-                               internode_length=2.0, leaf_mass=0.4,
-                               leaf_area=23.0, ring_mass=0.0,
-                               borne_axes={})
-        assert leaves_above(state, cohort, live_cycle=None) == pytest.approx(
-            23.0 + 47.0)
+        _bounds, [s_above] = self._chain_state().foliage_above()
+        assert s_above[1] == pytest.approx(23.0 + 47.0)
 
     def test_apex_sees_only_itself(self):
-        state = self._chain_state()
-        cohort = MetamerCohort(pa=2, birth_cycle=3, gu_rank=3, rank=1,
-                               multiplicity=1, internode_mass=0.5,
-                               internode_length=2.0, leaf_mass=0.4,
-                               leaf_area=47.0, ring_mass=0.0, borne_axes={})
-        assert leaves_above(state, cohort, live_cycle=None) == pytest.approx(47.0)
+        _bounds, [s_above] = self._chain_state().foliage_above()
+        assert s_above[2] == pytest.approx(47.0)
 
     def test_base_sees_whole_tree(self, params, zones, small_script):
         out = run(params, zones, small_script)
         state, _ = _state_after(params, zones, small_script)
-        trunk_base = state.trunk.cohorts(state)[0]
-        total = state.total_blade_area_cm2(live_cycle=state.cycle)
-        assert leaves_above(state, trunk_base,
-                            live_cycle=state.cycle) == pytest.approx(
-            total, rel=1e-12)
+        bounds, [s_above] = state.foliage_above()
+        [total] = state.total_blade_area_cm2()
+        assert s_above[bounds[0]] == pytest.approx(total, rel=1e-12)
         assert out.cycles == len(small_script)
 
     def test_consistency_with_live_total(self, params, zones, small_script):
         state, _ = _state_after(params, zones, small_script)
-        _bounds, [s_above] = state.foliage_above(live_cycle=state.cycle)
+        _bounds, [s_above] = state.foliage_above()
         # weighting base metamers by multiplicity reproduces the blade total
         base = s_above[0]
-        assert base * state.trunk.multiplicity <= \
+        assert base * state.classes[0].multiplicity <= \
             state.total_blade_area_cm2() + 1e-9
 
 
@@ -148,11 +139,8 @@ def _state_after(params, zones, script):
 
 class TestGeometry:
     def test_zero_mass(self, params):
-        cohort = MetamerCohort(pa=2, birth_cycle=1, gu_rank=1, rank=1,
-                               multiplicity=1, internode_mass=0.0,
-                               internode_length=0.0, leaf_mass=0.0,
-                               leaf_area=0.0, ring_mass=0.0, borne_axes={})
-        assert geometry(params, cohort) == (0.0, 0.0)
+        # no internode and no ring mass on a zero-length metamer
+        assert metamer_diameter(0.0, 0.0, params.wood_density) == 0.0
 
     def test_allometric_length(self, params):
         # shoot mass chosen so the internode share is exactly 4 g:
@@ -239,10 +227,6 @@ class TestAxisClassStorage:
         assert [gu[4] for gu in sig] == [
             ((2, (4, 2), 1), (3, (4, 2), 2), (4, (4, 2), 3)),
             ((2, (4, 2), 4),)]
-        assert [(c.gu_rank, c.rank, c.borne_axes)
-                for c in cls.cohorts(state)] == [
-            (1, 1, {}), (1, 2, {4: 1}), (1, 3, {4: 2}), (1, 4, {4: 3}),
-            (2, 1, {}), (2, 2, {4: 4})]
 
 
 class TestDeterminism:

@@ -26,7 +26,8 @@ class TestParameterFile:
         params2, zones2, spec2 = read_parameter_file(path)
         assert params2 == params
         assert zones2.eq_fixed == zones.eq_fixed
-        assert zones2.rule_map() == zones.rule_map()
+        assert {r.key: r for r in zones2.rules} == \
+            {r.key: r for r in zones.rules}
         assert spec2.continuous == spec.continuous
         assert spec2.topological == spec.topological
         assert spec2.schedule == spec.schedule
@@ -230,7 +231,16 @@ class TestTargetFile:
         (26, "\n", ",999\n", 5,
          "extra cell beyond the [trunk] header: '999'"),
         (5, "PA4x1\n", "PA4x1;2x1\n", 3,
-         "branch spec must look like PA2x1: '2x1'")])
+         "branch spec must look like PA2x1: '2x1'"),
+        # a row whose key repeats an earlier row of its section
+        (27, "2,35.01151533622043,3.308012540649849,4.52630524487958\n",
+         "1,999,3.308012540649849,4.52630524487958\n", 1,
+         "trunk GU 1 given twice, first at line 26"),
+        (50, "2,3,1.2111317385247418\n", "2,2,1.2111317385247418\n", 1,
+         "ring GU 2 age 2 given twice, first at line 49"),
+        (127, "4,4,2.438385881390635,2.1826323234750182\n",
+         "3,4,2.438385881390635,2.1826323234750182\n", 1,
+         "branch GU 3 PA 4 given twice, first at line 126")])
     def test_bad_target_cell_is_located(self, tmp_path, line, old, new, col,
                                         message):
         lines = open(fixture_path("tree1.target.csv")).readlines()
@@ -342,7 +352,11 @@ class TestCli:
         ("free_topology = a2_2_2,",
          "bound_k_beer = 0.5, 2.0\nfree_topology = k_beer, a2_2_2,",
          ":36: "),
-        ("free_continuous = sp0,", "free_continuous = sp0, sp0,", ":34: ")])
+        ("free_continuous = sp0,", "free_continuous = sp0, sp0,", ":34: "),
+        # a key given twice in one section, [species] the same as none
+        ("\nsp0 = 0.015\n", "\nsp0 = 0.015\nsp0 = 0.05\n", ":21: "),
+        ("\n[zones]\n", "\n[species]\nsp0 = 0.05\n[zones]\n", ":25: "),
+        ("seed = 1", "seed = 3\nseed = 7", ":87: ")])
     def test_bad_number_is_located_parse_error(self, tmp_path, old, new,
                                                where):
         bad = tmp_path / "bad.params"
