@@ -33,6 +33,9 @@ for _ in range(dataset.tree_age):
 # the trunk's metamers with their foliage-above, as (multiplicity, PA,
 # length, leaf surface above) rows for the partition primitive
 trunk = state.classes[0]
+# its growth units, base to apex, from the tree's unit table: (rank, birth
+# cycle, first metamer row, metamer count, zone layout, laterals)
+base_gu, *_, top_gu = state.growth_units(trunk.index)
 bounds, s_above = state.foliage_above()
 s_above = s_above[0, bounds[0]:bounds[1]]   # the one parameter column
 rows = [(1, trunk.pa, float(length), float(s_a))
@@ -44,8 +47,8 @@ print(f"distributing {budget:g} g of ring biomass over "
 print("blend    base-GU share   top-GU share")
 for lam in (0.0, 0.13, 0.5, 1.0):
     incs = partition_rings(budget, rows, lam, params.p_rg)
-    base = sum(incs[:trunk.gus[0].count])
-    top = sum(incs[trunk.gus[-1].start:])
+    base = sum(incs[:base_gu[3]])
+    top = sum(incs[top_gu[2]:])
     print(f"{lam:5.2f} {base / budget:14.1%} {top / budget:14.1%}")
 
 print("\nwith the pure foliage rule every increment is proportional to the")

@@ -111,25 +111,14 @@ def _load_dataset(config: RunConfig):
 
 def _cmd_simulate(config: RunConfig) -> int:
     params, zones, _ = read_parameter_file(config.params_path)
-    dataset = _load_dataset(config)
-    output = simulate(params, zones, dataset, tree_index=config.tree_index,
-                      cycles=config.cycles)
+    run = simulate_naive if config.command == "oracle" else simulate
+    output = run(params, zones, _load_dataset(config),
+                 tree_index=config.tree_index, cycles=config.cycles)
     written = write_simulation_output(config.out_dir, output)
     if config.plots:
         from . import plots
         written += plots.write_simulation_plots(config.out_dir, output)
     for path in written:
-        print(path)
-    return EXIT_OK
-
-
-def _cmd_oracle(config: RunConfig) -> int:
-    params, zones, _ = read_parameter_file(config.params_path)
-    dataset = parse_target_file(config.target_paths[0])
-    output = simulate_naive(params, zones, dataset,
-                            tree_index=config.tree_index,
-                            cycles=config.cycles)
-    for path in write_simulation_output(config.out_dir, output):
         print(path)
     return EXIT_OK
 
@@ -172,7 +161,7 @@ def _cmd_validate(config: RunConfig) -> int:
 
 
 _HANDLERS = {"simulate": _cmd_simulate, "fit": _cmd_fit,
-             "validate": _cmd_validate, "oracle": _cmd_oracle}
+             "validate": _cmd_validate, "oracle": _cmd_simulate}
 
 
 def run(config: RunConfig) -> int:
@@ -185,6 +174,9 @@ def run(config: RunConfig) -> int:
         return EXIT_VALIDATION
     except TreesinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OSError as exc:   # an output that cannot be written
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -317,13 +318,16 @@ class ValidationReport:
     use :meth:`raise_if_failed`."""
 
     violations: list[str] = field(default_factory=list)
+    # per violation, the (target file section, row index) it concerns
+    rows: list[tuple[str, int] | None] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, message: str) -> None:
+    def add(self, message: str, row: tuple[str, int] | None = None) -> None:
         self.violations.append(message)
+        self.rows.append(row)
 
     def raise_if_failed(self) -> None:
         if not self.ok:
@@ -458,19 +462,19 @@ def validate_script(dataset: TargetDataset) -> ValidationReport:
     if not dataset.trunk_script:
         rep.add("trunk script is empty")
     for i, entry in enumerate(dataset.trunk_script, start=1):
+        add = partial(rep.add, row=("script", i - 1))
         if entry.gu_index != i:
-            rep.add(f"script entry {i}: gu_index {entry.gu_index} out of order")
+            add(f"script entry {i}: gu_index {entry.gu_index} out of order")
         if entry.metamer_count < 1:
-            rep.add(f"script entry {i}: metamer_count must be >= 1")
+            add(f"script entry {i}: metamer_count must be >= 1")
         if entry.branch_total() > entry.metamer_count:
-            rep.add(f"script entry {i}: more branches "
-                    f"({entry.branch_total()}) than metamers "
-                    f"({entry.metamer_count})")
+            add(f"script entry {i}: more branches ({entry.branch_total()}) "
+                f"than metamers ({entry.metamer_count})")
         for pa, count in entry.branches:
             if pa < 2:
-                rep.add(f"script entry {i}: branch PA must be >= 2, got {pa}")
+                add(f"script entry {i}: branch PA must be >= 2, got {pa}")
             if count < 1:
-                rep.add(f"script entry {i}: branch count must be >= 1")
+                add(f"script entry {i}: branch count must be >= 1")
     return rep
 
 
@@ -479,35 +483,39 @@ def validate_target(dataset: TargetDataset) -> ValidationReport:
     monotonicity, nonnegative masses)."""
     rep = validate_script(dataset)
     age = dataset.tree_age
-    for obs in dataset.trunk_profile:
+    for k, obs in enumerate(dataset.trunk_profile):
+        add = partial(rep.add, row=("trunk", k))
         if not (1 <= obs.gu_index <= age):
-            rep.add(f"trunk row GU {obs.gu_index}: index outside 1..{age}")
+            add(f"trunk row GU {obs.gu_index}: index outside 1..{age}")
         if min(obs.mass_g, obs.diameter_cm, obs.length_cm) < 0:
-            rep.add(f"trunk row GU {obs.gu_index}: negative value")
-    by_gu: dict[int, list[RingObservation]] = {}
-    for obs in dataset.ring_matrix:
-        by_gu.setdefault(obs.gu_index, []).append(obs)
+            add(f"trunk row GU {obs.gu_index}: negative value")
+    by_gu: dict[int, list[tuple[int, RingObservation]]] = {}
+    for k, obs in enumerate(dataset.ring_matrix):
+        add = partial(rep.add, row=("rings", k))
+        by_gu.setdefault(obs.gu_index, []).append((k, obs))
         if not (1 <= obs.gu_index <= age):
-            rep.add(f"ring row GU {obs.gu_index}: index outside 1..{age}")
+            add(f"ring row GU {obs.gu_index}: index outside 1..{age}")
         if obs.tree_age < obs.gu_index or obs.tree_age > age:
-            rep.add(f"ring row GU {obs.gu_index}: tree_age {obs.tree_age} "
-                    f"outside {obs.gu_index}..{age}")
+            add(f"ring row GU {obs.gu_index}: tree_age {obs.tree_age} "
+                f"outside {obs.gu_index}..{age}")
         if obs.diameter_cm < 0:
-            rep.add(f"ring row GU {obs.gu_index}: negative diameter")
+            add(f"ring row GU {obs.gu_index}: negative diameter")
     for gu, rows in by_gu.items():
-        rows = sorted(rows, key=lambda r: r.tree_age)
-        for a, b in zip(rows, rows[1:]):
+        rows = sorted(rows, key=lambda r: r[1].tree_age)
+        for (_, a), (k, b) in zip(rows, rows[1:]):
             if b.diameter_cm < a.diameter_cm:
                 rep.add(f"ring row GU {gu} age {b.tree_age}: diameter "
-                        f"decreases ({a.diameter_cm:g} -> {b.diameter_cm:g})")
+                        f"decreases ({a.diameter_cm:g} -> {b.diameter_cm:g})",
+                        ("rings", k))
     scripted = {}
     for entry in dataset.trunk_script:
         for pa, count in entry.branches:
             scripted[(entry.gu_index, pa)] = count
-    for obs in dataset.branch_compartments:
+    for k, obs in enumerate(dataset.branch_compartments):
+        add = partial(rep.add, row=("branches", k))
         if min(obs.wood_g, obs.leaf_g) < 0:
-            rep.add(f"branch row GU {obs.gu_index} PA {obs.pa}: negative mass")
+            add(f"branch row GU {obs.gu_index} PA {obs.pa}: negative mass")
         if (obs.gu_index, obs.pa) not in scripted:
-            rep.add(f"branch row GU {obs.gu_index} PA {obs.pa}: no such "
-                    f"branch in the trunk script")
+            add(f"branch row GU {obs.gu_index} PA {obs.pa}: no such "
+                f"branch in the trunk script")
     return rep

@@ -117,7 +117,7 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
                 expand_shoot_values(p, cls.pa, m.get(cls.pa, 0.0), count,
                                     cycle, slw=slw)
                 for p, m, slw in zip(cols, masses, slws))), ())
-        return cls.append_gu(cycle, layout, count, *shoot_values[key])
+        cls.append_gu(cycle, layout, count, *shoot_values[key])
 
     def lateral_class(pa: int, instances: int) -> int:
         """Index of the (pa, this cycle) class once ``instances`` new axes
@@ -139,8 +139,8 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
         trunk = state.get_class(TRUNK_PA, 1)
         if trunk is None:
             trunk = state.add_class(TRUNK_PA, 1, multiplicity=1)
-        gu = grow(trunk, None, entry.metamer_count)
-        row = gu.start + entry.metamer_count
+        grow(trunk, None, entry.metamer_count)
+        row = trunk.n_metamers
         for pa, count in sorted(entry.branches):
             for _ in range(count):
                 row -= 1
@@ -412,17 +412,18 @@ def _collect_output(state: TreeState, cols, allocations, tree_index: int,
     density = np.array([[p.wood_density] for p in cols])
 
     add = np.add.reduce
+    units = state.growth_units(trunk.index)
     internode, length = trunk.internode_mass, trunk.length
     wood = internode + trunk.cum_ring
     diam = metamer_diameters(wood, length, density)
     trunk_profiles: list[list] = [[] for _ in cols]
-    for gu in trunk.gus:
-        sl = slice(gu.start, gu.start + gu.count)
+    for rank, _birth, start, count, _layout, _laterals in units:
+        sl = slice(start, start + count)
         for profile, mass, mean, total in zip(
                 trunk_profiles, add(wood[:, sl], axis=1).tolist(),
-                (add(diam[:, sl], axis=1) / gu.count).tolist(),
+                (add(diam[:, sl], axis=1) / count).tolist(),
                 add(length[:, sl], axis=1).tolist()):
-            profile.append(TrunkObservation(gu_index=gu.rank, mass_g=mass,
+            profile.append(TrunkObservation(gu_index=rank, mass_g=mass,
                                             diameter_cm=mean,
                                             length_cm=total))
 
@@ -444,11 +445,11 @@ def _collect_output(state: TreeState, cols, allocations, tree_index: int,
     np.cumsum(wood_then, axis=0, out=wood_then)
     wood_then += internode
     diam_then = metamer_diameters(wood_then, length, density, out=wood_then)
-    gu_starts = np.array([gu.start for gu in trunk.gus])
-    gu_counts = np.array([gu.count for gu in trunk.gus], dtype=float)
+    gu_starts = np.array([u[2] for u in units])
+    gu_counts = np.array([u[3] for u in units], dtype=float)
     means = []
     for (age, inc), diam in zip(state.trunk_rings, diam_then):
-        live = sum(1 for gu in trunk.gus if gu.birth_cycle <= age)
+        live = sum(1 for u in units if u[1] <= age)
         means.append((age, (np.add.reduceat(
             diam[:, :inc.shape[1]], gu_starts[:live], axis=1)
             / gu_counts[:live]).tolist()))
@@ -456,13 +457,13 @@ def _collect_output(state: TreeState, cols, allocations, tree_index: int,
     ring_matrices: list[list] = [[] for _ in cols]
     for age, rows in means:
         for matrix, row in zip(ring_matrices, rows):
-            matrix += [RingObservation(gu.rank, age, mean)
-                       for gu, mean in zip(trunk.gus, row)]
+            matrix += [RingObservation(u[0], age, mean)
+                       for u, mean in zip(units, row)]
 
     grouped: dict[tuple[int, int], list[int]] = {}
-    for gu, laterals in zip(trunk.gus, trunk.laterals_by_gu()):
-        for _rank, child, _count in laterals:
-            grouped.setdefault((gu.rank, state.classes[child].pa),
+    for rank, *_, laterals in units:
+        for _row, child, _count in laterals:
+            grouped.setdefault((rank, state.classes[child].pa),
                                []).append(child)
     branch_rows: list[list] = [[] for _ in cols]
     for (gu_rank, pa), idxs in sorted(grouped.items()):

@@ -61,31 +61,41 @@ def _parse_flag(text, path, line_no, what):
     return flag
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of an input file, or a ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc.strerror}", path) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", path) from None
+
+
 def _parse_lines(path):
     """Yield (line number, section, key, value) for key=value lines, the
     section "" before any header and for [parameters] or [species].  A key
     given twice in one section is an error at its second line."""
     section = ""
     first_line: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip().lower()
-                if section in ("parameters", "species"):
-                    section = ""
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key = value, got {line!r}",
-                                 path, line_no)
-            key, value = (text.strip() for text in line.split("=", 1))
-            first = first_line.setdefault((section, key), line_no)
-            if first != line_no:
-                raise ParseError(f"{key} given twice, first at line {first}",
-                                 path, line_no)
-            yield line_no, section, key, value
+    for line_no, raw in enumerate(_read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            if section in ("parameters", "species"):
+                section = ""
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key = value, got {line!r}",
+                             path, line_no)
+        key, value = (text.strip() for text in line.split("=", 1))
+        first = first_line.setdefault((section, key), line_no)
+        if first != line_no:
+            raise ParseError(f"{key} given twice, first at line {first}",
+                             path, line_no)
+        yield line_no, section, key, value
 
 
 def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
@@ -310,39 +320,36 @@ def parse_target_file(path) -> TargetDataset:
     sections: dict[str, list[tuple[int, list[str]]]] = {}
     section = None
     expect_header = False
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip().lower()
-                if section not in _TARGET_HEADERS:
-                    raise ParseError(f"unknown section [{section}]",
-                                     path, line_no)
-                if section in sections:
-                    raise ParseError(f"duplicate section [{section}]",
-                                     path, line_no)
-                sections[section] = []
-                expect_header = True
-                continue
-            if section is None:
-                raise ParseError("data before any section header",
+    for line_no, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            if section not in _TARGET_HEADERS:
+                raise ParseError(f"unknown section [{section}]", path, line_no)
+            if section in sections:
+                raise ParseError(f"duplicate section [{section}]",
                                  path, line_no)
-            cells = next(csv.reader(io.StringIO(line)))
-            if expect_header:
-                if [c.strip() for c in cells] != _TARGET_HEADERS[section]:
-                    raise ParseError(
-                        f"[{section}] header must be "
-                        f"{','.join(_TARGET_HEADERS[section])}",
-                        path, line_no)
-                expect_header = False
-                continue
-            width = len(_TARGET_HEADERS[section])
-            if len(cells) > width:
-                raise ParseError(f"extra cell beyond the [{section}] header: "
-                                 f"{cells[width]!r}", path, line_no, width + 1)
-            sections[section].append((line_no, cells))
+            sections[section] = []
+            expect_header = True
+            continue
+        if section is None:
+            raise ParseError("data before any section header", path, line_no)
+        cells = next(csv.reader(io.StringIO(line)))
+        if expect_header:
+            if [c.strip() for c in cells] != _TARGET_HEADERS[section]:
+                raise ParseError(
+                    f"[{section}] header must be "
+                    f"{','.join(_TARGET_HEADERS[section])}",
+                    path, line_no)
+            expect_header = False
+            continue
+        width = len(_TARGET_HEADERS[section])
+        if len(cells) > width:
+            raise ParseError(f"extra cell beyond the [{section}] header: "
+                             f"{cells[width]!r}", path, line_no, width + 1)
+        sections[section].append((line_no, cells))
 
     missing = [s for s in _TARGET_HEADERS if s not in sections]
     if missing:
@@ -390,8 +397,12 @@ def parse_target_file(path) -> TargetDataset:
         m.field: measured(m) for m in MEASUREMENTS})
     report = validate_target(dataset)
     if not report.ok:
-        raise ParseError("invalid target data: "
-                         + "; ".join(report.violations), path)
+        # located at the first row's line, naming any other row's
+        lines = [row and sections[row[0]][row[1]][0] for row in report.rows]
+        first = next(filter(None, lines), None)
+        raise ParseError("invalid target data: " + "; ".join(
+            v if n in (None, first) else f"{v} (line {n})"
+            for v, n in zip(report.violations, lines)), path, first)
     return dataset
 
 

@@ -4,7 +4,7 @@ All axes of the same physiological age born at the same growth cycle develop
 identically (same growth-unit layouts, same lateral assignments, same ring
 increments), so the tree is stored as a collection of :class:`AxisClass`
 objects carrying a multiplicity instead of one object per axis.  Leaves live
-one cycle, so the live foliage of a class is its newest growth unit's.
+one cycle: a leaf is live if its growth unit was born at the current cycle.
 
 The tree owns every per-metamer value in one :class:`Arena`.  A growth
 unit's metamers are alike when they expand, so the arena stores their
@@ -14,8 +14,10 @@ per metamer (for the bundled tree2 with ten parameter columns, 1.3 MB of
 floats instead of 3.6 MB).  Both tables keep each class's columns
 contiguous (base to apex, growth units in rank order) and the classes in
 creation order, so the per-cycle ring partition and foliage scans are
-whole-arena operations.  A class holds no arrays, only its index into the
-arena's class offsets.
+whole-arena operations.  The unit table is the only record of a growth
+unit: its class, birth cycle, metamer count, first metamer row and zone
+layout are columns, and its rank is its place among its class's units.  A
+class holds no arrays, only its index into the arena's class offsets.
 
 A tree may carry K parameter columns: K runs that share every decision
 (classes, growth units, laterals, multiplicities) but not their masses.
@@ -41,24 +43,15 @@ import numpy as np
 from .core import GrowthParameters, SimulationError
 
 # rows of Arena.units (a column per growth unit): the owning class index,
-# the unit's birth cycle and its metamer count, then its fields
-CLASS, BIRTH, SIZE = range(3)
+# the unit's birth cycle, its metamer count, its first metamer row in its
+# class and its zone layout (an index into Arena.layouts, -1 for an unzoned
+# unit), then its fields
+CLASS, BIRTH, SIZE, START, LAYOUT = range(5)
 # the per-instance fields (Arena.field), each with one row per parameter
 # column: the first four per growth unit, the ring per metamer
 INTERNODE_MASS, LENGTH, LEAF_MASS, LEAF_AREA, CUM_RING = range(5)
 # rows of Arena.edges (a column per lateral; ROW is class-local)
 BEARER, ROW, CHILD, COUNT = range(4)
-
-
-@dataclass
-class GUInfo:
-    """Bookkeeping for one growth unit inside an axis class."""
-
-    rank: int                 # 1-based index along the axis
-    birth_cycle: int
-    start: int                # first metamer row of the unit in its class
-    count: int
-    zone_counts: dict[int, int] | None  # axillary PA -> metamer count
 
 
 def _merged(table: np.ndarray, new: np.ndarray, order: np.ndarray
@@ -81,26 +74,29 @@ def _class_order(classes: np.ndarray, new: np.ndarray) -> np.ndarray:
 class Arena:
     """Every per-metamer value and every lateral of one tree.
 
-    ``units`` has one column per growth unit (rows CLASS, BIRTH, SIZE, then
+    ``units`` has one column per growth unit (rows CLASS to LAYOUT, then
     INTERNODE_MASS to LEAF_AREA with one row per parameter column),
     ``metamer_class`` and ``cum_ring`` (one row per column) one per
     metamer, and ``edges`` one per lateral (rows BEARER..COUNT), each
     grouped by class in class order, with the class offsets
     ``unit_bounds``, ``bounds`` and ``edge_bounds`` (lists of ``n_classes +
-    1`` column indices).  Appends queue until the next read merges them in
-    one pass, one array at a time.  The classes and their tree both hold
-    the arena, which holds neither, so a finished tree is freed without
-    waiting for the cycle collector.
+    1`` column indices).  ``layouts`` maps each distinct zone layout, a
+    tuple of (axillary PA, metamer count) blocks, to its index.  Appends
+    queue until the next read merges them in one pass, one array at a
+    time.  The classes and their tree both hold the arena, which holds
+    neither, so a finished tree is freed without waiting for the cycle
+    collector.
     """
 
-    __slots__ = ("units", "sizes", "metamer_class", "cum_ring", "edges",
-                 "unit_bounds", "bounds", "edge_bounds", "queued_rows",
-                 "queued_edges", "n_classes", "columns")
+    __slots__ = ("units", "sizes", "layouts", "metamer_class", "cum_ring",
+                 "edges", "unit_bounds", "bounds", "edge_bounds",
+                 "queued_rows", "queued_edges", "n_classes", "columns")
 
     def __init__(self, columns: int = 1):
         self.columns = columns
-        self.units = np.zeros((3 + 4 * columns, 0))
+        self.units = np.zeros((LAYOUT + 1 + 4 * columns, 0))
         self.sizes = np.zeros(0, np.intp)
+        self.layouts: dict[tuple, int] = {}
         self.metamer_class = np.zeros(0)
         self.cum_ring = np.zeros((columns, 0))
         self.edges = np.zeros((4, 0), dtype=np.int64)
@@ -111,7 +107,7 @@ class Arena:
 
     def unit_field(self, row: int) -> np.ndarray:
         """The (columns, units) rows of a field a unit's metamers share."""
-        start = 3 + row * self.columns
+        start = LAYOUT + 1 + row * self.columns
         return self.units[start:start + self.columns]
 
     def field(self, row: int) -> np.ndarray:
@@ -189,13 +185,13 @@ class AxisClass:
     """All axes sharing (physiological age, birth cycle), with multiplicity.
 
     It joins its tree's arena as the next class, ``index``; its metamers
-    are that segment of the arena, and a metamer's birth cycle and rank
-    follow from ``gus``.  ``bearing_rows`` holds the class-local rows that
-    bear a lateral.
+    and growth units are that segment of the arena, ``n_metamers`` counts
+    the metamers appended so far, and ``bearing_rows`` holds the
+    class-local rows that bear a lateral.
     """
 
-    __slots__ = ("arena", "index", "pa", "birth_cycle", "multiplicity", "gus",
-                 "bearing_rows")
+    __slots__ = ("arena", "index", "pa", "birth_cycle", "multiplicity",
+                 "n_metamers", "bearing_rows")
 
     def __init__(self, arena: Arena, pa: int, birth_cycle: int,
                  multiplicity: int):
@@ -205,7 +201,7 @@ class AxisClass:
         self.pa = pa
         self.birth_cycle = birth_cycle
         self.multiplicity = multiplicity
-        self.gus: list[GUInfo] = []
+        self.n_metamers = 0
         self.bearing_rows: set[int] = set()
 
     internode_mass = _arena_field(INTERNODE_MASS)
@@ -216,12 +212,8 @@ class AxisClass:
     def key(self) -> tuple[int, int]:
         return (self.pa, self.birth_cycle)
 
-    @property
-    def n_metamers(self) -> int:
-        return self.gus[-1].start + self.gus[-1].count if self.gus else 0
-
     def append_gu(self, birth_cycle: int, zone_layout: list[tuple[int, int]] | None,
-                  metamer_count: int, *values: float) -> GUInfo:
+                  metamer_count: int, *values: float) -> None:
         """Add the next growth unit; per-metamer values are uniform within
         the shoot.  ``values`` are its internode mass, length, leaf mass and
         leaf area, each once per column, field by field.  ``zone_layout``
@@ -233,18 +225,15 @@ class AxisClass:
         if zone_layout is not None and \
                 sum(c for _, c in zone_layout) != metamer_count:
             raise SimulationError("zone layout does not cover the growth unit")
-        n = metamer_count
-        gu = GUInfo(rank=len(self.gus) + 1, birth_cycle=birth_cycle,
-                    start=self.n_metamers, count=n,
-                    zone_counts=(None if zone_layout is None
-                                 else dict(zone_layout)))
-        self.gus.append(gu)
-        if len(values) != 4 * self.arena.columns:
+        arena = self.arena
+        if len(values) != 4 * arena.columns:
             raise SimulationError(
-                f"{len(values)} metamer values for {self.arena.columns} "
-                f"columns")
-        self.arena.queued_rows.append((self.index, birth_cycle, n, *values))
-        return gu
+                f"{len(values)} metamer values for {arena.columns} columns")
+        layout = -1 if zone_layout is None else arena.layouts.setdefault(
+            tuple(zone_layout), len(arena.layouts))
+        arena.queued_rows.append((self.index, birth_cycle, metamer_count,
+                                  self.n_metamers, layout, *values))
+        self.n_metamers += metamer_count
 
     def record_rings(self, increments: np.ndarray) -> None:
         """Add one cycle's per-instance ring increments to every metamer of
@@ -266,19 +255,6 @@ class AxisClass:
         self.bearing_rows.add(flat_idx)
         self.arena.queued_edges.append(
             (self.index, flat_idx, child_class_idx, per_instance_count))
-
-    def laterals_by_gu(self) -> list[list[tuple[int, int, int]]]:
-        """Per growth unit, the laterals it bears as (metamer rank, child
-        class index, per-instance count), base to apex."""
-        out: list[list[tuple[int, int, int]]] = [[] for _ in self.gus]
-        starts = [gu.start for gu in self.gus]
-        arena = self.arena
-        arena.settle()
-        s, e = arena.edge_bounds[self.index], arena.edge_bounds[self.index + 1]
-        for row, child, count in sorted(zip(*arena.edges[ROW:, s:e].tolist())):
-            g = bisect_right(starts, row) - 1
-            out[g].append((row - starts[g] + 1, child, count))
-        return out
 
 
 @dataclass
@@ -330,19 +306,15 @@ class TreeState:
     def _live_totals(self, row: int) -> np.ndarray:
         """(columns, classes): per class, the per-instance total of the
         LEAF_AREA or LEAF_MASS ``row`` over the leaves alive at the current
-        cycle: the newest growth unit's, if it was born then."""
+        cycle: those of the units born then."""
         arena = self.arena
         arena.settle()
-        # each class's newest unit, if born this cycle: its metamers'
-        # value × their count
+        # each live unit's metamer value × their count, added to its class
         totals = np.zeros((self.columns, len(self.classes)))
-        alive = [(cls.index, arena.unit_bounds[cls.index + 1] - 1)
-                 for cls in self.classes
-                 if cls.gus and cls.gus[-1].birth_cycle == self.cycle]
-        if alive:
-            idx, units = np.array(alive).T
-            totals[:, idx] = (arena.unit_field(row).take(units, axis=1)
-                              * arena.units[SIZE].take(units))
+        live = np.flatnonzero(arena.units[BIRTH] == self.cycle)
+        classes = arena.units[CLASS].take(live).astype(int)
+        np.add.at(totals, (slice(None), classes), arena.unit_field(row).take(
+            live, axis=1) * arena.units[SIZE].take(live))
         return totals
 
     def _instance_total(self, per_class: np.ndarray) -> np.ndarray:
@@ -452,50 +424,60 @@ class TreeState:
         arena.settle()
         return self._instance_total(arena.segment_sums(arena.field(LEAF_MASS)))
 
+    def growth_units(self, idx: int) -> list[tuple]:
+        """Class ``idx``'s growth units base to apex, read from the arena's
+        unit table: (rank, birth cycle, first class-local metamer row,
+        metamer count, zone layout or None, laterals), with the laterals it
+        bears as (metamer rank, child class index, per-instance count),
+        base to apex."""
+        arena = self.arena
+        arena.settle()
+        s, e = arena.unit_bounds[idx:idx + 2]
+        birth, size, start, layout = arena.units[BIRTH:LAYOUT + 1, s:e].astype(
+            int).tolist()
+        borne: list[list] = [[] for _ in birth]
+        s, e = arena.edge_bounds[idx:idx + 2]
+        for row, child, count in sorted(zip(*arena.edges[ROW:, s:e].tolist())):
+            u = bisect_right(start, row) - 1
+            borne[u].append((row - start[u] + 1, child, count))
+        layouts = [*arena.layouts, None]     # LAYOUT -1 reads None
+        return list(zip(range(1, len(birth) + 1), birth, start, size,
+                        [layouts[i] for i in layout], borne))
+
     def topology_dump(self) -> dict:
         """JSON-ready description of the factorized architecture."""
-        classes = []
-        for cls in self.classes:
-            gus = []
-            for gu, laterals in zip(cls.gus, cls.laterals_by_gu()):
-                borne = [{"metamer_rank": rank,
-                          "axillary_pa": self.classes[child].pa,
-                          "axis_birth_cycle": self.classes[child].birth_cycle,
-                          "per_instance_count": count}
-                         for rank, child, count in laterals]
-                gus.append({
-                    "rank": gu.rank,
-                    "birth_cycle": gu.birth_cycle,
-                    "metamer_count": gu.count,
-                    "zone_counts": ({str(k): v for k, v
-                                     in sorted(gu.zone_counts.items())}
-                                    if gu.zone_counts else None),
-                    "borne_axes": borne,
-                })
-            classes.append({
-                "pa": cls.pa,
-                "birth_cycle": cls.birth_cycle,
-                "multiplicity": cls.multiplicity,
-                "growth_units": gus,
-            })
-        return {"cycle": self.cycle, "axis_classes": classes}
+        return {"cycle": self.cycle, "axis_classes": [{
+            "pa": cls.pa,
+            "birth_cycle": cls.birth_cycle,
+            "multiplicity": cls.multiplicity,
+            "growth_units": [{
+                "rank": rank,
+                "birth_cycle": birth,
+                "metamer_count": count,
+                "zone_counts": (None if layout is None else
+                                {str(k): v for k, v in sorted(layout)}),
+                "borne_axes": [{
+                    "metamer_rank": row,
+                    "axillary_pa": self.classes[child].pa,
+                    "axis_birth_cycle": self.classes[child].birth_cycle,
+                    "per_instance_count": n} for row, child, n in laterals],
+            } for rank, birth, _start, count, layout, laterals
+                in self.growth_units(cls.index)],
+        } for cls in self.classes]}
 
     def structure_signature(self) -> tuple:
         """Canonical, hashable summary of the discrete architecture: class
         keys, multiplicities, growth-unit zone layouts and lateral links.
         Two simulations with equal signatures produced bit-identical
         topologies."""
-        sig = []
-        for cls in self.classes:
-            gus = []
-            for gu, laterals in zip(cls.gus, cls.laterals_by_gu()):
-                borne = tuple((rank, self.classes[child].key, count)
-                              for rank, child, count in laterals)
-                zones = (tuple(sorted(gu.zone_counts.items()))
-                         if gu.zone_counts else None)
-                gus.append((gu.rank, gu.birth_cycle, gu.count, zones, borne))
-            sig.append((cls.pa, cls.birth_cycle, cls.multiplicity, tuple(gus)))
-        return tuple(sig)
+        return tuple((cls.pa, cls.birth_cycle, cls.multiplicity, tuple(
+            (rank, birth, count,
+             None if layout is None else tuple(sorted(layout)),
+             tuple((row, self.classes[child].key, n)
+                   for row, child, n in laterals))
+            for rank, birth, _start, count, layout, laterals
+            in self.growth_units(cls.index)))
+            for cls in self.classes)
 
 
 def expand_shoot_values(params: GrowthParameters, pa: int, shoot_mass: float,

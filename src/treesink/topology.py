@@ -24,7 +24,7 @@ from .core import (TRUNK_PA, GrowthParameters,
                    SimulationError, TrunkScriptEntry, ZoneRule, ZoneRuleSet,
                    round_half_away)
 from .sourcesink import shoot_demand
-from .structure import TreeState
+from .structure import BIRTH, LAYOUT, TreeState
 
 
 def metamer_count(zone: ZoneRule, ratio: float) -> int:
@@ -218,16 +218,22 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
     # growth-unit layouts for next cycle's shoots, shared by every class
     gu_layouts = gu_zone_layouts(zones, ratio, params)
 
-    # one pass over the classes: the apical continuation of every branch
-    # axis, and this cycle's zoned growth units by bearer PA
-    current: dict[int, list] = {}
+    # the apical continuation of every branch axis
     for cls in state.classes:
-        if cls.pa == TRUNK_PA:
-            continue
-        bud_counts[cls.pa] = bud_counts.get(cls.pa, 0.0) + cls.multiplicity
-        if cls.gus and cls.gus[-1].birth_cycle == n \
-                and cls.gus[-1].zone_counts is not None:
-            current.setdefault(cls.pa, []).append(cls)
+        if cls.pa != TRUNK_PA:
+            bud_counts[cls.pa] = bud_counts.get(cls.pa, 0.0) + cls.multiplicity
+
+    # this cycle's zoned growth units, in class order, by bearer PA
+    arena = state.arena
+    arena.settle()
+    layouts = list(arena.layouts)
+    born = arena.units[:LAYOUT + 1].compress(arena.units[BIRTH] == n, axis=1)
+    current: dict[int, list] = {}
+    for idx, _, _, start, layout in born.astype(int).T.tolist():
+        if layout >= 0:
+            cls = state.classes[idx]
+            current.setdefault(cls.pa, []).append(
+                (cls, start, layouts[layout]))
 
     # laterals on the zones of this cycle's growth units; zone blocks are
     # contiguous, base to apex in layout order
@@ -236,15 +242,14 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
         if not rule.branching:
             continue
         groups: list[PositionGroup] = []
-        for cls in current.get(rule.bearer_pa, ()):
-            gu = cls.gus[-1]
+        for cls, start, layout in current.get(rule.bearer_pa, ()):
             offset = 0
-            for zone_pa, count in gu.zone_counts.items():
+            for zone_pa, count in layout:
                 if zone_pa == rule.axillary_pa:
                     groups += [PositionGroup(
                         age=n - cls.birth_cycle + 1, rank=offset + r + 1,
                         size=cls.multiplicity,
-                        payload=(cls.index, gu.start + offset + r))
+                        payload=(cls.index, start + offset + r))
                         for r in range(count)]
                 offset += count
         if not groups:

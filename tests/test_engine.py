@@ -102,6 +102,16 @@ class TestLeavesAbove:
             cls.append_gu(3, [(0, 1)], 1, 0.5, 2.0, 0.4, area)
         return state
 
+    def test_every_unit_born_this_cycle_is_live(self):
+        # the blade total, the foliage above the base and the subtree leaf
+        # mass all count the three units born at cycle 3
+        state = self._chain_state()
+        bounds, [s_above] = state.foliage_above()
+        assert state.total_blade_area_cm2().tolist() == [81.0]
+        assert s_above[bounds[0]] == 81.0
+        assert state.subtree_leaf_mass_totals().tolist() == \
+            [[pytest.approx(1.2, rel=1e-12)]]
+
     def test_middle_of_chain(self):
         _bounds, [s_above] = self._chain_state().foliage_above()
         assert s_above[1] == pytest.approx(23.0 + 47.0)
@@ -219,14 +229,19 @@ class TestAxisClassStorage:
         state, cls = self._bearer()
         for row, count in ((5, 4), (3, 3), (1, 1), (2, 2)):
             cls.set_child(row, 1, count)
+        cls.append_gu(2, None, 1, 0.1, 0.5, 0.1, 1.0)   # an unzoned unit
         dumped = state.topology_dump()["axis_classes"][0]["growth_units"]
         assert [[(b["metamer_rank"], b["per_instance_count"])
                  for b in gu["borne_axes"]] for gu in dumped] == \
-            [[(2, 1), (3, 2), (4, 3)], [(2, 4)]]
+            [[(2, 1), (3, 2), (4, 3)], [(2, 4)], []]
+        assert [gu["zone_counts"] for gu in dumped] == \
+            [{"0": 1, "4": 3}, {"0": 1, "4": 1}, None]
         sig = state.structure_signature()[0][3]
         assert [gu[4] for gu in sig] == [
             ((2, (4, 2), 1), (3, (4, 2), 2), (4, (4, 2), 3)),
-            ((2, (4, 2), 4),)]
+            ((2, (4, 2), 4),), ()]
+        assert [gu[3] for gu in sig] == \
+            [((0, 1), (4, 3)), ((0, 1), (4, 1)), None]
 
 
 class TestDeterminism:

@@ -252,6 +252,23 @@ class TestTargetFile:
             parse_target_file(path)
         assert str(err.value) == f"{path}:{line}:{col}: {message}"
 
+    def test_invalid_rows_are_located(self, tmp_path):
+        # validate_target's row violations each name their row's line
+        lines = open(fixture_path("tree1.target.csv")).readlines()
+        assert lines[3] == "2,4,\n"
+        lines[3] = "1,4,\n"
+        old = "4,4,2.438385881390635,2.1826323234750182\n"
+        assert lines[126] == old
+        lines[126] = "4,4,-" + old[4:]
+        path = tmp_path / "bad.target.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError) as err:
+            parse_target_file(path)
+        assert str(err.value) == (
+            f"{path}:4: invalid target data: script entry 2: gu_index 1 out "
+            f"of order; branch row GU 4 PA 4: negative mass (line 127)")
+        assert err.value.line == 4
+
 
 class TestSimulationOutputFiles:
     def test_written_files_and_schemas(self, params, zones, small_script,
@@ -495,6 +512,34 @@ class TestRunConfig:
         assert capsys.readouterr().err == \
             "error: --seed: seed must be >= 0: -1\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content,reason", [
+        (None, "cannot read: No such file or directory"),
+        (b"sp0 = \xff\n", "not UTF-8 text: invalid start byte")])
+    def test_unreadable_parameter_file_is_a_parse_error(
+            self, tmp_path, capsys, content, reason):
+        from treesink.cli import EXIT_VALIDATION, main
+        path = tmp_path / "species.params"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["validate", "--params", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    def test_directory_as_target_is_a_parse_error(self, tmp_path, capsys):
+        from treesink.cli import EXIT_VALIDATION, main
+        assert main(["validate", "--params", fixture_path("species.params"),
+                     "--target", str(tmp_path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path}: cannot read: Is a directory\n"
+
+    def test_output_directory_that_is_a_file_fails(self, tmp_path, capsys):
+        from treesink.cli import EXIT_RUNTIME, main
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--params", fixture_path("species.params"),
+                     "--synthetic-script", "tree1",
+                     "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {out}: File exists\n"
 
     def test_plot_writers_without_matplotlib_raise(self, tmp_path,
                                                    monkeypatch):
