@@ -31,7 +31,7 @@ from .core import (CM2_PER_M2, MEASUREMENTS, TRUNK_PA, AlignmentError,
                    TrunkObservation, ZoneRuleSet, validate_parameters,
                    validate_script)
 from .sourcesink import (CycleAllocation, allocate_shoots, production,
-                         ring_demand, solve_global_demand)
+                         ring_coefficients, ring_demand, solve_global_demand)
 from .structure import (LENGTH, AxisClass, TreeState, expand_shoot_values,
                         metamer_diameters)
 from .topology import (OrganogenesisPlan, column_plan, organogenesis_step,
@@ -119,21 +119,11 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
                 for p, m, slw in zip(cols, masses, slws))), ())
         cls.append_gu(cycle, layout, count, *shoot_values[key])
 
-    def lateral_class(pa: int, instances: int) -> int:
-        """Index of the (pa, this cycle) class once ``instances`` new axes
-        join it; the first ones create it with its first growth unit."""
-        cls = state.get_class(pa, cycle)
-        if cls is None:
-            cls = state.add_class(pa, cycle, multiplicity=instances)
-            grow(cls, plan.gu_layouts[pa], sizes[pa])
-        else:
-            cls.multiplicity += instances
-        return cls.index
-
     # trunk growth unit plus its scripted branches (expanding together),
     # placed on distinct metamers from the apex downward, the most vigorous
     # (lowest PA) closest to the tip, mirroring the acrotonic zone order of
     # dynamic growth units
+    laterals = []   # (PA, (bearing class, bearing row), instances)
     entry = plan.trunk_entry
     if entry is not None:
         trunk = state.get_class(TRUNK_PA, 1)
@@ -144,22 +134,27 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
         for pa, count in sorted(entry.branches):
             for _ in range(count):
                 row -= 1
-                trunk.set_child(row, lateral_class(pa, 1), 1)
+                laterals.append((pa, (trunk.index, row), 1))
+    zoned = [(key[1], group.payload, group.size)
+             for key, groups, counts in plan.zone_groups
+             for group, count in zip(groups, counts) if count]
 
     for cls in continuing:
         grow(cls, plan.gu_layouts[cls.pa], sizes[cls.pa])
 
-    # new lateral axes, merged per PA into one class per birth cycle
-    laterals = [(key[1], group) for key, groups, counts in plan.zone_groups
-                for group, count in zip(groups, counts) if count]
-    lateral_mult: dict[int, int] = {}
-    for pa, group in laterals:
-        lateral_mult[pa] = lateral_mult.get(pa, 0) + group.size
-    child_idx = {pa: lateral_class(pa, lateral_mult[pa])
-                 for pa in sorted(lateral_mult)}
-    for pa, group in laterals:
-        cls_idx, row = group.payload
-        state.classes[cls_idx].set_child(row, child_idx[pa], 1)
+    # the new lateral axes, one class per PA born this cycle: the scripted
+    # PAs first, then the rest by PA
+    mult = dict.fromkeys([pa for pa, _, _ in laterals]
+                         + sorted({pa for pa, _, _ in zoned}), 0)
+    laterals += zoned
+    for pa, _, instances in laterals:
+        mult[pa] += instances
+    born = {pa: state.add_class(pa, cycle, multiplicity=n)
+            for pa, n in mult.items()}
+    for pa, cls in born.items():
+        grow(cls, plan.gu_layouts[pa], sizes[pa])
+    for pa, (bearer, row), _ in laterals:
+        state.classes[bearer].set_child(row, born[pa].index, 1)
     for decisions, each in zip(state.decisions, plans):
         decisions.append(each)
 
@@ -172,40 +167,24 @@ def _partition_rings_factorized(state: TreeState, cols, q_r, cycle: int
     every column at once."""
     bounds, s_a, weight, mult = state.ring_partition_arrays(
         [p.p_rg for p in cols])
-    pool_coef, pressler_coef, dropped = [], [], []
-    for p, q, w, s in zip(cols, np.asarray(q_r).tolist(), weight, s_a):
-        d_pool = float(mult @ w)
-        d_pressler = float((mult * w) @ s)
-        lam = p.lambda_mix
-        if lam > 0.0 and d_pressler == 0.0:
-            dropped.append(q > 0.0)
-            lam = 0.0
-        else:
-            dropped.append(False)
-        if q > 0.0 and d_pool == 0.0:
-            raise SimulationError(
-                f"ring biomass {q:g} g with no woody structure")
-        # zero coefficients give the zero increments of an empty partition
-        funded = q != 0.0 and d_pool != 0.0
-        pool_coef.append((1.0 - lam) / d_pool if funded else 0.0)
-        pressler_coef.append(lam / d_pressler if funded and lam > 0.0
-                             else 0.0)
-    left = [k for k, flag in enumerate(dropped) if flag != dropped[0]]
-    if left:
-        raise ColumnsLeft(left)
-    if dropped[0]:
-        state.notes.append(f"cycle {cycle}: no foliage, Pressler term dropped")
+    coefs = []
+    for p, q, w, s, notes in zip(cols, np.asarray(q_r).tolist(), weight,
+                                 s_a, state.notes):
+        pool, pressler, dropped = ring_coefficients(
+            q, float(mult @ w), float((mult * w) @ s), p.lambda_mix)
+        coefs.append((pool, pressler))
+        if dropped:
+            notes.append(f"cycle {cycle}: no foliage, Pressler term dropped")
+    pool, pressler = np.array(coefs).T[:, :, None]   # each K × 1
 
     # increments (pool + pressler·S_a)·weight·q_r, in place: with K
-    # columns each array is K × metamers
+    # columns each array is K × metamers; a zero Pressler coefficient adds
+    # zeros to the nonnegative pool increments, which leaves their bits
     incs = weight
-    if any(pressler_coef):
-        s_a *= weight
-        s_a *= np.array(pressler_coef)[:, None]
-        incs *= np.array(pool_coef)[:, None]
-        incs += s_a
-    else:
-        incs *= np.array(pool_coef)[:, None]
+    s_a *= weight
+    s_a *= pressler
+    incs *= pool
+    incs += s_a
     incs *= np.asarray(q_r, float).reshape(-1, 1)
     state.arena.cum_ring += incs
     # the trunk (class 0) increments feed the ring-diameter matrix
@@ -481,12 +460,12 @@ def _collect_output(state: TreeState, cols, allocations, tree_index: int,
         trunk_profile=profile, ring_matrix=matrix,
         branch_compartments=rows, topology=topology, total_wood_g=wood,
         total_leaf_ever_g=leaf, pending_shoot_fund_g=fund,
-        structure_signature=signature, notes=list(state.notes),
+        structure_signature=signature, notes=list(notes),
         decisions=decisions + [OrganogenesisPlan(pending.ratio_used)])
-        for allocs, profile, matrix, rows, wood, leaf, fund, decisions,
+        for allocs, profile, matrix, rows, wood, leaf, fund, notes, decisions,
         pending in zip(allocations, trunk_profiles, ring_matrices,
                        branch_rows, total_wood, total_leaf,
-                       state.pending_fund, state.decisions,
+                       state.pending_fund, state.notes, state.decisions,
                        state.pending_plans)]
 
 

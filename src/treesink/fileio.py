@@ -205,8 +205,10 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
                                  line_no)
             lo, hi = (_parse_float(v, path, line_no, f"bound_{name}")
                       for v in ends)
+            located(line_no, FreeParameter, name, lo, hi, lo)   # the bounds
+            init_line = fit_lines.get(f"init_{name}", (None,))[0]
             init = num(f"init_{name}", 0.5 * (lo + hi))
-            out.append(located(line_no, FreeParameter, name, lo, hi, init))
+            out.append(located(init_line, FreeParameter, name, lo, hi, init))
         return out
 
     continuous = free_list("free_continuous")
@@ -235,7 +237,8 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
         **settings)
     if fit_lines:
         stray = ", ".join(sorted(fit_lines))
-        raise ParseError(f"unknown [fit] keys: {stray}", path)
+        raise ParseError(f"unknown [fit] keys: {stray}", path,
+                         min(fit_lines.values())[0])
     return spec
 
 

@@ -4,9 +4,10 @@ This is the cross-check for the factorized engine: no cohort merging, no
 multiplicities, no vectorization.  Structure bookkeeping (instance groups,
 foliage-above scans, subtree aggregates) is re-derived naively from the
 explicit tree; only the run-request checks and the scalar rules
-(production, the demand solve and production split, allocation, the seed
-plan, metamer/axis counts, the distribution primitive) are shared with the
-engine, since those have their own oracles in the test suite.
+(production, the demand solve and production split, allocation, the ring
+partition's coefficients, the seed plan, metamer/axis counts, the
+distribution primitive) are shared with the engine, since those have their
+own oracles in the test suite.
 
 Its cost grows with the organ count, so it is intended for short runs
 (a handful of cycles); the factorized engine must reproduce it exactly up
@@ -281,8 +282,7 @@ def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
                     s_a = tree.leaves_above(axis, gu.rank, m.rank, n)
                     rows.append((1, m.pa, m.length, s_a))
                     row_refs.append(m)
-        incs = partition_rings(alloc.q_r, rows, params.lambda_mix, params.p_rg,
-                               warn_dropped_pressler=False)
+        incs = partition_rings(alloc.q_r, rows, params.lambda_mix, params.p_rg)
         for m, inc in zip(row_refs, incs):
             m.rings.append(inc)
 

@@ -142,31 +142,43 @@ def allocate_shoots(q_s: float, d_s: float, bud_counts: dict[int, float],
     return {pa: p_s[pa - 1] * scale for pa in bud_counts}
 
 
-def partition_rings(q_r: float, cohorts, lambda_mix: float, p_rg,
-                    warn_dropped_pressler: bool = True):
+def ring_coefficients(q_r: float, d_pool: float, d_pressler: float,
+                      lambda_mix: float) -> tuple[float, float, bool]:
+    """The ring partition's (pool, Pressler, dropped) coefficients: an
+    instance of sink·length weight ``w`` and foliage above ``S_a`` receives
+    (pool + Pressler·S_a)·w·q_r, where ``d_pool`` and ``d_pressler`` are
+    the demands sum N·w and sum N·S_a·w.  Zero supply gives zero
+    coefficients; with no foliage anywhere the Pressler term is dropped
+    (``dropped``) and the pool takes the whole supply."""
+    if q_r == 0.0:
+        return 0.0, 0.0, False
+    if d_pool == 0.0:
+        raise AllocationError(f"ring supply {q_r:g} with no woody "
+                              f"sink·length weight to receive it")
+    dropped = lambda_mix > 0.0 and d_pressler == 0.0
+    lam = 0.0 if dropped else lambda_mix
+    return ((1.0 - lam) / d_pool, lam / d_pressler if lam > 0.0 else 0.0,
+            dropped)
+
+
+def partition_rings(q_r: float, cohorts, lambda_mix: float, p_rg):
     """Distribute the ring-compartment biomass over metamer cohorts.
 
     ``cohorts`` is an iterable of (multiplicity, pa, length, leaf_above)
     tuples; the return value is the per-instance ring increment for each, in
-    input order.  Demands are
+    input order, with the coefficients of :func:`ring_coefficients` over the
+    demands
 
         d_pool     = sum  N·p_rg(pa)·l
         d_pressler = sum  N·S_a·p_rg(pa)·l
 
-    and each instance receives
-    ((1-lambda)/d_pool + lambda·S_a/d_pressler)·p_rg(pa)·l·q_r, which
-    conserves q_r exactly.  When the tree carries no foliage at all the
+    which conserves q_r exactly.  When the tree carries no foliage at all the
     Pressler term is dropped for the cycle (pool-only partition) instead of
     failing; a warning is emitted because this cannot happen in a normal run.
     """
     rows = list(cohorts)
     if q_r < 0:
         raise SimulationError(f"ring supply must be >= 0: {q_r}")
-    if not rows:
-        if q_r > 0.0:
-            raise AllocationError("ring supply with no metamers to receive it")
-        return []
-
     d_pool = 0.0
     d_pressler = 0.0
     for mult, pa, length, s_a in rows:
@@ -174,23 +186,13 @@ def partition_rings(q_r: float, cohorts, lambda_mix: float, p_rg,
         d_pool += mult * w
         d_pressler += mult * s_a * w
 
-    lam = lambda_mix
-    if lam > 0.0 and d_pressler == 0.0:
-        if q_r > 0.0 and warn_dropped_pressler:
-            warnings.warn("no foliage anywhere: Pressler term dropped for "
-                          "this cycle", RuntimeWarning, stacklevel=2)
-        lam = 0.0
-    if q_r == 0.0:
-        return [0.0] * len(rows)
-    if d_pool == 0.0:
-        raise AllocationError("ring supply but all metamers have zero "
-                              "sink·length weight")
-
+    pool, pressler, dropped = ring_coefficients(q_r, d_pool, d_pressler,
+                                                lambda_mix)
+    if dropped:
+        warnings.warn("no foliage anywhere: Pressler term dropped for "
+                      "this cycle", RuntimeWarning, stacklevel=2)
     out = []
-    for mult, pa, length, s_a in rows:
+    for _, pa, length, s_a in rows:
         w = p_rg[pa - 1] * length
-        share = (1.0 - lam) / d_pool * w
-        if lam > 0.0:
-            share += lam * s_a / d_pressler * w
-        out.append(share * q_r)
+        out.append((w * pool + s_a * w * pressler) * q_r)
     return out

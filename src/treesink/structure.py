@@ -164,20 +164,11 @@ class Arena:
 
 
 def _arena_field(row: int) -> property:
-    """A class's read-only (columns, metamers) values of one arena field,
+    """A copy of a class's (columns, metamers) values of one arena field,
     base to apex."""
     def get(self: AxisClass) -> np.ndarray:
-        arena = self.arena
-        if row == CUM_RING:
-            s, e = arena.segment(self.index)
-            values = arena.cum_ring[:, s:e]
-        else:
-            arena.settle()
-            s, e = arena.unit_bounds[self.index:self.index + 2]
-            values = np.repeat(arena.unit_field(row)[:, s:e],
-                               arena.sizes[s:e], axis=1)
-        values.flags.writeable = False
-        return values
+        s, e = self.arena.segment(self.index)
+        return self.arena.field(row)[:, s:e].copy()
     return property(get)
 
 
@@ -279,12 +270,15 @@ class TreeState:
     # per column, the expanded OrganogenesisPlans: the decisions the
     # architecture rests on, with that column's ratios and shoot demands
     decisions: list[list] = field(init=False)
-    notes: list[str] = field(init=False, default_factory=list)
+    # per column, the run's notes (distribution slack, a dropped Pressler
+    # term)
+    notes: list[list[str]] = field(init=False)
     arena: Arena = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.arena = Arena(self.columns)
         self.decisions = [[] for _ in range(self.columns)]
+        self.notes = [[] for _ in range(self.columns)]
 
     def add_class(self, pa: int, birth_cycle: int, multiplicity: int) -> AxisClass:
         key = (pa, birth_cycle)

@@ -257,10 +257,11 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
         total = axis_total(sum(g.size for g in groups), rule, ratio)
         counts, slack = distribute_axes(total, groups)
         zone_groups.append((rule.key, groups, counts))
-        if slack:
-            state.notes.append(
-                f"cycle {n}: zone Z^{rule.bearer_pa}{rule.axillary_pa} "
-                f"distribution slack {slack:+d}")
+        if slack:   # equal axis totals give every column this slack
+            for notes in state.notes:
+                notes.append(f"cycle {n}: zone Z^{rule.bearer_pa}"
+                             f"{rule.axillary_pa} distribution slack "
+                             f"{slack:+d}")
         assigned = total + slack
         if assigned:
             bud_counts[rule.axillary_pa] = (

@@ -131,7 +131,7 @@ def test_a_raising_batch_runs_every_column_alone(bundled, monkeypatch):
     assert ran == [True, False, True]
 
 
-def test_a_column_dropping_the_pressler_term_leaves(bundled, monkeypatch):
+def test_a_column_dropping_the_pressler_term_stays(bundled, monkeypatch):
     # production needs live leaves, which lie above the trunk base, so no
     # crown with production drops the Pressler term; the ring partition's
     # foliage scan reads none for the columns marked by p_rg_4, whether
@@ -153,13 +153,17 @@ def test_a_column_dropping_the_pressler_term_leaves(bundled, monkeypatch):
                   {**base, "gamma": base["gamma"] * (1 + 1e-6)}]
     runs = _log_runs(monkeypatch)
     results = batch_residuals(candidates, params, zones, targets, weights)
-    # on each tree the marked column left the batch and ran alone, and the
-    # other two ran again as a batch
-    assert runs == [(3, 0), (1, 0), (2, 0), (3, 1), (1, 1), (2, 1)]
-    cand, cand_zones = apply_candidate(params, zones, candidates[1])
-    output = engine.simulate(cand, cand_zones, targets[0],
+    # on each tree the marked column stayed in the batch
+    assert runs == [(3, 0), (3, 1)]
+    applied = [apply_candidate(params, zones, c) for c in candidates]
+    cand_zones = applied[1][1]
+    batched = engine.simulate_batch([p for p, _ in applied], cand_zones,
+                                    targets[0])
+    output = engine.simulate(applied[1][0], cand_zones, targets[0],
                              with_topology=False)
     assert "cycle 1: no foliage, Pressler term dropped" in output.notes
+    assert batched[1].notes == output.notes
+    assert batched[0].notes == batched[2].notes == []
     ran = [_same_as_serial(c, r, params, zones, targets, weights)
            for c, r in zip(candidates, results)]
     assert ran == [True, True, True]

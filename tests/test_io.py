@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,7 +76,7 @@ class TestParameterFile:
     def test_bad_free_list_is_located(self, tmp_path, old, new, line,
                                       message):
         bad = tmp_path / "bad.params"
-        text = open(fixture_path("species.params")).read()
+        text = Path(fixture_path("species.params")).read_text()
         assert old in text
         bad.write_text(text.replace(old, new))
         with pytest.raises(ParseError) as err:
@@ -120,7 +121,7 @@ class TestParameterFile:
         ("bound_sp0 = 0.003, 0.08", "bound_sp0 = 0.015, 0.015",
          "sp0: bounds must be finite, lower < upper: 0.015, 0.015")])
     def test_bad_fit_value_is_located(self, tmp_path, old, new, message):
-        lines = open(fixture_path("species.params")).read().split("\n")
+        lines = Path(fixture_path("species.params")).read_text().split("\n")
         line = lines.index(old) + 1
         lines[line - 1] = new
         path = tmp_path / "bad.params"
@@ -217,7 +218,7 @@ class TestTargetFile:
     def test_branch_spec_is_case_insensitive(self, tmp_path):
         assert _parse_branch_spec("PA2X1", "t.csv", 1) == \
             _parse_branch_spec("PA2x1", "t.csv", 1) == ((2, 1),)
-        text = open(fixture_path("tree1.target.csv")).read()
+        text = Path(fixture_path("tree1.target.csv")).read_text()
         assert "\n3,5,PA4x1\n" in text
         datasets = []
         for spec in ("PA4x1", "PA4X1", "pa4x1"):
@@ -243,7 +244,8 @@ class TestTargetFile:
          "branch GU 3 PA 4 given twice, first at line 126")])
     def test_bad_target_cell_is_located(self, tmp_path, line, old, new, col,
                                         message):
-        lines = open(fixture_path("tree1.target.csv")).readlines()
+        text = Path(fixture_path("tree1.target.csv")).read_text()
+        lines = text.splitlines(keepends=True)
         assert lines[line - 1].endswith(old)
         lines[line - 1] = lines[line - 1][:-len(old)] + new
         path = tmp_path / "bad.target.csv"
@@ -254,7 +256,8 @@ class TestTargetFile:
 
     def test_invalid_rows_are_located(self, tmp_path):
         # validate_target's row violations each name their row's line
-        lines = open(fixture_path("tree1.target.csv")).readlines()
+        text = Path(fixture_path("tree1.target.csv")).read_text()
+        lines = text.splitlines(keepends=True)
         assert lines[3] == "2,4,\n"
         lines[3] = "1,4,\n"
         old = "4,4,2.438385881390635,2.1826323234750182\n"
@@ -318,7 +321,7 @@ class TestCli:
 
     def test_validate_rejects_bad_lambda(self, tmp_path):
         bad = tmp_path / "bad.params"
-        text = open(fixture_path("species.params")).read()
+        text = Path(fixture_path("species.params")).read_text()
         bad.write_text(text.replace("\nlambda_mix = 0.13",
                                     "\nlambda_mix = 1.2", 1))
         result = run_cli("validate", "--params", str(bad))
@@ -328,7 +331,7 @@ class TestCli:
     def test_non_finite_zone_coefficient_fails_without_traceback(
             self, tmp_path):
         bad = tmp_path / "bad.params"
-        text = open(fixture_path("species.params")).read()
+        text = Path(fixture_path("species.params")).read_text()
         bad.write_text(text.replace("zone_2_4 = 1.0, 1.1, 2, 0.0, 0.6",
                                     "zone_2_4 = 1.0, nan, 2, 0.0, 0.6"))
         result = run_cli("validate", "--params", str(bad))
@@ -344,7 +347,7 @@ class TestCli:
 
     def test_fit_section_init_outside_bounds_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.params"
-        text = open(fixture_path("species.params")).read()
+        text = Path(fixture_path("species.params")).read_text()
         bad.write_text(text.replace("init_lambda_mix = 0.13",
                                     "init_lambda_mix = 1.2"))
         result = run_cli("validate", "--params", str(bad))
@@ -373,11 +376,14 @@ class TestCli:
         # a key given twice in one section, [species] the same as none
         ("\nsp0 = 0.015\n", "\nsp0 = 0.015\nsp0 = 0.05\n", ":21: "),
         ("\n[zones]\n", "\n[species]\nsp0 = 0.05\n[zones]\n", ":25: "),
-        ("seed = 1", "seed = 3\nseed = 7", ":87: ")])
+        ("seed = 1", "seed = 3\nseed = 7", ":87: "),
+        ("seed = 1", "seed = 1\nbogus = 1", ":87: "),
+        ("init_sp0 = 0.015", "init_sp0 = 5.0", ":37: "),
+        ("seed = 1", "seed = 1\ninit_k_beer = 1.0", ":87: ")])
     def test_bad_number_is_located_parse_error(self, tmp_path, old, new,
                                                where):
         bad = tmp_path / "bad.params"
-        text = open(fixture_path("species.params")).read()
+        text = Path(fixture_path("species.params")).read_text()
         assert old in text
         bad.write_text(text.replace(old, new))
         targets = ("--target", fixture_path("tree1.target.csv"),
@@ -396,7 +402,7 @@ class TestCli:
         (49, 3, "inf")])   # [rings] diameter_cm
     def test_non_finite_target_cell_is_located(self, tmp_path, line, col,
                                                text):
-        lines = open(fixture_path("tree1.target.csv")).read().split("\n")
+        lines = Path(fixture_path("tree1.target.csv")).read_text().split("\n")
         cells = lines[line - 1].split(",")
         cells[col - 1] = text
         lines[line - 1] = ",".join(cells)
@@ -466,7 +472,7 @@ class TestCli:
     @pytest.mark.parametrize("entry", [1, 2])
     def test_out_of_range_scripted_branch_is_runtime_failure(self, tmp_path,
                                                              entry):
-        lines = open(fixture_path("tree1.target.csv")).read().splitlines()
+        lines = Path(fixture_path("tree1.target.csv")).read_text().splitlines()
         assert lines[1 + entry] == f"{entry},4,"
         lines[1 + entry] = f"{entry},4,PA7x1"
         target = tmp_path / "bad.target.csv"

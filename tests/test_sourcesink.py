@@ -6,7 +6,7 @@ import pytest
 
 from treesink.core import AllocationError, SimulationError
 from treesink.sourcesink import (allocate_shoots, partition_rings, production,
-                                 ring_demand, shoot_demand,
+                                 ring_coefficients, ring_demand, shoot_demand,
                                  solve_global_demand)
 from treesink.structure import expand_shoot_values
 
@@ -223,3 +223,13 @@ class TestPartitionRings:
     def test_no_structure_with_supply_is_error(self):
         with pytest.raises(AllocationError):
             partition_rings(2.0, [], 0.0, self.P_RG)
+
+    def test_coefficients(self):
+        # (q_r, d_pool, d_pressler, lambda) -> (pool, Pressler, dropped):
+        # a Pressler term is dropped only when it would have received supply
+        assert ring_coefficients(2.0, 4.0, 8.0, 0.5) == (0.125, 0.0625, False)
+        assert ring_coefficients(2.0, 4.0, 0.0, 0.8) == (0.25, 0.0, True)
+        assert ring_coefficients(2.0, 4.0, 0.0, 0.0) == (0.25, 0.0, False)
+        assert ring_coefficients(0.0, 0.0, 0.0, 0.8) == (0.0, 0.0, False)
+        with pytest.raises(AllocationError):
+            ring_coefficients(2.0, 0.0, 0.0, 0.8)

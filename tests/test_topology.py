@@ -198,7 +198,7 @@ class TestOrganogenesis:
         cls = state.add_class(2, 2, multiplicity=3)
         cls.append_gu(2, [(0, 1), (4, 1)], 2, 0.2, 1.0, 0.3, 40.0)
         organogenesis_step(state, params, zones, ratio=1.0, trunk_entry=None)
-        assert state.notes == ["cycle 2: zone Z^24 distribution slack +1"]
+        assert state.notes == [["cycle 2: zone Z^24 distribution slack +1"]]
 
     def test_scripted_trunk_budget(self, params, zones):
         state = TreeState(cycle=1)
