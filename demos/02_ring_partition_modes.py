@@ -26,9 +26,9 @@ script = (TrunkScriptEntry(1, 3), TrunkScriptEntry(2, 4, ((3, 1),)),
           TrunkScriptEntry(5, 5, ((4, 1),)), TrunkScriptEntry(6, 5))
 dataset = script_only_dataset(script)
 
-state = engine.start_state(params, zones, dataset)
+state = engine.start_state([params], zones, dataset)
 for _ in range(dataset.tree_age):
-    engine.step(state, params, zones, dataset, 0, dataset.tree_age)
+    engine.step(state, [params], zones, dataset, 0, dataset.tree_age)
 
 # the trunk's metamers with their foliage-above, as (multiplicity, PA,
 # length, leaf surface above) rows for the partition primitive

@@ -62,13 +62,17 @@ class AnnealSchedule:
 
 #: what a fit setting must satisfy besides being finite: a cooling of 1 or
 #: more would never end the annealing, numpy seeds its generator from
-#: nonnegative integers only, and scipy needs max_nfev >= 1
+#: nonnegative integers only, scipy needs max_nfev >= 1, and the fit would
+#: silently reinterpret a lower step scale, refit cadence or polish count
 _SETTING_RULES = {"annealing t0": ("> 0", lambda v: v > 0),
                   "annealing cooling": ("in (0, 1)", lambda v: 0 < v < 1),
                   "annealing steps_per_t": (">= 0", lambda v: v >= 0),
                   "annealing t_stop_ratio": ("> 0", lambda v: v > 0),
+                  "annealing step_scale": ("> 0", lambda v: v > 0),
                   "seed": (">= 0", lambda v: v >= 0),
-                  "max_nfev": (">= 1", lambda v: v >= 1)}
+                  "max_nfev": (">= 1", lambda v: v >= 1),
+                  "refit_every": (">= 1", lambda v: v >= 1),
+                  "polish_rounds": (">= 0", lambda v: v >= 0)}
 
 
 def check_setting(name: str, value) -> None:
@@ -102,7 +106,8 @@ class FitSpec:
         check_free_names([p.name for p in self.topological], True, continuous)
         for cls, w in (self.weights or {}).items():
             check_weight(cls, w)
-        for name in ("seed", "max_nfev", "stop_objective"):
+        for name in ("seed", "max_nfev", "stop_objective", "refit_every",
+                     "polish_rounds"):
             check_setting(name, getattr(self, name))
 
 
@@ -322,7 +327,7 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
     start = np.clip(start, lower, upper)
     evals = 0
 
-    def jacobian_columns(_fun, points):
+    def residuals_at(_fun, points):
         """The residuals of each point, from one batched run per tree:
         scipy's map over the finite-difference points of one Jacobian."""
         nonlocal evals
@@ -336,10 +341,10 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
                                            weights)]
 
     x_scale = np.maximum(np.abs(start), 1e-3 * np.maximum(upper - lower, 1e-12))
-    result = least_squares(lambda x: jacobian_columns(None, [x])[0], start,
+    result = least_squares(lambda x: residuals_at(None, [x])[0], start,
                            bounds=(lower, upper), x_scale=x_scale,
                            diff_step=1e-6, max_nfev=max_nfev, method="trf",
-                           workers=jacobian_columns)
+                           workers=residuals_at)
     estimates = {n: float(v) for n, v in zip(names, result.x)}
     obj = float(result.fun @ result.fun)
     if not math.isfinite(obj) or obj >= 1e12:

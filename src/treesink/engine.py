@@ -12,9 +12,10 @@ share over all living metamers.
 The engine runs K parameter columns at once (:func:`simulate_batch`): runs
 of one tree under K parameter sets that take the same decisions share one
 state, whose per-metamer values carry a column axis, while every per-cycle
-scalar runs per column through the same scalar functions.  A column whose
-rounding outcome departs from the first column's leaves the batch and runs
-alone.  :func:`simulate` is the one-column case.
+scalar runs per column through the same scalar functions.  A batch that
+cannot finish together, because some column's rounding outcome departs
+from the first column's or because it raises, runs every column alone.
+:func:`simulate` is the one-column case.
 """
 
 from __future__ import annotations
@@ -42,30 +43,15 @@ from .topology import (OrganogenesisPlan, column_plan, organogenesis_step,
 PRODUCTION_CAP = 1.0e15
 
 
-class ColumnsLeft(Exception):
-    """Raised inside a batched run when ``columns`` (positions in the
-    batch) take a decision other than the first column's."""
-
-    def __init__(self, columns: list[int]):
-        super().__init__(f"columns {columns} left the batch")
-        self.columns = columns
-
-
-def _columns(params) -> Sequence[GrowthParameters]:
-    """The parameter set of each column: ``params`` itself, or a bare
-    parameter set as the one column."""
-    return (params,) if isinstance(params, GrowthParameters) else params
-
-
 def _column_plans(plan: OrganogenesisPlan, zones: ZoneRuleSet, cols,
                   ratios) -> list[OrganogenesisPlan]:
     """The first column's ``plan`` and every other column's at its ratio;
-    raises ColumnsLeft naming the columns whose roundings differ."""
+    raises a SimulationError naming the columns whose roundings differ."""
     plans = [plan] + [column_plan(plan, zones, p, r)
                       for p, r in zip(cols[1:], ratios[1:])]
     left = [k for k, each in enumerate(plans) if each is None]
     if left:
-        raise ColumnsLeft(left)
+        raise SimulationError(f"columns {left} left the batch")
     return plans
 
 
@@ -223,13 +209,11 @@ def split_production(params: GrowthParameters, cycle: int, q: float,
                            q_s=0.0, q_r=0.0, ratio=0.0, s_blade=s_blade)
 
 
-def step(state: TreeState, params, zones: ZoneRuleSet,
-         dataset: TargetDataset, tree_index: int, final_cycle: int
-         ) -> list[CycleAllocation]:
+def step(state: TreeState, cols: Sequence[GrowthParameters],
+         zones: ZoneRuleSet, dataset: TargetDataset, tree_index: int,
+         final_cycle: int) -> list[CycleAllocation]:
     """Run one growth cycle and return each column's allocation record;
-    ``params`` holds one parameter set per column of ``state`` (a bare set
-    for a one-column state)."""
-    cols = _columns(params)
+    ``cols`` holds one parameter set per column of ``state``."""
     n = state.cycle + 1
     state.cycle = n
     try:
@@ -255,8 +239,6 @@ def step(state: TreeState, params, zones: ZoneRuleSet,
         state.pending_plans = plans
         state.pending_fund = [a.q_s for a in allocs]
         return allocs
-    except ColumnsLeft:
-        raise
     except Exception as exc:  # abort with the cycle attached
         if isinstance(exc, SimulationError) and exc.cycle is not None:
             raise
@@ -291,12 +273,11 @@ def check_run_request(params: GrowthParameters, zones: ZoneRuleSet,
     return n_cycles
 
 
-def start_state(params, zones: ZoneRuleSet, dataset: TargetDataset
-                ) -> TreeState:
-    """The state before cycle 1, one column per parameter set (a bare set
-    for one column): the seed plan pending, funded by the seed biomass,
-    with its seed ratio standing in for the previous cycle's Q/D."""
-    cols = _columns(params)
+def start_state(cols: Sequence[GrowthParameters], zones: ZoneRuleSet,
+                dataset: TargetDataset) -> TreeState:
+    """The state before cycle 1, one column per parameter set in ``cols``:
+    the seed plan pending, funded by the seed biomass, with its seed ratio
+    standing in for the previous cycle's Q/D."""
     entry = dataset.script_entry(1)
     plan = seed_plan(cols[0], zones, entry)
     plans = _column_plans(plan, zones, cols, [plan.ratio_used] + [
@@ -331,10 +312,9 @@ def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
     Item ``k`` is what ``simulate(params[k], zones, dataset, tree_index,
     with_topology=False, with_signature=False)`` gives: its output, bit for
     bit, or the TreesinkError it raises.  A request that fails its
-    checks does not join the batch.  A column whose rounding outcome
-    departs from the first column's leaves the batch and runs alone, and
-    the others run again as a batch; a batched run that raises sends every
-    column still in the batch to run alone.
+    checks does not join the batch.  If the batched run of the others
+    raises, as it does when a column's rounding outcome departs from the
+    first column's, every one of them runs alone.
     """
     results: list = [None] * len(params)
     live = []
@@ -344,27 +324,22 @@ def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
             live.append(k)
         except TreesinkError as exc:
             results[k] = exc
-    while live:
-        alone = live
-        if len(live) > 1:
-            try:
-                outputs = _run([params[k] for k in live], zones, dataset,
-                               tree_index, n_cycles)
-            except ColumnsLeft as left:
-                alone = [live[i] for i in left.columns]
-            except TreesinkError:   # alone, each column raises or not
-                pass
-            else:
-                for k, output in zip(live, outputs):
-                    results[k] = output
-                return results
-        for k in alone:
-            try:
-                [results[k]] = _run((params[k],), zones, dataset, tree_index,
-                                    n_cycles)
-            except TreesinkError as exc:
-                results[k] = exc
-        live = [k for k in live if k not in alone]
+    if len(live) > 1:
+        try:
+            outputs = _run([params[k] for k in live], zones, dataset,
+                           tree_index, n_cycles)
+        except TreesinkError:   # alone, each column raises or not
+            pass
+        else:
+            for k, output in zip(live, outputs):
+                results[k] = output
+            return results
+    for k in live:
+        try:
+            [results[k]] = _run((params[k],), zones, dataset, tree_index,
+                                n_cycles)
+        except TreesinkError as exc:
+            results[k] = exc
     return results
 
 

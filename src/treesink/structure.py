@@ -167,8 +167,13 @@ def _arena_field(row: int) -> property:
     """A copy of a class's (columns, metamers) values of one arena field,
     base to apex."""
     def get(self: AxisClass) -> np.ndarray:
-        s, e = self.arena.segment(self.index)
-        return self.arena.field(row)[:, s:e].copy()
+        arena = self.arena
+        s, e = arena.segment(self.index)   # settles the unit bounds too
+        if row == CUM_RING:
+            return arena.cum_ring[:, s:e].copy()
+        u, v = arena.unit_bounds[self.index:self.index + 2]
+        return np.repeat(arena.unit_field(row)[:, u:v], arena.sizes[u:v],
+                         axis=1)
     return property(get)
 
 

@@ -58,7 +58,7 @@ def step_with_rings(state, params, zones, dataset, tree_index, final_cycle):
     that cycle (the change in each metamer's cumulative ring mass across the
     step)."""
     before = [cls.cum_ring[0].copy() for cls in state.classes]
-    [alloc] = engine.step(state, params, zones, dataset, tree_index,
+    [alloc] = engine.step(state, [params], zones, dataset, tree_index,
                           final_cycle)
     incs = []
     for i, cls in enumerate(state.classes):

@@ -41,7 +41,7 @@ def verdict(criterion, ok, detail):
 def run_to_state(params, zones, dataset, tree_index=0):
     """Step a full run; return the final state and, per cycle, the
     CycleAllocation with the per-class ring increments of that cycle."""
-    state = start_state(params, zones, dataset)
+    state = start_state([params], zones, dataset)
     cycles = [step_with_rings(state, params, zones, dataset, tree_index,
                               dataset.tree_age)
               for _ in range(dataset.tree_age)]

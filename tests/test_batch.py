@@ -6,6 +6,8 @@ one batched run per tree, so its bits, and with them the fit's path, hold
 only if each column's residual equals the serial one bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,12 +106,28 @@ def test_columns_that_leave_the_batch(bundled, monkeypatch):
     results = batch_residuals(candidates, params, zones, targets, weights)
     monkeypatch.undo()
     # the failing column never ran; on tree 1 the column past the edge
-    # left the batch and ran alone, and the other three ran again as a
-    # batch; on tree 2 (v_1 is tree 1's factor) all four stayed batched
-    assert runs == [(4, 0), (1, 0), (3, 0), (4, 1)]
+    # stopped the batch, and each of the four then ran alone; on tree 2
+    # (v_1 is tree 1's factor) all four stayed batched
+    assert runs == [(4, 0), (1, 0), (1, 0), (1, 0), (1, 0), (4, 1)]
     ran = [_same_as_serial(c, r, params, zones, targets, weights)
            for c, r in zip(candidates, results)]
     assert ran == [True, True, True, False, True]
+
+
+def test_a_departure_at_the_seed_plan(bundled, monkeypatch):
+    # on tree 1 a seed biomass of 2 doubles the seed ratio, 0.381 against
+    # 0.190, which changes the seed plan's roundings before cycle 1
+    params, zones, spec, targets, weights = bundled
+    columns = [params, replace(params, q0=2.0),
+               replace(params, sp0=params.sp0 * (1 + 1e-6))]
+    runs = _log_runs(monkeypatch)
+    results = engine.simulate_batch(columns, zones, targets[0])
+    monkeypatch.undo()
+    assert runs == [(3, 0), (1, 0), (1, 0), (1, 0)]
+    for p, result in zip(columns, results):
+        alone = engine.simulate(p, zones, targets[0], with_topology=False,
+                                with_signature=False)
+        assert vars(result) == vars(alone)
 
 
 def test_a_raising_batch_runs_every_column_alone(bundled, monkeypatch):

@@ -141,7 +141,7 @@ def _state_after(params, zones, script):
     """Step a full run; return the final state and, per cycle, the
     CycleAllocation with the per-class ring increments of that cycle."""
     ds = script_only_dataset(script)
-    state = start_state(params, zones, ds)
+    state = start_state([params], zones, ds)
     cycles = [step_with_rings(state, params, zones, ds, 0, ds.tree_age)
               for _ in range(ds.tree_age)]
     return state, cycles
@@ -251,7 +251,7 @@ class TestDeterminism:
         ds = script_only_dataset(small_script)
         state, _ = _state_after(params, zones, small_script[:4])
         clone = copy.deepcopy(state)
-        allocs = [engine.step(st, params, zones, ds, 0, ds.tree_age)
+        allocs = [engine.step(st, [params], zones, ds, 0, ds.tree_age)
                   for st in (state, clone)]
         assert allocs[0] == allocs[1]
         assert state.structure_signature() == clone.structure_signature()

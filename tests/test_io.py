@@ -116,6 +116,12 @@ class TestParameterFile:
          "weight for ring_diameter must be finite and positive: nan"),
         ("seed = 1", "seed = -1", "seed must be >= 0: -1"),
         ("max_nfev = 60", "max_nfev = 0", "max_nfev must be >= 1: 0"),
+        ("refit_every = 4", "refit_every = -2",
+         "refit_every must be >= 1: -2"),
+        ("polish_rounds = 5", "polish_rounds = -1",
+         "polish_rounds must be >= 0: -1"),
+        ("anneal_step_scale = 0.3", "anneal_step_scale = -0.3",
+         "annealing step_scale must be > 0: -0.3"),
         ("stop_objective = 1e-12", "stop_objective = nan",
          "stop_objective must be finite: nan"),
         ("bound_sp0 = 0.003, 0.08", "bound_sp0 = 0.015, 0.015",
@@ -132,7 +138,7 @@ class TestParameterFile:
 
     def test_anneal_schedule_rejects_an_endless_cooling(self):
         for bad in ({"cooling": 1.0}, {"t0": 0.0}, {"steps_per_t": -1},
-                    {"step_scale": math.nan}):
+                    {"step_scale": math.nan}, {"step_scale": 0.0}):
             with pytest.raises(ValueError, match="annealing"):
                 AnnealSchedule(**bad)
 
