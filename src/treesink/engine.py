@@ -59,7 +59,6 @@ def _column_plans(plan: OrganogenesisPlan, zones: ZoneRuleSet, cols,
 class SimulationOutput:
     """Per-cycle series plus the measurement-shaped profiles of one run."""
 
-    tree_index: int
     cycles: int
     allocations: list[CycleAllocation]
     trunk_profile: list[TrunkObservation]
@@ -112,9 +111,9 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
     laterals = []   # (PA, (bearing class, bearing row), instances)
     entry = plan.trunk_entry
     if entry is not None:
-        trunk = state.get_class(TRUNK_PA, 1)
-        if trunk is None:
-            trunk = state.add_class(TRUNK_PA, 1, multiplicity=1)
+        # the trunk is class 0, made at cycle 1
+        trunk = (state.classes[0] if state.classes
+                 else state.add_class(TRUNK_PA, 1, multiplicity=1))
         grow(trunk, None, entry.metamer_count)
         row = trunk.n_metamers
         for pa, count in sorted(entry.branches):
@@ -349,20 +348,18 @@ def _run(cols, zones, dataset, tree_index, n_cycles, with_topology=False,
     state = start_state(cols, zones, dataset)
     allocations = [step(state, cols, zones, dataset, tree_index, n_cycles)
                    for _ in range(n_cycles)]
-    return _collect_output(state, cols, list(zip(*allocations)), tree_index,
-                           n_cycles, with_topology=with_topology,
+    return _collect_output(state, cols, list(zip(*allocations)), n_cycles,
+                           with_topology=with_topology,
                            with_signature=with_signature)
 
 
-def _collect_output(state: TreeState, cols, allocations, tree_index: int,
-                    n_cycles: int, with_topology: bool = True,
+def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
+                    with_topology: bool = True,
                     with_signature: bool = True) -> list[SimulationOutput]:
     """Each column's output; ``allocations`` holds each column's
     allocation records.  Every per-column sum runs along a contiguous last
     axis, as it does with one column."""
-    trunk = state.get_class(TRUNK_PA, 1)
-    if trunk is None:
-        raise SimulationError("simulation produced no trunk")
+    trunk = state.classes[0]
     density = np.array([[p.wood_density] for p in cols])
 
     add = np.add.reduce
@@ -431,7 +428,7 @@ def _collect_output(state: TreeState, cols, allocations, tree_index: int,
     topology = state.topology_dump() if with_topology else {}
     signature = state.structure_signature() if with_signature else ()
     return [SimulationOutput(
-        tree_index=tree_index, cycles=n_cycles, allocations=list(allocs),
+        cycles=n_cycles, allocations=list(allocs),
         trunk_profile=profile, ring_matrix=matrix,
         branch_compartments=rows, topology=topology, total_wood_g=wood,
         total_leaf_ever_g=leaf, pending_shoot_fund_g=fund,

@@ -36,6 +36,8 @@ _FLAGS = {"true": True, "yes": True, "1": True,
 
 
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -160,26 +162,30 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
     return params, zones, fit_spec
 
 
-#: AnnealSchedule field -> its [fit] key
-_ANNEAL_KEYS = {"t0": "anneal_t0", "cooling": "anneal_cooling",
-                "steps_per_t": "anneal_steps", "t_stop_ratio": "anneal_t_stop",
-                "step_scale": "anneal_step_scale"}
-
-#: the other FitSpec settings, each its own [fit] key, and their types
-_SETTING_KINDS = {"seed": int, "refit_every": int, "nested_refit": bool,
-                  "max_nfev": int, "stop_objective": float,
-                  "polish_rounds": int}
+#: [fit] setting key -> (AnnealSchedule or FitSpec, the field it sets), in
+#: the order the writer lists them; a value's type is the field's annotation
+_FIT_SETTINGS = {key: (owner, {f.name: f for f in fields(owner)}[name])
+                 for key, owner, name in (
+                     ("anneal_t0", AnnealSchedule, "t0"),
+                     ("anneal_cooling", AnnealSchedule, "cooling"),
+                     ("anneal_steps", AnnealSchedule, "steps_per_t"),
+                     ("anneal_t_stop", AnnealSchedule, "t_stop_ratio"),
+                     ("anneal_step_scale", AnnealSchedule, "step_scale"),
+                     *((name, FitSpec, name) for name in (
+                         "refit_every", "nested_refit", "max_nfev",
+                         "stop_objective", "polish_rounds", "seed")))}
 
 
 def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
                     params: GrowthParameters, zones: ZoneRuleSet) -> FitSpec:
-    def num(key, default=None, kind=float):   # ``default`` without a line
+    def num(key, default=None, kind="float"):  # ``kind``: an annotation
         if key not in fit_lines:
             return default
         line_no, text = fit_lines.pop(key)
-        if kind is bool:
+        if kind == "bool":
             return _parse_flag(text, path, line_no, key)
-        return _parse_float(text, path, line_no, key, kind)
+        return _parse_float(text, path, line_no, key,
+                            int if kind.startswith("int") else float)
 
     def located(line_no, check, *args):
         """``check(*args)``, its ValueError a ParseError at ``line_no``."""
@@ -219,22 +225,18 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
         line_no, data_class = fit_lines[key][0], key[7:]
         weights[data_class] = num(key)
         located(line_no, check_weight, data_class, weights[data_class])
-    schedule = {}
-    for name, key in _ANNEAL_KEYS.items():
+    settings = {AnnealSchedule: {}, FitSpec: {}}
+    for key, (owner, f) in _FIT_SETTINGS.items():
         line_no = fit_lines.get(key, (None,))[0]
-        schedule[name] = num(key, getattr(AnnealSchedule, name),
-                             int if name == "steps_per_t" else float)
-        located(line_no, check_setting, f"annealing {name}",
-                schedule[name])
-    settings = {}
-    for name, kind in _SETTING_KINDS.items():
-        line_no = fit_lines.get(name, (None,))[0]
-        settings[name] = num(name, getattr(FitSpec, name), kind)
-        located(line_no, check_setting, name, settings[name])
+        value = num(key, f.default, f.type)
+        located(line_no, check_setting, f"annealing {f.name}"
+                if owner is AnnealSchedule else f.name, value)
+        settings[owner][f.name] = value
     spec = FitSpec(   # its checks were made above, each at its line
         continuous=continuous, topological=topological,
-        weights=weights or None, schedule=AnnealSchedule(**schedule),
-        **settings)
+        weights=weights or None,
+        schedule=AnnealSchedule(**settings[AnnealSchedule]),
+        **settings[FitSpec])
     if fit_lines:
         stray = ", ".join(sorted(fit_lines))
         raise ParseError(f"unknown [fit] keys: {stray}", path,
@@ -255,7 +257,7 @@ def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
             lines.append(f"{key} = {_fmt(value)}")
     lines.append("")
     lines.append("[zones]")
-    lines.append(f"eq_fixed = {'true' if zones.eq_fixed else 'false'}")
+    lines.append(f"eq_fixed = {_fmt(zones.eq_fixed)}")
     for rule in zones.rules:
         fields = [_fmt(rule.m1), _fmt(rule.m2),
                   "inf" if math.isinf(rule.m_max) else _fmt(rule.m_max)]
@@ -276,17 +278,11 @@ def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
         if fit_spec.weights:
             for cls, w in sorted(fit_spec.weights.items()):
                 lines.append(f"weight_{cls} = {_fmt(w)}")
-        for name, key in _ANNEAL_KEYS.items():
-            lines.append(f"{key} = {_fmt(getattr(fit_spec.schedule, name))}")
-        lines.append(f"refit_every = {fit_spec.refit_every}")
-        lines.append(f"nested_refit = "
-                     f"{'true' if fit_spec.nested_refit else 'false'}")
-        if fit_spec.max_nfev is not None:
-            lines.append(f"max_nfev = {fit_spec.max_nfev}")
-        if fit_spec.stop_objective is not None:
-            lines.append(f"stop_objective = {_fmt(fit_spec.stop_objective)}")
-        lines.append(f"polish_rounds = {fit_spec.polish_rounds}")
-        lines.append(f"seed = {fit_spec.seed}")
+        for key, (owner, f) in _FIT_SETTINGS.items():
+            value = getattr(fit_spec.schedule if owner is AnnealSchedule
+                            else fit_spec, f.name)
+            if value is not None:
+                lines.append(f"{key} = {_fmt(value)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -290,12 +290,12 @@ def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
         ratio_lagged = alloc.ratio
         pending, fund = plan, alloc.q_s
 
-    return _collect_naive(tree, params, allocations, tree_index, n_cycles,
+    return _collect_naive(tree, params, allocations, n_cycles,
                           pending_fund=fund)
 
 
-def _collect_naive(tree: NaiveTree, params, allocations, tree_index,
-                   n_cycles, pending_fund):
+def _collect_naive(tree: NaiveTree, params, allocations, n_cycles,
+                   pending_fund):
     trunk = tree.axes[0] if tree.axes else None
     if trunk is None or trunk.pa != TRUNK_PA:
         raise SimulationError("naive simulation produced no trunk")
@@ -346,7 +346,7 @@ def _collect_naive(tree: NaiveTree, params, allocations, tree_index,
         axis_counts[key] = axis_counts.get(key, 0) + 1
 
     return SimulationOutput(
-        tree_index=tree_index, cycles=n_cycles, allocations=allocations,
+        cycles=n_cycles, allocations=allocations,
         trunk_profile=trunk_profile, ring_matrix=ring_matrix,
         branch_compartments=branch_rows,
         topology={"naive": True, "axis_counts": axis_counts},

@@ -68,8 +68,13 @@ def ring_demand(ratio: float, p_r: float, gamma: float) -> float:
     return p_r * ratio ** gamma
 
 
-def solve_global_demand(d_s: float, p_r: float, gamma: float, q: float,
-                        tol: float = 1e-12, max_iter: int = 100) -> float:
+#: the demand solve's tolerance and its Newton iteration limit
+DEMAND_TOL = 1e-12
+DEMAND_MAX_ITER = 100
+
+
+def solve_global_demand(d_s: float, p_r: float, gamma: float,
+                        q: float) -> float:
     """Solve D = d_s + p_r·(q/D)^gamma for the unique positive root.
 
     f(D) = D - d_s - p_r·q^gamma·D^-gamma is strictly increasing on (0, inf),
@@ -100,9 +105,9 @@ def solve_global_demand(d_s: float, p_r: float, gamma: float, q: float,
     hi = d_s + p_r * (q / max(d_s, 1e-9)) ** gamma
     lo = d_s
     d = hi
-    for _ in range(max_iter):
+    for _ in range(DEMAND_MAX_ITER):
         res = f(d)
-        if abs(res) < tol:
+        if abs(res) < DEMAND_TOL:
             return d
         deriv = 1.0 + gamma * c * d ** (-gamma - 1.0)
         step = res / deriv
@@ -111,7 +116,7 @@ def solve_global_demand(d_s: float, p_r: float, gamma: float, q: float,
             break
         d = nxt
     else:
-        if abs(f(d)) < tol:
+        if abs(f(d)) < DEMAND_TOL:
             return d
 
     # bisection fallback; f(lo) <= 0 <= f(hi) by construction
@@ -121,7 +126,7 @@ def solve_global_demand(d_s: float, p_r: float, gamma: float, q: float,
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < DEMAND_TOL:
             break
     return 0.5 * (lo + hi)
 

@@ -262,8 +262,6 @@ class TreeState:
     cycle: int = 0
     columns: int = 1
     classes: list[AxisClass] = field(init=False, default_factory=list)
-    class_index: dict[tuple[int, int], int] = field(init=False,
-                                                    default_factory=dict)
     # previous-cycle Q/D driving organogenesis
     ratio_lagged: list[float] = field(default_factory=list)
     # OrganogenesisPlans for cycle+1, and the Q_s committed to them
@@ -286,17 +284,9 @@ class TreeState:
         self.notes = [[] for _ in range(self.columns)]
 
     def add_class(self, pa: int, birth_cycle: int, multiplicity: int) -> AxisClass:
-        key = (pa, birth_cycle)
-        if key in self.class_index:
-            raise SimulationError(f"axis class {key} already exists")
         cls = AxisClass(self.arena, pa, birth_cycle, multiplicity)
-        self.class_index[key] = cls.index
         self.classes.append(cls)
         return cls
-
-    def get_class(self, pa: int, birth_cycle: int) -> AxisClass | None:
-        idx = self.class_index.get((pa, birth_cycle))
-        return None if idx is None else self.classes[idx]
 
     # ------------------------------------------------------------------
     # foliage scans

@@ -3,11 +3,14 @@
 One-value mutations of the bundled parameter and target files either parse
 or raise a ParseError naming the file and a line, and the CLI answers them
 with an exit code, never a traceback.  Parameter sets drawn inside the fit
-bounds give, batched, what each gives alone.  The seeds and case counts are
-fixed, so every run checks the same cases.
+bounds give, batched, what each gives alone, and zone coefficients drawn
+over their fit bounds simulate or fail typed.  The seeds and case counts
+are fixed, so every run checks the same cases.
 """
 
 from pathlib import Path
+
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from treesink.core import ParseError, TreesinkError, TrunkScriptEntry
 from treesink.engine import simulate, simulate_batch
 from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.synthetic import (reference_fit_spec, reference_parameters,
-                                reference_zone_rules, script_only_dataset)
+                                reference_zone_rules, script_only_dataset,
+                                tree1_script)
 
 from conftest import fixture_path
 
@@ -118,3 +122,32 @@ def test_batch_of_drawn_parameters_equals_single_runs(seed):
             assert str(batched) == str(exc)
         else:
             assert vars(batched) == vars(alone)
+
+
+def _zone_draws(seed, cases):
+    """``cases`` draws of every zone rule's m2 and branching a2, with v_1,
+    gamma and p_r, each uniform over its reference fit bounds."""
+    spec = reference_fit_spec()
+    free = spec.topological + [p for p in spec.continuous
+                               if p.name in ("v_1", "gamma", "p_r")]
+    rng = np.random.default_rng(seed)
+    return [{p.name: float(rng.uniform(p.lower, p.upper)) for p in free}
+            for _ in range(cases)]
+
+
+ZONE_CASES = _zone_draws(13, 40)
+
+
+@pytest.mark.parametrize("draw", ZONE_CASES,
+                         ids=map(str, range(len(ZONE_CASES))))
+def test_drawn_zone_coefficients_simulate_or_fail_typed(draw):
+    params, zones = apply_candidate(reference_parameters(),
+                                    reference_zone_rules(), draw)
+    try:
+        out = simulate(params, zones, script_only_dataset(tree1_script()))
+    except TreesinkError:
+        return
+    assert out.cycles == 21
+    assert all(math.isfinite(v) for row in (
+        out.trunk_profile + out.ring_matrix + out.branch_compartments)
+        for v in vars(row).values())

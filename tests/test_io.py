@@ -492,27 +492,53 @@ class TestCli:
         assert (f"error: script entry {entry}: branch PA 7 outside 2..4"
                 in result.stderr)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["fit", "--params", fixture_path("species.params")],
+         "the following arguments are required: --target"),
+        (["simulate", "--params", fixture_path("species.params"),
+          "--synthetic-script", "tree1", "--cycles", "abc"],
+         "argument --cycles: invalid int value: 'abc'"),
+        (["grow", "--params", fixture_path("species.params")],
+         "argument command: invalid choice: 'grow'")],
+        ids=["fit-without-target", "cycles-not-an-int", "unknown-command"])
+    def test_usage_error_is_validation_failure(self, tmp_path, argv,
+                                               message):
+        out = tmp_path / "out"
+        result = run_cli(*argv, "--out", str(out))
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("usage: treesink")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    def test_help_exits_zero(self):
+        result = run_cli("simulate", "--help")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: treesink simulate")
+
 
 class TestRunConfig:
+    """Invocations of ``cli.main`` in process."""
+
     def test_programmatic_invocation(self, tmp_path, capsys):
-        from treesink.cli import EXIT_OK, RunConfig, run
-        config = RunConfig(command="simulate",
-                           params_path=fixture_path("species.params"),
-                           synthetic_script="tree1",
-                           out_dir=str(tmp_path / "out"))
-        assert run(config) == EXIT_OK
+        from treesink.cli import EXIT_OK, main
+        assert main(["simulate", "--params", fixture_path("species.params"),
+                     "--synthetic-script", "tree1",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
         assert (tmp_path / "out" / "cycles.csv").exists()
 
-    def test_invariants_enforced(self, tmp_path):
-        from treesink.cli import EXIT_VALIDATION, RunConfig, run
-        config = RunConfig(command="fit",
-                           params_path=fixture_path("species.params"),
-                           out_dir=str(tmp_path))
-        assert run(config) == EXIT_VALIDATION
-        config = RunConfig(command="simulate",
-                           params_path=fixture_path("species.params"),
-                           out_dir=str(tmp_path))
-        assert run(config) == EXIT_VALIDATION
+    def test_invariants_enforced(self, tmp_path, capsys):
+        from treesink.cli import EXIT_VALIDATION, main
+        assert main(["fit", "--params", fixture_path("species.params"),
+                     "--out", str(tmp_path / "fit")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: --target\n")
+        assert main(["simulate", "--params", fixture_path("species.params"),
+                     "--out", str(tmp_path / "sim")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "error: simulate needs --target or --synthetic-script\n"
+        assert not (tmp_path / "fit").exists()
+        assert not (tmp_path / "sim").exists()
 
     def test_negative_seed_is_an_error(self, tmp_path, capsys):
         from treesink.cli import EXIT_VALIDATION, main
@@ -575,17 +601,15 @@ class TestRunConfig:
     def test_plots_without_matplotlib_is_an_error(self, tmp_path, capsys,
                                                   monkeypatch):
         from treesink import plots
-        from treesink.cli import EXIT_VALIDATION, RunConfig, run
+        from treesink.cli import EXIT_VALIDATION, main
         monkeypatch.setattr(plots, "HAVE_MATPLOTLIB", False)
-        targets = (fixture_path("tree1.target.csv"),
-                   fixture_path("tree2.target.csv"))
-        for command, extra in (("simulate", {"synthetic_script": "tree1"}),
-                               ("fit", {"target_paths": targets})):
-            config = RunConfig(command=command,
-                               params_path=fixture_path("species.params"),
-                               out_dir=str(tmp_path / command), plots=True,
-                               **extra)
-            assert run(config) == EXIT_VALIDATION
+        targets = ["--target", fixture_path("tree1.target.csv"),
+                   "--target", fixture_path("tree2.target.csv")]
+        for command, extra in (("simulate", ["--synthetic-script", "tree1"]),
+                               ("fit", targets)):
+            assert main([command, "--params", fixture_path("species.params"),
+                         "--out", str(tmp_path / command), "--plots",
+                         *extra]) == EXIT_VALIDATION
             err = capsys.readouterr().err
             assert err.startswith("error: --plots needs matplotlib")
             assert "'plots' extra" in err
