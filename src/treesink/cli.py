@@ -29,6 +29,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low):
+    """An argparse type: an int of at least ``low``.  A value below it is a
+    usage error naming the option, as a malformed one is."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}: {value}")
+        return value
+    parse.__name__ = "int"   # a malformed value reads "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="treesink",
@@ -48,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim, _cmd_simulate, target_required=False)
     p_sim.add_argument("--synthetic-script", choices=["tree1", "tree2"],
                        help="use a bundled trunk script instead of --target")
-    p_sim.add_argument("--cycles", type=int, default=None,
+    p_sim.add_argument("--cycles", type=_int_at_least(1), default=None,
                        help="growth cycles (defaults to the script length)")
-    p_sim.add_argument("--tree-index", type=int, default=0,
+    p_sim.add_argument("--tree-index", type=_int_at_least(0), default=0,
                        help="which environment factor to use (0-based)")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--plots", action="store_true",
@@ -70,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle",
                            help="run the enumerated-tree reference engine")
     add_common(p_orc, _cmd_simulate, target_required=True)
-    p_orc.add_argument("--cycles", type=int, default=None)
-    p_orc.add_argument("--tree-index", type=int, default=0)
+    p_orc.add_argument("--cycles", type=_int_at_least(1), default=None)
+    p_orc.add_argument("--tree-index", type=_int_at_least(0), default=0)
     p_orc.add_argument("--out", required=True)
     return parser
 

@@ -7,18 +7,21 @@ per zone (m1, m2, m_max[, a1, a2], with ``inf`` allowed for m_max) and
 headers, sections ``[script]``, ``[trunk]``, ``[rings]``, ``[branches]``.
 
 All numeric output is written in full-precision decimal text (repr), so a
-write/read round trip reproduces every value exactly.
+write/read round trip reproduces every value exactly.  JSON outputs have a
+one-space indent and sorted keys and end with a newline: the bytes of
+Python's ``json`` module with ``indent=1, sort_keys=True``, written by
+``_json_chunks``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import re
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter
 
 from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
@@ -434,9 +437,100 @@ def _write_rows(path, row_type, rows, header=None) -> str:
     return path
 
 
+_int_text = int.__repr__
+
+
+def _float_text(value) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else \
+        "Infinity" if value > 0 else "-Infinity"
+
+
+def _json_chunks(data):
+    """Yield the text of ``data`` as Python's ``json`` module encodes it
+    with ``indent=1, sort_keys=True``, byte for byte.  The containers of
+    the two outer levels come out item by item, so a large file's text is
+    never held whole.  Dict keys must be ``str``; another key, or a value of
+    a type ``json`` does not encode, is a TypeError.
+
+    ``json``'s C encoder cannot indent, so ``json`` would run its
+    pure-Python encoder here; this one returns strings, not chunks, below
+    those levels and fills each dict through one ``%``-template per key
+    set and depth."""
+    templates = {}   # (keys in insertion order, pad) -> template entry
+
+    def encode(x, pad):
+        t = type(x)
+        if t is int:
+            return _int_text(x)
+        if t is dict:
+            if not x:
+                return "{}"
+            entry = templates.get((tuple(x), pad))
+            if entry is None:
+                entry = templates[tuple(x), pad] = dict_template(x, pad)
+            template, keys, inner = entry
+            return template % tuple([  # ints inline: most values are ints
+                _int_text(v) if type(v) is int else encode(v, inner)
+                for v in map(x.__getitem__, keys)])
+        if t is list or t is tuple:
+            if not x:
+                return "[]"
+            inner = pad + " "
+            return "[\n" + inner + (",\n" + inner).join([
+                _int_text(v) if type(v) is int else encode(v, inner)
+                for v in x]) + "\n" + pad + "]"
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        for base, text in ((str, _json_string), (float, _float_text),
+                           (int, _int_text)):   # and subclasses: np.float64
+            if isinstance(x, base):
+                return text(x)
+        raise TypeError(f"Object of type {t.__name__} is not JSON "
+                        f"serializable")
+
+    def sorted_keys(x):
+        for key in x:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+        return sorted(x)
+
+    def dict_template(x, pad):
+        keys, inner = sorted_keys(x), pad + " "
+        body = (",\n" + inner).join(
+            _json_string(k).replace("%", "%%") + ": %s" for k in keys)
+        return "{\n" + inner + body + "\n" + pad + "}", keys, inner
+
+    def chunks(x, pad, levels):
+        t = type(x)
+        if not (levels and x and t in (dict, list, tuple)):
+            yield encode(x, pad)
+            return
+        inner = pad + " "
+        if t is dict:
+            keys = sorted_keys(x)
+            items = ((_json_string(k) + ": ", x[k]) for k in keys)
+        else:
+            items = (("", v) for v in x)
+        opener = "{" if t is dict else "["
+        for head, value in items:
+            yield opener + "\n" + inner + head
+            yield from chunks(value, inner, levels - 1)
+            opener = ","
+        yield "\n" + pad + ("}" if t is dict else "]")
+
+    return chunks(data, "", 2)
+
+
 def _write_json(path, data) -> str:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.writelines(_json_chunks(data))
         fh.write("\n")
     return path
 

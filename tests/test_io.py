@@ -5,13 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from treesink.calibration import AnnealSchedule, FitSpec, FreeParameter
+from treesink.calibration import (AnnealSchedule, FitResult, FitSpec,
+                                   FreeParameter)
 from treesink.core import ParseError, ZoneRule, ZoneRuleSet
 from treesink.engine import simulate
-from treesink.fileio import (_parse_branch_spec, parse_target_file,
-                             read_parameter_file, write_parameter_file,
+from treesink.oracle import simulate_naive
+from treesink.fileio import (_parse_branch_spec, _write_json,
+                             parse_target_file, read_parameter_file,
+                             write_fit_result, write_parameter_file,
                              write_simulation_output, write_target_file)
 from treesink.synthetic import (dataset_from_output, reference_fit_spec,
                                 script_only_dataset)
@@ -295,6 +299,65 @@ class TestSimulationOutputFiles:
         assert topo["axis_classes"][0]["pa"] == 1
 
 
+class TestJsonWriter:
+    """The JSON writer gives the bytes of ``json.dumps(x, indent=1,
+    sort_keys=True)`` and a newline."""
+
+    @staticmethod
+    def assert_json_bytes(path, data):
+        expected = json.dumps(data, indent=1, sort_keys=True) + "\n"
+        assert Path(path).read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("tree_index", [0, 1])
+    def test_engine_topology(self, params, zones, tmp_path, tree_index):
+        dataset = parse_target_file(
+            fixture_path(f"tree{tree_index + 1}.target.csv"))
+        out = simulate(params, zones, dataset, tree_index=tree_index)
+        write_simulation_output(tmp_path, out)
+        self.assert_json_bytes(tmp_path / "topology.json", out.topology)
+
+    def test_oracle_topology(self, params, zones, small_dataset, tmp_path):
+        out = simulate_naive(params, zones, small_dataset)
+        assert out.topology["naive"] is True
+        write_simulation_output(tmp_path, out)
+        self.assert_json_bytes(tmp_path / "topology.json", out.topology)
+
+    @pytest.mark.parametrize("intervals", [
+        {"a2_2_4": (0.4645, None), "m2_2_0": (None, 0.75),
+         "a2_3_4": (None, None)}, {}], ids=["open-ends", "no-intervals"])
+    def test_fit_result(self, tmp_path, intervals):
+        result = FitResult(
+            continuous={"sp0": 0.015, "v_1": 558.8514117979618},
+            topology={"a2_2_4": 0.6}, intervals=intervals, v_env=[],
+            objective=0.0, trace=[], r_squared={"tree1": math.nan},
+            predicted_observed=[], evaluations=11)
+        write_fit_result(tmp_path, result)
+        summary = {k: v for k, v in vars(result).items()
+                   if k != "predicted_observed"}
+        self.assert_json_bytes(tmp_path / "fit_result.json", summary)
+
+    def test_scalars(self, tmp_path):
+        data = {"inf": [math.inf, -math.inf, math.nan, -0.0, 1e-300],
+                "text": ["é ü → \u2603", '100% "quoted"', "tab\tline\n"],
+                '100% "key"': {"%s": None, "%(x)s": [True, False]},
+                "numpy": np.float64(0.1), "tuple": (1, (2.5, "3")),
+                "empty": [{}, [], ""], "big": 2 ** 70}
+        _write_json(tmp_path / "x.json", data)
+        self.assert_json_bytes(tmp_path / "x.json", data)
+        for top in (3, "x", None, [], {}, [[[]]]):
+            _write_json(tmp_path / "top.json", top)
+            self.assert_json_bytes(tmp_path / "top.json", top)
+
+    @pytest.mark.parametrize("data", [
+        {1: "a"}, {"a": [{"b": 1, None: 2}]}, {"a": {"b": {(1,): 2}}},
+        {"a": object()}, [np.int64(3)], {"a": [[{1, 2}]]}],
+        ids=["int-key", "none-key", "deep-tuple-key", "object", "numpy-int",
+             "set"])
+    def test_unsupported_input_is_a_type_error(self, tmp_path, data):
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "x.json", data)
+
+
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "treesink.cli", *argv],
@@ -499,8 +562,22 @@ class TestCli:
           "--synthetic-script", "tree1", "--cycles", "abc"],
          "argument --cycles: invalid int value: 'abc'"),
         (["grow", "--params", fixture_path("species.params")],
-         "argument command: invalid choice: 'grow'")],
-        ids=["fit-without-target", "cycles-not-an-int", "unknown-command"])
+         "argument command: invalid choice: 'grow'"),
+        (["simulate", "--params", fixture_path("species.params"),
+          "--synthetic-script", "tree1", "--cycles", "0"],
+         "argument --cycles: must be >= 1: 0"),
+        (["simulate", "--params", fixture_path("species.params"),
+          "--synthetic-script", "tree1", "--tree-index", "-1"],
+         "argument --tree-index: must be >= 0: -1"),
+        (["oracle", "--params", fixture_path("species.params"),
+          "--target", fixture_path("tree1.target.csv"), "--cycles", "0"],
+         "argument --cycles: must be >= 1: 0"),
+        (["oracle", "--params", fixture_path("species.params"),
+          "--target", fixture_path("tree1.target.csv"), "--tree-index", "-1"],
+         "argument --tree-index: must be >= 0: -1")],
+        ids=["fit-without-target", "cycles-not-an-int", "unknown-command",
+             "simulate-zero-cycles", "simulate-negative-tree-index",
+             "oracle-zero-cycles", "oracle-negative-tree-index"])
     def test_usage_error_is_validation_failure(self, tmp_path, argv,
                                                message):
         out = tmp_path / "out"
