@@ -450,8 +450,8 @@ def _float_text(value) -> str:
 def _json_chunks(data):
     """Yield the text of ``data`` as Python's ``json`` module encodes it
     with ``indent=1, sort_keys=True``, byte for byte.  The containers of
-    the two outer levels come out item by item, so a large file's text is
-    never held whole.  Dict keys must be ``str``; another key, or a value of
+    the three outer levels come out item by item, so a large file's text
+    is never held whole.  Dict keys must be ``str``; another key, or a value of
     a type ``json`` does not encode, is a TypeError.
 
     ``json``'s C encoder cannot indent, so ``json`` would run its
@@ -525,7 +525,7 @@ def _json_chunks(data):
             opener = ","
         yield "\n" + pad + ("}" if t is dict else "]")
 
-    return chunks(data, "", 2)
+    return chunks(data, "", 3)
 
 
 def _write_json(path, data) -> str:
