@@ -451,8 +451,8 @@ def _json_chunks(data):
     """Yield the text of ``data`` as Python's ``json`` module encodes it
     with ``indent=1, sort_keys=True``, byte for byte.  The containers of
     the three outer levels come out item by item, so a large file's text
-    is never held whole.  Dict keys must be ``str``; another key, or a value of
-    a type ``json`` does not encode, is a TypeError.
+    is never held whole.  Dict keys must be ``str``; another key, or a
+    value of a type ``json`` does not encode, is a TypeError.
 
     ``json``'s C encoder cannot indent, so ``json`` would run its
     pure-Python encoder here; this one returns strings, not chunks, below

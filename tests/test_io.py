@@ -12,11 +12,11 @@ from treesink.calibration import (AnnealSchedule, FitResult, FitSpec,
                                    FreeParameter)
 from treesink.core import ParseError, ZoneRule, ZoneRuleSet
 from treesink.engine import simulate
-from treesink.oracle import simulate_naive
 from treesink.fileio import (_parse_branch_spec, _write_json,
                              parse_target_file, read_parameter_file,
                              write_fit_result, write_parameter_file,
                              write_simulation_output, write_target_file)
+from treesink.oracle import simulate_naive
 from treesink.synthetic import (dataset_from_output, reference_fit_spec,
                                 script_only_dataset)
 
