@@ -33,26 +33,14 @@ from .core import (CM2_PER_M2, MEASUREMENTS, TRUNK_PA, AlignmentError,
                    validate_script)
 from .sourcesink import (CycleAllocation, allocate_shoots, production,
                          ring_coefficients, ring_demand, solve_global_demand)
-from .structure import (LENGTH, AxisClass, TreeState, expand_shoot_values,
+from .structure import (LENGTH, TreeState, expand_shoot_values,
                         metamer_diameters)
-from .topology import (OrganogenesisPlan, column_plan, organogenesis_step,
+from .topology import (OrganogenesisPlan, column_plans, organogenesis_step,
                        seed_plan, seed_ratio)
 
 #: overflow guard: a per-cycle production beyond this is treated as a
 #: diverged simulation rather than a meaningful state
 PRODUCTION_CAP = 1.0e15
-
-
-def _column_plans(plan: OrganogenesisPlan, zones: ZoneRuleSet, cols,
-                  ratios) -> list[OrganogenesisPlan]:
-    """The first column's ``plan`` and every other column's at its ratio;
-    raises a SimulationError naming the columns whose roundings differ."""
-    plans = [plan] + [column_plan(plan, zones, p, r)
-                      for p, r in zip(cols[1:], ratios[1:])]
-    left = [k for k, each in enumerate(plans) if each is None]
-    if left:
-        raise SimulationError(f"columns {left} left the batch")
-    return plans
 
 
 @dataclass
@@ -81,65 +69,68 @@ class SimulationOutput:
 def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
     """Create this cycle's growth units from the pending plans (one per
     column, all with the same decisions), splitting each column's shoot
-    fund by sink strengths."""
+    fund by sink strengths: one block of units per PA and one block of
+    laterals."""
     cycle = state.cycle
     plan = plans[0]
     masses = [allocate_shoots(fund, each.d_s, plan.bud_counts, p.p_s)
               for p, each, fund in zip(cols, plans, funds)]
     slws = [p.slw_at(cycle) for p in cols]
-    sizes = {pa: sum(c for _, c in layout)
-             for pa, layout in plan.gu_layouts.items()}
-    # every branch axis living when the cycle starts continues apically
-    continuing = [cls for cls in state.classes if cls.pa != TRUNK_PA]
-    # (pa, metamer count) -> the four per-metamer fields, each once per
-    # column: every shoot of one PA and metamer count expands alike
-    shoot_values: dict[tuple[int, int], tuple[float, ...]] = {}
+    arena = state.arena
+    # the classes living when the cycle starts, by PA: every branch axis
+    # among them continues apically
+    by_pa: dict[int, list[int]] = {}
+    for cls in state.classes:
+        by_pa.setdefault(cls.pa, []).append(cls.index)
 
-    def grow(cls: AxisClass, layout, count: int):
-        key = (cls.pa, count)
-        if key not in shoot_values:
-            shoot_values[key] = sum(zip(*(
-                expand_shoot_values(p, cls.pa, m.get(cls.pa, 0.0), count,
-                                    cycle, slw=slw)
-                for p, m, slw in zip(cols, masses, slws))), ())
-        cls.append_gu(cycle, layout, count, *shoot_values[key])
+    def grow(classes, pa: int, layout, count: int):
+        """One unit on each of ``classes``: shoots of one PA expand alike."""
+        arena.append_units(classes, cycle, count, layout, sum(zip(*(
+            expand_shoot_values(p, pa, m.get(pa, 0.0), count, cycle, slw=slw)
+            for p, m, slw in zip(cols, masses, slws))), ()))
 
     # trunk growth unit plus its scripted branches (expanding together),
     # placed on distinct metamers from the apex downward, the most vigorous
     # (lowest PA) closest to the tip, mirroring the acrotonic zone order of
-    # dynamic growth units
-    laterals = []   # (PA, (bearing class, bearing row), instances)
+    # dynamic growth units; they and each zone's laterals are runs (PA,
+    # bearer, apical row, positions taken, instances per position)
+    runs = []
     entry = plan.trunk_entry
     if entry is not None:
         # the trunk is class 0, made at cycle 1
         trunk = (state.classes[0] if state.classes
                  else state.add_class(TRUNK_PA, 1, multiplicity=1))
-        grow(trunk, None, entry.metamer_count)
-        row = trunk.n_metamers
+        grow([trunk.index], TRUNK_PA, None, entry.metamer_count)
+        apex = trunk.n_metamers - 1
         for pa, count in sorted(entry.branches):
-            for _ in range(count):
-                row -= 1
-                laterals.append((pa, (trunk.index, row), 1))
-    zoned = [(key[1], group.payload, group.size)
+            runs.append((pa, trunk.index, apex, count, 1))
+            apex -= count
+    scripted = len(runs)
+    runs += [(key[1], *group.payload, taken, group.size)
              for key, groups, counts in plan.zone_groups
-             for group, count in zip(groups, counts) if count]
-
-    for cls in continuing:
-        grow(cls, plan.gu_layouts[cls.pa], sizes[cls.pa])
+             for group, taken in zip(groups, counts) if taken]
 
     # the new lateral axes, one class per PA born this cycle: the scripted
     # PAs first, then the rest by PA
-    mult = dict.fromkeys([pa for pa, _, _ in laterals]
-                         + sorted({pa for pa, _, _ in zoned}), 0)
-    laterals += zoned
-    for pa, _, instances in laterals:
-        mult[pa] += instances
-    born = {pa: state.add_class(pa, cycle, multiplicity=n)
+    mult = dict.fromkeys([pa for pa, *_ in runs[:scripted]]
+                         + sorted({pa for pa, *_ in runs[scripted:]}), 0)
+    for pa, _, _, taken, size in runs:
+        mult[pa] += taken * size
+    born = {pa: state.add_class(pa, cycle, multiplicity=n).index
             for pa, n in mult.items()}
-    for pa, cls in born.items():
-        grow(cls, plan.gu_layouts[pa], sizes[pa])
-    for pa, (bearer, row), _ in laterals:
-        state.classes[bearer].set_child(row, born[pa].index, 1)
+    for pa, idx in born.items():
+        by_pa.setdefault(pa, []).append(idx)
+    for pa, layout in plan.gu_layouts.items():
+        if pa in by_pa:
+            grow(by_pa[pa], pa, layout, sum(c for _, c in layout))
+    # each run's taken positions are its apical ones, base to apex
+    bearers, rows, children = [], [], []
+    for pa, idx, apex, taken, _ in runs:
+        bearers += [idx] * taken
+        rows += range(apex + 1 - taken, apex + 1)
+        children += [born[pa]] * taken
+    if bearers:
+        arena.append_edges(bearers, rows, children, [1] * len(bearers))
     for decisions, each in zip(state.decisions, plans):
         decisions.append(each)
 
@@ -226,7 +217,7 @@ def step(state: TreeState, cols: Sequence[GrowthParameters],
 
         next_entry = (dataset.script_entry(n + 1)
                       if n + 1 <= min(dataset.tree_age, final_cycle) else None)
-        plans = _column_plans(
+        plans = column_plans(
             organogenesis_step(state, cols[0], zones, state.ratio_lagged[0],
                                next_entry), zones, cols, state.ratio_lagged)
         allocs = [split_production(p, n, qk, plan.d_s, s)
@@ -279,7 +270,7 @@ def start_state(cols: Sequence[GrowthParameters], zones: ZoneRuleSet,
     standing in for the previous cycle's Q/D."""
     entry = dataset.script_entry(1)
     plan = seed_plan(cols[0], zones, entry)
-    plans = _column_plans(plan, zones, cols, [plan.ratio_used] + [
+    plans = column_plans(plan, zones, cols, [plan.ratio_used] + [
         seed_ratio(p, entry) for p in cols[1:]])
     return TreeState(columns=len(cols), pending_plans=plans,
                      pending_fund=[p.q0 for p in cols],

@@ -409,31 +409,37 @@ def parse_target_file(path) -> TargetDataset:
 
 
 def write_target_file(path, dataset: TargetDataset) -> None:
-    lines = ["[script]", ",".join(_TARGET_HEADERS["script"])]
-    for e in dataset.trunk_script:
-        spec = ";".join(f"PA{pa}x{count}" for pa, count in e.branches)
-        lines.append(f"{e.gu_index},{e.metamer_count},{spec}")
-    for m in MEASUREMENTS:
-        header = _TARGET_HEADERS[m.section]
-        lines += [f"[{m.section}]", ",".join(header)]
-        lines += (",".join(map(_fmt, values)) for values
-                  in map(attrgetter(*header), getattr(dataset, m.field)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("[script]\n" + ",".join(_TARGET_HEADERS["script"]) + "\n")
+        for e in dataset.trunk_script:
+            spec = ";".join(f"PA{pa}x{count}" for pa, count in e.branches)
+            fh.write(f"{e.gu_index},{e.metamer_count},{spec}\n")
+        for m in MEASUREMENTS:
+            fh.write(f"[{m.section}]\n"
+                     + ",".join(_TARGET_HEADERS[m.section]) + "\n")
+            fh.writelines(_csv_rows(m.row, getattr(dataset, m.field)))
 
 
 # ----------------------------------------------------------------------
 # simulation and fit outputs
 # ----------------------------------------------------------------------
 
+def _csv_rows(row_type, rows):
+    """The CSV lines of dataclass ``rows``: one %-format each, giving what
+    ``_fmt`` gives for each field's type (no row type has a bool field)."""
+    line = ",".join("%r" if f.type == "float" else "%s"
+                    for f in fields(row_type)) + "\n"
+    return map(line.__mod__, map(attrgetter(*(
+        f.name for f in fields(row_type))), rows))
+
+
 def _write_rows(path, row_type, rows, header=None) -> str:
-    """Write dataclass rows as CSV, one column per field, under ``header``
-    (default: the field names); returns the path."""
-    names = [f.name for f in fields(row_type)]
+    """Write dataclass rows as CSV under ``header`` (default: the field
+    names); returns the path."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header or names) + "\n")
-        for values in map(attrgetter(*names), rows):
-            fh.write(",".join(map(_fmt, values)) + "\n")
+        fh.write(",".join(header or (f.name for f in fields(row_type)))
+                 + "\n")
+        fh.writelines(_csv_rows(row_type, rows))
     return path
 
 

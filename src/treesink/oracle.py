@@ -26,7 +26,7 @@ from .core import (CM2_PER_M2, TRUNK_PA, BranchRow, GrowthParameters,
 from .engine import (SimulationOutput, check_run_request, net_production,
                      split_production)
 from .sourcesink import allocate_shoots, partition_rings, shoot_demand
-from .structure import expand_shoot_values, metamer_diameter
+from .structure import expand_shoot_values, metamer_diameters
 from .topology import (PositionGroup, axis_total, distribute_axes,
                        gu_zone_layouts, seed_plan)
 
@@ -97,48 +97,32 @@ class NaiveTree:
     def live_blade_cm2(self, cycle):
         return sum(m.leaf_area for m in self.metamers() if m.birth == cycle)
 
-    def subtree_live_leaf(self, axis: NAxis, cycle) -> float:
+    def subtree(self, axis: NAxis, value) -> float:
+        """The sum of ``value(metamer)`` over the metamers of ``axis`` and,
+        recursively, of the axes they bear."""
         total = 0.0
         for gu in axis.gus:
             for m in gu.metamers:
-                if m.birth == cycle:
-                    total += m.leaf_area
+                total += value(m)
                 if m.child is not None:
-                    total += self.subtree_live_leaf(m.child, cycle)
+                    total += self.subtree(m.child, value)
         return total
 
     def leaves_above(self, axis: NAxis, gu_rank: int, rank: int,
                      cycle) -> float:
         """Foliage at or above one explicit metamer: own live leaf, distal
         leaves on the same axis, and the borne subtrees at or above it."""
+        def live(m):
+            return m.leaf_area if m.birth == cycle else 0.0
+
         total = 0.0
         for gu in axis.gus[gu_rank - 1:]:
             for m in gu.metamers:
                 if gu.rank == gu_rank and m.rank < rank:
                     continue
-                if m.birth == cycle:
-                    total += m.leaf_area
+                total += live(m)
                 if m.child is not None:
-                    total += self.subtree_live_leaf(m.child, cycle)
-        return total
-
-    def subtree_wood(self, axis: NAxis) -> float:
-        total = 0.0
-        for gu in axis.gus:
-            for m in gu.metamers:
-                total += m.internode_mass + sum(m.rings)
-                if m.child is not None:
-                    total += self.subtree_wood(m.child)
-        return total
-
-    def subtree_live_leaf_mass(self, axis: NAxis, cycle) -> float:
-        total = 0.0
-        for gu in axis.gus:
-            for m in gu.metamers:
-                if m.birth == cycle:
-                    total += m.leaf_mass
-                if m.child is not None:
-                    total += self.subtree_live_leaf_mass(m.child, cycle)
+                    total += self.subtree(m.child, live)
         return total
 
 
@@ -202,48 +186,45 @@ def _expand(tree: NaiveTree, params, plan: _NaivePlan, fund: float) -> None:
     cycle = tree.cycle
     masses = allocate_shoots(fund, plan.d_s, plan.bud_counts, params.p_s)
 
-    def build_gu(axis: NAxis, pa: int, layout, metamer_count: int):
+    def build_gu(axis: NAxis, metamer_count: int | None = None) -> NGU:
+        """``axis``'s next unit: its PA's layout, or the trunk's metamers."""
+        layout = ([(-1, metamer_count)] if metamer_count is not None
+                  else plan.layouts[axis.pa])
         inter, length, leaf, area = expand_shoot_values(
-            params, pa, masses.get(pa, 0.0), metamer_count, cycle)
+            params, axis.pa, masses.get(axis.pa, 0.0),
+            sum(c for _, c in layout), cycle)
         gu = NGU(rank=len(axis.gus) + 1, birth=cycle)
         axis.gus.append(gu)
-        rank = 0
-        blocks = layout if layout is not None else [(-1, metamer_count)]
-        for zone_pa, count in blocks:
+        for zone_pa, count in layout:
             for _ in range(count):
-                rank += 1
-                gu.metamers.append(NMetamer(pa, cycle, rank, zone_pa,
-                                            inter, length, leaf, area))
+                gu.metamers.append(NMetamer(
+                    axis.pa, cycle, len(gu.metamers) + 1, zone_pa, inter,
+                    length, leaf, area))
         return gu
+
+    def new_axis(pa: int, parent: NMetamer) -> None:
+        axis = NAxis(pa, cycle)
+        tree.axes.append(axis)
+        build_gu(axis)
+        if parent.child is not None:
+            raise SimulationError(
+                f"cycle {cycle}: metamer already bears a lateral")
+        parent.child = axis
 
     for shoot in plan.shoots:
         if shoot.kind == "trunk":
             if not tree.axes:
                 tree.axes.append(NAxis(TRUNK_PA, 1))
-            trunk = tree.axes[0]
-            rank = plan.trunk_entry.metamer_count
-            gu = build_gu(trunk, TRUNK_PA, None, rank)
+            gu = build_gu(tree.axes[0], plan.trunk_entry.metamer_count)
+            rank = len(gu.metamers)
             for pa, count in sorted(plan.trunk_entry.branches):
                 for _ in range(count):
-                    layout = plan.layouts[pa]
-                    axis = NAxis(pa, cycle)
-                    tree.axes.append(axis)
-                    build_gu(axis, pa, layout, sum(c for _, c in layout))
-                    gu.metamers[rank - 1].child = axis
+                    new_axis(pa, gu.metamers[rank - 1])
                     rank -= 1
         elif shoot.kind == "continue":
-            layout = plan.layouts[shoot.pa]
-            build_gu(shoot.axis, shoot.pa, layout,
-                     sum(c for _, c in layout))
+            build_gu(shoot.axis)
         else:  # lateral
-            layout = plan.layouts[shoot.pa]
-            axis = NAxis(shoot.pa, cycle)
-            tree.axes.append(axis)
-            build_gu(axis, shoot.pa, layout, sum(c for _, c in layout))
-            if shoot.parent.child is not None:
-                raise SimulationError(
-                    f"cycle {cycle}: metamer already bears a lateral")
-            shoot.parent.child = axis
+            new_axis(shoot.pa, shoot.parent)
 
 
 def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
@@ -304,20 +285,17 @@ def _collect_naive(tree: NaiveTree, params, allocations, n_cycles,
     ring_matrix = []
     for gu in trunk.gus:
         wood = [m.internode_mass + sum(m.rings) for m in gu.metamers]
-        diam = [metamer_diameter(w, m.length, params.wood_density)
-                for w, m in zip(wood, gu.metamers)]
+        lengths = [m.length for m in gu.metamers]
         trunk_profile.append(TrunkObservation(
             gu_index=gu.rank, mass_g=float(np.sum(wood)),
-            diameter_cm=float(np.mean(diam)),
-            length_cm=float(np.sum([m.length for m in gu.metamers]))))
+            diameter_cm=float(np.mean(metamer_diameters(
+                wood, lengths, params.wood_density))),
+            length_cm=float(np.sum(lengths))))
         for age in range(gu.birth, n_cycles + 1):
-            n_rings = age - gu.birth + 1
-            wood_age = [m.internode_mass + sum(m.rings[:n_rings])
+            wood_age = [m.internode_mass + sum(m.rings[:age - gu.birth + 1])
                         for m in gu.metamers]
-            diam_age = [metamer_diameter(w, m.length, params.wood_density)
-                        for w, m in zip(wood_age, gu.metamers)]
-            ring_matrix.append(RingObservation(gu.rank, age,
-                                               float(np.mean(diam_age))))
+            ring_matrix.append(RingObservation(gu.rank, age, float(np.mean(
+                metamer_diameters(wood_age, lengths, params.wood_density)))))
     ring_matrix.sort(key=lambda r: (r.tree_age, r.gu_index))
 
     grouped: dict[tuple[int, int], list[NAxis]] = {}
@@ -327,9 +305,11 @@ def _collect_naive(tree: NaiveTree, params, allocations, n_cycles,
                 grouped.setdefault((gu.rank, m.child.pa), []).append(m.child)
     branch_rows = []
     for (gu_rank, pa), axes in sorted(grouped.items()):
-        wood = float(np.mean([tree.subtree_wood(a) for a in axes]))
-        leaf = float(np.mean([tree.subtree_live_leaf_mass(a, n_cycles)
-                              for a in axes]))
+        wood = float(np.mean([tree.subtree(
+            a, lambda m: m.internode_mass + sum(m.rings)) for a in axes]))
+        leaf = float(np.mean([tree.subtree(
+            a, lambda m: m.leaf_mass if m.birth == n_cycles else 0.0)
+            for a in axes]))
         length = float(np.mean([sum(m.length for g in a.gus
                                     for m in g.metamers) for a in axes]))
         branch_rows.append(BranchRow(gu_index=gu_rank, pa=pa, count=len(axes),

@@ -32,10 +32,18 @@ def require_matplotlib() -> None:
             "pip install 'treesink[plots]'")
 
 
+def _save(fig, out_dir, name) -> str:
+    """Lay out, write and close ``fig`` as ``out_dir/name``."""
+    fig.tight_layout()
+    path = os.path.join(out_dir, name)
+    fig.savefig(path)
+    plt.close(fig)
+    return path
+
+
 def write_simulation_plots(out_dir, output: SimulationOutput) -> list[str]:
     require_matplotlib()
     os.makedirs(out_dir, exist_ok=True)
-    written = []
 
     cycles = [a.cycle for a in output.allocations]
     fig, ax = plt.subplots(figsize=(7, 4))
@@ -52,11 +60,7 @@ def write_simulation_plots(out_dir, output: SimulationOutput) -> list[str]:
     lines2, labels2 = ax2.get_legend_handles_labels()
     ax.legend(lines + lines2, labels + labels2, loc="upper left",
               fontsize="small")
-    fig.tight_layout()
-    path = os.path.join(out_dir, "cycles.svg")
-    fig.savefig(path)
-    plt.close(fig)
-    written.append(path)
+    written = [_save(fig, out_dir, "cycles.svg")]
 
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(9, 4))
     gus = [t.gu_index for t in output.trunk_profile]
@@ -66,11 +70,7 @@ def write_simulation_plots(out_dir, output: SimulationOutput) -> list[str]:
     ax2.plot(gus, [t.diameter_cm for t in output.trunk_profile], "o-")
     ax2.set_xlabel("trunk growth unit")
     ax2.set_ylabel("external diameter (cm)")
-    fig.tight_layout()
-    path = os.path.join(out_dir, "trunk.svg")
-    fig.savefig(path)
-    plt.close(fig)
-    written.append(path)
+    written.append(_save(fig, out_dir, "trunk.svg"))
 
     by_gu: dict[int, list] = {}
     for r in output.ring_matrix:
@@ -84,11 +84,7 @@ def write_simulation_plots(out_dir, output: SimulationOutput) -> list[str]:
     ax.set_ylabel("diameter (cm)")
     if len(by_gu) <= 14:
         ax.legend(fontsize="x-small", ncol=2)
-    fig.tight_layout()
-    path = os.path.join(out_dir, "rings.svg")
-    fig.savefig(path)
-    plt.close(fig)
-    written.append(path)
+    written.append(_save(fig, out_dir, "rings.svg"))
     return written
 
 
@@ -109,8 +105,4 @@ def write_fit_plots(out_dir, result: FitResult) -> list[str]:
     ax.set_xlabel("observed")
     ax.set_ylabel("simulated")
     ax.legend(fontsize="x-small")
-    fig.tight_layout()
-    path = os.path.join(out_dir, "predicted_vs_observed.svg")
-    fig.savefig(path)
-    plt.close(fig)
-    return [path]
+    return [_save(fig, out_dir, "predicted_vs_observed.svg")]

@@ -6,37 +6,32 @@ increments), so the tree is stored as a collection of :class:`AxisClass`
 objects carrying a multiplicity instead of one object per axis.  Leaves live
 one cycle: a leaf is live if its growth unit was born at the current cycle.
 
-The tree owns every per-metamer value in one :class:`Arena`.  A growth
-unit's metamers are alike when they expand, so the arena stores their
-internode mass, length, leaf mass and leaf area once per growth unit, and
-only the cumulative ring mass, which depends on a metamer's position, once
-per metamer (for the bundled tree2 with ten parameter columns, 1.3 MB of
-floats instead of 3.6 MB).  Both tables keep each class's columns
-contiguous (base to apex, growth units in rank order) and the classes in
-creation order, so the per-cycle ring partition and foliage scans are
-whole-arena operations.  The unit table is the only record of a growth
-unit: its class, birth cycle, metamer count, first metamer row and zone
-layout are columns, and its rank is its place among its class's units.  A
-class holds no arrays, only its index into the arena's class offsets.
+The tree owns every value in one :class:`Arena`: the four fields a growth
+unit's metamers share once per unit (for the bundled tree2 with ten
+parameter columns, 1.3 MB of floats instead of 3.6 MB), the cumulative
+ring, which depends on a metamer's position, once per metamer, and the
+laterals as one edge list.  Each table keeps a class's columns contiguous,
+and the classes in creation order, so the per-cycle ring partition and
+foliage scans are whole-arena operations.  Growth enters in blocks: every
+class of one PA grows the same shoot in a cycle, so one block append
+queues a unit on each of them, one edge block queues the cycle's
+laterals, and the next read merges the queue.
 
 A tree may carry K parameter columns: K runs that share every decision
 (classes, growth units, laterals, multiplicities) but not their masses.
 Each field then has one row per column, and every per-column quantity a
 method returns has a leading axis of length K.  Per-column reductions run
 along a contiguous last axis, so each column's bits are those of a
-one-column tree.
-
-A metamer can bear at most one lateral axis, created the cycle after the
-metamer's own expansion (or together with it for trunk-scripted branches).
-The laterals are one tree-level edge list (bearing class, bearing row,
-child class, per-instance count), grouped by bearing class in class order
-and in creation order within each class.
+one-column tree.  A metamer bears at most one lateral axis, created the
+cycle after the metamer's own expansion (or with it for trunk-scripted
+branches).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,6 +47,9 @@ CLASS, BIRTH, SIZE, START, LAYOUT = range(5)
 INTERNODE_MASS, LENGTH, LEAF_MASS, LEAF_AREA, CUM_RING = range(5)
 # rows of Arena.edges (a column per lateral; ROW is class-local)
 BEARER, ROW, CHILD, COUNT = range(4)
+#: elements merged at once: a small table merges whole, a large one a few
+#: rows at a time, which keeps each gather in cache
+MERGE_CHUNK = 8192
 
 
 def _merged(table: np.ndarray, new: np.ndarray, order: np.ndarray
@@ -59,8 +57,10 @@ def _merged(table: np.ndarray, new: np.ndarray, order: np.ndarray
     """The columns of ``table`` and then ``new`` (as many rows), taken in
     ``order``."""
     out = np.empty((len(table), order.size), table.dtype)
-    for field_row, old, added in zip(out, table, new):   # faster by rows
-        np.concatenate((old, added)).take(order, out=field_row)
+    step = max(1, MERGE_CHUNK // max(order.size, 1))
+    for i in range(0, len(table), step):
+        np.concatenate((table[i:i + step], new[i:i + step]), axis=1).take(
+            order, axis=1, out=out[i:i + step], mode="clip")  # unbuffered
     return out
 
 
@@ -75,35 +75,66 @@ class Arena:
     """Every per-metamer value and every lateral of one tree.
 
     ``units`` has one column per growth unit (rows CLASS to LAYOUT, then
-    INTERNODE_MASS to LEAF_AREA with one row per parameter column),
-    ``metamer_class`` and ``cum_ring`` (one row per column) one per
-    metamer, and ``edges`` one per lateral (rows BEARER..COUNT), each
-    grouped by class in class order, with the class offsets
-    ``unit_bounds``, ``bounds`` and ``edge_bounds`` (lists of ``n_classes +
-    1`` column indices).  ``layouts`` maps each distinct zone layout, a
-    tuple of (axillary PA, metamer count) blocks, to its index.  Appends
-    queue until the next read merges them in one pass, one array at a
-    time.  The classes and their tree both hold the arena, which holds
-    neither, so a finished tree is freed without waiting for the cycle
-    collector.
+    INTERNODE_MASS to LEAF_AREA with one row per parameter column) and is
+    the only record of a unit (its rank is its place among its class's
+    units), ``cum_ring`` (one row per column) one per metamer, and
+    ``edges`` one per lateral (rows BEARER..COUNT), in creation order
+    within each class.  ``unit_bounds``, ``bounds`` and ``edge_bounds``
+    are their class offsets and ``metamers`` the class metamer counts.
+    ``layouts`` maps each distinct zone layout, a tuple of (axillary PA,
+    metamer count) blocks, to its index.  The classes and their tree hold
+    the arena, which holds neither, so a finished tree is freed without
+    waiting for the cycle collector.
     """
 
-    __slots__ = ("units", "sizes", "layouts", "metamer_class", "cum_ring",
+    __slots__ = ("units", "sizes", "layouts", "metamers", "cum_ring",
                  "edges", "unit_bounds", "bounds", "edge_bounds",
-                 "queued_rows", "queued_edges", "n_classes", "columns")
+                 "queued_units", "queued_edges", "columns")
 
     def __init__(self, columns: int = 1):
         self.columns = columns
         self.units = np.zeros((LAYOUT + 1 + 4 * columns, 0))
         self.sizes = np.zeros(0, np.intp)
         self.layouts: dict[tuple, int] = {}
-        self.metamer_class = np.zeros(0)
+        self.metamers: list[int] = []
         self.cum_ring = np.zeros((columns, 0))
         self.edges = np.zeros((4, 0), dtype=np.int64)
         self.unit_bounds = self.bounds = self.edge_bounds = [0]
-        self.queued_rows: list[tuple] = []
-        self.queued_edges: list[tuple] = []
-        self.n_classes = 0
+        self.queued_units: list[tuple] = []
+        self.queued_edges: list[np.ndarray] = []
+
+    def append_units(self, classes: list[int], birth_cycle: int,
+                     metamer_count: int, zone_layout, values) -> None:
+        """Queue a block of alike growth units, the next of each class in
+        ``classes``: ``zone_layout`` lists (axillary PA, metamer count)
+        blocks base to apex (None: unzoned), ``values`` the per-metamer
+        internode mass, length, leaf mass and leaf area, field by field."""
+        if metamer_count < 1:
+            raise SimulationError("growth units carry at least one metamer")
+        if zone_layout is not None and \
+                sum(c for _, c in zone_layout) != metamer_count:
+            raise SimulationError("zone layout does not cover the growth unit")
+        if len(values) != 4 * self.columns:
+            raise SimulationError(
+                f"{len(values)} metamer values for {self.columns} columns")
+        layout = -1 if zone_layout is None else \
+            self.layouts.setdefault(tuple(zone_layout), len(self.layouts))
+        start = [self.metamers[idx] for idx in classes]
+        for idx in classes:
+            self.metamers[idx] += metamer_count
+        # CLASS and START per unit, the other rows shared
+        self.queued_units.append((classes, start, (
+            0, birth_cycle, metamer_count, 0, layout, *values)))
+
+    def append_edges(self, bearers, rows, children, counts) -> None:
+        """Queue a block of laterals: class ``bearers[i]``'s metamer row
+        ``rows[i]`` bears ``counts[i]`` instances of class ``children[i]``
+        per instance.  The next read checks that no row bears two."""
+        for bearer, row in zip(bearers, rows):
+            if not 0 <= row < self.metamers[bearer]:
+                raise SimulationError(f"no metamer row {row} in the class")
+        self.queued_edges.append(
+            np.array([bearers, rows, children, counts], np.int64))
 
     def unit_field(self, row: int) -> np.ndarray:
         """The (columns, units) rows of a field a unit's metamers share."""
@@ -118,36 +149,42 @@ class Arena:
         return np.repeat(self.unit_field(row), self.sizes, axis=1)
 
     def settle(self) -> None:
-        """Merge the queued growth units and laterals: a fixed number of
-        array operations, whatever the number of classes or appends."""
-        n = self.n_classes
-        if not (self.queued_rows or self.queued_edges
+        """Merge the queued blocks: a fixed number of array operations,
+        whatever the number of classes or blocks."""
+        n = len(self.metamers)
+        if not (self.queued_units or self.queued_edges
                 or len(self.bounds) != n + 1):
             return
-        if self.queued_rows:
-            added = np.array(self.queued_rows).T
+        if self.queued_units:
+            classes, starts, shared = zip(*self.queued_units)
+            added = np.repeat(np.array(shared).T, list(map(len, classes)),
+                              axis=1)
+            added[CLASS] = np.concatenate(classes)
+            added[START] = np.concatenate(starts)
+            # the metamers so far by class, then the new ones, rings at zero
+            b = self.bounds
+            order = _class_order(np.repeat(np.arange(len(b) - 1), np.diff(
+                b)), np.repeat(added[CLASS], added[SIZE].astype(np.intp)))
+            self.cum_ring = _merged(self.cum_ring, np.zeros(
+                (self.columns, order.size - self.cum_ring.shape[1])), order)
             self.units = _merged(self.units, added, _class_order(
                 self.units[CLASS], added[CLASS]))
             self.sizes = self.units[SIZE].astype(np.intp)
-            # the new metamers, their rings at zero
-            new = np.repeat(added[CLASS], added[SIZE].astype(np.intp))
-            order = _class_order(self.metamer_class, new)
-            self.metamer_class = np.concatenate(
-                (self.metamer_class, new)).take(order)
-            self.cum_ring = _merged(
-                self.cum_ring, np.zeros((self.columns, new.size)), order)
-            self.queued_rows = []
+            self.queued_units = []
+        self.bounds = [0, *accumulate(self.metamers)]
+        ids = np.arange(n + 1)
+        self.unit_bounds = np.searchsorted(self.units[CLASS], ids).tolist()
         if self.queued_edges:
-            added = np.array(self.queued_edges).T
-            self.edges = _merged(self.edges, added, _class_order(
-                self.edges[BEARER], added[BEARER]))
-            self.queued_edges = []
-        classes = np.arange(n + 1)
-        self.unit_bounds = np.searchsorted(self.units[CLASS],
-                                           classes).tolist()
-        self.bounds = np.searchsorted(self.metamer_class, classes).tolist()
-        self.edge_bounds = np.searchsorted(self.edges[BEARER],
-                                           classes).tolist()
+            old, added = self.edges, np.concatenate(self.queued_edges, 1)
+            self.queued_edges = []   # a block that fails is dropped whole
+            edges = _merged(old, added, _class_order(old[BEARER],
+                                                      added[BEARER]))
+            # each (bearer, row) once: sorted keys differ from the next
+            borne = edges[BEARER] * self.bounds[-1] + edges[ROW]
+            if not np.diff(borne.take(np.argsort(borne, kind="stable"))).all():
+                raise SimulationError("metamer already bears a lateral")
+            self.edges = edges
+        self.edge_bounds = np.searchsorted(self.edges[BEARER], ids).tolist()
 
     def segment(self, idx: int) -> tuple[int, int]:
         """Value columns of class ``idx``."""
@@ -168,7 +205,7 @@ def _arena_field(row: int) -> property:
     base to apex."""
     def get(self: AxisClass) -> np.ndarray:
         arena = self.arena
-        s, e = arena.segment(self.index)   # settles the unit bounds too
+        s, e = arena.segment(self.index)   # settles the arena too
         if row == CUM_RING:
             return arena.cum_ring[:, s:e].copy()
         u, v = arena.unit_bounds[self.index:self.index + 2]
@@ -181,28 +218,24 @@ class AxisClass:
     """All axes sharing (physiological age, birth cycle), with multiplicity.
 
     It joins its tree's arena as the next class, ``index``; its metamers
-    and growth units are that segment of the arena, ``n_metamers`` counts
-    the metamers appended so far, and ``bearing_rows`` holds the
-    class-local rows that bear a lateral.
+    and growth units are that segment of the arena.
     """
 
-    __slots__ = ("arena", "index", "pa", "birth_cycle", "multiplicity",
-                 "n_metamers", "bearing_rows")
+    __slots__ = ("arena", "index", "pa", "birth_cycle", "multiplicity")
 
     def __init__(self, arena: Arena, pa: int, birth_cycle: int,
                  multiplicity: int):
         self.arena = arena
-        self.index = arena.n_classes
-        arena.n_classes += 1
+        self.index = len(arena.metamers)
+        arena.metamers.append(0)
         self.pa = pa
         self.birth_cycle = birth_cycle
         self.multiplicity = multiplicity
-        self.n_metamers = 0
-        self.bearing_rows: set[int] = set()
 
     internode_mass = _arena_field(INTERNODE_MASS)
     length = _arena_field(LENGTH)
     cum_ring = _arena_field(CUM_RING)
+    n_metamers = property(lambda self: self.arena.metamers[self.index])
 
     @property
     def key(self) -> tuple[int, int]:
@@ -210,26 +243,10 @@ class AxisClass:
 
     def append_gu(self, birth_cycle: int, zone_layout: list[tuple[int, int]] | None,
                   metamer_count: int, *values: float) -> None:
-        """Add the next growth unit; per-metamer values are uniform within
-        the shoot.  ``values`` are its internode mass, length, leaf mass and
-        leaf area, each once per column, field by field.  ``zone_layout``
-        lists (axillary PA, metamer count) blocks base to apex; None means
-        an unzoned unit (trunk or short shoot).  Its metamers enter the
-        arena when it is next read."""
-        if metamer_count < 1:
-            raise SimulationError("growth units carry at least one metamer")
-        if zone_layout is not None and \
-                sum(c for _, c in zone_layout) != metamer_count:
-            raise SimulationError("zone layout does not cover the growth unit")
-        arena = self.arena
-        if len(values) != 4 * arena.columns:
-            raise SimulationError(
-                f"{len(values)} metamer values for {arena.columns} columns")
-        layout = -1 if zone_layout is None else arena.layouts.setdefault(
-            tuple(zone_layout), len(arena.layouts))
-        arena.queued_rows.append((self.index, birth_cycle, metamer_count,
-                                  self.n_metamers, layout, *values))
-        self.n_metamers += metamer_count
+        """Add the next growth unit: :meth:`Arena.append_units` on this
+        class alone.  Its metamers enter the arena when it is next read."""
+        self.arena.append_units([self.index], birth_cycle, metamer_count,
+                                zone_layout, values)
 
     def record_rings(self, increments: np.ndarray) -> None:
         """Add one cycle's per-instance ring increments to every metamer of
@@ -243,14 +260,11 @@ class AxisClass:
 
     def set_child(self, flat_idx: int, child_class_idx: int,
                   per_instance_count: int) -> None:
-        """Record a lateral borne by one metamer (at most one, ever)."""
-        if not 0 <= flat_idx < self.n_metamers:
-            raise SimulationError(f"no metamer row {flat_idx} in the class")
-        if flat_idx in self.bearing_rows:
-            raise SimulationError("metamer already bears a lateral")
-        self.bearing_rows.add(flat_idx)
-        self.arena.queued_edges.append(
-            (self.index, flat_idx, child_class_idx, per_instance_count))
+        """Record a lateral borne by one metamer (at most one, ever):
+        :meth:`Arena.append_edges` of one edge, checked at once."""
+        self.arena.append_edges([self.index], [flat_idx], [child_class_idx],
+                                [per_instance_count])
+        self.arena.settle()
 
 
 @dataclass
@@ -277,6 +291,9 @@ class TreeState:
     # term)
     notes: list[list[str]] = field(init=False)
     arena: Arena = field(init=False, repr=False, compare=False)
+    # the last _live_totals: (the unit table it read, its key, its result)
+    live_memo: tuple = field(init=False, default=(), repr=False,
+                             compare=False)
 
     def __post_init__(self):
         self.arena = Arena(self.columns)
@@ -295,15 +312,20 @@ class TreeState:
     def _live_totals(self, row: int) -> np.ndarray:
         """(columns, classes): per class, the per-instance total of the
         LEAF_AREA or LEAF_MASS ``row`` over the leaves alive at the current
-        cycle: those of the units born then."""
+        cycle: those of the units born then.  A cycle reads the blade area
+        twice, so the last result stands until the unit table changes."""
         arena = self.arena
         arena.settle()
+        key, memo = (self.cycle, row, len(self.classes)), self.live_memo
+        if memo and memo[0] is arena.units and memo[1] == key:
+            return memo[2]
         # each live unit's metamer value × their count, added to its class
         totals = np.zeros((self.columns, len(self.classes)))
         live = np.flatnonzero(arena.units[BIRTH] == self.cycle)
         classes = arena.units[CLASS].take(live).astype(int)
         np.add.at(totals, (slice(None), classes), arena.unit_field(row).take(
             live, axis=1) * arena.units[SIZE].take(live))
+        self.live_memo = (arena.units, key, totals)
         return totals
 
     def _instance_total(self, per_class: np.ndarray) -> np.ndarray:
@@ -323,15 +345,19 @@ class TreeState:
         """(columns, classes) per-instance subtree sums of the per-class
         values ``own``, resolved bottom-up: children are always created
         after their parent class, so one reverse pass suffices.  Each class
-        adds its laterals in creation order."""
+        adds its laterals in creation order in one ``np.add.reduce`` (a
+        segmented ``reduceat`` adds in another order), one column by row."""
         arena = self.arena
         arena.settle()
         totals = own.copy()
         b, add = arena.edge_bounds, np.add.reduce
         child, count = arena.edges[CHILD], arena.edges[COUNT]
+        row = totals[0] if len(totals) == 1 else None
         for idx in range(own.shape[1] - 1, -1, -1):
             s, e = b[idx], b[idx + 1]
-            if s < e:
+            if s < e and row is not None:
+                row[idx] += add(count[s:e] * row.take(child[s:e]))
+            elif s < e:
                 totals[:, idx] += add(
                     count[s:e] * totals.take(child[s:e], axis=1), axis=1)
         return totals
@@ -489,26 +515,14 @@ def expand_shoot_values(params: GrowthParameters, pa: int, shoot_mass: float,
     return internode, length, leaf, area
 
 
-def metamer_diameter(wood_mass: float, length: float, wood_density: float
-                     ) -> float:
-    """External diameter (cm) of a metamer treated as a cylinder holding its
-    cumulative wood mass."""
-    if wood_mass <= 0.0:
-        return 0.0
-    if length <= 0.0:
-        raise SimulationError(
-            f"metamer with wood mass {wood_mass:g} g but zero length")
-    volume = wood_mass / wood_density
-    return float(np.sqrt(4.0 * volume / (np.pi * length)))
-
-
 def metamer_diameters(wood_mass: np.ndarray, length: np.ndarray,
                       wood_density, out: np.ndarray | None = None
                       ) -> np.ndarray:
-    """Vectorized :func:`metamer_diameter`, shaped like ``wood_mass``;
-    ``length`` and ``wood_density`` broadcast against it (one density per
-    column, say).  ``out`` may be ``wood_mass`` itself."""
-    wood_mass = np.asarray(wood_mass, dtype=float)
+    """External diameters (cm) of metamers treated as cylinders holding
+    their cumulative wood mass, shaped like ``wood_mass``; ``length`` and
+    ``wood_density`` broadcast against it (one density per column, say).
+    ``out`` may be ``wood_mass`` itself."""
+    wood_mass = np.atleast_1d(np.asarray(wood_mass, dtype=float))
     length = np.asarray(length, dtype=float)
     ok = wood_mass > 0.0
     if np.any(ok & (length <= 0.0)):

@@ -12,13 +12,16 @@ older axes are served before younger ones; positions within a zone fill
 from the apical end (acrotony), at most one lateral per metamer.  When the
 whole-tree axis count cannot be honoured exactly under these rules, the
 partially-funded group takes the nearer of {0, all} axes, ties toward
-growth, and the residual is reported as slack.
+growth, and the residual is reported as slack.  A class's block of one
+zone is one run of positions, distributed in one closed-form step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from typing import NamedTuple
 
 from .core import (TRUNK_PA, GrowthParameters,
                    SimulationError, TrunkScriptEntry, ZoneRule, ZoneRuleSet,
@@ -47,42 +50,47 @@ def axis_total(positions: int, zone: ZoneRule, ratio: float) -> int:
     return max(0, min(raw, positions))
 
 
-@dataclass(frozen=True)
-class PositionGroup:
-    """One assignable unit for axis distribution: the metamers occupying the
-    same rank on all instances of one growth-unit class.  ``age`` is the
-    bearing axis's age in cycles (older served first); ``size`` the number of
-    tree-wide instances."""
+class PositionGroup(NamedTuple):
+    """A run of ``positions`` consecutive metamers for axis distribution,
+    each at one rank on all ``size`` tree-wide instances of a growth-unit
+    class.  ``age`` is the bearing axis's age in cycles (older served
+    first), ``rank`` the run's apical rank."""
 
     age: int
     rank: int
     size: int
+    positions: int = 1
     payload: object = None
+
+
+def _positions(groups: list[PositionGroup]) -> int:
+    """The tree-wide positions of ``groups``."""
+    return sum(g.size * g.positions for g in groups)
 
 
 def distribute_axes(total: int, groups: list[PositionGroup]
                     ) -> tuple[list[int], int]:
     """Assign ``total`` axes over position groups.
 
-    Returns (per-group per-position counts in input order, slack) where
-    slack = assigned − requested.  Groups are served oldest axis first, then
-    highest rank (apical) first; every position of a group receives the same
-    count (0 or 1).  A group that cannot be fully funded takes the nearer of
-    0 or its full size, ties toward the full size.
+    Returns (per-group counts of positions bearing an axis, in input
+    order; slack = assigned − requested).  Groups are served oldest first,
+    then apical first, and a position takes an axis on all its instances
+    when funded or nearer full than empty (ties toward growth), so with R
+    axes left a run takes its apical min(positions, (2R + size) // 2size).
     """
-    capacity = sum(g.size for g in groups)
+    capacity = _positions(groups)
     if total > capacity:
         raise SimulationError(
             f"cannot place {total} axes on {capacity} positions")
-    order = sorted(range(len(groups)),
-                   key=lambda i: (-groups[i].age, -groups[i].rank))
+    seniority = [(-g.age, -g.rank) for g in groups]
     counts = [0] * len(groups)
     remaining = total
-    for i in order:
-        # funded, or nearer full than empty (so none once the total is spent)
-        if remaining > 0 and remaining * 2 >= groups[i].size:
-            counts[i] = 1
-            remaining -= groups[i].size
+    for i in sorted(range(len(groups)), key=seniority.__getitem__):
+        _, _, size, positions, _ = groups[i]
+        if remaining > 0:
+            counts[i] = taken = min(positions,
+                                    (2 * remaining + size) // (2 * size))
+            remaining -= taken * size
     return counts, -remaining
 
 
@@ -135,7 +143,7 @@ def axis_band(zone: ZoneRule, ratio: float, groups: list[PositionGroup],
     ``counts`` over ``groups`` (ratio > 0): the run of totals
     :func:`distribute_axes` gives those counts, walked outward from the
     rule's, mapped back through it."""
-    positions = sum(g.size for g in groups)
+    positions = _positions(groups)
     low = high = axis_total(positions, zone, ratio)
     while low > 0 and distribute_axes(low - 1, groups)[0] == counts:
         low -= 1
@@ -223,38 +231,39 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
         if cls.pa != TRUNK_PA:
             bud_counts[cls.pa] = bud_counts.get(cls.pa, 0.0) + cls.multiplicity
 
-    # this cycle's zoned growth units, in class order, by bearer PA
+    # this cycle's zoned units (one per class at most) by bearer PA, in class
+    # order, with their zone blocks: axillary PA -> (apical rank, count)
     arena = state.arena
     arena.settle()
-    layouts = list(arena.layouts)
-    born = arena.units[:LAYOUT + 1].compress(arena.units[BIRTH] == n, axis=1)
+    units = arena.units[:LAYOUT + 1]
+    layouts, spans = list(arena.layouts), {}
     current: dict[int, list] = {}
-    for idx, _, _, start, layout in born.astype(int).T.tolist():
+    for idx, _, _, first, layout in units.compress(
+            units[BIRTH] == n, axis=1).astype(int).T.tolist():
         if layout >= 0:
+            if layout not in spans:
+                blocks = layouts[layout]
+                spans[layout] = {pa: (end, count) for (pa, count), end in zip(
+                    blocks, accumulate(c for _, c in blocks))}
             cls = state.classes[idx]
             current.setdefault(cls.pa, []).append(
-                (cls, start, layouts[layout]))
+                (cls, first, spans[layout]))
 
-    # laterals on the zones of this cycle's growth units; zone blocks are
-    # contiguous, base to apex in layout order
+    # laterals on the zones of this cycle's growth units: each class's block
+    # of one axillary PA is one run of positions
     zone_groups = []
     for rule in zones.rules:
         if not rule.branching:
             continue
-        groups: list[PositionGroup] = []
-        for cls, start, layout in current.get(rule.bearer_pa, ()):
-            offset = 0
-            for zone_pa, count in layout:
-                if zone_pa == rule.axillary_pa:
-                    groups += [PositionGroup(
-                        age=n - cls.birth_cycle + 1, rank=offset + r + 1,
-                        size=cls.multiplicity,
-                        payload=(cls.index, start + offset + r))
-                        for r in range(count)]
-                offset += count
+        axillary = rule.axillary_pa
+        groups = [PositionGroup(n - cls.birth_cycle + 1, end,
+                                cls.multiplicity, count,
+                                (cls.index, first + end - 1))
+                  for cls, first, span in current.get(rule.bearer_pa, ())
+                  if axillary in span for end, count in [span[axillary]]]
         if not groups:
             continue
-        total = axis_total(sum(g.size for g in groups), rule, ratio)
+        total = axis_total(_positions(groups), rule, ratio)
         counts, slack = distribute_axes(total, groups)
         zone_groups.append((rule.key, groups, counts))
         if slack:   # equal axis totals give every column this slack
@@ -273,26 +282,30 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
         d_s=shoot_demand(bud_counts, params.p_s))
 
 
-def column_plan(plan: OrganogenesisPlan, zones: ZoneRuleSet,
-                params: GrowthParameters, ratio: float
-                ) -> OrganogenesisPlan | None:
-    """``plan``'s decisions under another parameter column: its plan at
-    ``ratio``, with that column's shoot demand, or None when one of the
-    plan's roundings comes out differently there.  Equal layouts and equal
-    axis totals over the same position groups give equal distributions,
-    bud counts and slack, so only the roundings are evaluated."""
-    try:
-        if gu_zone_layouts(zones, ratio, params) != plan.gu_layouts:
-            return None
-    except SimulationError:
-        return None
-    for key, groups, _counts in plan.zone_groups:
-        rule, positions = zones.get(*key), sum(g.size for g in groups)
-        if axis_total(positions, rule, ratio) != \
-                axis_total(positions, rule, plan.ratio_used):
-            return None
-    return replace(plan, ratio_used=ratio,
-                   d_s=shoot_demand(plan.bud_counts, params.p_s))
+def column_plans(plan: OrganogenesisPlan, zones: ZoneRuleSet, cols,
+                 ratios) -> list[OrganogenesisPlan]:
+    """``plan``, made for the first of the parameter columns ``cols``, and
+    its decisions under each other one at its ratio and shoot demand.  Equal
+    layouts and axis totals over the same groups give equal distributions,
+    bud counts and slack, so only the roundings are evaluated; a
+    SimulationError names the columns where one comes out differently."""
+    def same(params, ratio) -> bool:
+        try:
+            if gu_zone_layouts(zones, ratio, params) != plan.gu_layouts:
+                return False
+        except SimulationError:
+            return False
+        return all(axis_total(_positions(groups), zones.get(*key), ratio)
+                   == axis_total(_positions(groups), zones.get(*key),
+                                 plan.ratio_used)
+                   for key, groups, _ in plan.zone_groups)
+
+    left = [k for k in range(1, len(cols)) if not same(cols[k], ratios[k])]
+    if left:
+        raise SimulationError(f"columns {left} left the batch")
+    return [plan] + [replace(plan, ratio_used=ratio,
+                             d_s=shoot_demand(plan.bud_counts, params.p_s))
+                     for params, ratio in zip(cols[1:], ratios[1:])]
 
 
 def seed_ratio(params: GrowthParameters, entry: TrunkScriptEntry) -> float:

@@ -6,7 +6,7 @@ import pytest
 from treesink.core import AlignmentError, SimulationError, TrunkScriptEntry
 from treesink import engine
 from treesink.engine import extract_targets, simulate, start_state
-from treesink.structure import (BIRTH, LEAF_AREA, TreeState, metamer_diameter,
+from treesink.structure import (BIRTH, LEAF_AREA, TreeState, metamer_diameters,
                                 expand_shoot_values)
 from treesink.synthetic import (dataset_from_output, script_only_dataset,
                                 tree2_script)
@@ -150,7 +150,7 @@ def _state_after(params, zones, script):
 class TestGeometry:
     def test_zero_mass(self, params):
         # no internode and no ring mass on a zero-length metamer
-        assert metamer_diameter(0.0, 0.0, params.wood_density) == 0.0
+        assert metamer_diameters(0.0, 0.0, params.wood_density) == 0.0
 
     def test_allometric_length(self, params):
         # shoot mass chosen so the internode share is exactly 4 g:
@@ -163,13 +163,13 @@ class TestGeometry:
         assert length == pytest.approx(20.0, rel=1e-12)
 
     def test_doubling_wood_scales_diameter_by_sqrt2(self, params):
-        d1 = metamer_diameter(3.0, 2.0, params.wood_density)
-        d2 = metamer_diameter(6.0, 2.0, params.wood_density)
+        d1 = metamer_diameters(3.0, 2.0, params.wood_density)
+        d2 = metamer_diameters(6.0, 2.0, params.wood_density)
         assert d2 / d1 == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_rings_on_zero_length_is_error(self, params):
         with pytest.raises(SimulationError):
-            metamer_diameter(1.0, 0.0, params.wood_density)
+            metamer_diameters(1.0, 0.0, params.wood_density)
 
 
 class TestConservation:

@@ -3,9 +3,10 @@
 One-value mutations of the bundled parameter and target files either parse
 or raise a ParseError naming the file and a line, and the CLI answers them
 with an exit code, never a traceback.  Parameter sets drawn inside the fit
-bounds give, batched, what each gives alone, and zone coefficients drawn
-over their fit bounds simulate or fail typed.  The seeds and case counts
-are fixed, so every run checks the same cases.
+bounds give, batched, what each gives alone, zone coefficients drawn over
+their fit bounds simulate or fail typed, and drawn short runs give what the
+enumerated oracle gives.  The seeds and case counts are fixed, so every run
+checks the same cases.
 """
 
 from pathlib import Path
@@ -20,11 +21,13 @@ from treesink.calibration import apply_candidate
 from treesink.core import ParseError, TreesinkError, TrunkScriptEntry
 from treesink.engine import simulate, simulate_batch
 from treesink.fileio import parse_target_file, read_parameter_file
+from treesink.oracle import simulate_naive
 from treesink.synthetic import (reference_fit_spec, reference_parameters,
                                 reference_zone_rules, script_only_dataset,
                                 tree1_script)
 
 from conftest import fixture_path
+from test_factorization import TOL, compare_outputs
 
 #: what a mutated value becomes
 TOKENS = ("", "abc", "nan", "inf", "-inf", "-1", "0", "-0", "1e308",
@@ -151,3 +154,64 @@ def test_drawn_zone_coefficients_simulate_or_fail_typed(draw):
     assert all(math.isfinite(v) for row in (
         out.trunk_profile + out.ring_matrix + out.branch_compartments)
         for v in vars(row).values())
+
+
+def _oracle_draws(seed, cases):
+    """``cases`` short runs: a 4-8-cycle trunk script of 3-7 metamers and
+    0-2 scripted branch PAs per entry, and every reference fit parameter
+    uniform over its bounds (every zone's m2 over [0, 3] and a2 over
+    [0, 1.5]), with v_2 up to 5,000."""
+    spec = reference_fit_spec()
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(cases):
+        script = tuple(TrunkScriptEntry(g, int(rng.integers(3, 8)), tuple(
+            (int(pa), 1) for pa in sorted(rng.choice(
+                [2, 3, 4], size=int(rng.integers(3)), replace=False))))
+            for g in range(1, int(rng.integers(4, 9)) + 1))
+        values = {p.name: float(rng.uniform(
+            p.lower, 5000.0 if p.name == "v_2" else p.upper))
+            for p in spec.continuous + spec.topological}
+        draws.append((script, values))
+    return draws
+
+
+ORACLE_CASES = _oracle_draws(14, 60)
+
+
+def _engine_run(script, values, engine):
+    params, zones = apply_candidate(reference_parameters(),
+                                    reference_zone_rules(), values)
+    return engine(params, zones, script_only_dataset(script), tree_index=1)
+
+
+@pytest.mark.parametrize("script, values", ORACLE_CASES,
+                         ids=map(str, range(len(ORACLE_CASES))))
+def test_drawn_runs_match_the_enumerated_oracle(script, values):
+    try:
+        factorized = _engine_run(script, values, simulate)
+    except TreesinkError as exc:
+        with pytest.raises(TreesinkError) as err:
+            _engine_run(script, values, simulate_naive)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        return
+    # equal branch counts, every value within the factorization gate
+    assert compare_outputs(factorized,
+                           _engine_run(script, values, simulate_naive)) < TOL
+
+
+def test_the_oracle_draws_reach_partial_runs_and_slack():
+    """The drawn runs distribute axes over partly taken runs and leave
+    slack, which the fixed factorization cases do not."""
+    partial = slack = 0
+    for script, values in ORACLE_CASES:
+        try:
+            output = _engine_run(script, values, simulate)
+        except TreesinkError:
+            continue
+        slack += sum("slack" in note for note in output.notes)
+        partial += sum(0 < taken < group.positions
+                       for plan in output.decisions
+                       for _, groups, counts in plan.zone_groups
+                       for group, taken in zip(groups, counts))
+    assert partial > 0 and slack > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 from treesink.calibration import (AnnealSchedule, FitResult, FitSpec,
-                                   FreeParameter)
-from treesink.core import ParseError, ZoneRule, ZoneRuleSet
+                                   FreeParameter, PredictedObserved)
+from treesink.core import (MEASUREMENTS, BranchRow, ParseError,
+                           RingObservation, TrunkObservation, ZoneRule,
+                           ZoneRuleSet)
 from treesink.engine import simulate
-from treesink.fileio import (_parse_branch_spec, _write_json,
+from treesink.fileio import (_fmt, _parse_branch_spec, _write_json,
                              parse_target_file, read_parameter_file,
                              write_fit_result, write_parameter_file,
                              write_simulation_output, write_target_file)
@@ -356,6 +359,77 @@ class TestJsonWriter:
     def test_unsupported_input_is_a_type_error(self, tmp_path, data):
         with pytest.raises(TypeError):
             _write_json(tmp_path / "x.json", data)
+
+
+class TestCsvWriter:
+    """Each CSV row is the bytes of ``",".join(map(_fmt, values))`` over
+    its fields: every row type the writers write."""
+
+    EDGES = (math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1, 2.5e15, 7)
+
+    @staticmethod
+    def assert_rows(path, rows):
+        body = Path(path).read_bytes().decode().split("\n")[1:]
+        assert body == [",".join(_fmt(getattr(row, f.name))
+                                 for f in dataclasses.fields(row))
+                        for row in rows] + [""]
+
+    @pytest.mark.parametrize("engine", [simulate, simulate_naive])
+    def test_simulation_rows(self, params, zones, small_dataset, tmp_path,
+                             engine):
+        dataset = (parse_target_file(fixture_path("tree2.target.csv"))
+                   if engine is simulate else small_dataset)
+        out = engine(params, zones, dataset, tree_index=1)
+        write_simulation_output(tmp_path, out)
+        self.assert_rows(tmp_path / "cycles.csv", out.allocations)
+        for m in MEASUREMENTS:
+            self.assert_rows(tmp_path / f"{m.section}.csv",
+                             getattr(out, m.field))
+
+    def test_edge_values(self, params, zones, small_dataset, tmp_path):
+        out = simulate(params, zones, small_dataset)
+        rows = {"trunk_profile": [TrunkObservation(1, *self.EDGES[i:i + 3])
+                                  for i in range(6)],
+                "ring_matrix": [RingObservation(i, 3, v)
+                                for i, v in enumerate(self.EDGES)],
+                "branch_compartments": [
+                    BranchRow(2, 3, 4, *self.EDGES[i:i + 3]) for i in range(6)]}
+        out.allocations = [dataclasses.replace(a, q=v, ratio=v)
+                           for a, v in zip(out.allocations, self.EDGES)]
+        for field, edge_rows in rows.items():
+            setattr(out, field, edge_rows)
+        write_simulation_output(tmp_path, out)
+        self.assert_rows(tmp_path / "cycles.csv", out.allocations)
+        for m in MEASUREMENTS:
+            self.assert_rows(tmp_path / f"{m.section}.csv", rows[m.field])
+
+    def test_target_rows(self, params, zones, small_script, tmp_path):
+        out = simulate(params, zones, script_only_dataset(small_script))
+        dataset = dataclasses.replace(
+            dataset_from_output(out, small_script),
+            trunk_profile=tuple(TrunkObservation(1, *self.EDGES[i:i + 3])
+                                for i in range(6)))
+        write_target_file(tmp_path / "t.csv", dataset)
+        text = (tmp_path / "t.csv").read_text()
+        for m in MEASUREMENTS:
+            rows = getattr(dataset, m.field)
+            section = text.split(f"[{m.section}]\n")[1].split("\n[")[0]
+            assert section.split("\n")[1:] == [
+                ",".join(_fmt(getattr(row, f.name))
+                         for f in dataclasses.fields(row))
+                for row in rows] + ([""] if m is MEASUREMENTS[-1] else [])
+
+    def test_fit_rows(self, tmp_path):
+        pvo = [PredictedObserved(tree=1 + i % 2, data_class=c, observed=v,
+                                 simulated=w)
+               for i, (c, v, w) in enumerate(zip(
+                   ["trunk_mass", "ring_diameter", "branch_leaf"] * 3,
+                   self.EDGES, reversed(self.EDGES)))]
+        result = FitResult(continuous={}, topology={}, intervals={},
+                           v_env=[], objective=0.0, trace=[], r_squared={},
+                           predicted_observed=pvo, evaluations=1)
+        write_fit_result(tmp_path, result)
+        self.assert_rows(tmp_path / "predicted_vs_observed.csv", pvo)
 
 
 def run_cli(*argv):

@@ -1,13 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from treesink.core import SimulationError, TrunkScriptEntry, ZoneRule
 from treesink.engine import simulate
 from treesink.structure import TreeState
 from treesink.synthetic import script_only_dataset
-from treesink.topology import (PositionGroup, axis_total, distribute_axes,
-                               gu_zone_layout, metamer_count,
+from treesink.topology import (PositionGroup, axis_band, axis_total,
+                               distribute_axes, gu_zone_layout, metamer_count,
                                organogenesis_step, seed_plan)
 
 
@@ -142,6 +143,60 @@ class TestDistributeAxes:
             distribute_axes(5, [PositionGroup(1, 1, 4)])
 
 
+class TestRuns:
+    """A run of positions distributes as its positions one by one."""
+
+    @staticmethod
+    def _runs(seed):
+        """Up to four runs of distinct ages: each of 1-4 positions of 1-4
+        instances, its apical rank 0-3 above its size."""
+        rng = np.random.default_rng(seed)
+        ages = rng.choice(np.arange(1, 12), size=int(rng.integers(1, 5)),
+                          replace=False)
+        runs = []
+        for age in ages.tolist():
+            positions = int(rng.integers(1, 5))
+            runs.append(PositionGroup(age, positions + int(rng.integers(4)),
+                                      int(rng.integers(1, 5)), positions))
+        return runs
+
+    @staticmethod
+    def _positions(runs):
+        """Each run's positions, base to apex, as single positions."""
+        return [PositionGroup(g.age, g.rank - g.positions + 1 + r, g.size)
+                for g in runs for r in range(g.positions)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_counts_slack_and_band_equal_the_positions(self, seed):
+        runs = self._runs(seed)
+        single = self._positions(runs)
+        capacity = sum(g.size * g.positions for g in runs)
+        for total in range(capacity + 1):
+            counts, slack = distribute_axes(total, runs)
+            # a run takes its apical positions
+            expanded = [int(r >= g.positions - taken)
+                        for g, taken in zip(runs, counts)
+                        for r in range(g.positions)]
+            assert distribute_axes(total, single) == (expanded, slack)
+            # a2 = total / capacity asks for exactly this total at ratio 1
+            zone = ZoneRule(2, 4, m1=1.0, m2=1.0, m_max=9, a1=0.0,
+                            a2=total / capacity)
+            assert axis_total(capacity, zone, 1.0) == total
+            assert axis_band(zone, 1.0, runs, counts) == \
+                axis_band(zone, 1.0, single, expanded)
+        for groups in (runs, single):
+            with pytest.raises(SimulationError):
+                distribute_axes(capacity + 1, groups)
+
+    def test_a_partial_run_takes_its_apical_positions(self):
+        # 5 axes on a 4-position run of 2 instances: two positions, and
+        # the half-funded third rounds toward growth
+        counts, slack = distribute_axes(5, [PositionGroup(3, 6, 2, 4)])
+        assert (counts, slack) == ([3], 1)
+        assert distribute_axes(5, self._positions(
+            [PositionGroup(3, 6, 2, 4)])) == ([0, 1, 1, 1], 1)
+
+
 class TestZoneLayout:
     def test_short_shoot_fixed(self, params, zones):
         assert gu_zone_layout(4, zones, 3.7, params) == [(-1, 3)]
@@ -183,7 +238,7 @@ class TestOrganogenesis:
         plan = organogenesis_step(state, params, zones, ratio=4.0,
                                   trunk_entry=None)
         # 2 short-shoot positions at ratio 4: round(2·0.6·4) = 5 -> clamp 2
-        positions = {key: sum(g.size for g in groups)
+        positions = {key: sum(g.size * g.positions for g in groups)
                      for key, groups, _ in plan.zone_groups}
         assert axis_total(positions[(2, 4)], zones.get(2, 4), 4.0) == 2
         assert sum(count * group.size
