@@ -22,8 +22,10 @@ import numpy as np
 
 from .core import (MEASUREMENTS, TARGET_CLASSES, GrowthParameters,
                    TargetDataset, TreesinkError, ZoneRuleSet)
-from .engine import extract_targets, simulate, simulate_batch
-from .topology import axis_band, metamer_band, metamer_count
+from .engine import (check_run_request, extract_targets, simulate,
+                     simulate_batch)
+from .topology import (OrganogenesisPlan, axis_band, metamer_band,
+                       metamer_count, plan_holds)
 
 
 class UnfittableError(TreesinkError):
@@ -262,21 +264,31 @@ def batch_residuals(candidates: list[dict[str, float]],
     for i, ds in enumerate(targets):
         live = [k for k, chunks in enumerate(results)
                 if isinstance(chunks, list)]
-        runs = simulate_batch([applied[k][0] for k in live], cand_zones, ds,
-                              tree_index=i)
-        for k, output in zip(live, runs):
-            try:
-                if isinstance(output, TreesinkError):
-                    raise output
-                sim, obs, labels = extract_targets(output, ds)
-            except TreesinkError as exc:
-                results[k] = exc
-                continue
-            w = np.array([weights.get(lbl, 1.0) for lbl in labels])
-            results[k].append(np.sqrt(w) * (sim - obs))
+        runs = _tree_residuals([applied[k][0] for k in live], cand_zones, ds,
+                               i, weights)
+        for k, run in zip(live, runs):
+            results[k] = (run if isinstance(run, TreesinkError)
+                          else results[k] + [run[1]])
     return [chunks if isinstance(chunks, TreesinkError) else
             np.concatenate(chunks) if chunks else np.empty(0)
             for chunks in results]
+
+
+def _tree_residuals(cols, zones, ds, tree_index, weights):
+    """Per parameter set of ``cols``, its run's (decisions, weighted
+    residuals) on the tree ``ds``, or the TreesinkError its run or
+    alignment raise, from one batched run."""
+    results = []
+    for output in simulate_batch(cols, zones, ds, tree_index=tree_index):
+        try:
+            if isinstance(output, TreesinkError):
+                raise output
+            sim, obs, labels = extract_targets(output, ds)
+            w = np.array([weights.get(lbl, 1.0) for lbl in labels])
+            results.append((output.decisions, np.sqrt(w) * (sim - obs)))
+        except TreesinkError as exc:
+            results.append(exc)
+    return results
 
 
 def _run_trees(values: dict[str, float], params: GrowthParameters,
@@ -296,11 +308,48 @@ def objective(values: dict[str, float], params: GrowthParameters,
               weights: dict[str, float]) -> float:
     """Weighted sum of squared sim−obs differences over every tree; +inf on
     simulation failure."""
-    try:
-        res = weighted_residuals(values, params, zones, targets, weights)
-    except TreesinkError:
-        return math.inf
-    return float(res @ res)
+    return replaying_objective(params, zones, targets, weights)(values)
+
+
+#: the runs of each tree that a replaying objective keeps
+_REPLAY_RUNS = 4
+
+
+def replaying_objective(params: GrowthParameters, zones: ZoneRuleSet,
+                        targets: list[TargetDataset],
+                        weights: dict[str, float]):
+    """:func:`objective` as a function of the candidate values alone, bit
+    for bit.  A tree does not run again when one of its last runs had the
+    same parameters and each of its decisions keeps its outcome under the
+    candidate's zone rules at its recorded ratio (:func:`plan_holds`): that
+    run would repeat, so its residuals are reused."""
+    memo = [[] for _ in targets]   # per tree: (params, decisions, residuals)
+
+    def score(values: dict[str, float]) -> float:
+        cand_params, cand_zones = apply_candidate(params, zones, values)
+        chunks = []
+        for i, (ds, kept) in enumerate(zip(targets, memo)):
+            try:
+                check_run_request(cand_params, cand_zones, ds, i, None)
+                chunk = next((residuals for p, plans, residuals in kept
+                              if p == cand_params and all(plan_holds(
+                                  plan, cand_zones, plan.ratio_used, p)
+                                  for plan in plans)), None)
+                if chunk is None:
+                    [run] = _tree_residuals([cand_params], cand_zones, ds, i,
+                                            weights)
+                    if isinstance(run, TreesinkError):
+                        raise run
+                    kept.insert(0, (cand_params, *run))
+                    del kept[_REPLAY_RUNS:]
+                    chunk = run[1]
+            except TreesinkError:
+                return math.inf
+            chunks.append(chunk)
+        res = np.concatenate(chunks) if chunks else np.empty(0)
+        return float(res @ res)
+
+    return score
 
 
 # ----------------------------------------------------------------------
@@ -388,20 +437,22 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     chain alone ends inside some near-optimal piece; the probes walk piece
     to piece while that improves the fit): a coarse ladder, then one step
     past each end of the current piece, as :func:`compute_intervals` gives
-    it.  The reported intervals are :func:`compute_intervals` at the best,
-    from the run of each tree that gives the predicted-vs-observed rows.
+    it.  A score runs a tree only when no recent run can be replayed
+    (:func:`replaying_objective`); every score counts as an evaluation.
+    The reported intervals are :func:`compute_intervals` at the best, from
+    the run of each tree that gives the predicted-vs-observed rows.
     """
     weights = {**default_weights(targets), **(spec.weights or {})}
     rng = np.random.default_rng(spec.seed)
     sched = spec.schedule
     trace: list[float] = []
+    replay = replaying_objective(params, zones, targets, weights)
 
     def score(topo_values, cont_values):
         """The counted objective at the merged candidate."""
         nonlocal total_evals
         total_evals += 1
-        return objective({**topo_values, **cont_values}, params, zones,
-                         targets, weights)
+        return replay({**topo_values, **cont_values})
 
     def refit(topo_values, warm):
         """(estimates, objective) of fit_continuous at ``topo_values``,
@@ -584,8 +635,10 @@ def compute_intervals(spec: FitSpec, best_values: dict[str, float],
     interval intersects the preimages of the decisions that one reference
     run per tree records.  ``None`` as the upper end means unbounded (a
     zone cap or position saturation absorbs every rise); an inert zone,
-    absent from the run, spans its fit bounds; the pending plan's axis
-    counts never reach the architecture and do not count."""
+    absent from the run, spans its fit bounds.  The pending plan counts by
+    its ratio alone: its axis totals set the last cycle's shoot demand but
+    grow no metamer, so an ``a2`` interval can reach values where that
+    demand, and the objective, differ."""
     if not spec.topological:
         return {}
     _, cand_zones, runs = _run_trees(best_values, params, zones, targets)
@@ -594,7 +647,10 @@ def compute_intervals(spec: FitSpec, best_values: dict[str, float],
 
 def _intervals(spec, cand_zones, outputs):
     """:func:`compute_intervals` from ``outputs``, run under ``cand_zones``."""
-    decisions = [d for output in outputs for d in output.decisions]
+    # each run's grown plans, then its pending plan by its ratio alone
+    decisions = [plan for output in outputs for plan in (
+        *output.decisions[:-1],
+        OrganogenesisPlan(output.decisions[-1].ratio_used))]
     intervals: dict[str, tuple[float | None, float | None]] = {}
     for p in spec.topological:
         kind, bearer, axillary = p.name.split("_")
@@ -611,7 +667,7 @@ def _intervals(spec, cand_zones, outputs):
                 continue
             if kind == "a2":   # each expanded distribution of axes
                 bands = [axis_band(rule, ratio, groups, counts)
-                         for key, groups, counts in plan.zone_groups
+                         for key, groups, counts, _ in plan.zone_groups
                          if key == rule.key]
             elif grew:         # each grown layout's count
                 bands = [metamer_band(rule, ratio, count, count)]

@@ -58,7 +58,8 @@ class SimulationOutput:
     pending_shoot_fund_g: float
     structure_signature: tuple = ()
     notes: list[str] = field(default_factory=list)
-    # TreeState.decisions, then the pending plan reduced to its ratio
+    # TreeState.decisions, then the pending plan whole: its axis totals set
+    # the last cycle's d_s
     decisions: list[OrganogenesisPlan] = field(default_factory=list)
 
     @property
@@ -107,7 +108,7 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
             apex -= count
     scripted = len(runs)
     runs += [(key[1], *group.payload, taken, group.size)
-             for key, groups, counts in plan.zone_groups
+             for key, groups, counts, _ in plan.zone_groups
              for group, taken in zip(groups, counts) if taken]
 
     # the new lateral axes, one class per PA born this cycle: the scripted
@@ -424,7 +425,7 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
         branch_compartments=rows, topology=topology, total_wood_g=wood,
         total_leaf_ever_g=leaf, pending_shoot_fund_g=fund,
         structure_signature=signature, notes=list(notes),
-        decisions=decisions + [OrganogenesisPlan(pending.ratio_used)])
+        decisions=decisions + [pending])
         for allocs, profile, matrix, rows, wood, leaf, fund, notes, decisions,
         pending in zip(allocations, trunk_profiles, ring_matrices,
                        branch_rows, total_wood, total_leaf,

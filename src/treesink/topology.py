@@ -194,7 +194,8 @@ class OrganogenesisPlan:
     ratio_used: float
     trunk_entry: TrunkScriptEntry | None = None
     gu_layouts: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    # per branching zone with positions: (key, PositionGroups, their counts)
+    # per branching zone with positions: (key, PositionGroups, their
+    # counts, the axis total they were given)
     zone_groups: list[tuple] = field(default_factory=list)
     bud_counts: dict[int, float] = field(default_factory=dict)
     d_s: float = 0.0
@@ -265,7 +266,7 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
             continue
         total = axis_total(_positions(groups), rule, ratio)
         counts, slack = distribute_axes(total, groups)
-        zone_groups.append((rule.key, groups, counts))
+        zone_groups.append((rule.key, groups, counts, total))
         if slack:   # equal axis totals give every column this slack
             for notes in state.notes:
                 notes.append(f"cycle {n}: zone Z^{rule.bearer_pa}"
@@ -282,25 +283,27 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
         d_s=shoot_demand(bud_counts, params.p_s))
 
 
+def plan_holds(plan: OrganogenesisPlan, zones: ZoneRuleSet, ratio: float,
+               params: GrowthParameters) -> bool:
+    """Whether ``plan`` keeps its outcome under ``zones`` at ``ratio`` with
+    ``params``: equal layouts and, over the same groups, equal axis totals
+    give equal distributions, bud counts and slack."""
+    try:
+        if gu_zone_layouts(zones, ratio, params) != plan.gu_layouts:
+            return False
+    except SimulationError:
+        return False
+    return all(axis_total(_positions(groups), zones.get(*key), ratio) == total
+               for key, groups, _, total in plan.zone_groups)
+
+
 def column_plans(plan: OrganogenesisPlan, zones: ZoneRuleSet, cols,
                  ratios) -> list[OrganogenesisPlan]:
     """``plan``, made for the first of the parameter columns ``cols``, and
-    its decisions under each other one at its ratio and shoot demand.  Equal
-    layouts and axis totals over the same groups give equal distributions,
-    bud counts and slack, so only the roundings are evaluated; a
-    SimulationError names the columns where one comes out differently."""
-    def same(params, ratio) -> bool:
-        try:
-            if gu_zone_layouts(zones, ratio, params) != plan.gu_layouts:
-                return False
-        except SimulationError:
-            return False
-        return all(axis_total(_positions(groups), zones.get(*key), ratio)
-                   == axis_total(_positions(groups), zones.get(*key),
-                                 plan.ratio_used)
-                   for key, groups, _ in plan.zone_groups)
-
-    left = [k for k in range(1, len(cols)) if not same(cols[k], ratios[k])]
+    its decisions under each other one at its ratio and shoot demand; a
+    SimulationError names the columns where :func:`plan_holds` fails."""
+    left = [k for k in range(1, len(cols))
+            if not plan_holds(plan, zones, ratios[k], cols[k])]
     if left:
         raise SimulationError(f"columns {left} left the batch")
     return [plan] + [replace(plan, ratio_used=ratio,

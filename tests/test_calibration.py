@@ -8,12 +8,15 @@ from treesink import calibration
 from treesink.calibration import (AnnealSchedule, FitSpec, FreeParameter,
                                   apply_candidate, compute_intervals,
                                   default_weights, fit_continuous,
-                                  fit_topology, objective)
-from treesink.core import TreesinkError
+                                  fit_topology, objective,
+                                  replaying_objective)
+from treesink.core import TreesinkError, TrunkScriptEntry
 from treesink.engine import simulate, simulate_batch
 from treesink.fileio import parse_target_file, read_parameter_file
-from treesink.synthetic import (dataset_from_output, script_only_dataset,
-                                tree1_script)
+from treesink.synthetic import (dataset_from_output,
+                                generate_synthetic_target,
+                                script_only_dataset, tree1_script)
+from treesink.topology import plan_holds
 
 from conftest import fixture_path
 
@@ -264,6 +267,90 @@ class TestFitTopology:
         # batched run per tree over every free continuous parameter
         assert batches == ([1] * len(targets)
                            + [len(spec.continuous)] * len(targets))
+
+
+def _count_runs(monkeypatch) -> list[int]:
+    """The tree index of every run the calibration module starts from now
+    on, one per column."""
+    runs = []
+
+    def counted(columns, *args, **kwargs):
+        runs.extend([kwargs["tree_index"]] * len(columns))
+        return simulate_batch(columns, *args, **kwargs)
+
+    monkeypatch.setattr(calibration, "simulate_batch", counted)
+    return runs
+
+
+class TestReplay:
+    def test_only_the_pending_plan_departs(self, params, zones, monkeypatch):
+        # demos/04's 8-cycle tree: at a2_2_4 = 0.1 every grown plan of the
+        # run at 0.1307 holds, but its pending plan's axis total, and so
+        # cycle 8's shoot demand, changes; a score there must run
+        script = tuple(
+            TrunkScriptEntry(g, 4 if g <= 2 else 5,
+                             ((3, 1),) if g in (3, 5, 7) else
+                             ((2, 1),) if g == 6 else ())
+            for g in range(1, 9))
+        target = generate_synthetic_target(params, zones, script, 0)
+        weights = default_weights([target])
+        case = {"v_1": 558.8514117979618, "gamma": 2.852845409111614,
+                "m2_2_0": 0.5356564331752933}
+        recorded = {**case, "a2_2_4": 0.13068775418752696}
+        probe = {**case, "a2_2_4": 0.1}
+        run = simulate(*apply_candidate(params, zones, recorded), target,
+                       with_topology=False, with_signature=False)
+        cand, cand_zones = apply_candidate(params, zones, probe)
+        assert [plan_holds(plan, cand_zones, plan.ratio_used, cand)
+                for plan in run.decisions] == [True] * 8 + [False]
+        fresh = simulate(cand, cand_zones, target, with_topology=False,
+                         with_signature=False)
+        assert (run.allocations[-1].d_s, fresh.allocations[-1].d_s) \
+            == (42.0, 41.0)
+
+        score = replaying_objective(params, zones, [target], weights)
+        runs = _count_runs(monkeypatch)
+        assert score(recorded) == 0.2629507119537986 and runs == [0]
+        assert score(recorded) == 0.2629507119537986 and runs == [0]
+        assert score(probe) == 0.2667625871819186 and runs == [0, 0]
+        assert score(probe) == objective(probe, params, zones, [target],
+                                         weights)
+        # a run under other parameters is never replayed
+        moved = {**recorded, "v_1": recorded["v_1"] * 1.001}
+        assert score(moved) == objective(moved, params, zones, [target],
+                                         weights) != 0.2629507119537986
+
+    def test_replays_equal_fresh_objectives(self, monkeypatch):
+        # the bundled fit point on both fixture trees: probes inside each
+        # zone coefficient's interval, at its ends and one float past each
+        # end inside the bounds score bit for bit as a fresh objective
+        params, zones, spec = read_parameter_file(
+            fixture_path("species.params"))
+        targets = [parse_target_file(fixture_path(f"tree{i}.target.csv"))
+                   for i in (1, 2)]
+        weights = default_weights(targets)
+        best = {p.name: p.init for p in spec.continuous + spec.topological}
+        intervals = compute_intervals(spec, best, params, zones, targets)
+        score = replaying_objective(params, zones, targets, weights)
+        runs = _count_runs(monkeypatch)
+        assert score(best) == 0.0 and runs == [0, 1]
+        probes = replayed = 0
+        for p in spec.topological:
+            lo, hi = intervals[p.name]
+            values = [0.5 * (lo + (p.upper if hi is None else hi))]
+            for end, bound, outward in ((lo, p.lower, -math.inf),
+                                        (hi, p.upper, math.inf)):
+                if end not in (None, bound):
+                    values += [end, math.nextafter(end, outward)]
+            for x in values:
+                candidate = {**best, p.name: x}
+                before = len(runs)
+                replay = score(candidate)
+                probes += 1
+                replayed += len(runs) == before
+                assert replay == objective(candidate, params, zones, targets,
+                                           weights), (p.name, x)
+        assert probes >= 30 and 10 <= replayed < probes
 
 
 class TestIntervals:

@@ -5,7 +5,9 @@ or raise a ParseError naming the file and a line, and the CLI answers them
 with an exit code, never a traceback.  Parameter sets drawn inside the fit
 bounds give, batched, what each gives alone, zone coefficients drawn over
 their fit bounds simulate or fail typed, and drawn short runs give what the
-enumerated oracle gives.  The seeds and case counts are fixed, so every run
+enumerated oracle gives.  A run whose recorded plans all hold under other
+zone coefficients repeats bit for bit, and batch columns that depart give
+what each gives alone.  The seeds and case counts are fixed, so every run
 checks the same cases.
 """
 
@@ -16,15 +18,18 @@ import math
 import numpy as np
 import pytest
 
-from treesink import cli
-from treesink.calibration import apply_candidate
+from treesink import cli, engine
+from treesink.calibration import (apply_candidate, default_weights,
+                                  weighted_residuals)
 from treesink.core import ParseError, TreesinkError, TrunkScriptEntry
 from treesink.engine import simulate, simulate_batch
 from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.oracle import simulate_naive
-from treesink.synthetic import (reference_fit_spec, reference_parameters,
+from treesink.synthetic import (generate_synthetic_target,
+                                reference_fit_spec, reference_parameters,
                                 reference_zone_rules, script_only_dataset,
                                 tree1_script)
+from treesink.topology import plan_holds
 
 from conftest import fixture_path
 from test_factorization import TOL, compare_outputs
@@ -212,6 +217,86 @@ def test_the_oracle_draws_reach_partial_runs_and_slack():
         slack += sum("slack" in note for note in output.notes)
         partial += sum(0 < taken < group.positions
                        for plan in output.decisions
-                       for _, groups, counts in plan.zone_groups
+                       for _, groups, counts, _ in plan.zone_groups
                        for group, taken in zip(groups, counts))
     assert partial > 0 and slack > 0
+
+
+REPLAY_CASES = _oracle_draws(15, 25)
+
+
+def test_a_run_whose_plans_hold_repeats_bit_for_bit():
+    """Zone-coefficient probes of drawn short runs: wherever every plan the
+    run recorded holds under the probe's zone rules at its recorded ratio,
+    a fresh run at the probe gives the recorded residuals bit for bit, so a
+    fit may reuse them.  Some probes change only the pending plan's
+    outcome."""
+    params, zones = reference_parameters(), reference_zone_rules()
+    topological = reference_fit_spec().topological
+    rng = np.random.default_rng(17)
+    held = departed = pending = 0
+    for script, values in REPLAY_CASES:
+        try:
+            target = generate_synthetic_target(params, zones, script, 0)
+            weights = default_weights([target])
+            recorded = weighted_residuals(values, params, zones, [target],
+                                          weights)
+        except TreesinkError:
+            continue
+        run = simulate(*apply_candidate(params, zones, values), target,
+                       with_topology=False, with_signature=False)
+        for _ in range(6):
+            p = topological[int(rng.integers(len(topological)))]
+            step = float(rng.choice([1e-4, 1e-2, 0.2])) * (p.upper - p.lower)
+            probe = {**values, p.name: float(np.clip(
+                values[p.name] + step * rng.standard_normal(), p.lower,
+                p.upper))}
+            cand, cand_zones = apply_candidate(params, zones, probe)
+            holds = [plan_holds(plan, cand_zones, plan.ratio_used, cand)
+                     for plan in run.decisions]
+            if all(holds):
+                held += 1
+                assert weighted_residuals(probe, params, zones, [target],
+                                          weights).tobytes() \
+                    == recorded.tobytes(), probe
+            else:
+                departed += 1
+                pending += all(holds[:-1])
+    assert held > 50 and departed > 10 and pending > 0
+
+
+def test_departing_batch_columns_equal_their_single_runs(monkeypatch):
+    """Drawn batches of a short run and three columns a small step away in
+    one continuous value: some stay batched, some depart and fall back to
+    single runs, and every column gives what it gives alone."""
+    params, zones = reference_parameters(), reference_zone_rules()
+    continuous = [p.name for p in reference_fit_spec().continuous]
+    rng = np.random.default_rng(18)
+    runs, run = [], engine._run
+
+    def counted(columns, *args):
+        runs.append(len(columns))
+        return run(columns, *args)
+
+    monkeypatch.setattr(engine, "_run", counted)
+    fell_back = []
+    for script, values in _oracle_draws(16, 20):
+        columns = [values]
+        for name in rng.choice(continuous, size=3):
+            step = 10 ** rng.uniform(-4, -1) * rng.choice([-1.0, 1.0])
+            columns.append({**values, name: values[name] * (1 + step)})
+        applied = [apply_candidate(params, zones, v)[0] for v in columns]
+        _, cand_zones = apply_candidate(params, zones, values)
+        dataset = script_only_dataset(script)
+        runs.clear()
+        batched = simulate_batch(applied, cand_zones, dataset, tree_index=1)
+        fell_back.append(len(runs) > 1)
+        for p, result in zip(applied, batched):
+            try:
+                alone = simulate(p, cand_zones, dataset, tree_index=1,
+                                 with_topology=False, with_signature=False)
+            except TreesinkError as exc:
+                assert (type(result), str(result)) == (type(exc), str(exc))
+            else:
+                assert vars(result) == vars(alone)
+    assert 0 < sum(fell_back) < len(fell_back)

@@ -228,7 +228,7 @@ class TestOrganogenesis:
         cls.append_gu(3, [(0, 1), (4, 1), (3, 1)], 3, 0.2, 1.0, 0.3, 40.0)
         plan = organogenesis_step(state, params, zones, ratio=0.0,
                                   trunk_entry=None)
-        assert not any(any(counts) for *_, counts in plan.zone_groups)
+        assert not any(any(counts) for *_, counts, _ in plan.zone_groups)
         assert plan.bud_counts == {2: 2.0}   # apical continuation only
 
     def test_active_zones_assign_axes(self, params, zones):
@@ -239,10 +239,10 @@ class TestOrganogenesis:
                                   trunk_entry=None)
         # 2 short-shoot positions at ratio 4: round(2·0.6·4) = 5 -> clamp 2
         positions = {key: sum(g.size * g.positions for g in groups)
-                     for key, groups, _ in plan.zone_groups}
+                     for key, groups, *_ in plan.zone_groups}
         assert axis_total(positions[(2, 4)], zones.get(2, 4), 4.0) == 2
         assert sum(count * group.size
-                   for key, groups, counts in plan.zone_groups
+                   for key, groups, counts, _ in plan.zone_groups
                    if key[1] == 4
                    for group, count in zip(groups, counts)) == 2
 
