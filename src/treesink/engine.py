@@ -21,6 +21,7 @@ from the first column's or because it raises, runs every column alone.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -84,9 +85,9 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
     for cls in state.classes:
         by_pa.setdefault(cls.pa, []).append(cls.index)
 
-    def grow(classes, pa: int, layout, count: int):
+    def grow(classes, pa: int, count: int):
         """One unit on each of ``classes``: shoots of one PA expand alike."""
-        arena.append_units(classes, cycle, count, layout, sum(zip(*(
+        arena.append_units(classes, cycle, count, sum(zip(*(
             expand_shoot_values(p, pa, m.get(pa, 0.0), count, cycle, slw=slw)
             for p, m, slw in zip(cols, masses, slws))), ()))
 
@@ -101,7 +102,7 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
         # the trunk is class 0, made at cycle 1
         trunk = (state.classes[0] if state.classes
                  else state.add_class(TRUNK_PA, 1, multiplicity=1))
-        grow([trunk.index], TRUNK_PA, None, entry.metamer_count)
+        grow([trunk.index], TRUNK_PA, entry.metamer_count)
         apex = trunk.n_metamers - 1
         for pa, count in sorted(entry.branches):
             runs.append((pa, trunk.index, apex, count, 1))
@@ -121,9 +122,10 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
             for pa, n in mult.items()}
     for pa, idx in born.items():
         by_pa.setdefault(pa, []).append(idx)
+    # every branch class grows one unit, its layout kept by the plan
     for pa, layout in plan.gu_layouts.items():
         if pa in by_pa:
-            grow(by_pa[pa], pa, layout, sum(c for _, c in layout))
+            grow(by_pa[pa], pa, sum(c for _, c in layout))
     # each run's taken positions are its apical ones, base to apex
     bearers, rows, children = [], [], []
     for pa, idx, apex, taken, _ in runs:
@@ -131,7 +133,7 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
         rows += range(apex + 1 - taken, apex + 1)
         children += [born[pa]] * taken
     if bearers:
-        arena.append_edges(bearers, rows, children, [1] * len(bearers))
+        arena.append_edges(bearers, rows, children)
     for decisions, each in zip(state.decisions, plans):
         decisions.append(each)
 
@@ -200,6 +202,18 @@ def split_production(params: GrowthParameters, cycle: int, q: float,
                            q_s=0.0, q_r=0.0, ratio=0.0, s_blade=s_blade)
 
 
+@contextmanager
+def failing_cycle(n: int):
+    """Abort with cycle ``n`` attached: an exception raised inside becomes a
+    SimulationError that names the cycle, unless it names one already."""
+    try:
+        yield
+    except Exception as exc:
+        if isinstance(exc, SimulationError) and exc.cycle is not None:
+            raise
+        raise SimulationError(f"cycle {n}: {exc}", cycle=n) from exc
+
+
 def step(state: TreeState, cols: Sequence[GrowthParameters],
          zones: ZoneRuleSet, dataset: TargetDataset, tree_index: int,
          final_cycle: int) -> list[CycleAllocation]:
@@ -207,7 +221,7 @@ def step(state: TreeState, cols: Sequence[GrowthParameters],
     ``cols`` holds one parameter set per column of ``state``."""
     n = state.cycle + 1
     state.cycle = n
-    try:
+    with failing_cycle(n):
         if not state.pending_plans:
             raise SimulationError("no pending organogenesis plan")
         _expand_planned_shoots(state, cols, state.pending_plans,
@@ -230,10 +244,6 @@ def step(state: TreeState, cols: Sequence[GrowthParameters],
         state.pending_plans = plans
         state.pending_fund = [a.q_s for a in allocs]
         return allocs
-    except Exception as exc:  # abort with the cycle attached
-        if isinstance(exc, SimulationError) and exc.cycle is not None:
-            raise
-        raise SimulationError(f"cycle {n}: {exc}", cycle=n) from exc
 
 
 def check_run_request(params: GrowthParameters, zones: ZoneRuleSet,
@@ -405,7 +415,7 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
 
     grouped: dict[tuple[int, int], list[int]] = {}
     for rank, *_, laterals in units:
-        for _row, child, _count in laterals:
+        for _row, child in laterals:
             grouped.setdefault((rank, state.classes[child].pa),
                                []).append(child)
     branch_rows: list[list] = [[] for _ in cols]

@@ -23,8 +23,8 @@ import numpy as np
 from .core import (CM2_PER_M2, TRUNK_PA, BranchRow, GrowthParameters,
                    RingObservation, SimulationError, TargetDataset,
                    TrunkObservation, TrunkScriptEntry, ZoneRuleSet)
-from .engine import (SimulationOutput, check_run_request, net_production,
-                     split_production)
+from .engine import (SimulationOutput, check_run_request, failing_cycle,
+                     net_production, split_production)
 from .sourcesink import allocate_shoots, partition_rings, shoot_demand
 from .structure import expand_shoot_values, metamer_diameters
 from .topology import (PositionGroup, axis_total, distribute_axes,
@@ -207,8 +207,7 @@ def _expand(tree: NaiveTree, params, plan: _NaivePlan, fund: float) -> None:
         tree.axes.append(axis)
         build_gu(axis)
         if parent.child is not None:
-            raise SimulationError(
-                f"cycle {cycle}: metamer already bears a lateral")
+            raise SimulationError("metamer already bears a lateral")
         parent.child = axis
 
     for shoot in plan.shoots:
@@ -246,26 +245,28 @@ def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
     allocations = []
     for n in range(1, n_cycles + 1):
         tree.cycle = n
-        _expand(tree, params, pending, fund)
-        s_blade = tree.live_blade_cm2(n) / CM2_PER_M2
-        q = net_production(params, s_blade, tree_index)
+        with failing_cycle(n):
+            _expand(tree, params, pending, fund)
+            s_blade = tree.live_blade_cm2(n) / CM2_PER_M2
+            q = net_production(params, s_blade, tree_index)
 
-        next_entry = (dataset.script_entry(n + 1)
-                      if n + 1 <= n_cycles else None)
-        plan = _plan(tree, params, zones, ratio_lagged, next_entry)
-        alloc = split_production(params, n, q, plan.d_s, s_blade)
+            next_entry = (dataset.script_entry(n + 1)
+                          if n + 1 <= n_cycles else None)
+            plan = _plan(tree, params, zones, ratio_lagged, next_entry)
+            alloc = split_production(params, n, q, plan.d_s, s_blade)
 
-        rows = []
-        row_refs = []
-        for axis in tree.axes:
-            for gu in axis.gus:
-                for m in gu.metamers:
-                    s_a = tree.leaves_above(axis, gu.rank, m.rank, n)
-                    rows.append((1, m.pa, m.length, s_a))
-                    row_refs.append(m)
-        incs = partition_rings(alloc.q_r, rows, params.lambda_mix, params.p_rg)
-        for m, inc in zip(row_refs, incs):
-            m.rings.append(inc)
+            rows = []
+            row_refs = []
+            for axis in tree.axes:
+                for gu in axis.gus:
+                    for m in gu.metamers:
+                        s_a = tree.leaves_above(axis, gu.rank, m.rank, n)
+                        rows.append((1, m.pa, m.length, s_a))
+                        row_refs.append(m)
+            incs = partition_rings(alloc.q_r, rows, params.lambda_mix,
+                                   params.p_rg)
+            for m, inc in zip(row_refs, incs):
+                m.rings.append(inc)
 
         allocations.append(alloc)
         ratio_lagged = alloc.ratio

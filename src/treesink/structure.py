@@ -8,13 +8,14 @@ one cycle: a leaf is live if its growth unit was born at the current cycle.
 
 The tree owns every value in one :class:`Arena`: the four fields a growth
 unit's metamers share once per unit (for the bundled tree2 with ten
-parameter columns, 1.3 MB of floats instead of 3.6 MB), the cumulative
+parameter columns, 1.37 MB of floats instead of 3.56 MB), the cumulative
 ring, which depends on a metamer's position, once per metamer, and the
-laterals as one edge list.  Each table keeps a class's columns contiguous,
-and the classes in creation order, so the per-cycle ring partition and
-foliage scans are whole-arena operations.  Growth enters in blocks: every
-class of one PA grows the same shoot in a cycle, so one block append
-queues a unit on each of them, one edge block queues the cycle's
+laterals as one edge list.  A unit's zone layout stays in the plan it grew
+from (``TreeState.decisions``).  Each table keeps a class's columns
+contiguous, and the classes in creation order, so the per-cycle ring
+partition and foliage scans are whole-arena operations.  Growth enters in
+blocks: every class of one PA grows the same shoot in a cycle, so one block
+append queues a unit on each of them, one edge block queues the cycle's
 laterals, and the next read merges the queue.
 
 A tree may carry K parameter columns: K runs that share every decision
@@ -35,18 +36,17 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import GrowthParameters, SimulationError
+from .core import TRUNK_PA, GrowthParameters, SimulationError
 
 # rows of Arena.units (a column per growth unit): the owning class index,
-# the unit's birth cycle, its metamer count, its first metamer row in its
-# class and its zone layout (an index into Arena.layouts, -1 for an unzoned
-# unit), then its fields
-CLASS, BIRTH, SIZE, START, LAYOUT = range(5)
+# the unit's birth cycle and its metamer count, then its fields
+CLASS, BIRTH, SIZE = range(3)
 # the per-instance fields (Arena.field), each with one row per parameter
 # column: the first four per growth unit, the ring per metamer
 INTERNODE_MASS, LENGTH, LEAF_MASS, LEAF_AREA, CUM_RING = range(5)
-# rows of Arena.edges (a column per lateral; ROW is class-local)
-BEARER, ROW, CHILD, COUNT = range(4)
+# rows of Arena.edges (a column per lateral; ROW is class-local): class
+# BEARER's metamer ROW bears one instance of class CHILD per instance
+BEARER, ROW, CHILD = range(3)
 #: elements merged at once: a small table merges whole, a large one a few
 #: rows at a time, which keeps each gather in cache
 MERGE_CHUNK = 8192
@@ -74,71 +74,61 @@ def _class_order(classes: np.ndarray, new: np.ndarray) -> np.ndarray:
 class Arena:
     """Every per-metamer value and every lateral of one tree.
 
-    ``units`` has one column per growth unit (rows CLASS to LAYOUT, then
-    INTERNODE_MASS to LEAF_AREA with one row per parameter column) and is
-    the only record of a unit (its rank is its place among its class's
-    units), ``cum_ring`` (one row per column) one per metamer, and
-    ``edges`` one per lateral (rows BEARER..COUNT), in creation order
-    within each class.  ``unit_bounds``, ``bounds`` and ``edge_bounds``
-    are their class offsets and ``metamers`` the class metamer counts.
-    ``layouts`` maps each distinct zone layout, a tuple of (axillary PA,
-    metamer count) blocks, to its index.  The classes and their tree hold
-    the arena, which holds neither, so a finished tree is freed without
-    waiting for the cycle collector.
+    ``units`` has one column per growth unit (rows CLASS to SIZE, then
+    INTERNODE_MASS to LEAF_AREA with one row per parameter column): a
+    unit's rank is its place among its class's units and its first row
+    the sum of their sizes.  ``cum_ring`` (one row per column) has one
+    column per metamer, and ``edges`` one per lateral (rows BEARER..CHILD),
+    in creation order within each class.  ``unit_bounds``, ``bounds`` and
+    ``edge_bounds`` are their class offsets and ``metamers`` the class
+    metamer counts.  The classes and their tree hold the arena, which holds
+    neither, so a finished tree is freed without waiting for the cycle
+    collector.
     """
 
-    __slots__ = ("units", "sizes", "layouts", "metamers", "cum_ring",
-                 "edges", "unit_bounds", "bounds", "edge_bounds",
-                 "queued_units", "queued_edges", "columns")
+    __slots__ = ("units", "sizes", "metamers", "cum_ring", "edges",
+                 "unit_bounds", "bounds", "edge_bounds", "queued_units",
+                 "queued_edges", "columns")
 
     def __init__(self, columns: int = 1):
         self.columns = columns
-        self.units = np.zeros((LAYOUT + 1 + 4 * columns, 0))
+        self.units = np.zeros((SIZE + 1 + 4 * columns, 0))
         self.sizes = np.zeros(0, np.intp)
-        self.layouts: dict[tuple, int] = {}
         self.metamers: list[int] = []
         self.cum_ring = np.zeros((columns, 0))
-        self.edges = np.zeros((4, 0), dtype=np.int64)
+        self.edges = np.zeros((3, 0), dtype=np.int64)
         self.unit_bounds = self.bounds = self.edge_bounds = [0]
         self.queued_units: list[tuple] = []
         self.queued_edges: list[np.ndarray] = []
 
     def append_units(self, classes: list[int], birth_cycle: int,
-                     metamer_count: int, zone_layout, values) -> None:
+                     metamer_count: int, values) -> None:
         """Queue a block of alike growth units, the next of each class in
-        ``classes``: ``zone_layout`` lists (axillary PA, metamer count)
-        blocks base to apex (None: unzoned), ``values`` the per-metamer
-        internode mass, length, leaf mass and leaf area, field by field."""
+        ``classes``: ``values`` holds the per-metamer internode mass,
+        length, leaf mass and leaf area, field by field."""
         if metamer_count < 1:
             raise SimulationError("growth units carry at least one metamer")
-        if zone_layout is not None and \
-                sum(c for _, c in zone_layout) != metamer_count:
-            raise SimulationError("zone layout does not cover the growth unit")
         if len(values) != 4 * self.columns:
             raise SimulationError(
                 f"{len(values)} metamer values for {self.columns} columns")
-        layout = -1 if zone_layout is None else \
-            self.layouts.setdefault(tuple(zone_layout), len(self.layouts))
-        start = [self.metamers[idx] for idx in classes]
         for idx in classes:
             self.metamers[idx] += metamer_count
-        # CLASS and START per unit, the other rows shared
-        self.queued_units.append((classes, start, (
-            0, birth_cycle, metamer_count, 0, layout, *values)))
+        # CLASS per unit, the other rows shared
+        self.queued_units.append(
+            (classes, (0, birth_cycle, metamer_count, *values)))
 
-    def append_edges(self, bearers, rows, children, counts) -> None:
+    def append_edges(self, bearers, rows, children) -> None:
         """Queue a block of laterals: class ``bearers[i]``'s metamer row
-        ``rows[i]`` bears ``counts[i]`` instances of class ``children[i]``
-        per instance.  The next read checks that no row bears two."""
+        ``rows[i]`` bears one instance of class ``children[i]`` per
+        instance.  The next read checks that no row bears two."""
         for bearer, row in zip(bearers, rows):
             if not 0 <= row < self.metamers[bearer]:
                 raise SimulationError(f"no metamer row {row} in the class")
-        self.queued_edges.append(
-            np.array([bearers, rows, children, counts], np.int64))
+        self.queued_edges.append(np.array([bearers, rows, children], np.int64))
 
     def unit_field(self, row: int) -> np.ndarray:
         """The (columns, units) rows of a field a unit's metamers share."""
-        start = LAYOUT + 1 + row * self.columns
+        start = SIZE + 1 + row * self.columns
         return self.units[start:start + self.columns]
 
     def field(self, row: int) -> np.ndarray:
@@ -156,11 +146,10 @@ class Arena:
                 or len(self.bounds) != n + 1):
             return
         if self.queued_units:
-            classes, starts, shared = zip(*self.queued_units)
+            classes, shared = zip(*self.queued_units)
             added = np.repeat(np.array(shared).T, list(map(len, classes)),
                               axis=1)
             added[CLASS] = np.concatenate(classes)
-            added[START] = np.concatenate(starts)
             # the metamers so far by class, then the new ones, rings at zero
             b = self.bounds
             order = _class_order(np.repeat(np.arange(len(b) - 1), np.diff(
@@ -241,12 +230,12 @@ class AxisClass:
     def key(self) -> tuple[int, int]:
         return (self.pa, self.birth_cycle)
 
-    def append_gu(self, birth_cycle: int, zone_layout: list[tuple[int, int]] | None,
-                  metamer_count: int, *values: float) -> None:
+    def append_gu(self, birth_cycle: int, metamer_count: int,
+                  *values: float) -> None:
         """Add the next growth unit: :meth:`Arena.append_units` on this
         class alone.  Its metamers enter the arena when it is next read."""
         self.arena.append_units([self.index], birth_cycle, metamer_count,
-                                zone_layout, values)
+                                values)
 
     def record_rings(self, increments: np.ndarray) -> None:
         """Add one cycle's per-instance ring increments to every metamer of
@@ -257,14 +246,6 @@ class AxisClass:
                 f"ring increment vector size {increments.size} != "
                 f"{e - s} metamers")
         self.arena.cum_ring[0, s:e] += increments
-
-    def set_child(self, flat_idx: int, child_class_idx: int,
-                  per_instance_count: int) -> None:
-        """Record a lateral borne by one metamer (at most one, ever):
-        :meth:`Arena.append_edges` of one edge, checked at once."""
-        self.arena.append_edges([self.index], [flat_idx], [child_class_idx],
-                                [per_instance_count])
-        self.arena.settle()
 
 
 @dataclass
@@ -350,16 +331,14 @@ class TreeState:
         arena = self.arena
         arena.settle()
         totals = own.copy()
-        b, add = arena.edge_bounds, np.add.reduce
-        child, count = arena.edges[CHILD], arena.edges[COUNT]
+        b, add, child = arena.edge_bounds, np.add.reduce, arena.edges[CHILD]
         row = totals[0] if len(totals) == 1 else None
         for idx in range(own.shape[1] - 1, -1, -1):
             s, e = b[idx], b[idx + 1]
             if s < e and row is not None:
-                row[idx] += add(count[s:e] * row.take(child[s:e]))
+                row[idx] += add(row.take(child[s:e]))
             elif s < e:
-                totals[:, idx] += add(
-                    count[s:e] * totals.take(child[s:e], axis=1), axis=1)
+                totals[:, idx] += add(totals.take(child[s:e], axis=1), axis=1)
         return totals
 
     def foliage_above(self) -> tuple[np.ndarray, np.ndarray]:
@@ -375,8 +354,8 @@ class TreeState:
         bounds = np.array(arena.bounds)
         leaf = np.where(arena.units[BIRTH] == self.cycle, leaf, 0.0)
         seg = np.repeat(leaf, arena.sizes, axis=1)
-        seg[:, bounds[edges[BEARER]] + edges[ROW]] += \
-            edges[COUNT] * totals.take(edges[CHILD], axis=1)
+        seg[:, bounds[edges[BEARER]] + edges[ROW]] += totals.take(
+            edges[CHILD], axis=1)
         # suffix sums per class: each segment apex first in one row of a
         # table padded at the base end, summed sequentially along the rows;
         # one column at a time, as the table holds about 3x the metamers
@@ -443,21 +422,24 @@ class TreeState:
         """Class ``idx``'s growth units base to apex, read from the arena's
         unit table: (rank, birth cycle, first class-local metamer row,
         metamer count, zone layout or None, laterals), with the laterals it
-        bears as (metamer rank, child class index, per-instance count),
-        base to apex."""
+        bears as (metamer rank, child class index), base to apex.  A branch
+        unit born at cycle b has the layout that cycle's plan gave its PA;
+        a trunk unit has none."""
         arena = self.arena
         arena.settle()
         s, e = arena.unit_bounds[idx:idx + 2]
-        birth, size, start, layout = arena.units[BIRTH:LAYOUT + 1, s:e].astype(
-            int).tolist()
+        birth, size = arena.units[BIRTH:SIZE + 1, s:e].astype(int).tolist()
+        start = [0, *accumulate(size)][:-1]
         borne: list[list] = [[] for _ in birth]
         s, e = arena.edge_bounds[idx:idx + 2]
-        for row, child, count in sorted(zip(*arena.edges[ROW:, s:e].tolist())):
+        for row, child in sorted(zip(*arena.edges[ROW:, s:e].tolist())):
             u = bisect_right(start, row) - 1
-            borne[u].append((row - start[u] + 1, child, count))
-        layouts = [*arena.layouts, None]     # LAYOUT -1 reads None
+            borne[u].append((row - start[u] + 1, child))
+        pa, plans = self.classes[idx].pa, self.decisions[0]
+        layouts = [None if pa == TRUNK_PA else plans[b - 1].gu_layouts[pa]
+                   for b in birth]
         return list(zip(range(1, len(birth) + 1), birth, start, size,
-                        [layouts[i] for i in layout], borne))
+                        layouts, borne))
 
     def topology_dump(self) -> dict:
         """JSON-ready description of the factorized architecture."""
@@ -475,7 +457,7 @@ class TreeState:
                     "metamer_rank": row,
                     "axillary_pa": self.classes[child].pa,
                     "axis_birth_cycle": self.classes[child].birth_cycle,
-                    "per_instance_count": n} for row, child, n in laterals],
+                    "per_instance_count": 1} for row, child in laterals],
             } for rank, birth, _start, count, layout, laterals
                 in self.growth_units(cls.index)],
         } for cls in self.classes]}
@@ -488,8 +470,8 @@ class TreeState:
         return tuple((cls.pa, cls.birth_cycle, cls.multiplicity, tuple(
             (rank, birth, count,
              None if layout is None else tuple(sorted(layout)),
-             tuple((row, self.classes[child].key, n)
-                   for row, child, n in laterals))
+             tuple((row, self.classes[child].key, 1)
+                   for row, child in laterals))
             for rank, birth, _start, count, layout, laterals
             in self.growth_units(cls.index)))
             for cls in self.classes)

@@ -27,7 +27,7 @@ from .core import (TRUNK_PA, GrowthParameters,
                    SimulationError, TrunkScriptEntry, ZoneRule, ZoneRuleSet,
                    round_half_away)
 from .sourcesink import shoot_demand
-from .structure import BIRTH, LAYOUT, TreeState
+from .structure import TreeState
 
 
 def metamer_count(zone: ZoneRule, ratio: float) -> int:
@@ -227,41 +227,28 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
     # growth-unit layouts for next cycle's shoots, shared by every class
     gu_layouts = gu_zone_layouts(zones, ratio, params)
 
-    # the apical continuation of every branch axis
+    # the apical continuation of every branch axis; each branch class grew
+    # one unit this cycle, its last, with its PA's layout in the plan just
+    # expanded
+    bearers: dict[int, list] = {}
     for cls in state.classes:
         if cls.pa != TRUNK_PA:
             bud_counts[cls.pa] = bud_counts.get(cls.pa, 0.0) + cls.multiplicity
-
-    # this cycle's zoned units (one per class at most) by bearer PA, in class
-    # order, with their zone blocks: axillary PA -> (apical rank, count)
-    arena = state.arena
-    arena.settle()
-    units = arena.units[:LAYOUT + 1]
-    layouts, spans = list(arena.layouts), {}
-    current: dict[int, list] = {}
-    for idx, _, _, first, layout in units.compress(
-            units[BIRTH] == n, axis=1).astype(int).T.tolist():
-        if layout >= 0:
-            if layout not in spans:
-                blocks = layouts[layout]
-                spans[layout] = {pa: (end, count) for (pa, count), end in zip(
-                    blocks, accumulate(c for _, c in blocks))}
-            cls = state.classes[idx]
-            current.setdefault(cls.pa, []).append(
-                (cls, first, spans[layout]))
+            bearers.setdefault(cls.pa, []).append(cls)
 
     # laterals on the zones of this cycle's growth units: each class's block
-    # of one axillary PA is one run of positions
+    # of one axillary PA, ``end`` rows into its unit, is one run of positions
     zone_groups = []
     for rule in zones.rules:
-        if not rule.branching:
+        if not rule.branching or rule.bearer_pa not in bearers:
             continue
-        axillary = rule.axillary_pa
-        groups = [PositionGroup(n - cls.birth_cycle + 1, end,
-                                cls.multiplicity, count,
-                                (cls.index, first + end - 1))
-                  for cls, first, span in current.get(rule.bearer_pa, ())
-                  if axillary in span for end, count in [span[axillary]]]
+        blocks = state.decisions[0][-1].gu_layouts[rule.bearer_pa]
+        ends = list(accumulate(c for _, c in blocks))
+        groups = [PositionGroup(
+            n - cls.birth_cycle + 1, end, cls.multiplicity, count,
+            (cls.index, cls.n_metamers - ends[-1] + end - 1))
+            for (pa, count), end in zip(blocks, ends)
+            if pa == rule.axillary_pa for cls in bearers[rule.bearer_pa]]
         if not groups:
             continue
         total = axis_total(_positions(groups), rule, ratio)

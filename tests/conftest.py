@@ -6,6 +6,7 @@ from treesink import engine
 from treesink.core import TrunkScriptEntry
 from treesink.synthetic import (reference_parameters, reference_zone_rules,
                                 script_only_dataset)
+from treesink.topology import OrganogenesisPlan
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -50,6 +51,18 @@ def small_dataset(small_script):
 
 def fixture_path(name):
     return os.path.join(FIXTURE_DIR, name)
+
+
+def grow_unit(state, cls, cycle, layout, *values):
+    """Add branch class ``cls``'s next growth unit at ``cycle``, with the
+    zone ``layout`` that the state's plan for that cycle gives its PA (the
+    plan is recorded here): a hand-built state keeps its units' layouts
+    where a run keeps them, in the plans it expanded."""
+    plans = state.decisions[0]
+    while len(plans) < cycle:
+        plans.append(OrganogenesisPlan(0.0))
+    plans[cycle - 1].gu_layouts[cls.pa] = layout
+    cls.append_gu(cycle, sum(c for _, c in layout), *values)
 
 
 def step_with_rings(state, params, zones, dataset, tree_index, final_cycle):

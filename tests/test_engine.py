@@ -11,7 +11,7 @@ from treesink.structure import (BIRTH, LEAF_AREA, TreeState, metamer_diameters,
 from treesink.synthetic import (dataset_from_output, script_only_dataset,
                                 tree2_script)
 
-from conftest import step_with_rings
+from conftest import grow_unit, step_with_rings
 
 
 def run(params, zones, script, **kw):
@@ -99,7 +99,7 @@ class TestLeavesAbove:
         state = TreeState(cycle=3)
         cls = state.add_class(2, 1, multiplicity=1)
         for area in (11.0, 23.0, 47.0):
-            cls.append_gu(3, [(0, 1)], 1, 0.5, 2.0, 0.4, area)
+            grow_unit(state, cls, 3, [(0, 1)], 0.5, 2.0, 0.4, area)
         return state
 
     def test_every_unit_born_this_cycle_is_live(self):
@@ -200,8 +200,8 @@ class TestAxisClassStorage:
         an empty PA-4 class to link to."""
         state = TreeState(cycle=2)
         cls = state.add_class(2, 1, multiplicity=2)
-        cls.append_gu(1, [(0, 1), (4, 3)], 4, 0.5, 2.0, 0.4, 10.0)
-        cls.append_gu(2, [(0, 1), (4, 1)], 2, 0.3, 1.0, 0.2, 5.0)
+        grow_unit(state, cls, 1, [(0, 1), (4, 3)], 0.5, 2.0, 0.4, 10.0)
+        grow_unit(state, cls, 2, [(0, 1), (4, 1)], 0.3, 1.0, 0.2, 5.0)
         state.add_class(4, 2, multiplicity=12)
         return state, cls
 
@@ -209,38 +209,42 @@ class TestAxisClassStorage:
         import copy
         state = TreeState(cycle=1)
         cls = state.add_class(2, 1, multiplicity=1)
-        cls.append_gu(1, [(0, 2)], 2, 0.5, 2.0, 0.4, 10.0)
+        cls.append_gu(1, 2, 0.5, 2.0, 0.4, 10.0)
         clone = copy.deepcopy(state).classes[0]
         clone.record_rings(np.array([1.0, 1.0]))
-        clone.append_gu(2, [(0, 1)], 1, 0.5, 2.0, 0.4, 10.0)
+        clone.append_gu(2, 1, 0.5, 2.0, 0.4, 10.0)
         assert clone.cum_ring.tolist() == [[1.0, 1.0, 0.0]]
         assert cls.cum_ring.tolist() == [[0.0, 0.0]]
 
     def test_metamer_bears_one_lateral(self):
-        _, cls = self._bearer()
-        cls.set_child(2, 1, 3)
+        state, _ = self._bearer()
+        arena = state.arena
+        arena.append_edges([0], [2], [1])
+        arena.settle()
+        arena.append_edges([0], [2], [1])
         with pytest.raises(SimulationError, match="already bears"):
-            cls.set_child(2, 1, 1)
+            arena.settle()
         for row in (-1, 6):
             with pytest.raises(SimulationError, match="no metamer row"):
-                cls.set_child(row, 1, 1)
+                arena.append_edges([0], [row], [1])
 
     def test_laterals_listed_base_to_apex(self):
-        state, cls = self._bearer()
-        for row, count in ((5, 4), (3, 3), (1, 1), (2, 2)):
-            cls.set_child(row, 1, count)
-        cls.append_gu(2, None, 1, 0.1, 0.5, 0.1, 1.0)   # an unzoned unit
-        dumped = state.topology_dump()["axis_classes"][0]["growth_units"]
+        state, _ = self._bearer()
+        state.arena.append_edges([0] * 4, [5, 3, 1, 2], [1] * 4)
+        trunk = state.add_class(1, 1, multiplicity=1)
+        trunk.append_gu(1, 2, 0.1, 0.5, 0.1, 1.0)   # trunk units are unzoned
+        dumped = [cls["growth_units"]
+                  for cls in state.topology_dump()["axis_classes"]]
         assert [[(b["metamer_rank"], b["per_instance_count"])
-                 for b in gu["borne_axes"]] for gu in dumped] == \
-            [[(2, 1), (3, 2), (4, 3)], [(2, 4)], []]
-        assert [gu["zone_counts"] for gu in dumped] == \
+                 for b in gu["borne_axes"]] for gu in dumped[0]] == \
+            [[(2, 1), (3, 1), (4, 1)], [(2, 1)]]
+        assert [gu["zone_counts"] for gu in dumped[0] + dumped[2]] == \
             [{"0": 1, "4": 3}, {"0": 1, "4": 1}, None]
-        sig = state.structure_signature()[0][3]
-        assert [gu[4] for gu in sig] == [
-            ((2, (4, 2), 1), (3, (4, 2), 2), (4, (4, 2), 3)),
-            ((2, (4, 2), 4),), ()]
-        assert [gu[3] for gu in sig] == \
+        sig = state.structure_signature()
+        assert [gu[4] for gu in sig[0][3]] == [
+            ((2, (4, 2), 1), (3, (4, 2), 1), (4, (4, 2), 1)),
+            ((2, (4, 2), 1),)]
+        assert [gu[3] for gu in sig[0][3] + sig[2][3]] == \
             [((0, 1), (4, 3)), ((0, 1), (4, 1)), None]
 
 

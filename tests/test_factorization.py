@@ -12,7 +12,7 @@ import pytest
 from treesink.core import SimulationError, TrunkScriptEntry
 from treesink.engine import simulate
 from treesink.oracle import simulate_naive
-from treesink.synthetic import script_only_dataset
+from treesink.synthetic import script_only_dataset, tree1_script
 
 TOL = 1e-9
 
@@ -127,3 +127,18 @@ def test_reference_engine_checks_the_run_request(params, zones, kwargs,
         with pytest.raises(SimulationError) as err:
             run(params, zones, ds, **kwargs)
         assert str(err.value) == message
+
+
+def test_an_in_cycle_failure_names_its_cycle_on_both_engines(params, zones):
+    """A run whose production diverges in its third cycle fails alike on
+    both engines: the same type and message, the cycle named once."""
+    p = params.with_values(v_env=(1e14, 1e14))
+    ds = script_only_dataset(tree1_script()[:7])
+    failures = []
+    for run in (simulate, simulate_naive):
+        with pytest.raises(SimulationError) as err:
+            run(p, zones, ds)
+        failures.append((type(err.value), str(err.value), err.value.cycle))
+    assert failures[0] == failures[1]
+    assert failures[0][1:] == (
+        "cycle 3: production diverged: 1686322566191715.8", 3)

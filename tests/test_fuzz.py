@@ -5,7 +5,7 @@ or raise a ParseError naming the file and a line, and the CLI answers them
 with an exit code, never a traceback.  Parameter sets drawn inside the fit
 bounds give, batched, what each gives alone, zone coefficients drawn over
 their fit bounds simulate or fail typed, and drawn short runs give what the
-enumerated oracle gives.  A run whose recorded plans all hold under other
+enumerated oracle gives and grow every branch unit from its cycle's plan.  A run whose recorded plans all hold under other
 zone coefficients repeats bit for bit, and batch columns that depart give
 what each gives alone.  The seeds and case counts are fixed, so every run
 checks the same cases.
@@ -21,7 +21,8 @@ import pytest
 from treesink import cli, engine
 from treesink.calibration import (apply_candidate, default_weights,
                                   weighted_residuals)
-from treesink.core import ParseError, TreesinkError, TrunkScriptEntry
+from treesink.core import (TRUNK_PA, ParseError, TreesinkError,
+                           TrunkScriptEntry)
 from treesink.engine import simulate, simulate_batch
 from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.oracle import simulate_naive
@@ -220,6 +221,50 @@ def test_the_oracle_draws_reach_partial_runs_and_slack():
                        for _, groups, counts, _ in plan.zone_groups
                        for group, taken in zip(groups, counts))
     assert partial > 0 and slack > 0
+
+
+def _units_follow_their_plans(output) -> int:
+    """Check that every branch class of ``output`` grew one unit a cycle
+    from its birth to the end, each with the zone layout its birth cycle's
+    plan gave its PA, and that each unit's zone counts sum to its metamer
+    count; the trunk's units have no zone counts.  Returns the branch units
+    checked."""
+    checked = 0
+    for cls in output.topology["axis_classes"]:
+        units = cls["growth_units"]
+        if cls["pa"] == TRUNK_PA:
+            assert all(u["zone_counts"] is None for u in units)
+            continue
+        assert [u["birth_cycle"] for u in units] == list(
+            range(cls["birth_cycle"], output.cycles + 1))
+        for u in units:
+            layout = output.decisions[u["birth_cycle"] - 1].gu_layouts[
+                cls["pa"]]
+            assert u["zone_counts"] == {str(k): v for k, v in sorted(layout)}
+            assert sum(u["zone_counts"].values()) == u["metamer_count"]
+            checked += 1
+    return checked
+
+
+def test_branch_units_grow_one_a_cycle_with_their_plans_layout():
+    """The fixture trees' full runs and the drawn short runs: a branch
+    unit's layout is read from its birth cycle's plan, which holds only
+    because every branch class grows one unit a cycle with its PA's
+    layout."""
+    params, zones, _spec = read_parameter_file(fixture_path("species.params"))
+    checked = 0
+    for tree_index in (0, 1):
+        dataset = parse_target_file(
+            fixture_path(f"tree{tree_index + 1}.target.csv"))
+        checked += _units_follow_their_plans(
+            simulate(params, zones, dataset, tree_index=tree_index))
+    for script, values in ORACLE_CASES:
+        try:
+            output = _engine_run(script, values, simulate)
+        except TreesinkError:
+            continue
+        checked += _units_follow_their_plans(output)
+    assert checked > 1000
 
 
 REPLAY_CASES = _oracle_draws(15, 25)

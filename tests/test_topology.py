@@ -11,6 +11,8 @@ from treesink.topology import (PositionGroup, axis_band, axis_total,
                                distribute_axes, gu_zone_layout, metamer_count,
                                organogenesis_step, seed_plan)
 
+from conftest import grow_unit
+
 
 class TestMetamerCount:
     def test_hand_arithmetic(self):
@@ -224,8 +226,9 @@ class TestOrganogenesis:
     def test_dormant_below_thresholds(self, params, zones):
         state = TreeState(cycle=3)
         cls = state.add_class(2, 2, multiplicity=2)
-        cls.append_gu(2, [(0, 1), (4, 1), (3, 1)], 3, 0.2, 1.0, 0.3, 40.0)
-        cls.append_gu(3, [(0, 1), (4, 1), (3, 1)], 3, 0.2, 1.0, 0.3, 40.0)
+        for cycle in (2, 3):
+            grow_unit(state, cls, cycle, [(0, 1), (4, 1), (3, 1)],
+                      0.2, 1.0, 0.3, 40.0)
         plan = organogenesis_step(state, params, zones, ratio=0.0,
                                   trunk_entry=None)
         assert not any(any(counts) for *_, counts, _ in plan.zone_groups)
@@ -234,7 +237,8 @@ class TestOrganogenesis:
     def test_active_zones_assign_axes(self, params, zones):
         state = TreeState(cycle=2)
         cls = state.add_class(2, 2, multiplicity=1)
-        cls.append_gu(2, [(0, 2), (4, 2), (3, 1)], 5, 0.4, 1.5, 0.5, 70.0)
+        grow_unit(state, cls, 2, [(0, 2), (4, 2), (3, 1)], 0.4, 1.5, 0.5,
+                  70.0)
         plan = organogenesis_step(state, params, zones, ratio=4.0,
                                   trunk_entry=None)
         # 2 short-shoot positions at ratio 4: round(2·0.6·4) = 5 -> clamp 2
@@ -251,7 +255,7 @@ class TestOrganogenesis:
         # the group takes all 3, and the note records the surplus
         state = TreeState(cycle=2)
         cls = state.add_class(2, 2, multiplicity=3)
-        cls.append_gu(2, [(0, 1), (4, 1)], 2, 0.2, 1.0, 0.3, 40.0)
+        grow_unit(state, cls, 2, [(0, 1), (4, 1)], 0.2, 1.0, 0.3, 40.0)
         organogenesis_step(state, params, zones, ratio=1.0, trunk_entry=None)
         assert state.notes == [["cycle 2: zone Z^24 distribution slack +1"]]
 
