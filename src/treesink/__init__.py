@@ -12,15 +12,16 @@ from .sourcesink import (CycleAllocation, allocate_shoots, partition_rings,
 from .topology import (axis_total, distribute_axes, metamer_count,
                        organogenesis_step)
 from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
-                          compute_intervals, fit_continuous, fit_topology,
-                          objective)
+                          Scorer, compute_intervals, fit_continuous,
+                          fit_topology, objective)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnealSchedule", "CycleAllocation", "FitResult", "FitSpec",
-    "FreeParameter", "GrowthParameters", "SimulationOutput", "TargetDataset",
-    "TrunkScriptEntry", "ZoneRule", "ZoneRuleSet", "allocate_shoots",
+    "FreeParameter", "GrowthParameters", "Scorer", "SimulationOutput",
+    "TargetDataset", "TrunkScriptEntry", "ZoneRule", "ZoneRuleSet",
+    "allocate_shoots",
     "axis_total", "compute_intervals", "default_zone_rules",
     "distribute_axes", "extract_targets", "fit_continuous", "fit_topology",
     "metamer_count", "objective", "organogenesis_step",

@@ -242,53 +242,10 @@ def weighted_residuals(values: dict[str, float], params: GrowthParameters,
                        zones: ZoneRuleSet, targets: list[TargetDataset],
                        weights: dict[str, float]) -> np.ndarray:
     """sqrt(weight)·(sim − obs) stacked over every tree and data point."""
-    [result] = batch_residuals([values], params, zones, targets, weights)
+    [result] = Scorer(params, zones, targets, weights).residuals([values])
     if isinstance(result, TreesinkError):
         raise result
     return result
-
-
-def batch_residuals(candidates: list[dict[str, float]],
-                    params: GrowthParameters, zones: ZoneRuleSet,
-                    targets: list[TargetDataset], weights: dict[str, float]
-                    ) -> list[np.ndarray | TreesinkError]:
-    """Per candidate, its weighted residuals or the TreesinkError its runs
-    or their alignment raise, from one batched run per tree (a failing
-    tree stops the candidate's runs).  The candidates must give the same
-    zone rules (they differ in continuous values)."""
-    applied = [apply_candidate(params, zones, values) for values in candidates]
-    cand_zones = applied[0][1]
-    if any(each != cand_zones for _, each in applied):
-        raise ValueError("batched candidates differ in their zone rules")
-    results: list = [[] for _ in candidates]
-    for i, ds in enumerate(targets):
-        live = [k for k, chunks in enumerate(results)
-                if isinstance(chunks, list)]
-        runs = _tree_residuals([applied[k][0] for k in live], cand_zones, ds,
-                               i, weights)
-        for k, run in zip(live, runs):
-            results[k] = (run if isinstance(run, TreesinkError)
-                          else results[k] + [run[1]])
-    return [chunks if isinstance(chunks, TreesinkError) else
-            np.concatenate(chunks) if chunks else np.empty(0)
-            for chunks in results]
-
-
-def _tree_residuals(cols, zones, ds, tree_index, weights):
-    """Per parameter set of ``cols``, its run's (decisions, weighted
-    residuals) on the tree ``ds``, or the TreesinkError its run or
-    alignment raise, from one batched run."""
-    results = []
-    for output in simulate_batch(cols, zones, ds, tree_index=tree_index):
-        try:
-            if isinstance(output, TreesinkError):
-                raise output
-            sim, obs, labels = extract_targets(output, ds)
-            w = np.array([weights.get(lbl, 1.0) for lbl in labels])
-            results.append((output.decisions, np.sqrt(w) * (sim - obs)))
-        except TreesinkError as exc:
-            results.append(exc)
-    return results
 
 
 def _run_trees(values: dict[str, float], params: GrowthParameters,
@@ -308,48 +265,85 @@ def objective(values: dict[str, float], params: GrowthParameters,
               weights: dict[str, float]) -> float:
     """Weighted sum of squared sim−obs differences over every tree; +inf on
     simulation failure."""
-    return replaying_objective(params, zones, targets, weights)(values)
+    return Scorer(params, zones, targets, weights).objective(values)
 
 
-#: the runs of each tree that a replaying objective keeps
+#: the runs of each tree that a scorer keeps
 _REPLAY_RUNS = 4
 
 
-def replaying_objective(params: GrowthParameters, zones: ZoneRuleSet,
-                        targets: list[TargetDataset],
-                        weights: dict[str, float]):
-    """:func:`objective` as a function of the candidate values alone, bit
-    for bit.  A tree does not run again when one of its last runs had the
-    same parameters and each of its decisions keeps its outcome under the
-    candidate's zone rules at its recorded ratio (:func:`plan_holds`): that
-    run would repeat, so its residuals are reused."""
-    memo = [[] for _ in targets]   # per tree: (params, decisions, residuals)
+class Scorer:
+    """The residuals and objective of one fit's candidate values.  It keeps
+    each tree's last 4 successful runs and reuses one's residuals for a
+    candidate with the same parameters under whose zone rules each of its
+    plans, the pending one included, keeps its outcome at its recorded
+    ratio (:func:`plan_holds`): that run would repeat bit for bit."""
 
-    def score(values: dict[str, float]) -> float:
-        cand_params, cand_zones = apply_candidate(params, zones, values)
-        chunks = []
-        for i, (ds, kept) in enumerate(zip(targets, memo)):
-            try:
-                check_run_request(cand_params, cand_zones, ds, i, None)
-                chunk = next((residuals for p, plans, residuals in kept
-                              if p == cand_params and all(plan_holds(
-                                  plan, cand_zones, plan.ratio_used, p)
-                                  for plan in plans)), None)
+    def __init__(self, params: GrowthParameters, zones: ZoneRuleSet,
+                 targets: list[TargetDataset], weights: dict[str, float]):
+        self.params, self.zones = params, zones
+        self.targets, self.weights = targets, weights
+        self._kept = [[] for _ in targets]   # (params, plans, residuals)
+
+    def residuals(self, candidates: list[dict[str, float]]
+                  ) -> list[np.ndarray | TreesinkError]:
+        """Per candidate, sqrt(weight)·(sim − obs) stacked over every tree
+        and data point, or the TreesinkError its runs or their alignment
+        raise (a failing tree stops the candidate's runs).  On each tree
+        the candidates that replay no kept run run as one batch; they must
+        give the same zone rules."""
+        cols, rules = zip(*(apply_candidate(self.params, self.zones, values)
+                            for values in candidates))
+        zones = rules[0]
+        if any(each != zones for each in rules):
+            raise ValueError("batched candidates differ in their zone rules")
+        results: list = [[] for _ in candidates]
+        for i, (ds, kept) in enumerate(zip(self.targets, self._kept)):
+            fresh = []
+            for k in [k for k, c in enumerate(results) if isinstance(c, list)]:
+                try:
+                    chunk = _replayed(kept, cols[k], zones, ds, i)
+                except TreesinkError as exc:
+                    results[k] = exc
+                    continue
                 if chunk is None:
-                    [run] = _tree_residuals([cand_params], cand_zones, ds, i,
-                                            weights)
-                    if isinstance(run, TreesinkError):
-                        raise run
-                    kept.insert(0, (cand_params, *run))
-                    del kept[_REPLAY_RUNS:]
-                    chunk = run[1]
-            except TreesinkError:
-                return math.inf
-            chunks.append(chunk)
-        res = np.concatenate(chunks) if chunks else np.empty(0)
-        return float(res @ res)
+                    fresh.append(k)
+                else:
+                    results[k].append(chunk)
+            outputs = simulate_batch([cols[k] for k in fresh], zones, ds,
+                                     tree_index=i)
+            for k, output in zip(fresh, outputs):
+                try:
+                    if isinstance(output, TreesinkError):
+                        raise output
+                    sim, obs, labels = extract_targets(output, ds)
+                except TreesinkError as exc:
+                    results[k] = exc
+                    continue
+                w = np.array([self.weights.get(lbl, 1.0) for lbl in labels])
+                results[k].append(np.sqrt(w) * (sim - obs))
+                kept.insert(0, (cols[k], output.decisions, results[k][-1]))
+            del kept[_REPLAY_RUNS:]
+        return [chunks if isinstance(chunks, TreesinkError) else
+                np.concatenate(chunks) if chunks else np.empty(0)
+                for chunks in results]
 
-    return score
+    def objective(self, values: dict[str, float]) -> float:
+        """Weighted sum of squared sim−obs differences over every tree;
+        +inf on simulation failure."""
+        [res] = self.residuals([values])
+        return math.inf if isinstance(res, TreesinkError) else float(res @ res)
+
+
+def _replayed(kept, cand, zones, ds, tree_index):
+    """The residuals of a kept run of the tree ``ds`` that ``cand`` repeats
+    under ``zones``, or None; the run checks come first, as in a run."""
+    same = [(plans, res) for p, plans, res in kept if p == cand]
+    if same:
+        check_run_request(cand, zones, ds, tree_index, None)
+    return next((res for plans, res in same if all(
+        plan_holds(plan, zones, plan.ratio_used, cand) for plan in plans)),
+        None)
 
 
 # ----------------------------------------------------------------------
@@ -357,15 +351,15 @@ def replaying_objective(params: GrowthParameters, zones: ZoneRuleSet,
 # ----------------------------------------------------------------------
 
 def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
-                   params: GrowthParameters, zones: ZoneRuleSet,
-                   targets: list[TargetDataset], weights: dict[str, float],
-                   x0: np.ndarray | None = None, max_nfev: int | None = None
+                   scorer: Scorer, x0: np.ndarray | None = None,
+                   max_nfev: int | None = None
                    ) -> tuple[dict[str, float], float, int]:
     """Bounded least-squares descent over the continuous parameters with the
-    topology held fixed.  Returns (estimates, objective, evaluations).
-    Deterministic given its inputs."""
+    topology held fixed.  Returns (estimates, objective, evaluations),
+    deterministic given its inputs.  Every residual comes from ``scorer``,
+    so a refit's start that the search has just scored runs no tree."""
     if not free:
-        obj = objective(dict(fixed), params, zones, targets, weights)
+        obj = scorer.objective(dict(fixed))
         if math.isinf(obj):
             raise UnfittableError("fixed-point evaluation failed")
         return {}, obj, 1
@@ -384,10 +378,9 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
                   for x in points]
         evals += len(values)
         # a large flat penalty steers the trust region away without NaNs
-        penalty = np.full(_n_points(targets), 1e12)
+        penalty = np.full(_n_points(scorer.targets), 1e12)
         return [penalty if isinstance(res, TreesinkError) else res
-                for res in batch_residuals(values, params, zones, targets,
-                                           weights)]
+                for res in scorer.residuals(values)]
 
     x_scale = np.maximum(np.abs(start), 1e-3 * np.maximum(upper - lower, 1e-12))
     result = least_squares(lambda x: residuals_at(None, [x])[0], start,
@@ -437,8 +430,8 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     chain alone ends inside some near-optimal piece; the probes walk piece
     to piece while that improves the fit): a coarse ladder, then one step
     past each end of the current piece, as :func:`compute_intervals` gives
-    it.  A score runs a tree only when no recent run can be replayed
-    (:func:`replaying_objective`); every score counts as an evaluation.
+    it.  Every residual comes from one :class:`Scorer`, which replays the
+    fit's recent runs; each score and residual counts as an evaluation.
     The reported intervals are :func:`compute_intervals` at the best, from
     the run of each tree that gives the predicted-vs-observed rows.
     """
@@ -446,13 +439,13 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     rng = np.random.default_rng(spec.seed)
     sched = spec.schedule
     trace: list[float] = []
-    replay = replaying_objective(params, zones, targets, weights)
+    scorer = Scorer(params, zones, targets, weights)
 
     def score(topo_values, cont_values):
         """The counted objective at the merged candidate."""
         nonlocal total_evals
         total_evals += 1
-        return replay({**topo_values, **cont_values})
+        return scorer.objective({**topo_values, **cont_values})
 
     def refit(topo_values, warm):
         """(estimates, objective) of fit_continuous at ``topo_values``,
@@ -460,9 +453,8 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
         nonlocal total_evals
         try:
             est, value, used = fit_continuous(
-                spec.continuous, topo_values, params, zones, targets, weights,
-                x0=np.array([warm[q.name] for q in spec.continuous]),
-                max_nfev=spec.max_nfev)
+                spec.continuous, topo_values, scorer, max_nfev=spec.max_nfev,
+                x0=np.array([warm[q.name] for q in spec.continuous]))
         except UnfittableError:
             return None
         total_evals += used
@@ -473,9 +465,8 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
                 and best_obj <= spec.stop_objective)
 
     topo = {p.name: p.init for p in spec.topological}
-    cont, obj, total_evals = fit_continuous(
-        spec.continuous, topo, params, zones, targets, weights,
-        max_nfev=spec.max_nfev)
+    cont, obj, total_evals = fit_continuous(spec.continuous, topo, scorer,
+                                            max_nfev=spec.max_nfev)
     trace.append(obj)
     warm_cont = dict(cont)   # warm start of the annealing chain's refits
     best_topo, best_cont, best_obj = dict(topo), dict(cont), obj

@@ -349,8 +349,7 @@ def _check_pa_vector(report, name, values, pa_max, positive=True):
 
 
 def validate_parameters(params: GrowthParameters,
-                        zones: ZoneRuleSet | None = None,
-                        n_trees: int | None = None) -> ValidationReport:
+                        zones: ZoneRuleSet | None = None) -> ValidationReport:
     """Validate a parameter set (and optionally zone rules) against the model
     invariants.  Returns a report; a passing report is a precondition of
     every simulation."""
@@ -394,8 +393,6 @@ def validate_parameters(params: GrowthParameters,
         rep.add("v_env must carry at least one per-tree entry")
     elif any(v <= 0 for v in p.v_env):
         rep.add("v_env entries must be positive")
-    if n_trees is not None and len(p.v_env) != n_trees:
-        rep.add(f"v_env has {len(p.v_env)} entries for {n_trees} trees")
 
     if len(p.slw_ages) != len(p.slw_values) or not p.slw_ages:
         rep.add("slw schedule needs matching, nonempty age/value lists")

@@ -11,10 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from treesink import calibration, engine
-from treesink.calibration import (apply_candidate, batch_residuals,
-                                  default_weights, fit_continuous,
-                                  weighted_residuals)
+from treesink import engine
+from treesink.calibration import (Scorer, apply_candidate, default_weights,
+                                  fit_continuous, weighted_residuals)
 from treesink.core import TreesinkError
 from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.structure import TreeState
@@ -47,16 +46,17 @@ def test_jacobian_columns_equal_serial_residuals(bundled, monkeypatch):
     # own step sizes
     params, zones, spec, targets, weights = bundled
     asked = []
+    residuals = Scorer.residuals
 
-    def spy(candidates, *args):
-        results = batch_residuals(candidates, *args)
+    def spy(self, candidates):
+        results = residuals(self, candidates)
         asked.append((candidates, results))
         return results
 
-    monkeypatch.setattr(calibration, "batch_residuals", spy)
+    monkeypatch.setattr(Scorer, "residuals", spy)
     topology = {p.name: p.init for p in spec.topological}
-    fit_continuous(spec.continuous, topology, params, zones, targets,
-                   weights, max_nfev=1)
+    fit_continuous(spec.continuous, topology,
+                   Scorer(params, zones, targets, weights), max_nfev=1)
     # the first residual, then the Jacobian's points
     [_, (candidates, results)] = asked
     assert len(candidates) == len(spec.continuous)
@@ -103,7 +103,7 @@ def test_columns_that_leave_the_batch(bundled, monkeypatch):
     candidates = [base, {**base, "v_1": lo}, {**base, "v_1": hi},
                   {**base, "alpha": 0.0},   # fails validation
                   {**base, "sp0": base["sp0"] * (1 + 1e-6)}]
-    results = batch_residuals(candidates, params, zones, targets, weights)
+    results = Scorer(params, zones, targets, weights).residuals(candidates)
     monkeypatch.undo()
     # the failing column never ran; on tree 1 the column past the edge
     # stopped the batch, and each of the four then ran alone; on tree 2
@@ -138,7 +138,7 @@ def test_a_raising_batch_runs_every_column_alone(bundled, monkeypatch):
     candidates = [base, {**base, "v_1": 1e20},
                   {**base, "sp0": base["sp0"] * (1 + 1e-6)}]
     runs = _log_runs(monkeypatch)
-    results = batch_residuals(candidates, params, zones, targets, weights)
+    results = Scorer(params, zones, targets, weights).residuals(candidates)
     monkeypatch.undo()
     # on tree 1 each column then ran alone; on tree 2 the two that did not
     # fail ran as a batch
@@ -170,7 +170,7 @@ def test_a_column_dropping_the_pressler_term_stays(bundled, monkeypatch):
     candidates = [base, {**base, "p_rg_4": mark},
                   {**base, "gamma": base["gamma"] * (1 + 1e-6)}]
     runs = _log_runs(monkeypatch)
-    results = batch_residuals(candidates, params, zones, targets, weights)
+    results = Scorer(params, zones, targets, weights).residuals(candidates)
     # on each tree the marked column stayed in the batch
     assert runs == [(3, 0), (3, 1)]
     applied = [apply_candidate(params, zones, c) for c in candidates]

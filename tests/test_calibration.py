@@ -6,10 +6,10 @@ from scipy.optimize import least_squares
 
 from treesink import calibration
 from treesink.calibration import (AnnealSchedule, FitSpec, FreeParameter,
-                                  apply_candidate, compute_intervals,
+                                  Scorer, apply_candidate, compute_intervals,
                                   default_weights, fit_continuous,
                                   fit_topology, objective,
-                                  replaying_objective)
+                                  weighted_residuals)
 from treesink.core import TreesinkError, TrunkScriptEntry
 from treesink.engine import simulate, simulate_batch
 from treesink.fileio import parse_target_file, read_parameter_file
@@ -117,23 +117,23 @@ class TestFitContinuous:
     def test_fixed_point_at_truth(self, params, zones, small_target):
         weights = default_weights([small_target])
         free = [FreeParameter("v_1", 150.0, 2500.0, params.v_env[0])]
-        est, obj, _ = fit_continuous(free, {}, params, zones, [small_target],
-                                     weights)
+        est, obj, _ = fit_continuous(
+            free, {}, Scorer(params, zones, [small_target], weights))
         assert est["v_1"] == pytest.approx(params.v_env[0], rel=1e-6)
         assert obj <= 1e-12
 
     def test_single_parameter_recovery(self, params, zones, small_target):
         weights = default_weights([small_target])
         free = [FreeParameter("v_1", 150.0, 2500.0, 800.0)]
-        est, obj, _ = fit_continuous(free, {}, params, zones, [small_target],
-                                     weights)
+        est, obj, _ = fit_continuous(
+            free, {}, Scorer(params, zones, [small_target], weights))
         assert est["v_1"] == pytest.approx(560.0, rel=0.01)
 
     def test_bounds_exclude_truth(self, params, zones, small_target):
         weights = default_weights([small_target])
         free = [FreeParameter("v_1", 700.0, 2500.0, 1200.0)]
-        est, _, _ = fit_continuous(free, {}, params, zones, [small_target],
-                                   weights)
+        est, _, _ = fit_continuous(
+            free, {}, Scorer(params, zones, [small_target], weights))
         assert est["v_1"] == pytest.approx(700.0, abs=1.0)
 
     def test_failure_residuals_are_pure(self, params, zones, small_target,
@@ -148,8 +148,8 @@ class TestFitContinuous:
         monkeypatch.setattr(calibration, "least_squares", spy)
         weights = default_weights([small_target])
         free = [FreeParameter("alpha", 0.0, 0.95, params.alpha)]
-        fit_continuous(free, {}, params, zones, [small_target], weights,
-                       max_nfev=3)
+        fit_continuous(free, {}, Scorer(params, zones, [small_target],
+                                        weights), max_nfev=3)
         first = captured[0](np.array([0.0]))
         assert np.all(first >= 1e12)
         assert np.array_equal(captured[0](np.array([0.0])), first)
@@ -282,20 +282,29 @@ def _count_runs(monkeypatch) -> list[int]:
     return runs
 
 
+#: a point of demos/04's chain on its 8-cycle tree
+_DEMO04_CASE = {"v_1": 558.8514117979618, "gamma": 2.852845409111614,
+                "m2_2_0": 0.5356564331752933}
+
+
+def _demo04_target(params, zones):
+    """demos/04's 8-cycle synthetic tree."""
+    script = tuple(
+        TrunkScriptEntry(g, 4 if g <= 2 else 5,
+                         ((3, 1),) if g in (3, 5, 7) else
+                         ((2, 1),) if g == 6 else ())
+        for g in range(1, 9))
+    return generate_synthetic_target(params, zones, script, 0)
+
+
 class TestReplay:
     def test_only_the_pending_plan_departs(self, params, zones, monkeypatch):
         # demos/04's 8-cycle tree: at a2_2_4 = 0.1 every grown plan of the
         # run at 0.1307 holds, but its pending plan's axis total, and so
         # cycle 8's shoot demand, changes; a score there must run
-        script = tuple(
-            TrunkScriptEntry(g, 4 if g <= 2 else 5,
-                             ((3, 1),) if g in (3, 5, 7) else
-                             ((2, 1),) if g == 6 else ())
-            for g in range(1, 9))
-        target = generate_synthetic_target(params, zones, script, 0)
+        target = _demo04_target(params, zones)
         weights = default_weights([target])
-        case = {"v_1": 558.8514117979618, "gamma": 2.852845409111614,
-                "m2_2_0": 0.5356564331752933}
+        case = _DEMO04_CASE
         recorded = {**case, "a2_2_4": 0.13068775418752696}
         probe = {**case, "a2_2_4": 0.1}
         run = simulate(*apply_candidate(params, zones, recorded), target,
@@ -308,7 +317,7 @@ class TestReplay:
         assert (run.allocations[-1].d_s, fresh.allocations[-1].d_s) \
             == (42.0, 41.0)
 
-        score = replaying_objective(params, zones, [target], weights)
+        score = Scorer(params, zones, [target], weights).objective
         runs = _count_runs(monkeypatch)
         assert score(recorded) == 0.2629507119537986 and runs == [0]
         assert score(recorded) == 0.2629507119537986 and runs == [0]
@@ -319,6 +328,71 @@ class TestReplay:
         moved = {**recorded, "v_1": recorded["v_1"] * 1.001}
         assert score(moved) == objective(moved, params, zones, [target],
                                          weights) != 0.2629507119537986
+
+    def test_a_failing_run_is_not_kept(self, params, zones, monkeypatch):
+        # v_1 = 1e14 passes the run checks, but production diverges in the
+        # tree's third cycle; batched with a valid candidate, each gets
+        # what it gets alone
+        target = _demo04_target(params, zones)
+        weights = default_weights([target])
+        valid, failing = _DEMO04_CASE, {**_DEMO04_CASE, "v_1": 1e14}
+        serial = weighted_residuals(valid, params, zones, [target], weights)
+        with pytest.raises(TreesinkError) as raised:
+            simulate(*apply_candidate(params, zones, failing), target,
+                     with_topology=False, with_signature=False)
+        assert str(raised.value).startswith("cycle 3: production diverged")
+
+        scorer = Scorer(params, zones, [target], weights)
+        runs = _count_runs(monkeypatch)
+        residuals, error = scorer.residuals([valid, failing])
+        assert runs == [0, 0]
+        assert residuals.dtype == serial.dtype
+        assert residuals.tobytes() == serial.tobytes()
+        assert type(error) is type(raised.value)
+        assert str(error) == str(raised.value)
+        # the failing run was not kept, so it runs again; the valid one was
+        assert scorer.objective(failing) == math.inf and runs == [0, 0, 0]
+        assert scorer.objective(valid) == float(serial @ serial)
+        assert runs == [0, 0, 0]
+
+    def test_a_replay_checks_the_request_first(self, params, zones):
+        # under the kept run's parameters, an inert zone's infinite a2
+        # keeps every plan's outcome and an infinite m2 makes plan_holds
+        # raise OverflowError: the run checks reject both first
+        target = _demo04_target(params, zones)
+        scorer = Scorer(params, zones, [target], default_weights([target]))
+        assert math.isfinite(scorer.objective(_DEMO04_CASE))
+        for name in ("a2_2_2", "m2_2_4"):
+            [error] = scorer.residuals([{**_DEMO04_CASE, name: math.inf}])
+            kind, bearer, axillary = name.split("_")
+            assert str(error) == (f"zone Z^{bearer}{axillary}: {kind} must "
+                                  f"be finite: inf")
+
+    def test_a_refit_starts_from_the_kept_run(self, params, zones,
+                                              monkeypatch):
+        # a refit warm-started at a point the search has just scored: its
+        # first residual replays that score's run, its Jacobian runs
+        target = _demo04_target(params, zones)
+        scorer = Scorer(params, zones, [target], default_weights([target]))
+        topo = {"m2_2_0": _DEMO04_CASE["m2_2_0"],
+                "a2_2_4": 0.13068775418752696}
+        cont = {"v_1": _DEMO04_CASE["v_1"], "gamma": _DEMO04_CASE["gamma"]}
+        free = [FreeParameter("v_1", 150.0, 2500.0, 700.0),
+                FreeParameter("gamma", 0.5, 5.0, 2.0)]
+        scorer.objective({**topo, **cont})
+        runs = _count_runs(monkeypatch)
+        after = []
+        residuals = Scorer.residuals
+
+        def spy(self, candidates):
+            results = residuals(self, candidates)
+            after.append(len(runs))
+            return results
+
+        monkeypatch.setattr(Scorer, "residuals", spy)
+        fit_continuous(free, topo, scorer, max_nfev=1,
+                       x0=np.array([cont[p.name] for p in free]))
+        assert after[:2] == [0, len(free)]
 
     def test_replays_equal_fresh_objectives(self, monkeypatch):
         # the bundled fit point on both fixture trees: probes inside each
@@ -331,7 +405,7 @@ class TestReplay:
         weights = default_weights(targets)
         best = {p.name: p.init for p in spec.continuous + spec.topological}
         intervals = compute_intervals(spec, best, params, zones, targets)
-        score = replaying_objective(params, zones, targets, weights)
+        score = Scorer(params, zones, targets, weights).objective
         runs = _count_runs(monkeypatch)
         assert score(best) == 0.0 and runs == [0, 1]
         probes = replayed = 0

@@ -84,11 +84,6 @@ def test_non_finite_parameters_rejected(params, field, bad):
     assert f"{field} must be finite: {value!r}" in report.violations
 
 
-def test_v_env_count_checked(params):
-    report = validate_parameters(params, n_trees=3)
-    assert any("v_env" in v for v in report.violations)
-
-
 def test_round_half_away():
     assert round_half_away(3.4) == 3
     assert round_half_away(3.5) == 4

@@ -691,6 +691,16 @@ class TestRunConfig:
         assert not (tmp_path / "fit").exists()
         assert not (tmp_path / "sim").exists()
 
+    def test_v_env_count_must_match_the_targets(self, tmp_path, capsys):
+        from treesink.cli import main
+        code = main(["fit", "--params", fixture_path("species.params"),
+                     "--target", fixture_path("tree1.target.csv"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: parameter file carries 2 "
+                                           "v_env entries for 1 targets\n")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_is_an_error(self, tmp_path, capsys):
         from treesink.cli import EXIT_VALIDATION, main
         code = main(["fit", "--params", fixture_path("species.params"),
