@@ -5,7 +5,7 @@ pushed away from them, and the global fit (bounded least squares for the
 continuous parameters, simulated annealing plus a neighbour-basin walk for
 the zone coefficients) recovers the truth.  Because the zone coefficients
 act through integer roundings, each is reported as the interval of values
-reproducing the identical architecture, not a point estimate.
+reproducing every simulated output bit for bit, not a point estimate.
 
 This demo keeps the tree small and frees only a handful of parameters so
 it finishes in well under a minute; `treesink fit` with the bundled
@@ -59,6 +59,6 @@ for name, (lo, hi) in sorted(result.intervals.items()):
         (hi is None or truth[name] <= hi)
     print(f"  {name:7s} [{lo:.3f}, {hi_text}]   truth {truth[name]:g} "
           f"({'inside' if inside else 'outside'})")
-print("\nany value inside an interval reproduces the identical simulated")
-print("architecture, which is why a point estimate would overstate what")
-print("the data can resolve.")
+print("\nany value inside an interval reproduces every simulated output bit")
+print("for bit, which is why a point estimate would overstate what the")
+print("data can resolve.")

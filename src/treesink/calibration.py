@@ -24,8 +24,7 @@ from .core import (MEASUREMENTS, TARGET_CLASSES, GrowthParameters,
                    TargetDataset, TreesinkError, ZoneRuleSet)
 from .engine import (check_run_request, extract_targets, simulate,
                      simulate_batch)
-from .topology import (OrganogenesisPlan, axis_band, metamer_band,
-                       metamer_count, plan_holds)
+from .topology import holding_band, plan_holds
 
 
 class UnfittableError(TreesinkError):
@@ -276,8 +275,8 @@ class Scorer:
     """The residuals and objective of one fit's candidate values.  It keeps
     each tree's last 4 successful runs and reuses one's residuals for a
     candidate with the same parameters under whose zone rules each of its
-    plans, the pending one included, keeps its outcome at its recorded
-    ratio (:func:`plan_holds`): that run would repeat bit for bit."""
+    plans, the pending one included, keeps its outcome (:func:`plan_holds`):
+    that run would repeat bit for bit."""
 
     def __init__(self, params: GrowthParameters, zones: ZoneRuleSet,
                  targets: list[TargetDataset], weights: dict[str, float]):
@@ -342,8 +341,7 @@ def _replayed(kept, cand, zones, ds, tree_index):
     if same:
         check_run_request(cand, zones, ds, tree_index, None)
     return next((res for plans, res in same if all(
-        plan_holds(plan, zones, plan.ratio_used, cand) for plan in plans)),
-        None)
+        plan_holds(plan, zones, cand) for plan in plans)), None)
 
 
 # ----------------------------------------------------------------------
@@ -619,17 +617,13 @@ def compute_intervals(spec: FitSpec, best_values: dict[str, float],
                       targets: list[TargetDataset]
                       ) -> dict[str, tuple[float | None, float | None]]:
     """Structural interval of each fitted zone coefficient: the closed range
-    around the fitted value over which every simulated architecture is
+    around the fitted value over which every output of each tree's run is
     bit-identical, exact to the float.  With the continuous parameters
-    fixed, a run whose rounding decisions all keep their outcome repeats
-    its Q/D trajectory and, cycle by cycle, its architecture, so the
-    interval intersects the preimages of the decisions that one reference
-    run per tree records.  ``None`` as the upper end means unbounded (a
-    zone cap or position saturation absorbs every rise); an inert zone,
-    absent from the run, spans its fit bounds.  The pending plan counts by
-    its ratio alone: its axis totals set the last cycle's shoot demand but
-    grow no metamer, so an ``a2`` interval can reach values where that
-    demand, and the objective, differ."""
+    fixed, a run whose plans all hold (:func:`plan_holds`) repeats bit for
+    bit, so this is the range over which every plan of one reference run
+    per tree, the pending one included, holds (:func:`holding_band`).
+    ``None`` as the upper end means unbounded (a zone cap or position
+    saturation absorbs every rise); an inert zone spans its fit bounds."""
     if not spec.topological:
         return {}
     _, cand_zones, runs = _run_trees(best_values, params, zones, targets)
@@ -638,38 +632,13 @@ def compute_intervals(spec: FitSpec, best_values: dict[str, float],
 
 def _intervals(spec, cand_zones, outputs):
     """:func:`compute_intervals` from ``outputs``, run under ``cand_zones``."""
-    # each run's grown plans, then its pending plan by its ratio alone
-    decisions = [plan for output in outputs for plan in (
-        *output.decisions[:-1],
-        OrganogenesisPlan(output.decisions[-1].ratio_used))]
+    plans = [plan for output in outputs for plan in output.decisions]
     intervals: dict[str, tuple[float | None, float | None]] = {}
     for p in spec.topological:
         kind, bearer, axillary = p.name.split("_")
-        rule = cand_zones.get(int(bearer), int(axillary))
-        others = [r for r in cand_zones.zones_of(rule.bearer_pa)
-                  if r.key != rule.key]
-        lo, hi, active = -math.inf, math.inf, False
-        for plan in decisions:
-            ratio = plan.ratio_used
-            count = max(metamer_count(rule, ratio), 0)
-            grew = rule.bearer_pa in plan.bud_counts   # its buds grew a layout
-            active = active or (grew and (kind == "m2" or count > 0))
-            if ratio == 0:   # the coefficient is multiplied away
-                continue
-            if kind == "a2":   # each expanded distribution of axes
-                bands = [axis_band(rule, ratio, groups, counts)
-                         for key, groups, counts, _ in plan.zone_groups
-                         if key == rule.key]
-            elif grew:         # each grown layout's count
-                bands = [metamer_band(rule, ratio, count, count)]
-            elif all(metamer_count(r, ratio) <= 0 for r in others):
-                # a computed layout must stay non-empty
-                bands = [metamer_band(rule, ratio, 1, math.inf)]
-            else:
-                continue
-            for band_lo, band_hi in bands:
-                lo, hi = max(lo, band_lo), min(hi, band_hi)
+        lo, hi = holding_band(plans, cand_zones, kind,
+                              (int(bearer), int(axillary)))
         intervals[p.name] = (
-            (max(lo, p.lower), None if hi == math.inf else min(hi, p.upper))
-            if active else (p.lower, p.upper))
+            (p.lower, p.upper) if (lo, hi) == (-math.inf, math.inf) else
+            (max(lo, p.lower), None if hi == math.inf else min(hi, p.upper)))
     return intervals

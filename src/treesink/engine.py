@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
@@ -59,8 +59,8 @@ class SimulationOutput:
     pending_shoot_fund_g: float
     structure_signature: tuple = ()
     notes: list[str] = field(default_factory=list)
-    # TreeState.decisions, then the pending plan whole: its axis totals set
-    # the last cycle's d_s
+    # TreeState.decisions, then the pending plan, which grows no layout:
+    # its axis distributions set the last cycle's d_s
     decisions: list[OrganogenesisPlan] = field(default_factory=list)
 
     @property
@@ -79,11 +79,6 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
               for p, each, fund in zip(cols, plans, funds)]
     slws = [p.slw_at(cycle) for p in cols]
     arena = state.arena
-    # the classes living when the cycle starts, by PA: every branch axis
-    # among them continues apically
-    by_pa: dict[int, list[int]] = {}
-    for cls in state.classes:
-        by_pa.setdefault(cls.pa, []).append(cls.index)
 
     def grow(classes, pa: int, count: int):
         """One unit on each of ``classes``: shoots of one PA expand alike."""
@@ -120,12 +115,10 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
         mult[pa] += taken * size
     born = {pa: state.add_class(pa, cycle, multiplicity=n).index
             for pa, n in mult.items()}
-    for pa, idx in born.items():
-        by_pa.setdefault(pa, []).append(idx)
-    # every branch class grows one unit, its layout kept by the plan
+    # every branch class, old or new, grows one unit with its PA's layout
     for pa, layout in plan.gu_layouts.items():
-        if pa in by_pa:
-            grow(by_pa[pa], pa, sum(c for _, c in layout))
+        grow([cls.index for cls in state.classes if cls.pa == pa], pa,
+             sum(c for _, c in layout))
     # each run's taken positions are its apical ones, base to apex
     bearers, rows, children = [], [], []
     for pa, idx, apex, taken, _ in runs:
@@ -280,9 +273,8 @@ def start_state(cols: Sequence[GrowthParameters], zones: ZoneRuleSet,
     the seed plan pending, funded by the seed biomass, with its seed ratio
     standing in for the previous cycle's Q/D."""
     entry = dataset.script_entry(1)
-    plan = seed_plan(cols[0], zones, entry)
-    plans = column_plans(plan, zones, cols, [plan.ratio_used] + [
-        seed_ratio(p, entry) for p in cols[1:]])
+    plans = column_plans(seed_plan(cols[0], zones, entry), zones, cols,
+                         [seed_ratio(p, entry) for p in cols])
     return TreeState(columns=len(cols), pending_plans=plans,
                      pending_fund=[p.q0 for p in cols],
                      ratio_lagged=[each.ratio_used for each in plans])
@@ -435,7 +427,7 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
         branch_compartments=rows, topology=topology, total_wood_g=wood,
         total_leaf_ever_g=leaf, pending_shoot_fund_g=fund,
         structure_signature=signature, notes=list(notes),
-        decisions=decisions + [pending])
+        decisions=decisions + [replace(pending, gu_layouts={})])
         for allocs, profile, matrix, rows, wood, leaf, fund, notes, decisions,
         pending in zip(allocations, trunk_profiles, ring_matrices,
                        branch_rows, total_wood, total_leaf,

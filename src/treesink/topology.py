@@ -188,8 +188,8 @@ def gu_zone_layouts(zones: ZoneRuleSet, ratio: float,
 @dataclass
 class OrganogenesisPlan:
     """The decisions taken at the end of one cycle about the next cycle's
-    shoots: the trunk script entry, the per-PA growth-unit layouts, the axis
-    distribution of each branching zone bearing positions, the bud demand."""
+    shoots: the trunk script entry, the layouts of the branch PAs it grows,
+    each branching zone's axis distribution, the bud demand."""
 
     ratio_used: float
     trunk_entry: TrunkScriptEntry | None = None
@@ -224,8 +224,8 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
     """
     n = state.cycle
     bud_counts = _trunk_buds(trunk_entry)
-    # growth-unit layouts for next cycle's shoots, shared by every class
-    gu_layouts = gu_zone_layouts(zones, ratio, params)
+    # next cycle's growth-unit layouts: none may be empty, the grown kept
+    layouts = gu_zone_layouts(zones, ratio, params)
 
     # the apical continuation of every branch axis; each branch class grew
     # one unit this cycle, its last, with its PA's layout in the plan just
@@ -265,37 +265,76 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
                 bud_counts.get(rule.axillary_pa, 0.0) + assigned)
 
     return OrganogenesisPlan(
-        ratio_used=ratio, trunk_entry=trunk_entry, gu_layouts=gu_layouts,
+        ratio_used=ratio, trunk_entry=trunk_entry,
+        gu_layouts={pa: layouts[pa] for pa in layouts if pa in bud_counts},
         zone_groups=zone_groups, bud_counts=bud_counts,
         d_s=shoot_demand(bud_counts, params.p_s))
 
 
-def plan_holds(plan: OrganogenesisPlan, zones: ZoneRuleSet, ratio: float,
-               params: GrowthParameters) -> bool:
-    """Whether ``plan`` keeps its outcome under ``zones`` at ``ratio`` with
-    ``params``: equal layouts and, over the same groups, equal axis totals
-    give equal distributions, bud counts and slack."""
+def _totals(plan: OrganogenesisPlan, zones: ZoneRuleSet,
+            params: GrowthParameters) -> list[int] | None:
+    """The axis totals of ``plan``'s zones at its ratio under ``zones`` with
+    ``params``; None when a layout empties or a grown one changes."""
     try:
-        if gu_zone_layouts(zones, ratio, params) != plan.gu_layouts:
-            return False
+        layouts = gu_zone_layouts(zones, plan.ratio_used, params)
     except SimulationError:
-        return False
-    return all(axis_total(_positions(groups), zones.get(*key), ratio) == total
-               for key, groups, _, total in plan.zone_groups)
+        return None
+    if any(layouts[pa] != layout for pa, layout in plan.gu_layouts.items()):
+        return None
+    return [axis_total(_positions(groups), zones.get(*key), plan.ratio_used)
+            for key, groups, *_ in plan.zone_groups]
+
+
+def plan_holds(plan: OrganogenesisPlan, zones: ZoneRuleSet,
+               params: GrowthParameters) -> bool:
+    """Whether ``plan`` keeps its outcome at its ratio under ``zones`` with
+    ``params``: no layout empties, the grown ones and each zone's axis
+    distribution stay equal, and with them the bud counts and d_s."""
+    totals = _totals(plan, zones, params)
+    return totals is not None and all(
+        new == total or distribute_axes(new, groups)[0] == counts
+        for new, (_, groups, counts, total) in zip(totals, plan.zone_groups))
+
+
+def holding_band(plans: list[OrganogenesisPlan], zones: ZoneRuleSet,
+                 kind: str, key: tuple[int, int]) -> tuple[float, float]:
+    """The inverse of :func:`plan_holds` in one zone coefficient: the closed
+    range, exact to the float, of zone ``key``'s ``kind`` ("m2" or "a2")
+    over which every plan of ``plans`` holds under ``zones`` with that
+    coefficient alone changed; the whole line where none depends on it."""
+    rule = zones.get(*key)
+    others = [r for r in zones.zones_of(rule.bearer_pa) if r is not rule]
+    bands = [(-math.inf, math.inf)]
+    for plan in plans:
+        ratio = plan.ratio_used
+        if ratio == 0:   # the coefficient is multiplied away
+            continue
+        if kind == "a2":   # each distribution of the zone's axes
+            bands += [axis_band(rule, ratio, groups, counts)
+                      for k, groups, counts, _ in plan.zone_groups if k == key]
+        elif rule.bearer_pa in plan.gu_layouts:   # a grown layout
+            count = max(metamer_count(rule, ratio), 0)
+            bands.append(metamer_band(rule, ratio, count, count))
+        elif all(metamer_count(r, ratio) <= 0 for r in others):  # non-empty
+            bands.append(metamer_band(rule, ratio, 1, math.inf))
+    return max(lo for lo, _ in bands), min(hi for _, hi in bands)
 
 
 def column_plans(plan: OrganogenesisPlan, zones: ZoneRuleSet, cols,
                  ratios) -> list[OrganogenesisPlan]:
     """``plan``, made for the first of the parameter columns ``cols``, and
     its decisions under each other one at its ratio and shoot demand; a
-    SimulationError names the columns where :func:`plan_holds` fails."""
+    SimulationError names the columns where :func:`plan_holds` fails or an
+    axis total differs (which would give the column another slack note)."""
+    plans = [plan] + [replace(plan, ratio_used=ratio,
+                              d_s=shoot_demand(plan.bud_counts, params.p_s))
+                      for params, ratio in zip(cols[1:], ratios[1:])]
+    totals = [total for *_, total in plan.zone_groups]
     left = [k for k in range(1, len(cols))
-            if not plan_holds(plan, zones, ratios[k], cols[k])]
+            if _totals(plans[k], zones, cols[k]) != totals]
     if left:
         raise SimulationError(f"columns {left} left the batch")
-    return [plan] + [replace(plan, ratio_used=ratio,
-                             d_s=shoot_demand(plan.bud_counts, params.p_s))
-                     for params, ratio in zip(cols[1:], ratios[1:])]
+    return plans
 
 
 def seed_ratio(params: GrowthParameters, entry: TrunkScriptEntry) -> float:

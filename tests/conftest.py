@@ -1,12 +1,14 @@
+import math
 import os
 
 import pytest
 
 from treesink import engine
+from treesink.calibration import apply_candidate
 from treesink.core import TrunkScriptEntry
 from treesink.synthetic import (reference_parameters, reference_zone_rules,
                                 script_only_dataset)
-from treesink.topology import OrganogenesisPlan
+from treesink.topology import OrganogenesisPlan, plan_holds
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -51,6 +53,27 @@ def small_dataset(small_script):
 
 def fixture_path(name):
     return os.path.join(FIXTURE_DIR, name)
+
+
+def check_interval_ends(params, zones, values, free, intervals, plans):
+    """Check the structural intervals of the zone coefficients ``free`` at
+    ``values`` against :func:`plan_holds`: at each end strictly inside its
+    bounds every plan of ``plans`` (the runs' decisions at ``values``)
+    holds, and one float outward some plan fails.  Returns the ends
+    checked."""
+    ends = 0
+    for p in free:
+        for end, bound, outward in zip(intervals[p.name], (p.lower, p.upper),
+                                       (-math.inf, math.inf)):
+            if end in (None, bound):
+                continue
+            ends += 1
+            for x, held in ((end, True), (math.nextafter(end, outward), False)):
+                cand, cand_zones = apply_candidate(params, zones,
+                                                   {**values, p.name: x})
+                assert all(plan_holds(plan, cand_zones, cand)
+                           for plan in plans) == held, (p.name, x)
+    return ends
 
 
 def grow_unit(state, cls, cycle, layout, *values):

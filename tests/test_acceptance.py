@@ -260,8 +260,19 @@ def test_criterion_8_interval_semantics(roundtrip_fit):
                      with_topology=False).structure_signature
             for i, ds in enumerate(targets))
 
+    def outputs(values):
+        """Every numeric output of each tree's run, and the objective."""
+        cand_p, cand_z = apply_candidate(params, zones, values)
+        runs = [simulate(cand_p, cand_z, ds, tree_index=i,
+                         with_topology=False)
+                for i, ds in enumerate(targets)]
+        return [(out.structure_signature, out.allocations, out.trunk_profile,
+                 out.ring_matrix, out.branch_compartments) for out in runs
+                ] + [objective(values, params, zones, targets, weights)]
+
     ref_sigs = signatures(merged_best)
     ref_obj = objective(merged_best, params, zones, targets, weights)
+    ref_outputs = outputs(merged_best)
     bounds = {p.name: (p.lower, p.upper) for p in spec.topological}
     checked = interior_failures = boundary_failures = 0
     for name, (lo, hi) in result.intervals.items():
@@ -287,7 +298,7 @@ def test_criterion_8_interval_semantics(roundtrip_fit):
                 continue
             trial = dict(merged_best)
             trial[name] = x
-            if signatures(trial) == ref_sigs:
+            if outputs(trial) == ref_outputs:
                 boundary_failures += 1
     verdict(8, interior_failures == 0 and boundary_failures == 0,
             f"{checked} interior samples bit-identical; "

@@ -14,9 +14,10 @@ import pytest
 from treesink import engine
 from treesink.calibration import (Scorer, apply_candidate, default_weights,
                                   fit_continuous, weighted_residuals)
-from treesink.core import TreesinkError
+from treesink.core import SimulationError, TreesinkError
 from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.structure import TreeState
+from treesink.topology import gu_zone_layout, seed_plan
 
 from conftest import fixture_path
 
@@ -114,18 +115,50 @@ def test_columns_that_leave_the_batch(bundled, monkeypatch):
     assert ran == [True, True, True, False, True]
 
 
-def test_a_departure_at_the_seed_plan(bundled, monkeypatch):
+def test_a_layout_no_bud_uses_stays_in_the_batch(bundled, monkeypatch):
     # on tree 1 a seed biomass of 2 doubles the seed ratio, 0.381 against
-    # 0.190, which changes the seed plan's roundings before cycle 1
+    # 0.190, which changes the PA-3 layout of the seed plan; no PA-3 bud
+    # exists then, so nothing grows it and the column stays in the batch
     params, zones, spec, targets, weights = bundled
     columns = [params, replace(params, q0=2.0),
                replace(params, sp0=params.sp0 * (1 + 1e-6))]
+    seed = [seed_plan(p, zones, targets[0].script_entry(1))
+            for p in columns[:2]]
+    assert [each.gu_layouts for each in seed] == [{}, {}]
+    assert [gu_zone_layout(3, zones, each.ratio_used, p)
+            for p, each in zip(columns, seed)] == [[(0, 1), (4, 1)],
+                                                   [(0, 1), (4, 2)]]
     runs = _log_runs(monkeypatch)
     results = engine.simulate_batch(columns, zones, targets[0])
     monkeypatch.undo()
-    assert runs == [(3, 0), (1, 0), (1, 0), (1, 0)]
+    assert runs == [(3, 0)]
     for p, result in zip(columns, results):
         alone = engine.simulate(p, zones, targets[0], with_topology=False,
+                                with_signature=False)
+        assert vars(result) == vars(alone)
+
+
+def test_a_departure_at_the_seed_plan(bundled, monkeypatch):
+    # tree 1's script with a PA-3 branch on its first growth unit: a seed
+    # biomass of 4 quadruples the seed ratio, 0.381 against 0.095, which
+    # changes the layout that branch grows at cycle 1
+    params, zones, spec, targets, weights = bundled
+    first, *rest = targets[0].trunk_script
+    dataset = replace(targets[0], trunk_script=(
+        replace(first, branches=((3, 1),)), *rest))
+    columns = [params, replace(params, q0=4.0),
+               replace(params, sp0=params.sp0 * (1 + 1e-6))]
+    assert [seed_plan(p, zones, dataset.script_entry(1)).gu_layouts
+            for p in columns[:2]] == [{3: [(0, 1), (4, 1)]},
+                                      {3: [(0, 1), (4, 2)]}]
+    with pytest.raises(SimulationError, match=r"columns \[1\] left"):
+        engine.start_state(columns, zones, dataset)
+    runs = _log_runs(monkeypatch)
+    results = engine.simulate_batch(columns, zones, dataset)
+    monkeypatch.undo()
+    assert runs == [(3, 0), (1, 0), (1, 0), (1, 0)]
+    for p, result in zip(columns, results):
+        alone = engine.simulate(p, zones, dataset, with_topology=False,
                                 with_signature=False)
         assert vars(result) == vars(alone)
 

@@ -16,9 +16,9 @@ from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.synthetic import (dataset_from_output,
                                 generate_synthetic_target,
                                 script_only_dataset, tree1_script)
-from treesink.topology import plan_holds
+from treesink.topology import gu_zone_layout, plan_holds
 
-from conftest import fixture_path
+from conftest import check_interval_ends, fixture_path
 
 
 @pytest.fixture
@@ -300,8 +300,9 @@ def _demo04_target(params, zones):
 class TestReplay:
     def test_only_the_pending_plan_departs(self, params, zones, monkeypatch):
         # demos/04's 8-cycle tree: at a2_2_4 = 0.1 every grown plan of the
-        # run at 0.1307 holds, but its pending plan's axis total, and so
-        # cycle 8's shoot demand, changes; a score there must run
+        # run at 0.1307 holds, but its pending plan's axis distribution,
+        # and so cycle 8's shoot demand, changes; a score there must run,
+        # and the structural interval stops short of it
         target = _demo04_target(params, zones)
         weights = default_weights([target])
         case = _DEMO04_CASE
@@ -310,7 +311,7 @@ class TestReplay:
         run = simulate(*apply_candidate(params, zones, recorded), target,
                        with_topology=False, with_signature=False)
         cand, cand_zones = apply_candidate(params, zones, probe)
-        assert [plan_holds(plan, cand_zones, plan.ratio_used, cand)
+        assert [plan_holds(plan, cand_zones, cand)
                 for plan in run.decisions] == [True] * 8 + [False]
         fresh = simulate(cand, cand_zones, target, with_topology=False,
                          with_signature=False)
@@ -328,6 +329,42 @@ class TestReplay:
         moved = {**recorded, "v_1": recorded["v_1"] * 1.001}
         assert score(moved) == objective(moved, params, zones, [target],
                                          weights) != 0.2629507119537986
+
+        spec = FitSpec(continuous=[], topological=[
+            FreeParameter("a2_2_4", 0.0, 1.5, 0.2)])
+        ends = compute_intervals(spec, recorded, params, zones,
+                                 [target])["a2_2_4"]
+        assert ends == (0.12953193577427322, 0.14718696884410842)
+        assert [objective({**recorded, "a2_2_4": end}, params, zones,
+                          [target], weights) for end in ends] \
+            == [0.2629507119537986] * 2
+
+    def test_a_layout_no_bud_uses_replays(self, params, zones, monkeypatch):
+        # demos/04's 8-cycle tree: at m2_2_0 = 0.75 the PA-2 layout of the
+        # plan made at cycle 3 gains an unbranched metamer, but no PA-2 bud
+        # exists before cycle 5, so nothing grows it, and every grown PA-2
+        # layout keeps its counts: the run at 0.5357 is replayed
+        target = _demo04_target(params, zones)
+        weights = default_weights([target])
+        recorded = {**_DEMO04_CASE, "a2_2_4": 0.13068775418752696}
+        probe = {**recorded, "m2_2_0": 0.75}
+        run_params, run_zones = apply_candidate(params, zones, recorded)
+        run = simulate(run_params, run_zones, target, with_topology=False,
+                       with_signature=False)
+        cand, cand_zones = apply_candidate(params, zones, probe)
+        plan = run.decisions[3]
+        assert 2 not in plan.gu_layouts
+        assert gu_zone_layout(2, run_zones, plan.ratio_used, run_params) \
+            == [(0, 1), (4, 2), (3, 1)]
+        assert gu_zone_layout(2, cand_zones, plan.ratio_used, cand) \
+            == [(0, 2), (4, 2), (3, 1)]
+
+        score = Scorer(params, zones, [target], weights).objective
+        runs = _count_runs(monkeypatch)
+        assert score(recorded) == score(probe) == 0.2629507119537986
+        assert runs == [0]
+        assert score(probe) == objective(probe, params, zones, [target],
+                                         weights)
 
     def test_a_failing_run_is_not_kept(self, params, zones, monkeypatch):
         # v_1 = 1e14 passes the run checks, but production diverges in the
@@ -397,7 +434,9 @@ class TestReplay:
     def test_replays_equal_fresh_objectives(self, monkeypatch):
         # the bundled fit point on both fixture trees: probes inside each
         # zone coefficient's interval, at its ends and one float past each
-        # end inside the bounds score bit for bit as a fresh objective
+        # end inside the bounds score bit for bit as a fresh objective; at
+        # each such end every plan of both runs holds, one float past it
+        # some plan fails
         params, zones, spec = read_parameter_file(
             fixture_path("species.params"))
         targets = [parse_target_file(fixture_path(f"tree{i}.target.csv"))
@@ -405,6 +444,11 @@ class TestReplay:
         weights = default_weights(targets)
         best = {p.name: p.init for p in spec.continuous + spec.topological}
         intervals = compute_intervals(spec, best, params, zones, targets)
+        plans = [plan for i, ds in enumerate(targets) for plan in simulate(
+            *apply_candidate(params, zones, best), ds, tree_index=i,
+            with_topology=False, with_signature=False).decisions]
+        assert check_interval_ends(params, zones, best, spec.topological,
+                                   intervals, plans) >= 10
         score = Scorer(params, zones, targets, weights).objective
         runs = _count_runs(monkeypatch)
         assert score(best) == 0.0 and runs == [0, 1]
@@ -479,8 +523,9 @@ class TestIntervals:
 
     def test_interval_ends_are_exact(self, params, zones, small_target):
         # every zone coefficient, bounds reaching below zero: each end
-        # strictly inside the bounds keeps the architecture, and the next
-        # float outward changes it
+        # strictly inside the bounds keeps every numeric output, and the
+        # next float outward changes one (an end the pending plan sets
+        # changes the allocations, not the stored architecture)
         free = []
         for rule in zones.rules:
             suffix = f"{rule.bearer_pa}_{rule.axillary_pa}"
@@ -493,15 +538,21 @@ class TestIntervals:
         intervals = compute_intervals(spec, best, params, zones,
                                       [small_target])
 
-        def signature(name, value):
+        weights = default_weights([small_target])
+
+        def outputs(name, value):
             p2, z2 = apply_candidate(params, zones, {name: value})
             try:
-                return simulate(p2, z2, small_target,
-                                with_topology=False).structure_signature
+                out = simulate(p2, z2, small_target, with_topology=False)
             except TreesinkError:
                 return None
+            return (out.structure_signature, out.allocations,
+                    out.trunk_profile, out.ring_matrix,
+                    out.branch_compartments,
+                    objective({name: value}, params, zones, [small_target],
+                              weights))
 
-        ref = signature("m2_2_0", best["m2_2_0"])
+        ref = outputs("m2_2_0", best["m2_2_0"])
         assert intervals["m2_2_4"][1] is None        # capped zone
         assert -3.0 < intervals["m2_2_0"][0] < 0.0    # negative end
         ends = 0
@@ -513,6 +564,6 @@ class TestIntervals:
                 if end is None or end == bound:
                     continue
                 ends += 1
-                assert signature(p.name, end) == ref, (p.name, end)
-                assert signature(p.name, math.nextafter(end, outward)) != ref
+                assert outputs(p.name, end) == ref, (p.name, end)
+                assert outputs(p.name, math.nextafter(end, outward)) != ref
         assert ends >= 10

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from treesink import cli, engine
-from treesink.calibration import (apply_candidate, default_weights,
+from treesink.calibration import (FitSpec, apply_candidate,
+                                  compute_intervals, default_weights,
                                   weighted_residuals)
 from treesink.core import (TRUNK_PA, ParseError, TreesinkError,
                            TrunkScriptEntry)
@@ -32,7 +33,7 @@ from treesink.synthetic import (generate_synthetic_target,
                                 tree1_script)
 from treesink.topology import plan_holds
 
-from conftest import fixture_path
+from conftest import check_interval_ends, fixture_path
 from test_factorization import TOL, compare_outputs
 
 #: what a mutated value becomes
@@ -267,19 +268,23 @@ def test_branch_units_grow_one_a_cycle_with_their_plans_layout():
     assert checked > 1000
 
 
-REPLAY_CASES = _oracle_draws(15, 25)
+#: seed 15's runs, and seed 27's, whose probes also reach departures of
+#: the pending plan alone
+REPLAY_CASES = _oracle_draws(15, 25) + _oracle_draws(27, 10)
 
 
 def test_a_run_whose_plans_hold_repeats_bit_for_bit():
     """Zone-coefficient probes of drawn short runs: wherever every plan the
-    run recorded holds under the probe's zone rules at its recorded ratio,
-    a fresh run at the probe gives the recorded residuals bit for bit, so a
-    fit may reuse them.  Some probes change only the pending plan's
-    outcome."""
+    run recorded holds under the probe's zone rules, a fresh run at the
+    probe gives the recorded residuals bit for bit, so a fit may reuse
+    them.  Some probes change only the pending plan's outcome.  Each
+    structural interval is the range where every plan holds: at its ends
+    inside the bounds they all hold, one float outward one fails."""
     params, zones = reference_parameters(), reference_zone_rules()
     topological = reference_fit_spec().topological
+    spec = FitSpec(continuous=[], topological=topological)
     rng = np.random.default_rng(17)
-    held = departed = pending = 0
+    held = departed = pending = ends = 0
     for script, values in REPLAY_CASES:
         try:
             target = generate_synthetic_target(params, zones, script, 0)
@@ -290,6 +295,10 @@ def test_a_run_whose_plans_hold_repeats_bit_for_bit():
             continue
         run = simulate(*apply_candidate(params, zones, values), target,
                        with_topology=False, with_signature=False)
+        ends += check_interval_ends(
+            params, zones, values, topological,
+            compute_intervals(spec, values, params, zones, [target]),
+            run.decisions)
         for _ in range(6):
             p = topological[int(rng.integers(len(topological)))]
             step = float(rng.choice([1e-4, 1e-2, 0.2])) * (p.upper - p.lower)
@@ -297,7 +306,7 @@ def test_a_run_whose_plans_hold_repeats_bit_for_bit():
                 values[p.name] + step * rng.standard_normal(), p.lower,
                 p.upper))}
             cand, cand_zones = apply_candidate(params, zones, probe)
-            holds = [plan_holds(plan, cand_zones, plan.ratio_used, cand)
+            holds = [plan_holds(plan, cand_zones, cand)
                      for plan in run.decisions]
             if all(holds):
                 held += 1
@@ -307,7 +316,7 @@ def test_a_run_whose_plans_hold_repeats_bit_for_bit():
             else:
                 departed += 1
                 pending += all(holds[:-1])
-    assert held > 50 and departed > 10 and pending > 0
+    assert held > 50 and departed > 10 and pending > 0 and ends > 100
 
 
 def test_departing_batch_columns_equal_their_single_runs(monkeypatch):

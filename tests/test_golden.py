@@ -49,7 +49,7 @@ SIMULATION_DIGESTS = {
 
 FIT_DIGESTS = {
     "fit_result.json":
-        "bcb13588bbca9ddd726628991e2f3ae4236cc133ee39bed2911285f21d7a2066",
+        "1ba947d4ae3f47c8ee63dd6d24d71bf314233b33069df3a681290f3c3cda691f",
     "predicted_vs_observed.csv":
         "33317b5d456467e4f7ce2f1bdb8ba842f010c7edb003728eec52a1a54c548177",
 }
