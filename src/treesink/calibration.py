@@ -247,18 +247,6 @@ def weighted_residuals(values: dict[str, float], params: GrowthParameters,
     return result
 
 
-def _run_trees(values: dict[str, float], params: GrowthParameters,
-               zones: ZoneRuleSet, targets: list[TargetDataset]):
-    """(parameters, zone rules) of the candidate ``values`` and a lazy
-    profile-only run of every tree in target order: a failing tree stops
-    the runs after it."""
-    cand_params, cand_zones = apply_candidate(params, zones, values)
-    runs = (simulate(cand_params, cand_zones, ds, tree_index=i,
-                     with_topology=False, with_signature=False)
-            for i, ds in enumerate(targets))
-    return cand_params, cand_zones, runs
-
-
 def objective(values: dict[str, float], params: GrowthParameters,
               zones: ZoneRuleSet, targets: list[TargetDataset],
               weights: dict[str, float]) -> float:
@@ -272,17 +260,20 @@ _REPLAY_RUNS = 4
 
 
 class Scorer:
-    """The residuals and objective of one fit's candidate values.  It keeps
-    each tree's last 4 successful runs and reuses one's residuals for a
-    candidate with the same parameters under whose zone rules each of its
-    plans, the pending one included, keeps its outcome (:func:`plan_holds`):
-    that run would repeat bit for bit."""
+    """The residuals, objective and report of one fit's candidate values.
+    It keeps each tree's last 4 successful runs, and the runs of the first
+    candidate to reach the lowest objective so far, as parameters,
+    decisions, aligned rows and weighted residuals.  A candidate with the same parameters
+    under whose zone rules each plan of a kept run, the pending one
+    included, keeps its outcome (:func:`plan_holds`) repeats that run bit
+    for bit: residuals replay the last 4, :meth:`report` any kept run."""
 
     def __init__(self, params: GrowthParameters, zones: ZoneRuleSet,
                  targets: list[TargetDataset], weights: dict[str, float]):
         self.params, self.zones = params, zones
         self.targets, self.weights = targets, weights
-        self._kept = [[] for _ in targets]   # (params, plans, residuals)
+        self._kept = [[] for _ in targets]   # (params, plans, rows, residuals)
+        self._best = math.inf, [[] for _ in targets]   # objective, its runs
 
     def residuals(self, candidates: list[dict[str, float]]
                   ) -> list[np.ndarray | TreesinkError]:
@@ -296,36 +287,42 @@ class Scorer:
         zones = rules[0]
         if any(each != zones for each in rules):
             raise ValueError("batched candidates differ in their zone rules")
-        results: list = [[] for _ in candidates]
+        results: list = [[] for _ in candidates]   # runs, or the error
         for i, (ds, kept) in enumerate(zip(self.targets, self._kept)):
             fresh = []
             for k in [k for k, c in enumerate(results) if isinstance(c, list)]:
                 try:
-                    chunk = _replayed(kept, cols[k], zones, ds, i)
+                    run = _replayed(kept, cols[k], zones, ds, i)
                 except TreesinkError as exc:
                     results[k] = exc
                     continue
-                if chunk is None:
+                if run is None:
                     fresh.append(k)
                 else:
-                    results[k].append(chunk)
+                    results[k].append(run)
             outputs = simulate_batch([cols[k] for k in fresh], zones, ds,
                                      tree_index=i)
             for k, output in zip(fresh, outputs):
                 try:
                     if isinstance(output, TreesinkError):
                         raise output
-                    sim, obs, labels = extract_targets(output, ds)
+                    sim, obs, labels = rows = extract_targets(output, ds)
                 except TreesinkError as exc:
                     results[k] = exc
                     continue
                 w = np.array([self.weights.get(lbl, 1.0) for lbl in labels])
-                results[k].append(np.sqrt(w) * (sim - obs))
-                kept.insert(0, (cols[k], output.decisions, results[k][-1]))
+                run = cols[k], output.decisions, rows, np.sqrt(w) * (sim - obs)
+                results[k].append(run)
+                kept.insert(0, run)
             del kept[_REPLAY_RUNS:]
-        return [chunks if isinstance(chunks, TreesinkError) else
-                np.concatenate(chunks) if chunks else np.empty(0)
-                for chunks in results]
+        for k, runs in enumerate(results):
+            if isinstance(runs, list):
+                results[k] = res = (np.concatenate([run[3] for run in runs])
+                                    if runs else np.empty(0))
+                value = float(res @ res)
+                if value < self._best[0]:
+                    self._best = value, [[run] for run in runs]
+        return results
 
     def objective(self, values: dict[str, float]) -> float:
         """Weighted sum of squared sim−obs differences over every tree;
@@ -333,15 +330,31 @@ class Scorer:
         [res] = self.residuals([values])
         return math.inf if isinstance(res, TreesinkError) else float(res @ res)
 
+    def report(self, values: dict[str, float]):
+        """(parameters, zone rules) of the candidate ``values`` and, per
+        tree in target order, the decisions and aligned ``(sim, obs,
+        labels)`` of its run: a kept run it repeats, else one fresh
+        profile-only run.  Raises the TreesinkError of a failing run."""
+        cand, zones = apply_candidate(self.params, self.zones, values)
+        trees = []
+        for i, (ds, best) in enumerate(zip(self.targets, self._best[1])):
+            run = _replayed(best + self._kept[i], cand, zones, ds, i)
+            if run is None:
+                output = simulate(cand, zones, ds, tree_index=i,
+                                  with_topology=False, with_signature=False)
+                run = cand, output.decisions, extract_targets(output, ds)
+            trees.append(run[1:3])
+        return cand, zones, trees
 
-def _replayed(kept, cand, zones, ds, tree_index):
-    """The residuals of a kept run of the tree ``ds`` that ``cand`` repeats
-    under ``zones``, or None; the run checks come first, as in a run."""
-    same = [(plans, res) for p, plans, res in kept if p == cand]
+
+def _replayed(runs, cand, zones, ds, tree_index):
+    """The run of ``runs`` of the tree ``ds`` that ``cand`` repeats under
+    ``zones``, or None; the run checks come first, as in a run."""
+    same = [run for run in runs if run[0] == cand]
     if same:
         check_run_request(cand, zones, ds, tree_index, None)
-    return next((res for plans, res in same if all(
-        plan_holds(plan, zones, cand) for plan in plans)), None)
+    return next((run for run in same if all(
+        plan_holds(plan, zones, cand) for plan in run[1])), None)
 
 
 # ----------------------------------------------------------------------
@@ -430,8 +443,8 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     past each end of the current piece, as :func:`compute_intervals` gives
     it.  Every residual comes from one :class:`Scorer`, which replays the
     fit's recent runs; each score and residual counts as an evaluation.
-    The reported intervals are :func:`compute_intervals` at the best, from
-    the run of each tree that gives the predicted-vs-observed rows.
+    The edges, the intervals (:func:`compute_intervals` at the best) and
+    the predicted-vs-observed rows come from the scorer's :meth:`report`.
     """
     weights = {**default_weights(targets), **(spec.weights or {})}
     rng = np.random.default_rng(spec.seed)
@@ -552,8 +565,8 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
                 # the coarse ladder may straddle a narrow neighbouring
                 # piece: step just past this piece's edges
                 if edges is None:
-                    edges = compute_intervals(spec, {**best_topo, **best_cont},
-                                              params, zones, targets)
+                    edges = _intervals(spec, *scorer.report(
+                        {**best_topo, **best_cont})[1:])
                 lo, hi = edges[p.name]
                 scored += probe(edge + sign * _EDGE_OFFSET * span
                                 for edge, bound, sign in ((lo, p.lower, -1.0),
@@ -577,14 +590,13 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
         if not moved:
             break
 
-    fitted_params, fitted_zones, runs = _run_trees(
-        {**best_topo, **best_cont}, params, zones, targets)
-    outputs = list(runs)
-    pvo, r2 = _predicted_observed(outputs, targets)
+    fitted_params, fitted_zones, trees = scorer.report(
+        {**best_topo, **best_cont})
+    pvo, r2 = _predicted_observed(trees)
     return FitResult(
         continuous=dict(sorted(best_cont.items())),
         topology=dict(sorted(best_topo.items())),
-        intervals=_intervals(spec, fitted_zones, outputs),
+        intervals=_intervals(spec, fitted_zones, trees),
         v_env=list(fitted_params.v_env),
         objective=best_obj,
         trace=trace,
@@ -593,12 +605,12 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
         evaluations=total_evals)
 
 
-def _predicted_observed(outputs, targets):
-    """Predicted-vs-observed rows and per-class r² of each tree's run."""
+def _predicted_observed(trees):
+    """Predicted-vs-observed rows and per-class r² of each tree's aligned
+    ``(sim, obs, labels)``, as :meth:`Scorer.report` gives them."""
     rows: list[PredictedObserved] = []
     per_class: dict[str, list[tuple[float, float]]] = {}
-    for i, (ds, output) in enumerate(zip(targets, outputs)):
-        sim, obs, labels = extract_targets(output, ds)
+    for i, (_, (sim, obs, labels)) in enumerate(trees):
         for s, o, lbl in zip(sim, obs, labels):
             rows.append(PredictedObserved(tree=i + 1, data_class=lbl,
                                           observed=float(o), simulated=float(s)))
@@ -623,16 +635,19 @@ def compute_intervals(spec: FitSpec, best_values: dict[str, float],
     bit, so this is the range over which every plan of one reference run
     per tree, the pending one included, holds (:func:`holding_band`).
     ``None`` as the upper end means unbounded (a zone cap or position
-    saturation absorbs every rise); an inert zone spans its fit bounds."""
+    saturation absorbs every rise); an inert zone spans its fit bounds.
+    The reference runs are a fresh :class:`Scorer`'s :meth:`report`."""
     if not spec.topological:
         return {}
-    _, cand_zones, runs = _run_trees(best_values, params, zones, targets)
-    return _intervals(spec, cand_zones, runs)
+    _, cand_zones, trees = Scorer(params, zones, targets, {}).report(
+        best_values)
+    return _intervals(spec, cand_zones, trees)
 
 
-def _intervals(spec, cand_zones, outputs):
-    """:func:`compute_intervals` from ``outputs``, run under ``cand_zones``."""
-    plans = [plan for output in outputs for plan in output.decisions]
+def _intervals(spec, cand_zones, trees):
+    """:func:`compute_intervals` from each tree's decisions under
+    ``cand_zones``, as :meth:`Scorer.report` gives them."""
+    plans = [plan for decisions, _ in trees for plan in decisions]
     intervals: dict[str, tuple[float | None, float | None]] = {}
     for p in spec.topological:
         kind, bearer, axillary = p.name.split("_")

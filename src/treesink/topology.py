@@ -30,13 +30,19 @@ from .sourcesink import shoot_demand
 from .structure import TreeState
 
 
+def _rounded(first: float, second: float, ratio: float, cap,
+             positions: int = 1) -> int:
+    """min(round(positions·(first + second·ratio)), cap): the rounding rule
+    of :func:`metamer_count` (one position) and :func:`axis_total`."""
+    return min(round_half_away(positions * (first + second * ratio)), cap)
+
+
 def metamer_count(zone: ZoneRule, ratio: float) -> int:
     """Metamers of one zone on one growth unit:
     min(round(m1 + m2·ratio), m_max)."""
     if ratio < 0:
         raise SimulationError(f"ratio must be >= 0: {ratio}")
-    raw = round_half_away(zone.m1 + zone.m2 * ratio)
-    return int(min(raw, zone.m_max))
+    return int(_rounded(zone.m1, zone.m2, ratio, zone.m_max))
 
 
 def axis_total(positions: int, zone: ZoneRule, ratio: float) -> int:
@@ -46,8 +52,7 @@ def axis_total(positions: int, zone: ZoneRule, ratio: float) -> int:
         raise SimulationError("positions and ratio must be >= 0")
     if not zone.branching:
         return 0
-    raw = round_half_away(positions * (zone.a1 + zone.a2 * ratio))
-    return max(0, min(raw, positions))
+    return max(0, _rounded(zone.a1, zone.a2, ratio, positions, positions))
 
 
 class PositionGroup(NamedTuple):
@@ -129,8 +134,7 @@ def metamer_band(zone: ZoneRule, ratio: float, low: int, high: float
     ``low..high`` (ratio > 0); an absent zone stays absent however low m2
     goes, and the cap int(m_max) absorbs every rise."""
     def keeps(m2):
-        count = metamer_count(replace(zone, m2=m2), ratio)
-        return low <= max(count, 0) <= high
+        return low <= max(_rounded(zone.m1, m2, ratio, zone.m_max), 0) <= high
 
     cap = int(zone.m_max) if math.isfinite(zone.m_max) else math.inf
     return _band(keeps, zone.m2, lambda v: (v - zone.m1) / ratio, low, high,
@@ -152,7 +156,7 @@ def axis_band(zone: ZoneRule, ratio: float, groups: list[PositionGroup],
         high += 1
 
     def keeps(a2):
-        total = axis_total(positions, replace(zone, a2=a2), ratio)
+        total = max(0, _rounded(zone.a1, a2, ratio, positions, positions))
         return low <= total <= high
 
     return _band(keeps, zone.a2, lambda v: (v / positions - zone.a1) / ratio,

@@ -6,12 +6,12 @@ from scipy.optimize import least_squares
 
 from treesink import calibration
 from treesink.calibration import (AnnealSchedule, FitSpec, FreeParameter,
-                                  Scorer, apply_candidate, compute_intervals,
-                                  default_weights, fit_continuous,
-                                  fit_topology, objective,
+                                  PredictedObserved, Scorer, apply_candidate,
+                                  compute_intervals, default_weights,
+                                  fit_continuous, fit_topology, objective,
                                   weighted_residuals)
 from treesink.core import TreesinkError, TrunkScriptEntry
-from treesink.engine import simulate, simulate_batch
+from treesink.engine import extract_targets, simulate, simulate_batch
 from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.synthetic import (dataset_from_output,
                                 generate_synthetic_target,
@@ -241,8 +241,8 @@ class TestFitTopology:
     def test_bundled_fit_runs_each_tree_once_per_evaluation(self,
                                                             monkeypatch):
         # one run (a column of a batched run) per tree for every
-        # evaluation, plus one at the fitted point for the intervals and
-        # the predicted-vs-observed rows
+        # evaluation; the intervals and the predicted-vs-observed rows come
+        # from the scorer's run at the fitted point
         params, zones, spec = read_parameter_file(
             fixture_path("species.params"))
         targets = [parse_target_file(fixture_path(f"tree{i}.target.csv"))
@@ -262,7 +262,7 @@ class TestFitTopology:
         monkeypatch.setattr(calibration, "simulate", counted)
         monkeypatch.setattr(calibration, "simulate_batch", counted_batch)
         result = fit_topology(spec, params, zones, targets)
-        assert len(runs) == len(targets) * (result.evaluations + 1) == 24
+        assert len(runs) == len(targets) * result.evaluations == 22
         # the first residual runs each tree alone, the Jacobian as one
         # batched run per tree over every free continuous parameter
         assert batches == ([1] * len(targets)
@@ -469,6 +469,103 @@ class TestReplay:
                 assert replay == objective(candidate, params, zones, targets,
                                            weights), (p.name, x)
         assert probes >= 30 and 10 <= replayed < probes
+
+
+def _count_simulates(monkeypatch) -> list[int]:
+    """The tree index of every lone run the calibration module starts from
+    now on."""
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs["tree_index"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "simulate", counted)
+    return runs
+
+
+def _bundled():
+    """The bundled fit's parameters, zone rules, spec and both targets."""
+    params, zones, spec = read_parameter_file(fixture_path("species.params"))
+    targets = [parse_target_file(fixture_path(f"tree{i}.target.csv"))
+               for i in (1, 2)]
+    return params, zones, spec, targets
+
+
+def _fresh_rows(params, zones, values, targets):
+    """The predicted-vs-observed rows of a fresh run of each tree."""
+    cand, cand_zones = apply_candidate(params, zones, values)
+    rows = []
+    for i, ds in enumerate(targets):
+        sim, obs, labels = extract_targets(simulate(
+            cand, cand_zones, ds, tree_index=i, with_topology=False,
+            with_signature=False), ds)
+        rows += [PredictedObserved(i + 1, lbl, float(o), float(s))
+                 for s, o, lbl in zip(sim, obs, labels)]
+    return rows
+
+
+class TestReport:
+    def test_the_lowest_run_outlives_the_kept_ones(self, params, zones,
+                                                   monkeypatch):
+        # demos/04's 8-cycle tree: four worse candidates evict the scored
+        # point's run from the last 4, the lowest-objective slot keeps it,
+        # and its report equals a fresh run's decisions and rows
+        target = _demo04_target(params, zones)
+        scorer = Scorer(params, zones, [target], default_weights([target]))
+        lowest = scorer.objective(_DEMO04_CASE)
+        for step in (1, 2, 3, 4):
+            moved = {**_DEMO04_CASE, "v_1": _DEMO04_CASE["v_1"] + 10 * step}
+            assert scorer.objective(moved) > lowest
+        runs, sims = _count_runs(monkeypatch), _count_simulates(monkeypatch)
+        cand, cand_zones, [(decisions, (sim, obs, labels))] = \
+            scorer.report(_DEMO04_CASE)
+        assert runs == [] and sims == []
+        fresh = simulate(cand, cand_zones, target, with_topology=False,
+                         with_signature=False)
+        assert decisions == fresh.decisions
+        fresh_sim, fresh_obs, fresh_labels = extract_targets(fresh, target)
+        assert np.array_equal(sim, fresh_sim)
+        assert np.array_equal(obs, fresh_obs)
+        assert labels == fresh_labels
+        # a point that no kept run repeats runs once
+        scorer.report({**_DEMO04_CASE, "v_1": _DEMO04_CASE["v_1"] + 1})
+        assert runs == [] and sims == [0]
+
+    def test_a_fresh_scorer_runs_each_tree_once(self, monkeypatch):
+        params, zones, spec, targets = _bundled()
+        best = {p.name: p.init for p in spec.continuous + spec.topological}
+        scorer = Scorer(params, zones, targets, default_weights(targets))
+        runs, sims = _count_runs(monkeypatch), _count_simulates(monkeypatch)
+        _, _, trees = scorer.report(best)
+        assert runs == [] and sims == [0, 1] and len(trees) == 2
+
+    @pytest.mark.parametrize("fit", ["bundled", "demo04"])
+    def test_a_fit_reports_its_best_point(self, params, zones, monkeypatch,
+                                          fit):
+        # the intervals and rows equal a fresh run's at the best point; the
+        # demos/04 chain's polish needs the edges of its best point, and
+        # neither fit runs a tree outside its scores for them
+        if fit == "bundled":
+            params, zones, spec, targets = _bundled()
+        else:
+            targets = [_demo04_target(params, zones)]
+            spec = FitSpec(
+                continuous=[FreeParameter("v_1", 150.0, 2500.0, 900.0),
+                            FreeParameter("gamma", 0.5, 5.0, 2.0)],
+                topological=[FreeParameter("m2_2_0", 0.0, 3.0, 1.0),
+                             FreeParameter("a2_2_4", 0.0, 1.5, 0.2)],
+                schedule=AnnealSchedule(t0=0.5, cooling=0.75, steps_per_t=8,
+                                        t_stop_ratio=5e-2, step_scale=0.3),
+                seed=2028277857, polish_rounds=3, max_nfev=40)
+        sims = _count_simulates(monkeypatch)
+        result = fit_topology(spec, params, zones, targets)
+        assert sims == []
+        best = {**result.topology, **result.continuous}
+        assert result.intervals == compute_intervals(spec, best, params,
+                                                     zones, targets)
+        assert result.predicted_observed == _fresh_rows(params, zones, best,
+                                                        targets)
 
 
 class TestIntervals:
