@@ -29,6 +29,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+class _Once(argparse.Action):
+    """Store an option's value; giving the option twice is a usage
+    error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _int_at_least(low):
     """An argparse type: an int of at least ``low``.  A value below it is a
     usage error naming the option, as a malformed one is."""
@@ -48,18 +58,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(plots=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, handler, target_required):
+    def add_common(p, handler):
         p.set_defaults(handler=handler)
         p.add_argument("--params", required=True,
                        help="parameter file (key = value text)")
-        p.add_argument("--target", action="append", default=[],
-                       required=target_required,
-                       help="target file (sectioned CSV); repeatable")
+
+    many = dict(action="append", default=[],
+                help="target file (sectioned CSV); repeatable")
+    one = dict(action=_Once, help="target file (sectioned CSV)")
 
     p_sim = sub.add_parser("simulate", help="run one growth simulation")
-    add_common(p_sim, _cmd_simulate, target_required=False)
-    p_sim.add_argument("--synthetic-script", choices=["tree1", "tree2"],
-                       help="use a bundled trunk script instead of --target")
+    script = p_sim.add_mutually_exclusive_group(required=True)
+    add_common(p_sim, _cmd_simulate)
+    script.add_argument("--target", **one)
+    script.add_argument("--synthetic-script", choices=["tree1", "tree2"],
+                        help="use a bundled trunk script instead of --target")
     p_sim.add_argument("--cycles", type=_int_at_least(1), default=None,
                        help="growth cycles (defaults to the script length)")
     p_sim.add_argument("--tree-index", type=_int_at_least(0), default=0,
@@ -69,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write static SVG charts")
 
     p_fit = sub.add_parser("fit", help="estimate parameters against targets")
-    add_common(p_fit, _cmd_fit, target_required=True)
+    add_common(p_fit, _cmd_fit)
+    p_fit.add_argument("--target", required=True, **many)
     p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument("--seed", type=int, default=None,
                        help="override the [fit] section's seed")
@@ -77,11 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate",
                            help="check a parameter (and target) file")
-    add_common(p_val, _cmd_validate, target_required=False)
+    add_common(p_val, _cmd_validate)
+    p_val.add_argument("--target", **many)
 
     p_orc = sub.add_parser("oracle",
                            help="run the enumerated-tree reference engine")
-    add_common(p_orc, _cmd_simulate, target_required=True)
+    add_common(p_orc, _cmd_simulate)
+    p_orc.add_argument("--target", required=True, **one)
     p_orc.add_argument("--cycles", type=_int_at_least(1), default=None)
     p_orc.add_argument("--tree-index", type=_int_at_least(0), default=0)
     p_orc.add_argument("--out", required=True)
@@ -90,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_dataset(args):
     if args.target:
-        return parse_target_file(args.target[0])
+        return parse_target_file(args.target)
     script = (synthetic.tree1_script() if args.synthetic_script == "tree1"
               else synthetic.tree2_script())
     return synthetic.script_only_dataset(script)
@@ -150,10 +166,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
     try:
-        if args.command == "simulate" and not args.target \
-                and args.synthetic_script is None:
-            raise ValidationError(
-                "simulate needs --target or --synthetic-script")
         if args.plots:
             from . import plots
             plots.require_matplotlib()

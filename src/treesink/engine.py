@@ -72,19 +72,19 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
     """Create this cycle's growth units from the pending plans (one per
     column, all with the same decisions), splitting each column's shoot
     fund by sink strengths: one block of units per PA and one block of
-    laterals."""
+    laterals, merged into the arena at the end in one call."""
     cycle = state.cycle
     plan = plans[0]
     masses = [allocate_shoots(fund, each.d_s, plan.bud_counts, p.p_s)
               for p, each, fund in zip(cols, plans, funds)]
     slws = [p.slw_at(cycle) for p in cols]
-    arena = state.arena
+    blocks = []
 
-    def grow(classes, pa: int, count: int):
+    def expand(classes, pa: int, count: int):
         """One unit on each of ``classes``: shoots of one PA expand alike."""
-        arena.append_units(classes, cycle, count, sum(zip(*(
+        blocks.append((classes, cycle, count, sum(zip(*(
             expand_shoot_values(p, pa, m.get(pa, 0.0), count, cycle, slw=slw)
-            for p, m, slw in zip(cols, masses, slws))), ()))
+            for p, m, slw in zip(cols, masses, slws))), ())))
 
     # trunk growth unit plus its scripted branches (expanding together),
     # placed on distinct metamers from the apex downward, the most vigorous
@@ -97,8 +97,8 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
         # the trunk is class 0, made at cycle 1
         trunk = (state.classes[0] if state.classes
                  else state.add_class(TRUNK_PA, 1, multiplicity=1))
-        grow([trunk.index], TRUNK_PA, entry.metamer_count)
-        apex = trunk.n_metamers - 1
+        expand([trunk.index], TRUNK_PA, entry.metamer_count)
+        apex = trunk.n_metamers + entry.metamer_count - 1
         for pa, count in sorted(entry.branches):
             runs.append((pa, trunk.index, apex, count, 1))
             apex -= count
@@ -117,16 +117,15 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
             for pa, n in mult.items()}
     # every branch class, old or new, grows one unit with its PA's layout
     for pa, layout in plan.gu_layouts.items():
-        grow([cls.index for cls in state.classes if cls.pa == pa], pa,
-             sum(c for _, c in layout))
+        expand([cls.index for cls in state.classes if cls.pa == pa], pa,
+               sum(c for _, c in layout))
     # each run's taken positions are its apical ones, base to apex
     bearers, rows, children = [], [], []
     for pa, idx, apex, taken, _ in runs:
         bearers += [idx] * taken
         rows += range(apex + 1 - taken, apex + 1)
         children += [born[pa]] * taken
-    if bearers:
-        arena.append_edges(bearers, rows, children)
+    state.arena.grow(blocks, (bearers, rows, children))
     for decisions, each in zip(state.decisions, plans):
         decisions.append(each)
 
@@ -158,7 +157,8 @@ def _partition_rings_factorized(state: TreeState, cols, q_r, cycle: int
     incs *= pool
     incs += s_a
     incs *= np.asarray(q_r, float).reshape(-1, 1)
-    state.arena.cum_ring += incs
+    ring = state.arena.cum_ring
+    ring += incs
     # the trunk (class 0) increments feed the ring-diameter matrix
     state.trunk_rings.append((cycle, incs[:, :bounds[1]].copy()))
 

@@ -13,10 +13,10 @@ ring, which depends on a metamer's position, once per metamer, and the
 laterals as one edge list.  A unit's zone layout stays in the plan it grew
 from (``TreeState.decisions``).  Each table keeps a class's columns
 contiguous, and the classes in creation order, so the per-cycle ring
-partition and foliage scans are whole-arena operations.  Growth enters in
-blocks: every class of one PA grows the same shoot in a cycle, so one block
-append queues a unit on each of them, one edge block queues the cycle's
-laterals, and the next read merges the queue.
+partition and foliage scans are whole-arena operations.  Growth enters once
+a cycle: every class of one PA grows the same shoot, so one block of units
+names them all, and one :meth:`Arena.grow` call merges every block and the
+cycle's laterals.  Reads take the tables as they are.
 
 A tree may carry K parameter columns: K runs that share every decision
 (classes, growth units, laterals, multiplicities) but not their masses.
@@ -52,23 +52,18 @@ BEARER, ROW, CHILD = range(3)
 MERGE_CHUNK = 8192
 
 
-def _merged(table: np.ndarray, new: np.ndarray, order: np.ndarray
+def _merged(table: np.ndarray, new: np.ndarray, classes, added
             ) -> np.ndarray:
-    """The columns of ``table`` and then ``new`` (as many rows), taken in
-    ``order``."""
+    """The columns of ``table`` and then ``new`` (as many rows) by class:
+    ``classes`` and ``added`` are their columns' class indices, and each
+    class's columns stay contiguous and in insertion order."""
+    order = np.argsort(np.concatenate((classes, added)), kind="stable")
     out = np.empty((len(table), order.size), table.dtype)
     step = max(1, MERGE_CHUNK // max(order.size, 1))
     for i in range(0, len(table), step):
         np.concatenate((table[i:i + step], new[i:i + step]), axis=1).take(
             order, axis=1, out=out[i:i + step], mode="clip")  # unbuffered
     return out
-
-
-def _class_order(classes: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """The order that puts the columns of class index ``classes`` and then
-    ``new`` by class, each class's columns contiguous and in insertion
-    order."""
-    return np.argsort(np.concatenate((classes, new)), kind="stable")
 
 
 class Arena:
@@ -80,51 +75,86 @@ class Arena:
     the sum of their sizes.  ``cum_ring`` (one row per column) has one
     column per metamer, and ``edges`` one per lateral (rows BEARER..CHILD),
     in creation order within each class.  ``unit_bounds``, ``bounds`` and
-    ``edge_bounds`` are their class offsets and ``metamers`` the class
-    metamer counts.  The classes and their tree hold the arena, which holds
-    neither, so a finished tree is freed without waiting for the cycle
-    collector.
+    ``edge_bounds`` are their class offsets.  :meth:`add_class` and
+    :meth:`grow` are the only writers of these tables and offsets, besides
+    the ring increments added in place, and each drops ``live``, the cached
+    live-leaf totals of :class:`TreeState`.  The classes and their tree
+    hold the arena, which holds neither, so a finished tree is freed
+    without waiting for the cycle collector.
     """
 
-    __slots__ = ("units", "sizes", "metamers", "cum_ring", "edges",
-                 "unit_bounds", "bounds", "edge_bounds", "queued_units",
-                 "queued_edges", "columns")
+    __slots__ = ("units", "sizes", "cum_ring", "edges", "unit_bounds",
+                 "bounds", "edge_bounds", "columns", "live")
 
     def __init__(self, columns: int = 1):
         self.columns = columns
         self.units = np.zeros((SIZE + 1 + 4 * columns, 0))
         self.sizes = np.zeros(0, np.intp)
-        self.metamers: list[int] = []
         self.cum_ring = np.zeros((columns, 0))
         self.edges = np.zeros((3, 0), dtype=np.int64)
-        self.unit_bounds = self.bounds = self.edge_bounds = [0]
-        self.queued_units: list[tuple] = []
-        self.queued_edges: list[np.ndarray] = []
+        self.unit_bounds, self.bounds, self.edge_bounds = [0], [0], [0]
+        self.live: tuple = ()
 
-    def append_units(self, classes: list[int], birth_cycle: int,
-                     metamer_count: int, values) -> None:
-        """Queue a block of alike growth units, the next of each class in
-        ``classes``: ``values`` holds the per-metamer internode mass,
-        length, leaf mass and leaf area, field by field."""
-        if metamer_count < 1:
-            raise SimulationError("growth units carry at least one metamer")
-        if len(values) != 4 * self.columns:
-            raise SimulationError(
-                f"{len(values)} metamer values for {self.columns} columns")
-        for idx in classes:
-            self.metamers[idx] += metamer_count
-        # CLASS per unit, the other rows shared
-        self.queued_units.append(
-            (classes, (0, birth_cycle, metamer_count, *values)))
+    def add_class(self) -> int:
+        """Register the next class, with no unit and no lateral yet, and
+        return its index."""
+        for offsets in (self.unit_bounds, self.bounds, self.edge_bounds):
+            offsets.append(offsets[-1])
+        self.live = ()
+        return len(self.bounds) - 2
 
-    def append_edges(self, bearers, rows, children) -> None:
-        """Queue a block of laterals: class ``bearers[i]``'s metamer row
+    def grow(self, units, edges=((), (), ())) -> None:
+        """Merge growth units and laterals into the tables, in a fixed
+        number of array operations whatever the number of classes or
+        blocks.  ``units`` holds blocks (classes, birth cycle, metamer
+        count, values) of alike units, the next of each class in
+        ``classes``, with ``values`` the per-metamer internode mass,
+        length, leaf mass and leaf area, field by field.  ``edges`` holds
+        (bearers, rows, children): class ``bearers[i]``'s metamer row
         ``rows[i]`` bears one instance of class ``children[i]`` per
-        instance.  The next read checks that no row bears two."""
-        for bearer, row in zip(bearers, rows):
-            if not 0 <= row < self.metamers[bearer]:
+        instance.  Each row must exist and bear one lateral at most; a grow
+        that raises changes nothing."""
+        table, ring, linked = self.units, self.cum_ring, self.edges
+        if units:
+            for _, _, count, values in units:
+                if count < 1:
+                    raise SimulationError(
+                        "growth units carry at least one metamer")
+                if len(values) != 4 * self.columns:
+                    raise SimulationError(f"{len(values)} metamer values "
+                                          f"for {self.columns} columns")
+            # CLASS per unit, the other rows shared by a block
+            added = np.repeat(np.array([(0, birth, count, *values) for
+                                        _, birth, count, values in units]).T,
+                              [len(block[0]) for block in units], axis=1)
+            added[CLASS] = np.concatenate([block[0] for block in units])
+            # the metamers so far by class, then the new ones, rings at zero
+            b, grown = self.bounds, added[SIZE].astype(np.intp)
+            ring = _merged(ring, np.zeros((self.columns, grown.sum())),
+                           np.repeat(np.arange(len(b) - 1), np.diff(b)),
+                           np.repeat(added[CLASS], grown))
+            table = _merged(table, added, table[CLASS], added[CLASS])
+        sizes = table[SIZE].astype(np.intp)
+        ids = np.arange(len(self.bounds))
+        unit_bounds = np.searchsorted(table[CLASS], ids)
+        bounds = np.concatenate(([0], np.cumsum(sizes))).take(
+            unit_bounds).tolist()
+        for bearer, row in zip(*edges[:2]):
+            if not 0 <= row < bounds[bearer + 1] - bounds[bearer]:
                 raise SimulationError(f"no metamer row {row} in the class")
-        self.queued_edges.append(np.array([bearers, rows, children], np.int64))
+        if len(edges[0]):
+            new = np.array(edges, np.int64)
+            linked = _merged(linked, new, linked[BEARER], new[BEARER])
+            # each (bearer, row) once: sorted keys differ from the next (a
+            # stable sort: the default kind's first call raised peak RSS)
+            borne = linked[BEARER] * bounds[-1] + linked[ROW]
+            if not np.diff(np.sort(borne, kind="stable")).all():
+                raise SimulationError("metamer already bears a lateral")
+        self.units, self.sizes, self.cum_ring, self.edges = (table, sizes,
+                                                             ring, linked)
+        self.unit_bounds, self.bounds = unit_bounds.tolist(), bounds
+        self.edge_bounds = np.searchsorted(linked[BEARER], ids).tolist()
+        self.live = ()
 
     def unit_field(self, row: int) -> np.ndarray:
         """The (columns, units) rows of a field a unit's metamers share."""
@@ -138,52 +168,9 @@ class Arena:
             return self.cum_ring
         return np.repeat(self.unit_field(row), self.sizes, axis=1)
 
-    def settle(self) -> None:
-        """Merge the queued blocks: a fixed number of array operations,
-        whatever the number of classes or blocks."""
-        n = len(self.metamers)
-        if not (self.queued_units or self.queued_edges
-                or len(self.bounds) != n + 1):
-            return
-        if self.queued_units:
-            classes, shared = zip(*self.queued_units)
-            added = np.repeat(np.array(shared).T, list(map(len, classes)),
-                              axis=1)
-            added[CLASS] = np.concatenate(classes)
-            # the metamers so far by class, then the new ones, rings at zero
-            b = self.bounds
-            order = _class_order(np.repeat(np.arange(len(b) - 1), np.diff(
-                b)), np.repeat(added[CLASS], added[SIZE].astype(np.intp)))
-            self.cum_ring = _merged(self.cum_ring, np.zeros(
-                (self.columns, order.size - self.cum_ring.shape[1])), order)
-            self.units = _merged(self.units, added, _class_order(
-                self.units[CLASS], added[CLASS]))
-            self.sizes = self.units[SIZE].astype(np.intp)
-            self.queued_units = []
-        self.bounds = [0, *accumulate(self.metamers)]
-        ids = np.arange(n + 1)
-        self.unit_bounds = np.searchsorted(self.units[CLASS], ids).tolist()
-        if self.queued_edges:
-            old, added = self.edges, np.concatenate(self.queued_edges, 1)
-            self.queued_edges = []   # a block that fails is dropped whole
-            edges = _merged(old, added, _class_order(old[BEARER],
-                                                      added[BEARER]))
-            # each (bearer, row) once: sorted keys differ from the next
-            borne = edges[BEARER] * self.bounds[-1] + edges[ROW]
-            if not np.diff(borne.take(np.argsort(borne, kind="stable"))).all():
-                raise SimulationError("metamer already bears a lateral")
-            self.edges = edges
-        self.edge_bounds = np.searchsorted(self.edges[BEARER], ids).tolist()
-
-    def segment(self, idx: int) -> tuple[int, int]:
-        """Value columns of class ``idx``."""
-        self.settle()
-        return self.bounds[idx], self.bounds[idx + 1]
-
     def segment_sums(self, per_metamer: np.ndarray) -> np.ndarray:
         """(columns, classes): per class, the sum of each row of
-        ``per_metamer`` (aligned with the settled arena) over its
-        segment."""
+        ``per_metamer`` (aligned with the arena) over its segment."""
         b, add = self.bounds, np.add.reduce
         sums = [add(per_metamer[:, s:e], axis=1) for s, e in zip(b, b[1:])]
         return np.array(sums).reshape(-1, len(per_metamer)).T.copy()
@@ -193,11 +180,11 @@ def _arena_field(row: int) -> property:
     """A copy of a class's (columns, metamers) values of one arena field,
     base to apex."""
     def get(self: AxisClass) -> np.ndarray:
-        arena = self.arena
-        s, e = arena.segment(self.index)   # settles the arena too
+        arena, i = self.arena, self.index
         if row == CUM_RING:
+            s, e = arena.bounds[i:i + 2]
             return arena.cum_ring[:, s:e].copy()
-        u, v = arena.unit_bounds[self.index:self.index + 2]
+        u, v = arena.unit_bounds[i:i + 2]
         return np.repeat(arena.unit_field(row)[:, u:v], arena.sizes[u:v],
                          axis=1)
     return property(get)
@@ -215,8 +202,7 @@ class AxisClass:
     def __init__(self, arena: Arena, pa: int, birth_cycle: int,
                  multiplicity: int):
         self.arena = arena
-        self.index = len(arena.metamers)
-        arena.metamers.append(0)
+        self.index = arena.add_class()
         self.pa = pa
         self.birth_cycle = birth_cycle
         self.multiplicity = multiplicity
@@ -224,7 +210,8 @@ class AxisClass:
     internode_mass = _arena_field(INTERNODE_MASS)
     length = _arena_field(LENGTH)
     cum_ring = _arena_field(CUM_RING)
-    n_metamers = property(lambda self: self.arena.metamers[self.index])
+    n_metamers = property(lambda self: self.arena.bounds[self.index + 1]
+                          - self.arena.bounds[self.index])
 
     @property
     def key(self) -> tuple[int, int]:
@@ -232,15 +219,14 @@ class AxisClass:
 
     def append_gu(self, birth_cycle: int, metamer_count: int,
                   *values: float) -> None:
-        """Add the next growth unit: :meth:`Arena.append_units` on this
-        class alone.  Its metamers enter the arena when it is next read."""
-        self.arena.append_units([self.index], birth_cycle, metamer_count,
-                                values)
+        """Add the next growth unit: :meth:`Arena.grow` on this class
+        alone."""
+        self.arena.grow([([self.index], birth_cycle, metamer_count, values)])
 
     def record_rings(self, increments: np.ndarray) -> None:
         """Add one cycle's per-instance ring increments to every metamer of
         the first column."""
-        s, e = self.arena.segment(self.index)
+        s, e = self.arena.bounds[self.index:self.index + 2]
         if increments.size != e - s:
             raise SimulationError(
                 f"ring increment vector size {increments.size} != "
@@ -272,9 +258,6 @@ class TreeState:
     # term)
     notes: list[list[str]] = field(init=False)
     arena: Arena = field(init=False, repr=False, compare=False)
-    # the last _live_totals: (the unit table it read, its key, its result)
-    live_memo: tuple = field(init=False, default=(), repr=False,
-                             compare=False)
 
     def __post_init__(self):
         self.arena = Arena(self.columns)
@@ -294,19 +277,17 @@ class TreeState:
         """(columns, classes): per class, the per-instance total of the
         LEAF_AREA or LEAF_MASS ``row`` over the leaves alive at the current
         cycle: those of the units born then.  A cycle reads the blade area
-        twice, so the last result stands until the unit table changes."""
-        arena = self.arena
-        arena.settle()
-        key, memo = (self.cycle, row, len(self.classes)), self.live_memo
-        if memo and memo[0] is arena.units and memo[1] == key:
-            return memo[2]
+        twice, so the arena keeps the last result until it next grows."""
+        arena, key = self.arena, (self.cycle, row)
+        if arena.live and arena.live[0] == key:
+            return arena.live[1]
         # each live unit's metamer value × their count, added to its class
         totals = np.zeros((self.columns, len(self.classes)))
         live = np.flatnonzero(arena.units[BIRTH] == self.cycle)
         classes = arena.units[CLASS].take(live).astype(int)
         np.add.at(totals, (slice(None), classes), arena.unit_field(row).take(
             live, axis=1) * arena.units[SIZE].take(live))
-        self.live_memo = (arena.units, key, totals)
+        arena.live = (key, totals)
         return totals
 
     def _instance_total(self, per_class: np.ndarray) -> np.ndarray:
@@ -329,7 +310,6 @@ class TreeState:
         adds its laterals in creation order in one ``np.add.reduce`` (a
         segmented ``reduceat`` adds in another order), one column by row."""
         arena = self.arena
-        arena.settle()
         totals = own.copy()
         b, add, child = arena.edge_bounds, np.add.reduce, arena.edges[CHILD]
         row = totals[0] if len(totals) == 1 else None
@@ -397,7 +377,6 @@ class TreeState:
         """(columns, classes) per-instance wood mass (internodes +
         rings)."""
         arena = self.arena
-        arena.settle()
         return arena.segment_sums(arena.field(INTERNODE_MASS)
                                   + arena.field(CUM_RING))
 
@@ -415,7 +394,6 @@ class TreeState:
 
     def total_leaf_mass_ever(self) -> np.ndarray:
         arena = self.arena
-        arena.settle()
         return self._instance_total(arena.segment_sums(arena.field(LEAF_MASS)))
 
     def growth_units(self, idx: int) -> list[tuple]:
@@ -426,7 +404,6 @@ class TreeState:
         unit born at cycle b has the layout that cycle's plan gave its PA;
         a trunk unit has none."""
         arena = self.arena
-        arena.settle()
         s, e = arena.unit_bounds[idx:idx + 2]
         birth, size = arena.units[BIRTH:SIZE + 1, s:e].astype(int).tolist()
         start = [0, *accumulate(size)][:-1]

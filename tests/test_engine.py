@@ -6,8 +6,8 @@ import pytest
 from treesink.core import AlignmentError, SimulationError, TrunkScriptEntry
 from treesink import engine
 from treesink.engine import extract_targets, simulate, start_state
-from treesink.structure import (BIRTH, LEAF_AREA, TreeState, metamer_diameters,
-                                expand_shoot_values)
+from treesink.structure import (BIRTH, LEAF_AREA, SIZE, TreeState,
+                                expand_shoot_values, metamer_diameters)
 from treesink.synthetic import (dataset_from_output, script_only_dataset,
                                 tree2_script)
 
@@ -66,11 +66,11 @@ class TestLeafLifespan:
         n = state.cycle
         # per metamer, the first column's leaf area and birth cycle, and each
         # class's arena segment
-        arena = state.arena
-        arena.settle()
+        arena, b = state.arena, state.arena.bounds
         leaf_area = arena.field(LEAF_AREA)[0]
         birth = np.repeat(arena.units[BIRTH], arena.sizes)
-        segments = [slice(*arena.segment(cls.index)) for cls in state.classes]
+        segments = [slice(b[cls.index], b[cls.index + 1])
+                    for cls in state.classes]
         expected = sum(
             cls.multiplicity * float(leaf_area[s][birth[s] == n].sum())
             for cls, s in zip(state.classes, segments))
@@ -219,18 +219,17 @@ class TestAxisClassStorage:
     def test_metamer_bears_one_lateral(self):
         state, _ = self._bearer()
         arena = state.arena
-        arena.append_edges([0], [2], [1])
-        arena.settle()
-        arena.append_edges([0], [2], [1])
-        with pytest.raises(SimulationError, match="already bears"):
-            arena.settle()
+        arena.grow([], ([0], [2], [1]))
+        for bearers, rows in (([0], [2]), ([0, 0], [3, 3])):
+            with pytest.raises(SimulationError, match="already bears"):
+                arena.grow([], (bearers, rows, [1] * len(rows)))
         for row in (-1, 6):
             with pytest.raises(SimulationError, match="no metamer row"):
-                arena.append_edges([0], [row], [1])
+                arena.grow([], ([0], [row], [1]))
 
     def test_laterals_listed_base_to_apex(self):
         state, _ = self._bearer()
-        state.arena.append_edges([0] * 4, [5, 3, 1, 2], [1] * 4)
+        state.arena.grow([], ([0] * 4, [5, 3, 1, 2], [1] * 4))
         trunk = state.add_class(1, 1, multiplicity=1)
         trunk.append_gu(1, 2, 0.1, 0.5, 0.1, 1.0)   # trunk units are unzoned
         dumped = [cls["growth_units"]
@@ -246,6 +245,93 @@ class TestAxisClassStorage:
             ((2, (4, 2), 1),)]
         assert [gu[3] for gu in sig[0][3] + sig[2][3]] == \
             [((0, 1), (4, 3)), ((0, 1), (4, 1)), None]
+
+    def test_grow_merges_blocks_by_class(self):
+        # one grow whose blocks name classes out of index order, one of
+        # them added after the others, as expansion does when a scripted PA
+        # is created before a zone PA
+        state = TreeState(cycle=2)
+        first = state.add_class(2, 1, multiplicity=1)
+        second = state.add_class(3, 1, multiplicity=1)
+        first.append_gu(1, 2, 1.0, 1.0, 1.0, 1.0)
+        second.append_gu(1, 1, 2.0, 2.0, 2.0, 2.0)
+        first.record_rings(np.array([1.0, 2.0]))
+        second.record_rings(np.array([5.0]))
+        late = state.add_class(4, 2, multiplicity=1)
+        state.add_class(5, 2, multiplicity=1)   # grows nothing
+        arena = state.arena
+        arena.grow([([late.index], 2, 3, (3.0,) * 4),
+                    ([second.index, first.index], 2, 1, (4.0,) * 4)],
+                   ([2, 0, 2], [2, 2, 0], [3, 3, 3]))
+        assert arena.units[:SIZE + 2].tolist() == [
+            [0, 0, 1, 1, 2], [1, 2, 1, 2, 2], [2, 1, 1, 1, 3],
+            [1.0, 4.0, 2.0, 4.0, 3.0]]
+        assert arena.cum_ring.tolist() == [[1.0, 2.0, 0.0, 5.0, 0.0, 0.0,
+                                            0.0, 0.0]]
+        assert arena.edges.T.tolist() == [[0, 2, 3], [2, 2, 3], [2, 0, 3]]
+        assert (arena.unit_bounds, arena.bounds, arena.edge_bounds) == (
+            [0, 2, 4, 5, 5], [0, 3, 5, 8, 8], [0, 1, 1, 3, 3])
+        assert [cls.n_metamers for cls in state.classes] == [3, 2, 3, 0]
+        assert first.internode_mass.tolist() == [[1.0, 1.0, 4.0]]
+        # a grow that raises changes nothing
+        tables = (arena.units, arena.cum_ring, arena.edges)
+        with pytest.raises(SimulationError, match="no metamer row"):
+            arena.grow([([3], 3, 1, (1.0,) * 4)], ([0], [9], [3]))
+        assert all(now is table for now, table in zip(
+            (arena.units, arena.cum_ring, arena.edges), tables))
+        assert (arena.unit_bounds, arena.bounds, arena.edge_bounds) == (
+            [0, 2, 4, 5, 5], [0, 3, 5, 8, 8], [0, 1, 1, 3, 3])
+
+    def test_each_offset_list_is_its_own(self):
+        state = TreeState()
+        state.add_class(1, 1, multiplicity=1)
+        arena = state.arena
+        assert len({id(arena.unit_bounds), id(arena.bounds),
+                    id(arena.edge_bounds)}) == 3
+        assert arena.unit_bounds == arena.bounds == arena.edge_bounds == [0, 0]
+
+
+def _same(first, second) -> bool:
+    """Whether two nested reads (tuples, lists, dicts, arrays, scalars)
+    hold equal values, array for array."""
+    if isinstance(first, np.ndarray):
+        return np.array_equal(first, second)
+    if isinstance(first, dict):
+        return first.keys() == second.keys() and all(
+            _same(first[k], second[k]) for k in first)
+    if isinstance(first, (list, tuple)):
+        return len(first) == len(second) and all(
+            map(_same, first, second))
+    return first == second
+
+
+class TestPureReads:
+    def test_reads_leave_the_arena_as_it_is(self, params, zones,
+                                            small_script):
+        state, _ = _state_after(params, zones, small_script)
+        arena = state.arena
+        tables = (arena.units, arena.cum_ring, arena.edges)
+        values = [table.copy() for table in tables]
+        offsets = (list(arena.unit_bounds), list(arena.bounds),
+                   list(arena.edge_bounds))
+
+        def reads():
+            return [state.foliage_above(), state.total_blade_area_cm2(),
+                    state.ring_partition_arrays([params.p_rg]),
+                    state.subtree_wood_totals(),
+                    state.subtree_leaf_mass_totals(),
+                    state.total_wood_mass(), state.total_leaf_mass_ever(),
+                    [state.growth_units(cls.index) for cls in state.classes],
+                    state.topology_dump(), state.structure_signature(),
+                    [(cls.internode_mass, cls.length, cls.cum_ring)
+                     for cls in state.classes]]
+
+        first, second = reads(), reads()
+        assert all(now is table for now, table in zip(
+            (arena.units, arena.cum_ring, arena.edges), tables))
+        assert all(map(np.array_equal, tables, values))
+        assert (arena.unit_bounds, arena.bounds, arena.edge_bounds) == offsets
+        assert _same(first, second)
 
 
 class TestDeterminism:

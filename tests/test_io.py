@@ -648,10 +648,26 @@ class TestCli:
          "argument --cycles: must be >= 1: 0"),
         (["oracle", "--params", fixture_path("species.params"),
           "--target", fixture_path("tree1.target.csv"), "--tree-index", "-1"],
-         "argument --tree-index: must be >= 0: -1")],
+         "argument --tree-index: must be >= 0: -1"),
+        (["simulate", "--params", fixture_path("species.params"),
+          "--target", fixture_path("tree1.target.csv"),
+          "--synthetic-script", "tree2"],
+         "argument --synthetic-script: not allowed with argument --target"),
+        (["simulate", "--params", fixture_path("species.params"),
+          "--target", fixture_path("tree1.target.csv"),
+          "--target", fixture_path("tree2.target.csv")],
+         "argument --target: given more than once"),
+        (["oracle", "--params", fixture_path("species.params"),
+          "--target", fixture_path("tree1.target.csv"),
+          "--target", fixture_path("tree2.target.csv")],
+         "argument --target: given more than once"),
+        (["simulate", "--params", fixture_path("species.params")],
+         "one of the arguments --target --synthetic-script is required")],
         ids=["fit-without-target", "cycles-not-an-int", "unknown-command",
              "simulate-zero-cycles", "simulate-negative-tree-index",
-             "oracle-zero-cycles", "oracle-negative-tree-index"])
+             "oracle-zero-cycles", "oracle-negative-tree-index",
+             "simulate-target-and-script", "simulate-two-targets",
+             "oracle-two-targets", "simulate-without-input"])
     def test_usage_error_is_validation_failure(self, tmp_path, argv,
                                                message):
         out = tmp_path / "out"
@@ -686,8 +702,9 @@ class TestRunConfig:
             "error: the following arguments are required: --target\n")
         assert main(["simulate", "--params", fixture_path("species.params"),
                      "--out", str(tmp_path / "sim")]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == \
-            "error: simulate needs --target or --synthetic-script\n"
+        assert capsys.readouterr().err.endswith("error: one of the arguments "
+                                                "--target --synthetic-script "
+                                                "is required\n")
         assert not (tmp_path / "fit").exists()
         assert not (tmp_path / "sim").exists()
 
