@@ -274,6 +274,7 @@ class Scorer:
         self.targets, self.weights = targets, weights
         self._kept = [[] for _ in targets]   # (params, plans, rows, residuals)
         self._best = math.inf, [[] for _ in targets]   # objective, its runs
+        self.evaluations = 0   # the candidates scored: the fit's one count
 
     def residuals(self, candidates: list[dict[str, float]]
                   ) -> list[np.ndarray | TreesinkError]:
@@ -287,6 +288,7 @@ class Scorer:
         zones = rules[0]
         if any(each != zones for each in rules):
             raise ValueError("batched candidates differ in their zone rules")
+        self.evaluations += len(candidates)
         results: list = [[] for _ in candidates]   # runs, or the error
         for i, (ds, kept) in enumerate(zip(self.targets, self._kept)):
             fresh = []
@@ -349,12 +351,12 @@ class Scorer:
 
 def _replayed(runs, cand, zones, ds, tree_index):
     """The run of ``runs`` of the tree ``ds`` that ``cand`` repeats under
-    ``zones``, or None; the run checks come first, as in a run."""
-    same = [run for run in runs if run[0] == cand]
-    if same:
-        check_run_request(cand, zones, ds, tree_index, None)
-    return next((run for run in same if all(
+    ``zones``, or None; a repeated run's request is checked, as in a run."""
+    run = next((run for run in runs if run[0] == cand and all(
         plan_holds(plan, zones, cand) for plan in run[1])), None)
+    if run is not None:
+        check_run_request(cand, zones, ds, tree_index, None)
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -364,30 +366,27 @@ def _replayed(runs, cand, zones, ds, tree_index):
 def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
                    scorer: Scorer, x0: np.ndarray | None = None,
                    max_nfev: int | None = None
-                   ) -> tuple[dict[str, float], float, int]:
+                   ) -> tuple[dict[str, float], float]:
     """Bounded least-squares descent over the continuous parameters with the
-    topology held fixed.  Returns (estimates, objective, evaluations),
-    deterministic given its inputs.  Every residual comes from ``scorer``,
-    so a refit's start that the search has just scored runs no tree."""
+    topology held fixed.  Returns (estimates, objective), deterministic
+    given its inputs.  ``scorer`` counts and may replay every residual, so
+    a refit's start that the search has just scored runs no tree."""
     if not free:
         obj = scorer.objective(dict(fixed))
         if math.isinf(obj):
             raise UnfittableError("fixed-point evaluation failed")
-        return {}, obj, 1
+        return {}, obj
     names = [p.name for p in free]
     lower = np.array([p.lower for p in free])
     upper = np.array([p.upper for p in free])
     start = np.array([p.init for p in free] if x0 is None else x0, dtype=float)
     start = np.clip(start, lower, upper)
-    evals = 0
 
     def residuals_at(_fun, points):
         """The residuals of each point, from one batched run per tree:
         scipy's map over the finite-difference points of one Jacobian."""
-        nonlocal evals
         values = [{**fixed, **{n: float(v) for n, v in zip(names, x)}}
                   for x in points]
-        evals += len(values)
         # a large flat penalty steers the trust region away without NaNs
         penalty = np.full(_n_points(scorer.targets), 1e12)
         return [penalty if isinstance(res, TreesinkError) else res
@@ -402,7 +401,7 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
     obj = float(result.fun @ result.fun)
     if not math.isfinite(obj) or obj >= 1e12:
         raise UnfittableError("continuous fit found no feasible candidate")
-    return estimates, obj, evals
+    return estimates, obj
 
 
 def _n_points(targets):
@@ -442,7 +441,7 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     to piece while that improves the fit): a coarse ladder, then one step
     past each end of the current piece, as :func:`compute_intervals` gives
     it.  Every residual comes from one :class:`Scorer`, which replays the
-    fit's recent runs; each score and residual counts as an evaluation.
+    fit's recent runs and counts each score and residual as an evaluation.
     The edges, the intervals (:func:`compute_intervals` at the best) and
     the predicted-vs-observed rows come from the scorer's :meth:`report`.
     """
@@ -452,32 +451,23 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     trace: list[float] = []
     scorer = Scorer(params, zones, targets, weights)
 
-    def score(topo_values, cont_values):
-        """The counted objective at the merged candidate."""
-        nonlocal total_evals
-        total_evals += 1
-        return scorer.objective({**topo_values, **cont_values})
-
     def refit(topo_values, warm):
         """(estimates, objective) of fit_continuous at ``topo_values``,
         started from ``warm``; None when no candidate is feasible."""
-        nonlocal total_evals
         try:
-            est, value, used = fit_continuous(
+            return fit_continuous(
                 spec.continuous, topo_values, scorer, max_nfev=spec.max_nfev,
                 x0=np.array([warm[q.name] for q in spec.continuous]))
         except UnfittableError:
             return None
-        total_evals += used
-        return est, value
 
     def stop_reached():
         return (spec.stop_objective is not None
                 and best_obj <= spec.stop_objective)
 
     topo = {p.name: p.init for p in spec.topological}
-    cont, obj, total_evals = fit_continuous(spec.continuous, topo, scorer,
-                                            max_nfev=spec.max_nfev)
+    cont, obj = fit_continuous(spec.continuous, topo, scorer,
+                               max_nfev=spec.max_nfev)
     trace.append(obj)
     warm_cont = dict(cont)   # warm start of the annealing chain's refits
     best_topo, best_cont, best_obj = dict(topo), dict(cont), obj
@@ -500,7 +490,8 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
                     cand_cont, cand_obj = (refit(candidate, warm_cont)
                                            or (dict(cont), math.inf))
                 else:
-                    cand_cont, cand_obj = dict(cont), score(candidate, cont)
+                    cand_cont = dict(cont)
+                    cand_obj = scorer.objective({**candidate, **cont})
 
                 delta = cand_obj - obj
                 accept = delta <= 0 or (
@@ -555,8 +546,9 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
             def probe(values):
                 """(objective, x) of each x inside the bounds whose
                 objective is finite."""
-                scored = ((score({**best_topo, p.name: x}, best_cont), x)
-                          for x in values if p.lower <= x <= p.upper)
+                scored = ((scorer.objective(
+                    {**best_topo, p.name: x, **best_cont}), x)
+                    for x in values if p.lower <= x <= p.upper)
                 return [(v, x) for v, x in scored if math.isfinite(v)]
 
             scored = probe(x0 + sign * frac * span for frac in _POLISH_OFFSETS
@@ -602,7 +594,7 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
         trace=trace,
         r_squared=r2,
         predicted_observed=pvo,
-        evaluations=total_evals)
+        evaluations=scorer.evaluations)
 
 
 def _predicted_observed(trees):

@@ -77,6 +77,8 @@ def round_half_away(x: float) -> int:
     Python's built-in round() is banker's rounding; the topology rules need
     the conventional half-away behaviour (e.g. 2.5 -> 3).
     """
+    if not math.isfinite(x):   # int() would raise no package error
+        raise SimulationError(f"a rounding rule met the non-finite value {x}")
     if x >= 0.0:
         return int(math.floor(x + 0.5))
     return -int(math.floor(-x + 0.5))

@@ -393,11 +393,14 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
     gu_starts = np.array([u[2] for u in units])
     gu_counts = np.array([u[3] for u in units], dtype=float)
     means = []
-    for (age, inc), diam in zip(state.trunk_rings, diam_then):
+    for (age, inc), row in zip(state.trunk_rings, diam_then):
         live = sum(1 for u in units if u[1] <= age)
         means.append((age, (np.add.reduceat(
-            diam[:, :inc.shape[1]], gu_starts[:live], axis=1)
+            row[:, :inc.shape[1]], gu_starts[:live], axis=1)
             / gu_counts[:live]).tolist()))
+    if not all(np.isfinite(values).all() for values in (
+            diam, length, diam_then, wood_totals, leaf_totals, lengths)):
+        raise SimulationError("a trunk, ring or branch value is not finite")
     del wood_then, diam_then
     ring_matrices: list[list] = [[] for _ in cols]
     for age, rows in means:

@@ -278,15 +278,17 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
 def _totals(plan: OrganogenesisPlan, zones: ZoneRuleSet,
             params: GrowthParameters) -> list[int] | None:
     """The axis totals of ``plan``'s zones at its ratio under ``zones`` with
-    ``params``; None when a layout empties or a grown one changes."""
+    ``params``; None when a layout empties or a grown one changes, or a
+    rounding rule meets a non-finite value."""
     try:
         layouts = gu_zone_layouts(zones, plan.ratio_used, params)
+        if any(layouts[pa] != grown for pa, grown in plan.gu_layouts.items()):
+            return None
+        return [axis_total(_positions(groups), zones.get(*key),
+                           plan.ratio_used)
+                for key, groups, *_ in plan.zone_groups]
     except SimulationError:
         return None
-    if any(layouts[pa] != layout for pa, layout in plan.gu_layouts.items()):
-        return None
-    return [axis_total(_positions(groups), zones.get(*key), plan.ratio_used)
-            for key, groups, *_ in plan.zone_groups]
 
 
 def plan_holds(plan: OrganogenesisPlan, zones: ZoneRuleSet,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from treesink import calibration
+from treesink import calibration, engine
 from treesink.calibration import (AnnealSchedule, FitSpec, FreeParameter,
                                   PredictedObserved, Scorer, apply_candidate,
                                   compute_intervals, default_weights,
@@ -117,7 +117,7 @@ class TestFitContinuous:
     def test_fixed_point_at_truth(self, params, zones, small_target):
         weights = default_weights([small_target])
         free = [FreeParameter("v_1", 150.0, 2500.0, params.v_env[0])]
-        est, obj, _ = fit_continuous(
+        est, obj = fit_continuous(
             free, {}, Scorer(params, zones, [small_target], weights))
         assert est["v_1"] == pytest.approx(params.v_env[0], rel=1e-6)
         assert obj <= 1e-12
@@ -125,14 +125,14 @@ class TestFitContinuous:
     def test_single_parameter_recovery(self, params, zones, small_target):
         weights = default_weights([small_target])
         free = [FreeParameter("v_1", 150.0, 2500.0, 800.0)]
-        est, obj, _ = fit_continuous(
+        est, obj = fit_continuous(
             free, {}, Scorer(params, zones, [small_target], weights))
         assert est["v_1"] == pytest.approx(560.0, rel=0.01)
 
     def test_bounds_exclude_truth(self, params, zones, small_target):
         weights = default_weights([small_target])
         free = [FreeParameter("v_1", 700.0, 2500.0, 1200.0)]
-        est, _, _ = fit_continuous(
+        est, _ = fit_continuous(
             free, {}, Scorer(params, zones, [small_target], weights))
         assert est["v_1"] == pytest.approx(700.0, abs=1.0)
 
@@ -268,6 +268,40 @@ class TestFitTopology:
         assert batches == ([1] * len(targets)
                            + [len(spec.continuous)] * len(targets))
 
+    def test_nested_refit_chain_is_seeded_and_counted(self, params, zones,
+                                                      monkeypatch):
+        # demos/04's 8-cycle tree with a short schedule: every proposal of
+        # the annealing refits the continuous parameters; two runs agree,
+        # and the evaluations are the candidates the scorer was given
+        target = _demo04_target(params, zones)
+        spec = FitSpec(
+            continuous=[FreeParameter("v_1", 150.0, 2500.0, 900.0),
+                        FreeParameter("gamma", 0.5, 5.0, 2.0)],
+            topological=[FreeParameter("m2_2_0", 0.0, 3.0, 1.0),
+                         FreeParameter("a2_2_4", 0.0, 1.5, 0.2)],
+            schedule=AnnealSchedule(t0=0.5, cooling=0.5, steps_per_t=4,
+                                    t_stop_ratio=0.2, step_scale=0.3),
+            seed=7, nested_refit=True, polish_rounds=1, max_nfev=5)
+        scored, refits = [], []
+        residuals, refit = Scorer.residuals, calibration.fit_continuous
+
+        def spy(self, candidates):
+            scored.append(len(candidates))
+            return residuals(self, candidates)
+
+        def counted(*args, **kwargs):
+            refits.append(args[1])
+            return refit(*args, **kwargs)
+
+        monkeypatch.setattr(Scorer, "residuals", spy)
+        monkeypatch.setattr(calibration, "fit_continuous", counted)
+        result = fit_topology(spec, params, zones, [target])
+        # the first fit, then one refit per proposal: 3 temperatures × 4
+        assert len(refits) >= 1 + 3 * 4
+        assert math.isfinite(result.objective)
+        assert result.evaluations == sum(scored)
+        assert fit_topology(spec, params, zones, [target]) == result
+
 
 def _count_runs(monkeypatch) -> list[int]:
     """The tree index of every run the calibration module starts from now
@@ -394,8 +428,8 @@ class TestReplay:
 
     def test_a_replay_checks_the_request_first(self, params, zones):
         # under the kept run's parameters, an inert zone's infinite a2
-        # keeps every plan's outcome and an infinite m2 makes plan_holds
-        # raise OverflowError: the run checks reject both first
+        # keeps every plan's outcome, so the replay checks the request; an
+        # infinite m2 fails plan_holds, so the batch's run checks reject it
         target = _demo04_target(params, zones)
         scorer = Scorer(params, zones, [target], default_weights([target]))
         assert math.isfinite(scorer.objective(_DEMO04_CASE))
@@ -404,6 +438,30 @@ class TestReplay:
             kind, bearer, axillary = name.split("_")
             assert str(error) == (f"zone Z^{bearer}{axillary}: {kind} must "
                                   f"be finite: inf")
+
+    def test_a_candidate_checks_its_request_once(self, params, zones,
+                                                 monkeypatch):
+        # a candidate refused by its equal-parameter kept run is checked by
+        # its batched run alone, a replayed one by its replay alone
+        target = _demo04_target(params, zones)
+        recorded = {**_DEMO04_CASE, "a2_2_4": 0.13068775418752696}
+        probe = {**recorded, "a2_2_4": 0.1}
+        score = Scorer(params, zones, [target],
+                       default_weights([target])).objective
+        checks, check = [], calibration.check_run_request
+
+        def counted(*args):
+            checks.append(args[3])
+            return check(*args)
+
+        monkeypatch.setattr(calibration, "check_run_request", counted)
+        monkeypatch.setattr(engine, "check_run_request", counted)
+        runs = _count_runs(monkeypatch)
+        for values, ran in ((recorded, [0]), (probe, [0, 0]),
+                            (recorded, [0, 0])):
+            before = len(checks)
+            score(values)
+            assert checks[before:] == [0] and runs == ran
 
     def test_a_refit_starts_from_the_kept_run(self, params, zones,
                                               monkeypatch):

@@ -3,7 +3,8 @@ from dataclasses import fields
 
 import pytest
 
-from treesink.core import (GrowthParameters, TrunkScriptEntry, ZoneRule,
+from treesink.core import (GrowthParameters, SimulationError,
+                           TrunkScriptEntry, ZoneRule,
                            ZoneRuleSet, round_half_away, validate_parameters,
                            validate_target)
 from treesink.synthetic import script_only_dataset
@@ -90,6 +91,12 @@ def test_round_half_away():
     assert round_half_away(2.5) == 3
     assert round_half_away(-2.5) == -3
     assert round_half_away(0.0) == 0
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_round_half_away_rejects_non_finite(x):
+    with pytest.raises(SimulationError, match=f"non-finite value {x}"):
+        round_half_away(x)
 
 
 def test_slw_schedule_interpolates_and_clamps(params):

@@ -391,6 +391,13 @@ class TestFailureCycle:
         assert err.value is located
         assert str(err.value).count("cycle ") == 1
 
+    def test_an_overflowing_seed_ratio_fails_the_run(self, params, zones):
+        # a subnormal trunk sink strength passes validation, but the seed
+        # ratio q0 / d_s overflows before cycle 1
+        tiny = params.with_values(p_s=(1e-320,) + params.p_s[1:])
+        with pytest.raises(SimulationError, match="non-finite value inf"):
+            run(tiny, zones, self.SCRIPT)
+
 
 class TestPerformance:
     def test_full_tree_under_one_second(self, params, zones):

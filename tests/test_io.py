@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -628,6 +629,43 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert (f"error: script entry {entry}: branch PA 7 outside 2..4"
                 in result.stderr)
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("simulate", "p_s = 1e-320, 5.25, 5.25, 1.0",
+         "a rounding rule met the non-finite value inf"),
+        ("oracle", "p_s = 1e-320, 5.25, 5.25, 1.0",
+         "a rounding rule met the non-finite value inf"),
+        ("simulate", "wood_density = 1e-320",
+         "a trunk, ring or branch value is not finite"),
+        ("simulate", "allom_a = 1e308, 3.0, 3.0, 0.5",
+         "a trunk, ring or branch value is not finite"),
+        ("simulate", "p_rg = 1.0, 1e308, 1e308, 1e308",
+         "a trunk, ring or branch value is not finite"),
+        ("fit", "wood_density = 1e-320",
+         "continuous fit found no feasible candidate"),
+    ])
+    def test_overflow_is_runtime_failure(self, tmp_path, command, line,
+                                         message):
+        # values that pass validation but overflow in a run fail with exit
+        # 2 and write no file; in a subprocess, as numpy's overflow
+        # warnings are errors under pytest
+        params = tmp_path / "overflow.params"
+        text, found = re.subn(rf"^{line.split(' = ')[0]} = .*$", line,
+                              Path(fixture_path("species.params")).read_text(),
+                              flags=re.M)
+        assert found == 1
+        params.write_text(text)
+        targets = [fixture_path(f"tree{i}.target.csv")
+                   for i in ((1, 2) if command == "fit" else (1,))]
+        argv = [arg for target in targets for arg in ("--target", target)]
+        assert run_cli("validate", "--params", str(params),
+                       *argv).returncode == 0
+        result = run_cli(command, "--params", str(params), *argv,
+                         "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"error: {message}" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,message", [
         (["fit", "--params", fixture_path("species.params")],

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from treesink.structure import TreeState
 from treesink.synthetic import script_only_dataset
 from treesink.topology import (PositionGroup, axis_band, axis_total,
                                distribute_axes, gu_zone_layout, metamer_count,
-                               organogenesis_step, seed_plan)
+                               organogenesis_step, plan_holds, seed_plan)
 
 from conftest import grow_unit
 
@@ -249,6 +250,20 @@ class TestOrganogenesis:
                    for key, groups, counts, _ in plan.zone_groups
                    if key[1] == 4
                    for group, count in zip(groups, counts)) == 2
+
+    @pytest.mark.parametrize("kind", ["m2", "a2"])
+    def test_an_overflowing_rounding_does_not_hold(self, params, zones, kind):
+        # Z^24's rounded value overflows: its layout (m2) or its axis total
+        # (a2) cannot be rounded, so the plan does not hold
+        state = TreeState(cycle=2)
+        cls = state.add_class(2, 2, multiplicity=1)
+        grow_unit(state, cls, 2, [(0, 2), (4, 2), (3, 1)], 0.4, 1.5, 0.5,
+                  70.0)
+        plan = organogenesis_step(state, params, zones, ratio=4.0,
+                                  trunk_entry=None)
+        assert plan_holds(plan, zones, params)
+        rule = replace(zones.get(2, 4), **{kind: 1e308})
+        assert not plan_holds(plan, zones.with_rule(rule), params)
 
     def test_distribution_slack_is_noted(self, params, zones):
         # one Z^24 position on 3 instances: round(3·0.6) = 2 axes requested,
