@@ -369,8 +369,9 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
                    ) -> tuple[dict[str, float], float]:
     """Bounded least-squares descent over the continuous parameters with the
     topology held fixed.  Returns (estimates, objective), deterministic
-    given its inputs.  ``scorer`` counts and may replay every residual, so
-    a refit's start that the search has just scored runs no tree."""
+    given its inputs.  The Jacobian is scipy's 2-point one, bit for bit; the
+    start's runs with the start's residual, in one batch.  ``scorer`` may
+    replay each residual, so a start the search has scored runs no tree."""
     if not free:
         obj = scorer.objective(dict(fixed))
         if math.isinf(obj):
@@ -381,32 +382,51 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
     upper = np.array([p.upper for p in free])
     start = np.array([p.init for p in free] if x0 is None else x0, dtype=float)
     start = np.clip(start, lower, upper)
+    # a large flat penalty steers the trust region away without NaNs
+    penalty = np.full(sum(len(getattr(d, m.field)) * len(m.classes)
+                          for d in scorer.targets for m in MEASUREMENTS), 1e12)
 
-    def residuals_at(_fun, points):
-        """The residuals of each point, from one batched run per tree:
-        scipy's map over the finite-difference points of one Jacobian."""
+    def residuals_at(points):
+        """The residuals of each point, from one batched run per tree."""
         values = [{**fixed, **{n: float(v) for n, v in zip(names, x)}}
                   for x in points]
-        # a large flat penalty steers the trust region away without NaNs
-        penalty = np.full(_n_points(scorer.targets), 1e12)
         return [penalty if isinstance(res, TreesinkError) else res
                 for res in scorer.residuals(values)]
 
+    def forward_points(x):
+        """scipy's 2-point Jacobian points at ``x`` (row ``i`` steps x_i by
+        1e-6·|x_i|, else sqrt(eps)·max(1, |x_i|)); a step leaving the bounds
+        turns back, or spans the wider side if it fits on neither."""
+        sign = (x >= 0).astype(float) * 2 - 1
+        h = 1e-6 * sign * np.abs(x)
+        h = np.where((x + h) - x == 0, np.finfo(float).eps ** 0.5 * sign
+                     * np.maximum(1.0, np.abs(x)), h)
+        below, above = x - lower, upper - x
+        h = np.where(np.abs(h) <= np.maximum(below, above),
+                     np.where((x + h < lower) | (x + h > upper), -h, h),
+                     np.where(above >= below, above, -below))
+        return np.where(np.eye(len(x), dtype=bool), x + h, x)
+
+    last = []   # the last residual, then the start's Jacobian columns
+
+    def fun(x):
+        last[:] = residuals_at([x, *([] if last else forward_points(x))])
+        return last[0]
+
+    def jac(x):   # scipy asks for it at its last residual
+        points = forward_points(x)
+        f0, *columns = last
+        return np.array([(f - f0) / dx for f, dx in zip(
+            columns or residuals_at(points), np.diagonal(points) - x)]).T
+
     x_scale = np.maximum(np.abs(start), 1e-3 * np.maximum(upper - lower, 1e-12))
-    result = least_squares(lambda x: residuals_at(None, [x])[0], start,
-                           bounds=(lower, upper), x_scale=x_scale,
-                           diff_step=1e-6, max_nfev=max_nfev, method="trf",
-                           workers=residuals_at)
+    result = least_squares(fun, start, jac=jac, bounds=(lower, upper),
+                           x_scale=x_scale, max_nfev=max_nfev, method="trf")
     estimates = {n: float(v) for n, v in zip(names, result.x)}
     obj = float(result.fun @ result.fun)
     if not math.isfinite(obj) or obj >= 1e12:
         raise UnfittableError("continuous fit found no feasible candidate")
     return estimates, obj
-
-
-def _n_points(targets):
-    return sum(len(getattr(ds, m.field)) * len(m.classes)
-               for ds in targets for m in MEASUREMENTS)
 
 
 def least_squares(*args, **kwargs):

@@ -207,6 +207,12 @@ def failing_cycle(n: int):
         raise SimulationError(f"cycle {n}: {exc}", cycle=n) from exc
 
 
+def check_finite(*values) -> None:
+    """Fail a run whose trunk, ring or branch ``values`` are not all finite."""
+    if not all(np.isfinite(each).all() for each in values):
+        raise SimulationError("a trunk, ring or branch value is not finite")
+
+
 def step(state: TreeState, cols: Sequence[GrowthParameters],
          zones: ZoneRuleSet, dataset: TargetDataset, tree_index: int,
          final_cycle: int) -> list[CycleAllocation]:
@@ -336,6 +342,7 @@ def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
     return results
 
 
+@np.errstate(all="ignore")   # a value that overflows fails check_finite
 def _run(cols, zones, dataset, tree_index, n_cycles, with_topology=False,
          with_signature=False) -> list[SimulationOutput]:
     """Every column's output of one batched run of checked requests."""
@@ -398,9 +405,7 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
         means.append((age, (np.add.reduceat(
             row[:, :inc.shape[1]], gu_starts[:live], axis=1)
             / gu_counts[:live]).tolist()))
-    if not all(np.isfinite(values).all() for values in (
-            diam, length, diam_then, wood_totals, leaf_totals, lengths)):
-        raise SimulationError("a trunk, ring or branch value is not finite")
+    check_finite(diam, length, diam_then, wood_totals, leaf_totals, lengths)
     del wood_then, diam_then
     ring_matrices: list[list] = [[] for _ in cols]
     for age, rows in means:

@@ -16,15 +16,15 @@ to floating-point summation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .core import (CM2_PER_M2, TRUNK_PA, BranchRow, GrowthParameters,
                    RingObservation, SimulationError, TargetDataset,
                    TrunkObservation, TrunkScriptEntry, ZoneRuleSet)
-from .engine import (SimulationOutput, check_run_request, failing_cycle,
-                     net_production, split_production)
+from .engine import (SimulationOutput, check_finite, check_run_request,
+                     failing_cycle, net_production, split_production)
 from .sourcesink import allocate_shoots, partition_rings, shoot_demand
 from .structure import expand_shoot_values, metamer_diameters
 from .topology import (PositionGroup, axis_total, distribute_axes,
@@ -226,6 +226,7 @@ def _expand(tree: NaiveTree, params, plan: _NaivePlan, fund: float) -> None:
             new_axis(shoot.pa, shoot.parent)
 
 
+@np.errstate(all="ignore")   # a value that overflows fails check_finite
 def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
                    dataset: TargetDataset, tree_index: int = 0,
                    cycles: int | None = None) -> SimulationOutput:
@@ -317,6 +318,7 @@ def _collect_naive(tree: NaiveTree, params, allocations, n_cycles,
                                      wood_g=wood, leaf_g=leaf,
                                      axis_length_cm=length))
 
+    check_finite(*map(astuple, trunk_profile + ring_matrix + branch_rows))
     total_wood = sum(m.internode_mass + sum(m.rings)
                      for m in tree.metamers())
     total_leaf = sum(m.leaf_mass for m in tree.metamers())

@@ -58,10 +58,10 @@ def test_jacobian_columns_equal_serial_residuals(bundled, monkeypatch):
     topology = {p.name: p.init for p in spec.topological}
     fit_continuous(spec.continuous, topology,
                    Scorer(params, zones, targets, weights), max_nfev=1)
-    # the first residual, then the Jacobian's points
-    [_, (candidates, results)] = asked
-    assert len(candidates) == len(spec.continuous)
-    for candidate, result in zip(candidates, results):
+    # one batch: the start's residual, then its Jacobian's points
+    [(candidates, results)] = asked
+    assert len(candidates) == 1 + len(spec.continuous)
+    for candidate, result in zip(candidates[1:], results[1:]):
         assert _same_as_serial(candidate, result, params, zones, targets,
                                weights)
 

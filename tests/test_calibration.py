@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
+from scipy.optimize._numdiff import approx_derivative
 
 from treesink import calibration, engine
 from treesink.calibration import (AnnealSchedule, FitSpec, FreeParameter,
@@ -154,6 +155,95 @@ class TestFitContinuous:
         assert np.all(first >= 1e12)
         assert np.array_equal(captured[0](np.array([0.0])), first)
 
+    def test_a_start_on_a_bound_moves_inside(self, params, zones,
+                                             small_target, monkeypatch):
+        # scipy moves a start on a bound inside before its first residual,
+        # which scores that moved start and its Jacobian's point
+        asked = []
+        residuals = Scorer.residuals
+
+        def spy(self, candidates):
+            asked.append([values["v_1"] for values in candidates])
+            return residuals(self, candidates)
+
+        monkeypatch.setattr(Scorer, "residuals", spy)
+        weights = default_weights([small_target])
+        free = [FreeParameter("v_1", 560.0, 2500.0, 560.0)]
+        est, obj = fit_continuous(
+            free, {}, Scorer(params, zones, [small_target], weights))
+        assert asked[0] == [560.000000056, 560.000560056]
+        # what scipy's own finite-difference Jacobian gives, bit for bit
+        assert est == {"v_1": 560.000000056}
+        assert obj == 3.24953589610911e-18
+
+    @pytest.mark.parametrize("lower,upper,start", [
+        # interior points
+        ((-5.0, 0.1), (5.0, 10.0), (1.3, 2.7)),
+        # x = 0: the relative step vanishes
+        ((-1.0, -4.0), (1.0, 4.0), (0.0, -0.5)),
+        # within one step of the lower and of the upper bound
+        ((-3.0, 0.1), (5.0, 1.0), (-3.0 + 1e-6, 1.0 - 5e-7)),
+        # bound intervals narrower than the step, either side the wider
+        ((5.0, 7.0), (5.0 + 2e-6, 7.0 + 2e-6),
+         (5.0 + 0.5e-6, 7.0 + 1.5e-6)),
+        # ... and with both sides exactly as wide
+        ((1.0, -2.0), (1.0 + 2 ** -20, -2.0 + 2 ** -19),
+         (1.0 + 2 ** -21, -2.0 + 2 ** -20)),
+    ], ids=["interior", "zero", "near-bounds", "narrow-bounds",
+            "narrow-even-bounds"])
+    def test_jacobian_is_scipys_forward_difference(self, monkeypatch, lower,
+                                                   upper, start):
+        # a cheap vector function in place of the scorer's runs: each
+        # Jacobian of the fit, the start's included, and the points it
+        # scores equal scipy's approx_derivative bit for bit
+        def cheap(x):
+            return np.array([np.sin(x[0]) * x[1], x[0] ** 2 - np.exp(x[1]),
+                             x[0] * x[1] + 1.0])
+
+        class CheapScorer:
+            targets = []   # no measurements: an empty penalty
+
+            def __init__(self):
+                self.asked = []
+
+            def residuals(self, candidates):
+                points = [np.array([c["a"], c["b"]]) for c in candidates]
+                self.asked.append(points)
+                return [cheap(x) for x in points]
+
+        jacobians = []
+
+        def spy(fun, x0, jac, **kwargs):
+            def recorded(x):
+                jacobians.append((x.copy(), jac(x)))
+                return jacobians[-1][1]
+            return least_squares(fun, x0, jac=recorded, **kwargs)
+
+        monkeypatch.setattr(calibration, "least_squares", spy)
+        free = [FreeParameter(name, lo, hi, x)
+                for name, lo, hi, x in zip("ab", lower, upper, start)]
+        scorer = CheapScorer()
+        fit_continuous(free, {}, scorer, max_nfev=3)
+        assert jacobians[0][0].tolist() == list(start)
+        asked = [[p.tobytes() for p in batch] for batch in scorer.asked]
+        # the first batch is the start and its Jacobian's points
+        assert len(asked[0]) == 1 + len(free)
+        for x, jac in jacobians:
+            points = []
+
+            def recording(p):
+                points.append(p.tobytes())
+                return cheap(p)
+
+            expected = approx_derivative(
+                recording, x, method="2-point", rel_step=1e-6, f0=cheap(x),
+                bounds=(np.array(lower), np.array(upper)))
+            assert points in ([batch[1:] for batch in asked[:1]]
+                              + asked[1:])
+            assert jac.tobytes() == expected.tobytes()
+            assert jac.shape == expected.shape
+            assert jac.flags.f_contiguous == expected.flags.f_contiguous
+
 
 class TestFitTopology:
     def _spec(self, topo=(), seed=3, **kw):
@@ -263,10 +353,9 @@ class TestFitTopology:
         monkeypatch.setattr(calibration, "simulate_batch", counted_batch)
         result = fit_topology(spec, params, zones, targets)
         assert len(runs) == len(targets) * result.evaluations == 22
-        # the first residual runs each tree alone, the Jacobian as one
-        # batched run per tree over every free continuous parameter
-        assert batches == ([1] * len(targets)
-                           + [len(spec.continuous)] * len(targets))
+        # the start's residual and its Jacobian over every free continuous
+        # parameter run as one batched run per tree
+        assert batches == [1 + len(spec.continuous)] * len(targets) == [11, 11]
 
     def test_nested_refit_chain_is_seeded_and_counted(self, params, zones,
                                                       monkeypatch):
@@ -465,8 +554,9 @@ class TestReplay:
 
     def test_a_refit_starts_from_the_kept_run(self, params, zones,
                                               monkeypatch):
-        # a refit warm-started at a point the search has just scored: its
-        # first residual replays that score's run, its Jacobian runs
+        # a refit warm-started at a point the search has just scored: in
+        # its first batch the start replays that score's run, and only its
+        # Jacobian's points run
         target = _demo04_target(params, zones)
         scorer = Scorer(params, zones, [target], default_weights([target]))
         topo = {"m2_2_0": _DEMO04_CASE["m2_2_0"],
@@ -476,18 +566,28 @@ class TestReplay:
                 FreeParameter("gamma", 0.5, 5.0, 2.0)]
         scorer.objective({**topo, **cont})
         runs = _count_runs(monkeypatch)
+        counting, columns = calibration.simulate_batch, []
         after = []
         residuals = Scorer.residuals
 
         def spy(self, candidates):
             results = residuals(self, candidates)
-            after.append(len(runs))
+            after.append((candidates, len(runs)))
             return results
 
+        def recorded(batch, *args, **kwargs):
+            columns.extend(batch)
+            return counting(batch, *args, **kwargs)
+
         monkeypatch.setattr(Scorer, "residuals", spy)
+        monkeypatch.setattr(calibration, "simulate_batch", recorded)
         fit_continuous(free, topo, scorer, max_nfev=1,
                        x0=np.array([cont[p.name] for p in free]))
-        assert after[:2] == [0, len(free)]
+        (start, *points), ran = after[0]
+        assert start == {**topo, **cont}
+        assert ran == len(points) == len(free)
+        assert columns[:ran] == [apply_candidate(params, zones, point)[0]
+                                 for point in points]
 
     def test_replays_equal_fresh_objectives(self, monkeypatch):
         # the bundled fit point on both fixture trees: probes inside each

@@ -439,6 +439,27 @@ def run_cli(*argv):
         capture_output=True, text=True, env=src_env())
 
 
+def _run_overflowing(tmp_path, command, line, *python_options):
+    """``command`` on the bundled parameters with ``line`` replacing the
+    line it names (after checking that they validate): on both bundled
+    targets for ``fit``, else on tree 1, writing to ``tmp_path/out``."""
+    params = tmp_path / "overflow.params"
+    text, found = re.subn(rf"^{line.split(' = ')[0]} = .*$", line,
+                          Path(fixture_path("species.params")).read_text(),
+                          flags=re.M)
+    assert found == 1
+    params.write_text(text)
+    targets = [fixture_path(f"tree{i}.target.csv")
+               for i in ((1, 2) if command == "fit" else (1,))]
+    argv = [arg for target in targets for arg in ("--target", target)]
+    assert run_cli("validate", "--params", str(params),
+                   *argv).returncode == 0
+    return subprocess.run(
+        [sys.executable, *python_options, "-m", "treesink.cli", command,
+         "--params", str(params), *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=src_env())
+
+
 class TestCli:
     def test_simulate_writes_artifacts(self, tmp_path):
         result = run_cli("simulate", "--params",
@@ -643,29 +664,38 @@ class TestCli:
          "a trunk, ring or branch value is not finite"),
         ("fit", "wood_density = 1e-320",
          "continuous fit found no feasible candidate"),
+        ("oracle", "wood_density = 1e-320",
+         "a trunk, ring or branch value is not finite"),
+        ("oracle", "allom_a = 1e308, 3.0, 3.0, 0.5",
+         "a trunk, ring or branch value is not finite"),
     ])
     def test_overflow_is_runtime_failure(self, tmp_path, command, line,
                                          message):
         # values that pass validation but overflow in a run fail with exit
-        # 2 and write no file; in a subprocess, as numpy's overflow
-        # warnings are errors under pytest
-        params = tmp_path / "overflow.params"
-        text, found = re.subn(rf"^{line.split(' = ')[0]} = .*$", line,
-                              Path(fixture_path("species.params")).read_text(),
-                              flags=re.M)
-        assert found == 1
-        params.write_text(text)
-        targets = [fixture_path(f"tree{i}.target.csv")
-                   for i in ((1, 2) if command == "fit" else (1,))]
-        argv = [arg for target in targets for arg in ("--target", target)]
-        assert run_cli("validate", "--params", str(params),
-                       *argv).returncode == 0
-        result = run_cli(command, "--params", str(params), *argv,
-                         "--out", str(tmp_path / "out"))
+        # 2, print no warning and write no file; in a subprocess, as
+        # numpy's overflow warnings are errors under pytest
+        result = _run_overflowing(tmp_path, command, line)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+        assert "Warning" not in result.stderr
         assert f"error: {message}" in result.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,message", [
+        ("simulate", "a trunk, ring or branch value is not finite"),
+        ("oracle", "a trunk, ring or branch value is not finite"),
+        ("fit", "continuous fit found no feasible candidate"),
+    ])
+    def test_overflow_fails_the_run_under_warnings_as_errors(
+            self, tmp_path, command, message):
+        # no numpy floating-point warning leaves a run: with warnings
+        # turned into errors, the overflow fails the run as it does without
+        result = _run_overflowing(tmp_path, command, "wood_density = 1e-320",
+                                  "-W", "error")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert result.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv,message", [
         (["fit", "--params", fixture_path("species.params")],
