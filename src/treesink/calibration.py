@@ -276,20 +276,28 @@ class Scorer:
         self._best = math.inf, [[] for _ in targets]   # objective, its runs
         self.evaluations = 0   # the candidates scored: the fit's one count
 
-    def residuals(self, candidates: list[dict[str, float]]
-                  ) -> list[np.ndarray | TreesinkError]:
+    def residuals(self, candidates: list[dict[str, float]], ahead=None):
         """Per candidate, sqrt(weight)·(sim − obs) stacked over every tree
         and data point, or the TreesinkError its runs or their alignment
         raise (a failing tree stops the candidate's runs).  On each tree
         the candidates that replay no kept run run as one batch; they must
-        give the same zone rules."""
+        give the same zone rules.  With ``ahead`` points it returns ``(now,
+        later)``: the points run in the same batches, and ``later()`` is
+        the call right after this one that scores them, with no run again."""
         cols, rules = zip(*(apply_candidate(self.params, self.zones, values)
-                            for values in candidates))
-        zones = rules[0]
+                            for values in [*candidates, *(ahead or [])]))
+        zones, n, ran = rules[0], len(candidates), {}
         if any(each != zones for each in rules):
             raise ValueError("batched candidates differ in their zone rules")
-        self.evaluations += len(candidates)
-        results: list = [[] for _ in candidates]   # runs, or the error
+        now = self._scored(cols, zones, n, ran)
+        return now if ahead is None else (
+            now, lambda: self._scored(cols[n:], zones, len(cols) - n, ran))
+
+    def _scored(self, cols, zones, n, ran):
+        """:meth:`residuals` of the first ``n`` parameter columns ``cols``;
+        ``ran`` maps (tree, parameters) to each fresh run, or its error."""
+        self.evaluations += n
+        results: list = [[] for _ in cols]   # runs, or the error
         for i, (ds, kept) in enumerate(zip(self.targets, self._kept)):
             fresh = []
             for k in [k for k, c in enumerate(results) if isinstance(c, list)]:
@@ -302,29 +310,34 @@ class Scorer:
                     fresh.append(k)
                 else:
                     results[k].append(run)
-            outputs = simulate_batch([cols[k] for k in fresh], zones, ds,
-                                     tree_index=i)
-            for k, output in zip(fresh, outputs):
+            todo = [cols[k] for k in fresh if (i, cols[k]) not in ran]
+            for col, output in zip(todo, todo and simulate_batch(
+                    todo, zones, ds, tree_index=i)):
                 try:
                     if isinstance(output, TreesinkError):
                         raise output
                     sim, obs, labels = rows = extract_targets(output, ds)
                 except TreesinkError as exc:
-                    results[k] = exc
+                    ran[i, col] = exc
                     continue
-                w = np.array([self.weights.get(lbl, 1.0) for lbl in labels])
-                run = cols[k], output.decisions, rows, np.sqrt(w) * (sim - obs)
+                w = np.sqrt([self.weights.get(lbl, 1.0) for lbl in labels])
+                ran[i, col] = col, output.decisions, rows, w * (sim - obs)
+            for k in fresh:
+                if isinstance(run := ran[i, cols[k]], TreesinkError):
+                    results[k] = run
+                    continue
                 results[k].append(run)
-                kept.insert(0, run)
+                if k < n:
+                    kept.insert(0, run)
             del kept[_REPLAY_RUNS:]
-        for k, runs in enumerate(results):
+        for k, runs in enumerate(results[:n]):
             if isinstance(runs, list):
                 results[k] = res = (np.concatenate([run[3] for run in runs])
                                     if runs else np.empty(0))
                 value = float(res @ res)
                 if value < self._best[0]:
                     self._best = value, [[run] for run in runs]
-        return results
+        return results[:n]
 
     def objective(self, values: dict[str, float]) -> float:
         """Weighted sum of squared sim−obs differences over every tree;
@@ -369,9 +382,9 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
                    ) -> tuple[dict[str, float], float]:
     """Bounded least-squares descent over the continuous parameters with the
     topology held fixed.  Returns (estimates, objective), deterministic
-    given its inputs.  The Jacobian is scipy's 2-point one, bit for bit; the
-    start's runs with the start's residual, in one batch.  ``scorer`` may
-    replay each residual, so a start the search has scored runs no tree."""
+    given its inputs.  The Jacobian is scipy's 2-point one, bit for bit; its
+    points run with their residual and count once scipy takes it.
+    ``scorer`` may replay each residual, so a scored start runs no tree."""
     if not free:
         obj = scorer.objective(dict(fixed))
         if math.isinf(obj):
@@ -386,12 +399,12 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
     penalty = np.full(sum(len(getattr(d, m.field)) * len(m.classes)
                           for d in scorer.targets for m in MEASUREMENTS), 1e12)
 
-    def residuals_at(points):
-        """The residuals of each point, from one batched run per tree."""
-        values = [{**fixed, **{n: float(v) for n, v in zip(names, x)}}
-                  for x in points]
+    def values(points):
+        return [{**fixed, **dict(zip(names, map(float, x)))} for x in points]
+
+    def penalized(results):
         return [penalty if isinstance(res, TreesinkError) else res
-                for res in scorer.residuals(values)]
+                for res in results]
 
     def forward_points(x):
         """scipy's 2-point Jacobian points at ``x`` (row ``i`` steps x_i by
@@ -407,17 +420,19 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
                      np.where(above >= below, above, -below))
         return np.where(np.eye(len(x), dtype=bool), x + h, x)
 
-    last = []   # the last residual, then the start's Jacobian columns
+    last = []   # the last residual's point, residual and Jacobian's runs
 
     def fun(x):
-        last[:] = residuals_at([x, *([] if last else forward_points(x))])
-        return last[0]
+        now, later = scorer.residuals(values([x]), values(forward_points(x)))
+        last[:] = x.copy(), *penalized(now), later
+        return last[1]
 
-    def jac(x):   # scipy asks for it at its last residual
-        points = forward_points(x)
-        f0, *columns = last
+    def jac(x):   # trf asks for it only at its last residual
+        x0, f0, later = last
+        if not np.array_equal(x, x0):
+            raise RuntimeError(f"Jacobian at {x}, last residual at {x0}")
         return np.array([(f - f0) / dx for f, dx in zip(
-            columns or residuals_at(points), np.diagonal(points) - x)]).T
+            penalized(later()), np.diagonal(forward_points(x)) - x)]).T
 
     x_scale = np.maximum(np.abs(start), 1e-3 * np.maximum(upper - lower, 1e-12))
     result = least_squares(fun, start, jac=jac, bounds=(lower, upper),

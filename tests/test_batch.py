@@ -46,22 +46,29 @@ def test_jacobian_columns_equal_serial_residuals(bundled, monkeypatch):
     # the points scipy asks for in the bundled fit's first Jacobian, at its
     # own step sizes
     params, zones, spec, targets, weights = bundled
-    asked = []
+    asked, claimed = [], []
     residuals = Scorer.residuals
 
-    def spy(self, candidates):
-        results = residuals(self, candidates)
-        asked.append((candidates, results))
-        return results
+    def spy(self, candidates, ahead=None):
+        now, later = residuals(self, candidates, ahead)
+        asked.append((candidates, ahead))
+
+        def claim():
+            claimed.append(later())
+            return claimed[-1]
+        return now, claim
 
     monkeypatch.setattr(Scorer, "residuals", spy)
     topology = {p.name: p.init for p in spec.topological}
     fit_continuous(spec.continuous, topology,
                    Scorer(params, zones, targets, weights), max_nfev=1)
-    # one batch: the start's residual, then its Jacobian's points
-    [(candidates, results)] = asked
-    assert len(candidates) == 1 + len(spec.continuous)
-    for candidate, result in zip(candidates[1:], results[1:]):
+    monkeypatch.undo()
+    # one batch: the start's residual, then its Jacobian's points, which
+    # the Jacobian claims
+    [(candidates, points)] = asked
+    [results] = claimed
+    assert len(candidates) == 1 and len(points) == len(spec.continuous)
+    for candidate, result in zip(points, results):
         assert _same_as_serial(candidate, result, params, zones, targets,
                                weights)
 

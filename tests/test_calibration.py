@@ -114,6 +114,35 @@ class TestObjective:
         assert base > 0
 
 
+def _cheap(x):
+    return np.array([np.sin(x[0]) * x[1], x[0] ** 2 - np.exp(x[1]),
+                     x[0] * x[1] + 1.0])
+
+
+class _CheapScorer:
+    """Scores the free parameters ``a`` and ``b`` by a cheap vector
+    function in place of runs.  It records each batch it is given, the
+    batches whose points are claimed, and the ledger: each residual's
+    point, then the points of each claim."""
+
+    targets = []   # no measurements: an empty penalty
+
+    def __init__(self, fun=_cheap):
+        self.fun, self.asked, self.claimed, self.counted = fun, [], [], []
+
+    def residuals(self, candidates, ahead):
+        x, *points = [np.array([c["a"], c["b"]]) for c in candidates + ahead]
+        self.asked.append([x, *points])
+        self.counted.append(x)
+        batch = len(self.asked) - 1
+
+        def later():
+            self.claimed.append(batch)
+            self.counted.extend(points)
+            return [self.fun(p) for p in points]
+        return [self.fun(x)], later
+
+
 class TestFitContinuous:
     def test_fixed_point_at_truth(self, params, zones, small_target):
         weights = default_weights([small_target])
@@ -158,13 +187,13 @@ class TestFitContinuous:
     def test_a_start_on_a_bound_moves_inside(self, params, zones,
                                              small_target, monkeypatch):
         # scipy moves a start on a bound inside before its first residual,
-        # which scores that moved start and its Jacobian's point
+        # which scores that moved start with its Jacobian's point
         asked = []
         residuals = Scorer.residuals
 
-        def spy(self, candidates):
-            asked.append([values["v_1"] for values in candidates])
-            return residuals(self, candidates)
+        def spy(self, candidates, ahead=None):
+            asked.append([values["v_1"] for values in candidates + ahead])
+            return residuals(self, candidates, ahead)
 
         monkeypatch.setattr(Scorer, "residuals", spy)
         weights = default_weights([small_target])
@@ -195,22 +224,8 @@ class TestFitContinuous:
                                                    upper, start):
         # a cheap vector function in place of the scorer's runs: each
         # Jacobian of the fit, the start's included, and the points it
-        # scores equal scipy's approx_derivative bit for bit
-        def cheap(x):
-            return np.array([np.sin(x[0]) * x[1], x[0] ** 2 - np.exp(x[1]),
-                             x[0] * x[1] + 1.0])
-
-        class CheapScorer:
-            targets = []   # no measurements: an empty penalty
-
-            def __init__(self):
-                self.asked = []
-
-            def residuals(self, candidates):
-                points = [np.array([c["a"], c["b"]]) for c in candidates]
-                self.asked.append(points)
-                return [cheap(x) for x in points]
-
+        # scores equal scipy's approx_derivative bit for bit, and the points
+        # are the tail of their residual's batch
         jacobians = []
 
         def spy(fun, x0, jac, **kwargs):
@@ -222,27 +237,75 @@ class TestFitContinuous:
         monkeypatch.setattr(calibration, "least_squares", spy)
         free = [FreeParameter(name, lo, hi, x)
                 for name, lo, hi, x in zip("ab", lower, upper, start)]
-        scorer = CheapScorer()
+        scorer = _CheapScorer()
         fit_continuous(free, {}, scorer, max_nfev=3)
         assert jacobians[0][0].tolist() == list(start)
         asked = [[p.tobytes() for p in batch] for batch in scorer.asked]
-        # the first batch is the start and its Jacobian's points
-        assert len(asked[0]) == 1 + len(free)
+        # each batch is a residual's point and its Jacobian's points
+        assert all(len(batch) == 1 + len(free) for batch in asked)
         for x, jac in jacobians:
             points = []
 
             def recording(p):
                 points.append(p.tobytes())
-                return cheap(p)
+                return _cheap(p)
 
             expected = approx_derivative(
-                recording, x, method="2-point", rel_step=1e-6, f0=cheap(x),
+                recording, x, method="2-point", rel_step=1e-6, f0=_cheap(x),
                 bounds=(np.array(lower), np.array(upper)))
-            assert points in ([batch[1:] for batch in asked[:1]]
-                              + asked[1:])
+            assert [x.tobytes(), *points] in asked
             assert jac.tobytes() == expected.tobytes()
             assert jac.shape == expected.shape
             assert jac.flags.f_contiguous == expected.flags.f_contiguous
+
+    def test_unclaimed_points_are_not_counted(self, monkeypatch):
+        # Rosenbrock's valley, where trf rejects steps: the candidates the
+        # ledger counts are exactly the points scipy's own path evaluates,
+        # in order (each residual, then its Jacobian's points), so a
+        # rejected step's points are run but never counted
+        def rosenbrock(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        serial = []
+
+        def recording(x):
+            serial.append(x.tobytes())
+            return rosenbrock(x)
+
+        def spy(fun, x0, jac, bounds, **kwargs):
+            least_squares(recording, x0, bounds=bounds, **kwargs,
+                          jac=lambda x: approx_derivative(
+                              recording, x, method="2-point", rel_step=1e-6,
+                              f0=rosenbrock(x), bounds=bounds))
+            return least_squares(fun, x0, jac=jac, bounds=bounds, **kwargs)
+
+        monkeypatch.setattr(calibration, "least_squares", spy)
+        free = [FreeParameter("a", -5.0, 5.0, 2.5),
+                FreeParameter("b", -5.0, 5.0, -3.0)]
+        scorer = _CheapScorer(rosenbrock)
+        _, obj = fit_continuous(free, {}, scorer, max_nfev=20)
+        assert [p.tobytes() for p in scorer.counted] == serial
+        assert obj < 1e-12
+        # some batch before the last had its points run, never claimed
+        assert set(range(len(scorer.asked) - 1)) - set(scorer.claimed)
+
+    def test_a_jacobian_away_from_the_last_residual_raises(self,
+                                                           monkeypatch):
+        # the Jacobian takes its points' runs from the last residual's
+        # batch, so one asked at any other point is an error, not another
+        # point's columns
+        def spy(fun, x0, jac, **kwargs):
+            fun(x0)
+            jac(x0.copy())   # the same point: its batch's columns
+            fun(x0)
+            jac(np.nextafter(x0, np.inf))
+
+        monkeypatch.setattr(calibration, "least_squares", spy)
+        free = [FreeParameter("a", -5.0, 5.0, 1.0),
+                FreeParameter("b", -5.0, 5.0, 0.5)]
+        with pytest.raises(RuntimeError, match=r"^Jacobian at \[.*\], "
+                                               r"last residual at \[.*\]$"):
+            fit_continuous(free, {}, _CheapScorer())
 
 
 class TestFitTopology:
@@ -361,22 +424,23 @@ class TestFitTopology:
                                                       monkeypatch):
         # demos/04's 8-cycle tree with a short schedule: every proposal of
         # the annealing refits the continuous parameters; two runs agree,
-        # and the evaluations are the candidates the scorer was given
+        # and the evaluations are the candidates the scorer was given and
+        # the points ahead that a Jacobian claimed
         target = _demo04_target(params, zones)
-        spec = FitSpec(
-            continuous=[FreeParameter("v_1", 150.0, 2500.0, 900.0),
-                        FreeParameter("gamma", 0.5, 5.0, 2.0)],
-            topological=[FreeParameter("m2_2_0", 0.0, 3.0, 1.0),
-                         FreeParameter("a2_2_4", 0.0, 1.5, 0.2)],
-            schedule=AnnealSchedule(t0=0.5, cooling=0.5, steps_per_t=4,
-                                    t_stop_ratio=0.2, step_scale=0.3),
-            seed=7, nested_refit=True, polish_rounds=1, max_nfev=5)
+        spec = _nested_refit_spec()
         scored, refits = [], []
         residuals, refit = Scorer.residuals, calibration.fit_continuous
 
-        def spy(self, candidates):
+        def spy(self, candidates, ahead=None):
             scored.append(len(candidates))
-            return residuals(self, candidates)
+            if ahead is None:
+                return residuals(self, candidates)
+            now, later = residuals(self, candidates, ahead)
+
+            def claim():
+                scored.append(len(ahead))
+                return later()
+            return now, claim
 
         def counted(*args, **kwargs):
             refits.append(args[1])
@@ -390,6 +454,35 @@ class TestFitTopology:
         assert math.isfinite(result.objective)
         assert result.evaluations == sum(scored)
         assert fit_topology(spec, params, zones, [target]) == result
+
+    def test_nested_refit_chain_runs(self, params, zones, monkeypatch):
+        # each residual runs with its Jacobian's points: the chain's 168
+        # tree-columns take 62 engine runs, where a residual and then its
+        # Jacobian as a second batch took 101; the ledger is unchanged
+        target = _demo04_target(params, zones)
+        runs = []
+        run = engine._run
+
+        def counted(columns, *args, **kwargs):
+            runs.append(len(columns))
+            return run(columns, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_run", counted)
+        result = fit_topology(_nested_refit_spec(), params, zones, [target])
+        assert (len(runs), sum(runs), result.evaluations) == (62, 168, 180)
+
+
+def _nested_refit_spec() -> FitSpec:
+    """A short annealing schedule on demos/04's chain that refits the
+    continuous parameters at every proposal."""
+    return FitSpec(
+        continuous=[FreeParameter("v_1", 150.0, 2500.0, 900.0),
+                    FreeParameter("gamma", 0.5, 5.0, 2.0)],
+        topological=[FreeParameter("m2_2_0", 0.0, 3.0, 1.0),
+                     FreeParameter("a2_2_4", 0.0, 1.5, 0.2)],
+        schedule=AnnealSchedule(t0=0.5, cooling=0.5, steps_per_t=4,
+                                t_stop_ratio=0.2, step_scale=0.3),
+        seed=7, nested_refit=True, polish_rounds=1, max_nfev=5)
 
 
 def _count_runs(monkeypatch) -> list[int]:
@@ -570,9 +663,9 @@ class TestReplay:
         after = []
         residuals = Scorer.residuals
 
-        def spy(self, candidates):
-            results = residuals(self, candidates)
-            after.append((candidates, len(runs)))
+        def spy(self, candidates, ahead=None):
+            results = residuals(self, candidates, ahead)
+            after.append((candidates + ahead, len(runs)))
             return results
 
         def recorded(batch, *args, **kwargs):
@@ -588,6 +681,53 @@ class TestReplay:
         assert ran == len(points) == len(free)
         assert columns[:ran] == [apply_candidate(params, zones, point)[0]
                                  for point in points]
+
+    @pytest.mark.parametrize("kept_at,later_runs", [(2, []), (3, [0])],
+                             ids=["kept", "evicted"])
+    def test_points_ahead_leave_no_trace_until_claimed(
+            self, params, zones, monkeypatch, kept_at, later_runs):
+        # a residual with three points ahead: one a step in v_1, one that
+        # fails its request, one kept earlier at kept_at.  Until claimed,
+        # the points leave the ledger, the kept runs and the best as a
+        # scorer that scored only the residual; claimed, they give what a
+        # second call gives and leave what it leaves.  At 3 the residual's
+        # run evicts the kept point, so the claim runs it
+        target = _demo04_target(params, zones)
+        x = dict(_DEMO04_CASE)
+        ahead = [{**x, "v_1": x["v_1"] * (1 + 1e-6)}, {**x, "alpha": 0.0},
+                 {**x, "gamma": x["gamma"] * (1 + 1e-6)}]
+        earlier = [{**x, "v_1": v} for v in (600.0, 610.0, 620.0)]
+        earlier.insert(3 - kept_at, ahead[2])
+
+        def scored_earlier():
+            scorer = Scorer(params, zones, [target], default_weights([target]))
+            scorer.residuals(earlier)
+            return scorer
+
+        def state(scorer):
+            return (scorer.evaluations,
+                    [[run[0] for run in kept] for kept in scorer._kept],
+                    scorer._best[0],
+                    [[run[0] for run in runs] for runs in scorer._best[1]])
+
+        def bits(results):
+            return [r.tobytes() if isinstance(r, np.ndarray) else str(r)
+                    for r in results]
+
+        speculative, serial = scored_earlier(), scored_earlier()
+        assert [run[0] for run in speculative._kept[0]][kept_at] == \
+            apply_candidate(params, zones, ahead[2])[0]
+        runs = _count_runs(monkeypatch)
+        now, later = speculative.residuals([x], ahead)
+        # the residual and the two points that replay nothing: one batch
+        assert runs == [0, 0, 0]
+        assert bits(now) == bits(serial.residuals([x]))
+        assert state(speculative) == state(serial)
+        del runs[:]
+        claimed = later()
+        assert runs == later_runs
+        assert bits(claimed) == bits(serial.residuals(ahead))
+        assert state(speculative) == state(serial)
 
     def test_replays_equal_fresh_objectives(self, monkeypatch):
         # the bundled fit point on both fixture trees: probes inside each

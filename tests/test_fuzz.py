@@ -1,8 +1,9 @@
 """Seeded fuzzing: every failure is typed and located.
 
-One-value mutations of the bundled parameter and target files either parse
-or raise a ParseError naming the file and a line, and the CLI answers them
-with an exit code, never a traceback.  Parameter sets drawn inside the fit
+One-value mutations of the bundled parameter and target files, tree2's
+included, either parse or raise a ParseError naming the file and a line,
+and the CLI's validate, simulate and (but on tree2) oracle answer them with
+an exit code, never a traceback.  Parameter sets drawn inside the fit
 bounds give, batched, what each gives alone, zone coefficients drawn over
 their fit bounds simulate or fail typed, and drawn short runs give what the
 enumerated oracle gives and grow every branch unit from its cycle's plan.  A run whose recorded plans all hold under other
@@ -68,6 +69,7 @@ def _mutations(name, seed, cases, inserted=0):
 
 PARAMS_CASES = _mutations("species.params", 11, 60, inserted=15)
 TARGET_CASES = _mutations("tree1.target.csv", 12, 40)
+TREE2_TARGET_CASES = _mutations("tree2.target.csv", 16, 40)
 
 
 def _parses_or_is_located(read, path):
@@ -77,18 +79,26 @@ def _parses_or_is_located(read, path):
         assert exc.path == path and exc.line is not None, str(exc)
 
 
+def _answers(tmp_path, params, target, commands, tree_index="0"):
+    """Each of ``commands`` (validate, simulate or oracle, the last two for
+    3 cycles) on the files ``params`` and ``target`` exits 0, 1 or 2."""
+    for command in commands:
+        run = ["--cycles", "3", "--tree-index", tree_index,
+               "--out", str(tmp_path / command)]
+        assert cli.main([command, "--params", str(params),
+                         "--target", str(target),
+                         *(run if command != "validate" else [])]) \
+            in (0, 1, 2), command
+
+
 @pytest.mark.parametrize("text", PARAMS_CASES,
                          ids=map(str, range(len(PARAMS_CASES))))
 def test_mutated_parameter_file(tmp_path, capsys, text):
     path = tmp_path / "species.params"
     path.write_text(text)
     _parses_or_is_located(read_parameter_file, path)
-    target = fixture_path("tree1.target.csv")
-    assert cli.main(["validate", "--params", str(path),
-                     "--target", target]) in (0, 1, 2)
-    assert cli.main(["simulate", "--params", str(path), "--target", target,
-                     "--cycles", "3", "--out", str(tmp_path / "out")]) \
-        in (0, 1, 2)
+    _answers(tmp_path, path, fixture_path("tree1.target.csv"),
+             ("validate", "simulate", "oracle"))
     capsys.readouterr()
 
 
@@ -98,12 +108,19 @@ def test_mutated_target_file(tmp_path, capsys, text):
     path = tmp_path / "tree1.target.csv"
     path.write_text(text)
     _parses_or_is_located(parse_target_file, path)
-    params = fixture_path("species.params")
-    assert cli.main(["validate", "--params", params,
-                     "--target", str(path)]) in (0, 1, 2)
-    assert cli.main(["simulate", "--params", params, "--target", str(path),
-                     "--cycles", "3", "--out", str(tmp_path / "out")]) \
-        in (0, 1, 2)
+    _answers(tmp_path, fixture_path("species.params"), path,
+             ("validate", "simulate", "oracle"))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", TREE2_TARGET_CASES,
+                         ids=map(str, range(len(TREE2_TARGET_CASES))))
+def test_mutated_tree2_target_file(tmp_path, capsys, text):
+    path = tmp_path / "tree2.target.csv"
+    path.write_text(text)
+    _parses_or_is_located(parse_target_file, path)
+    _answers(tmp_path, fixture_path("species.params"), path,
+             ("validate", "simulate"), tree_index="1")
     capsys.readouterr()
 
 
