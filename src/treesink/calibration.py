@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (MEASUREMENTS, TARGET_CLASSES, GrowthParameters,
                    TargetDataset, TreesinkError, ZoneRuleSet)
-from .engine import (check_run_request, extract_targets, simulate,
+from .engine import (check_run_request, extract_targets, run_key, simulate,
                      simulate_batch)
 from .topology import holding_band, plan_holds
 
@@ -262,17 +262,18 @@ _REPLAY_RUNS = 4
 class Scorer:
     """The residuals, objective and report of one fit's candidate values.
     It keeps each tree's last 4 successful runs, and the runs of the first
-    candidate to reach the lowest objective so far, as parameters,
-    decisions, aligned rows and weighted residuals.  A candidate with the same parameters
-    under whose zone rules each plan of a kept run, the pending one
-    included, keeps its outcome (:func:`plan_holds`) repeats that run bit
-    for bit: residuals replay the last 4, :meth:`report` any kept run."""
+    candidate to reach the lowest objective so far, as run key
+    (:func:`run_key`), decisions, aligned rows and weighted residuals.  A
+    candidate with the same run key under whose zone rules each plan of a
+    kept run, the pending one included, keeps its outcome
+    (:func:`plan_holds`) repeats that run bit for bit: residuals replay the
+    last 4, :meth:`report` any kept run."""
 
     def __init__(self, params: GrowthParameters, zones: ZoneRuleSet,
                  targets: list[TargetDataset], weights: dict[str, float]):
         self.params, self.zones = params, zones
         self.targets, self.weights = targets, weights
-        self._kept = [[] for _ in targets]   # (params, plans, rows, residuals)
+        self._kept = [[] for _ in targets]   # (key, plans, rows, residuals)
         self._best = math.inf, [[] for _ in targets]   # objective, its runs
         self.evaluations = 0   # the candidates scored: the fit's one count
 
@@ -321,7 +322,8 @@ class Scorer:
                     ran[i, col] = exc
                     continue
                 w = np.sqrt([self.weights.get(lbl, 1.0) for lbl in labels])
-                ran[i, col] = col, output.decisions, rows, w * (sim - obs)
+                ran[i, col] = (run_key(col, i), output.decisions, rows,
+                               w * (sim - obs))
             for k in fresh:
                 if isinstance(run := ran[i, cols[k]], TreesinkError):
                     results[k] = run
@@ -364,8 +366,10 @@ class Scorer:
 
 def _replayed(runs, cand, zones, ds, tree_index):
     """The run of ``runs`` of the tree ``ds`` that ``cand`` repeats under
-    ``zones``, or None; a repeated run's request is checked, as in a run."""
-    run = next((run for run in runs if run[0] == cand and all(
+    ``zones``, or None: the first with its run key whose plans all hold.
+    A repeated run's request is checked whole, as in a run."""
+    key = run_key(cand, tree_index)
+    run = next((run for run in runs if run[0] == key and all(
         plan_holds(plan, zones, cand) for plan in run[1])), None)
     if run is not None:
         check_run_request(cand, zones, ds, tree_index, None)

@@ -12,14 +12,17 @@ share over all living metamers.
 The engine runs K parameter columns at once (:func:`simulate_batch`): runs
 of one tree under K parameter sets that take the same decisions share one
 state, whose per-metamer values carry a column axis, while every per-cycle
-scalar runs per column through the same scalar functions.  A batch that
-cannot finish together, because some column's rounding outcome departs
-from the first column's or because it raises, runs every column alone.
-:func:`simulate` is the one-column case.
+scalar runs per column through the same scalar functions.  Columns that
+differ only in another tree's environment factor share one run
+(:func:`run_key`).  A batch that cannot finish together, because some
+column's rounding outcome departs from the first column's or because it
+raises, runs each of its runs alone.  :func:`simulate` is the one-column
+case.
 """
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -302,6 +305,12 @@ def simulate(params: GrowthParameters, zones: ZoneRuleSet,
                 with_topology, with_signature)[0]
 
 
+def run_key(params: GrowthParameters, tree_index: int) -> GrowthParameters:
+    """What a run of tree ``tree_index`` reads of ``params``: of ``v_env``
+    only its own factor (:func:`net_production`)."""
+    return replace(params, v_env=(params.v_env[tree_index],))
+
+
 def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
                    dataset: TargetDataset, tree_index: int = 0
                    ) -> list[SimulationOutput | TreesinkError]:
@@ -310,35 +319,37 @@ def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
 
     Item ``k`` is what ``simulate(params[k], zones, dataset, tree_index,
     with_topology=False, with_signature=False)`` gives: its output, bit for
-    bit, or the TreesinkError it raises.  A request that fails its
-    checks does not join the batch.  If the batched run of the others
-    raises, as it does when a column's rounding outcome departs from the
-    first column's, every one of them runs alone.
+    bit, or the TreesinkError it raises.  Each request is checked whole,
+    and one that fails its checks does not join the batch.  The others run
+    once per distinct :func:`run_key`, and the items of one key share one
+    SimulationOutput object (or one error).  If the batched run raises, as
+    it does when a column's rounding outcome departs from the first
+    column's, each key runs alone.
     """
     results: list = [None] * len(params)
-    live = []
+    keys: dict = {}   # run key -> the items that share its run
     for k, p in enumerate(params):
         try:
             n_cycles = check_run_request(p, zones, dataset, tree_index, None)
-            live.append(k)
         except TreesinkError as exc:
             results[k] = exc
-    if len(live) > 1:
+        else:
+            keys.setdefault(run_key(p, tree_index), []).append(k)
+    cols = [params[items[0]] for items in keys.values()]
+    outputs = []
+    if len(cols) > 1:
         try:
-            outputs = _run([params[k] for k in live], zones, dataset,
-                           tree_index, n_cycles)
+            outputs = _run(cols, zones, dataset, tree_index, n_cycles)
         except TreesinkError:   # alone, each column raises or not
             pass
-        else:
-            for k, output in zip(live, outputs):
-                results[k] = output
-            return results
-    for k in live:
+    for col in cols[len(outputs):]:
         try:
-            [results[k]] = _run((params[k],), zones, dataset, tree_index,
-                                n_cycles)
+            outputs += _run((col,), zones, dataset, tree_index, n_cycles)
         except TreesinkError as exc:
-            results[k] = exc
+            outputs.append(exc)
+    for items, output in zip(keys.values(), outputs):
+        for k in items:
+            results[k] = output
     return results
 
 
@@ -427,8 +438,16 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
                                   wood_g=wood_g, leaf_g=leaf_g,
                                   axis_length_cm=total))
 
-    topology = state.topology_dump() if with_topology else {}
-    signature = state.structure_signature() if with_signature else ()
+    # thousands of containers, none cyclic: without a pause, every few
+    # hundred would start a collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        topology = state.topology_dump() if with_topology else {}
+        signature = state.structure_signature() if with_signature else ()
+    finally:
+        if enabled:
+            gc.enable()
     return [SimulationOutput(
         cycles=n_cycles, allocations=list(allocs),
         trunk_profile=profile, ring_matrix=matrix,

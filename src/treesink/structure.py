@@ -13,10 +13,12 @@ ring, which depends on a metamer's position, once per metamer, and the
 laterals as one edge list.  A unit's zone layout stays in the plan it grew
 from (``TreeState.decisions``).  Each table keeps a class's columns
 contiguous, and the classes in creation order, so the per-cycle ring
-partition and foliage scans are whole-arena operations.  Growth enters once
-a cycle: every class of one PA grows the same shoot, so one block of units
-names them all, and one :meth:`Arena.grow` call merges every block and the
-cycle's laterals.  Reads take the tables as they are.
+partition and foliage scans are whole-arena operations; the foliage
+suffix sums read only the held metamers (those of live units, the bearers
+and each class's apex), every parameter column in one table.  Growth
+enters once a cycle: every class of one PA grows the same shoot, so one
+block of units names them all, and one :meth:`Arena.grow` call merges
+every block and the cycle's laterals.  Reads take the tables as they are.
 
 A tree may carry K parameter columns: K runs that share every decision
 (classes, growth units, laterals, multiplicities) but not their masses.
@@ -124,20 +126,20 @@ class Arena:
                     raise SimulationError(f"{len(values)} metamer values "
                                           f"for {self.columns} columns")
             # CLASS per unit, the other rows shared by a block
-            added = np.repeat(np.array([(0, birth, count, *values) for
-                                        _, birth, count, values in units]).T,
-                              [len(block[0]) for block in units], axis=1)
+            added = np.array([(0, birth, count, *values) for
+                              _, birth, count, values in units]).T.repeat(
+                [len(block[0]) for block in units], axis=1)
             added[CLASS] = np.concatenate([block[0] for block in units])
             # the metamers so far by class, then the new ones, rings at zero
-            b, grown = self.bounds, added[SIZE].astype(np.intp)
+            grown = added[SIZE].astype(np.intp)
             ring = _merged(ring, np.zeros((self.columns, grown.sum())),
-                           np.repeat(np.arange(len(b) - 1), np.diff(b)),
-                           np.repeat(added[CLASS], grown))
+                           table[CLASS].repeat(self.sizes),
+                           added[CLASS].repeat(grown))
             table = _merged(table, added, table[CLASS], added[CLASS])
         sizes = table[SIZE].astype(np.intp)
         ids = np.arange(len(self.bounds))
-        unit_bounds = np.searchsorted(table[CLASS], ids)
-        bounds = np.concatenate(([0], np.cumsum(sizes))).take(
+        unit_bounds = table[CLASS].searchsorted(ids)
+        bounds = np.concatenate(([0], sizes.cumsum())).take(
             unit_bounds).tolist()
         for bearer, row in zip(*edges[:2]):
             if not 0 <= row < bounds[bearer + 1] - bounds[bearer]:
@@ -147,13 +149,14 @@ class Arena:
             linked = _merged(linked, new, linked[BEARER], new[BEARER])
             # each (bearer, row) once: sorted keys differ from the next (a
             # stable sort: the default kind's first call raised peak RSS)
-            borne = linked[BEARER] * bounds[-1] + linked[ROW]
-            if not np.diff(np.sort(borne, kind="stable")).all():
+            borne = np.sort(linked[BEARER] * bounds[-1] + linked[ROW],
+                            kind="stable")
+            if (borne[1:] == borne[:-1]).any():
                 raise SimulationError("metamer already bears a lateral")
         self.units, self.sizes, self.cum_ring, self.edges = (table, sizes,
                                                              ring, linked)
         self.unit_bounds, self.bounds = unit_bounds.tolist(), bounds
-        self.edge_bounds = np.searchsorted(linked[BEARER], ids).tolist()
+        self.edge_bounds = linked[BEARER].searchsorted(ids).tolist()
         self.live = ()
 
     def unit_field(self, row: int) -> np.ndarray:
@@ -166,7 +169,7 @@ class Arena:
         itself, or a unit field repeated over each unit's metamers."""
         if row == CUM_RING:
             return self.cum_ring
-        return np.repeat(self.unit_field(row), self.sizes, axis=1)
+        return self.unit_field(row).repeat(self.sizes, axis=1)
 
     def segment_sums(self, per_metamer: np.ndarray) -> np.ndarray:
         """(columns, classes): per class, the sum of each row of
@@ -185,8 +188,7 @@ def _arena_field(row: int) -> property:
             s, e = arena.bounds[i:i + 2]
             return arena.cum_ring[:, s:e].copy()
         u, v = arena.unit_bounds[i:i + 2]
-        return np.repeat(arena.unit_field(row)[:, u:v], arena.sizes[u:v],
-                         axis=1)
+        return arena.unit_field(row)[:, u:v].repeat(arena.sizes[u:v], axis=1)
     return property(get)
 
 
@@ -283,7 +285,7 @@ class TreeState:
             return arena.live[1]
         # each live unit's metamer value × their count, added to its class
         totals = np.zeros((self.columns, len(self.classes)))
-        live = np.flatnonzero(arena.units[BIRTH] == self.cycle)
+        live = (arena.units[BIRTH] == self.cycle).nonzero()[0]
         classes = arena.units[CLASS].take(live).astype(int)
         np.add.at(totals, (slice(None), classes), arena.unit_field(row).take(
             live, axis=1) * arena.units[SIZE].take(live))
@@ -296,7 +298,7 @@ class TreeState:
         if not self.classes:
             return np.zeros(self.columns)
         mult = np.array([cls.multiplicity for cls in self.classes], float)
-        return np.cumsum(mult * per_class, axis=1)[:, -1]
+        return (mult * per_class).cumsum(axis=1)[:, -1]
 
     def total_blade_area_cm2(self) -> np.ndarray:
         """Per column, the blade area of the leaves alive at the current
@@ -327,30 +329,39 @@ class TreeState:
         laterals borne at or above it, counting the leaves born at the
         current cycle.  Returns (class offsets, (columns, metamers) areas):
         the areas of class ``i`` are ``areas[:, bounds[i]:bounds[i + 1]]``,
-        aligned with its arena segment."""
-        totals = self._subtree_totals(self._live_totals(LEAF_AREA))
+        aligned with its arena segment.  Only the held metamers (those of a
+        live unit, the bearers, each class's apex) enter the scan: any other
+        adds an exact +0.0, which leaves a nonnegative sum's bits as they
+        are."""
         arena = self.arena
-        edges, leaf = arena.edges, arena.unit_field(LEAF_AREA)
-        bounds = np.array(arena.bounds)
-        leaf = np.where(arena.units[BIRTH] == self.cycle, leaf, 0.0)
-        seg = np.repeat(leaf, arena.sizes, axis=1)
-        seg[:, bounds[edges[BEARER]] + edges[ROW]] += totals.take(
-            edges[CHILD], axis=1)
-        # suffix sums per class: each segment apex first in one row of a
-        # table padded at the base end, summed sequentially along the rows;
-        # one column at a time, as the table holds about 3x the metamers
-        sizes = bounds[1:] - bounds[:-1]
-        n_classes, width = sizes.size, int(sizes.max(initial=0))
-        cell = np.repeat(np.arange(n_classes) * width + bounds[1:] - 1,
-                         sizes) - np.arange(seg.shape[1])
-        table = np.empty((n_classes, width))
-        flat = table.reshape(-1)
-        for row in seg:
-            table.fill(0.0)
-            flat[cell] = row
-            np.cumsum(table, axis=1, out=table)
-            flat.take(cell, out=row)
-        return bounds, seg
+        edges, sizes, bounds = arena.edges, arena.sizes, np.array(arena.bounds)
+        if not bounds[-1]:
+            return bounds, np.zeros((self.columns, 0))
+        totals = self._subtree_totals(self._live_totals(LEAF_AREA))
+        live = arena.units[BIRTH] == self.cycle
+        bearer = bounds.take(edges[BEARER]) + edges[ROW]
+        held = live.repeat(sizes)
+        held[bearer] = True
+        held[bounds[1:] - 1] = True
+        held = held.nonzero()[0]
+        # each held metamer's live leaf (by its unit), plus its lateral's
+        seg = np.where(live, arena.unit_field(LEAF_AREA), 0.0).take(
+            sizes.cumsum().searchsorted(held, "right"), axis=1)
+        seg[:, held.searchsorted(bearer)] += totals.take(edges[CHILD], axis=1)
+        # suffix sums: each class's held metamers apex first in one row of a
+        # table padded at the base end, every column summed in one call
+        first = held.searchsorted(bounds)
+        counts = first[1:] - first[:-1]
+        width = int(counts.max())
+        cell = (first[1:] + np.arange(-1, counts.size * width - 1, width)
+                ).repeat(counts) - np.arange(held.size)
+        table = np.zeros((self.columns, counts.size * width))
+        table[:, cell] = seg
+        rows = table.reshape(self.columns, -1, width)
+        rows.cumsum(axis=-1, out=rows)
+        # each metamer takes the sum of the nearest held one at or above it
+        return bounds, table.take(cell, axis=1).repeat(
+            held - np.concatenate(([-1], held[:-1])), axis=1)
 
     def ring_partition_arrays(self, p_rg) -> tuple[
             np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -366,8 +377,8 @@ class TreeState:
             unit_pa - 1, axis=1)
         sink *= arena.unit_field(LENGTH)
         mult = np.array([cls.multiplicity for cls in self.classes], float)
-        return (bounds, s_a, np.repeat(sink, arena.sizes, axis=1),
-                np.repeat(mult, bounds[1:] - bounds[:-1]))
+        return (bounds, s_a, sink.repeat(arena.sizes, axis=1),
+                mult.repeat(bounds[1:] - bounds[:-1]))
 
     # ------------------------------------------------------------------
     # aggregates

@@ -114,12 +114,36 @@ def test_columns_that_leave_the_batch(bundled, monkeypatch):
     results = Scorer(params, zones, targets, weights).residuals(candidates)
     monkeypatch.undo()
     # the failing column never ran; on tree 1 the column past the edge
-    # stopped the batch, and each of the four then ran alone; on tree 2
-    # (v_1 is tree 1's factor) all four stayed batched
-    assert runs == [(4, 0), (1, 0), (1, 0), (1, 0), (1, 0), (4, 1)]
+    # stopped the batch, and each of the four then ran alone; tree 2 reads
+    # v_2 alone, so the three columns that differ only in v_1 share one
+    # run beside the sp0 column's
+    assert runs == [(4, 0), (1, 0), (1, 0), (1, 0), (1, 0), (2, 1)]
     ran = [_same_as_serial(c, r, params, zones, targets, weights)
            for c, r in zip(candidates, results)]
     assert ran == [True, True, True, False, True]
+
+
+def test_columns_of_one_run_key_share_one_run(bundled, monkeypatch):
+    # tree 1 reads v_1 alone: a column that moves only v_2 shares the first
+    # column's run and its output object, one whose v_2 fails its check
+    # gets its own error, and a column that moves v_1 runs beside them
+    params, zones, _spec, targets, _weights = bundled
+    v_1, v_2 = params.v_env
+    columns = [params, replace(params, v_env=(v_1, v_2 * 2)),
+               replace(params, v_env=(v_1, -1.0)),
+               replace(params, v_env=(v_1 * (1 + 1e-6), v_2))]
+    assert engine.run_key(columns[1], 0) == engine.run_key(params, 0) \
+        != engine.run_key(columns[1], 1)
+    runs = _log_runs(monkeypatch)
+    results = engine.simulate_batch(columns, zones, targets[0])
+    monkeypatch.undo()
+    assert runs == [(2, 0)]
+    assert results[1] is results[0]
+    assert isinstance(results[2], TreesinkError)
+    for p, result in zip(columns[::3], results[::3]):
+        alone = engine.simulate(p, zones, targets[0], with_topology=False,
+                                with_signature=False)
+        assert vars(result) == vars(alone)
 
 
 def test_a_layout_no_bud_uses_stays_in_the_batch(bundled, monkeypatch):

@@ -12,7 +12,8 @@ from treesink.calibration import (AnnealSchedule, FitSpec, FreeParameter,
                                   fit_continuous, fit_topology, objective,
                                   weighted_residuals)
 from treesink.core import TreesinkError, TrunkScriptEntry
-from treesink.engine import extract_targets, simulate, simulate_batch
+from treesink.engine import (extract_targets, run_key, simulate,
+                             simulate_batch)
 from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.synthetic import (dataset_from_output,
                                 generate_synthetic_target,
@@ -393,32 +394,31 @@ class TestFitTopology:
 
     def test_bundled_fit_runs_each_tree_once_per_evaluation(self,
                                                             monkeypatch):
-        # one run (a column of a batched run) per tree for every
-        # evaluation; the intervals and the predicted-vs-observed rows come
-        # from the scorer's run at the fitted point
+        # one column of an engine run per tree for every evaluation, but a
+        # tree reads only its own environment factor: the column that moves
+        # only the other tree's v is the start's run; the intervals and the
+        # predicted-vs-observed rows come from the scorer's run at the
+        # fitted point
         params, zones, spec = read_parameter_file(
             fixture_path("species.params"))
         targets = [parse_target_file(fixture_path(f"tree{i}.target.csv"))
                    for i in (1, 2)]
         runs = []
+        run = engine._run
 
-        def counted(*args, **kwargs):
-            runs.append(kwargs["tree_index"])
-            return simulate(*args, **kwargs)
+        def counted(columns, zones, dataset, tree_index, *args):
+            runs.append((tree_index, len(columns)))
+            return run(columns, zones, dataset, tree_index, *args)
 
-        def counted_batch(columns, *args, **kwargs):
-            runs.extend([kwargs["tree_index"]] * len(columns))
-            batches.append(len(columns))
-            return simulate_batch(columns, *args, **kwargs)
-
-        batches = []
-        monkeypatch.setattr(calibration, "simulate", counted)
-        monkeypatch.setattr(calibration, "simulate_batch", counted_batch)
+        monkeypatch.setattr(engine, "_run", counted)
         result = fit_topology(spec, params, zones, targets)
-        assert len(runs) == len(targets) * result.evaluations == 22
+        assert result.evaluations == 1 + len(spec.continuous) == 11
         # the start's residual and its Jacobian over every free continuous
-        # parameter run as one batched run per tree
-        assert batches == [1 + len(spec.continuous)] * len(targets) == [11, 11]
+        # parameter run as one batched run per tree, less the other tree's v
+        assert runs == [(i, len(spec.continuous)) for i in (0, 1)] \
+            == [(0, 10), (1, 10)]
+        assert sum(n for _, n in runs) == \
+            len(targets) * (result.evaluations - 1) == 20
 
     def test_nested_refit_chain_is_seeded_and_counted(self, params, zones,
                                                       monkeypatch):
@@ -554,6 +554,25 @@ class TestReplay:
         assert [objective({**recorded, "a2_2_4": end}, params, zones,
                           [target], weights) for end in ends] \
             == [0.2629507119537986] * 2
+
+    def test_another_trees_factor_replays(self, monkeypatch):
+        # a tree reads only its own environment factor: a candidate that
+        # moves only v_2 replays tree 1's kept run and runs tree 2 alone,
+        # while one whose v_2 fails its check fails without a run
+        params, zones, spec, targets = _bundled()
+        weights = default_weights(targets)
+        base = {p.name: p.init for p in spec.continuous}
+        moved = {**base, "v_2": base["v_2"] * 1.01}
+        fresh = weighted_residuals(moved, params, zones, targets, weights)
+        scorer = Scorer(params, zones, targets, weights)
+        runs = _count_runs(monkeypatch)
+        scorer.residuals([base])
+        assert runs == [0, 1]
+        [replayed] = scorer.residuals([moved])
+        assert runs == [0, 1, 1]
+        assert replayed.tobytes() == fresh.tobytes()
+        [failed] = scorer.residuals([{**base, "v_2": -1.0}])
+        assert isinstance(failed, TreesinkError) and runs == [0, 1, 1]
 
     def test_a_layout_no_bud_uses_replays(self, params, zones, monkeypatch):
         # demos/04's 8-cycle tree: at m2_2_0 = 0.75 the PA-2 layout of the
@@ -716,7 +735,7 @@ class TestReplay:
 
         speculative, serial = scored_earlier(), scored_earlier()
         assert [run[0] for run in speculative._kept[0]][kept_at] == \
-            apply_candidate(params, zones, ahead[2])[0]
+            run_key(apply_candidate(params, zones, ahead[2])[0], 0)
         runs = _count_runs(monkeypatch)
         now, later = speculative.residuals([x], ahead)
         # the residual and the two points that replay nothing: one batch

@@ -1,4 +1,6 @@
+import gc
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +137,91 @@ class TestLeavesAbove:
         base = s_above[0]
         assert base * state.classes[0].multiplicity <= \
             state.total_blade_area_cm2() + 1e-9
+
+
+def _naive_foliage_above(state) -> np.ndarray:
+    """:meth:`TreeState.foliage_above`'s areas in pure Python: per column
+    and class, from the apex down, a running sum of each metamer's live
+    leaf plus the subtree total of the lateral it bears."""
+    arena = state.arena
+    laterals = state._subtree_totals(state._live_totals(LEAF_AREA)).tolist()
+    borne = {(bearer, row): child
+             for bearer, row, child in arena.edges.T.tolist()}
+    areas = []
+    for k, leaf in enumerate(arena.unit_field(LEAF_AREA).tolist()):
+        column = []
+        for cls in state.classes:
+            entries = []
+            for u in range(*arena.unit_bounds[cls.index:cls.index + 2]):
+                live = arena.units[BIRTH, u] == state.cycle
+                entries += [leaf[u] if live else 0.0] * int(arena.sizes[u])
+            for row, child in borne.items():
+                if row[0] == cls.index:
+                    entries[row[1]] = entries[row[1]] + laterals[k][child]
+            total, sums = 0.0, []
+            for entry in reversed(entries):
+                total += entry
+                sums.append(total)
+            column += reversed(sums)
+        areas.append(column)
+    return np.array(areas).reshape(state.columns, -1)
+
+
+def _scan_state(columns: int, laterals: bool, leaf: float) -> TreeState:
+    """At cycle 3: a trunk whose apical unit is live, a PA-2 class whose
+    apical unit is not, a live PA-3 class and a one-unit PA-4 class; with
+    ``laterals``, the PA-2 class borne on an old trunk metamer, the PA-3
+    class on a live one and the PA-4 class on the PA-2 class.  Column k's
+    leaf areas are ``leaf`` times 1, 1.5, 0.3 times unit-specific
+    numbers."""
+    state = TreeState(cycle=3, columns=columns)
+    scale = (1.0, 1.5, 0.3)[:columns]
+    units = {0: ((1, 3), (2, 2), (3, 2)), 1: ((1, 2), (2, 3)),
+             2: ((2, 1), (3, 2)), 3: ((3, 1),)}
+    for (idx, grown), pa in zip(units.items(), (1, 2, 3, 4)):
+        cls = state.add_class(pa, grown[0][0], multiplicity=1)
+        for cycle, count in grown:
+            area = leaf * (7.0 * idx + 3.0 * cycle + count)
+            cls.append_gu(cycle, count, *[0.5] * columns, *[2.0] * columns,
+                          *[0.4] * columns, *(area * c for c in scale))
+    if laterals:
+        state.arena.grow([], ([0, 0, 1], [1, 5, 0], [1, 2, 3]))
+    return state
+
+
+class TestFoliageScan:
+    """The scan over held metamers gives a pure-Python suffix sum's bits."""
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    @pytest.mark.parametrize("laterals", [True, False],
+                             ids=["laterals", "no-edges"])
+    @pytest.mark.parametrize("leaf", [1.1, 0.0], ids=["leaves", "zero-leaf"])
+    def test_hand_built_arena(self, columns, laterals, leaf):
+        state = _scan_state(columns, laterals, leaf)
+        bounds, areas = state.foliage_above()
+        assert bounds.tolist() == state.arena.bounds
+        assert areas.shape == (columns, state.arena.bounds[-1])
+        assert areas.tobytes() == _naive_foliage_above(state).tobytes()
+        if laterals and leaf:
+            # the trunk's base sees every live leaf of the tree, each class
+            # holding one axis
+            assert areas[:, 0].tolist() == pytest.approx(
+                state.total_blade_area_cm2().tolist(), rel=1e-12)
+
+    def test_every_cycle_of_a_three_column_run(self, params, zones,
+                                               small_script):
+        ds = script_only_dataset(small_script)
+        cols = [params, replace(params, sp0=params.sp0 * (1 + 1e-9)),
+                replace(params, q0=params.q0 * (1 - 1e-9))]
+        states = [start_state(cols, zones, ds), start_state([params], zones,
+                                                            ds)]
+        for _ in range(ds.tree_age):
+            for state in states:
+                engine.step(state, cols[:state.columns], zones, ds, 0,
+                            ds.tree_age)
+                _bounds, areas = state.foliage_above()
+                assert areas.tobytes() == \
+                    _naive_foliage_above(state).tobytes()
 
 
 def _state_after(params, zones, script):
@@ -405,6 +492,40 @@ class TestPerformance:
         start = time.perf_counter()
         run(params, zones, script, tree_index=1)
         assert time.perf_counter() - start < 1.0
+
+
+class TestCollector:
+    def test_full_run_collects_about_as_often_as_a_profile_run(self, params,
+                                                               zones):
+        # the topology dump and the signature make thousands of acyclic
+        # containers, so they run with the cyclic collector paused
+        starts = []
+
+        def count(phase, _info):
+            starts[-1] += phase == "start"
+
+        gc.callbacks.append(count)
+        try:
+            for full in (False, True):
+                starts.append(0)
+                run(params, zones, tree2_script(), tree_index=1,
+                    with_topology=full, with_signature=full)
+        finally:
+            gc.callbacks.remove(count)
+        profile, full = starts
+        assert full <= profile + 2
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_full_run_leaves_the_collector_as_it_was(self, params, zones,
+                                                       small_script,
+                                                       enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run(params, zones, small_script)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
 
 class TestExtractTargets:

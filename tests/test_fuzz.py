@@ -2,8 +2,8 @@
 
 One-value mutations of the bundled parameter and target files, tree2's
 included, either parse or raise a ParseError naming the file and a line,
-and the CLI's validate, simulate and (but on tree2) oracle answer them with
-an exit code, never a traceback.  Parameter sets drawn inside the fit
+and the CLI's validate, simulate and oracle answer them with an exit code,
+never a traceback.  Parameter sets drawn inside the fit
 bounds give, batched, what each gives alone, zone coefficients drawn over
 their fit bounds simulate or fail typed, and drawn short runs give what the
 enumerated oracle gives and grow every branch unit from its cycle's plan.  A run whose recorded plans all hold under other
@@ -120,7 +120,7 @@ def test_mutated_tree2_target_file(tmp_path, capsys, text):
     path.write_text(text)
     _parses_or_is_located(parse_target_file, path)
     _answers(tmp_path, fixture_path("species.params"), path,
-             ("validate", "simulate"), tree_index="1")
+             ("validate", "simulate", "oracle"), tree_index="1")
     capsys.readouterr()
 
 
