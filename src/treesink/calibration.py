@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -217,6 +218,7 @@ def apply_candidate(params: GrowthParameters, zones: ZoneRuleSet,
     return new_params, new_zones
 
 
+@np.errstate(over="ignore")   # a mean that overflows fails below
 def default_weights(targets: list[TargetDataset]) -> dict[str, float]:
     """Per-class weight 1/(class-mean observed)², pooled over all trees, so
     heterogeneous units contribute comparably."""
@@ -229,6 +231,9 @@ def default_weights(targets: list[TargetDataset]) -> dict[str, float]:
     for cls, values in pools.items():
         if values:
             mean = float(np.mean(np.abs(values)))
+            if mean > sys.float_info.max ** 0.5:   # mean ** 2 would overflow
+                raise UnfittableError(f"{cls} observations too large to "
+                                      f"weight: their mean is {mean!r}")
             weights[cls] = 1.0 / mean ** 2 if mean > 0 else 1.0
     return weights
 

@@ -128,6 +128,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     params, zones, fit_spec = read_parameter_file(args.params)
+    validate_parameters(params, zones).raise_if_failed()
     if fit_spec is None:
         raise ValidationError(
             f"{args.params} has no [fit] section; nothing to estimate")

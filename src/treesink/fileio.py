@@ -2,9 +2,11 @@
 
 Parameter file: line-oriented UTF-8 ``key = value`` text with ``#``
 comments; arrays are comma lists; ``[zones]`` holds one ``zone_I_K`` line
-per zone (m1, m2, m_max[, a1, a2], with ``inf`` allowed for m_max) and
-``[fit]`` the calibration setup.  Target file: sectioned CSV with fixed
-headers, sections ``[script]``, ``[trunk]``, ``[rings]``, ``[branches]``.
+per zone (m1, m2, m_max[, a1, a2]) and ``[fit]`` the calibration setup.
+Target file: sectioned CSV with fixed headers, sections ``[script]``,
+``[trunk]``, ``[rings]``, ``[branches]``.  ``_parse_float`` reads every
+number of both files: each must be finite, or it is a ParseError at its
+line (and column); only a zone's m_max may be the text ``inf``, no cap.
 
 All numeric output is written in full-precision decimal text (repr), so a
 write/read round trip reproduces every value exactly.  JSON outputs have a
@@ -46,16 +48,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_float(text, path, line_no, what="value", kind=float):
-    text = text.strip()
+def _parse_float(text, path, line_no, what="value", kind="float",
+                 column=None):
+    """The finite number ``text`` holds, an int if the annotation ``kind``
+    is one; else a ParseError at ``line_no`` (and ``column``)."""
     try:
-        value = float(text)
+        value = float(text)   # which ignores the spaces around a number
     except ValueError:
-        raise ParseError(f"non-numeric {what}: {text!r}", path, line_no) \
-            from None
-    if kind is int and not value.is_integer():
-        raise ParseError(f"{what} must be an integer: {text!r}", path, line_no)
-    return kind(value)
+        raise ParseError(f"non-numeric {what}: {text.strip()!r}", path,
+                         line_no, column) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what}: {text.strip()!r}", path,
+                         line_no, column)
+    if not kind.startswith("int"):
+        return value
+    if not value.is_integer():
+        raise ParseError(f"{what} must be an integer: {text.strip()!r}",
+                         path, line_no, column)
+    return int(value)
 
 
 def _parse_flag(text, path, line_no, what):
@@ -122,8 +132,7 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
                 plain[key] = tuple(_parse_float(v, path, line_no, key)
                                    for v in items)
             else:
-                plain[key] = _parse_float(value, path, line_no, key,
-                                          int if kind == "int" else float)
+                plain[key] = _parse_float(value, path, line_no, key, kind)
         elif section == "zones":
             if key == "eq_fixed":
                 eq_fixed = _parse_flag(value, path, line_no, key)
@@ -132,25 +141,19 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
                 if len(parts) != 3:
                     raise ParseError(f"zone key must be zone_I_K: {key!r}",
                                      path, line_no)
-                fields = [v.strip() for v in value.split(",")]
-                if len(fields) not in (3, 5):
+                cells = [v.strip() for v in value.split(",")]
+                if len(cells) not in (3, 5):
                     raise ParseError(
                         "zone line needs m1, m2, m_max[, a1, a2]",
                         path, line_no)
-                m_max = math.inf if fields[2].lower() == "inf" \
-                    else _parse_float(fields[2], path, line_no, "m_max")
-                a1 = a2 = None
-                if len(fields) == 5:
-                    a1 = _parse_float(fields[3], path, line_no, "a1")
-                    a2 = _parse_float(fields[4], path, line_no, "a2")
-                zone_rules.append(ZoneRule(
-                    bearer_pa=_parse_float(parts[1], path, line_no,
-                                           "bearer PA", int),
-                    axillary_pa=_parse_float(parts[2], path, line_no,
-                                             "axillary PA", int),
-                    m1=_parse_float(fields[0], path, line_no, "m1"),
-                    m2=_parse_float(fields[1], path, line_no, "m2"),
-                    m_max=m_max, a1=a1, a2=a2))
+                pas = [_parse_float(pa, path, line_no, what, "int") for pa,
+                       what in zip(parts[1:], ("bearer PA", "axillary PA"))]
+                coefficients = {   # m_max alone may be inf: no cap
+                    name: math.inf if name == "m_max" and text.lower() == "inf"
+                    else _parse_float(text, path, line_no, name)
+                    for name, text in zip(("m1", "m2", "m_max", "a1", "a2"),
+                                          cells)}
+                zone_rules.append(ZoneRule(*pas, **coefficients))
             else:
                 raise ParseError(f"unknown zones key {key!r}", path, line_no)
         elif section == "fit":
@@ -187,8 +190,7 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
         line_no, text = fit_lines.pop(key)
         if kind == "bool":
             return _parse_flag(text, path, line_no, key)
-        return _parse_float(text, path, line_no, key,
-                            int if kind.startswith("int") else float)
+        return _parse_float(text, path, line_no, key, kind)
 
     def located(line_no, check, *args):
         """``check(*args)``, its ValueError a ParseError at ``line_no``."""
@@ -262,8 +264,7 @@ def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
     lines.append("[zones]")
     lines.append(f"eq_fixed = {_fmt(zones.eq_fixed)}")
     for rule in zones.rules:
-        fields = [_fmt(rule.m1), _fmt(rule.m2),
-                  "inf" if math.isinf(rule.m_max) else _fmt(rule.m_max)]
+        fields = [_fmt(rule.m1), _fmt(rule.m2), _fmt(rule.m_max)]
         if rule.branching:
             fields += [_fmt(rule.a1), _fmt(rule.a2)]
         lines.append(f"zone_{rule.bearer_pa}_{rule.axillary_pa} = "
@@ -312,7 +313,9 @@ def _parse_branch_spec(text, path, line_no):
         if match is None:
             raise ParseError(f"branch spec must look like PA2x1: {part!r}",
                              path, line_no, _BRANCHES_COLUMN)
-        out.append((int(match[1]), int(match[2])))
+        out.append(tuple(_parse_float(digits, path, line_no, "branch spec",
+                                      "int", _BRANCHES_COLUMN)
+                         for digits in match.groups()))
     return tuple(out)
 
 
@@ -359,22 +362,11 @@ def parse_target_file(path) -> TargetDataset:
                          + ", ".join(f"[{s}]" for s in missing), path)
 
     def numbers(cells, line_no, columns):
-        """The row's first cells, each the finite number its column's
-        annotation asks for: "int" or "float"."""
-        out = []
-        for col, (text, column) in enumerate(zip(cells, columns), start=1):
-            where = (path, line_no, col)
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"non-numeric {column.name}: {text!r}",
-                                 *where) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite {column.name}: {text!r}", *where)
-            if column.type == "int" and not value.is_integer():
-                raise ParseError(f"{column.name} must be an integer: "
-                                 f"{value!r}", *where)
-            out.append(int(value) if column.type == "int" else value)
+        """The row's first cells, each the number its column's annotation
+        asks for."""
+        out = [_parse_float(text, path, line_no, column.name, column.type,
+                            col) for col, (text, column)
+               in enumerate(zip(cells, columns), start=1)]
         if len(cells) < len(columns):
             raise ParseError(f"missing column {columns[len(cells)].name}",
                              path, line_no, len(cells) + 1)

@@ -65,6 +65,20 @@ class TestObjective:
         weights = default_weights([small_target])
         assert objective({}, params, zones, [small_target], weights) == 0.0
 
+    @pytest.mark.parametrize("lengths", [(1e308,), (1e308, 1e308)])
+    def test_a_class_too_large_to_weight_is_unfittable(self, small_target,
+                                                      lengths):
+        # its mean's square overflows, or its mean does
+        from dataclasses import replace
+        rows = small_target.trunk_profile
+        target = replace(small_target, trunk_profile=tuple(
+            [replace(row, length_cm=x) for row, x in zip(rows, lengths)]
+            + list(rows[len(lengths):])))
+        with pytest.raises(calibration.UnfittableError,
+                           match="trunk_length observations too large to "
+                                 "weight: their mean is "):
+            default_weights([target])
+
     def test_single_datum_definition(self):
         # one synthetic trunk observation, weight 2, simulated - observed = 3
         # checked through the quadratic form directly

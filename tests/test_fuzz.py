@@ -2,8 +2,9 @@
 
 One-value mutations of the bundled parameter and target files, tree2's
 included, either parse or raise a ParseError naming the file and a line,
-and the CLI's validate, simulate and oracle answer them with an exit code,
-never a traceback.  Parameter sets drawn inside the fit
+and the CLI's validate, simulate, oracle and fit (its schedule capped)
+answer them with an exit code, never a traceback: 1 from each command
+wherever validate gives 1.  Parameter sets drawn inside the fit
 bounds give, batched, what each gives alone, zone coefficients drawn over
 their fit bounds simulate or fail typed, and drawn short runs give what the
 enumerated oracle gives and grow every branch unit from its cycle's plan.  A run whose recorded plans all hold under other
@@ -15,6 +16,7 @@ checks the same cases.
 from pathlib import Path
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,16 +81,42 @@ def _parses_or_is_located(read, path):
         assert exc.path == path and exc.line is not None, str(exc)
 
 
-def _answers(tmp_path, params, target, commands, tree_index="0"):
-    """Each of ``commands`` (validate, simulate or oracle, the last two for
-    3 cycles) on the files ``params`` and ``target`` exits 0, 1 or 2."""
-    for command in commands:
-        run = ["--cycles", "3", "--tree-index", tree_index,
-               "--out", str(tmp_path / command)]
-        assert cli.main([command, "--params", str(params),
-                         "--target", str(target),
-                         *(run if command != "validate" else [])]) \
-            in (0, 1, 2), command
+#: the bundled targets, in their trees' order
+TREES = (fixture_path("tree1.target.csv"), fixture_path("tree2.target.csv"))
+#: [fit] settings rewritten after each mutation, so that a drawn file's
+#: fit makes one least-squares evaluation and, at any objective below 1e300,
+#: stops there: no annealing, final refit or polish
+FIT_CAPS = {"anneal_steps": "0", "anneal_t_stop": "1", "max_nfev": "1",
+            "stop_objective": "1e300", "polish_rounds": "0"}
+
+
+def _capped(text):
+    """The parameter file ``text`` with each FIT_CAPS key's value set."""
+    for key, value in FIT_CAPS.items():
+        text, found = re.subn(rf"^{key}\s*=.*$", f"{key} = {value}", text,
+                              flags=re.M)
+        assert found == 1, key
+    return text
+
+
+def _answers(tmp_path, params, targets, tree):
+    """validate and fit on ``params`` and ``targets``, simulate and oracle
+    on tree ``tree``'s target for 3 cycles: each exits 0, 1 or 2 with no
+    traceback, and where validate exits 1 every command does."""
+    codes = {}
+    for command in ("validate", "simulate", "oracle", "fit"):
+        argv = [command, "--params", str(params)]
+        if command in ("validate", "fit"):
+            argv += [a for target in targets for a in ("--target", target)]
+        else:
+            argv += ["--target", targets[tree], "--cycles", "3",
+                     "--tree-index", str(tree)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / command)]
+        codes[command] = cli.main(argv)
+    assert set(codes.values()) <= {0, 1, 2}, codes
+    if codes["validate"] == 1:
+        assert set(codes.values()) == {1}, codes
 
 
 @pytest.mark.parametrize("text", PARAMS_CASES,
@@ -97,31 +125,34 @@ def test_mutated_parameter_file(tmp_path, capsys, text):
     path = tmp_path / "species.params"
     path.write_text(text)
     _parses_or_is_located(read_parameter_file, path)
-    _answers(tmp_path, path, fixture_path("tree1.target.csv"),
-             ("validate", "simulate", "oracle"))
-    capsys.readouterr()
+    path.write_text(_capped(text))
+    _answers(tmp_path, path, TREES, 0)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _mutated_target(tmp_path, capsys, text, tree):
+    """The checks of tree ``tree``'s target file mutated to ``text``."""
+    path = tmp_path / "mutated.target.csv"
+    path.write_text(text)
+    _parses_or_is_located(parse_target_file, path)
+    params = tmp_path / "species.params"
+    params.write_text(_capped(Path(fixture_path("species.params")).read_text()))
+    targets = list(TREES)
+    targets[tree] = str(path)
+    _answers(tmp_path, params, targets, tree)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", TARGET_CASES,
                          ids=map(str, range(len(TARGET_CASES))))
 def test_mutated_target_file(tmp_path, capsys, text):
-    path = tmp_path / "tree1.target.csv"
-    path.write_text(text)
-    _parses_or_is_located(parse_target_file, path)
-    _answers(tmp_path, fixture_path("species.params"), path,
-             ("validate", "simulate", "oracle"))
-    capsys.readouterr()
+    _mutated_target(tmp_path, capsys, text, 0)
 
 
 @pytest.mark.parametrize("text", TREE2_TARGET_CASES,
                          ids=map(str, range(len(TREE2_TARGET_CASES))))
 def test_mutated_tree2_target_file(tmp_path, capsys, text):
-    path = tmp_path / "tree2.target.csv"
-    path.write_text(text)
-    _parses_or_is_located(parse_target_file, path)
-    _answers(tmp_path, fixture_path("species.params"), path,
-             ("validate", "simulate", "oracle"), tree_index="1")
-    capsys.readouterr()
+    _mutated_target(tmp_path, capsys, text, 1)
 
 
 @pytest.mark.parametrize("seed", range(4))

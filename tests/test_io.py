@@ -115,13 +115,13 @@ class TestParameterFile:
         ("anneal_cooling = 0.8", "anneal_cooling = 1.0",
          "annealing cooling must be in (0, 1): 1.0"),
         ("anneal_cooling = 0.8", "anneal_cooling = inf",
-         "annealing cooling must be finite: inf"),
+         "non-finite anneal_cooling: 'inf'"),
         ("anneal_t_stop = 0.05", "anneal_t_stop = 0",
          "annealing t_stop_ratio must be > 0: 0.0"),
         ("anneal_t0 = 0.5", "weight_trunk_mass = inf",
-         "weight for trunk_mass must be finite and positive: inf"),
+         "non-finite weight_trunk_mass: 'inf'"),
         ("anneal_t0 = 0.5", "weight_ring_diameter = nan",
-         "weight for ring_diameter must be finite and positive: nan"),
+         "non-finite weight_ring_diameter: 'nan'"),
         ("seed = 1", "seed = -1", "seed must be >= 0: -1"),
         ("max_nfev = 60", "max_nfev = 0", "max_nfev must be >= 1: 0"),
         ("refit_every = 4", "refit_every = -2",
@@ -131,7 +131,7 @@ class TestParameterFile:
         ("anneal_step_scale = 0.3", "anneal_step_scale = -0.3",
          "annealing step_scale must be > 0: -0.3"),
         ("stop_objective = 1e-12", "stop_objective = nan",
-         "stop_objective must be finite: nan"),
+         "non-finite stop_objective: 'nan'"),
         ("bound_sp0 = 0.003, 0.08", "bound_sp0 = 0.015, 0.015",
          "sp0: bounds must be finite, lower < upper: 0.015, 0.015")])
     def test_bad_fit_value_is_located(self, tmp_path, old, new, message):
@@ -501,14 +501,13 @@ class TestCli:
                                     "zone_2_4 = 1.0, nan, 2, 0.0, 0.6"))
         result = run_cli("validate", "--params", str(bad))
         assert result.returncode == 1
-        assert "zone Z^24: m2 must be finite: nan" in result.stdout
+        assert result.stderr == f"error: {bad}:27: non-finite m2: 'nan'\n"
         result = run_cli("simulate", "--params", str(bad),
                          "--synthetic-script", "tree1",
                          "--out", str(tmp_path / "out"))
         assert result.returncode == 1
-        assert result.stderr.startswith("error: ")
-        assert "m2 must be finite" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert result.stderr == f"error: {bad}:27: non-finite m2: 'nan'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_fit_section_init_outside_bounds_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.params"
@@ -860,3 +859,130 @@ class TestRunConfig:
             assert err.startswith("error: --plots needs matplotlib")
             assert "'plots' extra" in err
             assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize("key,value,violation", [
+        ("k_beer", "-1.0", "k_beer must be positive: -1.0"),   # fixed
+        ("sp0", "-1.0", "sp0 must be positive: -1.0")])        # free
+    def test_fit_rejects_the_parameters_validate_rejects(
+            self, tmp_path, capsys, key, value, violation):
+        from treesink.cli import EXIT_VALIDATION, main
+        bad = tmp_path / "bad.params"
+        text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}",
+                              Path(fixture_path("species.params")).read_text(),
+                              flags=re.M)
+        assert found == 1
+        bad.write_text(text)
+        assert main(["validate", "--params", str(bad)]) == EXIT_VALIDATION
+        assert f"violation: {violation}" in capsys.readouterr().out
+        assert main(["fit", "--params", str(bad),
+                     "--target", fixture_path("tree1.target.csv"),
+                     "--target", fixture_path("tree2.target.csv"),
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {violation}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+class TestNonFiniteInput:
+    """A nan, inf or -inf anywhere in either input file fails validate,
+    simulate, oracle and fit alike when the file is read: exit 1, an error
+    at its line (and column, in a target file), and no output.  The one
+    exception is ``inf`` for a zone's m_max, which means no cap."""
+
+    @staticmethod
+    def check_each_command(tmp_path, capsys, params, target, where):
+        """Each command on ``params`` and ``target`` (fit adds tree 2's)
+        exits 1 with an error at ``where`` and writes nothing; only
+        validate prints, the report of a good parameter file read before a
+        bad target."""
+        from treesink.cli import main
+        report = "" if where.startswith(str(params)) else "parameters: pass\n"
+        for command in ("validate", "simulate", "oracle", "fit"):
+            out = tmp_path / command
+            argv = [command, "--params", str(params), "--target", str(target)]
+            if command == "fit":
+                argv += ["--target", fixture_path("tree2.target.csv")]
+            code = main(argv + (["--out", str(out)]
+                                if command != "validate" else []))
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (
+                1, report if command == "validate" else ""), (command, where)
+            assert captured.err.startswith(f"error: {where} non-finite "), \
+                (command, captured.err)
+            assert not out.exists(), command
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_every_parameter_file_number(self, tmp_path, capsys, token):
+        # each scalar, vector entry, zone field and [fit] number in turn
+        lines = Path(fixture_path("species.params")).read_text().split("\n")
+        path, swept = tmp_path / "species.params", 0
+        for i, line in enumerate(lines):
+            key, sep, value = line.partition(" = ")
+            cells = value.split(", ") if sep else []
+            for j in (j for j, c in enumerate(cells) if _is_number(c)):
+                if key.startswith("zone_") and j == 2 and token == "inf":
+                    continue   # m_max = inf: test_an_infinite_cap_parses
+                mutated = key + sep + ", ".join(cells[:j] + [token]
+                                                + cells[j + 1:])
+                path.write_text("\n".join(lines[:i] + [mutated]
+                                          + lines[i + 1:]))
+                self.check_each_command(tmp_path, capsys, path,
+                                        fixture_path("tree1.target.csv"),
+                                        f"{path}:{i + 1}:")
+                swept += 1
+        # 35 species numbers, 26 zone fields, 70 [fit] numbers
+        assert swept == 131 - (6 if token == "inf" else 0)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_every_target_file_column(self, tmp_path, capsys, token):
+        # each numeric cell of each section's first row in turn
+        lines = Path(fixture_path("tree1.target.csv")).read_text().split("\n")
+        path, swept = tmp_path / "tree1.target.csv", 0
+        for i in range(1, len(lines)):
+            if not lines[i - 1].startswith("gu_index,"):   # a header
+                continue
+            cells = lines[i].split(",")
+            for j in (j for j, c in enumerate(cells) if _is_number(c)):
+                mutated = ",".join(cells[:j] + [token] + cells[j + 1:])
+                path.write_text("\n".join(lines[:i] + [mutated]
+                                          + lines[i + 1:]))
+                self.check_each_command(tmp_path, capsys,
+                                        fixture_path("species.params"), path,
+                                        f"{path}:{i + 1}:{j + 1}:")
+                swept += 1
+        assert swept == 2 + 4 + 3 + 4   # [script] to [branches]
+
+    def test_an_infinite_cap_parses(self, tmp_path, capsys):
+        from treesink.cli import main
+        text = Path(fixture_path("species.params")).read_text()
+        path = tmp_path / "species.params"
+        for spelling, ok in (("inf", True), ("INF", True),
+                             ("Infinity", False), ("+inf", False)):
+            path.write_text(text.replace("zone_2_4 = 1.0, 1.1, 2,",
+                                         f"zone_2_4 = 1.0, 1.1, {spelling},"))
+            if ok:
+                _, zones, _ = read_parameter_file(path)
+                assert zones.get(2, 4).m_max == math.inf
+            assert main(["validate", "--params", str(path)]) == (0 if ok
+                                                                  else 1)
+            assert capsys.readouterr().err == ("" if ok else (
+                f"error: {path}:27: non-finite m_max: {spelling!r}\n"))
+
+    def test_an_overlong_branch_count_is_located(self, tmp_path):
+        # too many digits for int(): a located error, not a ValueError
+        text = Path(fixture_path("tree1.target.csv")).read_text()
+        path = tmp_path / "tree1.target.csv"
+        path.write_text(text.replace("\n3,5,PA4x1\n",
+                                     f"\n3,5,PA4x{'9' * 5000}\n"))
+        with pytest.raises(ParseError) as err:
+            parse_target_file(path)
+        assert (err.value.line, err.value.column) == (5, 3)
+        assert str(err.value).startswith(f"{path}:5:3: non-finite branch "
+                                         f"spec: '999")
