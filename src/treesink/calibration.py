@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -231,9 +230,9 @@ def default_weights(targets: list[TargetDataset]) -> dict[str, float]:
     for cls, values in pools.items():
         if values:
             mean = float(np.mean(np.abs(values)))
-            if mean > sys.float_info.max ** 0.5:   # mean ** 2 would overflow
-                raise UnfittableError(f"{cls} observations too large to "
-                                      f"weight: their mean is {mean!r}")
+            if not (mean == 0 or 1e-154 < mean < 1e154):   # 1/mean² is not
+                raise UnfittableError(f"{cls} observations cannot be "
+                                      f"weighted: their mean is {mean!r}")
             weights[cls] = 1.0 / mean ** 2 if mean > 0 else 1.0
     return weights
 

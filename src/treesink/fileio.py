@@ -18,7 +18,6 @@ Python's ``json`` module with ``indent=1, sort_keys=True``, written by
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import re
@@ -50,22 +49,27 @@ def _fmt(value) -> str:
 
 def _parse_float(text, path, line_no, what="value", kind="float",
                  column=None):
-    """The finite number ``text`` holds, an int if the annotation ``kind``
-    is one; else a ParseError at ``line_no`` (and ``column``)."""
+    """The finite number ``text`` holds, an int below 2**53 in magnitude
+    (so exact) if the annotation ``kind`` is one; else a ParseError at
+    ``line_no`` (and ``column``)."""
     try:
         value = float(text)   # which ignores the spaces around a number
     except ValueError:
-        raise ParseError(f"non-numeric {what}: {text.strip()!r}", path,
-                         line_no, column) from None
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite {what}: {text.strip()!r}", path,
-                         line_no, column)
-    if not kind.startswith("int"):
-        return value
-    if not value.is_integer():
-        raise ParseError(f"{what} must be an integer: {text.strip()!r}",
-                         path, line_no, column)
-    return int(value)
+        problem = "non-numeric {}"
+    else:
+        if value - value != 0.0:   # nan or inf, spelled so or too large
+            problem = "non-finite {}" if text.strip().lstrip("+-")[:1] \
+                .isalpha() else "{} out of range"
+        elif kind == "float" or not kind.startswith("int"):
+            return value
+        elif not value.is_integer():
+            problem = "{} must be an integer"
+        elif abs(value) < 2 ** 53:
+            return int(value)
+        else:
+            problem = "{} out of range"
+    raise ParseError(f"{problem.format(what)}: {text.strip()!r}", path,
+                     line_no, column)
 
 
 def _parse_flag(text, path, line_no, what):
@@ -260,9 +264,7 @@ def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
             lines.append(f"{key} = " + ", ".join(_fmt(v) for v in value))
         else:
             lines.append(f"{key} = {_fmt(value)}")
-    lines.append("")
-    lines.append("[zones]")
-    lines.append(f"eq_fixed = {_fmt(zones.eq_fixed)}")
+    lines += ["", "[zones]", f"eq_fixed = {_fmt(zones.eq_fixed)}"]
     for rule in zones.rules:
         fields = [_fmt(rule.m1), _fmt(rule.m2), _fmt(rule.m_max)]
         if rule.branching:
@@ -270,8 +272,7 @@ def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
         lines.append(f"zone_{rule.bearer_pa}_{rule.axillary_pa} = "
                      + ", ".join(fields))
     if fit_spec is not None:
-        lines.append("")
-        lines.append("[fit]")
+        lines += ["", "[fit]"]
         lines.append("free_continuous = "
                       + ", ".join(p.name for p in fit_spec.continuous))
         lines.append("free_topology = "
@@ -279,9 +280,8 @@ def write_parameter_file(path, params: GrowthParameters, zones: ZoneRuleSet,
         for p in fit_spec.continuous + fit_spec.topological:
             lines.append(f"bound_{p.name} = {_fmt(p.lower)}, {_fmt(p.upper)}")
             lines.append(f"init_{p.name} = {_fmt(p.init)}")
-        if fit_spec.weights:
-            for cls, w in sorted(fit_spec.weights.items()):
-                lines.append(f"weight_{cls} = {_fmt(w)}")
+        for cls, w in sorted((fit_spec.weights or {}).items()):
+            lines.append(f"weight_{cls} = {_fmt(w)}")
         for key, (owner, f) in _FIT_SETTINGS.items():
             value = getattr(fit_spec.schedule if owner is AnnealSchedule
                             else fit_spec, f.name)
@@ -341,7 +341,7 @@ def parse_target_file(path) -> TargetDataset:
             continue
         if section is None:
             raise ParseError("data before any section header", path, line_no)
-        cells = next(csv.reader(io.StringIO(line)))
+        cells = next(csv.reader((line,)))
         if expect_header:
             if [c.strip() for c in cells] != _TARGET_HEADERS[section]:
                 raise ParseError(
@@ -374,10 +374,10 @@ def parse_target_file(path) -> TargetDataset:
 
     def measured(m):
         """The rows of section ``m``, each with a key of its own."""
-        rows, first_line = [], {}
+        rows, first_line, key = [], {}, attrgetter(*m.key)
         for n, c in sections[m.section]:
             rows.append(m.row(*numbers(c, n, _TARGET_COLUMNS[m.section])))
-            first = first_line.setdefault(attrgetter(*m.key)(rows[-1]), n)
+            first = first_line.setdefault(key(rows[-1]), n)
             if first != n:
                 raise ParseError(f"{m.label.format_map(vars(rows[-1]))} given "
                                  f"twice, first at line {first}", path, n, 1)

@@ -65,18 +65,22 @@ class TestObjective:
         weights = default_weights([small_target])
         assert objective({}, params, zones, [small_target], weights) == 0.0
 
-    @pytest.mark.parametrize("lengths", [(1e308,), (1e308, 1e308)])
-    def test_a_class_too_large_to_weight_is_unfittable(self, small_target,
-                                                      lengths):
-        # its mean's square overflows, or its mean does
+    @pytest.mark.parametrize("length,rows", [
+        (1e308, 1),       # the mean's square overflows
+        (1e308, 2),       # the mean overflows
+        (1e-160, None),   # 1 / the mean's square overflows
+        (1e-200, None)])  # the mean's square underflows to 0
+    def test_a_class_that_cannot_be_weighted_is_unfittable(
+            self, small_target, length, rows):
+        # the first ``rows`` trunk lengths (None: all) set to ``length``
         from dataclasses import replace
-        rows = small_target.trunk_profile
+        trunk = small_target.trunk_profile
         target = replace(small_target, trunk_profile=tuple(
-            [replace(row, length_cm=x) for row, x in zip(rows, lengths)]
-            + list(rows[len(lengths):])))
+            replace(row, length_cm=length) if i < (rows or len(trunk))
+            else row for i, row in enumerate(trunk)))
         with pytest.raises(calibration.UnfittableError,
-                           match="trunk_length observations too large to "
-                                 "weight: their mean is "):
+                           match="trunk_length observations cannot be "
+                                 "weighted: their mean is "):
             default_weights([target])
 
     def test_single_datum_definition(self):

@@ -2,15 +2,16 @@
 
 One-value mutations of the bundled parameter and target files, tree2's
 included, either parse or raise a ParseError naming the file and a line,
-and the CLI's validate, simulate, oracle and fit (its schedule capped)
-answer them with an exit code, never a traceback: 1 from each command
-wherever validate gives 1.  Parameter sets drawn inside the fit
-bounds give, batched, what each gives alone, zone coefficients drawn over
-their fit bounds simulate or fail typed, and drawn short runs give what the
-enumerated oracle gives and grow every branch unit from its cycle's plan.  A run whose recorded plans all hold under other
-zone coefficients repeats bit for bit, and batch columns that depart give
-what each gives alone.  The seeds and case counts are fixed, so every run
-checks the same cases.
+and the CLI's validate, simulate and oracle, and validate and fit on a copy
+with the fit schedule capped, answer them with an exit code, never a
+traceback: 1 from each command wherever validate on the same file gives 1.
+Parameter sets drawn inside the fit bounds give, batched, what each gives
+alone, zone coefficients drawn over their fit bounds simulate or fail
+typed, and drawn short runs give what the enumerated oracle gives and grow
+every branch unit from its cycle's plan.  A run whose recorded plans all
+hold under other zone coefficients repeats bit for bit, and batch columns
+that depart give what each gives alone.  The seeds and case counts are
+fixed, so every run checks the same cases.
 """
 
 from pathlib import Path
@@ -99,12 +100,13 @@ def _capped(text):
     return text
 
 
-def _answers(tmp_path, params, targets, tree):
-    """validate and fit on ``params`` and ``targets``, simulate and oracle
-    on tree ``tree``'s target for 3 cycles: each exits 0, 1 or 2 with no
-    traceback, and where validate exits 1 every command does."""
+def _codes(tmp_path, params, targets, tree, commands):
+    """Each of ``commands`` on the parameter file ``params``: validate and
+    fit on every target, simulate and oracle on tree ``tree``'s for 3
+    cycles.  Each exits 0, 1 or 2, and where validate exits 1 every command
+    does."""
     codes = {}
-    for command in ("validate", "simulate", "oracle", "fit"):
+    for command in commands:
         argv = [command, "--params", str(params)]
         if command in ("validate", "fit"):
             argv += [a for target in targets for a in ("--target", target)]
@@ -119,15 +121,24 @@ def _answers(tmp_path, params, targets, tree):
         assert set(codes.values()) == {1}, codes
 
 
+def _answers(tmp_path, capsys, params, targets, tree):
+    """validate, simulate and oracle on ``params`` as it is, then validate
+    and fit on its copy with the fit schedule capped, none printing a
+    traceback."""
+    _codes(tmp_path, params, targets, tree, ("validate", "simulate", "oracle"))
+    capped = tmp_path / "capped.params"
+    capped.write_text(_capped(Path(params).read_text()))
+    _codes(tmp_path, capped, targets, tree, ("validate", "fit"))
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", PARAMS_CASES,
                          ids=map(str, range(len(PARAMS_CASES))))
 def test_mutated_parameter_file(tmp_path, capsys, text):
     path = tmp_path / "species.params"
     path.write_text(text)
     _parses_or_is_located(read_parameter_file, path)
-    path.write_text(_capped(text))
-    _answers(tmp_path, path, TREES, 0)
-    assert "Traceback" not in capsys.readouterr().err
+    _answers(tmp_path, capsys, path, TREES, 0)
 
 
 def _mutated_target(tmp_path, capsys, text, tree):
@@ -135,12 +146,9 @@ def _mutated_target(tmp_path, capsys, text, tree):
     path = tmp_path / "mutated.target.csv"
     path.write_text(text)
     _parses_or_is_located(parse_target_file, path)
-    params = tmp_path / "species.params"
-    params.write_text(_capped(Path(fixture_path("species.params")).read_text()))
     targets = list(TREES)
     targets[tree] = str(path)
-    _answers(tmp_path, params, targets, tree)
-    assert "Traceback" not in capsys.readouterr().err
+    _answers(tmp_path, capsys, fixture_path("species.params"), targets, tree)
 
 
 @pytest.mark.parametrize("text", TARGET_CASES,

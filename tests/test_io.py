@@ -132,6 +132,12 @@ class TestParameterFile:
          "annealing step_scale must be > 0: -0.3"),
         ("stop_objective = 1e-12", "stop_objective = nan",
          "non-finite stop_objective: 'nan'"),
+        # too large for a float, or for an integer a float holds exactly
+        ("stop_objective = 1e-12", "stop_objective = 1e999",
+         "stop_objective out of range: '1e999'"),
+        ("max_nfev = 60", "max_nfev = 1e16", "max_nfev out of range: '1e16'"),
+        ("max_nfev = 60", "max_nfev = 2.5",
+         "max_nfev must be an integer: '2.5'"),
         ("bound_sp0 = 0.003, 0.08", "bound_sp0 = 0.015, 0.015",
          "sp0: bounds must be finite, lower < upper: 0.015, 0.015")])
     def test_bad_fit_value_is_located(self, tmp_path, old, new, message):
@@ -975,14 +981,16 @@ class TestNonFiniteInput:
             assert capsys.readouterr().err == ("" if ok else (
                 f"error: {path}:27: non-finite m_max: {spelling!r}\n"))
 
-    def test_an_overlong_branch_count_is_located(self, tmp_path):
-        # too many digits for int(): a located error, not a ValueError
+    @pytest.mark.parametrize("count", ["9" * 5000, str(2 ** 53 + 1)])
+    def test_a_branch_count_too_large_to_hold_is_located(self, tmp_path,
+                                                         count):
+        # too many digits for int(), or more than a float holds exactly: a
+        # located error, not a ValueError or a rounded count
         text = Path(fixture_path("tree1.target.csv")).read_text()
         path = tmp_path / "tree1.target.csv"
-        path.write_text(text.replace("\n3,5,PA4x1\n",
-                                     f"\n3,5,PA4x{'9' * 5000}\n"))
+        path.write_text(text.replace("\n3,5,PA4x1\n", f"\n3,5,PA4x{count}\n"))
         with pytest.raises(ParseError) as err:
             parse_target_file(path)
         assert (err.value.line, err.value.column) == (5, 3)
-        assert str(err.value).startswith(f"{path}:5:3: non-finite branch "
-                                         f"spec: '999")
+        assert str(err.value) == (f"{path}:5:3: branch spec out of range: "
+                                  f"{count!r}")
