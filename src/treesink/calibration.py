@@ -21,7 +21,7 @@ from operator import attrgetter
 import numpy as np
 
 from .core import (MEASUREMENTS, TARGET_CLASSES, GrowthParameters,
-                   TargetDataset, TreesinkError, ZoneRuleSet)
+                   TargetDataset, TreesinkError, ZoneRuleSet, check_range)
 from .engine import (check_run_request, extract_targets, run_key, simulate,
                      simulate_batch)
 from .topology import holding_band, plan_holds
@@ -58,32 +58,7 @@ class AnnealSchedule:
 
     def __post_init__(self):
         for f in fields(self):
-            check_setting(f"annealing {f.name}", getattr(self, f.name))
-
-
-#: what a fit setting must satisfy besides being finite: a cooling of 1 or
-#: more would never end the annealing, numpy seeds its generator from
-#: nonnegative integers only, scipy needs max_nfev >= 1, and the fit would
-#: silently reinterpret a lower step scale, refit cadence or polish count
-_SETTING_RULES = {"annealing t0": ("> 0", lambda v: v > 0),
-                  "annealing cooling": ("in (0, 1)", lambda v: 0 < v < 1),
-                  "annealing steps_per_t": (">= 0", lambda v: v >= 0),
-                  "annealing t_stop_ratio": ("> 0", lambda v: v > 0),
-                  "annealing step_scale": ("> 0", lambda v: v > 0),
-                  "seed": (">= 0", lambda v: v >= 0),
-                  "max_nfev": (">= 1", lambda v: v >= 1),
-                  "refit_every": (">= 1", lambda v: v >= 1),
-                  "polish_rounds": (">= 0", lambda v: v >= 0)}
-
-
-def check_setting(name: str, value) -> None:
-    """Raise ValueError unless ``value`` suits the fit setting ``name`` (a
-    FitSpec field, or ``annealing`` and an AnnealSchedule field) or is None."""
-    condition, holds = _SETTING_RULES.get(name, ("", lambda v: True))
-    if value is not None and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite: {value!r}")
-    if value is not None and not holds(value):
-        raise ValueError(f"{name} must be {condition}: {value!r}")
+            check_range(f"annealing {f.name}", getattr(self, f.name))
 
 
 @dataclass
@@ -109,7 +84,7 @@ class FitSpec:
             check_weight(cls, w)
         for name in ("seed", "max_nfev", "stop_objective", "refit_every",
                      "polish_rounds"):
-            check_setting(name, getattr(self, name))
+            check_range(name, getattr(self, name))
 
 
 #: names of the zone coefficients, the only topological free parameters
@@ -133,12 +108,10 @@ def check_free_names(names: list[str], topological: bool = False,
 
 def check_weight(data_class: str, weight: float) -> None:
     """Raise ValueError unless ``data_class`` is an objective data class
-    and ``weight`` is finite and positive."""
+    and ``weight`` is inside its range (core.RANGES)."""
     if data_class not in TARGET_CLASSES:
         raise ValueError(f"unknown data class {data_class!r}")
-    if not (math.isfinite(weight) and weight > 0):
-        raise ValueError(f"weight for {data_class} must be finite and "
-                         f"positive: {weight!r}")
+    check_range("weight", weight, f"weight_{data_class}")
 
 
 @dataclass
@@ -218,9 +191,11 @@ def apply_candidate(params: GrowthParameters, zones: ZoneRuleSet,
 
 
 @np.errstate(over="ignore")   # a mean that overflows fails below
-def default_weights(targets: list[TargetDataset]) -> dict[str, float]:
+def default_weights(targets: list[TargetDataset],
+                    given: dict[str, float] | None = None) -> dict[str, float]:
     """Per-class weight 1/(class-mean observed)², pooled over all trees, so
-    heterogeneous units contribute comparably."""
+    heterogeneous units contribute comparably; a class ``given`` a weight
+    keeps that one instead."""
     pools: dict[str, list[float]] = {c: [] for c in TARGET_CLASSES}
     for ds in targets:
         for m in MEASUREMENTS:
@@ -228,13 +203,13 @@ def default_weights(targets: list[TargetDataset]) -> dict[str, float]:
                 pools[cls] += map(attrgetter(value), getattr(ds, m.field))
     weights = {}
     for cls, values in pools.items():
-        if values:
+        if values and cls not in (given or {}):
             mean = float(np.mean(np.abs(values)))
             if not (mean == 0 or 1e-154 < mean < 1e154):   # 1/mean² is not
                 raise UnfittableError(f"{cls} observations cannot be "
                                       f"weighted: their mean is {mean!r}")
             weights[cls] = 1.0 / mean ** 2 if mean > 0 else 1.0
-    return weights
+    return {**weights, **(given or {})}
 
 
 # ----------------------------------------------------------------------
@@ -470,6 +445,7 @@ _POLISH_OFFSETS = (0.02, 0.05, 0.12, 0.3)
 _EDGE_OFFSET = 6e-3
 
 
+@np.errstate(over="ignore")   # an objective that overflows is infeasible
 def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
                  targets: list[TargetDataset]) -> FitResult:
     """Full identification: simulated annealing over the zone coefficients
@@ -488,7 +464,7 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     The edges, the intervals (:func:`compute_intervals` at the best) and
     the predicted-vs-observed rows come from the scorer's :meth:`report`.
     """
-    weights = {**default_weights(targets), **(spec.weights or {})}
+    weights = default_weights(targets, spec.weights)
     rng = np.random.default_rng(spec.seed)
     sched = spec.schedule
     trace: list[float] = []

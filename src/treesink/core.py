@@ -11,12 +11,16 @@ Unit conventions used throughout the package:
 * internode lengths and diameters in cm,
 * the production/demand ratio Q/D is carried in grams everywhere it enters
   the topology and ring-demand rules.
+
+Each number of a parameter set, zone rule or fit setting has one range, a
+row of ``RANGES`` checked by :func:`check_range` alone; the relations
+between numbers are :func:`validate_parameters`' (``p_rg(1) = 1``, ...).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -341,74 +345,85 @@ class ValidationReport:
         return "\n".join(f"violation: {v}" for v in self.violations)
 
 
-def _check_pa_vector(report, name, values, pa_max, positive=True):
-    if len(values) != pa_max:
-        report.add(f"{name} must have one entry per physiological age "
-                   f"({pa_max}), got {len(values)}")
+#: each number's own range, as (low, high, closed ends): every parameter
+#: (a vector's row holds for each entry), the zone fields m1 and a1, each
+#: fit setting (a FitSpec field, or "annealing" and an AnnealSchedule
+#: field) and a class weight.  Any other number must be finite.
+RANGES = {
+    **dict.fromkeys(("v_env", "sp0", "k_beer", "q0", "p_s", "p_r", "p_rg",
+                     "internode_leaf_ratio_short", "internode_leaf_ratio_long",
+                     "slw_values", "wood_density", "annealing t0",
+                     "annealing t_stop_ratio", "annealing step_scale",
+                     "weight"), (0, math.inf, "()")),
+    **dict.fromkeys(("gamma", "allom_a", "allom_b", "m1", "a1",
+                     "annealing steps_per_t", "seed", "polish_rounds"),
+                    (0, math.inf, "[)")),
+    "alpha": (0, 1, "(]"), "lambda_mix": (0, 1, "[]"),
+    "root_fraction": (0, 1, "[)"), "pa_max": (2, math.inf, "[)"),
+    "short_shoot_metamers": (1, math.inf, "[)"),
+    # a cooling of 1 never ends the annealing, numpy seeds from integers
+    # >= 0 only, scipy needs max_nfev >= 1, and the fit would silently
+    # reinterpret a lower step scale, refit cadence or polish count
+    "annealing cooling": (0, 1, "()"), "max_nfev": (1, math.inf, "[)"),
+    "refit_every": (1, math.inf, "[)")}
+#: each row's open bounds: low <= v exactly when nextafter(low, -inf) < v
+_OPEN = {name: (low if ends[0] == "(" else math.nextafter(low, -math.inf),
+                high if ends[1] == ")" else math.nextafter(high, math.inf))
+         for name, (low, high, ends) in RANGES.items()}
+_FINITE = (-math.inf, math.inf)
+
+
+def check_range(name: str, value, label: str | None = None) -> None:
+    """Raise ValueError unless ``value`` is None or inside the row ``name``
+    of RANGES: ``NAME must be finite: VALUE``, else ``NAME must be > 0: V``
+    (``>= 1``, ``in (0, 1]`` alike) for the first entry outside, NAME
+    ``label`` (default ``name``), plus ``(i)`` if it is a tuple's entry i."""
+    if value is None:
         return
-    if positive and any(v <= 0 for v in values):
-        report.add(f"{name} entries must be positive")
+    low, high = _OPEN.get(name, _FINITE)
+    entries = value if type(value) is tuple else (value,)
+    for v in entries:
+        if not low < v < high:
+            break
+    else:
+        return
+    label = label or name
+    if not all(map(math.isfinite, entries)):
+        raise ValueError(f"{label} must be finite: {value!r}")
+    if entries is value:
+        label += f"({entries.index(v) + 1})"
+    low, high, ends = RANGES[name]
+    condition = (f"{'>' if ends[0] == '(' else '>='} {low:g}"
+                 if high == math.inf else
+                 f"in {ends[0]}{low:g}, {high:g}{ends[1]}")
+    raise ValueError(f"{label} must be {condition}: {v!r}")
 
 
 def validate_parameters(params: GrowthParameters,
                         zones: ZoneRuleSet | None = None) -> ValidationReport:
-    """Validate a parameter set (and optionally zone rules) against the model
-    invariants.  Returns a report; a passing report is a precondition of
-    every simulation."""
+    """Validate a parameter set (and optionally zone rules): each number in
+    its range (RANGES), and the relations between them.  Returns a report;
+    a passing report is a precondition of every simulation."""
     rep = ValidationReport()
     p = params
+    for name, value in vars(p).items():
+        try:
+            check_range(name, value)
+        except ValueError as exc:
+            rep.add(str(exc))
 
-    for f in fields(p):
-        value = getattr(p, f.name)
-        if not all(map(math.isfinite,
-                       value if isinstance(value, tuple) else (value,))):
-            rep.add(f"{f.name} must be finite: {value!r}")
-    if not (0.0 < p.alpha <= 1.0):
-        rep.add(f"alpha out of (0, 1]: {p.alpha}")
-    if not (0.0 <= p.lambda_mix <= 1.0):
-        rep.add(f"lambda_mix out of [0,1]: {p.lambda_mix}")
-    if p.gamma < 0.0:
-        rep.add(f"gamma must be >= 0: {p.gamma}")
-    if p.sp0 <= 0.0:
-        rep.add(f"sp0 must be positive: {p.sp0}")
-    if p.k_beer <= 0.0:
-        rep.add(f"k_beer must be positive: {p.k_beer}")
-    if p.q0 <= 0.0:
-        rep.add(f"q0 must be positive: {p.q0}")
-    if p.p_r <= 0.0:
-        rep.add(f"p_r must be positive: {p.p_r}")
-    if not (0.0 <= p.root_fraction < 1.0):
-        rep.add(f"root_fraction out of [0,1): {p.root_fraction}")
-    if p.pa_max < 2:
-        rep.add(f"pa_max must be at least 2: {p.pa_max}")
-
-    _check_pa_vector(rep, "p_s", p.p_s, p.pa_max)
-    _check_pa_vector(rep, "p_rg", p.p_rg, p.pa_max)
-    _check_pa_vector(rep, "allom_a", p.allom_a, p.pa_max, positive=False)
-    _check_pa_vector(rep, "allom_b", p.allom_b, p.pa_max, positive=False)
+    for name in ("p_s", "p_rg", "allom_a", "allom_b"):
+        if len(getattr(p, name)) != p.pa_max:
+            rep.add(f"{name} must have one entry per physiological age "
+                    f"({p.pa_max}), got {len(getattr(p, name))}")
     if len(p.p_rg) == p.pa_max and p.p_rg[0] != 1.0:
         rep.add(f"p_rg(1) must equal 1 exactly (reference value): {p.p_rg[0]}")
-    if any(a < 0 for a in p.allom_a) or any(b < 0 for b in p.allom_b):
-        rep.add("allometry coefficients must be nonnegative")
-
     if not p.v_env:
         rep.add("v_env must carry at least one per-tree entry")
-    elif any(v <= 0 for v in p.v_env):
-        rep.add("v_env entries must be positive")
-
     if len(p.slw_ages) != len(p.slw_values) or not p.slw_ages:
         rep.add("slw schedule needs matching, nonempty age/value lists")
-    else:
-        if any(v <= 0 for v in p.slw_values):
-            rep.add("slw values must be positive")
-        if any(b <= a for a, b in zip(p.slw_ages, p.slw_ages[1:])):
-            rep.add("slw ages must be strictly increasing")
-    if p.internode_leaf_ratio_short <= 0 or p.internode_leaf_ratio_long <= 0:
-        rep.add("internode/leaf ratios must be positive")
-    if p.wood_density <= 0:
-        rep.add(f"wood_density must be positive: {p.wood_density}")
-    if p.short_shoot_metamers < 1:
-        rep.add(f"short_shoot_metamers must be >= 1: {p.short_shoot_metamers}")
+    elif any(b <= a for a, b in zip(p.slw_ages, p.slw_ages[1:])):
+        rep.add("slw ages must be strictly increasing")
 
     if zones is not None:
         _validate_zones(rep, zones, p.pa_max)
@@ -427,20 +442,17 @@ def _validate_zones(rep: ValidationReport, zones: ZoneRuleSet, pa_max: int):
         if rule.axillary_pa != 0 and not (2 <= rule.axillary_pa <= pa_max):
             rep.add(f"{name}: axillary PA must be 0 or in 2..{pa_max}")
         for coef in ("m1", "m2", "a1", "a2"):
-            value = getattr(rule, coef)
-            if value is not None and not math.isfinite(value):
-                rep.add(f"{name}: {coef} must be finite: {value!r}")
+            try:
+                check_range(coef, getattr(rule, coef))
+            except ValueError as exc:
+                rep.add(f"{name}: {exc}")
         if math.isnan(rule.m_max):   # an infinite cap means no cap
             rep.add(f"{name}: m_max must be a number: {rule.m_max!r}")
-        if rule.m1 < 0:
-            rep.add(f"{name}: m1 must be >= 0")
         if rule.m_max < rule.m1:
             rep.add(f"{name}: m_max must be >= m1")
         if rule.branching:
             if rule.a1 is None or rule.a2 is None:
                 rep.add(f"{name}: branching zones need a1 and a2")
-            elif rule.a1 < 0:
-                rep.add(f"{name}: a1 must be >= 0")
         else:
             if rule.a1 is not None or rule.a2 is not None:
                 rep.add(f"{name}: unbranched zones carry no axis coefficients")

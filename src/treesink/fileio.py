@@ -7,6 +7,8 @@ Target file: sectioned CSV with fixed headers, sections ``[script]``,
 ``[trunk]``, ``[rings]``, ``[branches]``.  ``_parse_float`` reads every
 number of both files: each must be finite, or it is a ParseError at its
 line (and column); only a zone's m_max may be the text ``inf``, no cap.
+A parameter-file number outside its range (``core.RANGES``) is a ParseError
+at its line too; relations between numbers are ``validate_parameters``'.
 
 All numeric output is written in full-precision decimal text (repr), so a
 write/read round trip reproduces every value exactly.  JSON outputs have a
@@ -22,14 +24,16 @@ import math
 import os
 import re
 from dataclasses import fields
+from functools import partial
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter
 
 from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
                           PredictedObserved, apply_candidate,
-                          check_free_names, check_setting, check_weight)
+                          check_free_names, check_weight)
 from .core import (MEASUREMENTS, GrowthParameters, ParseError, TargetDataset,
-                   TrunkScriptEntry, ZoneRule, ZoneRuleSet, validate_target)
+                   TrunkScriptEntry, ZoneRule, ZoneRuleSet, check_range,
+                   validate_target)
 from .engine import SimulationOutput
 from .sourcesink import CycleAllocation
 
@@ -70,6 +74,14 @@ def _parse_float(text, path, line_no, what="value", kind="float",
             problem = "{} out of range"
     raise ParseError(f"{problem.format(what)}: {text.strip()!r}", path,
                      line_no, column)
+
+
+def _located(path, line_no, check, *args):
+    """``check(*args)``, its ValueError a ParseError at ``line_no``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), path, line_no) from None
 
 
 def _parse_flag(text, path, line_no, what):
@@ -137,6 +149,7 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
                                    for v in items)
             else:
                 plain[key] = _parse_float(value, path, line_no, key, kind)
+            _located(path, line_no, check_range, key, plain[key])
         elif section == "zones":
             if key == "eq_fixed":
                 eq_fixed = _parse_flag(value, path, line_no, key)
@@ -157,6 +170,9 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
                     else _parse_float(text, path, line_no, name)
                     for name, text in zip(("m1", "m2", "m_max", "a1", "a2"),
                                           cells)}
+                for name, number in coefficients.items():
+                    if name != "m_max":   # which may be inf: no cap
+                        _located(path, line_no, check_range, name, number)
                 zone_rules.append(ZoneRule(*pas, **coefficients))
             else:
                 raise ParseError(f"unknown zones key {key!r}", path, line_no)
@@ -196,12 +212,7 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
             return _parse_flag(text, path, line_no, key)
         return _parse_float(text, path, line_no, key, kind)
 
-    def located(line_no, check, *args):
-        """``check(*args)``, its ValueError a ParseError at ``line_no``."""
-        try:
-            return check(*args)
-        except ValueError as exc:
-            raise ParseError(str(exc), path, line_no) from None
+    located = partial(_located, path)
 
     def free_list(key, topological=False, earlier=()):
         list_line, raw = fit_lines.pop(key, (None, ""))
@@ -238,7 +249,7 @@ def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
     for key, (owner, f) in _FIT_SETTINGS.items():
         line_no = fit_lines.get(key, (None,))[0]
         value = num(key, f.default, f.type)
-        located(line_no, check_setting, f"annealing {f.name}"
+        located(line_no, check_range, f"annealing {f.name}"
                 if owner is AnnealSchedule else f.name, value)
         settings[owner][f.name] = value
     spec = FitSpec(   # its checks were made above, each at its line

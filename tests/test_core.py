@@ -1,13 +1,14 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from treesink.core import (GrowthParameters, SimulationError,
+from treesink.calibration import AnnealSchedule, FitSpec
+from treesink.core import (RANGES, GrowthParameters, SimulationError,
                            TrunkScriptEntry, ZoneRule,
                            ZoneRuleSet, round_half_away, validate_parameters,
                            validate_target)
-from treesink.synthetic import script_only_dataset
+from treesink.synthetic import reference_zone_rules, script_only_dataset
 
 
 def test_reference_configuration_passes(params, zones):
@@ -62,17 +63,79 @@ def test_p_rg_reference_pinned(params):
     assert any("p_rg(1)" in v for v in report.violations)
 
 
-@pytest.mark.parametrize("field,value,token", [
-    ("alpha", 0.0, "alpha"),
-    ("alpha", 1.5, "alpha"),
-    ("gamma", -0.1, "gamma"),
-    ("sp0", 0.0, "sp0"),
-    ("root_fraction", 1.0, "root_fraction"),
-    ("wood_density", 0.0, "wood_density"),
-])
+#: the range rows whose numbers are integers
+INTEGER_ROWS = {"pa_max", "short_shoot_metamers", "annealing steps_per_t",
+                "seed", "max_nfev", "refit_every", "polish_rounds"}
+
+
+def range_end_cases():
+    """(row, value, the name its range violation gives or None) of each
+    finite end of each row of RANGES: the end itself, accepted if it is
+    closed, and one number beyond it (one float, or an integer row's next
+    integer), rejected.  A vector row's value goes in its last entry, and
+    a weight is trunk_mass's."""
+    cases = []
+    for name, (low, high, ends) in RANGES.items():
+        entry = "weight_trunk_mass" if name == "weight" else name
+        if isinstance(getattr(GrowthParameters, name, None), tuple):
+            entry += f"({len(getattr(GrowthParameters, name))})"
+        for end, closed, outward in ((low, ends[0] == "[", -math.inf),
+                                     (high, ends[1] == "]", math.inf)):
+            if math.isinf(end):
+                continue
+            if name in INTEGER_ROWS:
+                beyond = end + (1 if outward > 0 else -1)
+            else:
+                end, beyond = float(end), math.nextafter(end, outward)
+            cases += [(name, end, None if closed else entry),
+                      (name, beyond, entry)]
+    return cases
+
+
+def range_violations(params, name, value):
+    """The violations naming ``name`` that ``value`` in its row gives where
+    it is checked: validate_parameters for a parameter (a vector's last
+    entry) or a zone field (zone Z^24's, its fixed coefficients not pinned,
+    the zone's label dropped), and the ValueError of AnnealSchedule or
+    FitSpec for a fit setting or trunk_mass's weight."""
+    if name in ("m1", "a1"):
+        rules = reference_zone_rules().rules
+        zones = ZoneRuleSet(rules=tuple(replace(r, **{name: value})
+                                        if r.key == (2, 4) else r
+                                        for r in rules), eq_fixed=False)
+        violations = [v.removeprefix("zone Z^24: ") for v in
+                      validate_parameters(params, zones).violations]
+    elif hasattr(GrowthParameters, name):
+        old = getattr(params, name)
+        new = old[:-1] + (value,) if isinstance(old, tuple) else value
+        violations = validate_parameters(
+            params.with_values(**{name: new})).violations
+    else:
+        try:
+            if name.startswith("annealing "):
+                AnnealSchedule(**{name.split()[1]: value})
+            elif name == "weight":
+                FitSpec(continuous=[], weights={"trunk_mass": value})
+            else:
+                FitSpec(continuous=[], **{name: value})
+        except ValueError as exc:
+            return [str(exc)]
+        return []
+    return [v for v in violations if v.startswith(name)]
+
+
+@pytest.mark.parametrize("field,value,token", range_end_cases())
 def test_parameter_bounds(params, field, value, token):
-    report = validate_parameters(params.with_values(**{field: value}))
-    assert any(token in v for v in report.violations)
+    # every range of RANGES, at each finite end
+    violations = range_violations(params, field, value)
+    if token is None:
+        assert violations == []
+        return
+    low, high, ends = RANGES[field]
+    condition = (f"{'>' if ends[0] == '(' else '>='} {low:g}"
+                 if high == math.inf else
+                 f"in {ends[0]}{low:g}, {high:g}{ends[1]}")
+    assert violations == [f"{token} must be {condition}: {value!r}"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -10,8 +10,12 @@ alone, zone coefficients drawn over their fit bounds simulate or fail
 typed, and drawn short runs give what the enumerated oracle gives and grow
 every branch unit from its cycle's plan.  A run whose recorded plans all
 hold under other zone coefficients repeats bit for bit, and batch columns
-that depart give what each gives alone.  The seeds and case counts are
-fixed, so every run checks the same cases.
+that depart give what each gives alone.  At each finite end of each range
+(core.RANGES) of each number of the bundled parameter file, one number
+outside fails every command at its line, and the end, or one float inside
+an open end, validates or fails on a relation alone and gives the same
+short run, or the same failure, on both engines.  The seeds and case
+counts are fixed, so every run checks the same cases.
 """
 
 from pathlib import Path
@@ -23,13 +27,14 @@ import numpy as np
 import pytest
 
 from treesink import cli, engine
-from treesink.calibration import (FitSpec, apply_candidate,
+from treesink.calibration import (AnnealSchedule, FitSpec, apply_candidate,
                                   compute_intervals, default_weights,
                                   weighted_residuals)
-from treesink.core import (TRUNK_PA, ParseError, TreesinkError,
-                           TrunkScriptEntry)
+from treesink.core import (RANGES, TRUNK_PA, ParseError, TreesinkError,
+                           TrunkScriptEntry, ValidationError)
 from treesink.engine import simulate, simulate_batch
-from treesink.fileio import parse_target_file, read_parameter_file
+from treesink.fileio import (_FIT_SETTINGS, parse_target_file,
+                             read_parameter_file)
 from treesink.oracle import simulate_naive
 from treesink.synthetic import (generate_synthetic_target,
                                 reference_fit_spec, reference_parameters,
@@ -38,6 +43,7 @@ from treesink.synthetic import (generate_synthetic_target,
 from treesink.topology import plan_holds
 
 from conftest import check_interval_ends, fixture_path
+from test_core import INTEGER_ROWS
 from test_factorization import TOL, compare_outputs
 
 #: what a mutated value becomes
@@ -410,3 +416,111 @@ def test_departing_batch_columns_equal_their_single_runs(monkeypatch):
             else:
                 assert vars(result) == vars(alone)
     assert 0 < sum(fell_back) < len(fell_back)
+
+
+def _range_sites():
+    """The bundled parameter file's lines, with a weight_trunk_mass line
+    added to its [fit] section, and (RANGES row, line index, index in the
+    line's comma list) of each of their numbers that has a range."""
+    lines = Path(fixture_path("species.params")).read_text().splitlines()
+    lines.append("weight_trunk_mass = 1.0")
+    settings = {key: f"annealing {f.name}" if owner is AnnealSchedule
+                else f.name for key, (owner, f) in _FIT_SETTINGS.items()}
+    sites = []
+    for i, line in enumerate(lines):
+        key, _, value = line.partition(" = ")
+        cells = value.split(", ")
+        rows = ([key] * len(cells) if key in RANGES else
+                ["m1", "", "", "a1"] if key.startswith("zone_") else
+                [settings.get(key, "weight" if key.startswith("weight_")
+                              else "")])
+        sites += [(row, i, j) for j, row in enumerate(rows[:len(cells)])
+                  if row in RANGES]
+    return lines, sites
+
+
+RANGE_LINES, RANGE_SITES = _range_sites()
+#: a violation of a number's own range, as opposed to a relation
+RANGE_MESSAGE = re.compile(r" must be (finite|>=? -?\d|in [\[(])")
+TARGETS = [parse_target_file(path) for path in TREES]
+
+
+def _range_end_values(row):
+    """(value, inside) at each finite end of ``row``: one number outside
+    (a float, or an integer row's next integer), the end itself, and one
+    float inside an open end."""
+    low, high, ends = RANGES[row]
+    values = []
+    for end, closed, outward in ((low, ends[0] == "[", -math.inf),
+                                 (high, ends[1] == "]", math.inf)):
+        if math.isinf(end):
+            continue
+        if row in INTEGER_ROWS:
+            values += [(end + (1 if outward > 0 else -1), False), (end, True)]
+            continue
+        end = float(end)
+        values += [(math.nextafter(end, outward), False), (end, closed)]
+        if not closed:
+            values.append((math.nextafter(end, -outward), True))
+    return values
+
+
+def _both_engines(params, zones, tree):
+    """simulate and oracle of tree ``tree``'s first 3 cycles: within TOL of
+    each other, or the same runtime failure (exit 2 on the command line)."""
+    runs = []
+    for run in (simulate, simulate_naive):
+        try:
+            runs.append(run(params, zones, TARGETS[tree], tree_index=tree,
+                            cycles=3))
+        except TreesinkError as exc:
+            assert not isinstance(exc, (ValidationError, ParseError)), exc
+            runs.append(exc)
+    factorized, naive = runs
+    if isinstance(factorized, TreesinkError) or \
+            isinstance(naive, TreesinkError):
+        assert (type(factorized), str(factorized)) == \
+            (type(naive), str(naive))
+        return str(factorized)
+    assert compare_outputs(factorized, naive) < TOL
+    return None
+
+
+@pytest.mark.parametrize("row, line, cell", RANGE_SITES, ids=[
+    f"{row}@{line + 1}:{cell + 1}" for row, line, cell in RANGE_SITES])
+def test_every_range_end_of_the_parameter_file(tmp_path, capsys, row, line,
+                                               cell):
+    # one number outside an end fails every command at its line; the end
+    # (or one float inside an open one) validates, or fails on a relation
+    # alone, and the two engines agree on it
+    path = tmp_path / "species.params"
+    key, sep, value = RANGE_LINES[line].partition(" = ")
+    for number, inside in _range_end_values(row):
+        cells = value.split(", ")
+        cells[cell] = repr(number)
+        path.write_text("\n".join(RANGE_LINES[:line]
+                                  + [key + sep + ", ".join(cells)]
+                                  + RANGE_LINES[line + 1:]) + "\n")
+        if not inside:
+            for command in ("validate", "simulate", "oracle", "fit"):
+                argv = [command, "--params", str(path),
+                        "--target", TREES[0]]
+                if command != "validate":
+                    argv += ["--out", str(tmp_path / command)]
+                if command == "fit":
+                    argv += ["--target", TREES[1]]
+                assert cli.main(argv) == 1, (command, number)
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith(
+                    f"error: {path}:{line + 1}: "), (command, err)
+                assert RANGE_MESSAGE.search(err), err
+                assert not (tmp_path / command).exists()
+            continue
+        code = cli.main(["validate", "--params", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, err) in ((0, ""), (1, "")), (number, err)
+        assert not RANGE_MESSAGE.search(out), out
+        if code == 0 and line < RANGE_LINES.index("[fit]"):
+            params, zones, _ = read_parameter_file(path)
+            _both_engines(params, zones, 1 if (row, cell) == ("v_env", 1)
+                          else 0)

@@ -497,7 +497,8 @@ class TestCli:
                                     "\nlambda_mix = 1.2", 1))
         result = run_cli("validate", "--params", str(bad))
         assert result.returncode == 1
-        assert "lambda_mix" in result.stdout
+        assert result.stderr == \
+            f"error: {bad}:10: lambda_mix must be in [0, 1]: 1.2\n"
 
     def test_non_finite_zone_coefficient_fails_without_traceback(
             self, tmp_path):
@@ -867,8 +868,8 @@ class TestRunConfig:
             assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize("key,value,violation", [
-        ("k_beer", "-1.0", "k_beer must be positive: -1.0"),   # fixed
-        ("sp0", "-1.0", "sp0 must be positive: -1.0")])        # free
+        ("k_beer", "-1.0", "k_beer must be > 0: -1.0"),   # fixed
+        ("sp0", "-1.0", "sp0 must be > 0: -1.0")])        # free
     def test_fit_rejects_the_parameters_validate_rejects(
             self, tmp_path, capsys, key, value, violation):
         from treesink.cli import EXIT_VALIDATION, main
@@ -878,14 +879,67 @@ class TestRunConfig:
                               flags=re.M)
         assert found == 1
         bad.write_text(text)
+        line = text.split("\n").index(f"{key} = {value}") + 1
         assert main(["validate", "--params", str(bad)]) == EXIT_VALIDATION
-        assert f"violation: {violation}" in capsys.readouterr().out
+        assert capsys.readouterr().err == f"error: {bad}:{line}: {violation}\n"
         assert main(["fit", "--params", str(bad),
                      "--target", fixture_path("tree1.target.csv"),
                      "--target", fixture_path("tree2.target.csv"),
                      "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: {violation}\n"
+        assert capsys.readouterr().err == f"error: {bad}:{line}: {violation}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("length,code,err", [
+        ("7e155", 0, ""),
+        # 1e-300 · 1e308² overflows: no candidate is feasible, and no
+        # overflow warning leaves the fit (warnings are errors here)
+        ("1e308", 2, "error: continuous fit found no feasible candidate\n")])
+    def test_a_given_weight_replaces_the_default(self, tmp_path, capsys,
+                                                 length, code, err):
+        # trunk_length's pooled mean is above 1e154, so its default weight
+        # 1/mean² is not finite; a weight the [fit] section gives is used
+        # instead, and the fit (one least-squares evaluation) runs
+        from treesink.cli import main
+        lines = Path(fixture_path("tree1.target.csv")).read_text().split("\n")
+        row = lines.index("[trunk]") + 2
+        lines[row] = ",".join(lines[row].split(",")[:3] + [length])
+        target = tmp_path / "tree1.target.csv"
+        target.write_text("\n".join(lines))
+        text = Path(fixture_path("species.params")).read_text() \
+            .replace("max_nfev = 60", "max_nfev = 1") \
+            .replace("stop_objective = 1e-12", "stop_objective = 1e300")
+        params = tmp_path / "species.params"
+        argv = ["fit", "--params", str(params), "--target", str(target),
+                "--target", fixture_path("tree2.target.csv")]
+        params.write_text(text)
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: trunk_length observations cannot be weighted")
+        params.write_text(text + "weight_trunk_length = 1e-300\n")
+        assert main(argv + ["--out", str(tmp_path / "given")]) == code
+        assert capsys.readouterr().err == err
+        if code == 0:
+            result = json.loads((tmp_path / "given" / "fit_result.json")
+                                .read_text())
+            assert 0 < result["objective"] < 1e12   # 1e-300 · (7e155 - sim)²
+
+    def test_a_number_out_of_range_fails_at_its_line(self, tmp_path, capsys):
+        from treesink.cli import main
+        bad = tmp_path / "bad.params"
+        text = Path(fixture_path("species.params")).read_text()
+        assert text.split("\n")[4] == "alpha = 0.73"
+        bad.write_text(text.replace("\nalpha = 0.73\n", "\nalpha = 1.5\n"))
+        targets = ["--target", fixture_path("tree1.target.csv")]
+        for command, extra in (
+                ("validate", targets), ("simulate", targets),
+                ("oracle", targets), ("fit", targets + [
+                    "--target", fixture_path("tree2.target.csv")])):
+            out = ["--out", str(tmp_path / command)] \
+                if command != "validate" else []
+            assert main([command, "--params", str(bad), *extra, *out]) == 1
+            assert capsys.readouterr() == (
+                "", f"error: {bad}:5: alpha must be in (0, 1]: 1.5\n")
+            assert not (tmp_path / command).exists()
 
 
 def _is_number(text):
