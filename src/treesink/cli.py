@@ -11,9 +11,8 @@ from dataclasses import replace
 
 from . import synthetic
 from .calibration import fit_topology
-from .core import (ParseError, TreesinkError, ValidationError,
-                   validate_parameters)
-from .engine import simulate
+from .core import ParseError, TreesinkError, ValidationError
+from .engine import check_run_request, simulate
 from .fileio import (parse_target_file, read_parameter_file,
                      write_fit_result, write_simulation_output)
 from .oracle import simulate_naive
@@ -128,7 +127,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     params, zones, fit_spec = read_parameter_file(args.params)
-    validate_parameters(params, zones).raise_if_failed()
     if fit_spec is None:
         raise ValidationError(
             f"{args.params} has no [fit] section; nothing to estimate")
@@ -137,6 +135,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"parameter file carries {len(params.v_env)} v_env entries for "
             f"{len(targets)} targets")
+    # a request that no candidate's run could take fails before any run
+    for i, dataset in enumerate(targets):
+        check_run_request(params, zones, dataset, i, None)
     if args.seed is not None:
         try:
             fit_spec = replace(fit_spec, seed=args.seed)
@@ -155,13 +156,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    params, zones, _ = read_parameter_file(args.params)
-    report = validate_parameters(params, zones)
-    print(f"parameters: {report}")
+    read_parameter_file(args.params)   # raises unless the file validates
+    print("parameters: pass")
     for path in args.target:
-        parse_target_file(path)   # raises unless the target validates
+        parse_target_file(path)   # likewise
         print(f"target {path}: pass")
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    return EXIT_OK
 
 
 def run(args: argparse.Namespace) -> int:

@@ -324,25 +324,21 @@ class ValidationReport:
     use :meth:`raise_if_failed`."""
 
     violations: list[str] = field(default_factory=list)
-    # per violation, the (target file section, row index) it concerns
-    rows: list[tuple[str, int] | None] = field(default_factory=list)
+    # per violation, what it concerns: a parameter name, a zone key
+    # (bearer, axillary) or a target file's (section, row index)
+    where: list[object] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, message: str, row: tuple[str, int] | None = None) -> None:
+    def add(self, message: str, where: object = None) -> None:
         self.violations.append(message)
-        self.rows.append(row)
+        self.where.append(where)
 
     def raise_if_failed(self) -> None:
         if not self.ok:
             raise ValidationError("; ".join(self.violations))
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "pass"
-        return "\n".join(f"violation: {v}" for v in self.violations)
 
 
 #: each number's own range, as (low, high, closed ends): every parameter
@@ -402,7 +398,8 @@ def check_range(name: str, value, label: str | None = None) -> None:
 def validate_parameters(params: GrowthParameters,
                         zones: ZoneRuleSet | None = None) -> ValidationReport:
     """Validate a parameter set (and optionally zone rules): each number in
-    its range (RANGES), and the relations between them.  Returns a report;
+    its range (RANGES), and the relations between them, each violation
+    where the parameter name or zone key it concerns.  Returns a report;
     a passing report is a precondition of every simulation."""
     rep = ValidationReport()
     p = params
@@ -410,20 +407,25 @@ def validate_parameters(params: GrowthParameters,
         try:
             check_range(name, value)
         except ValueError as exc:
-            rep.add(str(exc))
+            rep.add(str(exc), name)
 
     for name in ("p_s", "p_rg", "allom_a", "allom_b"):
         if len(getattr(p, name)) != p.pa_max:
             rep.add(f"{name} must have one entry per physiological age "
-                    f"({p.pa_max}), got {len(getattr(p, name))}")
+                    f"({p.pa_max}), got {len(getattr(p, name))}", name)
     if len(p.p_rg) == p.pa_max and p.p_rg[0] != 1.0:
-        rep.add(f"p_rg(1) must equal 1 exactly (reference value): {p.p_rg[0]}")
+        rep.add(f"p_rg(1) must equal 1 exactly (reference value): {p.p_rg[0]}",
+                "p_rg")
+    if p.allom_a and p.allom_a[0] == 0:   # cycle 1 grows the trunk alone
+        rep.add("allom_a(1) must be nonzero, or the trunk has no length to "
+                f"grow: {p.allom_a[0]}", "allom_a")
     if not p.v_env:
-        rep.add("v_env must carry at least one per-tree entry")
+        rep.add("v_env must carry at least one per-tree entry", "v_env")
     if len(p.slw_ages) != len(p.slw_values) or not p.slw_ages:
-        rep.add("slw schedule needs matching, nonempty age/value lists")
+        rep.add("slw schedule needs matching, nonempty age/value lists",
+                "slw_values")
     elif any(b <= a for a, b in zip(p.slw_ages, p.slw_ages[1:])):
-        rep.add("slw ages must be strictly increasing")
+        rep.add("slw ages must be strictly increasing", "slw_ages")
 
     if zones is not None:
         _validate_zones(rep, zones, p.pa_max)
@@ -434,36 +436,37 @@ def _validate_zones(rep: ValidationReport, zones: ZoneRuleSet, pa_max: int):
     seen = set()
     for rule in zones.rules:
         name = f"zone Z^{rule.bearer_pa}{rule.axillary_pa}"
+        add = partial(rep.add, where=rule.key)
         if rule.key in seen:
-            rep.add(f"duplicate {name}")
+            add(f"duplicate {name}")
         seen.add(rule.key)
         if not (2 <= rule.bearer_pa <= pa_max - 1):
-            rep.add(f"{name}: bearer PA must lie in 2..{pa_max - 1}")
+            add(f"{name}: bearer PA must lie in 2..{pa_max - 1}")
         if rule.axillary_pa != 0 and not (2 <= rule.axillary_pa <= pa_max):
-            rep.add(f"{name}: axillary PA must be 0 or in 2..{pa_max}")
+            add(f"{name}: axillary PA must be 0 or in 2..{pa_max}")
         for coef in ("m1", "m2", "a1", "a2"):
             try:
                 check_range(coef, getattr(rule, coef))
             except ValueError as exc:
-                rep.add(f"{name}: {exc}")
+                add(f"{name}: {exc}")
         if math.isnan(rule.m_max):   # an infinite cap means no cap
-            rep.add(f"{name}: m_max must be a number: {rule.m_max!r}")
+            add(f"{name}: m_max must be a number: {rule.m_max!r}")
         if rule.m_max < rule.m1:
-            rep.add(f"{name}: m_max must be >= m1")
+            add(f"{name}: m_max must be >= m1")
         if rule.branching:
             if rule.a1 is None or rule.a2 is None:
-                rep.add(f"{name}: branching zones need a1 and a2")
+                add(f"{name}: branching zones need a1 and a2")
         else:
             if rule.a1 is not None or rule.a2 is not None:
-                rep.add(f"{name}: unbranched zones carry no axis coefficients")
+                add(f"{name}: unbranched zones carry no axis coefficients")
         if zones.eq_fixed:
             want_m1 = 0.0 if rule.key == (2, 2) else 1.0
             if rule.m1 != want_m1:
-                rep.add(f"{name}: fixed-coefficient rule requires m1 = "
-                        f"{want_m1:g}, got {rule.m1:g}")
+                add(f"{name}: fixed-coefficient rule requires m1 = "
+                    f"{want_m1:g}, got {rule.m1:g}")
             if rule.branching and rule.a1 not in (None, 0.0):
-                rep.add(f"{name}: fixed-coefficient rule requires a1 = 0, "
-                        f"got {rule.a1:g}")
+                add(f"{name}: fixed-coefficient rule requires a1 = 0, "
+                    f"got {rule.a1:g}")
 
 
 def validate_script(dataset: TargetDataset) -> ValidationReport:
@@ -473,7 +476,7 @@ def validate_script(dataset: TargetDataset) -> ValidationReport:
     if not dataset.trunk_script:
         rep.add("trunk script is empty")
     for i, entry in enumerate(dataset.trunk_script, start=1):
-        add = partial(rep.add, row=("script", i - 1))
+        add = partial(rep.add, where=("script", i - 1))
         if entry.gu_index != i:
             add(f"script entry {i}: gu_index {entry.gu_index} out of order")
         if entry.metamer_count < 1:
@@ -495,14 +498,14 @@ def validate_target(dataset: TargetDataset) -> ValidationReport:
     rep = validate_script(dataset)
     age = dataset.tree_age
     for k, obs in enumerate(dataset.trunk_profile):
-        add = partial(rep.add, row=("trunk", k))
+        add = partial(rep.add, where=("trunk", k))
         if not (1 <= obs.gu_index <= age):
             add(f"trunk row GU {obs.gu_index}: index outside 1..{age}")
         if min(obs.mass_g, obs.diameter_cm, obs.length_cm) < 0:
             add(f"trunk row GU {obs.gu_index}: negative value")
     by_gu: dict[int, list[tuple[int, RingObservation]]] = {}
     for k, obs in enumerate(dataset.ring_matrix):
-        add = partial(rep.add, row=("rings", k))
+        add = partial(rep.add, where=("rings", k))
         by_gu.setdefault(obs.gu_index, []).append((k, obs))
         if not (1 <= obs.gu_index <= age):
             add(f"ring row GU {obs.gu_index}: index outside 1..{age}")
@@ -523,7 +526,7 @@ def validate_target(dataset: TargetDataset) -> ValidationReport:
         for pa, count in entry.branches:
             scripted[(entry.gu_index, pa)] = count
     for k, obs in enumerate(dataset.branch_compartments):
-        add = partial(rep.add, row=("branches", k))
+        add = partial(rep.add, where=("branches", k))
         if min(obs.wood_g, obs.leaf_g) < 0:
             add(f"branch row GU {obs.gu_index} PA {obs.pa}: negative mass")
         if (obs.gu_index, obs.pa) not in scripted:

@@ -7,8 +7,10 @@ Target file: sectioned CSV with fixed headers, sections ``[script]``,
 ``[trunk]``, ``[rings]``, ``[branches]``.  ``_parse_float`` reads every
 number of both files: each must be finite, or it is a ParseError at its
 line (and column); only a zone's m_max may be the text ``inf``, no cap.
-A parameter-file number outside its range (``core.RANGES``) is a ParseError
-at its line too; relations between numbers are ``validate_parameters``'.
+Once a file is read, ``validate_parameters`` or ``validate_target`` checks
+it whole: a number outside its range (``core.RANGES``) or a broken
+relation is a ParseError at the line of the key or row it concerns
+(``_located_report``).
 
 All numeric output is written in full-precision decimal text (repr), so a
 write/read round trip reproduces every value exactly.  JSON outputs have a
@@ -33,7 +35,7 @@ from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
                           check_free_names, check_weight)
 from .core import (MEASUREMENTS, GrowthParameters, ParseError, TargetDataset,
                    TrunkScriptEntry, ZoneRule, ZoneRuleSet, check_range,
-                   validate_target)
+                   validate_parameters, validate_target)
 from .engine import SimulationOutput
 from .sourcesink import CycleAllocation
 
@@ -84,6 +86,19 @@ def _located(path, line_no, check, *args):
         raise ParseError(str(exc), path, line_no) from None
 
 
+def _located_report(report, path, lines, prefix=""):
+    """Nothing if ``report`` passes; else a ParseError at the line that
+    ``lines`` gives the first located violation's ``where``, naming each
+    other violation's line."""
+    if report.ok:
+        return
+    at = [lines.get(where) for where in report.where]
+    first = next(filter(None, at), None)
+    raise ParseError(prefix + "; ".join(
+        v if n in (None, first) else f"{v} (line {n})"
+        for v, n in zip(report.violations, at)), path, first)
+
+
 def _parse_flag(text, path, line_no, what):
     flag = _FLAGS.get(text.strip().lower())
     if flag is None:
@@ -132,11 +147,13 @@ def _parse_lines(path):
 def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
                                        FitSpec | None]:
     """Parse a parameter file into growth parameters, zone rules, and the
-    optional fit specification."""
+    optional fit specification; the parameters and zone rules validated,
+    each violation at the line of the parameter or zone it concerns."""
     plain: dict[str, object] = {}
     zone_rules: list[ZoneRule] = []
     eq_fixed = True
     fit_lines: dict[str, tuple[int, str]] = {}
+    lines: dict[object, int] = {}   # parameter name or zone key -> line
 
     for line_no, section, key, value in _parse_lines(path):
         if not section:
@@ -149,7 +166,7 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
                                    for v in items)
             else:
                 plain[key] = _parse_float(value, path, line_no, key, kind)
-            _located(path, line_no, check_range, key, plain[key])
+            lines[key] = line_no
         elif section == "zones":
             if key == "eq_fixed":
                 eq_fixed = _parse_flag(value, path, line_no, key)
@@ -170,10 +187,8 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
                     else _parse_float(text, path, line_no, name)
                     for name, text in zip(("m1", "m2", "m_max", "a1", "a2"),
                                           cells)}
-                for name, number in coefficients.items():
-                    if name != "m_max":   # which may be inf: no cap
-                        _located(path, line_no, check_range, name, number)
                 zone_rules.append(ZoneRule(*pas, **coefficients))
+                lines[zone_rules[-1].key] = line_no
             else:
                 raise ParseError(f"unknown zones key {key!r}", path, line_no)
         elif section == "fit":
@@ -183,8 +198,9 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
 
     params = GrowthParameters(**plain)
     zones = ZoneRuleSet(rules=tuple(zone_rules), eq_fixed=eq_fixed)
+    _located_report(validate_parameters(params, zones), path, lines)
     fit_spec = (_build_fit_spec(fit_lines, path, params, zones)
-                if fit_lines else None)
+                if fit_lines else None)   # its free names need valid ones
     return params, zones, fit_spec
 
 
@@ -400,14 +416,9 @@ def parse_target_file(path) -> TargetDataset:
         for n, c in sections["script"])
     dataset = TargetDataset(trunk_script=script, **{
         m.field: measured(m) for m in MEASUREMENTS})
-    report = validate_target(dataset)
-    if not report.ok:
-        # located at the first row's line, naming any other row's
-        lines = [row and sections[row[0]][row[1]][0] for row in report.rows]
-        first = next(filter(None, lines), None)
-        raise ParseError("invalid target data: " + "; ".join(
-            v if n in (None, first) else f"{v} (line {n})"
-            for v, n in zip(report.violations, lines)), path, first)
+    _located_report(validate_target(dataset), path, {
+        (s, k): n for s, rows in sections.items()
+        for k, (n, _) in enumerate(rows)}, "invalid target data: ")
     return dataset
 
 

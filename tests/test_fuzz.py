@@ -13,8 +13,8 @@ hold under other zone coefficients repeats bit for bit, and batch columns
 that depart give what each gives alone.  At each finite end of each range
 (core.RANGES) of each number of the bundled parameter file, one number
 outside fails every command at its line, and the end, or one float inside
-an open end, validates or fails on a relation alone and gives the same
-short run, or the same failure, on both engines.  The seeds and case
+an open end, fails on a relation alone, at a line, or validates and gives
+the same short run, or the same failure, on both engines.  The seeds and case
 counts are fixed, so every run checks the same cases.
 """
 
@@ -491,8 +491,8 @@ def _both_engines(params, zones, tree):
 def test_every_range_end_of_the_parameter_file(tmp_path, capsys, row, line,
                                                cell):
     # one number outside an end fails every command at its line; the end
-    # (or one float inside an open one) validates, or fails on a relation
-    # alone, and the two engines agree on it
+    # (or one float inside an open one) validates, and the two engines
+    # agree on it, or fails on a relation alone, at a line of the file
     path = tmp_path / "species.params"
     key, sep, value = RANGE_LINES[line].partition(" = ")
     for number, inside in _range_end_values(row):
@@ -518,9 +518,13 @@ def test_every_range_end_of_the_parameter_file(tmp_path, capsys, row, line,
             continue
         code = cli.main(["validate", "--params", str(path)])
         out, err = capsys.readouterr()
-        assert (code, err) in ((0, ""), (1, "")), (number, err)
-        assert not RANGE_MESSAGE.search(out), out
-        if code == 0 and line < RANGE_LINES.index("[fit]"):
+        if code == 1:
+            assert out == "" and re.match(
+                rf"error: {re.escape(str(path))}:\d+: ", err), (number, err)
+            assert not RANGE_MESSAGE.search(err), err
+            continue
+        assert (code, out, err) == (0, "parameters: pass\n", ""), (number, err)
+        if line < RANGE_LINES.index("[fit]"):
             params, zones, _ = read_parameter_file(path)
             _both_engines(params, zones, 1 if (row, cell) == ("v_env", 1)
                           else 0)

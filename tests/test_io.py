@@ -941,6 +941,94 @@ class TestRunConfig:
                 "", f"error: {bad}:5: alpha must be in (0, 1]: 1.5\n")
             assert not (tmp_path / command).exists()
 
+    @pytest.mark.parametrize("old,new,line,violation,others", [
+        ("p_s = 5.25, 5.25, 5.25, 1.0", "p_s = 5.25, 5.25, 5.25", 13,
+         "p_s must have one entry per physiological age (4), got 3", ()),
+        ("p_rg = 1.0,", "p_rg = 0.9,", 12,
+         "p_rg(1) must equal 1 exactly (reference value): 0.9", ()),
+        ("slw_values = 0.0072, 0.0093", "slw_values = 0.0072", 19,
+         "slw schedule needs matching, nonempty age/value lists", ()),
+        ("slw_ages = 21.0, 46.0", "slw_ages = 46.0, 21.0", 18,
+         "slw ages must be strictly increasing", ()),
+        ("v_env = 560.0, 1000.0", "v_env =", 21,
+         "v_env must carry at least one per-tree entry", ()),
+        ("zone_2_0 = 1.0, 0.42, 6", "zone_2_0 = 1.0, 0.42, 0.5", 26,
+         "zone Z^20: m_max must be >= m1", ()),
+        ("zone_2_4 = 1.0,", "zone_2_4 = 0.5,", 27,
+         "zone Z^24: fixed-coefficient rule requires m1 = 1, got 0.5", ()),
+        ("zone_2_3 = 1.0, 0.1, 2, 0.0,", "zone_2_3 = 1.0, 0.1, 2, 0.5,", 28,
+         "zone Z^23: fixed-coefficient rule requires a1 = 0, got 0.5", ()),
+        ("zone_3_0 =", "zone_4_0 =", 30,
+         "zone Z^40: bearer PA must lie in 2..3", ()),
+        ("zone_3_4 =", "zone_3_5 =", 31,
+         "zone Z^35: axillary PA must be 0 or in 2..4", ()),
+        ("zone_2_2 = 0.0, 0.1, 1, 0.0, 0.05", "zone_2_2 = 0.0, 0.1, 1", 29,
+         "zone Z^22: branching zones need a1 and a2", ()),
+        ("zone_3_0 = 1.0, 1.02, 7", "zone_3_0 = 1.0, 1.02, 7, 0.0, 0.1", 30,
+         "zone Z^30: unbranched zones carry no axis coefficients", ()),
+        ("zone_2_2 =", "zone_2_04 = 1.0, 1.1, 2, 0.0, 0.6\nzone_2_2 =", 29,
+         "duplicate zone Z^24", ()),
+        ("allom_a = 3.0,", "allom_a = 0.0,", 3,
+         "allom_a(1) must be nonzero, or the trunk has no length to grow: "
+         "0.0", ()),
+        # every other vector and every zone fails too, each at its line
+        ("pa_max = 4", "pa_max = 2", 13,
+         "p_s must have one entry per physiological age (2), got 4; ",
+         (12, 3, 4, 26, 27, 27, 28, 28, 29, 30, 31, 31))],
+        ids=["vector length", "p_rg(1)", "slw lengths", "slw ages",
+             "empty v_env", "m_max", "fixed m1", "fixed a1", "bearer PA",
+             "axillary PA", "no a1 a2", "unbranched a1 a2", "duplicate zone",
+             "allom_a(1)", "pa_max"])
+    def test_a_broken_relation_fails_at_its_line(self, tmp_path, capsys, old,
+                                                 new, line, violation, others):
+        # each relation between numbers that a file can break fails all four
+        # commands when the file is read, at the line of the key it names
+        from treesink.cli import main
+        bad = tmp_path / "bad.params"
+        text = Path(fixture_path("species.params")).read_text()
+        assert text.count(f"\n{old}") == 1
+        bad.write_text(text.replace(f"\n{old}", f"\n{new}"))
+        targets = ["--target", fixture_path("tree1.target.csv")]
+        for command, extra in (
+                ("validate", targets), ("simulate", targets),
+                ("oracle", targets), ("fit", targets + [
+                    "--target", fixture_path("tree2.target.csv")])):
+            out = ["--out", str(tmp_path / command)] \
+                if command != "validate" else []
+            assert main([command, "--params", str(bad), *extra, *out]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert captured.err.startswith(f"error: {bad}:{line}: {violation}")
+            assert captured.err.endswith("\n") if others else \
+                captured.err == f"error: {bad}:{line}: {violation}\n"
+            assert re.findall(r"\(line (\d+)\)", captured.err) == \
+                [str(n) for n in others]
+            assert not (tmp_path / command).exists()
+
+    def test_fit_fails_a_script_no_run_can_take(self, tmp_path, capsys):
+        # a branch PA above pa_max: validate passes the target, which it
+        # checks alone, and fit fails it before any run, as simulate and
+        # oracle do, and writes nothing
+        from treesink.cli import main
+        lines = Path(fixture_path("tree1.target.csv")).read_text().split("\n")
+        assert (lines[4], lines[125][:4]) == ("3,5,PA4x1", "3,4,")
+        lines[4] = "3,5,PA5x1"
+        del lines[125]   # the branch row of GU 3's PA-4 branch
+        target = tmp_path / "tree1.target.csv"
+        target.write_text("\n".join(lines))
+        argv = ["--params", fixture_path("species.params"),
+                "--target", str(target)]
+        assert main(["validate", *argv]) == 0
+        assert capsys.readouterr() == (
+            f"parameters: pass\ntarget {target}: pass\n", "")
+        for command, extra in (("simulate", []), ("oracle", []), (
+                "fit", ["--target", fixture_path("tree2.target.csv")])):
+            out = tmp_path / command
+            assert main([command, *argv, *extra, "--out", str(out)]) == 2
+            assert capsys.readouterr() == (
+                "", "error: script entry 3: branch PA 5 outside 2..4\n")
+            assert not out.exists(), command
+
 
 def _is_number(text):
     try:
