@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
 
 import numpy as np
 
-from .core import (MEASUREMENTS, TARGET_CLASSES, GrowthParameters,
-                   TargetDataset, TreesinkError, ZoneRuleSet, check_range)
+from .core import (TARGET_CLASSES, GrowthParameters, TargetDataset,
+                   TreesinkError, ZoneRuleSet, check_range)
 from .engine import (check_run_request, extract_targets, run_key, simulate,
                      simulate_batch)
 from .topology import holding_band, plan_holds
@@ -198,9 +197,9 @@ def default_weights(targets: list[TargetDataset],
     keeps that one instead."""
     pools: dict[str, list[float]] = {c: [] for c in TARGET_CLASSES}
     for ds in targets:
-        for m in MEASUREMENTS:
-            for cls, value in m.classes:
-                pools[cls] += map(attrgetter(value), getattr(ds, m.field))
+        _, observed, labels = ds.alignment
+        for cls, value in zip(labels, observed.tolist()):
+            pools[cls].append(value)
     weights = {}
     for cls, values in pools.items():
         if values and cls not in (given or {}):
@@ -379,8 +378,7 @@ def fit_continuous(free: list[FreeParameter], fixed: dict[str, float],
     start = np.array([p.init for p in free] if x0 is None else x0, dtype=float)
     start = np.clip(start, lower, upper)
     # a large flat penalty steers the trust region away without NaNs
-    penalty = np.full(sum(len(getattr(d, m.field)) * len(m.classes)
-                          for d in scorer.targets for m in MEASUREMENTS), 1e12)
+    penalty = np.full(sum(len(d.alignment[1]) for d in scorer.targets), 1e12)
 
     def values(points):
         return [{**fixed, **dict(zip(names, map(float, x)))} for x in points]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -181,12 +181,8 @@ class ZoneRuleSet:
 
     def zones_of(self, bearer_pa: int) -> list[ZoneRule]:
         """Zones of a growth unit, basal to apical."""
-        out = []
-        for k in ZONE_SEQUENCE:
-            rule = self._by_key.get((bearer_pa, k))
-            if rule is not None:
-                out.append(rule)
-        return out
+        return [rule for k in ZONE_SEQUENCE
+                if (rule := self._by_key.get((bearer_pa, k))) is not None]
 
     def with_rule(self, rule: ZoneRule) -> "ZoneRuleSet":
         rules = tuple(rule if r.key == rule.key else r for r in self.rules)
@@ -258,6 +254,58 @@ class BranchRow:
     axis_length_cm: float
 
 
+class Profiles:
+    """The measured profiles of one run as arrays, the one record its rows
+    are read from and a fit gathers its residuals from.
+
+    ``trunk`` is GU × (mass, diameter, length); ``rings`` is age × GU
+    diameters, a cell measured from its GU's birth (``births``) on;
+    ``branches`` is GU × PA × (wood, leaf, axis length), the mean of the
+    ``counts`` branches of its cell.  Index i of an axis is GU, age or PA
+    i + 1, and a cell no row measures holds NaN.  Each section's rows are
+    built from its table on first read."""
+
+    def __init__(self, trunk: np.ndarray, rings: np.ndarray,
+                 births: np.ndarray, branches: np.ndarray, counts: np.ndarray):
+        self.trunk, self.rings, self.births = trunk, rings, births
+        self.branches, self.counts = branches, counts
+
+    def __eq__(self, other) -> bool:
+        """Equal when every table has the same shape, type and bits."""
+        return type(other) is Profiles and all(
+            (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+            for a, b in zip(self._tables(), other._tables()))
+
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        return self.trunk, self.rings, self.births, self.branches, self.counts
+
+    def sections(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per MEASUREMENTS section, its table, with one axis per key field
+        (index = key − 1) then the value fields, and the cells it serves."""
+        return ((self.trunk, np.ones(len(self.trunk), bool)),
+                (self.rings.T[..., None],
+                 self.births[:, None] <= np.arange(1, len(self.rings) + 1)),
+                (self.branches, self.counts > 0))
+
+    @cached_property
+    def trunk_profile(self) -> tuple[TrunkObservation, ...]:
+        return tuple(TrunkObservation(gu, *values)
+                     for gu, values in enumerate(self.trunk.tolist(), 1))
+
+    @cached_property
+    def ring_matrix(self) -> tuple[RingObservation, ...]:
+        ages, gus = self.sections()[1][1].T.nonzero()   # age by age
+        return tuple(map(RingObservation, (gus + 1).tolist(),
+                         (ages + 1).tolist(), self.rings[ages, gus].tolist()))
+
+    @cached_property
+    def branch_compartments(self) -> tuple[BranchRow, ...]:
+        cells = self.counts.nonzero()
+        return tuple(map(BranchRow, *((each + 1).tolist() for each in cells),
+                         self.counts[cells].tolist(),
+                         *self.branches[cells].T.tolist()))
+
+
 class Measurement(NamedTuple):
     """One measured section: its TargetDataset and SimulationOutput field,
     its target-file section (``<section>.csv`` in a simulation's output),
@@ -306,6 +354,21 @@ class TargetDataset:
     @property
     def tree_age(self) -> int:
         return len(self.trunk_script)
+
+    @cached_property
+    def alignment(self) -> tuple[list[np.ndarray], np.ndarray, list[str]]:
+        """What aligning a run reads of the dataset, built on first use:
+        per MEASUREMENTS section, each row's cell in the section's
+        :meth:`Profiles.sections` table (key − 1), then every observed
+        value and its data class, in residual order."""
+        sections = [(m, getattr(self, m.field)) for m in MEASUREMENTS]
+        return ([np.array([[getattr(t, f) for f in m.key] for t in rows],
+                          int).reshape(len(rows), len(m.key)) - 1
+                 for m, rows in sections],
+                np.concatenate([np.array([[getattr(t, v) for _, v in m.classes]
+                                          for t in rows], float).ravel()
+                                for m, rows in sections]),
+                [c for m, rows in sections for _ in rows for c, _ in m.classes])
 
     def script_entry(self, cycle: int) -> TrunkScriptEntry:
         if cycle < 1 or cycle > len(self.trunk_script):

@@ -1,6 +1,6 @@
 """Growth-cycle engine: composes production, allocation, organogenesis and
-ring partition over the factorized architecture, and extracts the output
-profiles that measurements are compared against.
+ring partition over the factorized architecture, and collects the measured
+profiles that targets are compared against.
 
 One cycle executes, in order: expand the shoots funded at the previous
 cycle, update the blade area, compute production, plan the next cycle's
@@ -18,6 +18,11 @@ differ only in another tree's environment factor share one run
 column's rounding outcome departs from the first column's or because it
 raises, runs each of its runs alone.  :func:`simulate` is the one-column
 case.
+
+A run's measured profiles are one array record (:class:`Profiles`), each
+column's a view of the batch's; the rows of a section are views built from
+it on first read, and :func:`extract_targets` aligns a run with a target
+by one gather per section from it.
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ from operator import attrgetter
 import numpy as np
 
 from .core import (CM2_PER_M2, MEASUREMENTS, TRUNK_PA, AlignmentError,
-                   BranchRow, GrowthParameters, RingObservation,
-                   SimulationError, TargetDataset, TreesinkError,
-                   TrunkObservation, ZoneRuleSet, validate_parameters,
+                   GrowthParameters, Profiles, SimulationError, TargetDataset,
+                   TreesinkError, ZoneRuleSet, validate_parameters,
                    validate_script)
 from .sourcesink import (CycleAllocation, allocate_shoots, production,
                          ring_coefficients, ring_demand, solve_global_demand)
@@ -49,13 +53,13 @@ PRODUCTION_CAP = 1.0e15
 
 @dataclass
 class SimulationOutput:
-    """Per-cycle series plus the measurement-shaped profiles of one run."""
+    """Per-cycle series plus the measured profiles of one run.  The
+    profiles are one array record; the rows of each measured section are
+    read-only views built from it on first read."""
 
     cycles: int
     allocations: list[CycleAllocation]
-    trunk_profile: list[TrunkObservation]
-    ring_matrix: list[RingObservation]
-    branch_compartments: list[BranchRow]
+    profiles: Profiles
     topology: dict
     total_wood_g: float
     total_leaf_ever_g: float
@@ -69,6 +73,11 @@ class SimulationOutput:
     @property
     def ratio_series(self) -> list[float]:
         return [a.ratio for a in self.allocations]
+
+    # the rows of each measured section, read-only views of the record
+    trunk_profile = property(attrgetter("profiles.trunk_profile"))
+    ring_matrix = property(attrgetter("profiles.ring_matrix"))
+    branch_compartments = property(attrgetter("profiles.branch_compartments"))
 
 
 def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
@@ -163,7 +172,7 @@ def _partition_rings_factorized(state: TreeState, cols, q_r, cycle: int
     ring = state.arena.cum_ring
     ring += incs
     # the trunk (class 0) increments feed the ring-diameter matrix
-    state.trunk_rings.append((cycle, incs[:, :bounds[1]].copy()))
+    state.trunk_rings.append(incs[:, :bounds[1]].copy())
 
 
 def net_production(params: GrowthParameters, s_blade: float,
@@ -369,8 +378,9 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
                     with_topology: bool = True,
                     with_signature: bool = True) -> list[SimulationOutput]:
     """Each column's output; ``allocations`` holds each column's
-    allocation records.  Every per-column sum runs along a contiguous last
-    axis, as it does with one column."""
+    allocation records.  The columns' profiles are views of one batched
+    record, each per-column sum running along a contiguous last axis, as
+    it does with one column."""
     trunk = state.classes[0]
     density = np.array([[p.wood_density] for p in cols])
 
@@ -379,64 +389,50 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
     internode, length = trunk.internode_mass, trunk.length
     wood = internode + trunk.cum_ring
     diam = metamer_diameters(wood, length, density)
-    trunk_profiles: list[list] = [[] for _ in cols]
-    for rank, _birth, start, count, _layout, _laterals in units:
+    # each table is filled field by field, then viewed per column
+    trunk_table = np.empty((3, len(cols), len(units)))
+    for gu, (_, _, start, count, *_) in enumerate(units):
         sl = slice(start, start + count)
-        for profile, mass, mean, total in zip(
-                trunk_profiles, add(wood[:, sl], axis=1).tolist(),
-                (add(diam[:, sl], axis=1) / count).tolist(),
-                add(length[:, sl], axis=1).tolist()):
-            profile.append(TrunkObservation(gu_index=rank, mass_g=mass,
-                                            diameter_cm=mean,
-                                            length_cm=total))
-
-    # every array before the Python rows, which outlive them
-    wood_totals = state.subtree_wood_totals()
-    leaf_totals = state.subtree_leaf_mass_totals()
-    lengths = state.arena.segment_sums(state.arena.field(LENGTH))
-    total_wood = state.total_wood_mass().tolist()
-    total_leaf = state.total_leaf_mass_ever().tolist()
+        trunk_table[:, :, gu] = (add(wood[:, sl], axis=1),
+                                 add(diam[:, sl], axis=1) / count,
+                                 add(length[:, sl], axis=1))
 
     # the trunk's diameters after each cycle: its ring increments,
     # zero-padded to the final trunk, summed cycle by cycle onto the
     # internodes (in place: with K columns the table is cycles × K ×
-    # metamers)
+    # metamers); a unit's mean counts from its birth on
     wood_then = np.zeros((len(state.trunk_rings), len(cols),
                           trunk.n_metamers))
-    for row, (_age, inc) in zip(wood_then, state.trunk_rings):
-        row[:, :inc.shape[1]] = inc
+    for cycle, inc in enumerate(state.trunk_rings):
+        wood_then[cycle, :, :inc.shape[1]] = inc
     np.cumsum(wood_then, axis=0, out=wood_then)
     wood_then += internode
     diam_then = metamer_diameters(wood_then, length, density, out=wood_then)
-    gu_starts = np.array([u[2] for u in units])
-    gu_counts = np.array([u[3] for u in units], dtype=float)
-    means = []
-    for (age, inc), row in zip(state.trunk_rings, diam_then):
-        live = sum(1 for u in units if u[1] <= age)
-        means.append((age, (np.add.reduceat(
-            row[:, :inc.shape[1]], gu_starts[:live], axis=1)
-            / gu_counts[:live]).tolist()))
-    check_finite(diam, length, diam_then, wood_totals, leaf_totals, lengths)
+    _, births, starts, sizes = map(np.array, list(zip(*units))[:4])
+    rings = np.add.reduceat(diam_then, starts, axis=2)
+    rings /= sizes
+    rings = rings.transpose(1, 0, 2)
+    rings[:, births > np.arange(1, rings.shape[1] + 1)[:, None]] = np.nan
+    check_finite(diam, length, diam_then)
     del wood_then, diam_then
-    ring_matrices: list[list] = [[] for _ in cols]
-    for age, rows in means:
-        for matrix, row in zip(ring_matrices, rows):
-            matrix += [RingObservation(u[0], age, mean)
-                       for u, mean in zip(units, row)]
 
+    wood_totals = state.subtree_wood_totals()
+    leaf_totals = state.subtree_leaf_mass_totals()
+    lengths = state.arena.segment_sums(state.arena.field(LENGTH))
+    check_finite(wood_totals, leaf_totals, lengths)
     grouped: dict[tuple[int, int], list[int]] = {}
     for rank, *_, laterals in units:
         for _row, child in laterals:
-            grouped.setdefault((rank, state.classes[child].pa),
+            grouped.setdefault((rank - 1, state.classes[child].pa - 1),
                                []).append(child)
-    branch_rows: list[list] = [[] for _ in cols]
-    for (gu_rank, pa), idxs in sorted(grouped.items()):
-        for rows, wood_g, leaf_g, total in zip(branch_rows, *(
-                (add(values.take(idxs, axis=1), axis=1) / len(idxs)).tolist()
-                for values in (wood_totals, leaf_totals, lengths))):
-            rows.append(BranchRow(gu_index=gu_rank, pa=pa, count=len(idxs),
-                                  wood_g=wood_g, leaf_g=leaf_g,
-                                  axis_length_cm=total))
+    counts = np.zeros((len(units),
+                       max((pa for _, pa in grouped), default=-1) + 1), int)
+    branches = np.full((3, len(cols), *counts.shape), np.nan)
+    for (gu, pa), idxs in grouped.items():
+        counts[gu, pa] = len(idxs)
+        branches[:, :, gu, pa] = [
+            add(values.take(idxs, axis=1), axis=1) / len(idxs)
+            for values in (wood_totals, leaf_totals, lengths)]
 
     # thousands of containers, none cyclic: without a pause, every few
     # hundred would start a collection
@@ -450,14 +446,16 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
             gc.enable()
     return [SimulationOutput(
         cycles=n_cycles, allocations=list(allocs),
-        trunk_profile=profile, ring_matrix=matrix,
-        branch_compartments=rows, topology=topology, total_wood_g=wood,
-        total_leaf_ever_g=leaf, pending_shoot_fund_g=fund,
-        structure_signature=signature, notes=list(notes),
-        decisions=decisions + [replace(pending, gu_layouts={})])
-        for allocs, profile, matrix, rows, wood, leaf, fund, notes, decisions,
-        pending in zip(allocations, trunk_profiles, ring_matrices,
-                       branch_rows, total_wood, total_leaf,
+        profiles=Profiles(trunk_k, rings_k, births, branches_k, counts),
+        topology=topology, total_wood_g=wood, total_leaf_ever_g=leaf,
+        pending_shoot_fund_g=fund, structure_signature=signature,
+        notes=list(notes), decisions=decisions + [replace(pending,
+                                                          gu_layouts={})])
+        for allocs, trunk_k, rings_k, branches_k, wood, leaf, fund, notes,
+        decisions, pending in zip(allocations, trunk_table.transpose(1, 2, 0), rings,
+                       branches.transpose(1, 2, 3, 0),
+                       state.total_wood_mass().tolist(),
+                       state.total_leaf_mass_ever().tolist(),
                        state.pending_fund, state.notes, state.decisions,
                        state.pending_plans)]
 
@@ -468,28 +466,27 @@ def extract_targets(output: SimulationOutput, dataset: TargetDataset
 
     Returns (simulated, observed, class labels), index by index in dataset
     order, section by section in MEASUREMENTS order; raises AlignmentError
-    listing every row the simulation cannot serve.  Same-PA branches on one
-    growth unit are already averaged on both sides.
+    listing every row the simulation cannot serve.  The simulated values
+    are one gather per section from the output's profile record, at each
+    target row's key cell; no row object is built.  Same-PA branches on
+    one growth unit are already averaged on both sides.
     """
     if output.cycles < dataset.tree_age:
         raise AlignmentError(
             f"simulation ran {output.cycles} cycles, dataset needs "
             f"{dataset.tree_age}")
-    sim, obs, labels, missing = [], [], [], []
-    for m in MEASUREMENTS:
-        key = attrgetter(*m.key)
-        values = attrgetter(*(v for _, v in m.classes))
-        served = {key(r): r for r in getattr(output, m.field)}
-        rows = getattr(dataset, m.field)
-        matched = [served.get(key(t)) for t in rows]
-        missing += [m.label.format_map(vars(t))
-                    for t, row in zip(rows, matched) if row is None]
+    cells, observed, labels = dataset.alignment
+    sim, missing = [], []
+    for m, at, (table, served) in zip(MEASUREMENTS, cells,
+                                      output.profiles.sections()):
+        ok = ((at >= 0) & (at < served.shape)).all(axis=1)
+        ok[ok] = served[tuple(at[ok].T)]
+        if not ok.all():
+            missing += [m.label.format_map(vars(t)) for t, hit in zip(
+                getattr(dataset, m.field), ok.tolist()) if not hit]
         if not missing:
-            sim.append(np.array(list(map(values, matched)), float))
-            obs.append(np.array(list(map(values, rows)), float))
-            labels += [c for c, _ in m.classes] * len(rows)
+            sim.append(table[tuple(at.T)][:, :len(m.classes)])
     if missing:
         raise AlignmentError("simulation cannot serve target rows: "
                              + ", ".join(missing))
-    return (np.concatenate(sim, axis=None), np.concatenate(obs, axis=None),
-            labels)
+    return np.concatenate(sim, axis=None), observed.copy(), list(labels)

@@ -16,13 +16,14 @@ to floating-point summation order.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CM2_PER_M2, TRUNK_PA, BranchRow, GrowthParameters,
-                   RingObservation, SimulationError, TargetDataset,
-                   TrunkObservation, TrunkScriptEntry, ZoneRuleSet)
+from .core import (CM2_PER_M2, TRUNK_PA, GrowthParameters, Profiles,
+                   SimulationError, TargetDataset, TrunkScriptEntry,
+                   ZoneRuleSet)
 from .engine import (SimulationOutput, check_finite, check_run_request,
                      failing_cycle, net_production, split_production)
 from .sourcesink import allocate_shoots, partition_rings, shoot_demand
@@ -256,8 +257,7 @@ def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
             plan = _plan(tree, params, zones, ratio_lagged, next_entry)
             alloc = split_production(params, n, q, plan.d_s, s_blade)
 
-            rows = []
-            row_refs = []
+            rows, row_refs = [], []
             for axis in tree.axes:
                 for gu in axis.gus:
                     for m in gu.metamers:
@@ -283,55 +283,50 @@ def _collect_naive(tree: NaiveTree, params, allocations, n_cycles,
     if trunk is None or trunk.pa != TRUNK_PA:
         raise SimulationError("naive simulation produced no trunk")
 
-    trunk_profile = []
-    ring_matrix = []
-    for gu in trunk.gus:
+    gus = trunk.gus
+    trunk_table = np.empty((len(gus), 3))
+    rings = np.full((n_cycles, len(gus)), np.nan)
+    for g, gu in enumerate(gus):
         wood = [m.internode_mass + sum(m.rings) for m in gu.metamers]
         lengths = [m.length for m in gu.metamers]
-        trunk_profile.append(TrunkObservation(
-            gu_index=gu.rank, mass_g=float(np.sum(wood)),
-            diameter_cm=float(np.mean(metamer_diameters(
-                wood, lengths, params.wood_density))),
-            length_cm=float(np.sum(lengths))))
+        trunk_table[g] = (np.sum(wood), np.mean(metamer_diameters(
+            wood, lengths, params.wood_density)), np.sum(lengths))
         for age in range(gu.birth, n_cycles + 1):
             wood_age = [m.internode_mass + sum(m.rings[:age - gu.birth + 1])
                         for m in gu.metamers]
-            ring_matrix.append(RingObservation(gu.rank, age, float(np.mean(
-                metamer_diameters(wood_age, lengths, params.wood_density)))))
-    ring_matrix.sort(key=lambda r: (r.tree_age, r.gu_index))
+            rings[age - 1, g] = np.mean(metamer_diameters(
+                wood_age, lengths, params.wood_density))
 
     grouped: dict[tuple[int, int], list[NAxis]] = {}
-    for gu in trunk.gus:
+    for gu in gus:
         for m in gu.metamers:
             if m.child is not None:
                 grouped.setdefault((gu.rank, m.child.pa), []).append(m.child)
-    branch_rows = []
-    for (gu_rank, pa), axes in sorted(grouped.items()):
-        wood = float(np.mean([tree.subtree(
-            a, lambda m: m.internode_mass + sum(m.rings)) for a in axes]))
-        leaf = float(np.mean([tree.subtree(
-            a, lambda m: m.leaf_mass if m.birth == n_cycles else 0.0)
-            for a in axes]))
-        length = float(np.mean([sum(m.length for g in a.gus
-                                    for m in g.metamers) for a in axes]))
-        branch_rows.append(BranchRow(gu_index=gu_rank, pa=pa, count=len(axes),
-                                     wood_g=wood, leaf_g=leaf,
-                                     axis_length_cm=length))
-
-    check_finite(*map(astuple, trunk_profile + ring_matrix + branch_rows))
+    counts = np.zeros((len(gus), max((pa for _, pa in grouped), default=0)),
+                      int)
+    branches = np.full((*counts.shape, 3), np.nan)
+    for (gu_rank, pa), axes in grouped.items():
+        counts[gu_rank - 1, pa - 1] = len(axes)
+        branches[gu_rank - 1, pa - 1] = (
+            np.mean([tree.subtree(a, lambda m: m.internode_mass + sum(m.rings))
+                     for a in axes]),
+            np.mean([tree.subtree(
+                a, lambda m: m.leaf_mass if m.birth == n_cycles else 0.0)
+                for a in axes]),
+            np.mean([sum(m.length for g in a.gus for m in g.metamers)
+                     for a in axes]))
+    profiles = Profiles(trunk_table, rings, np.array([gu.birth for gu in gus]),
+                        branches, counts)
+    check_finite(*(table[served] for table, served in profiles.sections()))
     total_wood = sum(m.internode_mass + sum(m.rings)
                      for m in tree.metamers())
     total_leaf = sum(m.leaf_mass for m in tree.metamers())
 
-    axis_counts: dict[str, int] = {}
-    for axis in tree.axes:
-        key = f"{axis.pa}_{axis.birth}"
-        axis_counts[key] = axis_counts.get(key, 0) + 1
+    axis_counts = dict(Counter(f"{a.pa}_{a.birth}" for a in tree.axes))
 
     return SimulationOutput(
         cycles=n_cycles, allocations=allocations,
-        trunk_profile=trunk_profile, ring_matrix=ring_matrix,
-        branch_compartments=branch_rows,
+        profiles=profiles,
         topology={"naive": True, "axis_counts": axis_counts},
         total_wood_g=total_wood, total_leaf_ever_g=total_leaf,
         pending_shoot_fund_g=pending_fund)

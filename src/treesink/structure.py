@@ -250,9 +250,8 @@ class TreeState:
     # OrganogenesisPlans for cycle+1, and the Q_s committed to them
     pending_plans: list = field(default_factory=list)
     pending_fund: list[float] = field(default_factory=list)
-    # (cycle, (columns, trunk metamers) per-instance ring increments)
-    trunk_rings: list[tuple[int, np.ndarray]] = field(init=False,
-                                                      default_factory=list)
+    # per cycle, the (columns, trunk metamers) per-instance ring increments
+    trunk_rings: list[np.ndarray] = field(init=False, default_factory=list)
     # per column, the expanded OrganogenesisPlans: the decisions the
     # architecture rests on, with that column's ratios and shoot demands
     decisions: list[list] = field(init=False)

@@ -61,21 +61,10 @@ def tree2_script() -> tuple[TrunkScriptEntry, ...]:
         branches: list[tuple[int, int]] = []
         if g in _EARLY_BRANCHES:
             branches.extend(_EARLY_BRANCHES[g])
-        elif 9 <= g <= 34:
-            phase = g % 4
-            if phase == 0:
-                branches.append((2, 1))
-            elif phase == 1:
-                branches.append((3, 1))
-            elif phase == 2:
-                branches.extend([(3, 1), (4, 1)])
-            else:
-                branches.append((3, 2))
+        elif 9 <= g <= 34:   # by g % 4
+            branches += ([(2, 1)], [(3, 1)], [(3, 1), (4, 1)], [(3, 2)])[g % 4]
         elif 35 <= g <= 44:
-            if g % 2 == 1:
-                branches.append((3, 1))
-            else:
-                branches.append((4, 1))
+            branches.append((3, 1) if g % 2 == 1 else (4, 1))
         entries.append(TrunkScriptEntry(
             gu_index=g, metamer_count=_metamer_count(g, 46),
             branches=tuple(branches)))
@@ -89,14 +78,8 @@ def tree1_script() -> tuple[TrunkScriptEntry, ...]:
         branches: list[tuple[int, int]] = []
         if g in _EARLY_BRANCHES:
             branches.extend(_EARLY_BRANCHES[g])
-        elif 9 <= g <= 18:
-            phase = g % 4
-            if phase == 1:
-                branches.append((2, 1))
-            elif phase in (2, 0):
-                branches.append((3, 1))
-            else:
-                branches.append((4, 1))
+        elif 9 <= g <= 18:   # by g % 4
+            branches.append(((3, 1), (2, 1), (3, 1), (4, 1))[g % 4])
         elif g == 19:
             branches.append((3, 1))
         entries.append(TrunkScriptEntry(
@@ -114,9 +97,8 @@ def dataset_from_output(output: SimulationOutput, script,
     """Shape a simulation into a measurement dataset: full trunk profile,
     ring histories of the instrumented growth units, averaged order-2
     branch compartments."""
-    ring_gus = set(ring_gus) if ring_gus is not None \
-        else {r.gu_index for r in output.ring_matrix}
-    rings = tuple(r for r in output.ring_matrix if r.gu_index in ring_gus)
+    rings = tuple(r for r in output.ring_matrix
+                  if ring_gus is None or r.gu_index in ring_gus)
     branches = tuple(BranchObservation(b.gu_index, b.pa, b.wood_g, b.leaf_g)
                      for b in output.branch_compartments)
     return TargetDataset(trunk_script=tuple(script),

@@ -14,7 +14,7 @@ import pytest
 from treesink import engine
 from treesink.calibration import (Scorer, apply_candidate, default_weights,
                                   fit_continuous, weighted_residuals)
-from treesink.core import SimulationError, TreesinkError
+from treesink.core import MEASUREMENTS, SimulationError, TreesinkError
 from treesink.fileio import parse_target_file, read_parameter_file
 from treesink.structure import TreeState
 from treesink.topology import gu_zone_layout, seed_plan
@@ -71,6 +71,41 @@ def test_jacobian_columns_equal_serial_residuals(bundled, monkeypatch):
     for candidate, result in zip(points, results):
         assert _same_as_serial(candidate, result, params, zones, targets,
                                weights)
+
+
+def test_batch_records_equal_lone_runs(bundled, monkeypatch):
+    # the bundled start and its first Jacobian's points on tree 2, one
+    # batch of 10 runs: each column's profile record, and the rows read
+    # from it, are its own profile-only run's, bit for bit
+    params, zones, spec, targets, weights = bundled
+    asked = []
+    residuals = Scorer.residuals
+
+    def spy(self, candidates, ahead=None):
+        asked.append([*candidates, *ahead])
+        return residuals(self, candidates, ahead)
+
+    monkeypatch.setattr(Scorer, "residuals", spy)
+    fit_continuous(spec.continuous, {p.name: p.init for p in spec.topological},
+                   Scorer(params, zones, targets, weights), max_nfev=1)
+    monkeypatch.undo()
+    [candidates] = asked
+    columns = [apply_candidate(params, zones, c)[0] for c in candidates]
+    cand_zones = apply_candidate(params, zones, candidates[0])[1]
+    runs = _log_runs(monkeypatch)
+    results = engine.simulate_batch(columns, cand_zones, targets[1],
+                                    tree_index=1)
+    monkeypatch.undo()
+    assert runs == [(10, 1)]
+    for p, out in zip(columns, results):
+        alone = engine.simulate(p, cand_zones, targets[1], tree_index=1,
+                                with_topology=False, with_signature=False)
+        for table in ("trunk", "rings", "births", "branches", "counts"):
+            a, b = (getattr(each.profiles, table) for each in (out, alone))
+            assert (a.shape, a.dtype, a.tobytes()) == \
+                (b.shape, b.dtype, b.tobytes())
+        for m in MEASUREMENTS:
+            assert repr(getattr(out, m.field)) == repr(getattr(alone, m.field))
 
 
 def _log_runs(monkeypatch) -> list[tuple[int, int]]:

@@ -550,18 +550,32 @@ class TestExtractTargets:
                                                 small_script):
         out = run(params, zones, small_script)
         dataset = dataset_from_output(out, small_script)
-        from dataclasses import replace
         from treesink.core import (BranchObservation, RingObservation,
                                    TrunkObservation)
+        # unserved rows beside served ones: keys outside the tables (GU 99
+        # and GU 0 of the trunk, age 99, PA 7) and cells inside them that
+        # hold nothing: GU 3's ring before its birth, and GU 1's PA-2
+        # branch cell, where no branch grows
+        assert out.profiles.counts.shape[1] >= 2
+        assert out.profiles.counts[0, 1] == 0
+        trunk, rings, branches = (dataset.trunk_profile, dataset.ring_matrix,
+                                  dataset.branch_compartments)
         bad = replace(
             dataset,
-            trunk_profile=dataset.trunk_profile
-            + (TrunkObservation(99, 1.0, 1.0, 1.0),),
-            ring_matrix=dataset.ring_matrix
-            + (RingObservation(gu_index=1, tree_age=99, diameter_cm=1.0),),
-            branch_compartments=dataset.branch_compartments
-            + (BranchObservation(2, 7, 1.0, 1.0),))
+            trunk_profile=trunk[:1] + (TrunkObservation(99, 1.0, 1.0, 1.0),)
+            + trunk[1:] + (TrunkObservation(0, 1.0, 1.0, 1.0),),
+            ring_matrix=(RingObservation(gu_index=1, tree_age=99,
+                                         diameter_cm=1.0),) + rings
+            + (RingObservation(gu_index=3, tree_age=2, diameter_cm=1.0),),
+            branch_compartments=branches[:1]
+            + (BranchObservation(2, 7, 1.0, 1.0),) + branches[1:]
+            + (BranchObservation(1, 2, 1.0, 1.0),))
         with pytest.raises(AlignmentError, match=(
                 r"^simulation cannot serve target rows: trunk GU 99, "
-                r"ring GU 1 age 99, branch GU 2 PA 7$")):
+                r"trunk GU 0, ring GU 1 age 99, ring GU 3 age 2, "
+                r"branch GU 2 PA 7, branch GU 1 PA 2$")):
             extract_targets(out, bad)
+        # a run too short for the dataset says so before any row
+        with pytest.raises(AlignmentError, match=(
+                r"^simulation ran 5 cycles, dataset needs 6$")):
+            extract_targets(run(params, zones, small_script, cycles=5), bad)

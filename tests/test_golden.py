@@ -1,4 +1,5 @@
-"""Byte-identity of the files a simulation and the bundled fit write.
+"""Byte-identity of the files a simulation and the bundled fit write, and
+of the oracle's rows.
 
 The digests pin the exact bytes of every output file, so any change in the
 order or rounding of a floating-point operation anywhere in the engine or
@@ -17,6 +18,7 @@ from treesink.core import TrunkScriptEntry
 from treesink.engine import simulate
 from treesink.fileio import (parse_target_file, read_parameter_file,
                              write_fit_result, write_simulation_output)
+from treesink.oracle import simulate_naive
 from treesink.synthetic import (generate_synthetic_target,
                                 reference_parameters, reference_zone_rules)
 
@@ -64,6 +66,18 @@ SMALL_FIT_DIGESTS = {
 }
 
 
+#: sha256 of ``repr(list(rows))`` of each measured section of the oracle's
+#: run of tree 1 over 6 cycles
+ORACLE_ROW_DIGESTS = {
+    "trunk_profile":
+        "ca48c9499b2acc49039d2b3fee250062c4598ce5e17512d1f7076711174eb6b1",
+    "ring_matrix":
+        "e6739f251a8d22b9f02686e084ffe176fa2658917bf085107be3db2547117482",
+    "branch_compartments":
+        "7042621c2703f950cd11ea01626424cc2dfd9fc9ba02830d48f9fc895261a32f",
+}
+
+
 def _digests(paths):
     out = {}
     for path in paths:
@@ -108,3 +122,14 @@ def test_small_fit_files_are_byte_identical(tmp_path):
         seed=7, stop_objective=None, polish_rounds=3, max_nfev=40)
     result = fit_topology(spec, params, zones, [target])
     assert _digests(write_fit_result(tmp_path, result)) == SMALL_FIT_DIGESTS
+
+
+def test_oracle_rows_are_unchanged():
+    # the oracle writes its naive values into the same profile record as
+    # the engine; its rows, read from that record, keep their bits
+    params, zones, _spec = read_parameter_file(fixture_path("species.params"))
+    dataset = parse_target_file(fixture_path("tree1.target.csv"))
+    output = simulate_naive(params, zones, dataset, tree_index=0, cycles=6)
+    assert {field: hashlib.sha256(repr(list(getattr(output, field)))
+                                  .encode()).hexdigest()
+            for field in ORACLE_ROW_DIGESTS} == ORACLE_ROW_DIGESTS

@@ -12,7 +12,7 @@ import pytest
 
 from treesink.calibration import (AnnealSchedule, FitResult, FitSpec,
                                    FreeParameter, PredictedObserved)
-from treesink.core import (MEASUREMENTS, BranchRow, ParseError,
+from treesink.core import (MEASUREMENTS, BranchRow, ParseError, Profiles,
                            RingObservation, TrunkObservation, ZoneRule,
                            ZoneRuleSet)
 from treesink.engine import simulate
@@ -394,17 +394,28 @@ class TestCsvWriter:
                              getattr(out, m.field))
 
     def test_edge_values(self, params, zones, small_dataset, tmp_path):
+        # the rows are views of the output's profile record, so the edge
+        # values go into its tables: six trunk GUs, one ring age (3) of
+        # eight GUs born then, and a PA-3 branch cell of count 4 on six GUs
         out = simulate(params, zones, small_dataset)
-        rows = {"trunk_profile": [TrunkObservation(1, *self.EDGES[i:i + 3])
+        edges = [float(v) for v in self.EDGES]
+        triples = np.array([edges[i:i + 3] for i in range(6)])
+        rings = np.full((3, len(edges)), np.nan)
+        rings[2] = edges
+        branches = np.full((6, 3, 3), np.nan)
+        branches[:, 2] = triples
+        counts = np.zeros((6, 3), int)
+        counts[:, 2] = 4
+        out.profiles = Profiles(triples, rings, np.full(len(edges), 3),
+                                branches, counts)
+        rows = {"trunk_profile": [TrunkObservation(i + 1, *edges[i:i + 3])
                                   for i in range(6)],
-                "ring_matrix": [RingObservation(i, 3, v)
-                                for i, v in enumerate(self.EDGES)],
-                "branch_compartments": [
-                    BranchRow(2, 3, 4, *self.EDGES[i:i + 3]) for i in range(6)]}
+                "ring_matrix": [RingObservation(i + 1, 3, v)
+                                for i, v in enumerate(edges)],
+                "branch_compartments": [BranchRow(i + 1, 3, 4, *edges[i:i + 3])
+                                        for i in range(6)]}
         out.allocations = [dataclasses.replace(a, q=v, ratio=v)
                            for a, v in zip(out.allocations, self.EDGES)]
-        for field, edge_rows in rows.items():
-            setattr(out, field, edge_rows)
         write_simulation_output(tmp_path, out)
         self.assert_rows(tmp_path / "cycles.csv", out.allocations)
         for m in MEASUREMENTS:
