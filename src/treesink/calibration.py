@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import (TARGET_CLASSES, GrowthParameters, TargetDataset,
-                   TreesinkError, ZoneRuleSet, check_range)
+from .core import (TARGET_CLASSES, GrowthParameters, InvalidValue,
+                   TargetDataset, TreesinkError, ZoneRuleSet, check_range)
 from .engine import (check_run_request, extract_targets, run_key, simulate,
                      simulate_batch)
 from .topology import holding_band, plan_holds
@@ -40,11 +40,12 @@ class FreeParameter:
     def __post_init__(self):
         if not (math.isfinite(self.lower) and self.lower < self.upper
                 and math.isfinite(self.upper)):
-            raise ValueError(f"{self.name}: bounds must be finite, lower < "
-                             f"upper: {self.lower}, {self.upper}")
+            raise InvalidValue((self.name,), f"{self.name}: bounds must be "
+                               f"finite, lower < upper: {self.lower}, "
+                               f"{self.upper}")
         if not (self.lower <= self.init <= self.upper):
-            raise ValueError(f"{self.name}: init {self.init} outside "
-                             f"[{self.lower}, {self.upper}]")
+            raise InvalidValue((self.name,), f"{self.name}: init {self.init}"
+                               f" outside [{self.lower}, {self.upper}]")
 
 
 @dataclass(frozen=True)
@@ -92,24 +93,25 @@ _ZONE_COEFFICIENT = re.compile(r"[ma]2_\d+_\d+")
 
 def check_free_names(names: list[str], topological: bool = False,
                      earlier: list[str] = ()) -> None:
-    """Raise ValueError unless each free name is listed once, ``earlier``
+    """Raise InvalidValue unless each free name is listed once, ``earlier``
     lists included, and is a zone coefficient ``m2_I_K``/``a2_I_K``
     exactly when the list is ``topological``."""
     for i, name in enumerate(names):
         if name in earlier or name in names[:i]:
-            raise ValueError(f"free parameter {name} listed twice")
+            raise InvalidValue((name,), f"free parameter {name} listed twice")
         if bool(_ZONE_COEFFICIENT.fullmatch(name)) != topological:
-            raise ValueError(
-                f"{name} is not a zone coefficient m2_I_K or a2_I_K"
+            raise InvalidValue(
+                (name,), f"{name} is not a zone coefficient m2_I_K or a2_I_K"
                 if topological else
                 f"zone coefficient {name} belongs in free_topology")
 
 
 def check_weight(data_class: str, weight: float) -> None:
-    """Raise ValueError unless ``data_class`` is an objective data class
+    """Raise InvalidValue unless ``data_class`` is an objective data class
     and ``weight`` is inside its range (core.RANGES)."""
     if data_class not in TARGET_CLASSES:
-        raise ValueError(f"unknown data class {data_class!r}")
+        raise InvalidValue((f"weight_{data_class}",),
+                           f"unknown data class {data_class!r}")
     check_range("weight", weight, f"weight_{data_class}")
 
 
@@ -154,7 +156,7 @@ def apply_candidate(params: GrowthParameters, zones: ZoneRuleSet,
     ``gamma``, ``lambda_mix``, ``wood_density``, ...), per-PA entries
     ``p_rg_K`` / ``p_s_K`` / ``allom_a_K`` / ``allom_b_K``, per-tree
     environments ``v_T`` and zone coefficients ``m2_I_K`` / ``a2_I_K``.
-    Raises ValueError for a name it cannot apply: an index outside
+    Raises InvalidValue for a name it cannot apply: an index outside
     1..length, an absent zone, or ``a2`` of an unbranched zone.
     """
     updates: dict[str, object] = {}
@@ -168,7 +170,8 @@ def apply_candidate(params: GrowthParameters, zones: ZoneRuleSet,
             vector = vectors[_INDEXED_FIELDS[prefix]]
             index = name[len(prefix):]
             if not (index.isdecimal() and 1 <= int(index) <= len(vector)):
-                raise ValueError(f"{name}: index outside 1..{len(vector)}")
+                raise InvalidValue((name,), f"{name}: index outside "
+                                   f"1..{len(vector)}")
             vector[int(index) - 1] = float(value)
         elif name.startswith(("m2_", "a2_")):
             kind, *ids = name.split("_")
@@ -176,14 +179,15 @@ def apply_candidate(params: GrowthParameters, zones: ZoneRuleSet,
                     if len(ids) == 2 and all(i.isdecimal() for i in ids)
                     else None)
             if rule is None:
-                raise ValueError(f"no zone Z^{''.join(ids)} for {name}")
+                raise InvalidValue((name,),
+                                   f"no zone Z^{''.join(ids)} for {name}")
             if kind == "a2" and not rule.branching:
-                raise ValueError(f"zone Z^{''.join(ids)} bears no axes, so "
-                                 f"{name} has no effect")
+                raise InvalidValue((name,), f"zone Z^{''.join(ids)} bears no "
+                                   f"axes, so {name} has no effect")
             rule = replace(rule, **{kind: float(value)})
             new_zones = new_zones.with_rule(rule)
         else:
-            raise ValueError(f"unknown free parameter {name!r}")
+            raise InvalidValue((name,), f"unknown free parameter {name!r}")
     new_params = params.with_values(
         **{f: tuple(v) for f, v in vectors.items()}, **updates)
     return new_params, new_zones

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from . import synthetic
 from .calibration import fit_topology
-from .core import ParseError, TreesinkError, ValidationError
+from .core import InvalidValue, TreesinkError, ValidationError
 from .engine import check_run_request, simulate
 from .fileio import (parse_target_file, read_parameter_file,
                      write_fit_result, write_simulation_output)
@@ -141,8 +141,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.seed is not None:
         try:
             fit_spec = replace(fit_spec, seed=args.seed)
-        except ValueError as exc:
-            raise ValidationError(f"--seed: {exc}") from None
+        except InvalidValue as exc:
+            raise ValidationError(f"--seed: {exc}", [exc.violation]) from None
     result = fit_topology(fit_spec, params, zones, targets)
     written = write_fit_result(args.out, result)
     if args.plots:
@@ -171,7 +171,7 @@ def run(args: argparse.Namespace) -> int:
             from . import plots
             plots.require_matplotlib()
         return args.handler(args)
-    except (ValidationError, ParseError) as exc:
+    except ValidationError as exc:   # a ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except TreesinkError as exc:

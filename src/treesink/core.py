@@ -13,15 +13,20 @@ Unit conventions used throughout the package:
   the topology and ring-demand rules.
 
 Each number of a parameter set, zone rule or fit setting has one range, a
-row of ``RANGES`` checked by :func:`check_range` alone; the relations
+row of ``RANGES`` checked by :func:`range_violation` alone; the relations
 between numbers are :func:`validate_parameters`' (``p_rg(1) = 1``, ...).
+Every broken rule is one :class:`Violation` record: the keys it relates,
+its message and its kind, ``"range"`` for a row of RANGES and
+``"relation"`` for any other rule.  A ValidationReport is the list of
+them, and each error that reports one (InvalidValue, ValidationError,
+ParseError) carries it as data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +41,36 @@ class TreesinkError(Exception):
     """Base class for package errors."""
 
 
+class Violation(NamedTuple):
+    """One broken rule of an input: ``keys`` is every key it relates (a
+    parameter or fit setting name, a zone key (bearer, axillary),
+    ``"[zones]"``, a target file's (section, row index)), the one it
+    concerns most first; ``kind`` is ``"range"`` for a number outside its
+    row of RANGES, ``"relation"`` for any other rule."""
+
+    keys: tuple
+    message: str
+    kind: str = "relation"
+
+
+class InvalidValue(ValueError):
+    """A ValueError carrying its Violation (keys, message[, kind]):
+    :func:`check_range`'s, and the fit set-up's checks of a free parameter,
+    bound or weight."""
+
+    def __init__(self, *violation):
+        self.violation = Violation(*violation)
+        super().__init__(self.violation.message)
+
+
 class ValidationError(TreesinkError):
-    """Raised when a configuration fails validation and a run was requested."""
+    """Raised when an input fails validation: a configuration a run was
+    requested with, or (a ParseError) an input file; ``violations`` are
+    the Violations it reports."""
+
+    def __init__(self, message, violations=()):
+        super().__init__(message)
+        self.violations = tuple(violations)
 
 
 class SimulationError(TreesinkError):
@@ -57,22 +90,18 @@ class AlignmentError(TreesinkError):
     """Raised when simulated output cannot be aligned with a target dataset."""
 
 
-class ParseError(TreesinkError):
-    """Raised on malformed parameter or target files; carries file location."""
+class ParseError(ValidationError):
+    """Raised on malformed parameter or target files; carries the file
+    location, its message led by each of ``path``, ``line`` and ``column``
+    up to the first None, and the Violations of a file that reads but does
+    not validate."""
 
-    def __init__(self, message, path=None, line=None, column=None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-            if line is not None:
-                loc += f"{line}:"
-                if column is not None:
-                    loc += f"{column}:"
-            loc += " "
-        super().__init__(loc + message)
-        self.path = path
-        self.line = line
-        self.column = column
+    def __init__(self, message, path=None, line=None, column=None,
+                 violations=()):
+        given = (path, line, column, None)
+        at = "".join(f"{each}:" for each in given[:given.index(None)])
+        super().__init__(f"{at} {message}" if at else message, violations)
+        self.path, self.line, self.column = path, line, column
 
 
 def round_half_away(x: float) -> int:
@@ -370,6 +399,31 @@ class TargetDataset:
                                 for m, rows in sections]),
                 [c for m, rows in sections for _ in rows for c, _ in m.classes])
 
+    @cached_property
+    def script_violations(self) -> tuple[Violation, ...]:
+        """The trunk script's violations (:func:`validate_script`), found
+        on first use: a dataset's script never changes."""
+        rep = ValidationReport()
+        if not self.trunk_script:
+            rep.add((), "trunk script is empty")
+        for i, entry in enumerate(self.trunk_script, start=1):
+            at, total = (("script", i - 1),), entry.branch_total()
+            if entry.gu_index != i:
+                rep.add(at, f"script entry {i}: gu_index {entry.gu_index} "
+                        "out of order")
+            if entry.metamer_count < 1:
+                rep.add(at, f"script entry {i}: metamer_count must be >= 1")
+            if total > entry.metamer_count:
+                rep.add(at, f"script entry {i}: more branches ({total}) "
+                        f"than metamers ({entry.metamer_count})")
+            for pa, count in entry.branches:
+                if pa < 2:
+                    rep.add(at, f"script entry {i}: branch PA must be >= 2, "
+                            f"got {pa}")
+                if count < 1:
+                    rep.add(at, f"script entry {i}: branch count must be >= 1")
+        return tuple(rep)
+
     def script_entry(self, cycle: int) -> TrunkScriptEntry:
         if cycle < 1 or cycle > len(self.trunk_script):
             raise SimulationError(f"trunk script has no entry for cycle {cycle}")
@@ -380,28 +434,17 @@ class TargetDataset:
         return entry
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of configuration validation: passes when no violations were
-    collected.  Validation is report-valued; callers that need an exception
-    use :meth:`raise_if_failed`."""
+class ValidationReport(list):
+    """Outcome of configuration validation: the Violations found, in the
+    order found, so it passes when empty.  Validation is report-valued;
+    callers that need an exception use :meth:`raise_if_failed`."""
 
-    violations: list[str] = field(default_factory=list)
-    # per violation, what it concerns: a parameter name, a zone key
-    # (bearer, axillary) or a target file's (section, row index)
-    where: list[object] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, message: str, where: object = None) -> None:
-        self.violations.append(message)
-        self.where.append(where)
+    def add(self, keys: tuple, message: str, kind: str = "relation") -> None:
+        self.append(Violation(keys, message, kind))
 
     def raise_if_failed(self) -> None:
-        if not self.ok:
-            raise ValidationError("; ".join(self.violations))
+        if self:
+            raise ValidationError("; ".join(v.message for v in self), self)
 
 
 #: each number's own range, as (low, high, closed ends): every parameter
@@ -410,16 +453,18 @@ class ValidationReport:
 #: field) and a class weight.  Any other number must be finite.
 RANGES = {
     **dict.fromkeys(("v_env", "sp0", "k_beer", "q0", "p_s", "p_r", "p_rg",
-                     "internode_leaf_ratio_short", "internode_leaf_ratio_long",
-                     "slw_values", "wood_density", "annealing t0",
-                     "annealing t_stop_ratio", "annealing step_scale",
-                     "weight"), (0, math.inf, "()")),
+                     "internode_leaf_ratio_short", "slw_values",
+                     "wood_density", "annealing t0", "annealing t_stop_ratio",
+                     "annealing step_scale", "weight"), (0, math.inf, "()")),
     **dict.fromkeys(("gamma", "allom_a", "allom_b", "m1", "a1",
                      "annealing steps_per_t", "seed", "polish_rounds"),
                     (0, math.inf, "[)")),
     "alpha": (0, 1, "(]"), "lambda_mix": (0, 1, "[]"),
     "root_fraction": (0, 1, "[)"), "pa_max": (2, math.inf, "[)"),
     "short_shoot_metamers": (1, math.inf, "[)"),
+    # a long shoot's leaf takes m / (1 + r) of its mass m, which is all of
+    # it once 1 + r rounds to 1, and leaves the internode no wood
+    "internode_leaf_ratio_long": (2 ** -53, math.inf, "()"),
     # a cooling of 1 never ends the annealing, numpy seeds from integers
     # >= 0 only, scipy needs max_nfev >= 1, and the fit would silently
     # reinterpret a lower step scale, refit cadence or polish count
@@ -432,63 +477,67 @@ _OPEN = {name: (low if ends[0] == "(" else math.nextafter(low, -math.inf),
 _FINITE = (-math.inf, math.inf)
 
 
-def check_range(name: str, value, label: str | None = None) -> None:
-    """Raise ValueError unless ``value`` is None or inside the row ``name``
-    of RANGES: ``NAME must be finite: VALUE``, else ``NAME must be > 0: V``
-    (``>= 1``, ``in (0, 1]`` alike) for the first entry outside, NAME
-    ``label`` (default ``name``), plus ``(i)`` if it is a tuple's entry i."""
+def range_violation(name: str, value,
+                    label: str | None = None) -> Violation | None:
+    """None if ``value`` is None or inside the row ``name`` of RANGES, else
+    its range Violation, of key ``label`` (default ``name``): ``KEY must be
+    finite: VALUE``, else ``KEY must be > 0: V`` (``>= 1``, ``in (0, 1]``
+    alike) for the first entry outside, plus ``(i)`` after KEY if it is a
+    tuple's entry i.  An end is printed as the number it is: 0, or 2**-53
+    in full."""
     if value is None:
-        return
+        return None
     low, high = _OPEN.get(name, _FINITE)
     entries = value if type(value) is tuple else (value,)
     for v in entries:
         if not low < v < high:
             break
     else:
-        return
-    label = label or name
+        return None
+    key = label or name
     if not all(map(math.isfinite, entries)):
-        raise ValueError(f"{label} must be finite: {value!r}")
-    if entries is value:
-        label += f"({entries.index(v) + 1})"
+        return Violation((key,), f"{key} must be finite: {value!r}", "range")
+    entry = f"{key}({entries.index(v) + 1})" if entries is value else key
     low, high, ends = RANGES[name]
-    condition = (f"{'>' if ends[0] == '(' else '>='} {low:g}"
+    condition = (f"{'>' if ends[0] == '(' else '>='} {low!r}"
                  if high == math.inf else
-                 f"in {ends[0]}{low:g}, {high:g}{ends[1]}")
-    raise ValueError(f"{label} must be {condition}: {v!r}")
+                 f"in {ends[0]}{low!r}, {high!r}{ends[1]}")
+    return Violation((key,), f"{entry} must be {condition}: {v!r}", "range")
+
+
+def check_range(name: str, value, label: str | None = None) -> None:
+    """Raise InvalidValue carrying ``range_violation``'s Violation, if any."""
+    if violation := range_violation(name, value, label):
+        raise InvalidValue(*violation)
 
 
 def validate_parameters(params: GrowthParameters,
                         zones: ZoneRuleSet | None = None) -> ValidationReport:
     """Validate a parameter set (and optionally zone rules): each number in
     its range (RANGES), and the relations between them, each violation
-    where the parameter name or zone key it concerns.  Returns a report;
+    keyed by the parameter names or zone key it relates.  Returns a report;
     a passing report is a precondition of every simulation."""
-    rep = ValidationReport()
     p = params
-    for name, value in vars(p).items():
-        try:
-            check_range(name, value)
-        except ValueError as exc:
-            rep.add(str(exc), name)
+    rep = ValidationReport(filter(None, map(range_violation, vars(p),
+                                            vars(p).values())))
 
     for name in ("p_s", "p_rg", "allom_a", "allom_b"):
-        if len(getattr(p, name)) != p.pa_max:
-            rep.add(f"{name} must have one entry per physiological age "
-                    f"({p.pa_max}), got {len(getattr(p, name))}", name)
+        if (n := len(getattr(p, name))) != p.pa_max:
+            rep.add((name, "pa_max"), f"{name} must have one entry per "
+                    f"physiological age ({p.pa_max}), got {n}")
     if len(p.p_rg) == p.pa_max and p.p_rg[0] != 1.0:
-        rep.add(f"p_rg(1) must equal 1 exactly (reference value): {p.p_rg[0]}",
-                "p_rg")
+        rep.add(("p_rg",), "p_rg(1) must equal 1 exactly (reference "
+                f"value): {p.p_rg[0]}")
     if p.allom_a and p.allom_a[0] == 0:   # cycle 1 grows the trunk alone
-        rep.add("allom_a(1) must be nonzero, or the trunk has no length to "
-                f"grow: {p.allom_a[0]}", "allom_a")
+        rep.add(("allom_a",), "allom_a(1) must be nonzero, or the trunk "
+                f"has no length to grow: {p.allom_a[0]}")
     if not p.v_env:
-        rep.add("v_env must carry at least one per-tree entry", "v_env")
+        rep.add(("v_env",), "v_env must carry at least one per-tree entry")
     if len(p.slw_ages) != len(p.slw_values) or not p.slw_ages:
-        rep.add("slw schedule needs matching, nonempty age/value lists",
-                "slw_values")
+        rep.add(("slw_values", "slw_ages"),
+                "slw schedule needs matching, nonempty age/value lists")
     elif any(b <= a for a, b in zip(p.slw_ages, p.slw_ages[1:])):
-        rep.add("slw ages must be strictly increasing", "slw_ages")
+        rep.add(("slw_ages",), "slw ages must be strictly increasing")
 
     if zones is not None:
         _validate_zones(rep, zones, p.pa_max)
@@ -498,101 +547,89 @@ def validate_parameters(params: GrowthParameters,
 def _validate_zones(rep: ValidationReport, zones: ZoneRuleSet, pa_max: int):
     seen = set()
     for rule in zones.rules:
-        name = f"zone Z^{rule.bearer_pa}{rule.axillary_pa}"
-        add = partial(rep.add, where=rule.key)
+        name, at = f"zone Z^{rule.bearer_pa}{rule.axillary_pa}", (rule.key,)
         if rule.key in seen:
-            add(f"duplicate {name}")
+            rep.add(at, f"duplicate {name}")
         seen.add(rule.key)
         if not (2 <= rule.bearer_pa <= pa_max - 1):
-            add(f"{name}: bearer PA must lie in 2..{pa_max - 1}")
+            rep.add(at + ("pa_max",),
+                    f"{name}: bearer PA must lie in 2..{pa_max - 1}")
         if rule.axillary_pa != 0 and not (2 <= rule.axillary_pa <= pa_max):
-            add(f"{name}: axillary PA must be 0 or in 2..{pa_max}")
+            rep.add(at + ("pa_max",),
+                    f"{name}: axillary PA must be 0 or in 2..{pa_max}")
         for coef in ("m1", "m2", "a1", "a2"):
-            try:
-                check_range(coef, getattr(rule, coef))
-            except ValueError as exc:
-                add(f"{name}: {exc}")
+            if violation := range_violation(coef, getattr(rule, coef)):
+                rep.add(at, f"{name}: {violation.message}", "range")
         if math.isnan(rule.m_max):   # an infinite cap means no cap
-            add(f"{name}: m_max must be a number: {rule.m_max!r}")
+            rep.add(at, f"{name}: m_max must be a number: {rule.m_max!r}")
         if rule.m_max < rule.m1:
-            add(f"{name}: m_max must be >= m1")
+            rep.add(at, f"{name}: m_max must be >= m1")
         if rule.branching:
             if rule.a1 is None or rule.a2 is None:
-                add(f"{name}: branching zones need a1 and a2")
-        else:
-            if rule.a1 is not None or rule.a2 is not None:
-                add(f"{name}: unbranched zones carry no axis coefficients")
+                rep.add(at, f"{name}: branching zones need a1 and a2")
+        elif rule.a1 is not None or rule.a2 is not None:
+            rep.add(at, f"{name}: unbranched zones carry no axis coefficients")
         if zones.eq_fixed:
             want_m1 = 0.0 if rule.key == (2, 2) else 1.0
             if rule.m1 != want_m1:
-                add(f"{name}: fixed-coefficient rule requires m1 = "
-                    f"{want_m1:g}, got {rule.m1:g}")
+                rep.add(at, f"{name}: fixed-coefficient rule requires m1 = "
+                        f"{want_m1:g}, got {rule.m1:g}")
             if rule.branching and rule.a1 not in (None, 0.0):
-                add(f"{name}: fixed-coefficient rule requires a1 = 0, "
-                    f"got {rule.a1:g}")
+                rep.add(at, f"{name}: fixed-coefficient rule requires a1 = "
+                        f"0, got {rule.a1:g}")
+    # a run lays out a unit of each PA below the short shoots' from its
+    # first cycle on, so each needs a zone; the lowest without one is named
+    bearers, bare = {bearer for bearer, _ in seen}, 2
+    while bare in bearers:
+        bare += 1
+    if bare < pa_max:
+        rep.add(("[zones]", "pa_max"), "[zones] must give each bearer PA in "
+                f"2..{pa_max - 1} a zone rule: PA {bare} has none")
 
 
 def validate_script(dataset: TargetDataset) -> ValidationReport:
     """Check the trunk script alone: the part of a target dataset a
-    simulation actually consumes."""
-    rep = ValidationReport()
-    if not dataset.trunk_script:
-        rep.add("trunk script is empty")
-    for i, entry in enumerate(dataset.trunk_script, start=1):
-        add = partial(rep.add, where=("script", i - 1))
-        if entry.gu_index != i:
-            add(f"script entry {i}: gu_index {entry.gu_index} out of order")
-        if entry.metamer_count < 1:
-            add(f"script entry {i}: metamer_count must be >= 1")
-        if entry.branch_total() > entry.metamer_count:
-            add(f"script entry {i}: more branches ({entry.branch_total()}) "
-                f"than metamers ({entry.metamer_count})")
-        for pa, count in entry.branches:
-            if pa < 2:
-                add(f"script entry {i}: branch PA must be >= 2, got {pa}")
-            if count < 1:
-                add(f"script entry {i}: branch count must be >= 1")
-    return rep
+    simulation actually consumes (``dataset.script_violations``)."""
+    return ValidationReport(dataset.script_violations)
 
 
 def validate_target(dataset: TargetDataset) -> ValidationReport:
     """Check a target dataset's full invariants (script coverage, ring
-    monotonicity, nonnegative masses)."""
+    monotonicity, nonnegative masses), each violation keyed by its row's
+    (section, index)."""
     rep = validate_script(dataset)
     age = dataset.tree_age
     for k, obs in enumerate(dataset.trunk_profile):
-        add = partial(rep.add, where=("trunk", k))
+        at, label = (("trunk", k),), f"trunk row GU {obs.gu_index}"
         if not (1 <= obs.gu_index <= age):
-            add(f"trunk row GU {obs.gu_index}: index outside 1..{age}")
+            rep.add(at, f"{label}: index outside 1..{age}")
         if min(obs.mass_g, obs.diameter_cm, obs.length_cm) < 0:
-            add(f"trunk row GU {obs.gu_index}: negative value")
+            rep.add(at, f"{label}: negative value")
     by_gu: dict[int, list[tuple[int, RingObservation]]] = {}
     for k, obs in enumerate(dataset.ring_matrix):
-        add = partial(rep.add, where=("rings", k))
+        at, label = (("rings", k),), f"ring row GU {obs.gu_index}"
         by_gu.setdefault(obs.gu_index, []).append((k, obs))
         if not (1 <= obs.gu_index <= age):
-            add(f"ring row GU {obs.gu_index}: index outside 1..{age}")
+            rep.add(at, f"{label}: index outside 1..{age}")
         if obs.tree_age < obs.gu_index or obs.tree_age > age:
-            add(f"ring row GU {obs.gu_index}: tree_age {obs.tree_age} "
-                f"outside {obs.gu_index}..{age}")
+            rep.add(at, f"{label}: tree_age {obs.tree_age} outside "
+                    f"{obs.gu_index}..{age}")
         if obs.diameter_cm < 0:
-            add(f"ring row GU {obs.gu_index}: negative diameter")
+            rep.add(at, f"{label}: negative diameter")
     for gu, rows in by_gu.items():
         rows = sorted(rows, key=lambda r: r[1].tree_age)
         for (_, a), (k, b) in zip(rows, rows[1:]):
             if b.diameter_cm < a.diameter_cm:
-                rep.add(f"ring row GU {gu} age {b.tree_age}: diameter "
-                        f"decreases ({a.diameter_cm:g} -> {b.diameter_cm:g})",
-                        ("rings", k))
-    scripted = {}
-    for entry in dataset.trunk_script:
-        for pa, count in entry.branches:
-            scripted[(entry.gu_index, pa)] = count
+                rep.add((("rings", k),), f"ring row GU {gu} age {b.tree_age}:"
+                        f" diameter decreases ({a.diameter_cm:g} -> "
+                        f"{b.diameter_cm:g})")
+    scripted = {(entry.gu_index, pa) for entry in dataset.trunk_script
+                for pa, _ in entry.branches}
     for k, obs in enumerate(dataset.branch_compartments):
-        add = partial(rep.add, where=("branches", k))
+        at = (("branches", k),)
+        label = f"branch row GU {obs.gu_index} PA {obs.pa}"
         if min(obs.wood_g, obs.leaf_g) < 0:
-            add(f"branch row GU {obs.gu_index} PA {obs.pa}: negative mass")
+            rep.add(at, f"{label}: negative mass")
         if (obs.gu_index, obs.pa) not in scripted:
-            add(f"branch row GU {obs.gu_index} PA {obs.pa}: no such "
-                f"branch in the trunk script")
+            rep.add(at, f"{label}: no such branch in the trunk script")
     return rep

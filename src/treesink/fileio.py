@@ -8,9 +8,11 @@ Target file: sectioned CSV with fixed headers, sections ``[script]``,
 number of both files: each must be finite, or it is a ParseError at its
 line (and column); only a zone's m_max may be the text ``inf``, no cap.
 Once a file is read, ``validate_parameters`` or ``validate_target`` checks
-it whole: a number outside its range (``core.RANGES``) or a broken
-relation is a ParseError at the line of the key or row it concerns
-(``_located_report``).
+it whole.  Each number outside its range (``core.RANGES``) and each broken
+relation is a ``core.Violation`` naming the keys it relates, located at the
+line of the first of them the file sets (a parameter, a zone, the
+``[zones]`` header, a target row); the ParseError carrying them all is at
+the first located one's line (``_located_report``).
 
 All numeric output is written in full-precision decimal text (repr), so a
 write/read round trip reproduces every value exactly.  JSON outputs have a
@@ -33,9 +35,9 @@ from operator import attrgetter
 from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
                           PredictedObserved, apply_candidate,
                           check_free_names, check_weight)
-from .core import (MEASUREMENTS, GrowthParameters, ParseError, TargetDataset,
-                   TrunkScriptEntry, ZoneRule, ZoneRuleSet, check_range,
-                   validate_parameters, validate_target)
+from .core import (MEASUREMENTS, GrowthParameters, InvalidValue, ParseError,
+                   TargetDataset, TrunkScriptEntry, ZoneRule, ZoneRuleSet,
+                   check_range, validate_parameters, validate_target)
 from .engine import SimulationOutput
 from .sourcesink import CycleAllocation
 
@@ -79,24 +81,25 @@ def _parse_float(text, path, line_no, what="value", kind="float",
 
 
 def _located(path, line_no, check, *args):
-    """``check(*args)``, its ValueError a ParseError at ``line_no``."""
+    """``check(*args)``, its InvalidValue a ParseError at ``line_no``."""
     try:
         return check(*args)
-    except ValueError as exc:
-        raise ParseError(str(exc), path, line_no) from None
+    except InvalidValue as exc:
+        raise ParseError(str(exc), path, line_no,
+                         violations=[exc.violation]) from None
 
 
 def _located_report(report, path, lines, prefix=""):
-    """Nothing if ``report`` passes; else a ParseError at the line that
-    ``lines`` gives the first located violation's ``where``, naming each
-    other violation's line."""
-    if report.ok:
-        return
-    at = [lines.get(where) for where in report.where]
+    """Nothing if ``report`` passes; else a ParseError carrying its
+    violations.  Each is located at the line ``lines`` gives the first of
+    its keys the file sets; the error is at the first located one's line,
+    and each violation located elsewhere names its own."""
+    at = [next(filter(None, map(lines.get, v.keys)), None) for v in report]
     first = next(filter(None, at), None)
-    raise ParseError(prefix + "; ".join(
-        v if n in (None, first) else f"{v} (line {n})"
-        for v, n in zip(report.violations, at)), path, first)
+    if report:
+        raise ParseError(prefix + "; ".join(
+            v.message if n in (None, first) else f"{v.message} (line {n})"
+            for v, n in zip(report, at)), path, first, violations=report)
 
 
 def _parse_flag(text, path, line_no, what):
@@ -118,10 +121,11 @@ def _read_lines(path) -> list[str]:
         raise ParseError(f"not UTF-8 text: {exc.reason}", path) from None
 
 
-def _parse_lines(path):
+def _parse_lines(path, headers):
     """Yield (line number, section, key, value) for key=value lines, the
-    section "" before any header and for [parameters] or [species].  A key
-    given twice in one section is an error at its second line."""
+    section "" before any header and for [parameters] or [species], and
+    set ``headers["[section]"]`` to each section header's first line.  A
+    key given twice in one section is an error at its second line."""
     section = ""
     first_line: dict[tuple[str, str], int] = {}
     for line_no, raw in enumerate(_read_lines(path), start=1):
@@ -130,6 +134,7 @@ def _parse_lines(path):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
+            headers.setdefault(f"[{section}]", line_no)
             if section in ("parameters", "species"):
                 section = ""
             continue
@@ -153,9 +158,10 @@ def read_parameter_file(path) -> tuple[GrowthParameters, ZoneRuleSet,
     zone_rules: list[ZoneRule] = []
     eq_fixed = True
     fit_lines: dict[str, tuple[int, str]] = {}
-    lines: dict[object, int] = {}   # parameter name or zone key -> line
+    # parameter name, zone key or "[section]" header -> its line
+    lines: dict[object, int] = {}
 
-    for line_no, section, key, value in _parse_lines(path):
+    for line_no, section, key, value in _parse_lines(path, lines):
         if not section:
             kind = _PARAMETER_TYPES.get(key)
             if kind is None:

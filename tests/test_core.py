@@ -4,37 +4,35 @@ from dataclasses import fields, replace
 import pytest
 
 from treesink.calibration import AnnealSchedule, FitSpec
-from treesink.core import (RANGES, GrowthParameters, SimulationError,
-                           TrunkScriptEntry, ZoneRule,
-                           ZoneRuleSet, round_half_away, validate_parameters,
-                           validate_target)
+from treesink.core import (RANGES, GrowthParameters, InvalidValue,
+                           SimulationError, TrunkScriptEntry, Violation,
+                           ZoneRule, ZoneRuleSet, round_half_away,
+                           validate_parameters, validate_target)
 from treesink.synthetic import reference_zone_rules, script_only_dataset
 
 
 def test_reference_configuration_passes(params, zones):
     report = validate_parameters(params, zones)
-    assert report.ok, report.violations
+    assert report == [], report
 
 
 def test_kilogram_scale_environment_passes(params, zones):
     # environment factors on a kg-per-m² scale are legal configurations;
     # validation is unit-agnostic
     p = params.with_values(v_env=(0.056, 0.1))
-    assert validate_parameters(p, zones).ok
+    assert validate_parameters(p, zones) == []
 
 
 def test_lambda_out_of_range(params):
     report = validate_parameters(params.with_values(lambda_mix=1.2))
-    assert not report.ok
-    assert any("lambda_mix" in v for v in report.violations)
+    assert [(v.kind, v.keys) for v in report] == [("range", ("lambda_mix",))]
 
 
 def test_fixed_coefficient_rule_violation(params, zones):
     bad = zones.with_rule(ZoneRule(2, 2, m1=1.0, m2=0.1, m_max=1,
                                    a1=0.0, a2=0.05))
-    report = validate_parameters(params, bad)
-    assert not report.ok
-    assert any("Z^22" in v and "m1" in v for v in report.violations)
+    assert validate_parameters(params, bad) == [Violation(
+        ((2, 2),), "zone Z^22: fixed-coefficient rule requires m1 = 0, got 1")]
 
 
 @pytest.mark.parametrize("coef", ["m1", "m2", "a1", "a2", "m_max"])
@@ -44,10 +42,10 @@ def test_non_finite_zone_coefficients_rejected(params, zones, coef, bad):
     rule = zones.get(2, 4)
     report = validate_parameters(
         params, zones.with_rule(ZoneRule(**{**vars(rule), coef: bad})))
-    assert report.ok == (coef == "m_max" and bad == math.inf)
+    assert (report == []) == (coef == "m_max" and bad == math.inf)
     if coef != "m_max":
-        assert f"zone Z^24: {coef} must be finite: {bad!r}" in \
-            report.violations
+        assert Violation(((2, 4),), f"zone Z^24: {coef} must be finite: "
+                         f"{bad!r}", "range") in report
 
 
 def test_fixed_rule_not_enforced_when_flag_off(params, zones):
@@ -55,12 +53,13 @@ def test_fixed_rule_not_enforced_when_flag_off(params, zones):
                            m2=r.m2, m_max=r.m_max + 1.0, a1=r.a1, a2=r.a2)
                   for r in zones.rules)
     free = ZoneRuleSet(rules=rules, eq_fixed=False)
-    assert validate_parameters(params, free).ok
+    assert validate_parameters(params, free) == []
 
 
 def test_p_rg_reference_pinned(params):
     report = validate_parameters(params.with_values(p_rg=(0.9, 0.1, 0.05, 0.01)))
-    assert any("p_rg(1)" in v for v in report.violations)
+    assert report == [Violation(
+        ("p_rg",), "p_rg(1) must equal 1 exactly (reference value): 0.9")]
 
 
 #: the range rows whose numbers are integers
@@ -93,23 +92,21 @@ def range_end_cases():
 
 
 def range_violations(params, name, value):
-    """The violations naming ``name`` that ``value`` in its row gives where
+    """The range violations that ``value`` in the row ``name`` gives where
     it is checked: validate_parameters for a parameter (a vector's last
-    entry) or a zone field (zone Z^24's, its fixed coefficients not pinned,
-    the zone's label dropped), and the ValueError of AnnealSchedule or
-    FitSpec for a fit setting or trunk_mass's weight."""
+    entry) or a zone field (zone Z^24's, its fixed coefficients not
+    pinned), and the InvalidValue of AnnealSchedule or FitSpec for a fit
+    setting or trunk_mass's weight."""
     if name in ("m1", "a1"):
         rules = reference_zone_rules().rules
         zones = ZoneRuleSet(rules=tuple(replace(r, **{name: value})
                                         if r.key == (2, 4) else r
                                         for r in rules), eq_fixed=False)
-        violations = [v.removeprefix("zone Z^24: ") for v in
-                      validate_parameters(params, zones).violations]
+        report = validate_parameters(params, zones)
     elif hasattr(GrowthParameters, name):
         old = getattr(params, name)
         new = old[:-1] + (value,) if isinstance(old, tuple) else value
-        violations = validate_parameters(
-            params.with_values(**{name: new})).violations
+        report = validate_parameters(params.with_values(**{name: new}))
     else:
         try:
             if name.startswith("annealing "):
@@ -118,24 +115,29 @@ def range_violations(params, name, value):
                 FitSpec(continuous=[], weights={"trunk_mass": value})
             else:
                 FitSpec(continuous=[], **{name: value})
-        except ValueError as exc:
-            return [str(exc)]
+        except InvalidValue as exc:
+            return [exc.violation]
         return []
-    return [v for v in violations if v.startswith(name)]
+    return [v for v in report if v.kind == "range"]
 
 
 @pytest.mark.parametrize("field,value,token", range_end_cases())
 def test_parameter_bounds(params, field, value, token):
-    # every range of RANGES, at each finite end
+    # every range of RANGES, at each finite end, each end printed in full
     violations = range_violations(params, field, value)
     if token is None:
         assert violations == []
         return
     low, high, ends = RANGES[field]
-    condition = (f"{'>' if ends[0] == '(' else '>='} {low:g}"
+    condition = (f"{'>' if ends[0] == '(' else '>='} {low!r}"
                  if high == math.inf else
-                 f"in {ends[0]}{low:g}, {high:g}{ends[1]}")
-    assert violations == [f"{token} must be {condition}: {value!r}"]
+                 f"in {ends[0]}{low!r}, {high!r}{ends[1]}")
+    message = f"{token} must be {condition}: {value!r}"
+    if field in ("m1", "a1"):
+        keys, message = ((2, 4),), f"zone Z^24: {message}"
+    else:
+        keys = (token.partition("(")[0],)
+    assert violations == [Violation(keys, message, "range")]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -145,7 +147,8 @@ def test_non_finite_parameters_rejected(params, field, bad):
     value = getattr(params, field)
     value = value[:-1] + (bad,) if isinstance(value, tuple) else bad
     report = validate_parameters(params.with_values(**{field: value}))
-    assert f"{field} must be finite: {value!r}" in report.violations
+    assert Violation((field,), f"{field} must be finite: {value!r}",
+                     "range") in report
 
 
 def test_round_half_away():
@@ -178,13 +181,13 @@ def test_zone_sequence_is_acrotonic(zones):
 
 def test_target_validation_catches_problems():
     script = (TrunkScriptEntry(1, 2, ((3, 5),)),)
-    report = validate_target(script_only_dataset(script))
-    assert any("more branches" in v for v in report.violations)
+    assert validate_target(script_only_dataset(script)) == [Violation(
+        (("script", 0),), "script entry 1: more branches (5) than metamers (2)")]
 
 
 def test_target_validation_empty_script():
-    report = validate_target(script_only_dataset(()))
-    assert any("empty" in v for v in report.violations)
+    assert validate_target(script_only_dataset(())) == [
+        Violation((), "trunk script is empty")]
 
 
 def test_growth_parameters_immutable(params):

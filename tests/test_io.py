@@ -58,6 +58,7 @@ class TestParameterFile:
         zones = ZoneRuleSet(rules=(
             ZoneRule(2, 0, m1=1.0, m2=0.4, m_max=math.inf),
             ZoneRule(2, 4, m1=1.0, m2=1.0, m_max=2.0, a1=0.0, a2=0.5),
+            ZoneRule(3, 0, m1=1.0, m2=1.0, m_max=math.inf),
         ))
         path = tmp_path / "p.params"
         write_parameter_file(path, params, zones)
@@ -952,53 +953,86 @@ class TestRunConfig:
                 "", f"error: {bad}:5: alpha must be in (0, 1]: 1.5\n")
             assert not (tmp_path / command).exists()
 
-    @pytest.mark.parametrize("old,new,line,violation,others", [
+    @pytest.mark.parametrize("old,new,line,violation,others,keys", [
         ("p_s = 5.25, 5.25, 5.25, 1.0", "p_s = 5.25, 5.25, 5.25", 13,
-         "p_s must have one entry per physiological age (4), got 3", ()),
+         "p_s must have one entry per physiological age (4), got 3", (),
+         ("p_s", "pa_max")),
         ("p_rg = 1.0,", "p_rg = 0.9,", 12,
-         "p_rg(1) must equal 1 exactly (reference value): 0.9", ()),
+         "p_rg(1) must equal 1 exactly (reference value): 0.9", (),
+         ("p_rg",)),
         ("slw_values = 0.0072, 0.0093", "slw_values = 0.0072", 19,
-         "slw schedule needs matching, nonempty age/value lists", ()),
+         "slw schedule needs matching, nonempty age/value lists", (),
+         ("slw_values", "slw_ages")),
         ("slw_ages = 21.0, 46.0", "slw_ages = 46.0, 21.0", 18,
-         "slw ages must be strictly increasing", ()),
+         "slw ages must be strictly increasing", (), ("slw_ages",)),
         ("v_env = 560.0, 1000.0", "v_env =", 21,
-         "v_env must carry at least one per-tree entry", ()),
+         "v_env must carry at least one per-tree entry", (), ("v_env",)),
         ("zone_2_0 = 1.0, 0.42, 6", "zone_2_0 = 1.0, 0.42, 0.5", 26,
-         "zone Z^20: m_max must be >= m1", ()),
+         "zone Z^20: m_max must be >= m1", (), ((2, 0),)),
         ("zone_2_4 = 1.0,", "zone_2_4 = 0.5,", 27,
-         "zone Z^24: fixed-coefficient rule requires m1 = 1, got 0.5", ()),
+         "zone Z^24: fixed-coefficient rule requires m1 = 1, got 0.5", (),
+         ((2, 4),)),
         ("zone_2_3 = 1.0, 0.1, 2, 0.0,", "zone_2_3 = 1.0, 0.1, 2, 0.5,", 28,
-         "zone Z^23: fixed-coefficient rule requires a1 = 0, got 0.5", ()),
+         "zone Z^23: fixed-coefficient rule requires a1 = 0, got 0.5", (),
+         ((2, 3),)),
         ("zone_3_0 =", "zone_4_0 =", 30,
-         "zone Z^40: bearer PA must lie in 2..3", ()),
+         "zone Z^40: bearer PA must lie in 2..3", (), ((4, 0), "pa_max")),
         ("zone_3_4 =", "zone_3_5 =", 31,
-         "zone Z^35: axillary PA must be 0 or in 2..4", ()),
+         "zone Z^35: axillary PA must be 0 or in 2..4", (),
+         ((3, 5), "pa_max")),
         ("zone_2_2 = 0.0, 0.1, 1, 0.0, 0.05", "zone_2_2 = 0.0, 0.1, 1", 29,
-         "zone Z^22: branching zones need a1 and a2", ()),
+         "zone Z^22: branching zones need a1 and a2", (), ((2, 2),)),
         ("zone_3_0 = 1.0, 1.02, 7", "zone_3_0 = 1.0, 1.02, 7, 0.0, 0.1", 30,
-         "zone Z^30: unbranched zones carry no axis coefficients", ()),
+         "zone Z^30: unbranched zones carry no axis coefficients", (),
+         ((3, 0),)),
         ("zone_2_2 =", "zone_2_04 = 1.0, 1.1, 2, 0.0, 0.6\nzone_2_2 =", 29,
-         "duplicate zone Z^24", ()),
+         "duplicate zone Z^24", (), ((2, 4),)),
         ("allom_a = 3.0,", "allom_a = 0.0,", 3,
          "allom_a(1) must be nonzero, or the trunk has no length to grow: "
-         "0.0", ()),
+         "0.0", (), ("allom_a",)),
         # every other vector and every zone fails too, each at its line
         ("pa_max = 4", "pa_max = 2", 13,
          "p_s must have one entry per physiological age (2), got 4; ",
-         (12, 3, 4, 26, 27, 27, 28, 28, 29, 30, 31, 31))],
+         (12, 3, 4, 26, 27, 27, 28, 28, 29, 30, 31, 31), ("p_s", "pa_max")),
+        # a file of one line: the vectors it leaves to their defaults, and
+        # the zones it lacks, fail at the line of pa_max, which they relate
+        (None, "pa_max = 3", 1, "; ".join(
+            f"{name} must have one entry per physiological age (3), got 4"
+            for name in ("p_s", "p_rg", "allom_a", "allom_b")) + "; [zones] "
+         "must give each bearer PA in 2..2 a zone rule: PA 2 has none", (),
+         ("p_s", "pa_max")),
+        # no zone for PA 3, which every run lays out: at the [zones] header
+        ("zone_3_0 = 1.0, 1.02, 7\nzone_3_4 = 1.0, 1.45, 2, 0.0, 0.575", "",
+         24, "[zones] must give each bearer PA in 2..3 a zone rule: PA 3 "
+         "has none", (), ("[zones]", "pa_max")),
+        # no [zones] section and no pa_max line: the same, at no line
+        (None, "sp0 = 0.02", None, "[zones] must give each bearer PA in "
+         "2..3 a zone rule: PA 2 has none", (), ("[zones]", "pa_max"))],
         ids=["vector length", "p_rg(1)", "slw lengths", "slw ages",
              "empty v_env", "m_max", "fixed m1", "fixed a1", "bearer PA",
              "axillary PA", "no a1 a2", "unbranched a1 a2", "duplicate zone",
-             "allom_a(1)", "pa_max"])
+             "allom_a(1)", "pa_max", "pa_max alone", "zone coverage",
+             "no zones"])
     def test_a_broken_relation_fails_at_its_line(self, tmp_path, capsys, old,
-                                                 new, line, violation, others):
+                                                 new, line, violation, others,
+                                                 keys):
         # each relation between numbers that a file can break fails all four
-        # commands when the file is read, at the line of the key it names
+        # commands when the file is read, at the line of the first key it
+        # relates that the file sets, if any (``old`` None: the file is
+        # ``new``)
         from treesink.cli import main
         bad = tmp_path / "bad.params"
         text = Path(fixture_path("species.params")).read_text()
-        assert text.count(f"\n{old}") == 1
-        bad.write_text(text.replace(f"\n{old}", f"\n{new}"))
+        if old is not None:
+            assert text.count(f"\n{old}") == 1
+        bad.write_text(new if old is None else
+                       text.replace(f"\n{old}", f"\n{new}"))
+        with pytest.raises(ParseError) as caught:
+            read_parameter_file(bad)
+        assert caught.value.line == line
+        assert {v.kind for v in caught.value.violations} == {"relation"}
+        assert caught.value.violations[0].keys == keys
+        at = f"{bad}:{line}:" if line else f"{bad}:"
         targets = ["--target", fixture_path("tree1.target.csv")]
         for command, extra in (
                 ("validate", targets), ("simulate", targets),
@@ -1009,9 +1043,9 @@ class TestRunConfig:
             assert main([command, "--params", str(bad), *extra, *out]) == 1
             captured = capsys.readouterr()
             assert captured.out == "", command
-            assert captured.err.startswith(f"error: {bad}:{line}: {violation}")
+            assert captured.err.startswith(f"error: {at} {violation}")
             assert captured.err.endswith("\n") if others else \
-                captured.err == f"error: {bad}:{line}: {violation}\n"
+                captured.err == f"error: {at} {violation}\n"
             assert re.findall(r"\(line (\d+)\)", captured.err) == \
                 [str(n) for n in others]
             assert not (tmp_path / command).exists()
