@@ -37,15 +37,17 @@ class FreeParameter:
     upper: float
     init: float
 
-    def __post_init__(self):
+    def __post_init__(self):   # keyed by the [fit] lines that set them
+        bound = f"bound_{self.name}"
         if not (math.isfinite(self.lower) and self.lower < self.upper
                 and math.isfinite(self.upper)):
-            raise InvalidValue((self.name,), f"{self.name}: bounds must be "
+            raise InvalidValue((bound,), f"{self.name}: bounds must be "
                                f"finite, lower < upper: {self.lower}, "
                                f"{self.upper}")
         if not (self.lower <= self.init <= self.upper):
-            raise InvalidValue((self.name,), f"{self.name}: init {self.init}"
-                               f" outside [{self.lower}, {self.upper}]")
+            raise InvalidValue((f"init_{self.name}", bound),
+                               f"{self.name}: init {self.init} outside "
+                               f"[{self.lower}, {self.upper}]")
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,30 @@ class FitSpec:
     polish_rounds: int = 4   # deterministic neighbour-basin passes (0 = off)
 
     def __post_init__(self):
-        continuous = [p.name for p in self.continuous]
-        check_free_names(continuous)
-        check_free_names([p.name for p in self.topological], True, continuous)
+        """Raise InvalidValue, keyed by the [fit] key that sets it, unless
+        each free name is listed once over both lists and is a zone
+        coefficient ``m2_I_K``/``a2_I_K`` exactly when it is topological,
+        each weight's class is an objective data class, and each weight and
+        setting is inside its range (core.RANGES)."""
+        listed = set()
+        for key, free, topological in (
+                ("free_continuous", self.continuous, False),
+                ("free_topology", self.topological, True)):
+            for name in (p.name for p in free):
+                if name in listed:
+                    raise InvalidValue((key,),
+                                       f"free parameter {name} listed twice")
+                listed.add(name)
+                if bool(_ZONE_COEFFICIENT.fullmatch(name)) != topological:
+                    raise InvalidValue((key,), (
+                        f"{name} is not a zone coefficient m2_I_K or a2_I_K"
+                        if topological else
+                        f"zone coefficient {name} belongs in free_topology"))
         for cls, w in (self.weights or {}).items():
-            check_weight(cls, w)
+            if cls not in TARGET_CLASSES:
+                raise InvalidValue((f"weight_{cls}",),
+                                   f"unknown data class {cls!r}")
+            check_range("weight", w, f"weight_{cls}")
         for name in ("seed", "max_nfev", "stop_objective", "refit_every",
                      "polish_rounds"):
             check_range(name, getattr(self, name))
@@ -89,30 +110,6 @@ class FitSpec:
 
 #: names of the zone coefficients, the only topological free parameters
 _ZONE_COEFFICIENT = re.compile(r"[ma]2_\d+_\d+")
-
-
-def check_free_names(names: list[str], topological: bool = False,
-                     earlier: list[str] = ()) -> None:
-    """Raise InvalidValue unless each free name is listed once, ``earlier``
-    lists included, and is a zone coefficient ``m2_I_K``/``a2_I_K``
-    exactly when the list is ``topological``."""
-    for i, name in enumerate(names):
-        if name in earlier or name in names[:i]:
-            raise InvalidValue((name,), f"free parameter {name} listed twice")
-        if bool(_ZONE_COEFFICIENT.fullmatch(name)) != topological:
-            raise InvalidValue(
-                (name,), f"{name} is not a zone coefficient m2_I_K or a2_I_K"
-                if topological else
-                f"zone coefficient {name} belongs in free_topology")
-
-
-def check_weight(data_class: str, weight: float) -> None:
-    """Raise InvalidValue unless ``data_class`` is an objective data class
-    and ``weight`` is inside its range (core.RANGES)."""
-    if data_class not in TARGET_CLASSES:
-        raise InvalidValue((f"weight_{data_class}",),
-                           f"unknown data class {data_class!r}")
-    check_range("weight", weight, f"weight_{data_class}")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from . import synthetic
 from .calibration import fit_topology
-from .core import InvalidValue, TreesinkError, ValidationError
+from .core import TreesinkError, ValidationError
 from .engine import check_run_request, simulate
 from .fileio import (parse_target_file, read_parameter_file,
                      write_fit_result, write_simulation_output)
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_fit, _cmd_fit)
     p_fit.add_argument("--target", required=True, **many)
     p_fit.add_argument("--out", required=True, help="output directory")
-    p_fit.add_argument("--seed", type=int, default=None,
+    p_fit.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the [fit] section's seed")
     p_fit.add_argument("--plots", action="store_true")
 
@@ -139,10 +139,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     for i, dataset in enumerate(targets):
         check_run_request(params, zones, dataset, i, None)
     if args.seed is not None:
-        try:
-            fit_spec = replace(fit_spec, seed=args.seed)
-        except InvalidValue as exc:
-            raise ValidationError(f"--seed: {exc}", [exc.violation]) from None
+        fit_spec = replace(fit_spec, seed=args.seed)
     result = fit_topology(fit_spec, params, zones, targets)
     written = write_fit_result(args.out, result)
     if args.plots:

@@ -188,11 +188,6 @@ class ZoneRule:
         return self.axillary_pa != 0
 
 
-#: basal-to-apical ordering of axillary PAs within a growth unit (acrotony:
-#: the unbranched zone sits at the base, the most vigorous laterals at the top)
-ZONE_SEQUENCE = (0, 4, 3, 2)
-
-
 @dataclass(frozen=True)
 class ZoneRuleSet:
     """Default growth-unit topology: one ZoneRule per zone, plus the flag
@@ -203,15 +198,22 @@ class ZoneRuleSet:
     eq_fixed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_key", {r.key: r for r in self.rules})
+        by_key = {r.key: r for r in self.rules}
+        object.__setattr__(self, "_by_key", by_key)
+        # acrotony: a growth unit's unbranched zone sits at its base, then
+        # its laterals from the highest axillary PA up to the most vigorous
+        zones: dict[int, tuple[ZoneRule, ...]] = {}
+        for rule in sorted(by_key.values(), key=lambda r: (
+                r.axillary_pa != 0, -r.axillary_pa)):
+            zones[rule.bearer_pa] = zones.get(rule.bearer_pa, ()) + (rule,)
+        object.__setattr__(self, "_zones", zones)
 
     def get(self, bearer_pa: int, axillary_pa: int) -> ZoneRule | None:
         return self._by_key.get((bearer_pa, axillary_pa))
 
-    def zones_of(self, bearer_pa: int) -> list[ZoneRule]:
+    def zones_of(self, bearer_pa: int) -> tuple[ZoneRule, ...]:
         """Zones of a growth unit, basal to apical."""
-        return [rule for k in ZONE_SEQUENCE
-                if (rule := self._by_key.get((bearer_pa, k))) is not None]
+        return self._zones.get(bearer_pa, ())
 
     def with_rule(self, rule: ZoneRule) -> "ZoneRuleSet":
         rules = tuple(rule if r.key == rule.key else r for r in self.rules)

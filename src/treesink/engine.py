@@ -416,7 +416,7 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
     check_finite(diam, length, diam_then)
     del wood_then, diam_then
 
-    wood_totals = state.subtree_wood_totals()
+    wood_totals, total_wood = state.wood_totals()
     leaf_totals = state.subtree_leaf_mass_totals()
     lengths = state.arena.segment_sums(state.arena.field(LENGTH))
     check_finite(wood_totals, leaf_totals, lengths)
@@ -454,7 +454,7 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
         for allocs, trunk_k, rings_k, branches_k, wood, leaf, fund, notes,
         decisions, pending in zip(allocations, trunk_table.transpose(1, 2, 0), rings,
                        branches.transpose(1, 2, 3, 0),
-                       state.total_wood_mass().tolist(),
+                       total_wood.tolist(),
                        state.total_leaf_mass_ever().tolist(),
                        state.pending_fund, state.notes, state.decisions,
                        state.pending_plans)]

@@ -12,7 +12,12 @@ it whole.  Each number outside its range (``core.RANGES``) and each broken
 relation is a ``core.Violation`` naming the keys it relates, located at the
 line of the first of them the file sets (a parameter, a zone, the
 ``[zones]`` header, a target row); the ParseError carrying them all is at
-the first located one's line (``_located_report``).
+the first located one's line (``_located_report``).  The ``[fit]`` section
+is only parsed here: the fit types (FreeParameter, AnnealSchedule, FitSpec)
+and ``apply_candidate`` check it, once, as it is built, and their
+Violation is located the same way: a name rule at its ``free_`` list's
+line, as a name the parameters cannot take, a bound at ``bound_NAME``, an
+init at ``init_NAME``, a weight or setting at its own line.
 
 All numeric output is written in full-precision decimal text (repr), so a
 write/read round trip reproduces every value exactly.  JSON outputs have a
@@ -28,16 +33,14 @@ import math
 import os
 import re
 from dataclasses import fields
-from functools import partial
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter
 
 from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
-                          PredictedObserved, apply_candidate,
-                          check_free_names, check_weight)
+                          PredictedObserved, apply_candidate)
 from .core import (MEASUREMENTS, GrowthParameters, InvalidValue, ParseError,
                    TargetDataset, TrunkScriptEntry, ZoneRule, ZoneRuleSet,
-                   check_range, validate_parameters, validate_target)
+                   validate_parameters, validate_target)
 from .engine import SimulationOutput
 from .sourcesink import CycleAllocation
 
@@ -78,15 +81,6 @@ def _parse_float(text, path, line_no, what="value", kind="float",
             problem = "{} out of range"
     raise ParseError(f"{problem.format(what)}: {text.strip()!r}", path,
                      line_no, column)
-
-
-def _located(path, line_no, check, *args):
-    """``check(*args)``, its InvalidValue a ParseError at ``line_no``."""
-    try:
-        return check(*args)
-    except InvalidValue as exc:
-        raise ParseError(str(exc), path, line_no,
-                         violations=[exc.violation]) from None
 
 
 def _located_report(report, path, lines, prefix=""):
@@ -226,63 +220,60 @@ _FIT_SETTINGS = {key: (owner, {f.name: f for f in fields(owner)}[name])
 
 def _build_fit_spec(fit_lines: dict[str, tuple[int, str]], path,
                     params: GrowthParameters, zones: ZoneRuleSet) -> FitSpec:
-    def num(key, default=None, kind="float"):  # ``kind``: an annotation
+    """Parse the [fit] section, each number or flag at its line, then build
+    its FitSpec once: an InvalidValue of the fit types' checks, or of a free
+    name the parameters cannot take, is located at the line that sets the
+    first of its keys."""
+    lines: dict[str, int] = {}   # [fit] key, free name or RANGES row -> line
+
+    def num(key, default=None, kind="float", row=None):  # kind: annotation
         if key not in fit_lines:
             return default
         line_no, text = fit_lines.pop(key)
+        lines[row or key] = line_no
         if kind == "bool":
             return _parse_flag(text, path, line_no, key)
         return _parse_float(text, path, line_no, key, kind)
 
-    located = partial(_located, path)
-
-    def free_list(key, topological=False, earlier=()):
-        list_line, raw = fit_lines.pop(key, (None, ""))
-        names = [n.strip() for n in raw.split(",") if n.strip()]
-        located(list_line, check_free_names, names, topological, earlier)
-        out = []
-        for name in names:
-            located(list_line, apply_candidate, params, zones, {name: 0.0})
+    lists, ends = {}, {}   # free list key -> its names; name -> lo, hi, init
+    for key in ("free_continuous", "free_topology"):
+        lines[key], raw = fit_lines.pop(key, (None, ""))
+        lists[key] = [n.strip() for n in raw.split(",") if n.strip()]
+        for name in (n for n in lists[key] if n not in ends):
             line_no, bound = fit_lines.pop(f"bound_{name}", (None, None))
             if bound is None:
                 raise ParseError(f"missing bound_{name} for free parameter "
-                                 f"{name}", path, list_line)
-            ends = bound.split(",")
-            if len(ends) != 2:
+                                 f"{name}", path, lines[key])
+            lines[f"bound_{name}"] = line_no
+            if len(bound.split(",")) != 2:
                 raise ParseError(f"bound_{name} needs lower, upper", path,
                                  line_no)
             lo, hi = (_parse_float(v, path, line_no, f"bound_{name}")
-                      for v in ends)
-            located(line_no, FreeParameter, name, lo, hi, lo)   # the bounds
-            init_line = fit_lines.get(f"init_{name}", (None,))[0]
-            init = num(f"init_{name}", 0.5 * (lo + hi))
-            out.append(located(init_line, FreeParameter, name, lo, hi, init))
-        return out
-
-    continuous = free_list("free_continuous")
-    topological = free_list("free_topology", True,
-                            [p.name for p in continuous])
-    weights = {}
-    for key in [k for k in fit_lines if k.startswith("weight_")]:
-        line_no, data_class = fit_lines[key][0], key[7:]
-        weights[data_class] = num(key)
-        located(line_no, check_weight, data_class, weights[data_class])
+                      for v in bound.split(","))
+            ends[name] = lo, hi, num(f"init_{name}", 0.5 * lo + 0.5 * hi)
+    weights = {key[7:]: num(key) for key in list(fit_lines)
+               if key.startswith("weight_")}
     settings = {AnnealSchedule: {}, FitSpec: {}}
     for key, (owner, f) in _FIT_SETTINGS.items():
-        line_no = fit_lines.get(key, (None,))[0]
-        value = num(key, f.default, f.type)
-        located(line_no, check_range, f"annealing {f.name}"
-                if owner is AnnealSchedule else f.name, value)
-        settings[owner][f.name] = value
-    spec = FitSpec(   # its checks were made above, each at its line
-        continuous=continuous, topological=topological,
-        weights=weights or None,
-        schedule=AnnealSchedule(**settings[AnnealSchedule]),
-        **settings[FitSpec])
+        row = f"annealing {f.name}" if owner is AnnealSchedule else f.name
+        settings[owner][f.name] = num(key, f.default, f.type, row)
     if fit_lines:
         stray = ", ".join(sorted(fit_lines))
         raise ParseError(f"unknown [fit] keys: {stray}", path,
                          min(fit_lines.values())[0])
+    for key, names in lists.items():   # apply_candidate's keys: the names
+        lines.update(dict.fromkeys(names, lines[key]))
+    try:
+        free = {name: FreeParameter(name, *e) for name, e in ends.items()}
+        spec = FitSpec(
+            continuous=[free[n] for n in lists["free_continuous"]],
+            topological=[free[n] for n in lists["free_topology"]],
+            weights=weights or None,
+            schedule=AnnealSchedule(**settings[AnnealSchedule]),
+            **settings[FitSpec])
+        apply_candidate(params, zones, dict.fromkeys(free, 0.0))
+    except InvalidValue as exc:
+        _located_report([exc.violation], path, lines)
     return spec
 
 

@@ -383,24 +383,18 @@ class TreeState:
     # aggregates
     # ------------------------------------------------------------------
 
-    def _own_wood(self) -> np.ndarray:
-        """(columns, classes) per-instance wood mass (internodes +
-        rings)."""
+    def wood_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (columns, classes) per-instance wood mass (internodes +
+        rings) of each class's subtree, and each column's whole wood mass:
+        both sums of one per-class sum."""
         arena = self.arena
-        return arena.segment_sums(arena.field(INTERNODE_MASS)
-                                  + arena.field(CUM_RING))
-
-    def subtree_wood_totals(self) -> np.ndarray:
-        """(columns, classes) per-instance wood mass (internodes + rings)
-        of each class's subtree."""
-        return self._subtree_totals(self._own_wood())
+        own = arena.segment_sums(arena.field(INTERNODE_MASS)
+                                 + arena.field(CUM_RING))
+        return self._subtree_totals(own), self._instance_total(own)
 
     def subtree_leaf_mass_totals(self) -> np.ndarray:
         """(columns, classes) live leaf mass of each class's subtree."""
         return self._subtree_totals(self._live_totals(LEAF_MASS))
-
-    def total_wood_mass(self) -> np.ndarray:
-        return self._instance_total(self._own_wood())
 
     def total_leaf_mass_ever(self) -> np.ndarray:
         arena = self.arena

@@ -100,7 +100,7 @@ def test_criterion_2_conservation():
                              for cls, inc in zip(state.classes, incs))
             ok &= abs(ring_total - q_r) <= 1e-9 * max(q_r, 1e-30)
         produced = params.q0 + sum(alloc.q for alloc, _ in cycles)
-        materialized = (state.total_wood_mass()[0]
+        materialized = (state.wood_totals()[1][0]
                         + state.total_leaf_mass_ever()[0]
                         + state.pending_fund[0])
         balance = abs(materialized - produced) / produced

@@ -405,9 +405,8 @@ class TestPureReads:
         def reads():
             return [state.foliage_above(), state.total_blade_area_cm2(),
                     state.ring_partition_arrays([params.p_rg]),
-                    state.subtree_wood_totals(),
-                    state.subtree_leaf_mass_totals(),
-                    state.total_wood_mass(), state.total_leaf_mass_ever(),
+                    *state.wood_totals(), state.subtree_leaf_mass_totals(),
+                    state.total_leaf_mass_ever(),
                     [state.growth_units(cls.index) for cls in state.classes],
                     state.topology_dump(), state.structure_signature(),
                     [(cls.internode_mass, cls.length, cls.cum_ring)

@@ -9,10 +9,11 @@ import time
 
 import pytest
 
-from treesink.core import SimulationError, TrunkScriptEntry
+from treesink.core import (SimulationError, TrunkScriptEntry, ZoneRule,
+                           ZoneRuleSet, validate_parameters)
 from treesink.engine import simulate
 from treesink.oracle import simulate_naive
-from treesink.synthetic import script_only_dataset, tree1_script
+from treesink.synthetic import script_only_dataset, tree1_script, tree2_script
 
 TOL = 1e-9
 
@@ -142,3 +143,37 @@ def test_an_in_cycle_failure_names_its_cycle_on_both_engines(params, zones):
     assert failures[0] == failures[1]
     assert failures[0][1:] == (
         "cycle 3: production diverged: 1686322566191715.8", 3)
+
+
+def five_pas(params, zones):
+    """pa_max = 5 (each per-PA vector repeats its PA-4 entry, PA-4 units
+    get an unbranched zone), and its zone rules without and with a zone of
+    PA-5 laterals on PA-2 units."""
+    p = params.with_values(pa_max=5, **{
+        name: getattr(params, name) + getattr(params, name)[-1:]
+        for name in ("p_s", "p_rg", "allom_a", "allom_b")})
+    rules = zones.rules + (ZoneRule(4, 0, m1=1.0, m2=1.02, m_max=7),)
+    zone_2_5 = ZoneRule(2, 5, m1=1.0, m2=1.1, m_max=2, a1=0.0, a2=0.6)
+    return p, ZoneRuleSet(rules), ZoneRuleSet(rules + (zone_2_5,))
+
+
+def test_a_zone_of_axillary_pa_5_is_grown(params, zones):
+    # the acrotonic order reaches every axillary PA, not only 2 to 4
+    p, without, with_5 = five_pas(params, zones)
+    assert validate_parameters(p, with_5) == []
+    assert [r.axillary_pa for r in with_5.zones_of(2)] == [0, 5, 4, 3, 2]
+    ds = script_only_dataset(tree2_script())
+    signatures = [simulate(p, z, ds, tree_index=1,
+                           cycles=20).structure_signature
+                  for z in (without, with_5)]
+    assert signatures[0] != signatures[1]
+
+
+@pytest.mark.parametrize("script_name", ["mixed", "branchy"])
+def test_five_pas_match_enumerated_reference(params, zones, script_name):
+    p, _, with_5 = five_pas(params, zones)
+    ds = script_only_dataset(FIXTURE_SCRIPTS[script_name])
+    factorized = simulate(p, with_5, ds, tree_index=1)
+    naive = simulate_naive(p, with_5, ds, tree_index=1)
+    assert any(key.startswith("5_") for key in naive.topology["axis_counts"])
+    assert compare_outputs(factorized, naive) < TOL

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,11 @@ from treesink.core import (MEASUREMENTS, BranchRow, ParseError, Profiles,
                            RingObservation, TrunkObservation, ZoneRule,
                            ZoneRuleSet)
 from treesink.engine import simulate
-from treesink.fileio import (_fmt, _parse_branch_spec, _write_json,
-                             parse_target_file, read_parameter_file,
-                             write_fit_result, write_parameter_file,
-                             write_simulation_output, write_target_file)
+from treesink.fileio import (_FIT_SETTINGS, _fmt, _parse_branch_spec,
+                             _write_json, parse_target_file,
+                             read_parameter_file, write_fit_result,
+                             write_parameter_file, write_simulation_output,
+                             write_target_file)
 from treesink.oracle import simulate_naive
 from treesink.synthetic import (dataset_from_output, reference_fit_spec,
                                 script_only_dataset)
@@ -78,8 +80,10 @@ class TestParameterFile:
          "free parameter sp0 listed twice"),
         ("free_topology = a2_2_2,", "free_topology = sp0, a2_2_2,", 35,
          "free parameter sp0 listed twice"),
+        # two faults, k_beer in free_topology and no bound_k_beer: the
+        # missing bound, a parse error, is reported before any rule
         ("free_topology = a2_2_2,", "free_topology = k_beer, a2_2_2,", 35,
-         "k_beer is not a zone coefficient m2_I_K or a2_I_K"),
+         "missing bound_k_beer for free parameter k_beer"),
         ("free_continuous = sp0,", "free_continuous = m2_2_0, sp0,", 34,
          "zone coefficient m2_2_0 belongs in free_topology")])
     def test_bad_free_list_is_located(self, tmp_path, old, new, line,
@@ -150,6 +154,43 @@ class TestParameterFile:
         with pytest.raises(ParseError) as err:
             read_parameter_file(path)
         assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_each_fit_rule_runs_once_per_read(self, monkeypatch):
+        # the [fit] section's free parameters and settings are each checked
+        # once, where the fit set-up is built, and located from there
+        built, checked = Counter(), Counter()
+        post_init = FreeParameter.__post_init__
+
+        def count_post_init(free):
+            built[free.name] += 1
+            post_init(free)
+
+        monkeypatch.setattr(FreeParameter, "__post_init__", count_post_init)
+        for module in [m for name, m in sys.modules.items()
+                       if name.partition(".")[0] == "treesink"
+                       and hasattr(m, "check_range")]:
+            def count_check(name, *args, check=module.check_range):
+                checked[name] += 1
+                return check(name, *args)
+            monkeypatch.setattr(module, "check_range", count_check)
+        spec = read_parameter_file(fixture_path("species.params"))[2]
+        free = [p.name for p in spec.continuous + spec.topological]
+        assert len(free) == 20 and built == Counter(free)
+        rows = [f"annealing {f.name}" if owner is AnnealSchedule else f.name
+                for owner, f in _FIT_SETTINGS.values()]
+        assert len(rows) == 11   # each checked but the flag nested_refit
+        assert {row: checked[row] for row in rows} == \
+            {row: int(row != "nested_refit") for row in rows}
+
+    def test_default_init_lies_inside_any_finite_bounds(self, tmp_path):
+        # the midpoint of bounds whose sum overflows is still finite
+        text = Path(fixture_path("species.params")).read_text()
+        old = "bound_sp0 = 0.003, 0.08\ninit_sp0 = 0.015\n"
+        assert old in text
+        path = tmp_path / "p.params"
+        path.write_text(text.replace(old, "bound_sp0 = 1e308, 1.7e308\n"))
+        sp0 = read_parameter_file(path)[2].continuous[0]
+        assert sp0.name == "sp0" and 1e308 < sp0.init < 1.7e308
 
     def test_anneal_schedule_rejects_an_endless_cooling(self):
         for bad in ({"cooling": 1.0}, {"t0": 0.0}, {"steps_per_t": -1},
@@ -748,12 +789,17 @@ class TestCli:
           "--target", fixture_path("tree2.target.csv")],
          "argument --target: given more than once"),
         (["simulate", "--params", fixture_path("species.params")],
-         "one of the arguments --target --synthetic-script is required")],
+         "one of the arguments --target --synthetic-script is required"),
+        (["fit", "--params", fixture_path("species.params"),
+          "--target", fixture_path("tree1.target.csv"),
+          "--target", fixture_path("tree2.target.csv"), "--seed", "-1"],
+         "argument --seed: must be >= 0: -1")],
         ids=["fit-without-target", "cycles-not-an-int", "unknown-command",
              "simulate-zero-cycles", "simulate-negative-tree-index",
              "oracle-zero-cycles", "oracle-negative-tree-index",
              "simulate-target-and-script", "simulate-two-targets",
-             "oracle-two-targets", "simulate-without-input"])
+             "oracle-two-targets", "simulate-without-input",
+             "fit-negative-seed"])
     def test_usage_error_is_validation_failure(self, tmp_path, argv,
                                                message):
         out = tmp_path / "out"
@@ -802,17 +848,6 @@ class TestRunConfig:
         assert code == 1
         assert capsys.readouterr().err == ("error: parameter file carries 2 "
                                            "v_env entries for 1 targets\n")
-        assert not (tmp_path / "out").exists()
-
-    def test_negative_seed_is_an_error(self, tmp_path, capsys):
-        from treesink.cli import EXIT_VALIDATION, main
-        code = main(["fit", "--params", fixture_path("species.params"),
-                     "--target", fixture_path("tree1.target.csv"),
-                     "--target", fixture_path("tree2.target.csv"),
-                     "--out", str(tmp_path / "out"), "--seed", "-1"])
-        assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err == \
-            "error: --seed: seed must be >= 0: -1\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content,reason", [
