@@ -31,7 +31,9 @@ for _ in range(dataset.tree_age):
     engine.step(state, [params], zones, dataset, 0, dataset.tree_age)
 
 # the trunk's metamers with their foliage-above, as (multiplicity, PA,
-# length, leaf surface above) rows for the partition primitive
+# length, leaf surface above) rows for the partition primitive; it returns
+# the increments and whether it dropped the foliage (Pressler) term, which
+# it does only when the foliage-weighted demand is zero
 trunk = state.classes[0]
 # its growth units, base to apex, from the tree's unit table: (rank, birth
 # cycle, first metamer row, metamer count, zone layout, laterals)
@@ -46,15 +48,16 @@ print(f"distributing {budget:g} g of ring biomass over "
       f"{len(rows)} trunk metamers\n")
 print("blend    base-GU share   top-GU share")
 for lam in (0.0, 0.13, 0.5, 1.0):
-    incs = partition_rings(budget, rows, lam, params.p_rg)
+    incs, dropped = partition_rings(budget, rows, lam, params.p_rg)
+    assert not dropped   # this tree carries foliage
     base = sum(incs[:base_gu[3]])
     top = sum(incs[top_gu[2]:])
     print(f"{lam:5.2f} {base / budget:14.1%} {top / budget:14.1%}")
 
 print("\nwith the pure foliage rule every increment is proportional to the")
 print("leaf surface above the metamer; the pool rule ignores position.")
-incs_pool = partition_rings(budget, rows, 0.0, params.p_rg)
-incs_pipe = partition_rings(budget, rows, 1.0, params.p_rg)
+incs_pool, _ = partition_rings(budget, rows, 0.0, params.p_rg)
+incs_pipe, _ = partition_rings(budget, rows, 1.0, params.p_rg)
 print("\nrank  length(cm)  foliage above(cm2)  pool(g)  foliage-rule(g)")
 for i in (0, len(rows) // 2, len(rows) - 1):
     print(f"{i + 1:4d} {rows[i][2]:11.2f} {rows[i][3]:19.1f} "

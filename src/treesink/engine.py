@@ -31,7 +31,7 @@ import gc
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -65,7 +65,8 @@ class SimulationOutput:
     total_leaf_ever_g: float
     pending_shoot_fund_g: float
     structure_signature: tuple = ()
-    notes: list[str] = field(default_factory=list)
+    # the run's events (:func:`run_events`)
+    events: list[tuple] = field(default_factory=list)
     # TreeState.decisions, then the pending plan, which grows no layout:
     # its axis distributions set the last cycle's d_s
     decisions: list[OrganogenesisPlan] = field(default_factory=list)
@@ -116,7 +117,7 @@ def _expand_planned_shoots(state: TreeState, cols, plans, funds) -> None:
             apex -= count
     scripted = len(runs)
     runs += [(key[1], *group.payload, taken, group.size)
-             for key, groups, counts, _ in plan.zone_groups
+             for key, groups, counts, *_ in plan.zone_groups
              for group, taken in zip(groups, counts) if taken]
 
     # the new lateral axes, one class per PA born this cycle: the scripted
@@ -146,18 +147,19 @@ def _partition_rings_factorized(state: TreeState, cols, q_r, cycle: int
                                 ) -> None:
     """Ring partition over the whole arena (current leaves drive the
     foliage-weighted mode), with ``q_r`` the ring biomass of each column.
-    Each column's coefficients come from the scalar rule; the arrays carry
-    every column at once."""
+    Each column's coefficients come from the scalar rule, which also
+    decides whether the column drops the Pressler term this cycle; the
+    arrays carry every column at once."""
     bounds, s_a, weight, mult = state.ring_partition_arrays(
         [p.p_rg for p in cols])
     coefs = []
-    for p, q, w, s, notes in zip(cols, np.asarray(q_r).tolist(), weight,
-                                 s_a, state.notes):
+    for p, q, w, s, drops in zip(cols, np.asarray(q_r).tolist(), weight,
+                                 s_a, state.pressler_drops):
         pool, pressler, dropped = ring_coefficients(
             q, float(mult @ w), float((mult * w) @ s), p.lambda_mix)
         coefs.append((pool, pressler))
         if dropped:
-            notes.append(f"cycle {cycle}: no foliage, Pressler term dropped")
+            drops.append(cycle)
     pool, pressler = np.array(coefs).T[:, :, None]   # each K × 1
 
     # increments (pool + pressler·S_a)·weight·q_r, in place: with K
@@ -173,6 +175,22 @@ def _partition_rings_factorized(state: TreeState, cols, q_r, cycle: int
     ring += incs
     # the trunk (class 0) increments feed the ring-diameter matrix
     state.trunk_rings.append(incs[:, :bounds[1]].copy())
+
+
+#: the kinds of a run's events
+SLACK, PRESSLER_DROP = "slack", "pressler_drop"
+
+
+def run_events(plans, drops) -> list[tuple]:
+    """A run's events, each ``(cycle, kind, zone key or None, value or
+    None)``, in cycle order: per cycle n, each zone's nonzero distribution
+    :data:`SLACK` in the plan made at its end (``plans[n]``, ``plans[0]``
+    the seed plan), then a :data:`PRESSLER_DROP` if n is in ``drops``.
+    The engine and the oracle share it."""
+    events = [(cycle, SLACK, key, slack) for cycle, plan in enumerate(plans)
+              for key, *_, slack in plan.zone_groups if slack]
+    events += [(cycle, PRESSLER_DROP, None, None) for cycle in drops]
+    return sorted(events, key=itemgetter(0))   # stable: drops come last
 
 
 def net_production(params: GrowthParameters, s_blade: float,
@@ -449,15 +467,14 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
         profiles=Profiles(trunk_k, rings_k, births, branches_k, counts),
         topology=topology, total_wood_g=wood, total_leaf_ever_g=leaf,
         pending_shoot_fund_g=fund, structure_signature=signature,
-        notes=list(notes), decisions=decisions + [replace(pending,
-                                                          gu_layouts={})])
-        for allocs, trunk_k, rings_k, branches_k, wood, leaf, fund, notes,
-        decisions, pending in zip(allocations, trunk_table.transpose(1, 2, 0), rings,
-                       branches.transpose(1, 2, 3, 0),
-                       total_wood.tolist(),
-                       state.total_leaf_mass_ever().tolist(),
-                       state.pending_fund, state.notes, state.decisions,
-                       state.pending_plans)]
+        events=run_events(decisions + [pending], drops),
+        decisions=decisions + [replace(pending, gu_layouts={})])
+        for allocs, trunk_k, rings_k, branches_k, wood, leaf, fund, decisions,
+        pending, drops in zip(
+            allocations, trunk_table.transpose(1, 2, 0), rings,
+            branches.transpose(1, 2, 3, 0), total_wood.tolist(),
+            state.total_leaf_mass_ever().tolist(), state.pending_fund,
+            state.decisions, state.pending_plans, state.pressler_drops)]
 
 
 def extract_targets(output: SimulationOutput, dataset: TargetDataset

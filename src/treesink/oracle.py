@@ -6,8 +6,8 @@ foliage-above scans, subtree aggregates) is re-derived naively from the
 explicit tree; only the run-request checks and the scalar rules
 (production, the demand solve and production split, allocation, the ring
 partition's coefficients, the seed plan, metamer/axis counts, the
-distribution primitive) are shared with the engine, since those have their
-own oracles in the test suite.
+distribution primitive) and the record of a run's events are shared with
+the engine, since those have their own oracles in the test suite.
 
 Its cost grows with the organ count, so it is intended for short runs
 (a handful of cycles); the factorized engine must reproduce it exactly up
@@ -25,7 +25,8 @@ from .core import (CM2_PER_M2, TRUNK_PA, GrowthParameters, Profiles,
                    SimulationError, TargetDataset, TrunkScriptEntry,
                    ZoneRuleSet)
 from .engine import (SimulationOutput, check_finite, check_run_request,
-                     failing_cycle, net_production, split_production)
+                     failing_cycle, net_production, run_events,
+                     split_production)
 from .sourcesink import allocate_shoots, partition_rings, shoot_demand
 from .structure import expand_shoot_values, metamer_diameters
 from .topology import (PositionGroup, axis_total, distribute_axes,
@@ -83,6 +84,8 @@ class _NaivePlan:
     trunk_entry: TrunkScriptEntry | None = None
     d_s: float = 0.0
     bud_counts: dict[int, float] = field(default_factory=dict)
+    # per branching zone with positions, as OrganogenesisPlan.zone_groups
+    zone_groups: list[tuple] = field(default_factory=list)
 
 
 class NaiveTree:
@@ -135,7 +138,7 @@ def _plan(tree: NaiveTree, params, zones, ratio, trunk_entry) -> _NaivePlan:
     shoots: list[_PendingShoot] = []
     bud_counts: dict[int, float] = {}
 
-    plan = _NaivePlan(shoots=shoots, layouts=layouts, trunk_entry=trunk_entry)
+    plan = _NaivePlan(shoots, layouts, trunk_entry, bud_counts=bud_counts)
     if trunk_entry is not None:
         shoots.append(_PendingShoot(pa=TRUNK_PA, kind="trunk"))
         bud_counts[TRUNK_PA] = bud_counts.get(TRUNK_PA, 0.0) + 1.0
@@ -168,7 +171,8 @@ def _plan(tree: NaiveTree, params, zones, ratio, trunk_entry) -> _NaivePlan:
                   for (birth, rank), members in sorted(buckets.items())]
         positions = sum(g.size for g in groups)
         total = axis_total(positions, rule, ratio)
-        counts, _slack = distribute_axes(total, groups)
+        counts, slack = distribute_axes(total, groups)
+        plan.zone_groups.append((rule.key, groups, counts, total, slack))
         for group, count in zip(groups, counts):
             if count == 0:
                 continue
@@ -178,7 +182,6 @@ def _plan(tree: NaiveTree, params, zones, ratio, trunk_entry) -> _NaivePlan:
                 bud_counts[rule.axillary_pa] = (
                     bud_counts.get(rule.axillary_pa, 0.0) + 1.0)
 
-    plan.bud_counts = bud_counts
     plan.d_s = shoot_demand(bud_counts, params.p_s)
     return plan
 
@@ -237,18 +240,19 @@ def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
 
     tree = NaiveTree()
     seed = seed_plan(params, zones, dataset.script_entry(1))
-    pending = _NaivePlan(
+    # each cycle's plan, made at its end: plans[n] funds cycle n + 1
+    plans = [_NaivePlan(
         shoots=[_PendingShoot(pa=TRUNK_PA, kind="trunk")],
         layouts=seed.gu_layouts, trunk_entry=seed.trunk_entry,
-        d_s=seed.d_s, bud_counts=seed.bud_counts)
+        d_s=seed.d_s, bud_counts=seed.bud_counts)]
     fund = params.q0
     ratio_lagged = seed.ratio_used
 
-    allocations = []
+    allocations, drops = [], []
     for n in range(1, n_cycles + 1):
         tree.cycle = n
         with failing_cycle(n):
-            _expand(tree, params, pending, fund)
+            _expand(tree, params, plans[-1], fund)
             s_blade = tree.live_blade_cm2(n) / CM2_PER_M2
             q = net_production(params, s_blade, tree_index)
 
@@ -264,21 +268,23 @@ def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
                         s_a = tree.leaves_above(axis, gu.rank, m.rank, n)
                         rows.append((1, m.pa, m.length, s_a))
                         row_refs.append(m)
-            incs = partition_rings(alloc.q_r, rows, params.lambda_mix,
-                                   params.p_rg)
+            incs, dropped = partition_rings(alloc.q_r, rows,
+                                            params.lambda_mix, params.p_rg)
+            if dropped:
+                drops.append(n)
             for m, inc in zip(row_refs, incs):
                 m.rings.append(inc)
 
         allocations.append(alloc)
-        ratio_lagged = alloc.ratio
-        pending, fund = plan, alloc.q_s
+        plans.append(plan)
+        ratio_lagged, fund = alloc.ratio, alloc.q_s
 
     return _collect_naive(tree, params, allocations, n_cycles,
-                          pending_fund=fund)
+                          pending_fund=fund, events=run_events(plans, drops))
 
 
 def _collect_naive(tree: NaiveTree, params, allocations, n_cycles,
-                   pending_fund):
+                   pending_fund, events):
     trunk = tree.axes[0] if tree.axes else None
     if trunk is None or trunk.pa != TRUNK_PA:
         raise SimulationError("naive simulation produced no trunk")
@@ -329,4 +335,4 @@ def _collect_naive(tree: NaiveTree, params, allocations, n_cycles,
         profiles=profiles,
         topology={"naive": True, "axis_counts": axis_counts},
         total_wood_g=total_wood, total_leaf_ever_g=total_leaf,
-        pending_shoot_fund_g=pending_fund)
+        pending_shoot_fund_g=pending_fund, events=events)

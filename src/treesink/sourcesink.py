@@ -8,7 +8,6 @@ allocation helpers just divide supplies proportionally to sinks.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .core import AllocationError, SimulationError
@@ -153,8 +152,8 @@ def ring_coefficients(q_r: float, d_pool: float, d_pressler: float,
     instance of sink·length weight ``w`` and foliage above ``S_a`` receives
     (pool + Pressler·S_a)·w·q_r, where ``d_pool`` and ``d_pressler`` are
     the demands sum N·w and sum N·S_a·w.  Zero supply gives zero
-    coefficients; with no foliage anywhere the Pressler term is dropped
-    (``dropped``) and the pool takes the whole supply."""
+    coefficients; with no foliage-weighted demand the Pressler term is
+    dropped (``dropped``) and the pool takes the whole supply."""
     if q_r == 0.0:
         return 0.0, 0.0, False
     if d_pool == 0.0:
@@ -166,7 +165,8 @@ def ring_coefficients(q_r: float, d_pool: float, d_pressler: float,
             dropped)
 
 
-def partition_rings(q_r: float, cohorts, lambda_mix: float, p_rg):
+def partition_rings(q_r: float, cohorts, lambda_mix: float, p_rg
+                    ) -> tuple[list[float], bool]:
     """Distribute the ring-compartment biomass over metamer cohorts.
 
     ``cohorts`` is an iterable of (multiplicity, pa, length, leaf_above)
@@ -177,27 +177,22 @@ def partition_rings(q_r: float, cohorts, lambda_mix: float, p_rg):
         d_pool     = sum  N·p_rg(pa)·l
         d_pressler = sum  N·S_a·p_rg(pa)·l
 
-    which conserves q_r exactly.  When the tree carries no foliage at all the
-    Pressler term is dropped for the cycle (pool-only partition) instead of
-    failing; a warning is emitted because this cannot happen in a normal run.
+    which conserves q_r exactly, and whether the Pressler term was dropped.
+    When d_pressler is zero the Pressler term is dropped for the cycle
+    (pool-only partition) instead of failing.  A valid parameter file can
+    give that: with no foliage anywhere, or with foliage and sink weights
+    so small that their products underflow to zero.
     """
     rows = list(cohorts)
     if q_r < 0:
         raise SimulationError(f"ring supply must be >= 0: {q_r}")
-    d_pool = 0.0
-    d_pressler = 0.0
-    for mult, pa, length, s_a in rows:
-        w = p_rg[pa - 1] * length
+    weights = [p_rg[pa - 1] * length for _, pa, length, _ in rows]
+    d_pool = d_pressler = 0.0
+    for (mult, *_, s_a), w in zip(rows, weights):
         d_pool += mult * w
         d_pressler += mult * s_a * w
 
     pool, pressler, dropped = ring_coefficients(q_r, d_pool, d_pressler,
                                                 lambda_mix)
-    if dropped:
-        warnings.warn("no foliage anywhere: Pressler term dropped for "
-                      "this cycle", RuntimeWarning, stacklevel=2)
-    out = []
-    for _, pa, length, s_a in rows:
-        w = p_rg[pa - 1] * length
-        out.append((w * pool + s_a * w * pressler) * q_r)
-    return out
+    return [(w * pool + s_a * w * pressler) * q_r
+            for (*_, s_a), w in zip(rows, weights)], dropped

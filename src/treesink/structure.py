@@ -255,15 +255,14 @@ class TreeState:
     # per column, the expanded OrganogenesisPlans: the decisions the
     # architecture rests on, with that column's ratios and shoot demands
     decisions: list[list] = field(init=False)
-    # per column, the run's notes (distribution slack, a dropped Pressler
-    # term)
-    notes: list[list[str]] = field(init=False)
+    # per column, the cycles whose ring partition dropped the Pressler term
+    pressler_drops: list[list[int]] = field(init=False)
     arena: Arena = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.arena = Arena(self.columns)
         self.decisions = [[] for _ in range(self.columns)]
-        self.notes = [[] for _ in range(self.columns)]
+        self.pressler_drops = [[] for _ in range(self.columns)]
 
     def add_class(self, pa: int, birth_cycle: int, multiplicity: int) -> AxisClass:
         cls = AxisClass(self.arena, pa, birth_cycle, multiplicity)

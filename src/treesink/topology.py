@@ -199,7 +199,7 @@ class OrganogenesisPlan:
     trunk_entry: TrunkScriptEntry | None = None
     gu_layouts: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     # per branching zone with positions: (key, PositionGroups, their
-    # counts, the axis total they were given)
+    # counts, the axis total they were given, the distribution's slack)
     zone_groups: list[tuple] = field(default_factory=list)
     bud_counts: dict[int, float] = field(default_factory=dict)
     d_s: float = 0.0
@@ -257,12 +257,7 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
             continue
         total = axis_total(_positions(groups), rule, ratio)
         counts, slack = distribute_axes(total, groups)
-        zone_groups.append((rule.key, groups, counts, total))
-        if slack:   # equal axis totals give every column this slack
-            for notes in state.notes:
-                notes.append(f"cycle {n}: zone Z^{rule.bearer_pa}"
-                             f"{rule.axillary_pa} distribution slack "
-                             f"{slack:+d}")
+        zone_groups.append((rule.key, groups, counts, total, slack))
         assigned = total + slack
         if assigned:
             bud_counts[rule.axillary_pa] = (
@@ -275,18 +270,24 @@ def organogenesis_step(state: TreeState, params: GrowthParameters,
         d_s=shoot_demand(bud_counts, params.p_s))
 
 
-def _totals(plan: OrganogenesisPlan, zones: ZoneRuleSet,
-            params: GrowthParameters) -> list[int] | None:
-    """The axis totals of ``plan``'s zones at its ratio under ``zones`` with
-    ``params``; None when a layout empties or a grown one changes, or a
-    rounding rule meets a non-finite value."""
+def _held(plan: OrganogenesisPlan, zones: ZoneRuleSet,
+          params: GrowthParameters) -> list[tuple] | None:
+    """``plan``'s zone entries at its ratio under ``zones`` with
+    ``params``, each with its own axis total and slack; None when the plan
+    does not hold: a layout empties or a grown one changes, a zone's axis
+    distribution changes, or a rounding rule meets a non-finite value."""
     try:
         layouts = gu_zone_layouts(zones, plan.ratio_used, params)
         if any(layouts[pa] != grown for pa, grown in plan.gu_layouts.items()):
             return None
-        return [axis_total(_positions(groups), zones.get(*key),
-                           plan.ratio_used)
-                for key, groups, *_ in plan.zone_groups]
+        held = []
+        for key, groups, counts, total, slack in plan.zone_groups:
+            new = axis_total(_positions(groups), zones.get(*key),
+                             plan.ratio_used)
+            if new != total and distribute_axes(new, groups)[0] != counts:
+                return None
+            held.append((key, groups, counts, new, total + slack - new))
+        return held
     except SimulationError:
         return None
 
@@ -296,10 +297,7 @@ def plan_holds(plan: OrganogenesisPlan, zones: ZoneRuleSet,
     """Whether ``plan`` keeps its outcome at its ratio under ``zones`` with
     ``params``: no layout empties, the grown ones and each zone's axis
     distribution stay equal, and with them the bud counts and d_s."""
-    totals = _totals(plan, zones, params)
-    return totals is not None and all(
-        new == total or distribute_axes(new, groups)[0] == counts
-        for new, (_, groups, counts, total) in zip(totals, plan.zone_groups))
+    return _held(plan, zones, params) is not None
 
 
 def holding_band(plans: list[OrganogenesisPlan], zones: ZoneRuleSet,
@@ -317,7 +315,8 @@ def holding_band(plans: list[OrganogenesisPlan], zones: ZoneRuleSet,
             continue
         if kind == "a2":   # each distribution of the zone's axes
             bands += [axis_band(rule, ratio, groups, counts)
-                      for k, groups, counts, _ in plan.zone_groups if k == key]
+                      for k, groups, counts, *_ in plan.zone_groups
+                      if k == key]
         elif rule.bearer_pa in plan.gu_layouts:   # a grown layout
             count = max(metamer_count(rule, ratio), 0)
             bands.append(metamer_band(rule, ratio, count, count))
@@ -329,15 +328,15 @@ def holding_band(plans: list[OrganogenesisPlan], zones: ZoneRuleSet,
 def column_plans(plan: OrganogenesisPlan, zones: ZoneRuleSet, cols,
                  ratios) -> list[OrganogenesisPlan]:
     """``plan``, made for the first of the parameter columns ``cols``, and
-    its decisions under each other one at its ratio and shoot demand; a
-    SimulationError names the columns where :func:`plan_holds` fails or an
-    axis total differs (which would give the column another slack note)."""
+    its decisions under each other one at its ratio, with that column's own
+    shoot demand, axis totals and slack: what the column plans alone.  A
+    SimulationError names the columns where :func:`plan_holds` fails."""
     plans = [plan] + [replace(plan, ratio_used=ratio,
                               d_s=shoot_demand(plan.bud_counts, params.p_s))
                       for params, ratio in zip(cols[1:], ratios[1:])]
-    totals = [total for *_, total in plan.zone_groups]
-    left = [k for k in range(1, len(cols))
-            if _totals(plans[k], zones, cols[k]) != totals]
+    for each, params in zip(plans[1:], cols[1:]):
+        each.zone_groups = _held(each, zones, params)
+    left = [k for k, each in enumerate(plans) if each.zone_groups is None]
     if left:
         raise SimulationError(f"columns {left} left the batch")
     return plans

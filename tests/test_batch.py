@@ -278,9 +278,9 @@ def test_a_column_dropping_the_pressler_term_stays(bundled, monkeypatch):
                                     targets[0])
     output = engine.simulate(applied[1][0], cand_zones, targets[0],
                              with_topology=False)
-    assert "cycle 1: no foliage, Pressler term dropped" in output.notes
-    assert batched[1].notes == output.notes
-    assert batched[0].notes == batched[2].notes == []
+    assert (1, engine.PRESSLER_DROP, None, None) in output.events
+    assert batched[1].events == output.events
+    assert batched[0].events == batched[2].events == []
     ran = [_same_as_serial(c, r, params, zones, targets, weights)
            for c, r in zip(candidates, results)]
     assert ran == [True, True, True]

@@ -1,3 +1,4 @@
+import copy
 import gc
 import time
 from dataclasses import replace
@@ -12,6 +13,7 @@ from treesink.structure import (BIRTH, LEAF_AREA, SIZE, TreeState,
                                 expand_shoot_values, metamer_diameters)
 from treesink.synthetic import (dataset_from_output, script_only_dataset,
                                 tree2_script)
+from treesink.topology import organogenesis_step
 
 from conftest import grow_unit, step_with_rings
 
@@ -418,6 +420,29 @@ class TestPureReads:
         assert all(map(np.array_equal, tables, values))
         assert (arena.unit_bounds, arena.bounds, arena.edge_bounds) == offsets
         assert _same(first, second)
+
+    def test_planning_leaves_the_state_as_it_is(self, params, zones):
+        # a plan that leaves distribution slack (one Z^24 position on 3
+        # instances) keeps it in the plan: the state is only read
+        state = TreeState(cycle=2)
+        cls = state.add_class(2, 2, multiplicity=3)
+        grow_unit(state, cls, 2, [(0, 1), (4, 1)], 0.2, 1.0, 0.3, 40.0)
+        before = copy.deepcopy(state)
+        plan = organogenesis_step(state, params, zones, ratio=1.0,
+                                  trunk_entry=None)
+        assert [slack for *_, slack in plan.zone_groups] == [1]
+        assert _same(_contents(state), _contents(before))
+
+
+def _contents(state: TreeState) -> list:
+    """Everything ``state`` holds, as nested values :func:`_same` reads:
+    its fields, its classes' and its arena's."""
+    arena = state.arena
+    return [{k: v for k, v in vars(state).items()
+             if k not in ("arena", "classes")},
+            [(c.index, c.pa, c.birth_cycle, c.multiplicity)
+             for c in state.classes],
+            [getattr(arena, slot) for slot in type(arena).__slots__]]
 
 
 class TestDeterminism:

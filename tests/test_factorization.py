@@ -5,15 +5,22 @@ checks the whole cohort bookkeeping: multiplicities, the grouped axis
 distribution, the foliage-above scans and the ring pools.
 """
 
+import re
 import time
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treesink.core import (SimulationError, TrunkScriptEntry, ZoneRule,
                            ZoneRuleSet, validate_parameters)
-from treesink.engine import simulate
+from treesink.engine import PRESSLER_DROP, simulate
+from treesink.fileio import read_parameter_file
 from treesink.oracle import simulate_naive
 from treesink.synthetic import script_only_dataset, tree1_script, tree2_script
+
+from conftest import fixture_path
 
 TOL = 1e-9
 
@@ -177,3 +184,32 @@ def test_five_pas_match_enumerated_reference(params, zones, script_name):
     naive = simulate_naive(p, with_5, ds, tree_index=1)
     assert any(key.startswith("5_") for key in naive.topology["axis_counts"])
     assert compare_outputs(factorized, naive) < TOL
+
+
+def test_a_valid_file_whose_foliage_demand_underflows(tmp_path):
+    # a seed of 1e-26 g and a trunk allometry of 1e-280 make trunk
+    # internodes near 1e-301 cm long under about 1e-24 cm² of leaves: the
+    # products underflow, so the foliage-weighted ring demand is zero in
+    # cycles 1 and 2 and both engines drop the Pressler term, as an event
+    # and not as a warning
+    text = Path(fixture_path("species.params")).read_text(encoding="utf-8")
+    for key, value in (("q0", "1e-26"), ("allom_a", "1e-280, 3.0, 3.0, 0.5")):
+        text, edits = re.subn(rf"^{key} = .*$", f"{key} = {value}", text,
+                              flags=re.M)
+        assert edits == 1
+    path = tmp_path / "underflow.params"
+    path.write_text(text, encoding="utf-8")
+    params, zones, _ = read_parameter_file(str(path))
+    dataset = script_only_dataset(tree1_script())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factorized, naive = (run(params, zones, dataset, cycles=6)
+                             for run in (simulate, simulate_naive))
+    assert factorized.events == naive.events == [
+        (1, PRESSLER_DROP, None, None), (2, PRESSLER_DROP, None, None)]
+    assert compare_outputs(factorized, naive) < TOL
+    # rel_dev's floor of 1e-30 admits any two values this small, so the
+    # measured sections are also compared relative to themselves
+    for (mine, served), (theirs, _) in zip(factorized.profiles.sections(),
+                                           naive.profiles.sections()):
+        assert np.allclose(mine[served], theirs[served], rtol=TOL, atol=0)

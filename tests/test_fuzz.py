@@ -32,7 +32,7 @@ from treesink.calibration import (AnnealSchedule, FitSpec, apply_candidate,
                                   weighted_residuals)
 from treesink.core import (RANGES, TRUNK_PA, ParseError, TreesinkError,
                            TrunkScriptEntry, ValidationError)
-from treesink.engine import simulate, simulate_batch
+from treesink.engine import SLACK, simulate, simulate_batch
 from treesink.fileio import (_FIT_SETTINGS, parse_target_file,
                              read_parameter_file)
 from treesink.oracle import simulate_naive
@@ -264,9 +264,11 @@ def test_drawn_runs_match_the_enumerated_oracle(script, values):
             _engine_run(script, values, simulate_naive)
         assert (type(err.value), str(err.value)) == (type(exc), str(exc))
         return
-    # equal branch counts, every value within the factorization gate
-    assert compare_outputs(factorized,
-                           _engine_run(script, values, simulate_naive)) < TOL
+    # equal branch counts and events, every value within the factorization
+    # gate
+    naive = _engine_run(script, values, simulate_naive)
+    assert compare_outputs(factorized, naive) < TOL
+    assert factorized.events == naive.events
 
 
 def test_the_oracle_draws_reach_partial_runs_and_slack():
@@ -278,10 +280,10 @@ def test_the_oracle_draws_reach_partial_runs_and_slack():
             output = _engine_run(script, values, simulate)
         except TreesinkError:
             continue
-        slack += sum("slack" in note for note in output.notes)
+        slack += sum(kind == SLACK for _, kind, *_ in output.events)
         partial += sum(0 < taken < group.positions
                        for plan in output.decisions
-                       for _, groups, counts, _ in plan.zone_groups
+                       for _, groups, counts, *_ in plan.zone_groups
                        for group, taken in zip(groups, counts))
     assert partial > 0 and slack > 0
 
@@ -384,7 +386,9 @@ def test_a_run_whose_plans_hold_repeats_bit_for_bit():
 def test_departing_batch_columns_equal_their_single_runs(monkeypatch):
     """Drawn batches of a short run and three columns a small step away in
     one continuous value: some stay batched, some depart and fall back to
-    single runs, and every column gives what it gives alone."""
+    single runs, and every column gives what it gives alone.  A column
+    departs only where its plans do not hold, so a batch can keep columns
+    whose axis totals, and with them their slack events, differ."""
     params, zones = reference_parameters(), reference_zone_rules()
     continuous = [p.name for p in reference_fit_spec().continuous]
     rng = np.random.default_rng(18)
@@ -395,7 +399,7 @@ def test_departing_batch_columns_equal_their_single_runs(monkeypatch):
         return run(columns, *args)
 
     monkeypatch.setattr(engine, "_run", counted)
-    fell_back = []
+    fell_back, slack_differs = [], []
     for script, values in _oracle_draws(16, 20):
         columns = [values]
         for name in rng.choice(continuous, size=3):
@@ -407,6 +411,9 @@ def test_departing_batch_columns_equal_their_single_runs(monkeypatch):
         runs.clear()
         batched = simulate_batch(applied, cand_zones, dataset, tree_index=1)
         fell_back.append(len(runs) > 1)
+        slack_differs.append(len(runs) == 1 and len(
+            {tuple(each.events) for each in batched
+             if not isinstance(each, TreesinkError)}) > 1)
         for p, result in zip(applied, batched):
             try:
                 alone = simulate(p, cand_zones, dataset, tree_index=1,
@@ -415,7 +422,7 @@ def test_departing_batch_columns_equal_their_single_runs(monkeypatch):
                 assert (type(result), str(result)) == (type(exc), str(exc))
             else:
                 assert vars(result) == vars(alone)
-    assert 0 < sum(fell_back) < len(fell_back)
+    assert 0 < sum(fell_back) < len(fell_back) and any(slack_differs)
 
 
 def _range_sites():

@@ -186,7 +186,8 @@ class TestPartitionRings:
     def test_pool_mode_splits_by_weight(self):
         # two cohorts with sink·length·count weights 1 and 3
         rows = [(1, 1, 1.0, 5.0), (3, 1, 1.0, 2.0)]
-        incs = partition_rings(4.0, rows, 0.0, self.P_RG)
+        incs, dropped = partition_rings(4.0, rows, 0.0, self.P_RG)
+        assert not dropped
         assert incs[0] == pytest.approx(incs[1], rel=1e-12)
         assert incs[0] == pytest.approx(1.0)
         total = sum(m * i for (m, _, _, _), i in zip(rows, incs))
@@ -194,12 +195,14 @@ class TestPartitionRings:
 
     def test_pressler_mode_proportional_to_foliage(self):
         rows = [(1, 1, 2.0, 6.0), (1, 1, 2.0, 2.0)]
-        incs = partition_rings(1.0, rows, 1.0, self.P_RG)
+        incs, dropped = partition_rings(1.0, rows, 1.0, self.P_RG)
+        assert not dropped
         assert incs[0] / incs[1] == pytest.approx(3.0, rel=1e-12)
 
     def test_zero_supply(self):
         rows = [(1, 1, 1.0, 1.0), (2, 2, 3.0, 0.5)]
-        assert partition_rings(0.0, rows, 0.5, self.P_RG) == [0.0, 0.0]
+        assert partition_rings(0.0, rows, 0.5, self.P_RG) == \
+            ([0.0, 0.0], False)
 
     def test_mixed_mode_conserves(self):
         rng = np.random.default_rng(3)
@@ -207,16 +210,18 @@ class TestPartitionRings:
                  float(rng.uniform(0.1, 4.0)), float(rng.uniform(0.0, 9.0)))
                 for _ in range(30)]
         for lam in (0.0, 0.13, 0.5, 1.0):
-            incs = partition_rings(11.0, rows, lam, self.P_RG)
+            incs, _ = partition_rings(11.0, rows, lam, self.P_RG)
             total = sum(m * i for (m, _, _, _), i in zip(rows, incs))
             assert total == pytest.approx(11.0, rel=1e-9)
 
     def test_leafless_cycle_drops_pressler_with_warning(self):
+        # the drop is returned, not warned: no warning is raised even
+        # when every warning is an error
         rows = [(1, 1, 1.0, 0.0), (1, 1, 3.0, 0.0)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            incs = partition_rings(2.0, rows, 0.8, self.P_RG)
-        assert any("Pressler" in str(w.message) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            incs, dropped = partition_rings(2.0, rows, 0.8, self.P_RG)
+        assert dropped
         assert sum(incs) == pytest.approx(2.0)
         assert incs[1] == pytest.approx(3 * incs[0], rel=1e-12)
 

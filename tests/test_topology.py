@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from treesink.core import SimulationError, TrunkScriptEntry, ZoneRule
-from treesink.engine import simulate
+from treesink.engine import PRESSLER_DROP, SLACK, run_events, simulate
 from treesink.structure import TreeState
 from treesink.synthetic import script_only_dataset
-from treesink.topology import (PositionGroup, axis_band, axis_total,
-                               distribute_axes, gu_zone_layout, metamer_count,
-                               organogenesis_step, plan_holds, seed_plan)
+from treesink.topology import (OrganogenesisPlan, PositionGroup, axis_band,
+                               axis_total, distribute_axes, gu_zone_layout,
+                               metamer_count, organogenesis_step, plan_holds,
+                               seed_plan)
 
 from conftest import grow_unit
 
@@ -232,7 +233,7 @@ class TestOrganogenesis:
                       0.2, 1.0, 0.3, 40.0)
         plan = organogenesis_step(state, params, zones, ratio=0.0,
                                   trunk_entry=None)
-        assert not any(any(counts) for *_, counts, _ in plan.zone_groups)
+        assert not any(any(counts) for _, _, counts, *_ in plan.zone_groups)
         assert plan.bud_counts == {2: 2.0}   # apical continuation only
 
     def test_active_zones_assign_axes(self, params, zones):
@@ -247,7 +248,7 @@ class TestOrganogenesis:
                      for key, groups, *_ in plan.zone_groups}
         assert axis_total(positions[(2, 4)], zones.get(2, 4), 4.0) == 2
         assert sum(count * group.size
-                   for key, groups, counts, _ in plan.zone_groups
+                   for key, groups, counts, *_ in plan.zone_groups
                    if key[1] == 4
                    for group, count in zip(groups, counts)) == 2
 
@@ -267,12 +268,18 @@ class TestOrganogenesis:
 
     def test_distribution_slack_is_noted(self, params, zones):
         # one Z^24 position on 3 instances: round(3·0.6) = 2 axes requested,
-        # the group takes all 3, and the note records the surplus
+        # the group takes all 3, and the plan keeps the surplus, which the
+        # run reports as a slack event of the cycle that planned it
         state = TreeState(cycle=2)
         cls = state.add_class(2, 2, multiplicity=3)
         grow_unit(state, cls, 2, [(0, 1), (4, 1)], 0.2, 1.0, 0.3, 40.0)
-        organogenesis_step(state, params, zones, ratio=1.0, trunk_entry=None)
-        assert state.notes == [["cycle 2: zone Z^24 distribution slack +1"]]
+        plan = organogenesis_step(state, params, zones, ratio=1.0,
+                                  trunk_entry=None)
+        assert [(key, counts, total, slack)
+                for key, _, counts, total, slack in plan.zone_groups] == \
+            [((2, 4), [1], 2, 1)]
+        assert run_events([OrganogenesisPlan(0.0)] * 2 + [plan], [2]) == [
+            (2, SLACK, (2, 4), 1), (2, PRESSLER_DROP, None, None)]
 
     def test_scripted_trunk_budget(self, params, zones):
         state = TreeState(cycle=1)
