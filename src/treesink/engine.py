@@ -184,9 +184,10 @@ SLACK, PRESSLER_DROP = "slack", "pressler_drop"
 def run_events(plans, drops) -> list[tuple]:
     """A run's events, each ``(cycle, kind, zone key or None, value or
     None)``, in cycle order: per cycle n, each zone's nonzero distribution
-    :data:`SLACK` in the plan made at its end (``plans[n]``, ``plans[0]``
-    the seed plan), then a :data:`PRESSLER_DROP` if n is in ``drops``.
-    The engine and the oracle share it."""
+    :data:`SLACK` in the plan made at its end (``plans[n]``, each an
+    :class:`OrganogenesisPlan`, ``plans[0]`` the seed plan), then a
+    :data:`PRESSLER_DROP` if n is in ``drops``.  The engine and the oracle
+    share it."""
     events = [(cycle, SLACK, key, slack) for cycle, plan in enumerate(plans)
               for key, *_, slack in plan.zone_groups if slack]
     events += [(cycle, PRESSLER_DROP, None, None) for cycle in drops]

@@ -3,11 +3,15 @@
 This is the cross-check for the factorized engine: no cohort merging, no
 multiplicities, no vectorization.  Structure bookkeeping (instance groups,
 foliage-above scans, subtree aggregates) is re-derived naively from the
-explicit tree; only the run-request checks and the scalar rules
+explicit tree; only the run-request checks, the scalar rules
 (production, the demand solve and production split, allocation, the ring
-partition's coefficients, the seed plan, metamer/axis counts, the
-distribution primitive) and the record of a run's events are shared with
-the engine, since those have their own oracles in the test suite.
+partition's coefficients, metamer/axis counts, the distribution
+primitive), the seed plan (``topology.seed_plan``) and the records of a
+plan (``topology.OrganogenesisPlan``, its position groups carrying their
+member metamers here) and of a run's events are shared with the engine,
+since those have their own oracles in the test suite.  Each cycle's
+shoots are read from its plan: the trunk's unit and its scripted
+branches, the next unit of every branch axis, then each zone's laterals.
 
 Its cost grows with the organ count, so it is intended for short runs
 (a handful of cycles); the factorized engine must reproduce it exactly up
@@ -17,20 +21,18 @@ to floating-point summation order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (CM2_PER_M2, TRUNK_PA, GrowthParameters, Profiles,
-                   SimulationError, TargetDataset, TrunkScriptEntry,
-                   ZoneRuleSet)
+                   SimulationError, TargetDataset, ZoneRuleSet)
 from .engine import (SimulationOutput, check_finite, check_run_request,
                      failing_cycle, net_production, run_events,
                      split_production)
 from .sourcesink import allocate_shoots, partition_rings, shoot_demand
 from .structure import expand_shoot_values, metamer_diameters
-from .topology import (PositionGroup, axis_total, distribute_axes,
-                       gu_zone_layouts, seed_plan)
+from .topology import (OrganogenesisPlan, PositionGroup, axis_total,
+                       distribute_axes, gu_zone_layouts, seed_plan)
 
 
 class NMetamer:
@@ -67,25 +69,6 @@ class NAxis:
         self.pa = pa
         self.birth = birth
         self.gus: list[NGU] = []
-
-
-@dataclass
-class _PendingShoot:
-    pa: int
-    kind: str                  # "trunk" | "continue" | "lateral" | "scripted"
-    axis: NAxis | None = None  # axis to continue
-    parent: NMetamer | None = None
-
-
-@dataclass
-class _NaivePlan:
-    shoots: list[_PendingShoot]
-    layouts: dict[int, list[tuple[int, int]]]
-    trunk_entry: TrunkScriptEntry | None = None
-    d_s: float = 0.0
-    bud_counts: dict[int, float] = field(default_factory=dict)
-    # per branching zone with positions, as OrganogenesisPlan.zone_groups
-    zone_groups: list[tuple] = field(default_factory=list)
 
 
 class NaiveTree:
@@ -130,27 +113,23 @@ class NaiveTree:
         return total
 
 
-def _plan(tree: NaiveTree, params, zones, ratio, trunk_entry) -> _NaivePlan:
+def _plan(tree: NaiveTree, params, zones, ratio,
+          trunk_entry) -> OrganogenesisPlan:
     """Naive organogenesis: enumerate positions explicitly, group them by
-    (axis birth, metamer rank) per growth-unit class and distribute."""
+    (axis birth, metamer rank) per growth-unit class and distribute.  Each
+    group's payload is its member metamers."""
     n = tree.cycle
-    layouts = gu_zone_layouts(zones, ratio, params)
-    shoots: list[_PendingShoot] = []
     bud_counts: dict[int, float] = {}
-
-    plan = _NaivePlan(shoots, layouts, trunk_entry, bud_counts=bud_counts)
     if trunk_entry is not None:
-        shoots.append(_PendingShoot(pa=TRUNK_PA, kind="trunk"))
-        bud_counts[TRUNK_PA] = bud_counts.get(TRUNK_PA, 0.0) + 1.0
+        bud_counts[TRUNK_PA] = 1.0
         for pa, count in sorted(trunk_entry.branches):
             bud_counts[pa] = bud_counts.get(pa, 0.0) + count
 
     for axis in tree.axes:
-        if axis.pa == TRUNK_PA:
-            continue
-        shoots.append(_PendingShoot(pa=axis.pa, kind="continue", axis=axis))
-        bud_counts[axis.pa] = bud_counts.get(axis.pa, 0.0) + 1.0
+        if axis.pa != TRUNK_PA:
+            bud_counts[axis.pa] = bud_counts.get(axis.pa, 0.0) + 1.0
 
+    zone_groups = []
     for rule in zones.rules:
         if not rule.branching:
             continue
@@ -172,28 +151,30 @@ def _plan(tree: NaiveTree, params, zones, ratio, trunk_entry) -> _NaivePlan:
         positions = sum(g.size for g in groups)
         total = axis_total(positions, rule, ratio)
         counts, slack = distribute_axes(total, groups)
-        plan.zone_groups.append((rule.key, groups, counts, total, slack))
+        zone_groups.append((rule.key, groups, counts, total, slack))
         for group, count in zip(groups, counts):
-            if count == 0:
-                continue
-            for m in group.payload:
-                shoots.append(_PendingShoot(pa=rule.axillary_pa,
-                                            kind="lateral", parent=m))
+            if count:
                 bud_counts[rule.axillary_pa] = (
-                    bud_counts.get(rule.axillary_pa, 0.0) + 1.0)
+                    bud_counts.get(rule.axillary_pa, 0.0) + group.size)
 
-    plan.d_s = shoot_demand(bud_counts, params.p_s)
-    return plan
+    return OrganogenesisPlan(
+        ratio_used=ratio, trunk_entry=trunk_entry,
+        gu_layouts=gu_zone_layouts(zones, ratio, params),
+        zone_groups=zone_groups, bud_counts=bud_counts,
+        d_s=shoot_demand(bud_counts, params.p_s))
 
 
-def _expand(tree: NaiveTree, params, plan: _NaivePlan, fund: float) -> None:
+def _expand(tree: NaiveTree, params, plan: OrganogenesisPlan,
+            fund: float) -> None:
+    """Grow the planned shoots: the trunk's unit and its scripted branches,
+    the next unit of every branch axis, then each zone's laterals."""
     cycle = tree.cycle
     masses = allocate_shoots(fund, plan.d_s, plan.bud_counts, params.p_s)
 
     def build_gu(axis: NAxis, metamer_count: int | None = None) -> NGU:
         """``axis``'s next unit: its PA's layout, or the trunk's metamers."""
         layout = ([(-1, metamer_count)] if metamer_count is not None
-                  else plan.layouts[axis.pa])
+                  else plan.gu_layouts[axis.pa])
         inter, length, leaf, area = expand_shoot_values(
             params, axis.pa, masses.get(axis.pa, 0.0),
             sum(c for _, c in layout), cycle)
@@ -214,20 +195,25 @@ def _expand(tree: NaiveTree, params, plan: _NaivePlan, fund: float) -> None:
             raise SimulationError("metamer already bears a lateral")
         parent.child = axis
 
-    for shoot in plan.shoots:
-        if shoot.kind == "trunk":
-            if not tree.axes:
-                tree.axes.append(NAxis(TRUNK_PA, 1))
-            gu = build_gu(tree.axes[0], plan.trunk_entry.metamer_count)
-            rank = len(gu.metamers)
-            for pa, count in sorted(plan.trunk_entry.branches):
-                for _ in range(count):
-                    new_axis(pa, gu.metamers[rank - 1])
-                    rank -= 1
-        elif shoot.kind == "continue":
-            build_gu(shoot.axis)
-        else:  # lateral
-            new_axis(shoot.pa, shoot.parent)
+    # taken before the scripted branches, which grow their first unit below
+    branches = [axis for axis in tree.axes if axis.pa != TRUNK_PA]
+    entry = plan.trunk_entry
+    if entry is not None:
+        if not tree.axes:
+            tree.axes.append(NAxis(TRUNK_PA, 1))
+        gu = build_gu(tree.axes[0], entry.metamer_count)
+        rank = len(gu.metamers)
+        for pa, count in sorted(entry.branches):
+            for _ in range(count):
+                new_axis(pa, gu.metamers[rank - 1])
+                rank -= 1
+    for axis in branches:
+        build_gu(axis)
+    for (_, axillary_pa), groups, counts, *_ in plan.zone_groups:
+        for group, count in zip(groups, counts):
+            if count:
+                for m in group.payload:
+                    new_axis(axillary_pa, m)
 
 
 @np.errstate(all="ignore")   # a value that overflows fails check_finite
@@ -239,14 +225,10 @@ def simulate_naive(params: GrowthParameters, zones: ZoneRuleSet,
     n_cycles = check_run_request(params, zones, dataset, tree_index, cycles)
 
     tree = NaiveTree()
-    seed = seed_plan(params, zones, dataset.script_entry(1))
     # each cycle's plan, made at its end: plans[n] funds cycle n + 1
-    plans = [_NaivePlan(
-        shoots=[_PendingShoot(pa=TRUNK_PA, kind="trunk")],
-        layouts=seed.gu_layouts, trunk_entry=seed.trunk_entry,
-        d_s=seed.d_s, bud_counts=seed.bud_counts)]
+    plans = [seed_plan(params, zones, dataset.script_entry(1))]
     fund = params.q0
-    ratio_lagged = seed.ratio_used
+    ratio_lagged = plans[0].ratio_used
 
     allocations, drops = [], []
     for n in range(1, n_cycles + 1):

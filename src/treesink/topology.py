@@ -193,7 +193,10 @@ def gu_zone_layouts(zones: ZoneRuleSet, ratio: float,
 class OrganogenesisPlan:
     """The decisions taken at the end of one cycle about the next cycle's
     shoots: the trunk script entry, the layouts of the branch PAs it grows,
-    each branching zone's axis distribution, the bud demand."""
+    each branching zone's axis distribution, the bud demand.  The engine
+    and the oracle both plan in it.  A zone group's payload is the
+    engine's (class index, apical row) or the oracle's member metamers,
+    and the oracle's layouts cover every branch PA."""
 
     ratio_used: float
     trunk_entry: TrunkScriptEntry | None = None

@@ -268,7 +268,6 @@ def test_drawn_runs_match_the_enumerated_oracle(script, values):
     # gate
     naive = _engine_run(script, values, simulate_naive)
     assert compare_outputs(factorized, naive) < TOL
-    assert factorized.events == naive.events
 
 
 def test_the_oracle_draws_reach_partial_runs_and_slack():

@@ -1,5 +1,5 @@
 """Byte-identity of the files a simulation and the bundled fit write, and
-of the oracle's rows.
+of the oracle's run.
 
 The digests pin the exact bytes of every output file, so any change in the
 order or rounding of a floating-point operation anywhere in the engine or
@@ -66,9 +66,15 @@ SMALL_FIT_DIGESTS = {
 }
 
 
-#: sha256 of ``repr(list(rows))`` of each measured section of the oracle's
-#: run of tree 1 over 6 cycles
-ORACLE_ROW_DIGESTS = {
+#: sha256 of the ``repr`` of each record of the oracle's run of tree 1 over
+#: 6 cycles, a measured section's as the list of its rows
+ORACLE_DIGESTS = {
+    "allocations":
+        "db3b0a17c7785460f9dee7fb5664a74932d3b0014667ab3918ac19f9ffa7c8d7",
+    "events":
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "topology":
+        "6f66ac2238f77e732e1992b569fef45dda575c34842e824bcd92cb5728d3262c",
     "trunk_profile":
         "ca48c9499b2acc49039d2b3fee250062c4598ce5e17512d1f7076711174eb6b1",
     "ring_matrix":
@@ -126,10 +132,13 @@ def test_small_fit_files_are_byte_identical(tmp_path):
 
 def test_oracle_rows_are_unchanged():
     # the oracle writes its naive values into the same profile record as
-    # the engine; its rows, read from that record, keep their bits
+    # the engine; its rows, read from that record, keep their bits, and so
+    # do its allocations, events and topology
     params, zones, _spec = read_parameter_file(fixture_path("species.params"))
     dataset = parse_target_file(fixture_path("tree1.target.csv"))
     output = simulate_naive(params, zones, dataset, tree_index=0, cycles=6)
-    assert {field: hashlib.sha256(repr(list(getattr(output, field)))
-                                  .encode()).hexdigest()
-            for field in ORACLE_ROW_DIGESTS} == ORACLE_ROW_DIGESTS
+    records = {field: getattr(output, field) for field in ORACLE_DIGESTS}
+    records.update((field, list(records[field])) for field in
+                   ("trunk_profile", "ring_matrix", "branch_compartments"))
+    assert {field: hashlib.sha256(repr(record).encode()).hexdigest()
+            for field, record in records.items()} == ORACLE_DIGESTS
