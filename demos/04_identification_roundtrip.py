@@ -6,6 +6,7 @@ continuous parameters, simulated annealing plus a neighbour-basin walk for
 the zone coefficients) recovers the truth.  Because the zone coefficients
 act through integer roundings, each is reported as the interval of values
 reproducing every simulated output bit for bit, not a point estimate.
+Each stage of the fit leaves a record of what it ran, printed first.
 
 This demo keeps the tree small and frees only a handful of parameters so
 it finishes in well under a minute; `treesink fit` with the bundled
@@ -42,11 +43,19 @@ spec = FitSpec(
                             t_stop_ratio=5e-2, step_scale=0.3),
     seed=7, stop_objective=1e-12, polish_rounds=3, max_nfev=40)
 
+stages = []
 start = time.perf_counter()
-result = fit_topology(spec, params, zones, [target])
+result = fit_topology(spec, params, zones, [target], stages)
 elapsed = time.perf_counter() - start
 
-print(f"fit finished in {elapsed:.1f} s after {result.evaluations} "
+print("stage    evaluations  runs  columns  replays  best       temperature"
+      "  accepted")
+for s in stages:   # only anneal's records carry a temperature
+    at = "" if s.temperature is None else \
+        f"{s.temperature:.3e}  {s.accepted:8d}"
+    print(f"{s.stage:8s} {s.evaluations:11d} {s.runs:5d} {s.columns:8d} "
+          f"{s.replays:8d}  {s.best:.3e}  {at}")
+print(f"\nfit finished in {elapsed:.1f} s after {result.evaluations} "
       f"model evaluations; objective {result.objective:.3e}\n")
 print("continuous parameters (estimate vs truth):")
 for name in ("v_1", "gamma"):

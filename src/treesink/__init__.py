@@ -11,14 +11,14 @@ from .sourcesink import (CycleAllocation, allocate_shoots, partition_rings,
                          solve_global_demand)
 from .topology import (axis_total, distribute_axes, metamer_count,
                        organogenesis_step)
-from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
-                          Scorer, compute_intervals, fit_continuous,
+from .calibration import (AnnealSchedule, FitResult, FitSpec, FitStage,
+                          FreeParameter, Scorer, compute_intervals, fit_continuous,
                           fit_topology, objective)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnealSchedule", "CycleAllocation", "FitResult", "FitSpec",
+    "AnnealSchedule", "CycleAllocation", "FitResult", "FitSpec", "FitStage",
     "FreeParameter", "GrowthParameters", "Scorer", "SimulationOutput",
     "TargetDataset", "TrunkScriptEntry", "ZoneRule", "ZoneRuleSet",
     "allocate_shoots",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,7 +255,10 @@ class Scorer:
         self.targets, self.weights = targets, weights
         self._kept = [[] for _ in targets]   # (key, plans, rows, residuals)
         self._best = math.inf, [[] for _ in targets]   # objective, its runs
-        self.evaluations = 0   # the candidates scored: the fit's one count
+        self.evaluations = 0   # the candidates scored
+        self.runs = 0       # engine runs: batches, and report's fresh runs
+        self.columns = 0    # the tree-columns those runs ran
+        self.replays = 0    # scored or reported tree-runs a kept run repeated
 
     def residuals(self, candidates: list[dict[str, float]], ahead=None):
         """Per candidate, sqrt(weight)·(sim − obs) stacked over every tree
@@ -290,8 +294,12 @@ class Scorer:
                     fresh.append(k)
                 else:
                     results[k].append(run)
+                    self.replays += k < n   # a point ahead, once claimed
             todo = [cols[k] for k in fresh if (i, cols[k]) not in ran]
-            for col, output in zip(todo, todo and simulate_batch(
+            keys = [run_key(col, i) for col in todo]
+            self.runs += bool(todo)
+            self.columns += len(set(keys))   # a batch runs each key once
+            for col, key, output in zip(todo, keys, todo and simulate_batch(
                     todo, zones, ds, tree_index=i)):
                 try:
                     if isinstance(output, TreesinkError):
@@ -301,8 +309,7 @@ class Scorer:
                     ran[i, col] = exc
                     continue
                 w = np.sqrt([self.weights.get(lbl, 1.0) for lbl in labels])
-                ran[i, col] = (run_key(col, i), output.decisions, rows,
-                               w * (sim - obs))
+                ran[i, col] = key, output.decisions, rows, w * (sim - obs)
             for k in fresh:
                 if isinstance(run := ran[i, cols[k]], TreesinkError):
                     results[k] = run
@@ -339,6 +346,9 @@ class Scorer:
                 output = simulate(cand, zones, ds, tree_index=i,
                                   with_topology=False, with_signature=False)
                 run = cand, output.decisions, extract_targets(output, ds)
+                self.runs, self.columns = self.runs + 1, self.columns + 1
+            else:
+                self.replays += 1
             trees.append(run[1:3])
         return cand, zones, trees
 
@@ -444,11 +454,28 @@ _POLISH_OFFSETS = (0.02, 0.05, 0.12, 0.3)
 _EDGE_OFFSET = 6e-3
 
 
+class FitStage(NamedTuple):
+    """What one stage of :func:`fit_topology` ran: the scorer's counts
+    since the previous record, and the best objective at the stage's end."""
+
+    stage: str           # start, anneal, refit, polish or report
+    evaluations: int     # candidates scored
+    runs: int            # engine runs
+    columns: int         # tree-columns those runs ran
+    replays: int         # tree-runs a kept run repeated
+    best: float
+    temperature: float | None = None   # anneal: the temperature it ran at
+    accepted: int | None = None        # anneal: the proposals it accepted
+
+
 @np.errstate(over="ignore")   # an objective that overflows is infeasible
 def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
-                 targets: list[TargetDataset]) -> FitResult:
-    """Full identification: simulated annealing over the zone coefficients
-    with nested continuous re-optimisation, then interval reporting.
+                 targets: list[TargetDataset],
+                 stages: list[FitStage] | None = None) -> FitResult:
+    """Full identification: the continuous stage at the initial zone
+    coefficients, simulated annealing over the zone coefficients with
+    nested continuous re-optimisation, a final continuous refit at the best
+    point, a neighbour-basin polish, then the report with its intervals.
 
     With no free topological coefficients this reduces to the continuous
     stage.  The annealing chain is sequential and owns the only random
@@ -457,162 +484,213 @@ def fit_topology(spec: FitSpec, params: GrowthParameters, zones: ZoneRuleSet,
     each coefficient (the objective is piecewise constant in them, so the
     chain alone ends inside some near-optimal piece; the probes walk piece
     to piece while that improves the fit): a coarse ladder, then one step
-    past each end of the current piece, as :func:`compute_intervals` gives
-    it.  Every residual comes from one :class:`Scorer`, which replays the
-    fit's recent runs and counts each score and residual as an evaluation.
-    The edges, the intervals (:func:`compute_intervals` at the best) and
-    the predicted-vs-observed rows come from the scorer's :meth:`report`.
+    past each end of the current piece.  Every residual comes from one
+    :class:`Scorer`, which replays the fit's recent runs and counts each
+    score and residual as an evaluation.  The piece edges, the intervals
+    and the predicted-vs-observed rows come from ``_intervals`` over the
+    scorer's :meth:`Scorer.report`.  Each stage appends a :class:`FitStage`
+    to ``stages``; the records leave the result unchanged.
     """
-    weights = default_weights(targets, spec.weights)
-    rng = np.random.default_rng(spec.seed)
-    sched = spec.schedule
-    trace: list[float] = []
-    scorer = Scorer(params, zones, targets, weights)
+    fit = _Fit(spec, params, zones, targets,
+               [] if stages is None else stages)
+    fit.start()
+    fit.anneal()
+    fit.refit()
+    fit.polish()
+    return fit.report()
 
-    def refit(topo_values, warm):
-        """(estimates, objective) of fit_continuous at ``topo_values``,
+
+class _Fit:
+    """One :func:`fit_topology` run: its scorer, random stream and trace,
+    the annealing chain's current point and the best point so far, with
+    one method per stage."""
+
+    def __init__(self, spec, params, zones, targets, stages):
+        self.spec, self.stages = spec, stages
+        self.scorer = Scorer(params, zones, targets,
+                             default_weights(targets, spec.weights))
+        self.rng = np.random.default_rng(spec.seed)
+        self.trace: list[float] = []
+        self.topo = {p.name: p.init for p in spec.topological}
+        self.best_topo, self.best_cont, self.best_obj = self.topo, {}, math.inf
+        self._counted = (0, 0, 0, 0)   # the scorer's counts at the last record
+
+    def start(self):
+        """The continuous stage at the initial zone coefficients, where the
+        chain and the best point start."""
+        self.cont, self.obj = fit_continuous(
+            self.spec.continuous, self.topo, self.scorer,
+            max_nfev=self.spec.max_nfev)
+        self.warm = self.cont   # warm start of the annealing chain's refits
+        self.trace.append(self.obj)
+        self._offer(self.topo, self.cont, self.obj)
+        self._record("start")
+
+    def anneal(self):
+        """Simulated annealing over the zone coefficients; one record per
+        temperature."""
+        spec, sched, rng = self.spec, self.spec.schedule, self.rng
+        if not spec.topological:
+            return
+        t0 = temperature = sched.t0 * max(self.obj, 1e-12)
+        since_refit = 0   # accepts since the last continuous refit
+        while temperature / t0 > sched.t_stop_ratio and not self._stopped():
+            accepted = 0
+            for _ in range(sched.steps_per_t):
+                p = spec.topological[int(rng.integers(len(spec.topological)))]
+                sigma = sched.step_scale * (p.upper - p.lower) \
+                    * max(temperature / t0, 0.05)
+                value = self.topo[p.name] \
+                    + sigma * float(rng.standard_normal())
+                candidate = {**self.topo,
+                             p.name: float(np.clip(value, p.lower, p.upper))}
+                if spec.nested_refit and spec.continuous:
+                    cand_cont, cand_obj = (self._fitted(candidate, self.warm)
+                                           or (self.cont, math.inf))
+                else:
+                    cand_cont, cand_obj = self.cont, self.scorer.objective(
+                        {**candidate, **self.cont})
+                delta = cand_obj - self.obj
+                if delta <= 0 or (
+                        math.isfinite(cand_obj)
+                        and rng.random() < math.exp(-delta / temperature)):
+                    accepted += 1
+                    since_refit += 1
+                    prev_best = self.best_obj
+                    self.topo, self.cont, self.obj = \
+                        candidate, cand_cont, cand_obj
+                    substantial = (self._offer(candidate, cand_cont, cand_obj)
+                                   and cand_obj < 0.5 * prev_best)
+                    if (not spec.nested_refit and spec.continuous and (
+                            since_refit >= spec.refit_every or substantial)):
+                        since_refit = 0
+                        fitted = self._fitted(self.topo, self.warm)
+                        if fitted is not None:
+                            self.cont, self.obj = fitted
+                            self.warm = self.cont
+                            self._offer(self.topo, self.cont, self.obj)
+                self.trace.append(self.best_obj)
+                if self._stopped():
+                    break
+            self._record("anneal", temperature, accepted)
+            temperature *= sched.cooling
+
+    def refit(self):
+        """The continuous stage again at the best zone coefficients, from
+        the best estimates.  It alone keeps a tie, which decides the
+        reported estimates' bits."""
+        if self.spec.continuous and not self._stopped():
+            fitted = self._fitted(self.best_topo, self.best_cont)
+            if fitted is not None and fitted[1] <= self.best_obj:
+                self.best_cont, self.best_obj = fitted
+        if not math.isfinite(self.best_obj):
+            raise UnfittableError("no candidate produced a finite objective")
+        self.trace.append(self.best_obj)
+        self._record("refit")
+
+    def polish(self):
+        """Deterministic neighbour-basin rounds: the objective is piecewise
+        constant in each zone coefficient, so probe a coarse ladder plus the
+        pieces immediately adjacent to the current one.  One record per
+        round; a round that moves nothing ends the stage."""
+        spec, scorer = self.spec, self.scorer
+        for _ in range(spec.polish_rounds if spec.topological else 0):
+            if self._stopped():
+                break
+            moved = False
+            edges = None   # intervals at the best, once a probe needs them
+            for p in spec.topological:
+                x0, span = self.best_topo[p.name], p.upper - p.lower
+                scored = self._probe(p, (x0 + sign * frac * span
+                                         for frac in _POLISH_OFFSETS
+                                         for sign in (1.0, -1.0)))
+                if not scored or min(scored)[0] >= self.best_obj:
+                    # the coarse ladder may straddle a narrow neighbouring
+                    # piece: step just past this piece's edges
+                    if edges is None:
+                        edges = _intervals(spec, *scorer.report(
+                            {**self.best_topo, **self.best_cont})[1:])
+                    lo, hi = edges[p.name]
+                    scored += self._probe(p, (
+                        edge + sign * _EDGE_OFFSET * span
+                        for edge, bound, sign in ((lo, p.lower, -1.0),
+                                                  (hi, p.upper, 1.0))
+                        if edge not in (None, bound)))
+                if not scored or min(scored)[0] >= self.best_obj:
+                    continue
+                quick_obj, quick_x = min(scored)
+                candidate = {**self.best_topo, p.name: quick_x}
+                fitted = (self._fitted(candidate, self.best_cont)
+                          if spec.continuous else (self.best_cont, quick_obj))
+                if fitted is None:
+                    continue
+                if self._offer(candidate, *fitted):
+                    moved, edges = True, None
+                self.trace.append(self.best_obj)
+                if self._stopped():
+                    break
+            self._record("polish")
+            if not moved:
+                break
+
+    def report(self) -> FitResult:
+        """The result at the best point, from the scorer's report."""
+        fitted_params, fitted_zones, trees = self.scorer.report(
+            {**self.best_topo, **self.best_cont})
+        pvo, r2 = _predicted_observed(trees)
+        self._record("report")
+        return FitResult(
+            continuous=dict(sorted(self.best_cont.items())),
+            topology=dict(sorted(self.best_topo.items())),
+            intervals=_intervals(self.spec, fitted_zones, trees),
+            v_env=list(fitted_params.v_env),
+            objective=self.best_obj,
+            trace=self.trace,
+            r_squared=r2,
+            predicted_observed=pvo,
+            evaluations=self.scorer.evaluations)
+
+    def _stopped(self) -> bool:
+        """Whether the best objective has reached ``stop_objective``."""
+        return (self.spec.stop_objective is not None
+                and self.best_obj <= self.spec.stop_objective)
+
+    def _offer(self, topo, cont, obj) -> bool:
+        """Make the point the best one if it scores strictly lower; whether
+        it did."""
+        improved = obj < self.best_obj
+        if improved:
+            self.best_topo, self.best_cont, self.best_obj = topo, cont, obj
+        return improved
+
+    def _fitted(self, topo, warm):
+        """(estimates, objective) of the continuous stage at ``topo``,
         started from ``warm``; None when no candidate is feasible."""
         try:
             return fit_continuous(
-                spec.continuous, topo_values, scorer, max_nfev=spec.max_nfev,
-                x0=np.array([warm[q.name] for q in spec.continuous]))
+                self.spec.continuous, topo, self.scorer,
+                max_nfev=self.spec.max_nfev,
+                x0=np.array([warm[q.name] for q in self.spec.continuous]))
         except UnfittableError:
             return None
 
-    def stop_reached():
-        return (spec.stop_objective is not None
-                and best_obj <= spec.stop_objective)
+    def _probe(self, p, values):
+        """(objective, x) of each x of ``values`` inside ``p``'s bounds,
+        the other coefficients at the best point, whose objective is
+        finite."""
+        scored = ((self.scorer.objective(
+            {**self.best_topo, p.name: x, **self.best_cont}), x)
+            for x in values if p.lower <= x <= p.upper)
+        return [(v, x) for v, x in scored if math.isfinite(v)]
 
-    topo = {p.name: p.init for p in spec.topological}
-    cont, obj = fit_continuous(spec.continuous, topo, scorer,
-                               max_nfev=spec.max_nfev)
-    trace.append(obj)
-    warm_cont = dict(cont)   # warm start of the annealing chain's refits
-    best_topo, best_cont, best_obj = dict(topo), dict(cont), obj
-
-    if spec.topological and not stop_reached():
-        t0 = sched.t0 * max(obj, 1e-12)
-        temperature = t0
-        accepted_since_refit = 0
-        while temperature / t0 > sched.t_stop_ratio and not stop_reached():
-            for _ in range(sched.steps_per_t):
-                j = int(rng.integers(len(spec.topological)))
-                p = spec.topological[j]
-                sigma = sched.step_scale * (p.upper - p.lower) \
-                    * max(temperature / t0, 0.05)
-                candidate = dict(topo)
-                value = topo[p.name] + sigma * float(rng.standard_normal())
-                candidate[p.name] = float(np.clip(value, p.lower, p.upper))
-
-                if spec.nested_refit and spec.continuous:
-                    cand_cont, cand_obj = (refit(candidate, warm_cont)
-                                           or (dict(cont), math.inf))
-                else:
-                    cand_cont = dict(cont)
-                    cand_obj = scorer.objective({**candidate, **cont})
-
-                delta = cand_obj - obj
-                accept = delta <= 0 or (
-                    math.isfinite(cand_obj)
-                    and rng.random() < math.exp(-delta / temperature))
-                if accept:
-                    prev_best = best_obj
-                    improved_best = cand_obj < best_obj
-                    topo, cont, obj = candidate, cand_cont, cand_obj
-                    accepted_since_refit += 1
-                    if improved_best:
-                        best_topo, best_cont, best_obj = \
-                            dict(topo), dict(cont), obj
-                    due = accepted_since_refit >= spec.refit_every
-                    substantial = improved_best and cand_obj < 0.5 * prev_best
-                    if (not spec.nested_refit and spec.continuous
-                            and (due or substantial)):
-                        accepted_since_refit = 0
-                        fitted = refit(topo, warm_cont)
-                        if fitted is not None:
-                            cont, obj = fitted
-                            warm_cont = dict(cont)
-                            if obj < best_obj:
-                                best_topo, best_cont, best_obj = \
-                                    dict(topo), dict(cont), obj
-                trace.append(best_obj)
-                if stop_reached():
-                    break
-            temperature *= sched.cooling
-
-    # final polish of the continuous parameters at the best topology
-    if spec.continuous and not stop_reached():
-        fitted = refit(best_topo, best_cont)
-        if fitted is not None and fitted[1] <= best_obj:
-            best_cont, best_obj = fitted
-    if not math.isfinite(best_obj):
-        raise UnfittableError("no candidate produced a finite objective")
-    trace.append(best_obj)
-
-    # deterministic neighbour-basin walk: the objective is piecewise
-    # constant in each zone coefficient, so probe a coarse ladder plus the
-    # pieces immediately adjacent to the current one
-    for _ in range(spec.polish_rounds if spec.topological else 0):
-        if stop_reached():
-            break
-        moved = False
-        edges = None   # intervals at the current best, once a probe needs them
-        for p in spec.topological:
-            x0 = best_topo[p.name]
-            span = p.upper - p.lower
-
-            def probe(values):
-                """(objective, x) of each x inside the bounds whose
-                objective is finite."""
-                scored = ((scorer.objective(
-                    {**best_topo, p.name: x, **best_cont}), x)
-                    for x in values if p.lower <= x <= p.upper)
-                return [(v, x) for v, x in scored if math.isfinite(v)]
-
-            scored = probe(x0 + sign * frac * span for frac in _POLISH_OFFSETS
-                           for sign in (1.0, -1.0))
-            if not scored or min(scored)[0] >= best_obj:
-                # the coarse ladder may straddle a narrow neighbouring
-                # piece: step just past this piece's edges
-                if edges is None:
-                    edges = _intervals(spec, *scorer.report(
-                        {**best_topo, **best_cont})[1:])
-                lo, hi = edges[p.name]
-                scored += probe(edge + sign * _EDGE_OFFSET * span
-                                for edge, bound, sign in ((lo, p.lower, -1.0),
-                                                          (hi, p.upper, 1.0))
-                                if edge not in (None, bound))
-
-            if not scored or min(scored)[0] >= best_obj:
-                continue
-            quick_obj, quick_x = min(scored)
-            candidate = {**best_topo, p.name: quick_x}
-            fitted = (refit(candidate, best_cont) if spec.continuous
-                      else (dict(best_cont), quick_obj))
-            if fitted is None:
-                continue
-            if fitted[1] < best_obj:
-                best_topo, (best_cont, best_obj) = candidate, fitted
-                moved, edges = True, None
-            trace.append(best_obj)
-            if stop_reached():
-                break
-        if not moved:
-            break
-
-    fitted_params, fitted_zones, trees = scorer.report(
-        {**best_topo, **best_cont})
-    pvo, r2 = _predicted_observed(trees)
-    return FitResult(
-        continuous=dict(sorted(best_cont.items())),
-        topology=dict(sorted(best_topo.items())),
-        intervals=_intervals(spec, fitted_zones, trees),
-        v_env=list(fitted_params.v_env),
-        objective=best_obj,
-        trace=trace,
-        r_squared=r2,
-        predicted_observed=pvo,
-        evaluations=scorer.evaluations)
+    def _record(self, stage, temperature=None, accepted=None):
+        """Append the stage's record: the scorer's counts since the last."""
+        s = self.scorer
+        counts = (s.evaluations, s.runs, s.columns, s.replays)
+        self.stages.append(FitStage(
+            stage, *(a - b for a, b in zip(counts, self._counted)),
+            self.best_obj, temperature, accepted))
+        self._counted = counts
 
 
 def _predicted_observed(trees):

@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="treesink",
         description="Source-sink tree growth simulation and calibration")
-    parser.set_defaults(plots=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, handler):
@@ -77,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tree-index", type=_int_at_least(0), default=0,
                        help="which environment factor to use (0-based)")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--plots", action="store_true",
-                       help="also write static SVG charts")
 
     p_fit = sub.add_parser("fit", help="estimate parameters against targets")
     add_common(p_fit, _cmd_fit)
@@ -86,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the [fit] section's seed")
-    p_fit.add_argument("--plots", action="store_true")
 
     p_val = sub.add_parser("validate",
                            help="check a parameter (and target) file")
@@ -116,11 +112,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     run = simulate_naive if args.command == "oracle" else simulate
     output = run(params, zones, _load_dataset(args),
                  tree_index=args.tree_index, cycles=args.cycles)
-    written = write_simulation_output(args.out, output)
-    if args.plots:
-        from . import plots
-        written += plots.write_simulation_plots(args.out, output)
-    for path in written:
+    for path in write_simulation_output(args.out, output):
         print(path)
     return EXIT_OK
 
@@ -141,11 +133,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.seed is not None:
         fit_spec = replace(fit_spec, seed=args.seed)
     result = fit_topology(fit_spec, params, zones, targets)
-    written = write_fit_result(args.out, result)
-    if args.plots:
-        from . import plots
-        written += plots.write_fit_plots(args.out, result)
-    for path in written:
+    for path in write_fit_result(args.out, result):
         print(path)
     print(f"objective: {result.objective!r} "
           f"({result.evaluations} evaluations)")
@@ -164,9 +152,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
     try:
-        if args.plots:
-            from . import plots
-            plots.require_matplotlib()
         return args.handler(args)
     except ValidationError as exc:   # a ParseError too
         print(f"error: {exc}", file=sys.stderr)

@@ -210,10 +210,8 @@ def split_production(params: GrowthParameters, cycle: int, q: float,
     """Solve the global demand for production ``q`` against the planned
     shoot demand ``d_s`` and split ``q`` into the shoot and ring
     compartments."""
-    if d_s > 0.0 or params.p_r > 0.0:
-        d_solved = solve_global_demand(d_s, params.p_r, params.gamma, q)
-    else:
-        d_solved = 0.0
+    # p_r > 0 (core.RANGES), so the demand always has a sink to solve for
+    d_solved = solve_global_demand(d_s, params.p_r, params.gamma, q)
     if d_solved > 0.0:
         # the ring demand from the power law directly (the difference
         # d - d_s cancels catastrophically when the ring share is tiny)

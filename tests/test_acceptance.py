@@ -344,9 +344,11 @@ def test_criterion_7_noisy_ring_refit():
         spec, schedule=AnnealSchedule(t0=0.5, cooling=0.7, steps_per_t=6,
                                       t_stop_ratio=0.1, step_scale=0.25),
         polish_rounds=2, stop_objective=None)
+    stages = []
     start = time.perf_counter()
-    result = fit_topology(spec, params, zones, noisy)
+    result = fit_topology(spec, params, zones, noisy, stages)
     elapsed = time.perf_counter() - start
+    assert sum(s.evaluations for s in stages) == result.evaluations
     r2 = result.r_squared.get("ring_diameter", float("nan"))
     verdict(7, r2 >= 0.9 and elapsed < 600.0,
             f"ring-class R^2 = {r2:.4f} under 5% noise, {elapsed:.0f} s")

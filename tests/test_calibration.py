@@ -429,7 +429,8 @@ class TestFitTopology:
             return run(columns, zones, dataset, tree_index, *args)
 
         monkeypatch.setattr(engine, "_run", counted)
-        result = fit_topology(spec, params, zones, targets)
+        stages = []
+        result = fit_topology(spec, params, zones, targets, stages)
         assert result.evaluations == 1 + len(spec.continuous) == 11
         # the start's residual and its Jacobian over every free continuous
         # parameter run as one batched run per tree, less the other tree's v
@@ -437,6 +438,10 @@ class TestFitTopology:
             == [(0, 10), (1, 10)]
         assert sum(n for _, n in runs) == \
             len(targets) * (result.evaluations - 1) == 20
+        # the stage records count the same runs and tree-columns
+        assert [sum(getattr(s, f) for s in stages) for f in (
+            "evaluations", "runs", "columns")] == [11, len(runs), 20]
+        assert stages[0][:4] == ("start", 11, 2, 20)
 
     def test_nested_refit_chain_is_seeded_and_counted(self, params, zones,
                                                       monkeypatch):
@@ -486,8 +491,50 @@ class TestFitTopology:
             return run(columns, *args, **kwargs)
 
         monkeypatch.setattr(engine, "_run", counted)
-        result = fit_topology(_nested_refit_spec(), params, zones, [target])
+        stages = []
+        result = fit_topology(_nested_refit_spec(), params, zones, [target],
+                              stages)
         assert (len(runs), sum(runs), result.evaluations) == (62, 168, 180)
+        # the stage records count the same runs and tree-columns
+        assert tuple(sum(getattr(s, f) for s in stages) for f in (
+            "runs", "columns", "evaluations")) == (62, 168, 180)
+        anneal = [s for s in stages if s.stage == "anneal"]
+        assert [s.temperature for s in anneal] == [
+            anneal[0].temperature * 0.5 ** k for k in range(3)]
+        assert all(0 <= s.accepted <= 4 for s in anneal)
+
+    @pytest.mark.parametrize("schedule,evaluations,polished", [
+        (AnnealSchedule(t0=0.5, cooling=0.75, steps_per_t=8,
+                        t_stop_ratio=5e-2, step_scale=0.3), 107, False),
+        (AnnealSchedule(t0=0.5, cooling=0.5, steps_per_t=2,
+                        t_stop_ratio=0.2, step_scale=0.3), 56, True)],
+        ids=["annealing-finds-it", "polish-finds-it"])
+    def test_a_topology_only_fit(self, params, zones, schedule, evaluations,
+                                 polished):
+        # demos/04's 8-cycle tree with no free continuous parameter: the
+        # start scores the initial point once, a nested refit is a score,
+        # and the polish takes a probe's objective without a refit
+        target = _demo04_target(params, zones)
+        results = []
+        for nested in (False, False, True):
+            spec = FitSpec(
+                continuous=[],
+                topological=[FreeParameter("m2_2_0", 0.0, 3.0, 1.0),
+                             FreeParameter("a2_2_4", 0.0, 1.5, 0.2)],
+                schedule=schedule, seed=7, nested_refit=nested,
+                polish_rounds=3)
+            stages = []
+            results.append(fit_topology(spec, params, zones, [target],
+                                        stages))
+            assert sum(s.evaluations for s in stages) == evaluations
+            assert stages[0][:2] == ("start", 1)
+        assert results[0] == results[1] == results[2]
+        assert results[0].evaluations == evaluations
+        assert results[0].objective == 0.0
+        refit, *polish, report = [s for s in stages if s.stage in (
+            "refit", "polish", "report")]
+        assert polish[-1].best == report.best == 0.0
+        assert (refit.best > 0.0) == polished
 
 
 def _nested_refit_spec() -> FitSpec:

@@ -126,8 +126,10 @@ def test_small_fit_files_are_byte_identical(tmp_path):
         schedule=AnnealSchedule(t0=0.5, cooling=0.75, steps_per_t=8,
                                 t_stop_ratio=5e-2, step_scale=0.3),
         seed=7, stop_objective=None, polish_rounds=3, max_nfev=40)
-    result = fit_topology(spec, params, zones, [target])
+    stages = []
+    result = fit_topology(spec, params, zones, [target], stages)
     assert _digests(write_fit_result(tmp_path, result)) == SMALL_FIT_DIGESTS
+    assert sum(s.evaluations for s in stages) == result.evaluations
 
 
 def test_oracle_rows_are_unchanged():

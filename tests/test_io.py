@@ -793,13 +793,20 @@ class TestCli:
         (["fit", "--params", fixture_path("species.params"),
           "--target", fixture_path("tree1.target.csv"),
           "--target", fixture_path("tree2.target.csv"), "--seed", "-1"],
-         "argument --seed: must be >= 0: -1")],
+         "argument --seed: must be >= 0: -1"),
+        (["simulate", "--params", fixture_path("species.params"),
+          "--synthetic-script", "tree1", "--plots"],
+         "unrecognized arguments: --plots"),
+        (["fit", "--params", fixture_path("species.params"),
+          "--target", fixture_path("tree1.target.csv"),
+          "--target", fixture_path("tree2.target.csv"), "--plots"],
+         "unrecognized arguments: --plots")],
         ids=["fit-without-target", "cycles-not-an-int", "unknown-command",
              "simulate-zero-cycles", "simulate-negative-tree-index",
              "oracle-zero-cycles", "oracle-negative-tree-index",
              "simulate-target-and-script", "simulate-two-targets",
              "oracle-two-targets", "simulate-without-input",
-             "fit-negative-seed"])
+             "fit-negative-seed", "simulate-plots", "fit-plots"])
     def test_usage_error_is_validation_failure(self, tmp_path, argv,
                                                message):
         out = tmp_path / "out"
@@ -877,42 +884,6 @@ class TestRunConfig:
                      "--synthetic-script", "tree1",
                      "--out", str(out)]) == EXIT_RUNTIME
         assert capsys.readouterr().err == f"error: {out}: File exists\n"
-
-    def test_plot_writers_without_matplotlib_raise(self, tmp_path,
-                                                   monkeypatch):
-        from treesink import plots
-        from treesink.calibration import FitResult
-        from treesink.core import ValidationError
-        from treesink.synthetic import reference_parameters, \
-            reference_zone_rules, tree1_script
-        monkeypatch.setattr(plots, "HAVE_MATPLOTLIB", False)
-        output = simulate(reference_parameters(), reference_zone_rules(),
-                          script_only_dataset(tree1_script()[:3]))
-        result = FitResult(continuous={}, topology={}, intervals={},
-                           v_env=[], objective=0.0, trace=[], r_squared={},
-                           predicted_observed=[])
-        for write, arg in ((plots.write_simulation_plots, output),
-                           (plots.write_fit_plots, result)):
-            with pytest.raises(ValidationError, match="'plots' extra"):
-                write(tmp_path / "charts", arg)
-        assert not (tmp_path / "charts").exists()
-
-    def test_plots_without_matplotlib_is_an_error(self, tmp_path, capsys,
-                                                  monkeypatch):
-        from treesink import plots
-        from treesink.cli import EXIT_VALIDATION, main
-        monkeypatch.setattr(plots, "HAVE_MATPLOTLIB", False)
-        targets = ["--target", fixture_path("tree1.target.csv"),
-                   "--target", fixture_path("tree2.target.csv")]
-        for command, extra in (("simulate", ["--synthetic-script", "tree1"]),
-                               ("fit", targets)):
-            assert main([command, "--params", fixture_path("species.params"),
-                         "--out", str(tmp_path / command), "--plots",
-                         *extra]) == EXIT_VALIDATION
-            err = capsys.readouterr().err
-            assert err.startswith("error: --plots needs matplotlib")
-            assert "'plots' extra" in err
-            assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize("key,value,violation", [
         ("k_beer", "-1.0", "k_beer must be > 0: -1.0"),   # fixed

@@ -1,19 +1,21 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from treesink.calibration import FreeParameter
 from treesink.core import SimulationError, TrunkScriptEntry, ZoneRule
 from treesink.engine import PRESSLER_DROP, SLACK, run_events, simulate
 from treesink.structure import TreeState
 from treesink.synthetic import script_only_dataset
 from treesink.topology import (OrganogenesisPlan, PositionGroup, axis_band,
                                axis_total, distribute_axes, gu_zone_layout,
-                               metamer_count, organogenesis_step, plan_holds,
-                               seed_plan)
+                               holding_band, metamer_count, organogenesis_step,
+                               plan_holds, seed_plan)
 
-from conftest import grow_unit
+from conftest import check_interval_ends, grow_unit
 
 
 class TestMetamerCount:
@@ -265,6 +267,22 @@ class TestOrganogenesis:
         assert plan_holds(plan, zones, params)
         rule = replace(zones.get(2, 4), **{kind: 1e308})
         assert not plan_holds(plan, zones.with_rule(rule), params)
+
+    def test_an_ungrown_layout_must_stay_non_empty(self, params, zones):
+        # a plan that grows no branch unit still needs each PA's layout to
+        # keep a metamer: with m1 = 0 on both PA-3 zones and Z^34 laying
+        # none out at the plan's ratio, Z^30's m2 holds from the value that
+        # rounds its count to 1 on, and one float below the layout empties
+        zones = replace(zones, eq_fixed=False)
+        for key, m2 in (((3, 0), zones.get(3, 0).m2), ((3, 4), 0.1)):
+            zones = zones.with_rule(replace(zones.get(*key), m1=0.0, m2=m2))
+        plan = OrganogenesisPlan(ratio_used=0.8)
+        assert plan.gu_layouts == {} and plan_holds(plan, zones, params)
+        lo, hi = holding_band([plan], zones, "m2", (3, 0))
+        assert (lo, hi) == (0.6249999999999999, math.inf)
+        free = FreeParameter("m2_3_0", 0.0, 3.0, zones.get(3, 0).m2)
+        assert check_interval_ends(params, zones, {}, [free],
+                                   {free.name: (lo, None)}, [plan]) == 1
 
     def test_distribution_slack_is_noted(self, params, zones):
         # one Z^24 position on 3 instances: round(3·0.6) = 2 axes requested,
