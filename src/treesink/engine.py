@@ -27,10 +27,10 @@ by one gather per section from it.
 
 from __future__ import annotations
 
-import gc
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -55,21 +55,40 @@ PRODUCTION_CAP = 1.0e15
 class SimulationOutput:
     """Per-cycle series plus the measured profiles of one run.  The
     profiles are one array record; the rows of each measured section are
-    read-only views built from it on first read."""
+    read-only views built from it on first read, as are the topology and
+    the structure signature, from the finished tree."""
 
     cycles: int
     allocations: list[CycleAllocation]
     profiles: Profiles
-    topology: dict
     total_wood_g: float
     total_leaf_ever_g: float
     pending_shoot_fund_g: float
-    structure_signature: tuple = ()
     # the run's events (:func:`run_events`)
     events: list[tuple] = field(default_factory=list)
     # TreeState.decisions, then the pending plan, which grows no layout:
     # its axis distributions set the last cycle's d_s
     decisions: list[OrganogenesisPlan] = field(default_factory=list)
+    # the finished tree, kept by a run that keeps its topology (renders
+    # topology.json) or its signature; None keeps neither
+    topology_tree: TreeState | None = field(default=None, repr=False,
+                                            compare=False)
+    signature_tree: TreeState | None = field(default=None, repr=False,
+                                             compare=False)
+
+    @cached_property
+    def topology(self) -> dict:
+        """The parse of topology.json's text, or {} for a run that keeps no
+        topology.  The oracle sets its own."""
+        tree = self.topology_tree
+        return {} if tree is None else tree.topology_dump()
+
+    @cached_property
+    def structure_signature(self) -> tuple:
+        """:meth:`TreeState.structure_signature`, or () for a run that keeps
+        no signature."""
+        tree = self.signature_tree
+        return () if tree is None else tree.structure_signature()
 
     @property
     def ratio_series(self) -> list[float]:
@@ -323,8 +342,11 @@ def simulate(params: GrowthParameters, zones: ZoneRuleSet,
 
     ``cycles`` defaults to the dataset's tree age and may be shortened; the
     script must cover every simulated cycle.  ``with_topology`` /
-    ``with_signature`` skip the architecture dump / discrete signature when
-    the caller only needs the measurement profiles (the calibration loop).
+    ``with_signature`` keep the finished tree for the output's
+    ``topology`` / ``structure_signature``: the run itself builds neither,
+    each is built on its first read, and topology.json is rendered from the
+    tree when written.  With both False, as the calibration loop asks, the
+    output carries {} and () and keeps no tree alive.
     """
     n_cycles = check_run_request(params, zones, dataset, tree_index, cycles)
     return _run((params,), zones, dataset, tree_index, n_cycles,
@@ -451,23 +473,14 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
             add(values.take(idxs, axis=1), axis=1) / len(idxs)
             for values in (wood_totals, leaf_totals, lengths)]
 
-    # thousands of containers, none cyclic: without a pause, every few
-    # hundred would start a collection
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        topology = state.topology_dump() if with_topology else {}
-        signature = state.structure_signature() if with_signature else ()
-    finally:
-        if enabled:
-            gc.enable()
     return [SimulationOutput(
         cycles=n_cycles, allocations=list(allocs),
         profiles=Profiles(trunk_k, rings_k, births, branches_k, counts),
-        topology=topology, total_wood_g=wood, total_leaf_ever_g=leaf,
-        pending_shoot_fund_g=fund, structure_signature=signature,
+        total_wood_g=wood, total_leaf_ever_g=leaf, pending_shoot_fund_g=fund,
         events=run_events(decisions + [pending], drops),
-        decisions=decisions + [replace(pending, gu_layouts={})])
+        decisions=decisions + [replace(pending, gu_layouts={})],
+        topology_tree=state if with_topology else None,
+        signature_tree=state if with_signature else None)
         for allocs, trunk_k, rings_k, branches_k, wood, leaf, fund, decisions,
         pending, drops in zip(
             allocations, trunk_table.transpose(1, 2, 0), rings,

@@ -22,8 +22,9 @@ init at ``init_NAME``, a weight or setting at its own line.
 All numeric output is written in full-precision decimal text (repr), so a
 write/read round trip reproduces every value exactly.  JSON outputs have a
 one-space indent and sorted keys and end with a newline: the bytes of
-Python's ``json`` module with ``indent=1, sort_keys=True``, written by
-``_json_chunks``.
+Python's ``json`` module with ``indent=1, sort_keys=True``.  The engine's
+topology.json is the text its finished tree renders
+(``TreeState.topology_text``); ``_json_text`` encodes every other.
 """
 
 from __future__ import annotations
@@ -464,92 +465,50 @@ def _float_text(value) -> str:
         "Infinity" if value > 0 else "-Infinity"
 
 
-def _json_chunks(data):
-    """Yield the text of ``data`` as Python's ``json`` module encodes it
-    with ``indent=1, sort_keys=True``, byte for byte.  The containers of
-    the three outer levels come out item by item, so a large file's text
-    is never held whole.  Dict keys must be ``str``; another key, or a
-    value of a type ``json`` does not encode, is a TypeError.
-
-    ``json``'s C encoder cannot indent, so ``json`` would run its
-    pure-Python encoder here; this one returns strings, not chunks, below
-    those levels and fills each dict through one ``%``-template per key
-    set and depth."""
-    templates = {}   # (keys in insertion order, pad) -> template entry
+def _json_text(data) -> str:
+    """The text of ``data`` as Python's ``json`` module encodes it with
+    ``indent=1, sort_keys=True``, byte for byte; ``json``'s C encoder
+    cannot indent, so ``json`` would run its pure-Python encoder here.
+    Dict keys must be ``str``; another key, or a value of a type ``json``
+    does not encode, is a TypeError."""
 
     def encode(x, pad):
-        t = type(x)
-        if t is int:
-            return _int_text(x)
+        t, inner = type(x), pad + " "
         if t is dict:
-            if not x:
-                return "{}"
-            entry = templates.get((tuple(x), pad))
-            if entry is None:
-                entry = templates[tuple(x), pad] = dict_template(x, pad)
-            template, keys, inner = entry
-            return template % tuple([  # ints inline: most values are ints
-                _int_text(v) if type(v) is int else encode(v, inner)
-                for v in map(x.__getitem__, keys)])
-        if t is list or t is tuple:
-            if not x:
-                return "[]"
-            inner = pad + " "
-            return "[\n" + inner + (",\n" + inner).join([
-                _int_text(v) if type(v) is int else encode(v, inner)
-                for v in x]) + "\n" + pad + "]"
-        if x is None:
-            return "null"
-        if x is True:
-            return "true"
-        if x is False:
-            return "false"
-        for base, text in ((str, _json_string), (float, _float_text),
-                           (int, _int_text)):   # and subclasses: np.float64
-            if isinstance(x, base):
-                return text(x)
-        raise TypeError(f"Object of type {t.__name__} is not JSON "
-                        f"serializable")
-
-    def sorted_keys(x):
-        for key in x:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not "
-                                f"{type(key).__name__}")
-        return sorted(x)
-
-    def dict_template(x, pad):
-        keys, inner = sorted_keys(x), pad + " "
-        body = (",\n" + inner).join(
-            _json_string(k).replace("%", "%%") + ": %s" for k in keys)
-        return "{\n" + inner + body + "\n" + pad + "}", keys, inner
-
-    def chunks(x, pad, levels):
-        t = type(x)
-        if not (levels and x and t in (dict, list, tuple)):
-            yield encode(x, pad)
-            return
-        inner = pad + " "
-        if t is dict:
-            keys = sorted_keys(x)
-            items = ((_json_string(k) + ": ", x[k]) for k in keys)
+            for key in x:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not "
+                                    f"{type(key).__name__}")
+            items = [_json_string(k) + ": " + encode(x[k], inner)
+                     for k in sorted(x)]
+        elif t is list or t is tuple:
+            items = [encode(v, inner) for v in x]
+        elif x is None or x is True or x is False:
+            return {None: "null", True: "true", False: "false"}[x]
         else:
-            items = (("", v) for v in x)
-        opener = "{" if t is dict else "["
-        for head, value in items:
-            yield opener + "\n" + inner + head
-            yield from chunks(value, inner, levels - 1)
-            opener = ","
-        yield "\n" + pad + ("}" if t is dict else "]")
+            for base, text in ((str, _json_string), (float, _float_text),
+                               (int, _int_text)):   # and subclasses
+                if isinstance(x, base):
+                    return text(x)
+            raise TypeError(f"Object of type {t.__name__} is not JSON "
+                            f"serializable")
+        ends = "{}" if t is dict else "[]"
+        if not items:
+            return ends
+        return (ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
+                + pad + ends[1])
 
-    return chunks(data, "", 3)
+    return encode(data, "")
+
+
+def _write_text(path, text: str) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
 
 
 def _write_json(path, data) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(data))
-        fh.write("\n")
-    return path
+    return _write_text(path, _json_text(data) + "\n")
 
 
 def write_simulation_output(out_dir, output: SimulationOutput) -> list[str]:
@@ -563,8 +522,10 @@ def write_simulation_output(out_dir, output: SimulationOutput) -> list[str]:
     written += [_write_rows(os.path.join(out_dir, f"{m.section}.csv"),
                             m.output_row, getattr(output, m.field))
                 for m in MEASUREMENTS]
-    written.append(_write_json(os.path.join(out_dir, "topology.json"),
-                               output.topology))
+    # the finished tree's text; without one, the oracle's topology (or {})
+    tree, path = output.topology_tree, os.path.join(out_dir, "topology.json")
+    written.append(_write_json(path, output.topology) if tree is None
+                   else _write_text(path, tree.topology_text()))
     return written
 
 

@@ -312,9 +312,9 @@ def _collect_naive(tree: NaiveTree, params, allocations, n_cycles,
 
     axis_counts = dict(Counter(f"{a.pa}_{a.birth}" for a in tree.axes))
 
-    return SimulationOutput(
-        cycles=n_cycles, allocations=allocations,
-        profiles=profiles,
-        topology={"naive": True, "axis_counts": axis_counts},
+    output = SimulationOutput(
+        cycles=n_cycles, allocations=allocations, profiles=profiles,
         total_wood_g=total_wood, total_leaf_ever_g=total_leaf,
         pending_shoot_fund_g=pending_fund, events=events)
+    output.topology = {"naive": True, "axis_counts": axis_counts}
+    return output

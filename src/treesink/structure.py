@@ -32,7 +32,10 @@ branches).
 
 from __future__ import annotations
 
+import gc
+import json
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -52,6 +55,41 @@ BEARER, ROW, CHILD = range(3)
 #: elements merged at once: a small table merges whole, a large one a few
 #: rows at a time, which keeps each gather in cache
 MERGE_CHUNK = 8192
+
+
+#: topology.json's objects (:meth:`TreeState.topology_text`), keys sorted,
+#: each line indented one space per depth as ``json.dumps(indent=1)`` does
+_TREE = '{\n "axis_classes": %s,\n "cycle": %d\n}\n'
+_CLASS = ('  {\n   "birth_cycle": %d,\n   "growth_units": %s,\n'
+          '   "multiplicity": %d,\n   "pa": %d\n  }')
+_UNIT = ('    {\n     "birth_cycle": %d,\n     "borne_axes": %s,\n'
+         '     "metamer_count": %d,\n     "rank": %d,\n'
+         '     "zone_counts": %s\n    }')
+_LATERAL = ('      {\n       "axillary_pa": %d,\n'
+            '       "axis_birth_cycle": %d,\n       "metamer_rank": %d,\n'
+            '       "per_instance_count": 1\n      }')
+
+
+def _json_block(items: list[str], pad: str, ends: str = "[]") -> str:
+    """The JSON list (``ends`` "{}": object) of the rendered ``items``, one
+    a line, its closing bracket indented by ``pad``."""
+    if not items:
+        return ends
+    return ends[0] + "\n" + ",\n".join(items) + "\n" + pad + ends[1]
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector: a topology or a signature is thousands
+    of containers, none cyclic, and without a pause every few hundred
+    would start a collection."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _merged(table: np.ndarray, new: np.ndarray, classes, added
@@ -421,27 +459,38 @@ class TreeState:
         return list(zip(range(1, len(birth) + 1), birth, start, size,
                         layouts, borne))
 
-    def topology_dump(self) -> dict:
-        """JSON-ready description of the factorized architecture."""
-        return {"cycle": self.cycle, "axis_classes": [{
-            "pa": cls.pa,
-            "birth_cycle": cls.birth_cycle,
-            "multiplicity": cls.multiplicity,
-            "growth_units": [{
-                "rank": rank,
-                "birth_cycle": birth,
-                "metamer_count": count,
-                "zone_counts": (None if layout is None else
-                                {str(k): v for k, v in sorted(layout)}),
-                "borne_axes": [{
-                    "metamer_rank": row,
-                    "axillary_pa": self.classes[child].pa,
-                    "axis_birth_cycle": self.classes[child].birth_cycle,
-                    "per_instance_count": 1} for row, child in laterals],
-            } for rank, birth, _start, count, layout, laterals
-                in self.growth_units(cls.index)],
-        } for cls in self.classes]}
+    def topology_text(self) -> str:
+        """The text of topology.json: what ``json.dumps`` gives for the
+        architecture with ``indent=1, sort_keys=True``, and a newline.  One
+        pass over :meth:`growth_units` fills one ``%``-template per class,
+        growth unit and lateral, each with its keys in sorted order; a zone
+        layout's text is made once per (PA, birth cycle)."""
+        classes, zone_texts = self.classes, {None: "null"}
+        axes = [(cls.pa, cls.birth_cycle) for cls in classes]
+        out = []
+        for cls in classes:
+            units = []
+            for rank, birth, _, count, layout, laterals in self.growth_units(
+                    cls.index):
+                key = None if layout is None else (cls.pa, birth)
+                if key not in zone_texts:   # keys as strings sort: "10" < "2"
+                    zone_texts[key] = _json_block([
+                        f'      "{k}": {v}' for k, v in sorted(
+                            (str(k), v) for k, v in layout)], "     ", "{}")
+                units.append(_UNIT % (birth, _json_block([
+                    _LATERAL % (*axes[child], row) for row, child in laterals],
+                    "     "), count, rank, zone_texts[key]))
+            out.append(_CLASS % (cls.birth_cycle, _json_block(units, "   "),
+                                 cls.multiplicity, cls.pa))
+        return _TREE % (_json_block(out, " "), self.cycle)
 
+    @_collector_paused()
+    def topology_dump(self) -> dict:
+        """JSON-ready description of the factorized architecture: the parse
+        of :meth:`topology_text`."""
+        return json.loads(self.topology_text())
+
+    @_collector_paused()
     def structure_signature(self) -> tuple:
         """Canonical, hashable summary of the discrete architecture: class
         keys, multiplicities, growth-unit zone layouts and lateral links.

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -6,6 +7,7 @@ import pytest
 from treesink import engine
 from treesink.calibration import apply_candidate
 from treesink.core import TrunkScriptEntry
+from treesink.fileio import write_simulation_output
 from treesink.synthetic import (reference_parameters, reference_zone_rules,
                                 script_only_dataset)
 from treesink.topology import OrganogenesisPlan, plan_holds
@@ -103,3 +105,56 @@ def step_with_rings(state, params, zones, dataset, tree_index, final_cycle):
             inc[:before[i].size] -= before[i]
         incs.append(inc)
     return alloc, incs
+
+
+def reference_topology(state) -> dict:
+    """The topology dict of a finished tree, built by walking its classes
+    and their growth units (``TreeState.growth_units``) into dicts and
+    lists: a reference independent of the tree's own text renderer."""
+    return {"cycle": state.cycle, "axis_classes": [{
+        "pa": cls.pa,
+        "birth_cycle": cls.birth_cycle,
+        "multiplicity": cls.multiplicity,
+        "growth_units": [{
+            "rank": rank,
+            "birth_cycle": birth,
+            "metamer_count": count,
+            "zone_counts": (None if layout is None else
+                            {str(k): v for k, v in sorted(layout)}),
+            "borne_axes": [{
+                "metamer_rank": row,
+                "axillary_pa": state.classes[child].pa,
+                "axis_birth_cycle": state.classes[child].birth_cycle,
+                "per_instance_count": 1} for row, child in laterals],
+        } for rank, birth, _start, count, layout, laterals
+            in state.growth_units(cls.index)],
+    } for cls in state.classes]}
+
+
+def reference_signature(topology: dict) -> tuple:
+    """The structure signature that a :func:`reference_topology` dict
+    describes: per class (PA, birth cycle, multiplicity, its units), per
+    unit (rank, birth cycle, metamer count, zone layout by zone PA or None,
+    its laterals as (metamer rank, child class key, 1))."""
+    return tuple((cls["pa"], cls["birth_cycle"], cls["multiplicity"], tuple(
+        (gu["rank"], gu["birth_cycle"], gu["metamer_count"],
+         None if gu["zone_counts"] is None else tuple(sorted(
+             (int(k), v) for k, v in gu["zone_counts"].items())),
+         tuple((b["metamer_rank"], (b["axillary_pa"], b["axis_birth_cycle"]),
+                b["per_instance_count"]) for b in gu["borne_axes"]))
+        for gu in cls["growth_units"])) for cls in topology["axis_classes"])
+
+
+def check_topology(output, out_dir) -> None:
+    """Check a full engine run against the references of its tree: the
+    topology.json it writes into ``out_dir`` is ``json.dumps(reference,
+    indent=1, sort_keys=True)`` and a newline, ``output.topology`` equals
+    the reference and ``output.structure_signature`` the reference's
+    signature."""
+    reference = reference_topology(output.topology_tree)
+    write_simulation_output(out_dir, output)
+    with open(os.path.join(out_dir, "topology.json"), "rb") as fh:
+        assert fh.read() == (json.dumps(reference, indent=1, sort_keys=True)
+                             + "\n").encode()
+    assert output.topology == reference
+    assert output.structure_signature == reference_signature(reference)

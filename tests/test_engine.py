@@ -1,6 +1,7 @@
 import copy
 import gc
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -521,10 +522,10 @@ class TestPerformance:
 class TestCollector:
     def test_full_run_collects_about_as_often_as_a_profile_run(self, params,
                                                                zones):
-        # the topology dump and the signature make thousands of acyclic
-        # containers, so they run with the cyclic collector paused; each
-        # run starts from an emptied heap, so neither counts a collection
-        # of garbage that earlier tests left
+        # the topology and the signature are thousands of acyclic
+        # containers, built on first read with the cyclic collector paused;
+        # each run starts from an emptied heap, so neither counts a
+        # collection of garbage that earlier tests left
         starts = []
 
         def count(phase, _info):
@@ -536,13 +537,44 @@ class TestCollector:
                 starts.append(0)
                 gc.collect()
                 starts[-1] = 0   # the callback saw that collection too
-                run(params, zones, tree2_script(), tree_index=1,
-                    with_topology=full, with_signature=full)
+                out = run(params, zones, tree2_script(), tree_index=1,
+                          with_topology=full, with_signature=full)
+                assert bool(out.topology) == bool(out.structure_signature) \
+                    == full
         finally:
             gc.callbacks.remove(count)
         profile, full = starts
         assert full <= profile + 2
         assert gc.isenabled()
+
+    def test_profile_only_outputs_keep_no_tree(self, params, zones,
+                                              small_dataset, monkeypatch):
+        # with the collector off, a tree no output holds is freed as the
+        # call returns; a full run's output holds its tree
+        trees = []
+
+        def recorded(*args):
+            state = start_state(*args)
+            trees.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(engine, "start_state", recorded)
+        other = params.with_values(sp0=0.9 * params.sp0)
+        gc.disable()
+        try:
+            outs = [engine.simulate(params, zones, small_dataset,
+                                    with_topology=False,
+                                    with_signature=False),
+                    *engine.simulate_batch([params, other], zones,
+                                           small_dataset)]
+            assert len(trees) == 2   # simulate, then the batch's one run
+            assert [t() for t in trees] == [None, None]
+            assert [(out.topology, out.structure_signature)
+                    for out in outs] == [({}, ())] * 3
+            full = engine.simulate(params, zones, small_dataset)
+            assert trees[-1]() is full.topology_tree is full.signature_tree
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_a_full_run_leaves_the_collector_as_it_was(self, params, zones,

@@ -2,7 +2,9 @@
 
 The reference engine builds every metamer explicitly, so agreement here
 checks the whole cohort bookkeeping: multiplicities, the grouped axis
-distribution, the foliage-above scans and the ring pools.
+distribution, the foliage-above scans and the ring pools.  Each factorized
+run's topology.json, topology and signature are also checked against the
+reference walk of its tree (``conftest.check_topology``).
 """
 
 import re
@@ -19,7 +21,7 @@ from treesink.fileio import read_parameter_file
 from treesink.oracle import simulate_naive
 from treesink.synthetic import script_only_dataset, tree1_script, tree2_script
 
-from conftest import fixture_path
+from conftest import check_topology, fixture_path
 
 TOL = 1e-9
 
@@ -96,12 +98,13 @@ def compare_outputs(factorized, naive):
 @pytest.mark.parametrize("script_name", sorted(FIXTURE_SCRIPTS))
 @pytest.mark.parametrize("env_name", sorted(ENVIRONMENTS))
 def test_factorized_engine_matches_enumerated_reference(
-        params, zones, script_name, env_name):
+        params, zones, script_name, env_name, tmp_path):
     p = params.with_values(v_env=(560.0, ENVIRONMENTS[env_name]))
     ds = script_only_dataset(FIXTURE_SCRIPTS[script_name])
     factorized = simulate(p, zones, ds, tree_index=1)
     naive = simulate_naive(p, zones, ds, tree_index=1)
     assert compare_outputs(factorized, naive) < TOL
+    check_topology(factorized, tmp_path)
 
 
 def test_multiplicities_match_enumerated_axis_counts(params, zones):

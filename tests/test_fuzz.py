@@ -8,7 +8,9 @@ traceback: 1 from each command wherever validate on the same file gives 1.
 Parameter sets drawn inside the fit bounds give, batched, what each gives
 alone, zone coefficients drawn over their fit bounds simulate or fail
 typed, and drawn short runs give what the enumerated oracle gives and grow
-every branch unit from its cycle's plan.  A run whose recorded plans all
+every branch unit from its cycle's plan; each finished run of both draws
+writes the topology.json, topology and signature of its tree's reference
+walk (``conftest.check_topology``).  A run whose recorded plans all
 hold under other zone coefficients repeats bit for bit, and batch columns
 that depart give what each gives alone.  At each finite end of each range
 (core.RANGES) of each number of the bundled parameter file, one number
@@ -42,7 +44,7 @@ from treesink.synthetic import (generate_synthetic_target,
                                 tree1_script)
 from treesink.topology import plan_holds
 
-from conftest import check_interval_ends, fixture_path
+from conftest import check_interval_ends, check_topology, fixture_path
 from test_core import INTEGER_ROWS
 from test_factorization import TOL, compare_outputs
 
@@ -212,7 +214,7 @@ ZONE_CASES = _zone_draws(13, 40)
 
 @pytest.mark.parametrize("draw", ZONE_CASES,
                          ids=map(str, range(len(ZONE_CASES))))
-def test_drawn_zone_coefficients_simulate_or_fail_typed(draw):
+def test_drawn_zone_coefficients_simulate_or_fail_typed(draw, tmp_path):
     params, zones = apply_candidate(reference_parameters(),
                                     reference_zone_rules(), draw)
     try:
@@ -223,6 +225,7 @@ def test_drawn_zone_coefficients_simulate_or_fail_typed(draw):
     assert all(math.isfinite(v) for row in (
         out.trunk_profile + out.ring_matrix + out.branch_compartments)
         for v in vars(row).values())
+    check_topology(out, tmp_path)
 
 
 def _oracle_draws(seed, cases):
@@ -256,7 +259,7 @@ def _engine_run(script, values, engine):
 
 @pytest.mark.parametrize("script, values", ORACLE_CASES,
                          ids=map(str, range(len(ORACLE_CASES))))
-def test_drawn_runs_match_the_enumerated_oracle(script, values):
+def test_drawn_runs_match_the_enumerated_oracle(script, values, tmp_path):
     try:
         factorized = _engine_run(script, values, simulate)
     except TreesinkError as exc:
@@ -268,6 +271,7 @@ def test_drawn_runs_match_the_enumerated_oracle(script, values):
     # gate
     naive = _engine_run(script, values, simulate_naive)
     assert compare_outputs(factorized, naive) < TOL
+    check_topology(factorized, tmp_path)
 
 
 def test_the_oracle_draws_reach_partial_runs_and_slack():

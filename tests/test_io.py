@@ -13,8 +13,9 @@ import pytest
 
 from treesink.calibration import (AnnealSchedule, FitResult, FitSpec,
                                    FreeParameter, PredictedObserved)
-from treesink.core import (MEASUREMENTS, BranchRow, ParseError, Profiles,
-                           RingObservation, TrunkObservation, ZoneRule,
+from treesink.core import (MEASUREMENTS, BranchRow, GrowthParameters,
+                           ParseError, Profiles, RingObservation,
+                           TrunkObservation, TrunkScriptEntry, ZoneRule,
                            ZoneRuleSet)
 from treesink.engine import simulate
 from treesink.fileio import (_FIT_SETTINGS, _fmt, _parse_branch_spec,
@@ -26,7 +27,7 @@ from treesink.oracle import simulate_naive
 from treesink.synthetic import (dataset_from_output, reference_fit_spec,
                                 script_only_dataset)
 
-from conftest import fixture_path, src_env
+from conftest import check_topology, fixture_path, src_env
 
 
 class TestParameterFile:
@@ -364,9 +365,31 @@ class TestJsonWriter:
     def test_engine_topology(self, params, zones, tmp_path, tree_index):
         dataset = parse_target_file(
             fixture_path(f"tree{tree_index + 1}.target.csv"))
-        out = simulate(params, zones, dataset, tree_index=tree_index)
-        write_simulation_output(tmp_path, out)
-        self.assert_json_bytes(tmp_path / "topology.json", out.topology)
+        check_topology(simulate(params, zones, dataset,
+                                tree_index=tree_index), tmp_path)
+
+    def test_zone_keys_sort_as_strings(self, tmp_path):
+        # PA 2 units with zones of axillary PA 0, 2 and 10 (as strings "10"
+        # sorts before "2") and scripted PA 11 short shoots (zone "-1")
+        params = GrowthParameters(
+            pa_max=11, p_s=(5.25,) * 10 + (1.0,),
+            p_rg=(1.0,) + (0.1,) * 9 + (0.01,),
+            allom_a=(3.0,) * 10 + (0.5,), allom_b=(0.8,) * 10 + (0.4,))
+        zones = ZoneRuleSet(rules=(
+            ZoneRule(2, 0, m1=1.0, m2=0.42, m_max=6),
+            ZoneRule(2, 10, m1=1.0, m2=1.1, m_max=2, a1=0.0, a2=0.6),
+            ZoneRule(2, 2, m1=0.0, m2=0.6, m_max=1, a1=0.0, a2=0.05),
+            *(ZoneRule(pa, 0, m1=1.0, m2=1.02, m_max=7)
+              for pa in range(3, 11))))
+        script = tuple(TrunkScriptEntry(g, 5, ((2, 1), (11, 1)) if g % 2
+                                        else ()) for g in range(1, 9))
+        out = simulate(params, zones, script_only_dataset(script))
+        check_topology(out, tmp_path)
+        # the file's, and so the parse's, key order
+        keys = {tuple(gu["zone_counts"] or ())
+                for cls in out.topology["axis_classes"]
+                for gu in cls["growth_units"]}
+        assert {("0", "10", "2"), ("-1",)} <= keys
 
     def test_oracle_topology(self, params, zones, small_dataset, tmp_path):
         out = simulate_naive(params, zones, small_dataset)
