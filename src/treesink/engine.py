@@ -14,10 +14,17 @@ of one tree under K parameter sets that take the same decisions share one
 state, whose per-metamer values carry a column axis, while every per-cycle
 scalar runs per column through the same scalar functions.  Columns that
 differ only in another tree's environment factor share one run
-(:func:`run_key`).  A batch that cannot finish together, because some
-column's rounding outcome departs from the first column's or because it
-raises, runs each of its runs alone.  :func:`simulate` is the one-column
-case.
+(:func:`run_key`).  Within a run, columns that differ only in the
+ring-only parameters share one growth (:func:`growth_key`): ``p_rg`` and
+``lambda_mix`` are read by the ring partition alone and ``wood_density``
+by output collection alone, and no ring quantity feeds back into
+production, demand or organogenesis.  So expansion, blade area and
+production, organogenesis, the demand split and the foliage scan run once
+per growth row and give each of its columns the bits it would get alone,
+while the ring partition and collection run per column.  A batch that
+cannot finish together, because some column's rounding outcome departs
+from the first column's or because it raises, runs each of its runs
+alone.  :func:`simulate` is the one-column case.
 
 A run's measured profiles are one array record (:class:`Profiles`), each
 column's a view of the batch's; the rows of a section are views built from
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from operator import attrgetter, itemgetter
 
@@ -271,26 +278,30 @@ def step(state: TreeState, cols: Sequence[GrowthParameters],
     with failing_cycle(n):
         if not state.pending_plans:
             raise SimulationError("no pending organogenesis plan")
-        _expand_planned_shoots(state, cols, state.pending_plans,
+        # growth, once per growth row, by the parameters of its first column
+        leads = [cols[k] for k in state.leads]
+        _expand_planned_shoots(state, leads, state.pending_plans,
                                state.pending_fund)
 
         s_blade = (state.total_blade_area_cm2() / CM2_PER_M2).tolist()
-        q = [net_production(p, s, tree_index) for p, s in zip(cols, s_blade)]
+        q = [net_production(p, s, tree_index) for p, s in zip(leads, s_blade)]
 
         next_entry = (dataset.script_entry(n + 1)
                       if n + 1 <= min(dataset.tree_age, final_cycle) else None)
         plans = column_plans(
-            organogenesis_step(state, cols[0], zones, state.ratio_lagged[0],
-                               next_entry), zones, cols, state.ratio_lagged)
+            organogenesis_step(state, leads[0], zones, state.ratio_lagged[0],
+                               next_entry), zones, leads, state.ratio_lagged)
         allocs = [split_production(p, n, qk, plan.d_s, s)
-                  for p, qk, plan, s in zip(cols, q, plans, s_blade)]
+                  for p, qk, plan, s in zip(leads, q, plans, s_blade)]
+        # the rings, per column
+        per_column = [allocs[row] for row in state.growth_rows]
         _partition_rings_factorized(state, cols,
-                                    np.array([a.q_r for a in allocs]), n)
+                                    np.array([a.q_r for a in per_column]), n)
 
         state.ratio_lagged = [a.ratio for a in allocs]
         state.pending_plans = plans
         state.pending_fund = [a.q_s for a in allocs]
-        return allocs
+        return per_column
 
 
 def check_run_request(params: GrowthParameters, zones: ZoneRuleSet,
@@ -322,16 +333,19 @@ def check_run_request(params: GrowthParameters, zones: ZoneRuleSet,
 
 
 def start_state(cols: Sequence[GrowthParameters], zones: ZoneRuleSet,
-                dataset: TargetDataset) -> TreeState:
-    """The state before cycle 1, one column per parameter set in ``cols``:
-    the seed plan pending, funded by the seed biomass, with its seed ratio
+                dataset: TargetDataset, growth_rows=()) -> TreeState:
+    """The state before cycle 1, one column per parameter set in ``cols``,
+    growing on ``growth_rows`` (by default each column on its own): the
+    seed plan pending, funded by the seed biomass, with its seed ratio
     standing in for the previous cycle's Q/D."""
+    state = TreeState(columns=len(cols), growth_rows=growth_rows)
+    leads = [cols[k] for k in state.leads]
     entry = dataset.script_entry(1)
-    plans = column_plans(seed_plan(cols[0], zones, entry), zones, cols,
-                         [seed_ratio(p, entry) for p in cols])
-    return TreeState(columns=len(cols), pending_plans=plans,
-                     pending_fund=[p.q0 for p in cols],
-                     ratio_lagged=[each.ratio_used for each in plans])
+    plans = column_plans(seed_plan(leads[0], zones, entry), zones, leads,
+                         [seed_ratio(p, entry) for p in leads])
+    state.pending_plans, state.pending_fund, state.ratio_lagged = (
+        plans, [p.q0 for p in leads], [each.ratio_used for each in plans])
+    return state
 
 
 def simulate(params: GrowthParameters, zones: ZoneRuleSet,
@@ -359,6 +373,20 @@ def run_key(params: GrowthParameters, tree_index: int) -> GrowthParameters:
     return replace(params, v_env=(params.v_env[tree_index],))
 
 
+#: every field a run's growth reads besides its own environment factor:
+#: all but the ring-only ones, which only the ring partition (``p_rg``,
+#: ``lambda_mix``) and output collection (``wood_density``) read
+_grown = attrgetter(*(f.name for f in fields(GrowthParameters) if f.name not in
+                      ("v_env", "p_rg", "lambda_mix", "wood_density")))
+
+
+def growth_key(params: GrowthParameters, tree_index: int) -> tuple:
+    """What a run's growth reads of ``params``: its :func:`run_key` less
+    the ring-only parameters.  The rings feed nothing back, so columns of
+    one key grow alike, bit for bit."""
+    return params.v_env[tree_index], _grown(params)
+
+
 def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
                    dataset: TargetDataset, tree_index: int = 0
                    ) -> list[SimulationOutput | TreesinkError]:
@@ -370,9 +398,12 @@ def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
     bit, or the TreesinkError it raises.  Each request is checked whole,
     and one that fails its checks does not join the batch.  The others run
     once per distinct :func:`run_key`, and the items of one key share one
-    SimulationOutput object (or one error).  If the batched run raises, as
+    SimulationOutput object (or one error).  Within the batched run, keys
+    that differ only in the ring-only parameters (``p_rg``, ``lambda_mix``,
+    ``wood_density``) share one growth (:func:`growth_key`), which is exact
+    because no grown quantity reads them.  If the batched run raises, as
     it does when a column's rounding outcome departs from the first
-    column's, each key runs alone.
+    column's, or in one column's rings or collection, each key runs alone.
     """
     results: list = [None] * len(params)
     keys: dict = {}   # run key -> the items that share its run
@@ -404,8 +435,11 @@ def simulate_batch(params: Sequence[GrowthParameters], zones: ZoneRuleSet,
 @np.errstate(all="ignore")   # a value that overflows fails check_finite
 def _run(cols, zones, dataset, tree_index, n_cycles, with_topology=False,
          with_signature=False) -> list[SimulationOutput]:
-    """Every column's output of one batched run of checked requests."""
-    state = start_state(cols, zones, dataset)
+    """Every column's output of one batched run of checked requests; the
+    columns of one :func:`growth_key` grow once."""
+    keys: dict = {}
+    state = start_state(cols, zones, dataset, [
+        keys.setdefault(growth_key(p, tree_index), len(keys)) for p in cols])
     allocations = [step(state, cols, zones, dataset, tree_index, n_cycles)
                    for _ in range(n_cycles)]
     return _collect_output(state, cols, list(zip(*allocations)), n_cycles,
@@ -417,15 +451,15 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
                     with_topology: bool = True,
                     with_signature: bool = True) -> list[SimulationOutput]:
     """Each column's output; ``allocations`` holds each column's
-    allocation records.  The columns' profiles are views of one batched
-    record, each per-column sum running along a contiguous last axis, as
-    it does with one column."""
-    trunk = state.classes[0]
+    allocation records.  Each column reads its growth row's fields.  The
+    columns' profiles are views of one batched record, each per-column sum
+    running along a contiguous last axis, as it does with one column."""
+    trunk, by_column = state.classes[0], state.by_column
     density = np.array([[p.wood_density] for p in cols])
 
     add = np.add.reduce
     units = state.growth_units(trunk.index)
-    internode, length = trunk.internode_mass, trunk.length
+    internode, length = map(by_column, (trunk.internode_mass, trunk.length))
     wood = internode + trunk.cum_ring
     diam = metamer_diameters(wood, length, density)
     # each table is filled field by field, then viewed per column
@@ -456,8 +490,8 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
     del wood_then, diam_then
 
     wood_totals, total_wood = state.wood_totals()
-    leaf_totals = state.subtree_leaf_mass_totals()
-    lengths = state.arena.segment_sums(state.arena.field(LENGTH))
+    leaf_totals = by_column(state.subtree_leaf_mass_totals())
+    lengths = by_column(state.arena.segment_sums(state.arena.field(LENGTH)))
     check_finite(wood_totals, leaf_totals, lengths)
     grouped: dict[tuple[int, int], list[int]] = {}
     for rank, *_, laterals in units:
@@ -485,8 +519,10 @@ def _collect_output(state: TreeState, cols, allocations, n_cycles: int,
         pending, drops in zip(
             allocations, trunk_table.transpose(1, 2, 0), rings,
             branches.transpose(1, 2, 3, 0), total_wood.tolist(),
-            state.total_leaf_mass_ever().tolist(), state.pending_fund,
-            state.decisions, state.pending_plans, state.pressler_drops)]
+            by_column(state.total_leaf_mass_ever()).tolist(),
+            *([each[row] for row in state.growth_rows] for each in (
+                state.pending_fund, state.decisions, state.pending_plans)),
+            state.pressler_drops)]
 
 
 def extract_targets(output: SimulationOutput, dataset: TargetDataset

@@ -8,7 +8,7 @@ one cycle: a leaf is live if its growth unit was born at the current cycle.
 
 The tree owns every value in one :class:`Arena`: the four fields a growth
 unit's metamers share once per unit (for the bundled tree2 with ten
-parameter columns, 1.37 MB of floats instead of 3.56 MB), the cumulative
+growth rows, 1.37 MB of floats instead of 3.56 MB), the cumulative
 ring, which depends on a metamer's position, once per metamer, and the
 laterals as one edge list.  A unit's zone layout stays in the plan it grew
 from (``TreeState.decisions``).  Each table keeps a class's columns
@@ -22,12 +22,16 @@ every block and the cycle's laterals.  Reads take the tables as they are.
 
 A tree may carry K parameter columns: K runs that share every decision
 (classes, growth units, laterals, multiplicities) but not their masses.
-Each field then has one row per column, and every per-column quantity a
-method returns has a leading axis of length K.  Per-column reductions run
-along a contiguous last axis, so each column's bits are those of a
-one-column tree.  A metamer bears at most one lateral axis, created the
-cycle after the metamer's own expansion (or with it for trunk-scripted
-branches).
+Columns that differ only in the ring-only parameters (``p_rg``,
+``lambda_mix``, ``wood_density``) share one growth row: nothing the tree
+grows reads them, so their units' fields are equal to the last bit.  The
+four unit fields and the foliage scans then have one row per growth row
+(G of them), the cumulative ring one row per column, and
+:meth:`TreeState.by_column` gives each column its growth row's values.
+Per-column reductions run along a contiguous last axis, so each column's
+bits are those of a one-column tree.  A metamer bears at most one lateral
+axis, created the cycle after the metamer's own expansion (or with it for
+trunk-scripted branches).
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .core import TRUNK_PA, GrowthParameters, SimulationError
 # rows of Arena.units (a column per growth unit): the owning class index,
 # the unit's birth cycle and its metamer count, then its fields
 CLASS, BIRTH, SIZE = range(3)
-# the per-instance fields (Arena.field), each with one row per parameter
-# column: the first four per growth unit, the ring per metamer
+# the per-instance fields (Arena.field): the first four per growth unit,
+# one row per growth row; the ring per metamer, one row per column
 INTERNODE_MASS, LENGTH, LEAF_MASS, LEAF_AREA, CUM_RING = range(5)
 # rows of Arena.edges (a column per lateral; ROW is class-local): class
 # BEARER's metamer ROW bears one instance of class CHILD per instance
@@ -110,9 +114,10 @@ class Arena:
     """Every per-metamer value and every lateral of one tree.
 
     ``units`` has one column per growth unit (rows CLASS to SIZE, then
-    INTERNODE_MASS to LEAF_AREA with one row per parameter column): a
-    unit's rank is its place among its class's units and its first row
-    the sum of their sizes.  ``cum_ring`` (one row per column) has one
+    INTERNODE_MASS to LEAF_AREA with one row per growth row, ``growths``
+    of them, by default one per column): a unit's rank is its place among
+    its class's units and its first row the sum of their sizes.
+    ``cum_ring`` (one row per column) has one
     column per metamer, and ``edges`` one per lateral (rows BEARER..CHILD),
     in creation order within each class.  ``unit_bounds``, ``bounds`` and
     ``edge_bounds`` are their class offsets.  :meth:`add_class` and
@@ -124,11 +129,11 @@ class Arena:
     """
 
     __slots__ = ("units", "sizes", "cum_ring", "edges", "unit_bounds",
-                 "bounds", "edge_bounds", "columns", "live")
+                 "bounds", "edge_bounds", "columns", "growths", "live")
 
-    def __init__(self, columns: int = 1):
-        self.columns = columns
-        self.units = np.zeros((SIZE + 1 + 4 * columns, 0))
+    def __init__(self, columns: int = 1, growths: int | None = None):
+        self.columns, self.growths = columns, growths or columns
+        self.units = np.zeros((SIZE + 1 + 4 * self.growths, 0))
         self.sizes = np.zeros(0, np.intp)
         self.cum_ring = np.zeros((columns, 0))
         self.edges = np.zeros((3, 0), dtype=np.int64)
@@ -149,7 +154,8 @@ class Arena:
         blocks.  ``units`` holds blocks (classes, birth cycle, metamer
         count, values) of alike units, the next of each class in
         ``classes``, with ``values`` the per-metamer internode mass,
-        length, leaf mass and leaf area, field by field.  ``edges`` holds
+        length, leaf mass and leaf area, field by field, growth row by
+        growth row.  ``edges`` holds
         (bearers, rows, children): class ``bearers[i]``'s metamer row
         ``rows[i]`` bears one instance of class ``children[i]`` per
         instance.  Each row must exist and bear one lateral at most; a grow
@@ -160,9 +166,9 @@ class Arena:
                 if count < 1:
                     raise SimulationError(
                         "growth units carry at least one metamer")
-                if len(values) != 4 * self.columns:
+                if len(values) != 4 * self.growths:
                     raise SimulationError(f"{len(values)} metamer values "
-                                          f"for {self.columns} columns")
+                                          f"for {self.growths} growth rows")
             # CLASS per unit, the other rows shared by a block
             added = np.array([(0, birth, count, *values) for
                               _, birth, count, values in units]).T.repeat(
@@ -198,19 +204,21 @@ class Arena:
         self.live = ()
 
     def unit_field(self, row: int) -> np.ndarray:
-        """The (columns, units) rows of a field a unit's metamers share."""
-        start = SIZE + 1 + row * self.columns
-        return self.units[start:start + self.columns]
+        """The (growth rows, units) rows of a field a unit's metamers
+        share."""
+        start = SIZE + 1 + row * self.growths
+        return self.units[start:start + self.growths]
 
     def field(self, row: int) -> np.ndarray:
-        """The (columns, metamers) array of one field: the ring array
-        itself, or a unit field repeated over each unit's metamers."""
+        """The array of one field over the metamers: the (columns, metamers)
+        ring array itself, or a (growth rows, metamers) unit field repeated
+        over each unit's metamers."""
         if row == CUM_RING:
             return self.cum_ring
         return self.unit_field(row).repeat(self.sizes, axis=1)
 
     def segment_sums(self, per_metamer: np.ndarray) -> np.ndarray:
-        """(columns, classes): per class, the sum of each row of
+        """(rows, classes): per class, the sum of each row of
         ``per_metamer`` (aligned with the arena) over its segment."""
         b, add = self.bounds, np.add.reduce
         sums = [add(per_metamer[:, s:e], axis=1) for s, e in zip(b, b[1:])]
@@ -218,8 +226,8 @@ class Arena:
 
 
 def _arena_field(row: int) -> property:
-    """A copy of a class's (columns, metamers) values of one arena field,
-    base to apex."""
+    """A copy of a class's values of one arena field, base to apex: (growth
+    rows, metamers), or (columns, metamers) for the ring."""
     def get(self: AxisClass) -> np.ndarray:
         arena, i = self.arena, self.index
         if row == CUM_RING:
@@ -277,30 +285,47 @@ class AxisClass:
 @dataclass
 class TreeState:
     """Complete factorized state of one simulated tree over ``columns``
-    parameter columns; its classes share its arena.  The per-column cycle
-    state holds one entry per column."""
+    parameter columns, which grow on ``growth_rows``; its classes share
+    its arena.  The cycle state of growth holds one entry per growth row,
+    that of the rings one per column."""
 
     cycle: int = 0
     columns: int = 1
+    # each column's growth row, numbered in order of first appearance; the
+    # default gives every column its own
+    growth_rows: tuple[int, ...] = ()
     classes: list[AxisClass] = field(init=False, default_factory=list)
-    # previous-cycle Q/D driving organogenesis
+    # per growth row, the previous-cycle Q/D driving organogenesis
     ratio_lagged: list[float] = field(default_factory=list)
-    # OrganogenesisPlans for cycle+1, and the Q_s committed to them
+    # per growth row, the OrganogenesisPlan for cycle+1 and the Q_s
+    # committed to it
     pending_plans: list = field(default_factory=list)
     pending_fund: list[float] = field(default_factory=list)
     # per cycle, the (columns, trunk metamers) per-instance ring increments
     trunk_rings: list[np.ndarray] = field(init=False, default_factory=list)
-    # per column, the expanded OrganogenesisPlans: the decisions the
-    # architecture rests on, with that column's ratios and shoot demands
+    # per growth row, the expanded OrganogenesisPlans: the decisions the
+    # architecture rests on, with that row's ratios and shoot demands
     decisions: list[list] = field(init=False)
     # per column, the cycles whose ring partition dropped the Pressler term
     pressler_drops: list[list[int]] = field(init=False)
+    # each growth row's first column
+    leads: list[int] = field(init=False)
     arena: Arena = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.arena = Arena(self.columns)
-        self.decisions = [[] for _ in range(self.columns)]
+        rows = self.growth_rows = tuple(self.growth_rows
+                                        or range(self.columns))
+        self.leads = [rows.index(g) for g in range(max(rows) + 1)]
+        self.arena = Arena(self.columns, len(self.leads))
+        self.decisions = [[] for _ in self.leads]
         self.pressler_drops = [[] for _ in range(self.columns)]
+
+    def by_column(self, per_growth: np.ndarray) -> np.ndarray:
+        """``per_growth`` (one row per growth row) with one row per column:
+        its growth row's, or itself when each column grows alone."""
+        if len(self.leads) == self.columns:
+            return per_growth
+        return per_growth.take(self.growth_rows, axis=0)
 
     def add_class(self, pa: int, birth_cycle: int, multiplicity: int) -> AxisClass:
         cls = AxisClass(self.arena, pa, birth_cycle, multiplicity)
@@ -312,15 +337,16 @@ class TreeState:
     # ------------------------------------------------------------------
 
     def _live_totals(self, row: int) -> np.ndarray:
-        """(columns, classes): per class, the per-instance total of the
-        LEAF_AREA or LEAF_MASS ``row`` over the leaves alive at the current
-        cycle: those of the units born then.  A cycle reads the blade area
-        twice, so the arena keeps the last result until it next grows."""
+        """(growth rows, classes): per class, the per-instance total of
+        the LEAF_AREA or LEAF_MASS ``row`` over the leaves alive at the
+        current cycle: those of the units born then.  A cycle reads the
+        blade area twice, so the arena keeps the last result until it next
+        grows."""
         arena, key = self.arena, (self.cycle, row)
         if arena.live and arena.live[0] == key:
             return arena.live[1]
         # each live unit's metamer value × their count, added to its class
-        totals = np.zeros((self.columns, len(self.classes)))
+        totals = np.zeros((arena.growths, len(self.classes)))
         live = (arena.units[BIRTH] == self.cycle).nonzero()[0]
         classes = arena.units[CLASS].take(live).astype(int)
         np.add.at(totals, (slice(None), classes), arena.unit_field(row).take(
@@ -329,20 +355,20 @@ class TreeState:
         return totals
 
     def _instance_total(self, per_class: np.ndarray) -> np.ndarray:
-        """Per column, the sum over the classes of multiplicity × value,
+        """Per row, the sum over the classes of multiplicity × value,
         added in class order."""
         if not self.classes:
-            return np.zeros(self.columns)
+            return np.zeros(len(per_class))
         mult = np.array([cls.multiplicity for cls in self.classes], float)
         return (mult * per_class).cumsum(axis=1)[:, -1]
 
     def total_blade_area_cm2(self) -> np.ndarray:
-        """Per column, the blade area of the leaves alive at the current
+        """Per growth row, the blade area of the leaves alive at the current
         cycle."""
         return self._instance_total(self._live_totals(LEAF_AREA))
 
     def _subtree_totals(self, own: np.ndarray) -> np.ndarray:
-        """(columns, classes) per-instance subtree sums of the per-class
+        """(rows, classes) per-instance subtree sums of the per-class
         values ``own``, resolved bottom-up: children are always created
         after their parent class, so one reverse pass suffices.  Each class
         adds its laterals in creation order in one ``np.add.reduce`` (a
@@ -366,9 +392,9 @@ class TreeState:
         current cycle.  Returns (class offsets, (columns, metamers) areas):
         the areas of class ``i`` are ``areas[:, bounds[i]:bounds[i + 1]]``,
         aligned with its arena segment.  Only the held metamers (those of a
-        live unit, the bearers, each class's apex) enter the scan: any other
-        adds an exact +0.0, which leaves a nonnegative sum's bits as they
-        are."""
+        live unit, the bearers, each class's apex) enter the scan, once per
+        growth row: any other adds an exact +0.0, which leaves a
+        nonnegative sum's bits as they are."""
         arena = self.arena
         edges, sizes, bounds = arena.edges, arena.sizes, np.array(arena.bounds)
         if not bounds[-1]:
@@ -391,12 +417,12 @@ class TreeState:
         width = int(counts.max())
         cell = (first[1:] + np.arange(-1, counts.size * width - 1, width)
                 ).repeat(counts) - np.arange(held.size)
-        table = np.zeros((self.columns, counts.size * width))
+        table = np.zeros((arena.growths, counts.size * width))
         table[:, cell] = seg
-        rows = table.reshape(self.columns, -1, width)
+        rows = table.reshape(arena.growths, -1, width)
         rows.cumsum(axis=-1, out=rows)
         # each metamer takes the sum of the nearest held one at or above it
-        return bounds, table.take(cell, axis=1).repeat(
+        return bounds, self.by_column(table.take(cell, axis=1)).repeat(
             held - np.concatenate(([-1], held[:-1])), axis=1)
 
     def ring_partition_arrays(self, p_rg) -> tuple[
@@ -411,7 +437,7 @@ class TreeState:
         unit_pa = pa.take(arena.units[CLASS].astype(np.intp))
         sink = np.asarray(p_rg, float).reshape(self.columns, -1).take(
             unit_pa - 1, axis=1)
-        sink *= arena.unit_field(LENGTH)
+        sink *= self.by_column(arena.unit_field(LENGTH))
         mult = np.array([cls.multiplicity for cls in self.classes], float)
         return (bounds, s_a, sink.repeat(arena.sizes, axis=1),
                 mult.repeat(bounds[1:] - bounds[:-1]))
@@ -425,12 +451,13 @@ class TreeState:
         rings) of each class's subtree, and each column's whole wood mass:
         both sums of one per-class sum."""
         arena = self.arena
-        own = arena.segment_sums(arena.field(INTERNODE_MASS)
+        own = arena.segment_sums(self.by_column(arena.field(INTERNODE_MASS))
                                  + arena.field(CUM_RING))
         return self._subtree_totals(own), self._instance_total(own)
 
     def subtree_leaf_mass_totals(self) -> np.ndarray:
-        """(columns, classes) live leaf mass of each class's subtree."""
+        """(growth rows, classes) live leaf mass of each class's
+        subtree."""
         return self._subtree_totals(self._live_totals(LEAF_MASS))
 
     def total_leaf_mass_ever(self) -> np.ndarray:

@@ -73,10 +73,21 @@ def test_jacobian_columns_equal_serial_residuals(bundled, monkeypatch):
                                weights)
 
 
+def _same_output(out, alone):
+    """``out`` is ``alone`` to the bit: the profile tables, and the exact
+    repr of every allocation, event, decision and total."""
+    assert out.profiles == alone.profiles
+    for name in vars(alone).keys() - {"profiles"}:
+        assert repr(getattr(out, name)) == repr(getattr(alone, name)), name
+
+
 def test_batch_records_equal_lone_runs(bundled, monkeypatch):
-    # the bundled start and its first Jacobian's points on tree 2, one
-    # batch of 10 runs: each column's profile record, and the rows read
-    # from it, are its own profile-only run's, bit for bit
+    # the bundled start, its first Jacobian's points and a column that
+    # moves only the wood density, one batch of 11 runs per tree (the other
+    # tree's v point is the start's run): the start, the density column and
+    # the lambda_mix and three ring-sink points share one growth.  Each
+    # column's whole output, and the rows read from its profile record,
+    # are its own profile-only run's, bit for bit
     params, zones, spec, targets, weights = bundled
     asked = []
     residuals = Scorer.residuals
@@ -90,22 +101,22 @@ def test_batch_records_equal_lone_runs(bundled, monkeypatch):
                    Scorer(params, zones, targets, weights), max_nfev=1)
     monkeypatch.undo()
     [candidates] = asked
+    candidates.append({**candidates[0], "wood_density": 0.7})
     columns = [apply_candidate(params, zones, c)[0] for c in candidates]
     cand_zones = apply_candidate(params, zones, candidates[0])[1]
-    runs = _log_runs(monkeypatch)
-    results = engine.simulate_batch(columns, cand_zones, targets[1],
-                                    tree_index=1)
-    monkeypatch.undo()
-    assert runs == [(10, 1)]
-    for p, out in zip(columns, results):
-        alone = engine.simulate(p, cand_zones, targets[1], tree_index=1,
-                                with_topology=False, with_signature=False)
-        for table in ("trunk", "rings", "births", "branches", "counts"):
-            a, b = (getattr(each.profiles, table) for each in (out, alone))
-            assert (a.shape, a.dtype, a.tobytes()) == \
-                (b.shape, b.dtype, b.tobytes())
-        for m in MEASUREMENTS:
-            assert repr(getattr(out, m.field)) == repr(getattr(alone, m.field))
+    for tree, dataset in enumerate(targets):
+        runs, grown = _log_runs(monkeypatch), _log_growth(monkeypatch)
+        results = engine.simulate_batch(columns, cand_zones, dataset,
+                                        tree_index=tree)
+        monkeypatch.undo()
+        assert runs == [(11, tree)] and grown == [(11, 6)]
+        for p, out in zip(columns, results):
+            alone = engine.simulate(p, cand_zones, dataset, tree_index=tree,
+                                    with_topology=False, with_signature=False)
+            _same_output(out, alone)
+            for m in MEASUREMENTS:
+                assert repr(getattr(out, m.field)) == \
+                    repr(getattr(alone, m.field))
 
 
 def _log_runs(monkeypatch) -> list[tuple[int, int]]:
@@ -119,6 +130,20 @@ def _log_runs(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(engine, "_run", counted)
     return runs
+
+
+def _log_growth(monkeypatch) -> list[tuple[int, int]]:
+    """(columns, growth rows) of every engine run from now on."""
+    grown = []
+    start = engine.start_state
+
+    def counted(columns, *args):
+        state = start(columns, *args)
+        grown.append((len(columns), len(state.leads)))
+        return state
+
+    monkeypatch.setattr(engine, "start_state", counted)
+    return grown
 
 
 def _signature(params, zones, dataset, values):
@@ -231,28 +256,53 @@ def test_a_departure_at_the_seed_plan(bundled, monkeypatch):
 
 def test_a_raising_batch_runs_every_column_alone(bundled, monkeypatch):
     # the second column passes every check but its production diverges in
-    # tree 1's first cycle, which stops the batched run
+    # tree 1's first cycle, which stops the batched run; the fourth moves
+    # only the wood density, to a subnormal one whose diameters overflow
+    # when its output is collected
     params, zones, spec, targets, weights = bundled
     base = {p.name: p.init for p in spec.continuous}
     candidates = [base, {**base, "v_1": 1e20},
-                  {**base, "sp0": base["sp0"] * (1 + 1e-6)}]
+                  {**base, "sp0": base["sp0"] * (1 + 1e-6)},
+                  {**base, "wood_density": 5e-324}]
     runs = _log_runs(monkeypatch)
     results = Scorer(params, zones, targets, weights).residuals(candidates)
     monkeypatch.undo()
     # on tree 1 each column then ran alone; on tree 2 the two that did not
     # fail ran as a batch
-    assert runs == [(3, 0), (1, 0), (1, 0), (1, 0), (2, 1)]
+    assert runs == [(4, 0), (1, 0), (1, 0), (1, 0), (1, 0), (2, 1)]
     assert "production diverged" in str(results[1])
+    assert "not finite" in str(results[3])
     ran = [_same_as_serial(c, r, params, zones, targets, weights)
            for c, r in zip(candidates, results)]
-    assert ran == [True, False, True]
+    assert ran == [True, False, True, False]
+    # without the diverging column the batch grows twice and raises only in
+    # collection, the density column sharing the start's growth; each
+    # column then runs alone and gets its lone run's output or error
+    columns = [apply_candidate(params, zones, c)[0]
+               for c in candidates[::2] + candidates[3:]]
+    runs, grown = _log_runs(monkeypatch), _log_growth(monkeypatch)
+    results = engine.simulate_batch(columns, zones, targets[0])
+    monkeypatch.undo()
+    assert runs == [(3, 0), (1, 0), (1, 0), (1, 0)]
+    assert grown == [(3, 2), (1, 1), (1, 1), (1, 1)]
+    for p, result in zip(columns, results):
+        try:
+            alone = engine.simulate(p, zones, targets[0], with_topology=False,
+                                    with_signature=False)
+        except TreesinkError as exc:
+            assert (type(result), str(result)) == (type(exc), str(exc))
+        else:
+            _same_output(result, alone)
+    assert isinstance(results[2], SimulationError)
 
 
 def test_a_column_dropping_the_pressler_term_stays(bundled, monkeypatch):
     # production needs live leaves, which lie above the trunk base, so no
     # crown with production drops the Pressler term; the ring partition's
     # foliage scan reads none for the columns marked by p_rg_4, whether
-    # they run batched or alone
+    # they run batched or alone.  The marked columns share the first
+    # column's growth, and the one with no foliage influence (lambda_mix
+    # 0) drops nothing
     params, zones, spec, targets, weights = bundled
     mark = 0.0123
     arrays = TreeState.ring_partition_arrays
@@ -267,20 +317,23 @@ def test_a_column_dropping_the_pressler_term_stays(bundled, monkeypatch):
     monkeypatch.setattr(TreeState, "ring_partition_arrays", leafless)
     base = {p.name: p.init for p in spec.continuous}
     candidates = [base, {**base, "p_rg_4": mark},
-                  {**base, "gamma": base["gamma"] * (1 + 1e-6)}]
-    runs = _log_runs(monkeypatch)
+                  {**base, "gamma": base["gamma"] * (1 + 1e-6)},
+                  {**base, "p_rg_4": mark, "lambda_mix": 0.0}]
+    runs, grown = _log_runs(monkeypatch), _log_growth(monkeypatch)
     results = Scorer(params, zones, targets, weights).residuals(candidates)
-    # on each tree the marked column stayed in the batch
-    assert runs == [(3, 0), (3, 1)]
+    # on each tree the marked columns stayed in the batch
+    assert runs == [(4, 0), (4, 1)] and grown == [(4, 2), (4, 2)]
     applied = [apply_candidate(params, zones, c) for c in candidates]
     cand_zones = applied[1][1]
     batched = engine.simulate_batch([p for p, _ in applied], cand_zones,
                                     targets[0])
-    output = engine.simulate(applied[1][0], cand_zones, targets[0],
-                             with_topology=False)
+    output, twin = (engine.simulate(p, cand_zones, targets[0],
+                                    with_topology=False)
+                    for p, _ in applied[1::2])
     assert (1, engine.PRESSLER_DROP, None, None) in output.events
     assert batched[1].events == output.events
-    assert batched[0].events == batched[2].events == []
+    assert batched[0].events == batched[2].events == batched[3].events == \
+        twin.events == []
     ran = [_same_as_serial(c, r, params, zones, targets, weights)
            for c, r in zip(candidates, results)]
-    assert ran == [True, True, True]
+    assert ran == [True, True, True, True]

@@ -416,19 +416,26 @@ class TestFitTopology:
         # tree reads only its own environment factor: the column that moves
         # only the other tree's v is the start's run; the intervals and the
         # predicted-vs-observed rows come from the scorer's run at the
-        # fitted point
+        # fitted point.  Within a run, the columns that move only a ring
+        # parameter (lambda_mix, p_rg_2..4) share the start's growth
         params, zones, spec = read_parameter_file(
             fixture_path("species.params"))
         targets = [parse_target_file(fixture_path(f"tree{i}.target.csv"))
                    for i in (1, 2)]
-        runs = []
-        run = engine._run
+        runs, grown = [], []
+        run, start = engine._run, engine.start_state
 
         def counted(columns, zones, dataset, tree_index, *args):
             runs.append((tree_index, len(columns)))
             return run(columns, zones, dataset, tree_index, *args)
 
+        def growing(columns, *args):
+            state = start(columns, *args)
+            grown.append(len(state.leads))
+            return state
+
         monkeypatch.setattr(engine, "_run", counted)
+        monkeypatch.setattr(engine, "start_state", growing)
         stages = []
         result = fit_topology(spec, params, zones, targets, stages)
         assert result.evaluations == 1 + len(spec.continuous) == 11
@@ -438,10 +445,20 @@ class TestFitTopology:
             == [(0, 10), (1, 10)]
         assert sum(n for _, n in runs) == \
             len(targets) * (result.evaluations - 1) == 20
+        assert grown == [6, 6]
         # the stage records count the same runs and tree-columns
         assert [sum(getattr(s, f) for s in stages) for f in (
             "evaluations", "runs", "columns")] == [11, len(runs), 20]
         assert stages[0][:4] == ("start", 11, 2, 20)
+        # a small fit's Jacobian batch frees only growth parameters (v_1,
+        # gamma): each of its columns grows
+        grown.clear()
+        v_1, v_2 = params.v_env
+        simulate_batch([params,
+                        params.with_values(v_env=(v_1 * (1 + 1e-6), v_2)),
+                        params.with_values(gamma=params.gamma * (1 + 1e-6))],
+                       zones, targets[0])
+        assert grown == [3]
 
     def test_nested_refit_chain_is_seeded_and_counted(self, params, zones,
                                                       monkeypatch):
