@@ -283,10 +283,11 @@ class Scorer:
         self.evaluations += n
         results: list = [[] for _ in cols]   # runs, or the error
         for i, (ds, kept) in enumerate(zip(self.targets, self._kept)):
-            fresh = []
+            fresh, keys = [], {}   # each live candidate's run key
             for k in [k for k, c in enumerate(results) if isinstance(c, list)]:
+                keys[k] = run_key(cols[k], i)
                 try:
-                    run = _replayed(kept, cols[k], zones, ds, i)
+                    run = _replayed(kept, keys[k], cols[k], zones, ds, i)
                 except TreesinkError as exc:
                     results[k] = exc
                     continue
@@ -295,12 +296,12 @@ class Scorer:
                 else:
                     results[k].append(run)
                     self.replays += k < n   # a point ahead, once claimed
-            todo = [cols[k] for k in fresh if (i, cols[k]) not in ran]
-            keys = [run_key(col, i) for col in todo]
+            todo = [k for k in fresh if (i, cols[k]) not in ran]
             self.runs += bool(todo)
-            self.columns += len(set(keys))   # a batch runs each key once
-            for col, key, output in zip(todo, keys, todo and simulate_batch(
-                    todo, zones, ds, tree_index=i)):
+            self.columns += len({keys[k] for k in todo})   # each key once
+            for k, output in zip(todo, todo and simulate_batch(
+                    [cols[k] for k in todo], zones, ds, tree_index=i)):
+                col = cols[k]
                 try:
                     if isinstance(output, TreesinkError):
                         raise output
@@ -309,7 +310,7 @@ class Scorer:
                     ran[i, col] = exc
                     continue
                 w = np.sqrt([self.weights.get(lbl, 1.0) for lbl in labels])
-                ran[i, col] = key, output.decisions, rows, w * (sim - obs)
+                ran[i, col] = keys[k], output.decisions, rows, w * (sim - obs)
             for k in fresh:
                 if isinstance(run := ran[i, cols[k]], TreesinkError):
                     results[k] = run
@@ -341,7 +342,8 @@ class Scorer:
         cand, zones = apply_candidate(self.params, self.zones, values)
         trees = []
         for i, (ds, best) in enumerate(zip(self.targets, self._best[1])):
-            run = _replayed(best + self._kept[i], cand, zones, ds, i)
+            run = _replayed(best + self._kept[i], run_key(cand, i), cand,
+                            zones, ds, i)
             if run is None:
                 output = simulate(cand, zones, ds, tree_index=i,
                                   with_topology=False, with_signature=False)
@@ -353,11 +355,11 @@ class Scorer:
         return cand, zones, trees
 
 
-def _replayed(runs, cand, zones, ds, tree_index):
-    """The run of ``runs`` of the tree ``ds`` that ``cand`` repeats under
-    ``zones``, or None: the first with its run key whose plans all hold.
-    A repeated run's request is checked whole, as in a run."""
-    key = run_key(cand, tree_index)
+def _replayed(runs, key, cand, zones, ds, tree_index):
+    """The run of ``runs`` of the tree ``ds`` that ``cand``, of run key
+    ``key``, repeats under ``zones``, or None: the first with its key whose
+    plans all hold.  A repeated run's request is checked whole, as in a
+    run."""
     run = next((run for run in runs if run[0] == key and all(
         plan_holds(plan, zones, cand) for plan in run[1])), None)
     if run is not None:

@@ -367,23 +367,26 @@ def simulate(params: GrowthParameters, zones: ZoneRuleSet,
                 with_topology, with_signature)[0]
 
 
-def run_key(params: GrowthParameters, tree_index: int) -> GrowthParameters:
-    """What a run of tree ``tree_index`` reads of ``params``: of ``v_env``
-    only its own factor (:func:`net_production`)."""
-    return replace(params, v_env=(params.v_env[tree_index],))
+def run_key(params: GrowthParameters, tree_index: int) -> tuple:
+    """What a run of tree ``tree_index`` reads of ``params``: its
+    :func:`growth_key` and the ring-only fields."""
+    return growth_key(params, tree_index), _rings(params)
 
 
-#: every field a run's growth reads besides its own environment factor:
-#: all but the ring-only ones, which only the ring partition (``p_rg``,
-#: ``lambda_mix``) and output collection (``wood_density``) read
-_grown = attrgetter(*(f.name for f in fields(GrowthParameters) if f.name not in
-                      ("v_env", "p_rg", "lambda_mix", "wood_density")))
+#: the ring-only fields: only the ring partition (``p_rg``, ``lambda_mix``)
+#: and output collection (``wood_density``) read them
+_RING_ONLY = ("p_rg", "lambda_mix", "wood_density")
+_rings = attrgetter(*_RING_ONLY)
+#: every field a run's growth reads besides its own environment factor
+_grown = attrgetter(*(f.name for f in fields(GrowthParameters)
+                      if f.name not in ("v_env", *_RING_ONLY)))
 
 
 def growth_key(params: GrowthParameters, tree_index: int) -> tuple:
-    """What a run's growth reads of ``params``: its :func:`run_key` less
-    the ring-only parameters.  The rings feed nothing back, so columns of
-    one key grow alike, bit for bit."""
+    """What a run's growth reads of ``params``: of ``v_env`` only its own
+    factor (:func:`net_production`), and every field but the ring-only
+    ones.  The rings feed nothing back, so columns of one key grow alike,
+    bit for bit."""
     return params.v_env[tree_index], _grown(params)
 
 

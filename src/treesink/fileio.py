@@ -23,18 +23,19 @@ All numeric output is written in full-precision decimal text (repr), so a
 write/read round trip reproduces every value exactly.  JSON outputs have a
 one-space indent and sorted keys and end with a newline: the bytes of
 Python's ``json`` module with ``indent=1, sort_keys=True``.  The engine's
-topology.json is the text its finished tree renders
-(``TreeState.topology_text``); ``_json_text`` encodes every other.
+topology.json is that text rendered by its finished tree
+(``TreeState.topology_text``); ``_write_json`` writes every other with
+``json.dumps``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import re
 from dataclasses import fields
-from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter
 
 from .calibration import (AnnealSchedule, FitResult, FitSpec, FreeParameter,
@@ -455,52 +456,6 @@ def _write_rows(path, row_type, rows, header=None) -> str:
     return path
 
 
-_int_text = int.__repr__
-
-
-def _float_text(value) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
-    return "NaN" if value != value else \
-        "Infinity" if value > 0 else "-Infinity"
-
-
-def _json_text(data) -> str:
-    """The text of ``data`` as Python's ``json`` module encodes it with
-    ``indent=1, sort_keys=True``, byte for byte; ``json``'s C encoder
-    cannot indent, so ``json`` would run its pure-Python encoder here.
-    Dict keys must be ``str``; another key, or a value of a type ``json``
-    does not encode, is a TypeError."""
-
-    def encode(x, pad):
-        t, inner = type(x), pad + " "
-        if t is dict:
-            for key in x:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not "
-                                    f"{type(key).__name__}")
-            items = [_json_string(k) + ": " + encode(x[k], inner)
-                     for k in sorted(x)]
-        elif t is list or t is tuple:
-            items = [encode(v, inner) for v in x]
-        elif x is None or x is True or x is False:
-            return {None: "null", True: "true", False: "false"}[x]
-        else:
-            for base, text in ((str, _json_string), (float, _float_text),
-                               (int, _int_text)):   # and subclasses
-                if isinstance(x, base):
-                    return text(x)
-            raise TypeError(f"Object of type {t.__name__} is not JSON "
-                            f"serializable")
-        ends = "{}" if t is dict else "[]"
-        if not items:
-            return ends
-        return (ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
-                + pad + ends[1])
-
-    return encode(data, "")
-
-
 def _write_text(path, text: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -508,7 +463,7 @@ def _write_text(path, text: str) -> str:
 
 
 def _write_json(path, data) -> str:
-    return _write_text(path, _json_text(data) + "\n")
+    return _write_text(path, json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 def write_simulation_output(out_dir, output: SimulationOutput) -> list[str]:
